@@ -25,6 +25,7 @@ configuration.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,7 +101,9 @@ def _map_grid(worker, a_grid, threads):
         raise InputError(f"threads must be >= 1, got {threads}")
     if threads == 1 or a_grid.size == 1:
         return [worker(a) for a in a_grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # None means one worker per core; the executor's own default (cores + 4)
+    # keeps that many solves' arrays alive at once while LAPACK runs
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
         return list(pool.map(worker, a_grid))
 
 

@@ -1,27 +1,22 @@
-"""Self-contained real symmetric eigensolvers.
+"""Real symmetric eigensolvers: LAPACK through numpy.
 
-Two entry points backed by one kernel:
+* ``eig_dense_symmetric`` - full spectrum of a dense symmetric matrix (the
+  Galerkin projection matrices), with optional eigenvectors.
+* ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the smallest values, or
+  all eigenpairs, of a symmetric tridiagonal matrix (the Mathieu
+  recurrences).
 
-* ``eig_dense_symmetric`` - Householder reduction to tridiagonal form
-  followed by the implicit-shift QL iteration, with optional eigenvectors.
-  Intended for the dense projection matrices of this package (order <~ 200).
-* ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the same QL iteration
-  applied directly to a symmetric tridiagonal matrix (the Mathieu
-  recurrence matrices).
-
-QL with implicit shifts resolves the small eigenvalues of matrices graded
-with growing diagonals (as the Mathieu recurrences are) to absolute
-accuracy near machine epsilon, which the characteristic-value tables rely
-on.  The iteration is capped at 60 sweeps per eigenvalue; exceeding the cap
-raises ``NumericalError`` rather than returning a partial spectrum.
-
-Eigenvalues are returned ascending with a stable tie order; degenerate
-values are not collapsed here.
+Each validates its input (square, finite) and calls ``numpy.linalg.eigh``
+or ``eigvalsh``.  The Mathieu tables need the small eigenvalues of
+recurrences graded with growing diagonals to absolute accuracy near machine
+epsilon; ``tests/test_linalg.py`` re-checks that on the LAPACK path rather
+than assuming it.  A ``LinAlgError`` or a non-finite eigenvalue (overflow
+near the largest double) raises ``NumericalError``.  Eigenvalues are
+returned ascending; degenerate values are not collapsed here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +31,6 @@ __all__ = [
     "eig_tridiagonal",
     "eig_tridiagonal_full",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -76,12 +68,10 @@ class SymmetricMatrix:
         return cls(order=n, lower=dense[idx].copy())
 
     def to_dense(self) -> np.ndarray:
-        n = self.order
-        out = np.zeros((n, n))
-        idx = np.tril_indices(n)
+        out = np.zeros((self.order, self.order))
+        idx = np.tril_indices(self.order)
         out[idx] = self.lower
-        out = out + out.T
-        out[np.diag_indices(n)] /= 2.0
+        out.T[idx] = self.lower
         return out
 
     def frobenius_norm(self) -> float:
@@ -130,105 +120,22 @@ class EigenDecomposition:
     eigenvectors: np.ndarray | None = None
 
 
-def _tqli(d: list, e: list, z: np.ndarray | None) -> None:
-    """Implicit-shift QL on a symmetric tridiagonal matrix, in place.
-
-    d: diagonal (length n, becomes unsorted eigenvalues).
-    e: off-diagonal (length n, e[n-1] is workspace), destroyed.
-    z: optional array whose columns accumulate the rotations; pass the
-       identity to obtain eigenvectors, or a previous orthogonal factor.
-    """
-    n = len(d)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _MAX_SWEEPS:
-                raise NumericalError(
-                    f"QL iteration exceeded {_MAX_SWEEPS} sweeps for an "
-                    f"eigenvalue of a matrix of order {n}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early: recover and restart sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    zi1 = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * zi1
-                    z[:, i] = c * z[:, i] - s * zi1
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-
-def _householder_tridiagonalize(a: np.ndarray, want_q: bool):
-    """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
-
-    Returns (d, e, q) with q orthogonal (or None) such that
-    q.T A q = tridiag(d, e).
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    q = np.eye(n) if want_q else None
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        sigma = math.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-        u = x.copy()
-        u[0] += sigma
-        beta = 1.0 / (sigma * u[0])  # 2 / |u|^2 since |u|^2 = 2 sigma u0
-        block = a[k + 1 :, k + 1 :]
-        p = beta * (block @ u)
-        kappa = 0.5 * beta * float(u @ p)
-        w = p - kappa * u
-        block -= np.outer(u, w) + np.outer(w, u)
-        a[k + 1, k] = -sigma
-        a[k, k + 1] = -sigma
-        a[k + 2 :, k] = 0.0
-        a[k, k + 2 :] = 0.0
-        if q is not None:
-            q[:, k + 1 :] -= beta * np.outer(q[:, k + 1 :] @ u, u)
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
-    return d, e, q
-
-
-def _sorted_decomposition(d: np.ndarray, z: np.ndarray | None) -> EigenDecomposition:
-    order = np.argsort(d, kind="stable")
-    values = np.ascontiguousarray(d[order])
-    vectors = np.ascontiguousarray(z[:, order]) if z is not None else None
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+def _eigh(dense: np.ndarray, want_vectors: bool) -> EigenDecomposition:
+    """LAPACK eigenpairs (or values only) of a validated dense matrix."""
+    try:
+        if want_vectors:
+            values, vectors = np.linalg.eigh(dense)
+        else:
+            values, vectors = np.linalg.eigvalsh(dense), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver failed on a matrix of order {dense.shape[0]}: {exc}"
+        ) from exc
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            f"non-finite eigenvalues for a matrix of order {dense.shape[0]}"
+        )
+    return EigenDecomposition(values, vectors)
 
 
 def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition:
@@ -237,39 +144,18 @@ def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition
     ``matrix`` may be a :class:`SymmetricMatrix` or a plain square array,
     in which case only its lower triangle is read.
     """
-    if isinstance(matrix, SymmetricMatrix):
-        dense = matrix.to_dense()
-    else:
-        dense = SymmetricMatrix.from_dense(matrix).to_dense()
-    n = dense.shape[0]
-    if n == 1:
-        vec = np.ones((1, 1)) if want_vectors else None
-        return EigenDecomposition(dense[0, :1].copy(), vec)
-    d, e, q = _householder_tridiagonalize(dense, want_q=want_vectors)
-    dl = [float(v) for v in d]
-    el = [float(v) for v in e] + [0.0]
-    _tqli(dl, el, q)
-    return _sorted_decomposition(np.array(dl), q)
+    if not isinstance(matrix, SymmetricMatrix):
+        matrix = SymmetricMatrix.from_dense(matrix)
+    return _eigh(matrix.to_dense(), want_vectors)
 
 
 def eig_tridiagonal(tri: TridiagonalSymmetric, count: int) -> np.ndarray:
     """The ``count`` smallest eigenvalues of a symmetric tridiagonal matrix."""
     if not (1 <= count <= tri.order):
-        raise InputError(
-            f"count must be in [1, {tri.order}], got {count}"
-        )
-    dl = [float(v) for v in tri.diagonal]
-    el = [float(v) for v in tri.offdiagonal] + [0.0]
-    _tqli(dl, el, None)
-    dl.sort()
-    return np.array(dl[:count])
+        raise InputError(f"count must be in [1, {tri.order}], got {count}")
+    return _eigh(tri.to_dense(), want_vectors=False).eigenvalues[:count]
 
 
 def eig_tridiagonal_full(tri: TridiagonalSymmetric) -> EigenDecomposition:
-    """All eigenpairs of a symmetric tridiagonal matrix (same QL kernel)."""
-    n = tri.order
-    z = np.eye(n)
-    dl = [float(v) for v in tri.diagonal]
-    el = [float(v) for v in tri.offdiagonal] + [0.0]
-    _tqli(dl, el, z)
-    return _sorted_decomposition(np.array(dl), z)
+    """All eigenpairs of a symmetric tridiagonal matrix, ascending."""
+    return _eigh(tri.to_dense(), want_vectors=True)

@@ -20,11 +20,14 @@ coefficients normalised so that
 
     integral_{-pi}^{pi} |ce_m|^2 = integral_{-pi}^{pi} |se_m|^2 = pi.
 
-Truncation starts at 64 rows and doubles until every requested value is
-stable to 1e-13; failure to stabilise raises ``NumericalError``.  The sign
-convention fixes the first non-vanishing Fourier coefficient positive.
-Results are cached per (kind, order, q) and immutable, so concurrent use is
-safe.
+Truncation starts at max(64, count + 16) rows and doubles until every
+requested value is stable to 1e-13.  No recurrence above 4096 rows is built
+(each is solved dense, 128 MiB at that order): a count that leaves no room
+for one doubling below the cap raises ``CapacityError`` before anything is
+allocated, and failure to stabilise at the cap raises ``NumericalError``.
+The sign convention fixes the first non-vanishing Fourier coefficient
+positive.  Results are cached per (kind, order, q) and immutable, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import CapacityError, InputError, NumericalError
 from .linalg import TridiagonalSymmetric, eig_tridiagonal, eig_tridiagonal_full
 
 __all__ = ["MathieuChar", "char_values", "char_value", "fourier_coefficients", "evaluate"]
 
 _BASE_TRUNCATION = 64
-_MAX_TRUNCATION = 8192
+_MAX_TRUNCATION = 4096
 _STABILITY_TOL = 1e-13
 _COEFF_CUTOFF = 1e-16
 
@@ -99,8 +102,13 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
     Returns (values, size) where ``size`` is the accepted truncation.
     """
     size = max(_BASE_TRUNCATION, count + 16)
+    if 2 * size > _MAX_TRUNCATION:
+        raise CapacityError(
+            f"{count} Mathieu values of class ({kind}, parity {parity}) need a "
+            f"recurrence above the truncation cap {_MAX_TRUNCATION}"
+        )
     prev = eig_tridiagonal(_recurrence(kind, parity, q, size), count)
-    while size <= _MAX_TRUNCATION:
+    while 2 * size <= _MAX_TRUNCATION:
         size *= 2
         cur = eig_tridiagonal(_recurrence(kind, parity, q, size), count)
         if np.all(np.abs(cur - prev) <= _STABILITY_TOL * np.maximum(1.0, np.abs(cur))):
@@ -108,7 +116,7 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
         prev = cur
     raise NumericalError(
         f"Mathieu class ({kind}, parity {parity}) at q={q} did not stabilise "
-        f"below truncation {_MAX_TRUNCATION}"
+        f"up to truncation {_MAX_TRUNCATION}"
     )
 
 

@@ -220,3 +220,16 @@ def test_deterministic_output_files(tmp_path):
     assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
     assert len(rows) == 12
     assert float(rows[0]["value"]) == pytest.approx(4.384732657634105, rel=1e-11)
+
+
+def test_mathieu_non_finite_q_is_invalid_input(capsys):
+    code, _, err = run_cli(["mathieu", "--q", "nan", "--max-order", "2"], capsys)
+    assert code == 2
+    assert "non-finite" in err
+
+
+def test_mathieu_overflowing_q_is_a_numerical_failure(capsys):
+    # finite entries, but the recurrence eigenvalues overflow to -inf
+    code, _, err = run_cli(["mathieu", "--q", "1e308", "--max-order", "2"], capsys)
+    assert code == 3
+    assert "numerical failure: non-finite eigenvalues" in err

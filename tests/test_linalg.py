@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from moebius.errors import InputError
+from moebius.errors import InputError, NumericalError
 from moebius.linalg import (
     SymmetricMatrix,
     TridiagonalSymmetric,
@@ -75,20 +73,13 @@ def test_permutation_similarity():
     assert np.max(np.abs(first - second)) < 1e-11 * max(1.0, np.max(np.abs(first)))
 
 
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(min_value=1, max_value=12), seed=st.integers(min_value=0, max_value=999))
-def test_matches_lapack_small(n, seed):
-    a = random_symmetric(n, seed)
-    mine = eig_dense_symmetric(a, want_vectors=False).eigenvalues
-    reference = np.linalg.eigvalsh(a)
-    assert np.max(np.abs(mine - reference)) < 1e-11 * max(1.0, np.max(np.abs(reference)))
-
-
 def test_symmetric_matrix_storage():
     dense = np.array([[2.0, -1.0], [-1.0, 5.0]])
     packed = SymmetricMatrix.from_dense(dense)
     assert packed.order == 2
     assert np.array_equal(packed.to_dense(), dense)
+    huge = np.array([[1e308, 2.0], [2.0, -1e308]])  # no overflow on the diagonal
+    assert np.array_equal(SymmetricMatrix.from_dense(huge).to_dense(), huge)
     with pytest.raises(InputError):
         SymmetricMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
@@ -109,14 +100,6 @@ def test_tridiagonal_discrete_laplacian():
     assert eig_tridiagonal(tri, n) == pytest.approx(expected, abs=1e-13)
 
 
-def test_tridiagonal_matches_dense():
-    rng = np.random.default_rng(7)
-    tri = TridiagonalSymmetric(rng.standard_normal(40), rng.standard_normal(39))
-    values = eig_tridiagonal(tri, 40)
-    dense = eig_dense_symmetric(tri.to_dense(), want_vectors=False).eigenvalues
-    assert np.max(np.abs(values - dense)) < 1e-12 * max(1.0, np.max(np.abs(dense)))
-
-
 def test_tridiagonal_full_pairs():
     rng = np.random.default_rng(8)
     tri = TridiagonalSymmetric(rng.standard_normal(25), rng.standard_normal(24))
@@ -129,7 +112,7 @@ def test_tridiagonal_full_pairs():
 
 
 def test_graded_matrix_small_eigenvalue_accuracy():
-    # growing diagonal: QL must resolve the lowest eigenvalue to ~eps absolutely
+    # growing diagonal: the lowest eigenvalue must be resolved to ~eps absolutely
     n = 64
     diag = (2.0 * np.arange(n)) ** 2
     off = np.full(n - 1, -0.25)
@@ -154,3 +137,21 @@ def test_input_validation():
         eig_tridiagonal(tri, 3)
     with pytest.raises(InputError):
         eig_tridiagonal(tri, 0)
+
+
+def test_overflow_raises_numerical_error():
+    # finite entries near the largest double overflow inside LAPACK
+    tri = TridiagonalSymmetric(np.full(8, 1e308), np.full(7, 1e308))
+    with pytest.raises(NumericalError, match="non-finite"):
+        eig_tridiagonal(tri, 1)
+    with pytest.raises(NumericalError, match="non-finite"):
+        eig_dense_symmetric(tri.to_dense())
+
+
+def test_lapack_failure_raises_numerical_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError, match="did not converge"):
+        eig_dense_symmetric(np.eye(3))

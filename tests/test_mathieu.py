@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from moebius.errors import InputError
+from moebius import mathieu
+from moebius.errors import CapacityError, InputError, NumericalError
 from moebius.linalg import TridiagonalSymmetric, eig_tridiagonal
 from moebius.mathieu import char_value, char_values, evaluate, fourier_coefficients
 
@@ -158,3 +159,40 @@ def test_invalid_orders():
         char_value("ce", -1, Q)
     with pytest.raises(InputError):
         fourier_coefficients("xx", 1, Q)
+
+
+@pytest.fixture
+def recurrence_sizes(monkeypatch):
+    """Orders of the recurrence matrices built while the test runs."""
+    mathieu._stable_class_values.cache_clear()
+    sizes = []
+    build = mathieu._recurrence
+
+    def recording(kind, parity, q, size):
+        sizes.append(size)
+        return build(kind, parity, q, size)
+
+    monkeypatch.setattr(mathieu, "_recurrence", recording)
+    return sizes
+
+
+def test_count_beyond_truncation_cap_is_refused_before_building(recurrence_sizes):
+    with pytest.raises(CapacityError, match="truncation cap"):
+        char_values(Q, 10**6)
+    with pytest.raises(CapacityError):
+        char_value("se", 2 * mathieu._MAX_TRUNCATION, Q)
+    assert recurrence_sizes == []
+
+
+def test_truncation_never_exceeds_the_cap(monkeypatch, recurrence_sizes):
+    monkeypatch.setattr(mathieu, "_MAX_TRUNCATION", 256)
+    # count 112 starts at 128 rows and has room for exactly one doubling
+    assert char_value("ce", 2 * 111, Q) == pytest.approx(222.0**2, rel=1e-9)
+    assert max(recurrence_sizes) == 256
+    with pytest.raises(CapacityError):
+        char_value("ce", 2 * 112, Q)  # count 113 would need 258 rows
+    # a huge q never stabilises: stop at the cap with a numerical failure
+    recurrence_sizes.clear()
+    with pytest.raises(NumericalError, match="did not stabilise"):
+        char_values(1e200, 2)
+    assert recurrence_sizes and max(recurrence_sizes) <= 256
