@@ -237,6 +237,8 @@ def _cmd_spectrum(args) -> int:
     if args.model == "true":
         if args.N is None:
             raise InputError("--N is required for --model true")
+        if args.count < 1:
+            raise InputError(f"count must be >= 1, got {args.count}")
         if args.count > args.N:
             raise InputError(f"--count {args.count} exceeds --N {args.N}")
         config = galerkin.GalerkinConfig(
@@ -273,7 +275,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    radius = _radius(args) if (args.R or args.circumference) else 18.0 / (2.0 * np.pi)
+    given = args.R is not None or args.circumference is not None
+    radius = _radius(args) if given else 18.0 / (2.0 * np.pi)
     if args.steps < 1:
         raise InputError(f"--steps must be >= 1, got {args.steps}")
     if args.grid == "geometric":

@@ -18,9 +18,10 @@ Raw eigenvalues are stored alongside the ratios so that rate fits need no
 recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Sweeps solve independent half-widths, optionally on a thread pool; results
-are gathered in grid order, so the output is deterministic for a given
-configuration.
+Eigenvalue sweeps diagonalise the assembled matrix for its values only,
+with no eigenvectors and no residuals.  Sweeps solve independent
+half-widths, optionally on a thread pool; results are gathered in grid
+order, so the output is deterministic for a given configuration.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, effective_in_basis, solve
+from .galerkin import GalerkinConfig, assemble, effective_in_basis, solve
 from .geometry import StripParams
+from .linalg import eig_dense_symmetric
 from .models import effective_spectrum
 
 __all__ = ["SweepResult", "eigenvalue_sweep", "eigenvector_sweep", "fit_rate", "geometric_grid"]
@@ -138,9 +140,9 @@ def eigenvalue_sweep(
             params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
             geometry=geometry, close_pairs=True,
         )
-        solution = solve(config)
+        true = eig_dense_symmetric(assemble(config), want_vectors=False).eigenvalues
         eff = effective_spectrum(params, count).values(count)
-        return eff, solution.eigenvalues[:count]
+        return eff, true[:count]
 
     rows = _map_grid(worker, a_grid, threads)
     eff = np.vstack([r[0] for r in rows])

@@ -118,15 +118,8 @@ class GalerkinSolution:
             raise InputError(f"k must be in [1, {len(self.basis)}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        total = np.zeros((s.size, u.size))
-        for c, mode in zip(self.coefficients[:, k - 1], self.basis):
-            if c == 0.0:
-                continue
-            total += c * np.outer(
-                fake_longitudinal(mode.m, self.config.params, s),
-                transverse_profile(mode.n, u),
-            )
-        return total
+        table = _sample_basis(self.basis, self.config.params, s, u)
+        return np.tensordot(self.coefficients[:, k - 1], table, axes=1)
 
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
@@ -144,6 +137,22 @@ def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) ->
         ):
             modes.append(flat[n_basis][1])
     return modes
+
+
+def _sample_basis(modes, params: StripParams, s, u, derivative: int = 0) -> np.ndarray:
+    """Flat basis Psi_j(s, u) = L_m(s) T_n(u) (or d1 Psi_j) on the grid s x u.
+
+    One longitudinal factor per distinct m and one transverse factor per
+    distinct n are evaluated; the (N, |s|, |u|) products come from
+    broadcasting them.
+    """
+    m_values, m_of = np.unique([md.m for md in modes], return_inverse=True)
+    n_values, n_of = np.unique([md.n for md in modes], return_inverse=True)
+    longitudinal = np.array(
+        [fake_longitudinal(int(m), params, s, derivative) for m in m_values]
+    )
+    transverse = np.array([transverse_profile(int(n), u) for n in n_values])
+    return longitudinal[m_of][:, :, None] * transverse[n_of][:, None, :]
 
 
 @dataclass(frozen=True)
@@ -173,13 +182,8 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
 
     s, u = grid.s_nodes, grid.u_nodes
-    n_modes = len(modes)
-    values = np.empty((n_modes, m_s * m_u))
-    d_s = np.empty_like(values)
-    for j, md in enumerate(modes):
-        chi = transverse_profile(md.n, u)
-        values[j] = np.outer(fake_longitudinal(md.m, params, s), chi).ravel()
-        d_s[j] = np.outer(fake_longitudinal(md.m, params, s, derivative=1), chi).ravel()
+    values = _sample_basis(modes, params, s, u).reshape(len(modes), -1)
+    d_s = _sample_basis(modes, params, s, u, derivative=1).reshape(len(modes), -1)
 
     ss = s[:, None]
     uu = u[None, :]
@@ -220,6 +224,8 @@ def _assemble_dense(disc: _Discretisation) -> np.ndarray:
     w_kin = disc.weights * disc.inv_f_sq
     w_pot = disc.weights * disc.potential
     dense = (disc.d_s * w_kin) @ disc.d_s.T + (disc.values * w_pot) @ disc.values.T
+    # averaged rather than read from one triangle: the eigenvectors of
+    # near-degenerate pairs, and so their residuals, follow this rounding
     dense = 0.5 * (dense + dense.T)
     dense[np.diag_indices_from(dense)] += disc.transverse_diag
     return dense
@@ -244,8 +250,8 @@ def _apply_operator(disc: _Discretisation) -> np.ndarray:
 def solve(config: GalerkinConfig) -> GalerkinSolution:
     """Assemble, diagonalise and attach strong-form residual norms."""
     disc = _discretise(config)
-    dense = _assemble_dense(disc)
-    decomp: EigenDecomposition = eig_dense_symmetric(dense, want_vectors=True)
+    matrix = SymmetricMatrix.from_dense(_assemble_dense(disc))
+    decomp: EigenDecomposition = eig_dense_symmetric(matrix, want_vectors=True)
     operator_rows = _apply_operator(disc)
     # residual_k = || sum_j c_jk (L Psi_j) - lambda_k sum_j c_jk Psi_j ||
     applied = decomp.eigenvectors.T @ operator_rows
@@ -255,7 +261,7 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     return GalerkinSolution(
         config=config,
         basis=disc.basis,
-        matrix=SymmetricMatrix.from_dense(dense),
+        matrix=matrix,
         eigenvalues=decomp.eigenvalues,
         coefficients=decomp.eigenvectors,
         residual_norms=residual_norms,

@@ -74,9 +74,6 @@ class SymmetricMatrix:
         out.T[idx] = self.lower
         return out
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
-
 
 @dataclass(frozen=True)
 class TridiagonalSymmetric:

@@ -23,7 +23,6 @@ from .geometry import (
     jacobian_f_derivatives,
     potential_veff,
 )
-from .quadrature import QuadratureGrid
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -214,21 +213,9 @@ def check_mathieu_ode_residual() -> CheckResult:
 
 
 def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    modes = galerkin.basis_modes(params, 30)
-    grid = QuadratureGrid.for_strip(
-        params, 4 * max(md.harmonic for md in modes) + 32, 2 * max(md.n for md in modes) + 16
-    )
-    rows = []
-    for md in modes:
-        rows.append(
-            np.outer(
-                models.fake_longitudinal(md.m, params, grid.s_nodes),
-                models.transverse_profile(md.n, grid.u_nodes),
-            ).ravel()
-        )
-    rows = np.asarray(rows)
-    gram = (rows * grid.weights_2d.ravel()) @ rows.T
-    worst = float(np.max(np.abs(gram - np.eye(len(modes)))))
+    disc = galerkin._discretise(galerkin.GalerkinConfig(params=params, n_basis=30))
+    gram = (disc.values * disc.weights) @ disc.values.T
+    worst = float(np.max(np.abs(gram - np.eye(len(disc.basis)))))
     return _result("quadrature", "fake-basis-gram-identity", worst, 1e-10)
 
 

@@ -117,6 +117,30 @@ def test_spectrum_requires_basis_for_true(capsys):
     assert "--N" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_spectrum_true_rejects_empty_count(capsys, count):
+    code, out, err = run_cli(
+        ["spectrum", "--model", "true", "--a", "0.75", "--R", "2.1",
+         "--count", count, "--N", "12"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "count must be >= 1" in err
+
+
+@pytest.mark.parametrize("option", ["--R", "--circumference"])
+def test_converge_rejects_zero_radius(capsys, option):
+    code, out, err = run_cli(
+        ["converge", option, "0", "--a-min", "0.2", "--a-max", "0.5",
+         "--steps", "2", "--K", "2", "--N", "8"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{option} must be positive, got 0.0" in err
+
+
 def test_converge_command(capsys):
     code, out, _ = run_cli(
         ["converge", "--kind", "eigenvalue", "--R", repr(18 / (2 * np.pi)),

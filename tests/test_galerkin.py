@@ -4,6 +4,7 @@ import pytest
 from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
     GalerkinConfig,
+    _discretise,
     assemble,
     basis_modes,
     effective_in_basis,
@@ -16,6 +17,7 @@ from moebius.models import (
     FAMILY_FAKE,
     ModeIndex,
     effective_spectrum,
+    fake_eigenfunction,
     fake_longitudinal,
     fake_spectrum,
     transverse_profile,
@@ -199,6 +201,33 @@ def test_seam_consistency_of_solution():
     left = solution.eigenfunction_values(1, np.array([0.0]), u)[0]
     right = solution.eigenfunction_values(1, np.array([TABLE_PARAMS.circumference]), -u)[0]
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+def test_eigenfunction_values_expand_the_flat_basis():
+    solution = solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=40))
+    assert len({md.n for md in solution.basis}) >= 2
+    # off the quadrature nodes and off the export grid
+    s = np.linspace(0.013, TABLE_PARAMS.circumference - 0.029, 17)[:, None]
+    u = np.linspace(-0.987, 0.991, 9)[None, :]
+    for k in (1, 2, 7, 20):
+        expected = sum(
+            c * fake_eigenfunction(md, TABLE_PARAMS)(s, u)
+            for c, md in zip(solution.coefficients[:, k - 1], solution.basis)
+        )
+        values = solution.eigenfunction_values(k, s.ravel(), u.ravel())
+        assert values.shape == (17, 9)
+        assert np.max(np.abs(values - expected)) < 1e-13
+
+
+def test_discretisation_samples_each_basis_function_on_the_grid():
+    disc = _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=30))
+    s, u = disc.grid.s_nodes, disc.grid.u_nodes
+    for j, md in enumerate(disc.basis):
+        chi = transverse_profile(md.n, u)
+        value = np.outer(fake_longitudinal(md.m, TABLE_PARAMS, s), chi).ravel()
+        slope = np.outer(fake_longitudinal(md.m, TABLE_PARAMS, s, derivative=1), chi).ravel()
+        assert np.array_equal(disc.values[j], value)
+        assert np.array_equal(disc.d_s[j], slope)
 
 
 def test_effective_expansion_properties():
