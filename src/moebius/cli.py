@@ -17,10 +17,15 @@ first ``# manifest: ...`` comment line in CSV, as a top-level object in
 JSON.  Set SOURCE_DATE_EPOCH to pin the manifest timestamp and make whole
 files byte-identical.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure (including
-fired verification checks).  There is no randomness anywhere; the
-MOEBIUS_SEEDLESS environment variable is accepted only as "1" and has no
-effect, any other value is rejected to keep that contract visible.
+Every command accepts ``--threads N``, which must be at least 1 and is
+checked when the arguments are parsed; only ``converge`` uses it.
+
+Exit codes: 0 success, 2 invalid input (including a basis, quadrature or
+export grid whose arrays would pass ``galerkin.MAX_ARRAY_BYTES``), 3
+numerical failure (including fired verification checks).  There is no
+randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
+only as "1" and has no effect, any other value is rejected to keep that
+contract visible.
 """
 
 from __future__ import annotations
@@ -117,14 +122,25 @@ def _radius(args) -> float:
     return args.circumference / (2.0 * np.pi)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_output_options(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="write here (default stdout)")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=None,
-        help="worker-thread cap for per-half-width parallelism (default all cores)",
+        help="worker-thread cap for converge's per-half-width parallelism "
+        "(default all cores)",
     )
 
 
@@ -349,6 +365,7 @@ def _cmd_eigenfunction(args) -> int:
     if not (1 <= args.k <= args.N):
         raise InputError(f"--k must be in [1, {args.N}], got {args.k}")
     grid_s, grid_u = _parse_grid_spec(args.grid)
+    galerkin.require_capacity(export_points=grid_s * grid_u)
     config = galerkin.GalerkinConfig(
         params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
     )

@@ -18,10 +18,11 @@ Raw eigenvalues are stored alongside the ratios so that rate fits need no
 recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Eigenvalue sweeps diagonalise the assembled matrix for its values only,
-with no eigenvectors and no residuals.  Sweeps solve independent
-half-widths, optionally on a thread pool; results are gathered in grid
-order, so the output is deterministic for a given configuration.
+Eigenvalue sweeps diagonalise the assembled matrix for its values only;
+eigenvector sweeps take the sector-ordered eigenpairs of
+``galerkin.eigenpairs``.  Neither computes residuals.  Sweeps solve
+independent half-widths, optionally on a thread pool; results are gathered
+in grid order, so the output is deterministic for a given configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, assemble, effective_in_basis, solve
+from .galerkin import GalerkinConfig, assemble, effective_in_basis, eigenpairs
+from .galerkin import solve  # noqa: F401  (benchmark/spans.py traces convergence.solve)
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
 from .models import effective_spectrum
@@ -228,23 +230,19 @@ def eigenvector_sweep(
             params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
             geometry=geometry, close_pairs=True,
         )
-        solution = solve(config)
-        n_probe = min(probe, solution.eigenvalues.size)
+        true = eigenpairs(config)
+        n_probe = min(probe, true.eigenvalues.size)
         expansion = effective_in_basis(config, n_probe)
         eff_values = expansion.spectrum.values(n_probe)
         distances = np.empty(count)
-        for lo, hi in _clusters(eff_values, solution.eigenvalues, count):
+        for lo, hi in _clusters(eff_values, true.eigenvalues, count):
             d = _subspace_distance(
-                solution.coefficients[:, lo:hi],
+                true.eigenvectors[:, lo:hi],
                 expansion.coefficients[:, lo:hi],
                 expansion.truncations[lo:hi],
             )
             distances[lo:min(hi, count)] = d
-        return (
-            eff_values[:count],
-            solution.eigenvalues[:count],
-            distances,
-        )
+        return eff_values[:count], true.eigenvalues[:count], distances
 
     rows = _map_grid(worker, a_grid, threads)
     eff = np.vstack([r[0] for r in rows])

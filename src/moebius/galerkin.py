@@ -19,10 +19,28 @@ the large 1/a^2 scale and is inserted analytically; the two integrals use
 the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
+The basis Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) is kept in factor form: rows
+L_m and L'_m on the s nodes per mode, one row T_n on the u nodes per
+distinct n, and the (m_s, m_u) fields w, fa, d1 fa and V.  The integrals
+are sum-factorised, contracting the u-quadrature first,
+
+    A_nn'(s) = sum_u w T_n T_n' / fa^2,    B_nn'(s) = sum_u w V T_n T_n',
+
+so that each (n, n') block costs two products of longitudinal rows and no
+N x (m_s m_u) table is ever formed.
+
+The strip is symmetric under the reflection s -> -s, so cosine modes
+(m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
+never computed and are exactly zero.  ``solve`` diagonalises the matrix
+with the basis listed sector by sector, which makes it block diagonal, so
+every coefficient column vanishes exactly off its sector and rounding
+cannot mix a nearly degenerate cosine/sine pair.
+
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
 || L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form, with
-L Psi_j expanded analytically through the closed-form derivatives of fa.
+L Psi_j expanded analytically through the closed-form derivatives of fa
+and summed per n from the coefficient-weighted longitudinal rows.
 
 Geometry overrides support the oracle runs: ``flat_plain`` (fa = 1, V = 0)
 must produce an exactly diagonal matrix, and ``flat_with_Veff`` (fa = 1,
@@ -56,14 +74,28 @@ __all__ = [
     "GalerkinConfig",
     "GalerkinSolution",
     "EffectiveExpansion",
+    "MAX_ARRAY_BYTES",
     "basis_modes",
     "assemble",
+    "eigenpairs",
     "solve",
+    "largest_array_bytes",
+    "require_capacity",
     "residual_norm",
     "effective_in_basis",
 ]
 
 GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
+
+# Cap on the largest array of one run, 512 MiB: a larger basis, quadrature
+# or export grid is refused with CapacityError before anything is built.
+MAX_ARRAY_BYTES = 1 << 29
+# Peak memory per exported grid point (one CLI row with its 3-space point
+# and text), measured at about 730 B between 384x260 and 768x260 grids.
+EXPORT_POINT_BYTES = 1024
+# s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
+# where one (m_s, N, m_u) array took three times as long at N = 96
+_S_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -118,8 +150,12 @@ class GalerkinSolution:
             raise InputError(f"k must be in [1, {len(self.basis)}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        table = _sample_basis(self.basis, self.config.params, s, u)
-        return np.tensordot(self.coefficients[:, k - 1], table, axes=1)
+        factors = _sample_factors(self.basis, self.config.params, s, u)
+        coeffs = self.coefficients[:, k - 1]
+        return sum(
+            np.outer(coeffs[pos] @ factors.longitudinal[pos], factors.transverse[n])
+            for n, pos in factors.by_n(np.arange(len(self.basis)))
+        )
 
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
@@ -139,79 +175,125 @@ def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) ->
     return modes
 
 
-def _sample_basis(modes, params: StripParams, s, u, derivative: int = 0) -> np.ndarray:
-    """Flat basis Psi_j(s, u) = L_m(s) T_n(u) (or d1 Psi_j) on the grid s x u.
+def largest_array_bytes(
+    n_basis: int = 0, m_s: int = 0, m_u: int = 0, n_count: int = 0, export_points: int = 0
+) -> int:
+    """Estimated bytes of the largest array one run allocates.
 
-    One longitudinal factor per distinct m and one transverse factor per
-    distinct n are evaluated; the (N, |s|, |u|) products come from
-    broadcasting them.
+    That is the N x N projection matrix, the residual terms (four per
+    distinct transverse index, ``n_count`` of them, each with N x m_s
+    longitudinal and m_s x m_u quadrature values, which bound the factor
+    tables and fields too), or the rows of an eigenfunction export of
+    ``export_points`` grid samples.
     """
+    return max(
+        8 * n_basis * n_basis,
+        32 * n_count * m_s * max(n_basis, m_u),
+        EXPORT_POINT_BYTES * export_points,
+    )
+
+
+def require_capacity(
+    n_basis: int = 0, m_s: int = 0, m_u: int = 0, n_count: int = 0, export_points: int = 0
+) -> None:
+    """Raise ``CapacityError`` when the largest array would pass ``MAX_ARRAY_BYTES``."""
+    needed = largest_array_bytes(n_basis, m_s, m_u, n_count, export_points)
+    if needed > MAX_ARRAY_BYTES:
+        sizes = {"N": n_basis, "m_s": m_s, "m_u": m_u, "distinct n": n_count,
+                 "export points": export_points}
+        described = ", ".join(f"{name}={size}" for name, size in sizes.items() if size)
+        raise CapacityError(
+            f"{described} needs an array of about {needed / 2**20:.0f} MiB, "
+            f"above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+        )
+
+
+@dataclass(frozen=True)
+class _Factors:
+    """Flat basis Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) in factor form on s x u."""
+
+    longitudinal: np.ndarray  # (N, |s|) L_{m_j}(s)
+    slope: np.ndarray         # (N, |s|) d/ds L_{m_j}(s)
+    transverse: np.ndarray    # (distinct n, |u|) T_n(u), n ascending
+    n_of: np.ndarray          # (N,) row of ``transverse`` holding T_{n_j}
+
+    def by_n(self, rows) -> list[tuple[int, np.ndarray]]:
+        """Positions within ``rows`` grouped by transverse index, as
+        (row of ``transverse``, positions) pairs."""
+        n_rows = self.n_of[rows]
+        return [(int(n), np.flatnonzero(n_rows == n)) for n in np.unique(n_rows)]
+
+
+def _sample_factors(modes, params: StripParams, s, u) -> _Factors:
+    """Factor tables of the flat basis: one longitudinal evaluation per
+    distinct m and one transverse evaluation per distinct n."""
     m_values, m_of = np.unique([md.m for md in modes], return_inverse=True)
     n_values, n_of = np.unique([md.n for md in modes], return_inverse=True)
-    longitudinal = np.array(
-        [fake_longitudinal(int(m), params, s, derivative) for m in m_values]
+
+    def longitudinal(derivative):
+        rows = [fake_longitudinal(int(m), params, s, derivative) for m in m_values]
+        return np.array(rows)[m_of]
+
+    return _Factors(
+        longitudinal=longitudinal(0),
+        slope=longitudinal(1),
+        transverse=np.array([transverse_profile(int(n), u) for n in n_values]),
+        n_of=n_of,
     )
-    transverse = np.array([transverse_profile(int(n), u) for n in n_values])
-    return longitudinal[m_of][:, :, None] * transverse[n_of][:, None, :]
 
 
 @dataclass(frozen=True)
 class _Discretisation:
-    """Grid samples shared by assembly and residual evaluation."""
+    """Factor tables and quadrature fields shared by assembly and residuals."""
 
     grid: QuadratureGrid
     basis: tuple[ModeIndex, ...]
-    values: np.ndarray       # (N, P) basis values, P = m_s * m_u
-    d_s: np.ndarray          # (N, P) longitudinal derivatives
-    weights: np.ndarray      # (P,)
-    inv_f_sq: np.ndarray     # (P,) 1 / fa^2
-    d_s_fa: np.ndarray       # (P,) d1 fa
-    fa: np.ndarray           # (P,)
-    potential: np.ndarray    # (P,)
+    factors: _Factors        # on the quadrature nodes
+    sectors: tuple[np.ndarray, ...]  # basis rows with m >= 0, then m < 0 (non-empty)
+    weights: np.ndarray      # (m_s, m_u)
+    fa: np.ndarray           # (m_s, m_u)
+    d_s_fa: np.ndarray       # (m_s, m_u) d1 fa
+    potential: np.ndarray    # (m_s, m_u)
     transverse_diag: np.ndarray  # (N,) (n pi / 2)^2 / a^2
     rates_sq: np.ndarray     # (N,) (m / 2R)^2
 
 
 def _discretise(config: GalerkinConfig) -> _Discretisation:
     params = config.params
+    require_capacity(config.n_basis)  # bounds N before the basis is enumerated
     modes = basis_modes(params, config.n_basis, config.close_pairs)
     max_harmonic = max(md.harmonic for md in modes)
     max_n = max(md.n for md in modes)
     m_s = config.m_s if config.m_s is not None else 4 * max_harmonic + 32
     m_u = config.m_u if config.m_u is not None else 2 * max_n + 16
+    require_capacity(len(modes), m_s, m_u, len({md.n for md in modes}))
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
 
     s, u = grid.s_nodes, grid.u_nodes
-    values = _sample_basis(modes, params, s, u).reshape(len(modes), -1)
-    d_s = _sample_basis(modes, params, s, u, derivative=1).reshape(len(modes), -1)
-
     ss = s[:, None]
     uu = u[None, :]
     if config.geometry == "true_geometry":
         t = params.a * uu
-        fa = jacobian_f(params, ss, t).ravel()
-        d_s_fa = jacobian_f_derivatives(params, ss, t)[0].ravel()
-        potential = potential_va(params, ss, uu).ravel()
-    elif config.geometry == "flat_with_Veff":
-        fa = np.ones(m_s * m_u)
-        d_s_fa = np.zeros(m_s * m_u)
-        potential = np.broadcast_to(
-            potential_veff(params, ss), (m_s, m_u)
-        ).ravel().copy()
-    else:  # flat_plain
-        fa = np.ones(m_s * m_u)
-        d_s_fa = np.zeros(m_s * m_u)
-        potential = np.zeros(m_s * m_u)
+        fa = jacobian_f(params, ss, t)
+        d_s_fa = jacobian_f_derivatives(params, ss, t)[0]
+        potential = potential_va(params, ss, uu)
+    else:
+        fa = np.ones((m_s, m_u))
+        d_s_fa = np.zeros((m_s, m_u))
+        if config.geometry == "flat_with_Veff":
+            potential = np.broadcast_to(potential_veff(params, ss), (m_s, m_u))
+        else:  # flat_plain
+            potential = np.zeros((m_s, m_u))
 
+    cosine = np.array([md.m >= 0 for md in modes])
     return _Discretisation(
         grid=grid,
         basis=tuple(modes),
-        values=values,
-        d_s=d_s,
-        weights=grid.weights_2d.ravel(),
-        inv_f_sq=1.0 / (fa * fa),
-        d_s_fa=d_s_fa,
+        factors=_sample_factors(modes, params, s, u),
+        sectors=tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any()),
+        weights=grid.weights_2d,
         fa=fa,
+        d_s_fa=d_s_fa,
         potential=potential,
         transverse_diag=np.array(
             [(md.n * np.pi / 2.0) ** 2 / params.a**2 for md in modes]
@@ -220,13 +302,44 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     )
 
 
+def _project(disc: _Discretisation, *terms) -> np.ndarray:
+    """Sum over ``terms`` (field, table) of the quadratures
+    sum_{s,u} field(s, u) X_j(s) X_k(s) T_{n_j}(u) T_{n_k}(u), X = table rows.
+
+    The u-sum is contracted first, K_nn'(s) = sum_u field T_n T_n'; each
+    same-sector (n, n') block is then one product of longitudinal rows per
+    term.  Cross-sector entries are never computed and stay exactly 0.
+    """
+    transverse = disc.factors.transverse
+    kernels = [
+        ((field[:, None, :] * transverse) @ transverse.T, table)  # (m_s, n, n')
+        for field, table in terms
+    ]
+    out = np.zeros((len(disc.basis),) * 2)
+    for rows in disc.sectors:
+        groups = [(n, rows[pos]) for n, pos in disc.factors.by_n(rows)]
+        for i, (n, left) in enumerate(groups):
+            for n2, right in groups[i:]:
+                block = sum(
+                    (table[left] * kernel[:, n, n2]) @ table[right].T
+                    for kernel, table in kernels
+                )
+                if n == n2:
+                    # averaged rather than read from one triangle: the
+                    # eigenvectors of near-degenerate pairs follow this rounding
+                    out[np.ix_(left, left)] = 0.5 * (block + block.T)
+                else:
+                    out[np.ix_(left, right)] = block
+                    out[np.ix_(right, left)] = block.T
+    return out
+
+
 def _assemble_dense(disc: _Discretisation) -> np.ndarray:
-    w_kin = disc.weights * disc.inv_f_sq
-    w_pot = disc.weights * disc.potential
-    dense = (disc.d_s * w_kin) @ disc.d_s.T + (disc.values * w_pot) @ disc.values.T
-    # averaged rather than read from one triangle: the eigenvectors of
-    # near-degenerate pairs, and so their residuals, follow this rounding
-    dense = 0.5 * (dense + dense.T)
+    dense = _project(
+        disc,
+        (disc.weights / (disc.fa * disc.fa), disc.factors.slope),
+        (disc.weights * disc.potential, disc.factors.longitudinal),
+    )
     dense[np.diag_indices_from(dense)] += disc.transverse_diag
     return dense
 
@@ -236,35 +349,89 @@ def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     return SymmetricMatrix.from_dense(_assemble_dense(_discretise(config)))
 
 
-def _apply_operator(disc: _Discretisation) -> np.ndarray:
-    """Rows L Psi_j sampled on the grid, expanded analytically:
+def _sector_eigenpairs(disc: _Discretisation, dense: np.ndarray) -> EigenDecomposition:
+    """Eigenpairs of ``dense``, diagonalised with the basis in sector order.
 
-    L Psi_j = 2 (d1 fa / fa^3) d1 Psi_j + (m_j/2R)^2 Psi_j / fa^2
-              + (1/a^2)(n_j pi/2)^2 Psi_j + V Psi_j.
+    Listing the cosine rows before the sine rows makes the matrix block
+    diagonal with exactly zero off-diagonal blocks.  The Householder
+    reduction then never couples the two blocks and the tridiagonal form
+    splits between them, so every eigenvector is exactly zero off its
+    sector.  Eigenvector rows are returned in basis order.
     """
-    kin_s = (2.0 * disc.d_s_fa / disc.fa**3) * disc.d_s
-    kin_s += (disc.rates_sq[:, None] * disc.values) * disc.inv_f_sq
-    return kin_s + disc.transverse_diag[:, None] * disc.values + disc.potential * disc.values
+    order = np.concatenate(disc.sectors)
+    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
+    coefficients = np.empty_like(decomp.eigenvectors)
+    coefficients[order] = decomp.eigenvectors
+    return EigenDecomposition(decomp.eigenvalues, coefficients)
+
+
+def eigenpairs(config: GalerkinConfig) -> EigenDecomposition:
+    """Ascending eigenpairs of the projection matrix, sector by sector.
+
+    Each coefficient column is exactly zero off its sector.  This is
+    ``solve`` without the strong-form residuals.
+    """
+    disc = _discretise(config)
+    return _sector_eigenpairs(disc, _assemble_dense(disc))
+
+
+def _residual_norms(disc: _Discretisation, decomp: EigenDecomposition) -> np.ndarray:
+    """Strong-form residual norms of the eigenpairs.
+
+    With L Psi_j expanded analytically,
+
+        L Psi_j = 2 (d1 fa / fa^3) d1 Psi_j + (m_j/2R)^2 Psi_j / fa^2
+                  + (1/a^2)(n_j pi/2)^2 Psi_j + V Psi_j,
+
+    the k-th residual field sum_j c_jk (L Psi_j - lambda_k Psi_j) is a sum
+    over n and four terms of a longitudinal row (C^T L', C^T (m/2R)^2 L,
+    C^T L, lambda C^T L) times an (m_s, m_u) field times T_n(u).  Batched
+    products over blocks of s nodes add the terms up.
+    """
+    factors = disc.factors
+    inv_f_sq = 1.0 / (disc.fa * disc.fa)
+    drift = 2.0 * disc.d_s_fa / disc.fa**3
+    rows_terms, field_terms = [], []  # (K, m_s) and (m_s, m_u) per term
+    for n, rows in factors.by_n(np.arange(len(disc.basis))):
+        coeffs = decomp.eigenvectors[rows].T
+        psi = coeffs @ factors.longitudinal[rows]
+        chi = factors.transverse[n]
+        rows_terms += [
+            coeffs @ factors.slope[rows],
+            coeffs @ (disc.rates_sq[rows, None] * factors.longitudinal[rows]),
+            psi,
+            decomp.eigenvalues[:, None] * psi,
+        ]
+        field_terms += [
+            drift * chi,
+            inv_f_sq * chi,
+            (disc.potential + disc.transverse_diag[rows[0]]) * chi,
+            np.broadcast_to(-chi, inv_f_sq.shape),
+        ]
+    # (m_s, K, terms) @ (m_s, terms, m_u) gives the residual fields, formed
+    # a block of s nodes at a time so that no (m_s, K, m_u) array is held
+    rows_s = np.stack(rows_terms).transpose(2, 1, 0)
+    fields_s = np.stack(field_terms).transpose(1, 0, 2)
+    squared = np.zeros(rows_s.shape[1])
+    for lo in range(0, rows_s.shape[0], _S_BLOCK):
+        block = rows_s[lo:lo + _S_BLOCK] @ fields_s[lo:lo + _S_BLOCK]
+        block *= block
+        squared += (block @ disc.weights[lo:lo + _S_BLOCK, :, None]).sum(axis=0)[:, 0]
+    return np.sqrt(squared)
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
-    """Assemble, diagonalise and attach strong-form residual norms."""
+    """Assemble, diagonalise in sector order, attach strong-form residual norms."""
     disc = _discretise(config)
-    matrix = SymmetricMatrix.from_dense(_assemble_dense(disc))
-    decomp: EigenDecomposition = eig_dense_symmetric(matrix, want_vectors=True)
-    operator_rows = _apply_operator(disc)
-    # residual_k = || sum_j c_jk (L Psi_j) - lambda_k sum_j c_jk Psi_j ||
-    applied = decomp.eigenvectors.T @ operator_rows
-    reconstructed = decomp.eigenvectors.T @ disc.values
-    residual_fields = applied - decomp.eigenvalues[:, None] * reconstructed
-    residual_norms = np.sqrt((residual_fields**2 * disc.weights).sum(axis=1))
+    dense = _assemble_dense(disc)
+    decomp = _sector_eigenpairs(disc, dense)
     return GalerkinSolution(
         config=config,
         basis=disc.basis,
-        matrix=matrix,
+        matrix=SymmetricMatrix.from_dense(dense),
         eigenvalues=decomp.eigenvalues,
         coefficients=decomp.eigenvectors,
-        residual_norms=residual_norms,
+        residual_norms=_residual_norms(disc, decomp),
     )
 
 

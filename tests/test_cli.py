@@ -257,3 +257,38 @@ def test_mathieu_overflowing_q_is_a_numerical_failure(capsys):
     code, _, err = run_cli(["mathieu", "--q", "1e308", "--max-order", "2"], capsys)
     assert code == 3
     assert "numerical failure: non-finite eigenvalues" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mathieu", "--max-order", "1", "--threads", "-5"],
+        ["spectrum", "--model", "fake", "--a", "0.75", "--R", "2.1", "--threads", "0"],
+    ],
+)
+def test_threads_below_one_are_refused_when_parsing(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads: must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a 10^5 x 10^5 projection matrix, refused before the basis is enumerated
+        ["spectrum", "--model", "true", "--a", "0.75", "--R", "2.1", "--N", "100000"],
+        ["spectrum", "--model", "true", "--a", "0.75", "--R", "2.1", "--N", "20",
+         "--ms", "10000000"],
+        # 10^10 export rows, refused before the solve
+        ["eigenfunction", "--k", "1", "--a", "0.75", "--R", "2.1", "--N", "10",
+         "--grid", "100000x100000"],
+    ],
+)
+def test_oversized_runs_are_refused_at_the_start(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "MiB cap" in err

@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
 
+from moebius import galerkin
 from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
+    EXPORT_POINT_BYTES,
     GalerkinConfig,
     _discretise,
     assemble,
     basis_modes,
     effective_in_basis,
+    eigenpairs,
+    largest_array_bytes,
     residual_norm,
     solve,
 )
-from moebius.geometry import StripParams, jacobian_f, potential_va
+from moebius.geometry import (
+    StripParams,
+    jacobian_f,
+    jacobian_f_derivatives,
+    potential_va,
+    potential_veff,
+)
 from moebius.linalg import eig_dense_symmetric
 from moebius.models import (
     FAMILY_FAKE,
@@ -25,6 +35,7 @@ from moebius.models import (
 from moebius.quadrature import QuadratureGrid, integrate_2d
 
 TABLE_PARAMS = StripParams(a=0.75, R=13.2 / (2 * np.pi))
+WIDE_PARAMS = StripParams(a=1.3, R=2.8647889756541165)  # three or more n at N = 60
 
 TRUE_REFERENCE = [
     4.387440201465426, 4.619975308169118, 4.6210487512326965,
@@ -219,15 +230,154 @@ def test_eigenfunction_values_expand_the_flat_basis():
         assert np.max(np.abs(values - expected)) < 1e-13
 
 
-def test_discretisation_samples_each_basis_function_on_the_grid():
-    disc = _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=30))
+def test_discretisation_keeps_factor_tables():
+    disc = _discretise(GalerkinConfig(params=WIDE_PARAMS, n_basis=60))
     s, u = disc.grid.s_nodes, disc.grid.u_nodes
+    factors = disc.factors
+    assert factors.transverse.shape[0] == len({md.n for md in disc.basis}) >= 3
     for j, md in enumerate(disc.basis):
+        assert np.array_equal(factors.longitudinal[j], fake_longitudinal(md.m, WIDE_PARAMS, s))
+        assert np.array_equal(
+            factors.slope[j], fake_longitudinal(md.m, WIDE_PARAMS, s, derivative=1)
+        )
+        assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(md.n, u))
+    cosine, sine = disc.sectors
+    assert all(disc.basis[j].m >= 0 for j in cosine)
+    assert all(disc.basis[j].m < 0 for j in sine)
+    assert sorted(np.concatenate(disc.sectors)) == list(range(len(disc.basis)))
+    # nothing of size N x m_s m_u is kept
+    n, points = len(disc.basis), s.size * u.size
+    arrays = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
+    arrays += [v for v in vars(factors).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) <= max(n * s.size, points)
+
+
+def full_tables(disc, params):
+    """Per-mode (N, m_s m_u) samples of Psi_j and d1 Psi_j, one mode at a time."""
+    s, u = disc.grid.s_nodes, disc.grid.u_nodes
+    values, slopes = [], []
+    for md in disc.basis:
         chi = transverse_profile(md.n, u)
-        value = np.outer(fake_longitudinal(md.m, TABLE_PARAMS, s), chi).ravel()
-        slope = np.outer(fake_longitudinal(md.m, TABLE_PARAMS, s, derivative=1), chi).ravel()
-        assert np.array_equal(disc.values[j], value)
-        assert np.array_equal(disc.d_s[j], slope)
+        values.append(np.outer(fake_longitudinal(md.m, params, s), chi).ravel())
+        slopes.append(np.outer(fake_longitudinal(md.m, params, s, derivative=1), chi).ravel())
+    return np.array(values), np.array(slopes)
+
+
+def reference_fields(disc, params, geometry):
+    """fa, d1 fa and V on the quadrature grid, raveled like the full tables."""
+    ss = disc.grid.s_nodes[:, None]
+    uu = disc.grid.u_nodes[None, :]
+    shape = (ss.size, uu.size)
+    if geometry == "true_geometry":
+        t = params.a * uu
+        fa = jacobian_f(params, ss, t)
+        d1 = jacobian_f_derivatives(params, ss, t)[0]
+        v = potential_va(params, ss, uu)
+    else:
+        fa, d1 = np.ones(shape), np.zeros(shape)
+        v = np.broadcast_to(
+            potential_veff(params, ss) if geometry == "flat_with_Veff" else 0.0, shape
+        )
+    return fa.ravel(), d1.ravel(), v.ravel()
+
+
+@pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
+def test_factorised_matrix_matches_full_table_reference(geometry):
+    config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60, geometry=geometry)
+    disc = _discretise(config)
+    values, slopes = full_tables(disc, WIDE_PARAMS)
+    fa, _, v = reference_fields(disc, WIDE_PARAMS, geometry)
+    w = disc.grid.weights_2d.ravel()
+    reference = (slopes * (w / fa**2)) @ slopes.T + (values * (w * v)) @ values.T
+    reference += np.diag([(md.n * np.pi / 2) ** 2 / WIDE_PARAMS.a**2 for md in disc.basis])
+    dense = assemble(config).to_dense()
+    assert np.max(np.abs(dense - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_cosine_and_sine_sectors_decouple_exactly():
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=82)
+    cosine = np.array([md.m >= 0 for md in basis_modes(TABLE_PARAMS, 82)])
+    dense = assemble(config).to_dense()
+    assert np.all(dense[np.ix_(cosine, ~cosine)] == 0.0)
+    solution = solve(config)
+    c = solution.coefficients
+    in_cosine = np.all(c[~cosine] == 0.0, axis=0)
+    in_sine = np.all(c[cosine] == 0.0, axis=0)
+    assert np.all(in_cosine ^ in_sine)
+    assert in_cosine.sum() == cosine.sum() and in_sine.sum() == (~cosine).sum()
+    # the eigenpair step solve is built from, without residuals
+    pairs = eigenpairs(config)
+    assert np.array_equal(pairs.eigenvalues, solution.eigenvalues)
+    assert np.array_equal(pairs.eigenvectors, c)
+
+
+@pytest.mark.parametrize("params, n_basis", [(TABLE_PARAMS, 82), (WIDE_PARAMS, 60)])
+def test_residuals_match_full_table_reference(params, n_basis):
+    solution = solve(GalerkinConfig(params=params, n_basis=n_basis))
+    disc = _discretise(solution.config)
+    values, slopes = full_tables(disc, params)
+    fa, d1, v = reference_fields(disc, params, "true_geometry")
+    rates_sq = np.array([(md.m / (2 * params.R)) ** 2 for md in disc.basis])
+    transverse = np.array([(md.n * np.pi / 2) ** 2 / params.a**2 for md in disc.basis])
+    # L Psi_j sampled row by row, as the operator form reads
+    operator_rows = (
+        (2 * d1 / fa**3) * slopes
+        + rates_sq[:, None] * values / fa**2
+        + transverse[:, None] * values
+        + v * values
+    )
+    c = solution.coefficients
+    fields = c.T @ operator_rows - solution.eigenvalues[:, None] * (c.T @ values)
+    reference = np.sqrt((fields**2 * disc.grid.weights_2d.ravel()).sum(axis=1))
+    assert np.max(np.abs(solution.residual_norms - reference) / reference) < 1e-12
+
+
+def test_largest_array_estimate():
+    # four residual terms per distinct n, N x m_s or m_s x m_u doubles each
+    assert largest_array_bytes(10, 20, 5, n_count=2) == 8 * 4 * 2 * 20 * 10
+    assert largest_array_bytes(10, 20, 50, n_count=2) == 8 * 4 * 2 * 20 * 50
+    assert largest_array_bytes(100, 2, 2, n_count=1) == 8 * 100 * 100
+    assert largest_array_bytes(export_points=3) == 3 * EXPORT_POINT_BYTES
+    assert largest_array_bytes(4, 3, 2, 1, export_points=1) == EXPORT_POINT_BYTES
+
+
+def test_capacity_guard_refuses_before_building(monkeypatch):
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30)
+    disc = _discretise(config)
+    orders = disc.grid.s_nodes.size, disc.grid.u_nodes.size
+    needed = largest_array_bytes(30, *orders, disc.factors.transverse.shape[0])
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+    _discretise(config)  # exactly at the cap is allowed
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("allocated before the capacity check")
+
+    monkeypatch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    with pytest.raises(CapacityError, match="MiB cap"):
+        _discretise(config)
+    with pytest.raises(CapacityError, match="m_s=99999"):
+        _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))
+    # a matrix too large on its own is refused before the basis is enumerated
+    monkeypatch.setattr(galerkin, "basis_modes", not_reached)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
+    with pytest.raises(CapacityError, match="N=31 needs"):
+        _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=31))
+
+
+def test_capacity_guard_admits_readme_and_benchmark_sizes():
+    # the largest README and benchmark runs: the 102-function table, the
+    # eigenfunction export, sweeps up to a = 1.5 with N = 76 and 2 pi R = 19.8
+    for params, n_basis in (
+        (TABLE_PARAMS, 102),
+        (StripParams(a=1.3, R=2.8647889756541165), 96),
+        (StripParams(a=1.5, R=19.8 / (2 * np.pi)), 77),
+        (StripParams(a=0.045, R=19.8 / (2 * np.pi)), 77),
+    ):
+        disc = _discretise(GalerkinConfig(params=params, n_basis=n_basis))
+        sizes = disc.grid.s_nodes.size, disc.grid.u_nodes.size, disc.factors.transverse.shape[0]
+        assert largest_array_bytes(n_basis, *sizes) < galerkin.MAX_ARRAY_BYTES / 16
+    assert largest_array_bytes(export_points=192 * 65) < galerkin.MAX_ARRAY_BYTES / 16
 
 
 def test_effective_expansion_properties():
