@@ -9,13 +9,15 @@ eigenfunction  sampled probability density of one computed eigenfunction,
                optionally carried onto the embedded strip surface
 verify         cross-module invariant suite
 
-Every command emits CSV (default) or JSON through ``--format``, to stdout
-or atomically to ``--output``.  Floats are printed in shortest
-round-trip form, so identical runs produce byte-identical rows.  A run
-manifest (command, parameters, version, timestamp) is embedded: as the
-first ``# manifest: ...`` comment line in CSV, as a top-level object in
-JSON.  Set SOURCE_DATE_EPOCH to pin the manifest timestamp and make whole
-files byte-identical.
+Every command builds one table as named columns and emits it as CSV
+(default) or JSON through ``--format``, to stdout or atomically to
+``--output``.  Floats are printed in shortest round-trip form, so
+identical runs produce byte-identical rows; an empty cell is an empty CSV
+field and a JSON null.  A run manifest (command, parameters, version,
+timestamp) is embedded: as the first ``# manifest: ...`` comment line in
+CSV, as a top-level object in JSON.  Set SOURCE_DATE_EPOCH to whole
+seconds since 1970 to pin the manifest timestamp and make whole files
+byte-identical; any other value is refused with exit 2 before the run.
 
 Every command accepts ``--threads N``, which must be at least 1 and is
 checked when the arguments are parsed; only ``converge`` uses it.
@@ -60,39 +62,43 @@ class RunManifest:
     timestamp: str
 
 
+def _pinned_moment(text: str) -> datetime:
+    try:
+        return datetime.fromtimestamp(int(text), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise InputError(
+            f"SOURCE_DATE_EPOCH expects whole seconds since 1970 within the "
+            f"platform's date range, got {text!r}"
+        ) from None
+
+
 def _timestamp() -> str:
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
-    if pinned is not None:
-        moment = datetime.fromtimestamp(int(pinned), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
+    moment = datetime.now(tz=timezone.utc) if pinned is None else _pinned_moment(pinned)
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _render(manifest: RunManifest, table: dict, fmt: str) -> str:
+    """Render one table given as named columns in header order.
 
-
-def _render(manifest: RunManifest, columns, rows, fmt: str) -> str:
+    Each column is a sequence or a 1-d array, all of one length; ``None``
+    is an empty cell (an empty CSV field, JSON null).  Arrays are turned
+    into Python scalars, so every float prints in shortest round-trip form.
+    """
+    names = list(table)
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    rows = zip(*columns, strict=True)
     if fmt == "json":
         payload = {
             "manifest": asdict(manifest),
-            "rows": [
-                {c: (None if r.get(c) is None else r.get(c)) for c in columns}
-                for r in rows
-            ],
+            "rows": [dict(zip(names, row)) for row in rows],
         }
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
     buffer = io.StringIO()
     buffer.write("# manifest: " + json.dumps(asdict(manifest), sort_keys=True) + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(c)) for c in columns])
+    writer.writerow(names)
+    writer.writerows(rows)  # csv writes None as "" and floats by repr
     return buffer.getvalue()
 
 
@@ -217,16 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(command: str, args, skip=("command", "format", "output")) -> RunManifest:
-    parameters = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
-    }
-    return RunManifest(
-        command=command,
-        parameters=parameters,
+def _emit(args, table: dict) -> None:
+    """Render ``table`` under the run's manifest and write it where asked."""
+    skip = ("command", "format", "output")
+    manifest = RunManifest(
+        command=args.command,
+        parameters={k: v for k, v in sorted(vars(args).items()) if k not in skip},
         version=__version__,
         timestamp=_timestamp(),
     )
+    _write_output(_render(manifest, table, args.format), args.output)
 
 
 def _mode_label(mode) -> str:
@@ -239,12 +245,13 @@ def _cmd_mathieu(args) -> int:
     chars = mathieu.char_values(args.q, args.max_order)
     a_values = {c.m: c.value for c in chars if c.kind == "ce"}
     b_values = {c.m: c.value for c in chars if c.kind == "se"}
-    rows = [
-        {"m": m, "a_m": a_values.get(m), "b_m": b_values.get(m)}
-        for m in range(args.max_order + 1)
-    ]
-    text = _render(_manifest("mathieu", args), ("m", "a_m", "b_m"), rows, args.format)
-    _write_output(text, args.output)
+    orders = range(args.max_order + 1)
+    table = {
+        "m": list(orders),
+        "a_m": [a_values.get(m) for m in orders],
+        "b_m": [b_values.get(m) for m in orders],
+    }
+    _emit(args, table)
     return 0
 
 
@@ -261,32 +268,24 @@ def _cmd_spectrum(args) -> int:
             params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
         )
         solution = galerkin.solve(config)
-        rows = [
-            {
-                "index": k + 1,
-                "value": float(solution.eigenvalues[k]),
-                "residual": float(solution.residual_norms[k]),
-            }
-            for k in range(args.count)
-        ]
-        columns = ("index", "value", "residual")
+        table = {
+            "index": list(range(1, args.count + 1)),
+            "value": solution.eigenvalues[:args.count],
+            "residual": solution.residual_norms[:args.count],
+        }
     else:
         if args.model == "fake":
             spectrum = fake_spectrum(params, args.count)
         else:
             spectrum = effective_spectrum(params, args.count)
-        rows = [
-            {
-                "index": k + 1,
-                "value": value,
-                "multiplicity": multiplicity,
-                "mode": _mode_label(mode),
-            }
-            for k, (value, mode, multiplicity) in enumerate(spectrum.flattened(args.count))
-        ]
-        columns = ("index", "value", "multiplicity", "mode")
-    text = _render(_manifest("spectrum", args), columns, rows, args.format)
-    _write_output(text, args.output)
+        values, modes, multiplicities = zip(*spectrum.flattened(args.count))
+        table = {
+            "index": list(range(1, len(values) + 1)),
+            "value": values,
+            "multiplicity": multiplicities,
+            "mode": [_mode_label(mode) for mode in modes],
+        }
+    _emit(args, table)
     return 0
 
 
@@ -307,46 +306,28 @@ def _cmd_converge(args) -> int:
     sweep = sweep_fn(
         radius, a_grid, args.K, args.N, m_s=args.ms, m_u=args.mu, threads=args.threads
     )
-    differences = sweep.differences()
-    rows = []
-    for i, a in enumerate(sweep.a_grid):
-        for n in range(1, args.K + 1):
-            rows.append(
-                {
-                    "record": "sample",
-                    "a": float(a),
-                    "n": n,
-                    "lambda_effective": float(sweep.effective_values[i, n - 1]),
-                    "lambda_true": float(sweep.true_values[i, n - 1]),
-                    "difference": float(differences[i, n - 1]),
-                    "ratio": float(sweep.ratios[i, n - 1]),
-                    "slope": None,
-                }
-            )
     window = tuple(args.window) if args.window is not None else None
+    slopes = []
     for n in range(1, args.K + 1):
         try:
-            slope = convergence.fit_rate(sweep, n, window)
+            slopes.append(convergence.fit_rate(sweep, n, window))
         except InputError:
-            slope = None
-        rows.append(
-            {
-                "record": "slope",
-                "a": None,
-                "n": n,
-                "lambda_effective": None,
-                "lambda_true": None,
-                "difference": None,
-                "ratio": None,
-                "slope": slope,
-            }
-        )
-    columns = (
-        "record", "a", "n", "lambda_effective", "lambda_true",
-        "difference", "ratio", "slope",
-    )
-    text = _render(_manifest("converge", args), columns, rows, args.format)
-    _write_output(text, args.output)
+            slopes.append(None)
+    # one sample row per (a, n) in grid order, then one slope row per n
+    samples = sweep.a_grid.size * args.K
+    indices = list(range(1, args.K + 1))
+    gap = [None] * args.K
+    table = {
+        "record": ["sample"] * samples + ["slope"] * args.K,
+        "a": np.repeat(sweep.a_grid, args.K).tolist() + gap,
+        "n": indices * sweep.a_grid.size + indices,
+        "lambda_effective": sweep.effective_values.ravel().tolist() + gap,
+        "lambda_true": sweep.true_values.ravel().tolist() + gap,
+        "difference": sweep.differences().ravel().tolist() + gap,
+        "ratio": sweep.ratios.ravel().tolist() + gap,
+        "slope": [None] * samples + slopes,
+    }
+    _emit(args, table)
     return 0
 
 
@@ -372,42 +353,28 @@ def _cmd_eigenfunction(args) -> int:
     solution = galerkin.solve(config)
     s = np.linspace(0.0, params.circumference, grid_s)
     u = np.linspace(-1.0, 1.0, grid_u)
-    density = solution.eigenfunction_values(args.k, s, u) ** 2
-    rows = []
-    columns = ["s", "u", "density"]
+    # rows run over u fastest, s slowest
+    table = {
+        "s": np.repeat(s, grid_u),
+        "u": np.tile(u, grid_s),
+        "density": (solution.eigenfunction_values(args.k, s, u) ** 2).ravel(),
+    }
     if args.embed3d:
-        columns += ["x", "y", "z"]
-        points = embed(params, s[:, None], params.a * u[None, :])
-    for i in range(grid_s):
-        for j in range(grid_u):
-            row = {"s": float(s[i]), "u": float(u[j]), "density": float(density[i, j])}
-            if args.embed3d:
-                row.update(
-                    x=float(points[i, j, 0]),
-                    y=float(points[i, j, 1]),
-                    z=float(points[i, j, 2]),
-                )
-            rows.append(row)
-    text = _render(_manifest("eigenfunction", args), tuple(columns), rows, args.format)
-    _write_output(text, args.output)
+        x, y, z = embed(params, s[:, None], params.a * u[None, :]).reshape(-1, 3).T
+        table.update(x=x, y=y, z=z)
+    _emit(args, table)
     return 0
 
 
 def _cmd_verify(args) -> int:
     results = verify.run_all()
-    rows = [
-        {
-            "module": r.module,
-            "check": r.name,
-            "status": "pass" if r.passed else "FAIL",
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    text = _render(
-        _manifest("verify", args), ("module", "check", "status", "detail"), rows, args.format
-    )
-    _write_output(text, args.output)
+    table = {
+        "module": [r.module for r in results],
+        "check": [r.name for r in results],
+        "status": ["pass" if r.passed else "FAIL" for r in results],
+        "detail": [r.detail for r in results],
+    }
+    _emit(args, table)
     failures = [r for r in results if not r.passed]
     for failure in failures:
         sys.stderr.write(
@@ -433,6 +400,13 @@ def main(argv=None) -> int:
             "deterministic and seedless by construction\n"
         )
         return 2
+    pinned = os.environ.get("SOURCE_DATE_EPOCH")
+    if pinned is not None:
+        try:
+            _pinned_moment(pinned)  # refused before any work, not when stamping
+        except InputError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,8 +19,8 @@ recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
 Eigenvalue sweeps diagonalise the assembled matrix for its values only;
-eigenvector sweeps take the sector-ordered eigenpairs of
-``galerkin.eigenpairs``.  Neither computes residuals.  Sweeps solve
+eigenvector sweeps take the sector-ordered eigenpairs of ``galerkin.solve``
+and never read its residual norms, so neither computes them.  Sweeps solve
 independent half-widths, optionally on a thread pool; results are gathered
 in grid order, so the output is deterministic for a given configuration.
 """
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, assemble, effective_in_basis, eigenpairs
-from .galerkin import solve  # noqa: F401  (benchmark/spans.py traces convergence.solve)
+from .galerkin import GalerkinConfig, assemble, effective_in_basis, solve
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
 from .models import effective_spectrum
@@ -230,14 +229,14 @@ def eigenvector_sweep(
             params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
             geometry=geometry, close_pairs=True,
         )
-        true = eigenpairs(config)
+        true = solve(config)
         n_probe = min(probe, true.eigenvalues.size)
         expansion = effective_in_basis(config, n_probe)
         eff_values = expansion.spectrum.values(n_probe)
         distances = np.empty(count)
         for lo, hi in _clusters(eff_values, true.eigenvalues, count):
             d = _subspace_distance(
-                true.eigenvectors[:, lo:hi],
+                true.coefficients[:, lo:hi],
                 expansion.coefficients[:, lo:hi],
                 expansion.truncations[lo:hi],
             )

@@ -38,9 +38,10 @@ cannot mix a nearly degenerate cosine/sine pair.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
-|| L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form, with
-L Psi_j expanded analytically through the closed-form derivatives of fa
-and summed per n from the coefficient-weighted longitudinal rows.
+|| L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form when a
+solution's ``residual_norms`` is first read, with L Psi_j expanded
+analytically through the closed-form derivatives of fa and summed per n
+from the coefficient-weighted longitudinal rows.
 
 Geometry overrides support the oracle runs: ``flat_plain`` (fa = 1, V = 0)
 must produce an exactly diagonal matrix, and ``flat_with_Veff`` (fa = 1,
@@ -49,14 +50,15 @@ V = potential_veff) must reproduce the closed-form effective spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mathieu
 from .errors import CapacityError, InputError
 from .geometry import StripParams, jacobian_f, jacobian_f_derivatives, potential_va, potential_veff
-from .linalg import EigenDecomposition, SymmetricMatrix, eig_dense_symmetric
+from .linalg import SymmetricMatrix, eig_dense_symmetric
 from .models import (
     FAMILY_EFF_CE,
     DEFAULT_Q,
@@ -77,7 +79,6 @@ __all__ = [
     "MAX_ARRAY_BYTES",
     "basis_modes",
     "assemble",
-    "eigenpairs",
     "solve",
     "largest_array_bytes",
     "require_capacity",
@@ -91,8 +92,9 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # or export grid is refused with CapacityError before anything is built.
 MAX_ARRAY_BYTES = 1 << 29
 # Peak memory per exported grid point (one CLI row with its 3-space point
-# and text), measured at about 730 B between 384x260 and 768x260 grids.
-EXPORT_POINT_BYTES = 1024
+# and text), traced at about 1,870 B for JSON and 480-560 B for CSV on
+# grids from 192x65 to 768x260; the larger, JSON, sets the bound.
+EXPORT_POINT_BYTES = 2048
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
 # where one (m_s, N, m_u) array took three times as long at N = 96
 _S_BLOCK = 16
@@ -134,7 +136,9 @@ class GalerkinSolution:
 
     ``coefficients[:, k]`` expands the k-th eigenfunction over ``basis``;
     the columns are orthonormal.  ``residual_norms[k]`` is the strong-form
-    L2 residual of the k-th eigenpair.
+    L2 residual of the k-th eigenpair, computed on first read from the
+    discretisation the solution keeps, so callers that need only the
+    eigenpairs never pay for it.
     """
 
     config: GalerkinConfig
@@ -142,7 +146,11 @@ class GalerkinSolution:
     matrix: SymmetricMatrix
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    residual_norms: np.ndarray
+    _disc: _Discretisation = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def residual_norms(self) -> np.ndarray:
+        return _residual_norms(self._disc, self.eigenvalues, self.coefficients)
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
@@ -349,33 +357,9 @@ def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     return SymmetricMatrix.from_dense(_assemble_dense(_discretise(config)))
 
 
-def _sector_eigenpairs(disc: _Discretisation, dense: np.ndarray) -> EigenDecomposition:
-    """Eigenpairs of ``dense``, diagonalised with the basis in sector order.
-
-    Listing the cosine rows before the sine rows makes the matrix block
-    diagonal with exactly zero off-diagonal blocks.  The Householder
-    reduction then never couples the two blocks and the tridiagonal form
-    splits between them, so every eigenvector is exactly zero off its
-    sector.  Eigenvector rows are returned in basis order.
-    """
-    order = np.concatenate(disc.sectors)
-    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
-    coefficients = np.empty_like(decomp.eigenvectors)
-    coefficients[order] = decomp.eigenvectors
-    return EigenDecomposition(decomp.eigenvalues, coefficients)
-
-
-def eigenpairs(config: GalerkinConfig) -> EigenDecomposition:
-    """Ascending eigenpairs of the projection matrix, sector by sector.
-
-    Each coefficient column is exactly zero off its sector.  This is
-    ``solve`` without the strong-form residuals.
-    """
-    disc = _discretise(config)
-    return _sector_eigenpairs(disc, _assemble_dense(disc))
-
-
-def _residual_norms(disc: _Discretisation, decomp: EigenDecomposition) -> np.ndarray:
+def _residual_norms(
+    disc: _Discretisation, eigenvalues: np.ndarray, coefficients: np.ndarray
+) -> np.ndarray:
     """Strong-form residual norms of the eigenpairs.
 
     With L Psi_j expanded analytically,
@@ -393,14 +377,14 @@ def _residual_norms(disc: _Discretisation, decomp: EigenDecomposition) -> np.nda
     drift = 2.0 * disc.d_s_fa / disc.fa**3
     rows_terms, field_terms = [], []  # (K, m_s) and (m_s, m_u) per term
     for n, rows in factors.by_n(np.arange(len(disc.basis))):
-        coeffs = decomp.eigenvectors[rows].T
+        coeffs = coefficients[rows].T
         psi = coeffs @ factors.longitudinal[rows]
         chi = factors.transverse[n]
         rows_terms += [
             coeffs @ factors.slope[rows],
             coeffs @ (disc.rates_sq[rows, None] * factors.longitudinal[rows]),
             psi,
-            decomp.eigenvalues[:, None] * psi,
+            eigenvalues[:, None] * psi,
         ]
         field_terms += [
             drift * chi,
@@ -421,17 +405,25 @@ def _residual_norms(disc: _Discretisation, decomp: EigenDecomposition) -> np.nda
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
-    """Assemble, diagonalise in sector order, attach strong-form residual norms."""
+    """Assemble and diagonalise with the basis listed sector by sector.
+
+    The reordered matrix is block diagonal, so every coefficient column is
+    exactly zero off its sector; coefficient rows come back in basis order.
+    Residual norms wait for their first read.
+    """
     disc = _discretise(config)
     dense = _assemble_dense(disc)
-    decomp = _sector_eigenpairs(disc, dense)
+    order = np.concatenate(disc.sectors)
+    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
+    coefficients = np.empty_like(decomp.eigenvectors)
+    coefficients[order] = decomp.eigenvectors
     return GalerkinSolution(
         config=config,
         basis=disc.basis,
         matrix=SymmetricMatrix.from_dense(dense),
         eigenvalues=decomp.eigenvalues,
-        coefficients=decomp.eigenvectors,
-        residual_norms=_residual_norms(disc, decomp),
+        coefficients=coefficients,
+        _disc=disc,
     )
 
 

@@ -1,19 +1,28 @@
 import csv
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moebius import cli
 from moebius.cli import main
+from moebius.galerkin import EXPORT_POINT_BYTES
 
 TABLE_R = repr(13.2 / (2 * np.pi))
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHILD_TIMEOUT_S = 120
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+INTEGER_COLUMNS = {"m", "index", "n", "multiplicity"}
 
 
 def child_env(**variables):
@@ -43,28 +52,41 @@ def parse_csv(text):
     return manifest, list(reader)
 
 
-def test_mathieu_table_csv_and_json_agree(capsys):
-    code, out_csv, _ = run_cli(["mathieu", "--q", "-0.25", "--max-order", "10"], capsys)
+@pytest.mark.parametrize("name", list(regenerate.COMMANDS))
+def test_csv_and_json_agree(capsys, name):
+    argv = regenerate.COMMANDS[name]
+    code, out_csv, _ = run_cli(argv, capsys)
     assert code == 0
     manifest, rows = parse_csv(out_csv)
-    assert manifest["command"] == "mathieu"
-    assert manifest["parameters"]["q"] == -0.25
+    header = next(csv.reader([out_csv.splitlines()[1]]))
 
-    code, out_json, _ = run_cli(
-        ["mathieu", "--q", "-0.25", "--max-order", "10", "--format", "json"], capsys
-    )
+    code, out_json, _ = run_cli(argv + ["--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out_json)
-    assert len(payload["rows"]) == len(rows) == 11
+    assert payload["manifest"]["parameters"] == manifest["parameters"]
+    assert len(payload["rows"]) == len(rows) > 0
 
     for csv_row, json_row in zip(rows, payload["rows"]):
-        assert int(csv_row["m"]) == json_row["m"]
-        assert float(csv_row["a_m"]) == json_row["a_m"]
-        if csv_row["b_m"] == "":
-            assert json_row["b_m"] is None
-        else:
-            assert float(csv_row["b_m"]) == json_row["b_m"]
+        assert list(json_row) == header
+        for column, cell in csv_row.items():
+            value = json_row[column]
+            if cell == "":
+                assert value is None
+            elif column in INTEGER_COLUMNS:
+                assert type(value) is int and int(cell) == value
+            elif isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert type(value) is str and cell == value
 
+
+def test_mathieu_reference_row(capsys):
+    code, out, _ = run_cli(["mathieu", "--q", "-0.25", "--max-order", "10"], capsys)
+    assert code == 0
+    manifest, rows = parse_csv(out)
+    assert manifest["command"] == "mathieu"
+    assert manifest["parameters"]["q"] == -0.25
+    assert len(rows) == 11
     assert float(rows[0]["a_m"]) == pytest.approx(-0.0310393954756173, rel=1e-13)
     assert rows[0]["b_m"] == ""
 
@@ -244,6 +266,35 @@ def test_deterministic_output_files(tmp_path):
     assert manifest["timestamp"] == "2023-11-14T22:13:20Z"
     assert len(rows) == 12
     assert float(rows[0]["value"]) == pytest.approx(4.384732657634105, rel=1e-11)
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
+def test_malformed_source_date_epoch_is_refused_before_the_run(capsys, monkeypatch, epoch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(cli.mathieu, "char_values", not_reached)
+    code, out, err = run_cli(["mathieu", "--max-order", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: SOURCE_DATE_EPOCH") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt):
+    # the README export; the guard charges EXPORT_POINT_BYTES per grid point
+    argv = ["eigenfunction", "--k", "1", "--a", "1.3", "--R", "2.8647889756541165",
+            "--N", "96", "--grid", "192x65", "--embed3d", "--format", fmt,
+            "--output", str(tmp_path / f"density.{fmt}")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / (192 * 65) <= EXPORT_POINT_BYTES
 
 
 def test_mathieu_non_finite_q_is_invalid_input(capsys):

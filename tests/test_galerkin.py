@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from moebius import galerkin
+from moebius.cli import main
+from moebius.convergence import eigenvector_sweep
 from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
     EXPORT_POINT_BYTES,
@@ -10,7 +12,6 @@ from moebius.galerkin import (
     assemble,
     basis_modes,
     effective_in_basis,
-    eigenpairs,
     largest_array_bytes,
     residual_norm,
     solve,
@@ -305,10 +306,34 @@ def test_cosine_and_sine_sectors_decouple_exactly():
     in_sine = np.all(c[cosine] == 0.0, axis=0)
     assert np.all(in_cosine ^ in_sine)
     assert in_cosine.sum() == cosine.sum() and in_sine.sum() == (~cosine).sum()
-    # the eigenpair step solve is built from, without residuals
-    pairs = eigenpairs(config)
-    assert np.array_equal(pairs.eigenvalues, solution.eigenvalues)
-    assert np.array_equal(pairs.eigenvectors, c)
+
+
+def test_residuals_are_computed_on_first_read_only(monkeypatch):
+    calls = []
+    compute = galerkin._residual_norms
+
+    def counted(*args):
+        calls.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(galerkin, "_residual_norms", counted)
+    solution = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=30))
+    assert calls == []
+    first = solution.residual_norms
+    assert solution.residual_norms is first
+    assert len(calls) == 1
+
+
+def test_eigenpair_consumers_never_compute_residuals(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("residual norms computed")
+
+    monkeypatch.setattr(galerkin, "_residual_norms", refuse)
+    code = main(["eigenfunction", "--k", "2", "--a", "1.3", "--R", repr(WIDE_PARAMS.R),
+                 "--N", "30", "--grid", "12x5", "--output", str(tmp_path / "density.csv")])
+    assert code == 0
+    sweep = eigenvector_sweep(WIDE_PARAMS.R, [0.3, 0.6], 3, 24)
+    assert np.all(np.isfinite(sweep.distances))
 
 
 @pytest.mark.parametrize("params, n_basis", [(TABLE_PARAMS, 82), (WIDE_PARAMS, 60)])
