@@ -9,9 +9,9 @@ eigenfunction  sampled probability density of one computed eigenfunction,
                optionally carried onto the embedded strip surface
 verify         cross-module invariant suite
 
-Every command builds one table as named columns and emits it as CSV
+Every command builds one table as named columns and streams it as CSV
 (default) or JSON through ``--format``, to stdout or atomically to
-``--output``.  Floats are printed in shortest round-trip form, so
+``--output``, a chunk of rows at a time.  Floats are printed in shortest round-trip form, so
 identical runs produce byte-identical rows; an empty cell is an empty CSV
 field and a JSON null.  A run manifest (command, parameters, version,
 timestamp) is embedded: as the first ``# manifest: ...`` comment line in
@@ -23,7 +23,8 @@ Every command accepts ``--threads N``, which must be at least 1 and is
 checked when the arguments are parsed; only ``converge`` uses it.
 
 Exit codes: 0 success, 2 invalid input (including a basis, quadrature or
-export grid whose arrays would pass ``galerkin.MAX_ARRAY_BYTES``), 3
+export grid whose arrays would pass ``galerkin.MAX_ARRAY_BYTES``, and a
+sweep whose estimated work passes ``convergence.MAX_SWEEP_WORK``), 3
 numerical failure (including fired verification checks).  There is no
 randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
 only as "1" and has no effect, any other value is rejected to keep that
@@ -33,8 +34,8 @@ contract visible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -50,6 +51,9 @@ from .geometry import StripParams, embed
 from .models import effective_spectrum, fake_spectrum
 
 __all__ = ["main", "build_parser", "RunManifest"]
+
+# rows converted to Python scalars and written per step of streamed output
+_ROW_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -78,39 +82,70 @@ def _timestamp() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _render(manifest: RunManifest, table: dict, fmt: str) -> str:
-    """Render one table given as named columns in header order.
+def _row_chunks(table: dict):
+    """The table's columns, ``_ROW_CHUNK`` rows at a time, as lists of
+    Python scalars (so every float prints in shortest round-trip form)."""
+    columns = list(table.values())
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    for lo in range(0, lengths.pop() if lengths else 0, _ROW_CHUNK):
+        yield [
+            c[lo:lo + _ROW_CHUNK].tolist() if isinstance(c, np.ndarray) else list(c[lo:lo + _ROW_CHUNK])
+            for c in columns
+        ]
+
+
+def _json_cells(values: list) -> list[str]:
+    """Each value as ``json.dumps`` writes it; one encoder call for a
+    column without strings, whose list text splits at ", " exactly."""
+    if any(isinstance(value, str) for value in values):
+        return [json.dumps(value) for value in values]
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
+    """Write one table given as named columns in header order to ``handle``.
 
     Each column is a sequence or a 1-d array, all of one length; ``None``
-    is an empty cell (an empty CSV field, JSON null).  Arrays are turned
-    into Python scalars, so every float prints in shortest round-trip form.
+    is an empty cell (an empty CSV field, JSON null).  Rows are streamed a
+    chunk at a time, and the text is byte for byte what ``csv.writer`` or
+    ``json.dumps(..., indent=2)`` writes for the whole table at once.
     """
     names = list(table)
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-    rows = zip(*columns, strict=True)
-    if fmt == "json":
-        payload = {
-            "manifest": asdict(manifest),
-            "rows": [dict(zip(names, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    buffer = io.StringIO()
-    buffer.write("# manifest: " + json.dumps(asdict(manifest), sort_keys=True) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(rows)  # csv writes None as "" and floats by repr
-    return buffer.getvalue()
+    if fmt == "csv":
+        handle.write("# manifest: " + json.dumps(asdict(manifest), sort_keys=True) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(names)
+        for chunk in _row_chunks(table):
+            writer.writerows(zip(*chunk))  # csv writes None as "" and floats by repr
+        return
+    head = json.dumps({"manifest": asdict(manifest), "rows": []}, indent=2)
+    opening = head[:-len("[]\n}")]
+    row = "{{\n" + ",\n".join(
+        "      " + json.dumps(name).replace("{", "{{").replace("}", "}}") + ": {}"
+        for name in names
+    ) + "\n    }}"
+    separator = "[\n    "
+    for chunk in _row_chunks(table):
+        cells = zip(*map(_json_cells, chunk))
+        handle.write(opening + separator + ",\n    ".join(row.format(*c) for c in cells))
+        opening, separator = "", ",\n    "
+    handle.write(head + "\n" if opening else "\n  ]\n}\n")
 
 
-def _write_output(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _opened_output(output: str | None):
+    """A text handle on stdout, or on a temporary file that replaces
+    ``output`` once the block completes and is removed if it fails."""
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".moebius-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_path, output)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -232,7 +267,8 @@ def _emit(args, table: dict) -> None:
         version=__version__,
         timestamp=_timestamp(),
     )
-    _write_output(_render(manifest, table, args.format), args.output)
+    with _opened_output(args.output) as handle:
+        _render(manifest, table, args.format, handle)
 
 
 def _mode_label(mode) -> str:
@@ -294,6 +330,7 @@ def _cmd_converge(args) -> int:
     radius = _radius(args) if given else 18.0 / (2.0 * np.pi)
     if args.steps < 1:
         raise InputError(f"--steps must be >= 1, got {args.steps}")
+    convergence.require_sweep_capacity(args.steps, args.N, args.ms)  # before the grid
     if args.grid == "geometric":
         a_grid = convergence.geometric_grid(args.a_min, args.a_max, args.steps)
     else:

@@ -23,6 +23,8 @@ eigenvector sweeps take the sector-ordered eigenpairs of ``galerkin.solve``
 and never read its residual norms, so neither computes them.  Sweeps solve
 independent half-widths, optionally on a thread pool; results are gathered
 in grid order, so the output is deterministic for a given configuration.
+A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
+refused with ``CapacityError`` before any point is solved.
 """
 
 from __future__ import annotations
@@ -39,10 +41,48 @@ from .geometry import StripParams
 from .linalg import eig_dense_symmetric
 from .models import effective_spectrum
 
-__all__ = ["SweepResult", "eigenvalue_sweep", "eigenvector_sweep", "fit_rate", "geometric_grid"]
+__all__ = [
+    "MAX_SWEEP_WORK",
+    "SweepResult",
+    "eigenvalue_sweep",
+    "eigenvector_sweep",
+    "fit_rate",
+    "geometric_grid",
+    "require_sweep_capacity",
+    "sweep_work",
+]
 
 CLUSTER_RTOL = 1e-9
 _CLUSTER_MARGIN = 4  # extra indices inspected so cutoff-straddling clusters close
+# Cap on ``sweep_work``: at N = 72, where one point is estimated at 1.5e7
+# operations and takes 3-4 ms on one core, it admits 650k points, 35-45 minutes.
+MAX_SWEEP_WORK = 10**13
+# one point's fixed cost in operations, mostly interpreter work: about
+# 1.5 ms at N = 20, where the N-dependent terms are small
+_POINT_OVERHEAD = 5 * 10**6
+
+
+def sweep_work(steps: int, n_basis: int, m_s: int | None = None) -> int:
+    """Estimated operations of a sweep over ``steps`` half-widths.
+
+    Each point discretises, assembles and diagonalises: a fixed overhead,
+    about 10 N^3 for the eigensolve and 4 N^2 m_s for the products of
+    longitudinal rows.  Without an explicit ``m_s`` the default quadrature
+    order is bounded by 4 (N + 1) + 32, since the first N + 1 flat modes
+    have harmonics of at most N + 1.  Integer arithmetic, so any step
+    count is estimated without overflow.
+    """
+    m_s = 4 * n_basis + 36 if m_s is None else m_s
+    return steps * (_POINT_OVERHEAD + 10 * n_basis**3 + 4 * n_basis**2 * m_s)
+
+
+def require_sweep_capacity(steps: int, n_basis: int, m_s: int | None = None) -> None:
+    """Raise ``CapacityError`` when ``sweep_work`` passes ``MAX_SWEEP_WORK``."""
+    if sweep_work(steps, n_basis, m_s) > MAX_SWEEP_WORK:
+        raise CapacityError(
+            f"a sweep of {steps} half-widths at N={n_basis} is estimated above "
+            f"the cap of {MAX_SWEEP_WORK:.0e} operations"
+        )
 
 
 def geometric_grid(a_min: float, a_max: float, steps: int) -> np.ndarray:
@@ -82,7 +122,7 @@ class SweepResult:
         return np.abs(self.effective_values - self.true_values)
 
 
-def _validate_sweep_args(a_grid, count, n_basis):
+def _validate_sweep_args(a_grid, count, n_basis, m_s):
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise InputError("a_grid must be a non-empty 1-d sequence")
@@ -96,6 +136,7 @@ def _validate_sweep_args(a_grid, count, n_basis):
         raise InputError(f"count must be >= 1, got {count}")
     if count > n_basis:
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
+    require_sweep_capacity(a_grid.size, n_basis, m_s)
     return a_grid
 
 
@@ -133,7 +174,7 @@ def eigenvalue_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
-    a_grid = _validate_sweep_args(a_grid, count, n_basis)
+    a_grid = _validate_sweep_args(a_grid, count, n_basis, m_s)
 
     def worker(a: float):
         params = StripParams(a=float(a), R=radius)
@@ -220,7 +261,7 @@ def eigenvector_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid."""
-    a_grid = _validate_sweep_args(a_grid, count, n_basis)
+    a_grid = _validate_sweep_args(a_grid, count, n_basis, m_s)
     probe = count + _CLUSTER_MARGIN
 
     def worker(a: float):

@@ -19,10 +19,15 @@ the large 1/a^2 scale and is inserted analytically; the two integrals use
 the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
-The basis Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) is kept in factor form: rows
-L_m and L'_m on the s nodes per mode, one row T_n on the u nodes per
-distinct n, and the (m_s, m_u) fields w, fa, d1 fa and V.  The integrals
-are sum-factorised, contracting the u-quadrature first,
+The basis is enumerated once per configuration as two integer arrays
+(m_j, n_j), in the order of ``basis_modes``; ``ModeIndex`` labels are made
+only when ``basis_modes`` or a solution's ``basis`` asks for them.
+Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) is kept in factor form: rows L_m and
+L'_m on the s nodes per mode, from one cosine and one sine per distinct
+harmonic, one row T_n on the u nodes per distinct n, and the (m_s, m_u)
+fields w, fa, d1 fa and V, all three from one evaluation of f and its
+derivatives.  The integrals are sum-factorised, contracting the
+u-quadrature first,
 
     A_nn'(s) = sum_u w T_n T_n' / fa^2,    B_nn'(s) = sum_u w V T_n T_n',
 
@@ -57,16 +62,17 @@ import numpy as np
 
 from . import mathieu
 from .errors import CapacityError, InputError
-from .geometry import StripParams, jacobian_f, jacobian_f_derivatives, potential_va, potential_veff
+from .geometry import StripParams, _f_with_derivatives, _potential_from, potential_veff
 from .linalg import SymmetricMatrix, eig_dense_symmetric
 from .models import (
     FAMILY_EFF_CE,
+    FAMILY_FAKE,
     DEFAULT_Q,
     ModeIndex,
     Spectrum,
+    _flat_modes,
+    _pow2,
     effective_spectrum,
-    fake_longitudinal,
-    fake_spectrum,
     transverse_profile,
 )
 from .quadrature import QuadratureGrid
@@ -91,10 +97,10 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # Cap on the largest array of one run, 512 MiB: a larger basis, quadrature
 # or export grid is refused with CapacityError before anything is built.
 MAX_ARRAY_BYTES = 1 << 29
-# Peak memory per exported grid point (one CLI row with its 3-space point
-# and text), traced at about 1,870 B for JSON and 480-560 B for CSV on
-# grids from 192x65 to 768x260; the larger, JSON, sets the bound.
-EXPORT_POINT_BYTES = 2048
+# Peak memory per exported grid point (one CLI row with its 3-space point,
+# streamed as text), traced at 177 B for JSON and 135 B for CSV on the
+# 192x65 README export and 83-91 B on grids up to 768x260.
+EXPORT_POINT_BYTES = 256
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
 # where one (m_s, N, m_u) array took three times as long at N = 96
 _S_BLOCK = 16
@@ -142,11 +148,15 @@ class GalerkinSolution:
     """
 
     config: GalerkinConfig
-    basis: tuple[ModeIndex, ...]
     matrix: SymmetricMatrix
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     _disc: _Discretisation = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def basis(self) -> tuple[ModeIndex, ...]:
+        """Labels of the basis functions, in coefficient-row order."""
+        return _mode_labels(self._disc.m, self._disc.n)
 
     @functools.cached_property
     def residual_norms(self) -> np.ndarray:
@@ -154,33 +164,48 @@ class GalerkinSolution:
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
-        if not (1 <= k <= len(self.basis)):
-            raise InputError(f"k must be in [1, {len(self.basis)}], got {k}")
+        m, n = self._disc.m, self._disc.n
+        if not (1 <= k <= m.size):
+            raise InputError(f"k must be in [1, {m.size}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        factors = _sample_factors(self.basis, self.config.params, s, u)
+        factors = _sample_factors(m, n, self.config.params, s, u)
         coeffs = self.coefficients[:, k - 1]
         return sum(
-            np.outer(coeffs[pos] @ factors.longitudinal[pos], factors.transverse[n])
-            for n, pos in factors.by_n(np.arange(len(self.basis)))
+            np.outer(coeffs[pos] @ factors.longitudinal[pos], factors.transverse[row])
+            for row, pos in factors.by_n(np.arange(m.size))
         )
+
+
+def _basis_arrays(
+    params: StripParams, n_basis: int, close_pairs: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) of the first ``n_basis`` flat modes as integer arrays.
+
+    Modes come by ascending flat eigenvalue, merged entries as in
+    ``fake_spectrum``, and within an entry by (harmonic, cosine before
+    sine, n).  ``close_pairs`` appends the next mode when the last one is
+    half of a +/-m pair whose partner was cut off.
+    """
+    m, n, _, entry = _flat_modes(params, n_basis + 1)
+    order = np.lexsort((n, m < 0, np.abs(m), entry))
+    m, n = m[order], n[order]
+    size = n_basis
+    if close_pairs and n_basis > 0:
+        last_m, last_n = m[n_basis - 1], n[n_basis - 1]
+        partnered = (m[:n_basis] == -last_m) & (n[:n_basis] == last_n)
+        if last_m != 0 and not partnered.any():
+            size += 1
+    return m[:size], n[:size]
+
+
+def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
+    return tuple(ModeIndex(FAMILY_FAKE, mm, nn) for mm, nn in zip(m.tolist(), n.tolist()))
 
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
     """First ``n_basis`` flat modes, ascending eigenvalue, deterministic ties."""
-    spectrum = fake_spectrum(params, n_basis + 1)
-    flat: list[tuple[float, ModeIndex]] = []
-    for entry in spectrum.entries:
-        ordered = sorted(entry.modes, key=lambda md: (md.harmonic, md.m < 0, md.n))
-        flat.extend((entry.value, md) for md in ordered)
-    modes = [md for _, md in flat[:n_basis]]
-    if close_pairs and modes:
-        last = modes[-1]
-        if last.m != 0 and not any(
-            md.m == -last.m and md.n == last.n for md in modes
-        ):
-            modes.append(flat[n_basis][1])
-    return modes
+    return list(_mode_labels(*_basis_arrays(params, n_basis, close_pairs)))
 
 
 def largest_array_bytes(
@@ -232,20 +257,34 @@ class _Factors:
         return [(int(n), np.flatnonzero(n_rows == n)) for n in np.unique(n_rows)]
 
 
-def _sample_factors(modes, params: StripParams, s, u) -> _Factors:
-    """Factor tables of the flat basis: one longitudinal evaluation per
-    distinct m and one transverse evaluation per distinct n."""
-    m_values, m_of = np.unique([md.m for md in modes], return_inverse=True)
-    n_values, n_of = np.unique([md.n for md in modes], return_inverse=True)
+def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
+    """Factor tables of the flat basis with labels (m, n).
 
-    def longitudinal(derivative):
-        rows = [fake_longitudinal(int(m), params, s, derivative) for m in m_values]
-        return np.array(rows)[m_of]
-
+    One cosine and one sine of the phase (|m| / 2R) s per distinct
+    harmonic, scattered to the rows, and one transverse row per distinct
+    n.  Each element is formed by the operations of ``fake_longitudinal``
+    in the same order, so the rows equal its samples bit for bit.
+    """
+    R = params.R
+    harmonics, h_of = np.unique(np.abs(m), return_inverse=True)
+    rate = harmonics / (2.0 * R)
+    phase = rate[:, None] * s
+    cos, sin = np.cos(phase), np.sin(phase)
+    amp = 1.0 / np.sqrt(np.pi * R)
+    longitudinal = np.empty((m.size, s.size))
+    slope = np.empty_like(longitudinal)
+    up, down, constant = m > 0, m < 0, m == 0
+    longitudinal[up] = (amp * cos)[h_of[up]]
+    slope[up] = ((-amp * rate)[:, None] * sin)[h_of[up]]
+    longitudinal[down] = (amp * sin)[h_of[down]]
+    slope[down] = ((amp * rate)[:, None] * cos)[h_of[down]]
+    longitudinal[constant] = 1.0 / np.sqrt(2.0 * np.pi * R)
+    slope[constant] = 0.0
+    n_values, n_of = np.unique(n, return_inverse=True)
     return _Factors(
-        longitudinal=longitudinal(0),
-        slope=longitudinal(1),
-        transverse=np.array([transverse_profile(int(n), u) for n in n_values]),
+        longitudinal=longitudinal,
+        slope=slope,
+        transverse=np.array([transverse_profile(int(k), u) for k in n_values]),
         n_of=n_of,
     )
 
@@ -255,7 +294,8 @@ class _Discretisation:
     """Factor tables and quadrature fields shared by assembly and residuals."""
 
     grid: QuadratureGrid
-    basis: tuple[ModeIndex, ...]
+    m: np.ndarray            # (N,) signed harmonic of each basis function
+    n: np.ndarray            # (N,) transverse index of each basis function
     factors: _Factors        # on the quadrature nodes
     sectors: tuple[np.ndarray, ...]  # basis rows with m >= 0, then m < 0 (non-empty)
     weights: np.ndarray      # (m_s, m_u)
@@ -269,22 +309,21 @@ class _Discretisation:
 def _discretise(config: GalerkinConfig) -> _Discretisation:
     params = config.params
     require_capacity(config.n_basis)  # bounds N before the basis is enumerated
-    modes = basis_modes(params, config.n_basis, config.close_pairs)
-    max_harmonic = max(md.harmonic for md in modes)
-    max_n = max(md.n for md in modes)
-    m_s = config.m_s if config.m_s is not None else 4 * max_harmonic + 32
-    m_u = config.m_u if config.m_u is not None else 2 * max_n + 16
-    require_capacity(len(modes), m_s, m_u, len({md.n for md in modes}))
+    m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
+    m_s = config.m_s if config.m_s is not None else 4 * int(np.abs(m).max()) + 32
+    m_u = config.m_u if config.m_u is not None else 2 * int(n.max()) + 16
+    require_capacity(m.size, m_s, m_u, np.unique(n).size)
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
 
     s, u = grid.s_nodes, grid.u_nodes
+    factors = _sample_factors(m, n, params, s, u)  # before the fields: peaks apart
     ss = s[:, None]
     uu = u[None, :]
     if config.geometry == "true_geometry":
-        t = params.a * uu
-        fa = jacobian_f(params, ss, t)
-        d_s_fa = jacobian_f_derivatives(params, ss, t)[0]
-        potential = potential_va(params, ss, uu)
+        # one evaluation of f and its derivatives at t = a u feeds all three
+        derivatives = _f_with_derivatives(params, ss, params.a * uu)
+        fa, d_s_fa = derivatives[:2]
+        potential = _potential_from(*derivatives)
     else:
         fa = np.ones((m_s, m_u))
         d_s_fa = np.zeros((m_s, m_u))
@@ -293,20 +332,19 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
         else:  # flat_plain
             potential = np.zeros((m_s, m_u))
 
-    cosine = np.array([md.m >= 0 for md in modes])
+    cosine = m >= 0
     return _Discretisation(
         grid=grid,
-        basis=tuple(modes),
-        factors=_sample_factors(modes, params, s, u),
+        m=m,
+        n=n,
+        factors=factors,
         sectors=tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any()),
         weights=grid.weights_2d,
         fa=fa,
         d_s_fa=d_s_fa,
         potential=potential,
-        transverse_diag=np.array(
-            [(md.n * np.pi / 2.0) ** 2 / params.a**2 for md in modes]
-        ),
-        rates_sq=np.array([(md.m / (2.0 * params.R)) ** 2 for md in modes]),
+        transverse_diag=_pow2(n * np.pi / 2.0) / params.a**2,
+        rates_sq=_pow2(m / (2.0 * params.R)),
     )
 
 
@@ -323,7 +361,7 @@ def _project(disc: _Discretisation, *terms) -> np.ndarray:
         ((field[:, None, :] * transverse) @ transverse.T, table)  # (m_s, n, n')
         for field, table in terms
     ]
-    out = np.zeros((len(disc.basis),) * 2)
+    out = np.zeros((disc.m.size,) * 2)
     for rows in disc.sectors:
         groups = [(n, rows[pos]) for n, pos in disc.factors.by_n(rows)]
         for i, (n, left) in enumerate(groups):
@@ -376,7 +414,7 @@ def _residual_norms(
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
     rows_terms, field_terms = [], []  # (K, m_s) and (m_s, m_u) per term
-    for n, rows in factors.by_n(np.arange(len(disc.basis))):
+    for n, rows in factors.by_n(np.arange(disc.m.size)):
         coeffs = coefficients[rows].T
         psi = coeffs @ factors.longitudinal[rows]
         chi = factors.transverse[n]
@@ -419,7 +457,6 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     coefficients[order] = decomp.eigenvectors
     return GalerkinSolution(
         config=config,
-        basis=disc.basis,
         matrix=SymmetricMatrix.from_dense(dense),
         eigenvalues=decomp.eigenvalues,
         coefficients=coefficients,
@@ -462,11 +499,14 @@ def effective_in_basis(
     above 1e-6 (less than 99.9999 percent of the norm captured) raises
     ``CapacityError``.
     """
-    modes = basis_modes(config.params, config.n_basis, config.close_pairs)
-    position = {(md.m, md.n): idx for idx, md in enumerate(modes)}
+    m, n = _basis_arrays(config.params, config.n_basis, config.close_pairs)
+    # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
+    top = int(np.abs(m).max())
+    position = np.full((2 * top + 1, int(n.max()) + 1), -1)
+    position[m + top, n] = np.arange(m.size)
     spectrum = effective_spectrum(config.params, count, q=q)
     flattened = spectrum.flattened(count)
-    coeffs = np.zeros((len(modes), count))
+    coeffs = np.zeros((m.size, count))
     truncations = np.empty(count)
     for i, (_, mode, _) in enumerate(flattened):
         kind = "ce" if mode.family == FAMILY_EFF_CE else "se"
@@ -475,19 +515,21 @@ def effective_in_basis(
         weights = char.fourier.copy()
         if char.harmonics[0] == 0:
             weights[0] *= np.sqrt(2.0)
-        captured = 0.0
-        for harmonic, weight in zip(char.harmonics, weights):
-            signed = int(harmonic) if kind == "ce" else -int(harmonic)
-            idx = position.get((signed, mode.n))
-            if idx is not None:
-                coeffs[idx, i] = weight
-                captured += weight * weight
+        signed = char.harmonics.astype(int) * (1 if kind == "ce" else -1)
+        rows = np.full(signed.size, -1)
+        if mode.n < position.shape[1]:
+            inside = np.abs(signed) <= top
+            rows[inside] = position[signed[inside] + top, mode.n]
+        found = rows >= 0
+        coeffs[rows[found], i] = weights[found]
+        # accumulated in harmonic order, one square at a time
+        captured = np.cumsum(weights[found] ** 2)[-1] if found.any() else 0.0
         leaked = 1.0 - captured
         # below summation roundoff the deficit carries no information
         truncations[i] = leaked if leaked > 1e-14 else 0.0
         if truncations[i] > 1e-6:
             raise CapacityError(
-                f"basis of size {len(modes)} captures only "
+                f"basis of size {m.size} captures only "
                 f"{1.0 - truncations[i]:.9f} of effective mode "
                 f"({mode.family}, m={mode.m}, n={mode.n})"
             )

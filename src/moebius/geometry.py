@@ -145,21 +145,9 @@ def jacobian_f(params: StripParams, s, t):
     return np.sqrt(w * w + (t / (2.0 * params.R)) ** 2)
 
 
-def jacobian_f_derivatives(params: StripParams, s, t):
-    """First and second partial derivatives of f.
-
-    Returns (d1f, d2f, d11f, d22f) where index 1 is the s direction and
-    index 2 the t direction.  Derived from g = f^2:
-
-        d1 g  = t w sin(s/2R) / R^2
-        d2 g  = -2 w cos(s/2R) / R + t / (2 R^2)
-        d11 g = t^2 sin^2(s/2R) / (2 R^4) + w t cos(s/2R) / (2 R^3)
-        d22 g = 2 cos^2(s/2R) / R^2 + 1 / (2 R^2)
-
-    and the usual conversions d f = d g / (2 f),
-    d^2 f = (d^2 g - 2 (d f)^2) / (2 f).  In particular
-    d2f(s, 0) = -cos(s/2R) / R, with the minus sign fixed by d2 g.
-    """
+def _f_with_derivatives(params: StripParams, s, t):
+    """f and its partial derivatives (f, d1f, d2f, d11f, d22f), from one
+    evaluation of the shared terms; see ``jacobian_f_derivatives``."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     R = params.R
@@ -175,7 +163,35 @@ def jacobian_f_derivatives(params: StripParams, s, t):
     d2f = d2g / (2.0 * f)
     d11f = (d11g - 2.0 * d1f * d1f) / (2.0 * f)
     d22f = (d22g - 2.0 * d2f * d2f) / (2.0 * f)
-    return d1f, d2f, d11f, d22f
+    return f, d1f, d2f, d11f, d22f
+
+
+def jacobian_f_derivatives(params: StripParams, s, t):
+    """First and second partial derivatives of f.
+
+    Returns (d1f, d2f, d11f, d22f) where index 1 is the s direction and
+    index 2 the t direction.  Derived from g = f^2:
+
+        d1 g  = t w sin(s/2R) / R^2
+        d2 g  = -2 w cos(s/2R) / R + t / (2 R^2)
+        d11 g = t^2 sin^2(s/2R) / (2 R^4) + w t cos(s/2R) / (2 R^3)
+        d22 g = 2 cos^2(s/2R) / R^2 + 1 / (2 R^2)
+
+    and the usual conversions d f = d g / (2 f),
+    d^2 f = (d^2 g - 2 (d f)^2) / (2 f).  In particular
+    d2f(s, 0) = -cos(s/2R) / R, with the minus sign fixed by d2 g.
+    """
+    return _f_with_derivatives(params, s, t)[1:]
+
+
+def _potential_from(f, d1f, d2f, d11f, d22f):
+    """The potential V of ``potential_va`` from f and its derivatives at (s, a u)."""
+    return (
+        -1.25 * d1f * d1f / f**4
+        + 0.5 * d11f / f**3
+        - 0.25 * d2f * d2f / f**2
+        + 0.5 * d22f / f
+    )
 
 
 def potential_va(params: StripParams, s, u):
@@ -191,16 +207,8 @@ def potential_va(params: StripParams, s, u):
     at (s, a u).  Converges pointwise to ``potential_veff`` as a -> 0, with
     an a-uniform O(a) error.
     """
-    s = np.asarray(s, dtype=float)
     t = params.a * np.asarray(u, dtype=float)
-    f = jacobian_f(params, s, t)
-    d1f, d2f, d11f, d22f = jacobian_f_derivatives(params, s, t)
-    return (
-        -1.25 * d1f * d1f / f**4
-        + 0.5 * d11f / f**3
-        - 0.25 * d2f * d2f / f**2
-        + 0.5 * d22f / f
-    )
+    return _potential_from(*_f_with_derivatives(params, s, t))
 
 
 def potential_veff(params: StripParams, s):

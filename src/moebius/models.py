@@ -149,53 +149,72 @@ class Spectrum:
         return flat if count is None else flat[:count]
 
 
-def _entry(group) -> SpectrumEntry:
-    pairs = sorted(group)
-    return SpectrumEntry(
-        value=pairs[0][0],
-        modes=tuple(m for _, m in pairs),
-        mode_values=tuple(v for v, _ in pairs),
+def _pow2(x):
+    """Elementwise ``x ** 2`` exactly as Python floats square (C ``pow``).
+
+    numpy's ``x * x`` differs from it in the last bit for about one value
+    in 1,500, and the flat eigenvalues, their ties and the Galerkin
+    diagonals are defined by the Python expression.
+    """
+    return (np.asarray(x, dtype=float).astype(object) ** 2).astype(float)
+
+
+def _merge_sorted(value, multiplicity, count):
+    """Merged entries of ascending candidate ``value``s, and the candidates kept.
+
+    An entry opens wherever a value is not within ``MERGE_RTOL`` of the
+    first value of the open entry; next to a distant predecessor that is
+    certain, so only runs of near ties are walked one by one.  Entries are
+    kept up to the first at which the modes counted (``multiplicity`` per
+    candidate) reach ``count``.  Returns the entry index of each candidate
+    and the mask of kept candidates.
+    """
+    close = np.abs(value[1:] - value[:-1]) <= MERGE_RTOL * np.maximum(
+        np.abs(value[:-1]), np.abs(value[1:])
     )
-
-
-def _merge(candidates, params: StripParams, model: str, count: int) -> Spectrum:
-    """Sort (value, modes) candidates, merge near-equal values, trim to count."""
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    entries = []
-    total = 0
-    anchor = None
-    group: list[tuple[float, ModeIndex]] = []
-    for value, modes in candidates:
-        if anchor is not None and abs(value - anchor) <= MERGE_RTOL * max(
-            abs(anchor), abs(value)
-        ):
-            group.extend((value, m) for m in modes)
-            continue
-        if anchor is not None:
-            entries.append(_entry(group))
-            total += len(group)
-            if total >= count:
-                break
-        anchor = value
-        group = [(value, m) for m in modes]
-    else:
-        if anchor is not None and total < count:
-            entries.append(_entry(group))
-            total += len(group)
-    if total < count:
+    opens = np.concatenate(([True], ~close))
+    last_open = np.maximum.accumulate(np.where(opens, np.arange(opens.size), 0))
+    anchor = 0
+    for i in np.flatnonzero(close) + 1:
+        anchor = max(anchor, int(last_open[i]))
+        ref, val = float(value[anchor]), float(value[i])
+        if not abs(val - ref) <= MERGE_RTOL * max(abs(ref), abs(val)):
+            opens[i] = True
+            anchor = i
+    entry = np.cumsum(opens) - 1
+    reached = np.cumsum(np.bincount(entry, weights=multiplicity)) >= count
+    if not reached[-1]:
         raise InputError(
-            f"internal enumeration produced only {total} of {count} eigenvalues"
+            f"internal enumeration produced only {int(multiplicity.sum())} of "
+            f"{count} eigenvalues"
         )
-    return Spectrum(params=params, model=model, entries=tuple(entries))
+    return entry, entry <= np.argmax(reached)
 
 
-def fake_spectrum(params: StripParams, count: int) -> Spectrum:
-    """The ``count`` smallest flat-model eigenvalues with multiplicities.
+def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Spectrum:
+    """A spectrum from per-mode arrays listed entry by entry, in member order."""
+    starts = np.flatnonzero(np.diff(entry, prepend=-1)).tolist() + [entry.size]
+    family, m, n, value = family.tolist(), m.tolist(), n.tolist(), value.tolist()
+    entries = tuple(
+        SpectrumEntry(
+            value=value[lo],
+            modes=tuple(ModeIndex(family[j], m[j], n[j]) for j in range(lo, hi)),
+            mode_values=tuple(value[lo:hi]),
+        )
+        for lo, hi in zip(starts[:-1], starts[1:])
+    )
+    return Spectrum(params=params, model=model, entries=entries)
 
-    Enumeration is exhaustive: a value cap is doubled until the candidate
-    box (all m, n with lambda <= cap) holds at least ``count`` eigenvalues
-    counted with multiplicity, so nothing below the returned maximum can be
-    missed.
+
+def _flat_modes(params: StripParams, count: int):
+    """Flat modes of the ``count`` smallest eigenvalues as arrays.
+
+    Returns ``(m, n, value, entry)``, one element per mode, in
+    ``fake_spectrum``'s order: merged entries ascending (``entry`` numbers
+    them from 0), members by exact value, then m, then n.  Enumeration is
+    exhaustive: a value cap is doubled until the box of all (m, n) with
+    lambda <= cap holds at least ``count + 8`` eigenvalues counted with
+    multiplicity, so nothing below the returned maximum can be missed.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -203,33 +222,43 @@ def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     e1 = params.transverse_energy
     cap = 8.0 * e1
     while True:
-        candidates = []
-        total = 0
-        n = 1
-        while e1 * n * n <= cap:
-            tn = e1 * n * n
-            m = 1 if n % 2 == 0 else 0
-            while (m / (2.0 * R)) ** 2 + tn <= cap:
-                value = (m / (2.0 * R)) ** 2 + tn
-                if m == 0:
-                    candidates.append((value, (ModeIndex(FAMILY_FAKE, 0, n),)))
-                    total += 1
-                else:
-                    candidates.append(
-                        (
-                            value,
-                            (
-                                ModeIndex(FAMILY_FAKE, -m, n),
-                                ModeIndex(FAMILY_FAKE, m, n),
-                            ),
-                        )
-                    )
-                    total += 2
-                m += 2
-            n += 1
+        n = np.arange(1, int(np.sqrt(cap / e1)) + 2)
+        tn = e1 * n * n
+        n, tn = n[tn <= cap], tn[tn <= cap]
+        harmonic = np.arange(int(2.0 * R * np.sqrt(cap)) + 2)
+        value = _pow2(harmonic / (2.0 * R)) + tn[:, None]
+        inside = (value <= cap) & ((harmonic + n[:, None]) % 2 == 1)
+        total = 2 * np.count_nonzero(inside) - np.count_nonzero(inside[:, 0])
         if total >= count + 8:
-            return _merge(candidates, params, "fake", count)
+            break
         cap *= 2.0
+    # one candidate per (|m|, n), ordered by value, then by its first
+    # label (-|m|, n): the sine partner sorts before its cosine
+    rows, cols = np.nonzero(inside)
+    order = np.lexsort((n[rows], -harmonic[cols], value[rows, cols]))
+    rows, cols = rows[order], cols[order]
+    multiplicity = np.where(harmonic[cols] == 0, 1, 2)
+    entry, keep = _merge_sorted(value[rows, cols], multiplicity, count)
+
+    # each nonzero harmonic is a (-|m|, n), (|m|, n) pair of one value
+    mult = multiplicity[keep]
+    m = np.repeat(harmonic[cols[keep]], mult)
+    m[np.cumsum(mult)[mult == 2] - 2] *= -1
+    n = np.repeat(n[rows[keep]], mult)
+    value = np.repeat(value[rows[keep], cols[keep]], mult)
+    entry = np.repeat(entry[keep], mult)
+    order = np.lexsort((n, m, value, entry))
+    return m[order], n[order], value[order], entry[order]
+
+
+def fake_spectrum(params: StripParams, count: int) -> Spectrum:
+    """The ``count`` smallest flat-model eigenvalues with multiplicities.
+
+    Enumeration is exhaustive (see ``_flat_modes``), so nothing below the
+    returned maximum can be missed.
+    """
+    m, n, value, entry = _flat_modes(params, count)
+    return _spectrum(params, "fake", np.full(m.size, FAMILY_FAKE), m, n, value, entry)
 
 
 def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) -> Spectrum:
@@ -242,6 +271,7 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     longitudinal budget sized for ``count`` and doubles on shortfall; it
     deliberately does not scale with the transverse energy, which at small
     half-width would drag absurdly high Mathieu orders into the sweep.
+    Modes are ordered by value, then (family, m, n).
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -251,23 +281,26 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     while True:
         cap = e1 + budget
         m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
-        chars = {
-            (ch.kind, ch.m): ch.value for ch in mathieu.char_values(q, m_max)
-        }
-        candidates = []
-        total = 0
-        for (kind, m), mu in chars.items():
-            family = FAMILY_EFF_CE if kind == "ce" else FAMILY_EFF_SE
-            n = 1 if m % 2 == 0 else 2  # m + n odd
-            while kappa * mu + e1 * n * n <= cap:
-                candidates.append(
-                    (kappa * mu + e1 * n * n, (ModeIndex(family, m, n),))
-                )
-                total += 1
-                n += 2
-        if total >= count + 8:
-            return _merge(candidates, params, "effective", count)
+        chars = mathieu.char_values(q, m_max)
+        sine = np.array([ch.kind == "se" for ch in chars])
+        order_m = np.array([ch.m for ch in chars])
+        mu = np.array([ch.value for ch in chars])
+        # a_0(q) < 0 lets n pass sqrt(cap / e1) slightly
+        n = np.arange(1, int(np.sqrt(max(cap, cap - kappa * mu.min()) / e1)) + 2)
+        value = kappa * mu[:, None] + e1 * n * n
+        inside = (value <= cap) & ((order_m[:, None] + n) % 2 == 1)  # m + n odd
+        if np.count_nonzero(inside) >= count + 8:
+            break
         budget *= 2.0
+    rows, cols = np.nonzero(inside)
+    order = np.lexsort((n[cols], order_m[rows], sine[rows], value[rows, cols]))
+    rows, cols = rows[order], cols[order]
+    value = value[rows, cols]
+    entry, keep = _merge_sorted(value, np.ones(value.size), count)
+    family = np.where(sine[rows[keep]], FAMILY_EFF_SE, FAMILY_EFF_CE)
+    return _spectrum(
+        params, "effective", family, order_m[rows[keep]], n[cols[keep]], value[keep], entry[keep]
+    )
 
 
 def transverse_profile(n: int, u, derivative: int = 0):

@@ -11,11 +11,13 @@ rule handles the first at spectral accuracy.
 Transverse direction: Gauss-Legendre nodes and weights on (-1, 1), computed
 by Newton iteration on the standard three-term recurrence and symmetrised
 so that nodes come in exact +/- pairs (that exactness is what kills the
-u-odd component above).
+u-odd component above).  The rule of each order is solved once per process
+and cached; callers share its read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +29,28 @@ __all__ = ["QuadratureGrid", "gauss_legendre", "integrate_2d"]
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+# orders kept by gauss_legendre's cache; a sweep visits a handful
+_CACHED_ORDERS = 64
 
 
+@functools.lru_cache(maxsize=_CACHED_ORDERS)
 def gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights on (-1, 1).
 
     Exact for polynomials of degree <= 2 * order - 1; all weights positive
-    and summing to 2.
+    and summing to 2.  Each order is solved once per process; the arrays
+    returned are shared and read-only.
     """
     if order < 1:
         raise InputError(f"quadrature order must be >= 1, got {order}")
+    x, w = _newton_legendre(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _newton_legendre(order: int):
+    """Gauss-Legendre rule of ``order`` >= 1 by Newton iteration, freshly solved."""
     if order == 1:
         return np.zeros(1), np.full(1, 2.0)
 

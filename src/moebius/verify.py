@@ -215,7 +215,7 @@ def check_mathieu_ode_residual() -> CheckResult:
 def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     disc = galerkin._discretise(galerkin.GalerkinConfig(params=params, n_basis=30))
     gram = galerkin._project(disc, (disc.weights, disc.factors.longitudinal))
-    worst = float(np.max(np.abs(gram - np.eye(len(disc.basis)))))
+    worst = float(np.max(np.abs(gram - np.eye(disc.m.size))))
     return _result("quadrature", "fake-basis-gram-identity", worst, 1e-10)
 
 

@@ -1,0 +1,202 @@
+"""Array-built spectra and flat basis against the mode-by-mode enumeration.
+
+``reference_entries``, ``reference_effective_entries`` and
+``reference_basis`` are the loop versions of ``models.fake_spectrum``,
+``models.effective_spectrum`` and ``galerkin.basis_modes`` that the
+vectorised enumeration replaced, kept here as the definition of the order:
+a value cap doubled until the box holds ``count + 8`` modes, candidates
+sorted by (value, labels), values within 1e-9 of an entry's first value
+merged into it, and, for the basis, (harmonic, cosine first, n) within an
+entry.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moebius import galerkin, mathieu
+from moebius.galerkin import GalerkinConfig, _basis_arrays, assemble, basis_modes, solve
+from moebius.geometry import StripParams
+from moebius.models import (
+    FAMILY_EFF_CE,
+    FAMILY_EFF_SE,
+    MERGE_RTOL,
+    ModeIndex,
+    effective_spectrum,
+    fake_spectrum,
+)
+
+
+def reference_merge(candidates, count):
+    """Sort (value, labels) candidates, merge values within 1e-9 of an
+    entry's first value, keep entries until ``count`` labels are reached."""
+    candidates.sort()
+    entries, total, anchor, group = [], 0, None, []
+    for value, modes in candidates:
+        if anchor is not None and abs(value - anchor) <= MERGE_RTOL * max(
+            abs(anchor), abs(value)
+        ):
+            group.extend((value, md) for md in modes)
+            continue
+        if anchor is not None:
+            entries.append(sorted(group))
+            total += len(group)
+            if total >= count:
+                break
+        anchor = value
+        group = [(value, md) for md in modes]
+    else:
+        if anchor is not None and total < count:
+            entries.append(sorted(group))
+    return entries
+
+
+def reference_entries(params, count):
+    """Merged flat entries as sorted lists of (value, (m, n)), one mode at a time."""
+    R, e1 = params.R, params.transverse_energy
+    cap = 8.0 * e1
+    while True:
+        candidates, total, n = [], 0, 1
+        while e1 * n * n <= cap:
+            tn = e1 * n * n
+            m = 1 if n % 2 == 0 else 0
+            while (m / (2.0 * R)) ** 2 + tn <= cap:
+                value = (m / (2.0 * R)) ** 2 + tn
+                candidates.append((value, ((0, n),) if m == 0 else ((-m, n), (m, n))))
+                total += 1 if m == 0 else 2
+                m += 2
+            n += 1
+        if total >= count + 8:
+            return reference_merge(candidates, count)
+        cap *= 2.0
+
+
+def reference_effective_entries(params, count, q):
+    """Merged effective entries as sorted lists of (value, (family, m, n))."""
+    e1 = params.transverse_energy
+    kappa = 1.0 / (2.0 * params.R) ** 2
+    budget = kappa * (count + 16.0) ** 2 + 3.0 * abs(q) * kappa
+    while True:
+        cap = e1 + budget
+        m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
+        candidates = []
+        for ch in mathieu.char_values(q, m_max):
+            family = FAMILY_EFF_CE if ch.kind == "ce" else FAMILY_EFF_SE
+            n = 1 if ch.m % 2 == 0 else 2
+            while kappa * ch.value + e1 * n * n <= cap:
+                candidates.append((kappa * ch.value + e1 * n * n, ((family, ch.m, n),)))
+                n += 2
+        if len(candidates) >= count + 8:
+            return reference_merge(candidates, count)
+        budget *= 2.0
+
+
+def assert_entries(spectrum, reference, label):
+    assert len(spectrum.entries) == len(reference)
+    for entry, members in zip(spectrum.entries, reference):
+        assert entry.value == members[0][0]
+        assert entry.mode_values == tuple(value for value, _ in members)
+        assert [label(md) for md in entry.modes] == [md for _, md in members]
+        assert all(type(value) is float for value in entry.mode_values)
+
+
+def reference_basis(params, n_basis, close_pairs):
+    flat = [
+        md
+        for entry in reference_entries(params, n_basis + 1)
+        for md in sorted((md for _, md in entry), key=lambda md: (abs(md[0]), md[0] < 0, md[1]))
+    ]
+    modes = flat[:n_basis]
+    if close_pairs and modes:
+        last_m, last_n = modes[-1]
+        if last_m != 0 and (-last_m, last_n) not in modes:
+            modes.append(flat[n_basis])
+    return modes
+
+
+def assert_matches_reference(params, n_basis, close_pairs):
+    m, n = _basis_arrays(params, n_basis, close_pairs)
+    assert m.dtype.kind == n.dtype.kind == "i"
+    expected = reference_basis(params, n_basis, close_pairs)
+    assert list(zip(m.tolist(), n.tolist())) == expected
+    assert [(md.m, md.n) for md in basis_modes(params, n_basis, close_pairs)] == expected
+    assert_entries(
+        fake_spectrum(params, n_basis + 1),
+        reference_entries(params, n_basis + 1),
+        lambda md: (md.m, md.n),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.02, 1.5),
+    R=st.floats(0.3, 10.0),
+    n_basis=st.integers(1, 120),
+    close_pairs=st.booleans(),
+)
+def test_array_basis_equals_the_mode_enumeration(a, R, n_basis, close_pairs):
+    assert_matches_reference(StripParams(a=a, R=R), n_basis, close_pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(0.03, 1.5),
+    pair=st.sampled_from([(4, 1, 1, 2), (2, 1, 1, 2), (6, 3, 1, 2), (5, 2, 2, 3), (8, 1, 1, 2)]),
+    offset=st.sampled_from([0.0, 1e-13, -1e-12, 4e-11, -3e-10, 9.9e-10, 2e-9]),
+    n_basis=st.integers(2, 90),
+    close_pairs=st.booleans(),
+)
+def test_array_basis_equals_the_mode_enumeration_at_near_ties(
+    a, pair, offset, n_basis, close_pairs
+):
+    # (m1, n1) and (m2, n2) share a flat eigenvalue when
+    # (m1^2 - m2^2) / (2R)^2 = (n2^2 - n1^2) (pi / 2a)^2; offset detunes R
+    m1, m2, n1, n2 = pair
+    R = a * np.sqrt((m1 * m1 - m2 * m2) / (n2 * n2 - n1 * n1)) / np.pi * (1.0 + offset)
+    assert_matches_reference(StripParams(a=a, R=float(R)), n_basis, close_pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.02, 1.5),
+    R=st.floats(0.3, 10.0),
+    count=st.integers(1, 80),
+    q=st.sampled_from([-0.25, 0.0, 1.0, -6.0]),
+)
+def test_effective_spectrum_equals_the_mode_enumeration(a, R, count, q):
+    params = StripParams(a=a, R=R)
+    assert_entries(
+        effective_spectrum(params, count, q=q),
+        reference_effective_entries(params, count, q),
+        lambda md: (md.family, md.m, md.n),
+    )
+
+
+def test_near_ties_merge_into_one_entry():
+    # an exact tie of (4, 1) and (1, 2): both pairs share one entry
+    a = 0.3
+    params = StripParams(a=a, R=a * np.sqrt(5.0) / np.pi)
+    entry = next(e for e in fake_spectrum(params, 12).entries if e.multiplicity == 4)
+    assert {(md.m, md.n) for md in entry.modes} == {(-4, 1), (4, 1), (-1, 2), (1, 2)}
+    assert_matches_reference(params, 12, True)
+
+
+def test_assembly_builds_no_mode_labels(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a ModeIndex was constructed")
+
+    config = GalerkinConfig(params=StripParams(a=0.05, R=18 / (2 * np.pi)), n_basis=72,
+                            close_pairs=True)
+    monkeypatch.setattr(ModeIndex, "__post_init__", refuse)
+    dense = assemble(config).to_dense()
+    solution = solve(config)
+    assert np.all(np.isfinite(dense)) and solution.eigenvalues.size == 73
+    # labels are made only when asked for
+    with pytest.raises(AssertionError, match="ModeIndex"):
+        solution.basis
+    monkeypatch.undo()
+    assert [(md.m, md.n) for md in solution.basis] == list(
+        zip(solution._disc.m.tolist(), solution._disc.n.tolist())
+    )
+    assert galerkin.basis_modes(config.params, 72, True) == list(solution.basis)

@@ -343,3 +343,44 @@ def test_oversized_runs_are_refused_at_the_start(capsys, argv):
     assert code == 2
     assert out == ""
     assert "MiB cap" in err
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"value": np.array([])},
+        {"k": [1, 2, 3], "x": np.array([0.1, np.nan, -np.inf]), "flag": [True, False, None]},
+        {"label": ['a, "b"', "é{}", None], "n, {m}": [None, 5, -7]},
+        {"s": np.linspace(0.0, 1.0, 2 * cli._ROW_CHUNK + 3), "i": np.arange(2 * cli._ROW_CHUNK + 3)},
+    ],
+)
+def test_streamed_tables_match_whole_document_encoders(table):
+    # the streamed text equals encoding the whole table at once
+    manifest = cli.RunManifest("test", {"N": 3, "grid": "2x2"}, "0", "1970-01-01T00:00:00Z")
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    rows = list(zip(*columns))
+    payload = {"manifest": manifest.__dict__, "rows": [dict(zip(table, row)) for row in rows]}
+    expected_json = json.dumps(payload, indent=2) + "\n"
+    buffer = io.StringIO()
+    buffer.write("# manifest: " + json.dumps(manifest.__dict__, sort_keys=True) + "\n")
+    csv.writer(buffer, lineterminator="\n").writerows([list(table), *rows])
+    for fmt, expected in (("json", expected_json), ("csv", buffer.getvalue())):
+        handle = io.StringIO()
+        cli._render(manifest, table, fmt, handle)
+        assert handle.getvalue() == expected
+
+
+@pytest.mark.parametrize("grid", ["uniform", "geometric"])
+def test_runaway_converge_steps_are_refused_before_the_grid(capsys, monkeypatch, grid):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the half-width grid was built")
+
+    monkeypatch.setattr(cli.convergence, "geometric_grid", not_reached)
+    monkeypatch.setattr(cli.np, "linspace", not_reached)
+    code, out, err = run_cli(["converge", "--steps", str(10**12), "--grid", grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: a sweep of {10**12} half-widths at N=72 is estimated above the cap "
+        "of 1e+13 operations\n"
+    )

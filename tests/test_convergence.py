@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from moebius.convergence import (
+    MAX_SWEEP_WORK,
     SweepResult,
     _subspace_distance,
     eigenvalue_sweep,
     eigenvector_sweep,
     fit_rate,
     geometric_grid,
+    require_sweep_capacity,
+    sweep_work,
 )
-from moebius.errors import InputError
+from moebius.errors import CapacityError, InputError
 from moebius.geometry import StripParams, potential_va, potential_veff
 
 RADIUS = 18 / (2 * np.pi)
@@ -153,3 +156,27 @@ def test_threaded_sweep_is_deterministic():
     threaded = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=3)
     assert np.array_equal(serial.ratios, threaded.ratios)
     assert np.array_equal(serial.true_values, threaded.true_values)
+
+
+def test_sweep_work_estimate():
+    # fixed overhead, 10 N^3 eigensolve, 4 N^2 m_s assembly, per point
+    assert sweep_work(1, 10, m_s=100) == 5 * 10**6 + 10 * 1000 + 4 * 100 * 100
+    assert sweep_work(3, 10, m_s=100) == 3 * sweep_work(1, 10, m_s=100)
+    # the default m_s is bounded by 4 (N + 1) + 32
+    assert sweep_work(1, 72) == sweep_work(1, 72, m_s=4 * 73 + 32)
+    # any step count is estimated exactly, without float overflow
+    assert sweep_work(10**400, 72) == 10**400 * sweep_work(1, 72)
+
+
+def test_sweep_capacity_admits_readme_sweeps_and_refuses_runaways():
+    for steps in (7, 30):
+        require_sweep_capacity(steps, 72)
+        require_sweep_capacity(steps, 76)  # the benchmark perturbs N by up to 4
+    per_point = sweep_work(1, 72)
+    require_sweep_capacity(MAX_SWEEP_WORK // per_point, 72)  # exactly under the cap
+    with pytest.raises(CapacityError, match="10000000000 half-widths at N=72"):
+        require_sweep_capacity(10**10, 72)
+    with pytest.raises(CapacityError, match="cap"):
+        require_sweep_capacity(MAX_SWEEP_WORK // per_point + 1, 72)
+    with pytest.raises(CapacityError, match="cap"):
+        eigenvalue_sweep(RADIUS, np.linspace(0.1, 0.2, 10), 1, 4, m_s=10**12)

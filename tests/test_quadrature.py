@@ -135,3 +135,19 @@ def test_order_validation():
         gauss_legendre(0)
     with pytest.raises(InputError):
         QuadratureGrid.for_strip(PARAMS, 0, 4)
+
+
+@pytest.mark.parametrize("order", [1, 2, 17, 80, 200])
+def test_cached_rule_is_read_only_and_equals_a_fresh_solve(order):
+    from moebius.quadrature import _newton_legendre
+
+    nodes, weights = gauss_legendre(order)
+    fresh_nodes, fresh_weights = _newton_legendre(order)
+    assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+    assert gauss_legendre(order)[0] is nodes  # solved once, then shared
+    for array in (nodes, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    grid = QuadratureGrid.for_strip(PARAMS, 8, order)
+    assert grid.u_nodes is nodes and not grid.u_weights.flags.writeable
