@@ -22,10 +22,10 @@ byte-identical; any other value is refused with exit 2 before the run.
 Every command accepts ``--threads N``, which must be at least 1 and is
 checked when the arguments are parsed; only ``converge`` uses it.
 
-Exit codes: 0 success, 2 invalid input (including a basis, quadrature or
-export grid whose arrays would pass ``galerkin.MAX_ARRAY_BYTES``, and a
-sweep whose estimated work passes ``convergence.MAX_SWEEP_WORK``), 3
-numerical failure (including fired verification checks).  There is no
+Exit codes: 0 success, 2 invalid input (including a flat-mode box, basis,
+quadrature or export grid whose arrays would pass
+``galerkin.MAX_ARRAY_BYTES``, and a sweep whose estimated work passes
+``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired verification checks).  There is no
 randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
 only as "1" and has no effect, any other value is rejected to keep that
 contract visible.

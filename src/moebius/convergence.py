@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, assemble, effective_in_basis, solve
+from .galerkin import GalerkinConfig, _assemble_dense, _discretise, effective_in_basis, solve
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
 from .models import effective_spectrum
@@ -66,10 +66,10 @@ def sweep_work(steps: int, n_basis: int, m_s: int | None = None) -> int:
     """Estimated operations of a sweep over ``steps`` half-widths.
 
     Each point discretises, assembles and diagonalises: a fixed overhead,
-    about 10 N^3 for the eigensolve and 4 N^2 m_s for the products of
-    longitudinal rows.  Without an explicit ``m_s`` the default quadrature
-    order is bounded by 4 (N + 1) + 32, since the first N + 1 flat modes
-    have harmonics of at most N + 1.  Integer arithmetic, so any step
+    about 10 N^3 for the eigensolve and 4 N^2 m_s, a generous bound on
+    assembly.  Without an explicit ``m_s`` the default quadrature order is
+    bounded by 4 (N + 1) + 32, since the first N + 1 flat modes have
+    harmonics of at most N + 1.  Integer arithmetic, so any step
     count is estimated without overflow.
     """
     m_s = 4 * n_basis + 36 if m_s is None else m_s
@@ -152,14 +152,11 @@ def _map_grid(worker, a_grid, threads):
 
 
 def _fit_slopes(a_grid, differences) -> np.ndarray:
-    count = differences.shape[1]
-    slopes = np.full(count, np.nan)
-    if a_grid.size >= 4:
-        log_a = np.log(a_grid)
-        for n in range(count):
-            diff = np.maximum(np.abs(differences[:, n]), 1e-300)
-            slopes[n] = np.polyfit(log_a, np.log(diff), 1)[0]
-    return slopes
+    """Log-log slope per column of ``differences``, one fit for all columns."""
+    if a_grid.size < 4:
+        return np.full(differences.shape[1], np.nan)
+    diff = np.maximum(np.abs(differences), 1e-300)
+    return np.polyfit(np.log(a_grid), np.log(diff), 1)[0]
 
 
 def eigenvalue_sweep(
@@ -182,7 +179,8 @@ def eigenvalue_sweep(
             params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
             geometry=geometry, close_pairs=True,
         )
-        true = eig_dense_symmetric(assemble(config), want_vectors=False).eigenvalues
+        dense = _assemble_dense(_discretise(config))
+        true = eig_dense_symmetric(dense, want_vectors=False).eigenvalues
         eff = effective_spectrum(params, count).values(count)
         return eff, true[:count]
 

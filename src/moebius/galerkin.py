@@ -20,19 +20,33 @@ the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
 The basis is enumerated once per configuration as two integer arrays
-(m_j, n_j), in the order of ``basis_modes``; ``ModeIndex`` labels are made
-only when ``basis_modes`` or a solution's ``basis`` asks for them.
-Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) is kept in factor form: rows L_m and
-L'_m on the s nodes per mode, from one cosine and one sine per distinct
-harmonic, one row T_n on the u nodes per distinct n, and the (m_s, m_u)
-fields w, fa, d1 fa and V, all three from one evaluation of f and its
-derivatives.  The integrals are sum-factorised, contracting the
-u-quadrature first,
+(m_j, n_j), in the order of ``basis_modes``, and memoised per
+(params, n_basis, close_pairs); ``ModeIndex`` labels are made only when
+``basis_modes`` or a solution's ``basis`` asks for them.  Psi_j(s, u) =
+L_{m_j}(s) T_{n_j}(u) with L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s)
+(m < 0), mu = |m| / 2R, a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).
+The (m_s, m_u) fields w, fa, d1 fa and V come from one evaluation of f and
+its derivatives, and T_n is sampled once per distinct n on the u nodes.
+The integrals contract the u-quadrature first,
 
     A_nn'(s) = sum_u w T_n T_n' / fa^2,    B_nn'(s) = sum_u w V T_n T_n',
 
-so that each (n, n') block costs two products of longitudinal rows and no
-N x (m_s m_u) table is ever formed.
+and the s-sums of products of two trigonometric rows are Fourier
+coefficients of these kernels: with s_k = 2 pi R k / m_s and
+C^(p) = sum_k C(s_k) cos(pi p k / m_s), taken for p = 0..m_s from one real
+FFT per kernel, the cosine sector reads
+
+    M_jk = 1/2 a_j a_k [B^(|h_j - h_k|) + B^(h_j + h_k)]
+           + 1/2 a_j a_k mu_j mu_k [A^(|h_j - h_k|) - A^(h_j + h_k)],
+
+h = |m|, and the sine sector flips the sign of both sum-frequency terms.
+A frequency p is folded into [0, m_s] modulo 2 m_s, so an ``m_s`` below
+twice the largest harmonic aliases exactly as the trapezoid sum does.
+The kernels are read at (min(n_j, n_k), max(n_j, n_k)), so the matrix is
+exactly symmetric by construction.  No longitudinal table is sampled for
+assembly; the factor tables (rows L_m and L'_m on the s nodes, one cosine
+and one sine per distinct harmonic) are sampled when the residuals first
+need them.
 
 The strip is symmetric under the reflection s -> -s, so cosine modes
 (m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
@@ -68,6 +82,7 @@ from .models import (
     FAMILY_EFF_CE,
     FAMILY_FAKE,
     DEFAULT_Q,
+    MAX_ARRAY_BYTES,
     ModeIndex,
     Spectrum,
     _flat_modes,
@@ -94,13 +109,13 @@ __all__ = [
 
 GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 
-# Cap on the largest array of one run, 512 MiB: a larger basis, quadrature
-# or export grid is refused with CapacityError before anything is built.
-MAX_ARRAY_BYTES = 1 << 29
 # Peak memory per exported grid point (one CLI row with its 3-space point,
 # streamed as text), traced at 177 B for JSON and 135 B for CSV on the
 # 192x65 README export and 83-91 B on grids up to 768x260.
 EXPORT_POINT_BYTES = 256
+# configurations kept by _basis_arrays' cache; an eigenvector sweep point
+# reads its basis twice, once to solve and once to expand the effective modes
+_CACHED_BASES = 64
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
 # where one (m_s, N, m_u) array took three times as long at N = 96
 _S_BLOCK = 16
@@ -177,6 +192,7 @@ class GalerkinSolution:
         )
 
 
+@functools.lru_cache(maxsize=_CACHED_BASES)
 def _basis_arrays(
     params: StripParams, n_basis: int, close_pairs: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +201,9 @@ def _basis_arrays(
     Modes come by ascending flat eigenvalue, merged entries as in
     ``fake_spectrum``, and within an entry by (harmonic, cosine before
     sine, n).  ``close_pairs`` appends the next mode when the last one is
-    half of a +/-m pair whose partner was cut off.
+    half of a +/-m pair whose partner was cut off.  Each configuration is
+    enumerated once per process; the arrays returned are shared and
+    read-only.
     """
     m, n, _, entry = _flat_modes(params, n_basis + 1)
     order = np.lexsort((n, m < 0, np.abs(m), entry))
@@ -196,7 +214,10 @@ def _basis_arrays(
         partnered = (m[:n_basis] == -last_m) & (n[:n_basis] == last_n)
         if last_m != 0 and not partnered.any():
             size += 1
-    return m[:size], n[:size]
+    m, n = m[:size], n[:size]
+    m.flags.writeable = False
+    n.flags.writeable = False
+    return m, n
 
 
 def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
@@ -217,7 +238,9 @@ def largest_array_bytes(
     distinct transverse index, ``n_count`` of them, each with N x m_s
     longitudinal and m_s x m_u quadrature values, which bound the factor
     tables and fields too), or the rows of an eigenfunction export of
-    ``export_points`` grid samples.
+    ``export_points`` grid samples.  The kernel spectra of assembly, two
+    complex rows of m_s + 1 per pair n <= n', 16 (m_s + 1) n_count (n_count
+    + 1) bytes, stay within the residual terms' bound, since n_count <= N.
     """
     return max(
         8 * n_basis * n_basis,
@@ -280,23 +303,28 @@ def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
     slope[down] = ((amp * rate)[:, None] * cos)[h_of[down]]
     longitudinal[constant] = 1.0 / np.sqrt(2.0 * np.pi * R)
     slope[constant] = 0.0
+    transverse, n_of = _transverse_rows(n, u)
+    return _Factors(longitudinal=longitudinal, slope=slope, transverse=transverse, n_of=n_of)
+
+
+def _transverse_rows(n, u) -> tuple[np.ndarray, np.ndarray]:
+    """T_k(u) per distinct transverse index k (ascending), and each mode's row."""
     n_values, n_of = np.unique(n, return_inverse=True)
-    return _Factors(
-        longitudinal=longitudinal,
-        slope=slope,
-        transverse=np.array([transverse_profile(int(k), u) for k in n_values]),
-        n_of=n_of,
-    )
+    return np.array([transverse_profile(int(k), u) for k in n_values]), n_of
 
 
 @dataclass(frozen=True)
 class _Discretisation:
-    """Factor tables and quadrature fields shared by assembly and residuals."""
+    """Basis labels, transverse rows and quadrature fields shared by
+    assembly and residuals; the longitudinal factor tables wait for their
+    first read."""
 
+    params: StripParams
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    factors: _Factors        # on the quadrature nodes
+    transverse: np.ndarray   # (distinct n, m_u) T_n on the u nodes, n ascending
+    n_of: np.ndarray         # (N,) row of ``transverse`` holding T_{n_j}
     sectors: tuple[np.ndarray, ...]  # basis rows with m >= 0, then m < 0 (non-empty)
     weights: np.ndarray      # (m_s, m_u)
     fa: np.ndarray           # (m_s, m_u)
@@ -304,6 +332,11 @@ class _Discretisation:
     potential: np.ndarray    # (m_s, m_u)
     transverse_diag: np.ndarray  # (N,) (n pi / 2)^2 / a^2
     rates_sq: np.ndarray     # (N,) (m / 2R)^2
+
+    @functools.cached_property
+    def factors(self) -> _Factors:
+        """Factor tables of the basis on the quadrature nodes."""
+        return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes)
 
 
 def _discretise(config: GalerkinConfig) -> _Discretisation:
@@ -315,10 +348,8 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     require_capacity(m.size, m_s, m_u, np.unique(n).size)
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
 
-    s, u = grid.s_nodes, grid.u_nodes
-    factors = _sample_factors(m, n, params, s, u)  # before the fields: peaks apart
-    ss = s[:, None]
-    uu = u[None, :]
+    ss = grid.s_nodes[:, None]
+    uu = grid.u_nodes[None, :]
     if config.geometry == "true_geometry":
         # one evaluation of f and its derivatives at t = a u feeds all three
         derivatives = _f_with_derivatives(params, ss, params.a * uu)
@@ -333,11 +364,14 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
             potential = np.zeros((m_s, m_u))
 
     cosine = m >= 0
+    transverse, n_of = _transverse_rows(n, grid.u_nodes)
     return _Discretisation(
+        params=params,
         grid=grid,
         m=m,
         n=n,
-        factors=factors,
+        transverse=transverse,
+        n_of=n_of,
         sectors=tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any()),
         weights=grid.weights_2d,
         fa=fa,
@@ -348,44 +382,61 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     )
 
 
-def _project(disc: _Discretisation, *terms) -> np.ndarray:
-    """Sum over ``terms`` (field, table) of the quadratures
-    sum_{s,u} field(s, u) X_j(s) X_k(s) T_{n_j}(u) T_{n_k}(u), X = table rows.
+def _kernel_spectra(disc: _Discretisation, top: int, *fields):
+    """Cosine sums of the u-contracted kernels, one per field.
 
-    The u-sum is contracted first, K_nn'(s) = sum_u field T_n T_n'; each
-    same-sector (n, n') block is then one product of longitudinal rows per
-    term.  Cross-sector entries are never computed and stay exactly 0.
+    K_q(s) = sum_u field(s, u) T_n(u) T_n'(u) for each pair q = (n, n') of
+    distinct transverse indices with n <= n', and C[i, p, q] =
+    sum_k K_q(s_k) cos(pi p k / m_s) for p = 0..``top``: the real part of
+    the kernel's FFT zero-padded to 2 m_s, read at p folded into [0, m_s]
+    modulo 2 m_s.  Returns C and the table of q at (n, n') and (n', n).
     """
-    transverse = disc.factors.transverse
-    kernels = [
-        ((field[:, None, :] * transverse) @ transverse.T, table)  # (m_s, n, n')
-        for field, table in terms
-    ]
+    n_count = disc.transverse.shape[0]
+    low, high = np.triu_indices(n_count)
+    products = disc.transverse[low] * disc.transverse[high]  # (pairs, m_u)
+    kernels = np.stack(fields) @ products.T                   # (fields, m_s, pairs)
+    m_s = kernels.shape[1]
+    p = np.arange(top + 1) % (2 * m_s)
+    spectra = np.fft.rfft(kernels, n=2 * m_s, axis=1).real[:, np.minimum(p, 2 * m_s - p)]
+    pair = np.empty((n_count, n_count), dtype=np.intp)
+    pair[low, high] = pair[high, low] = np.arange(low.size)
+    return spectra, pair
+
+
+def _project(disc: _Discretisation) -> np.ndarray:
+    """The two quadratures of the matrix, sector by sector.
+
+    Each sector is one gather from the kernel spectra at the difference
+    and sum frequencies (module docstring), with the kernel of the pair
+    (min(n_j, n_k), max(n_j, n_k)), so the matrix is exactly symmetric.
+    Cross-sector entries are never computed and stay exactly 0.
+    """
+    R = disc.params.R
+    harmonic = np.abs(disc.m)
+    rate = harmonic / (2.0 * R)
+    amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * R), 1.0 / np.sqrt(np.pi * R))
+    spectra, pair = _kernel_spectra(
+        disc, 2 * int(harmonic.max()),
+        disc.weights / (disc.fa * disc.fa), disc.weights * disc.potential,
+    )
+    n_pairs = spectra.shape[-1]
+    flat = spectra.reshape(2, -1)  # C[i, p, q] at p n_pairs + q
     out = np.zeros((disc.m.size,) * 2)
     for rows in disc.sectors:
-        groups = [(n, rows[pos]) for n, pos in disc.factors.by_n(rows)]
-        for i, (n, left) in enumerate(groups):
-            for n2, right in groups[i:]:
-                block = sum(
-                    (table[left] * kernel[:, n, n2]) @ table[right].T
-                    for kernel, table in kernels
-                )
-                if n == n2:
-                    # averaged rather than read from one triangle: the
-                    # eigenvectors of near-degenerate pairs follow this rounding
-                    out[np.ix_(left, left)] = 0.5 * (block + block.T)
-                else:
-                    out[np.ix_(left, right)] = block
-                    out[np.ix_(right, left)] = block.T
+        sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
+        h, t = harmonic[rows], disc.n_of[rows]
+        kernel = pair[np.ix_(t, t)]
+        slope_diff, value_diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, 1)
+        slope_sum, value_sum = flat.take(np.add.outer(h, h) * n_pairs + kernel, 1)
+        out[np.ix_(rows, rows)] = (0.5 * np.outer(amp[rows], amp[rows])) * (
+            (value_diff + sign * value_sum)
+            + np.outer(rate[rows], rate[rows]) * (slope_diff - sign * slope_sum)
+        )
     return out
 
 
 def _assemble_dense(disc: _Discretisation) -> np.ndarray:
-    dense = _project(
-        disc,
-        (disc.weights / (disc.fa * disc.fa), disc.factors.slope),
-        (disc.weights * disc.potential, disc.factors.longitudinal),
-    )
+    dense = _project(disc)
     dense[np.diag_indices_from(dense)] += disc.transverse_diag
     return dense
 

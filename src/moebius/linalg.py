@@ -139,11 +139,19 @@ def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition
     """Full spectrum of a dense real symmetric matrix, ascending.
 
     ``matrix`` may be a :class:`SymmetricMatrix` or a plain square array,
-    in which case only its lower triangle is read.
+    in which case only its lower triangle is checked and read, and the
+    array goes to LAPACK as it is.
     """
-    if not isinstance(matrix, SymmetricMatrix):
-        matrix = SymmetricMatrix.from_dense(matrix)
-    return _eigh(matrix.to_dense(), want_vectors)
+    if isinstance(matrix, SymmetricMatrix):
+        return _eigh(matrix.to_dense(), want_vectors)
+    dense = np.asarray(matrix, dtype=float)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {dense.shape}")
+    if dense.shape[0] < 1:
+        raise InputError("matrix order must be >= 1, got 0")
+    if not np.all(np.isfinite(np.tril(dense))):
+        raise InputError("matrix has non-finite entries")
+    return _eigh(dense, want_vectors)
 
 
 def eig_tridiagonal(tri: TridiagonalSymmetric, count: int) -> np.ndarray:

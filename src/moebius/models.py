@@ -37,12 +37,13 @@ a deterministic lexicographic mode order inside each entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mathieu
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .geometry import StripParams
 
 __all__ = [
@@ -67,6 +68,17 @@ FAMILY_EFF_SE = "eff_se"
 
 MERGE_RTOL = 1e-9
 DEFAULT_Q = -0.25
+
+# Cap on the largest array of one run, 512 MiB: a larger flat box, basis,
+# quadrature or export grid is refused with CapacityError before anything
+# is built.
+MAX_ARRAY_BYTES = 1 << 29
+# Peak bytes per (n, harmonic) cell of the flat box: its value table and
+# masks and the sorted candidates under the cap, traced at 43 B per cell on
+# thin-strip boxes of 2-70 MiB and up to 64 B where most cells are kept
+_BOX_CELL_BYTES = 72
+# (q, max order) tables kept by _char_table's cache; a sweep visits a handful
+_CACHED_TABLES = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -222,12 +234,8 @@ def _flat_modes(params: StripParams, count: int):
     e1 = params.transverse_energy
     cap = 8.0 * e1
     while True:
-        n = np.arange(1, int(np.sqrt(cap / e1)) + 2)
-        tn = e1 * n * n
-        n, tn = n[tn <= cap], tn[tn <= cap]
-        harmonic = np.arange(int(2.0 * R * np.sqrt(cap)) + 2)
-        value = _pow2(harmonic / (2.0 * R)) + tn[:, None]
-        inside = (value <= cap) & ((harmonic + n[:, None]) % 2 == 1)
+        _require_box_capacity(R, e1, cap)
+        n, harmonic, value, inside = _flat_box(R, e1, cap)
         total = 2 * np.count_nonzero(inside) - np.count_nonzero(inside[:, 0])
         if total >= count + 8:
             break
@@ -249,6 +257,33 @@ def _flat_modes(params: StripParams, count: int):
     entry = np.repeat(entry[keep], mult)
     order = np.lexsort((n, m, value, entry))
     return m[order], n[order], value[order], entry[order]
+
+
+def _require_box_capacity(R: float, e1: float, cap: float) -> None:
+    """Raise ``CapacityError`` when the flat box under ``cap`` would pass
+    ``MAX_ARRAY_BYTES``; at a small half-width the first box already holds
+    about 2R sqrt(8) pi / 2a harmonics.  Reckoned in floats, so an
+    overflowing box is refused too."""
+    cells = np.floor(np.sqrt(cap / e1)) * (2.0 * R * np.sqrt(cap) + 2.0)
+    if not _BOX_CELL_BYTES * cells <= MAX_ARRAY_BYTES:
+        raise CapacityError(
+            f"the flat modes below {cap:.3g} need about "
+            f"{_BOX_CELL_BYTES * cells / 2**20:.3g} MiB, above the "
+            f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+        )
+
+
+def _flat_box(R: float, e1: float, cap: float):
+    """The box of flat modes with lambda <= ``cap``: transverse indices n,
+    harmonics, the (n, harmonic) table of values and the mask of cells
+    under the cap with m + n odd."""
+    n = np.arange(1, int(np.sqrt(cap / e1)) + 2)
+    tn = e1 * n * n
+    n, tn = n[tn <= cap], tn[tn <= cap]
+    harmonic = np.arange(int(2.0 * R * np.sqrt(cap)) + 2)
+    value = _pow2(harmonic / (2.0 * R)) + tn[:, None]
+    inside = (value <= cap) & ((harmonic + n[:, None]) % 2 == 1)
+    return n, harmonic, value, inside
 
 
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:
@@ -281,10 +316,7 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     while True:
         cap = e1 + budget
         m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
-        chars = mathieu.char_values(q, m_max)
-        sine = np.array([ch.kind == "se" for ch in chars])
-        order_m = np.array([ch.m for ch in chars])
-        mu = np.array([ch.value for ch in chars])
+        sine, order_m, mu = _char_table(q, m_max)
         # a_0(q) < 0 lets n pass sqrt(cap / e1) slightly
         n = np.arange(1, int(np.sqrt(max(cap, cap - kappa * mu.min()) / e1)) + 2)
         value = kappa * mu[:, None] + e1 * n * n
@@ -301,6 +333,22 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     return _spectrum(
         params, "effective", family, order_m[rows[keep]], n[cols[keep]], value[keep], entry[keep]
     )
+
+
+@functools.lru_cache(maxsize=_CACHED_TABLES)
+def _char_table(q: float, m_max: int):
+    """``mathieu.char_values(q, m_max)`` as arrays: sine flags, orders and
+    values.  Each (q, m_max) is tabulated once per process; the arrays are
+    shared and read-only."""
+    chars = mathieu.char_values(q, m_max)
+    table = (
+        np.array([ch.kind == "se" for ch in chars]),
+        np.array([ch.m for ch in chars]),
+        np.array([ch.value for ch in chars]),
+    )
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def transverse_profile(n: int, u, derivative: int = 0):

@@ -214,7 +214,13 @@ def check_mathieu_ode_residual() -> CheckResult:
 
 def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     disc = galerkin._discretise(galerkin.GalerkinConfig(params=params, n_basis=30))
-    gram = galerkin._project(disc, (disc.weights, disc.factors.longitudinal))
+    factors, grid = disc.factors, disc.grid
+    # w(s, u) = w_s w_u: the Gram matrix is the elementwise product of the
+    # longitudinal and transverse ones
+    transverse = factors.transverse[factors.n_of]
+    gram = ((factors.longitudinal * grid.s_weights) @ factors.longitudinal.T) * (
+        (transverse * grid.u_weights) @ transverse.T
+    )
     worst = float(np.max(np.abs(gram - np.eye(disc.m.size))))
     return _result("quadrature", "fake-basis-gram-identity", worst, 1e-10)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moebius import cli
+from moebius import cli, models
 from moebius.cli import main
 from moebius.galerkin import EXPORT_POINT_BYTES
 
@@ -384,3 +384,17 @@ def test_runaway_converge_steps_are_refused_before_the_grid(capsys, monkeypatch,
         f"error: a sweep of {10**12} half-widths at N=72 is estimated above the cap "
         "of 1e+13 operations\n"
     )
+
+
+@pytest.mark.parametrize("model", ["fake", "true"])
+def test_thin_strip_flat_box_is_refused_before_it_is_built(capsys, monkeypatch, model):
+    # at a = 1e-9 the first box of flat modes holds about 10^11 cells
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the flat box was built")
+
+    monkeypatch.setattr(models, "_flat_box", not_reached)
+    argv = ["spectrum", "--model", model, "--a", "1e-9", "--R", "2.0", "--count", "5"]
+    code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the flat modes below ") and err.endswith("MiB cap\n")

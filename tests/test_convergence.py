@@ -89,6 +89,15 @@ def test_eigenvalue_sweep_smoke():
                 assert abs(sweep.ratios[i, n + 1] - sweep.ratios[i, n]) < 1e-6
 
 
+def test_sweep_slopes_are_the_per_index_fits():
+    grid = geometric_grid(0.1, 0.5, 5)
+    sweep = eigenvalue_sweep(RADIUS, grid, 8, 40)
+    # one least-squares solve for all indices, each slope as fit_rate's
+    assert np.array_equal(sweep.slopes, [fit_rate(sweep, n) for n in range(1, 9)])
+    short = eigenvalue_sweep(RADIUS, grid[:3], 8, 40)
+    assert short.slopes.shape == (8,) and np.all(np.isnan(short.slopes))
+
+
 def test_eigenvalue_sweep_coarse_sanity_bound():
     grid = np.array([0.1, 0.2, 0.4])
     sweep = eigenvalue_sweep(RADIUS, grid, 2, 30)

@@ -299,15 +299,59 @@ def reference_fields(disc, params, geometry):
 
 @pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
 def test_factorised_matrix_matches_full_table_reference(geometry):
-    config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60, geometry=geometry)
-    disc = _discretise(config)
-    values, slopes = full_tables(disc, WIDE_PARAMS)
-    fa, _, v = reference_fields(disc, WIDE_PARAMS, geometry)
-    w = disc.grid.weights_2d.ravel()
-    reference = (slopes * (w / fa**2)) @ slopes.T + (values * (w * v)) @ values.T
-    reference += np.diag([(n * np.pi / 2) ** 2 / WIDE_PARAMS.a**2 for n in disc.n.tolist()])
-    dense = assemble(config).to_dense()
-    assert np.max(np.abs(dense - reference)) <= 1e-13 * np.max(np.abs(reference))
+    # the default m_s, then orders below twice the largest harmonic (48),
+    # where sum frequencies alias exactly as in the trapezoid sums
+    for m_s in (None, 13, 21, 40):
+        config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60, m_s=m_s, geometry=geometry)
+        disc = _discretise(config)
+        assert m_s is None or m_s < 2 * np.abs(disc.m).max()
+        values, slopes = full_tables(disc, WIDE_PARAMS)
+        fa, _, v = reference_fields(disc, WIDE_PARAMS, geometry)
+        w = disc.grid.weights_2d.ravel()
+        reference = (slopes * (w / fa**2)) @ slopes.T + (values * (w * v)) @ values.T
+        reference += np.diag([(n * np.pi / 2) ** 2 / WIDE_PARAMS.a**2 for n in disc.n.tolist()])
+        dense = assemble(config).to_dense()
+        assert np.max(np.abs(dense - reference)) <= 1e-13 * np.max(np.abs(reference)), m_s
+
+
+@pytest.mark.parametrize("params, n_basis, m_s", [
+    (TABLE_PARAMS, 82, None), (WIDE_PARAMS, 60, None), (WIDE_PARAMS, 60, 13),
+    (StripParams(a=0.073, R=3.15), 73, None),
+])
+def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
+    for geometry in ("true_geometry", "flat_with_Veff"):
+        config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
+        disc = _discretise(config)
+        dense = galerkin._assemble_dense(disc)
+        assert np.array_equal(dense, dense.T)
+        cosine = disc.m >= 0
+        assert np.all(dense[np.ix_(cosine, ~cosine)] == 0.0)
+        assert np.all(dense[np.ix_(~cosine, cosine)] == 0.0)
+        assert np.array_equal(solve(config).matrix.to_dense(), dense)
+
+
+def test_assembly_samples_no_factor_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factor tables sampled")
+
+    sample = galerkin._sample_factors
+    monkeypatch.setattr(galerkin, "_sample_factors", refuse)
+    config = GalerkinConfig(params=WIDE_PARAMS, n_basis=40)
+    assemble(config)
+    solution = solve(config)
+    with pytest.raises(AssertionError, match="factor tables sampled"):
+        solution.residual_norms
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(galerkin, "_sample_factors", counted)
+    solution = solve(config)
+    assert calls == []
+    assert np.all(np.isfinite(solution.residual_norms))
+    assert len(calls) == 1
 
 
 def test_cosine_and_sine_sectors_decouple_exactly():
@@ -443,6 +487,25 @@ def test_effective_expansion_properties():
         e = expansion.coefficients[:, i]
         quotient = (e @ dense @ e) / (e @ e)
         assert quotient == pytest.approx(reference[i], rel=1e-9)
+
+
+def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
+    calls = []
+    enumerate_modes = galerkin._flat_modes
+
+    def counted(params, count):
+        calls.append(params)
+        return enumerate_modes(params, count)
+
+    monkeypatch.setattr(galerkin, "_flat_modes", counted)
+    galerkin._basis_arrays.cache_clear()
+    a_grid = [0.31, 0.47, 0.62]
+    sweep = eigenvector_sweep(WIDE_PARAMS.R, a_grid, 3, 24)
+    assert np.all(np.isfinite(sweep.distances))
+    assert [params.a for params in calls] == a_grid
+    m, n = galerkin._basis_arrays(StripParams(a=0.47, R=WIDE_PARAMS.R), 24, True)
+    assert len(calls) == 3
+    assert not (m.flags.writeable or n.flags.writeable)
 
 
 def test_effective_expansion_capacity_error():

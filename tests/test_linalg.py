@@ -139,6 +139,26 @@ def test_input_validation():
         eig_tridiagonal(tri, 0)
 
 
+def test_plain_arrays_go_to_lapack_unpacked(monkeypatch):
+    def not_packed(*args, **kwargs):
+        raise AssertionError("packed into a SymmetricMatrix")
+
+    monkeypatch.setattr(SymmetricMatrix, "from_dense", not_packed)
+    a = random_symmetric(12, seed=6)
+    expected = np.linalg.eigvalsh(a)
+    # only the lower triangle is read and checked
+    upper = a.copy()
+    upper[np.triu_indices(12, 1)] = np.nan
+    for matrix in (a, upper):
+        assert np.array_equal(eig_dense_symmetric(matrix, want_vectors=False).eigenvalues, expected)
+        assert np.array_equal(eig_dense_symmetric(matrix).eigenvalues, np.linalg.eigh(a)[0])
+    lower = a.copy()
+    lower[5, 2] = np.inf
+    for bad in (lower, np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(4)):
+        with pytest.raises(InputError):
+            eig_dense_symmetric(bad)
+
+
 def test_overflow_raises_numerical_error():
     # finite entries near the largest double overflow inside LAPACK
     tri = TridiagonalSymmetric(np.full(8, 1e308), np.full(7, 1e308))

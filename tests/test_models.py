@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moebius import mathieu, models
 from moebius.errors import InputError
 from moebius.geometry import StripParams, potential_veff
 from moebius.mathieu import char_value, evaluate
@@ -124,6 +125,26 @@ def test_effective_near_degenerate_pair_merges():
     assert entry.multiplicity == 2
     families = {md.family for md in entry.modes}
     assert families == {FAMILY_EFF_CE, FAMILY_EFF_SE}
+
+
+def test_effective_spectrum_tabulates_each_truncation_once(monkeypatch):
+    calls = []
+    tabulate = mathieu.char_values
+
+    def counted(q, max_order):
+        calls.append((q, max_order))
+        return tabulate(q, max_order)
+
+    monkeypatch.setattr(mathieu, "char_values", counted)
+    models._char_table.cache_clear()
+    first = effective_spectrum(TABLE_PARAMS, 20)
+    assert len(calls) == 1
+    again = effective_spectrum(StripParams(a=0.3, R=TABLE_PARAMS.R), 20)
+    assert len(calls) == 1  # the truncation depends on count and q only
+    assert again.values(20)[0] != first.values(20)[0]
+    assert effective_spectrum(TABLE_PARAMS, 20) == first
+    sine, order_m, mu = models._char_table(*calls[0])
+    assert not (sine.flags.writeable or order_m.flags.writeable or mu.flags.writeable)
 
 
 def test_effective_shift_bound():
