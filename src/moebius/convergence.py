@@ -18,9 +18,10 @@ Raw eigenvalues are stored alongside the ratios so that rate fits need no
 recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Eigenvalue sweeps diagonalise the assembled matrix for its values only;
-eigenvector sweeps take the sector-ordered eigenpairs of ``galerkin.solve``
-and never read its residual norms, so neither computes them.  Sweeps solve
+Eigenvalue sweeps diagonalise each sector block of the projection for its
+values only and never form the N x N matrix; eigenvector sweeps take the
+sector-ordered eigenpairs of ``galerkin.solve`` and never read its
+residual norms, so neither computes them.  Sweeps solve
 independent half-widths, optionally on a thread pool; results are gathered
 in grid order, so the output is deterministic for a given configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, _assemble_dense, _discretise, effective_in_basis, solve
+from .galerkin import GalerkinConfig, _discretise, _project, effective_in_basis, solve
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
-from .models import effective_spectrum
+from .models import _effective_modes
 
 __all__ = [
     "MAX_SWEEP_WORK",
@@ -55,10 +56,11 @@ __all__ = [
 CLUSTER_RTOL = 1e-9
 _CLUSTER_MARGIN = 4  # extra indices inspected so cutoff-straddling clusters close
 # Cap on ``sweep_work``: at N = 72, where one point is estimated at 1.5e7
-# operations and takes 3-4 ms on one core, it admits 650k points, 35-45 minutes.
+# operations and takes 0.7-1.1 ms on one core, it admits 650k points, 8-12
+# minutes.
 MAX_SWEEP_WORK = 10**13
 # one point's fixed cost in operations, mostly interpreter work: about
-# 1.5 ms at N = 20, where the N-dependent terms are small
+# 0.45 ms at N = 20, where the N-dependent terms are small
 _POINT_OVERHEAD = 5 * 10**6
 
 
@@ -67,9 +69,10 @@ def sweep_work(steps: int, n_basis: int, m_s: int | None = None) -> int:
 
     Each point discretises, assembles and diagonalises: a fixed overhead,
     about 10 N^3 for the eigensolve and 4 N^2 m_s, a generous bound on
-    assembly.  Without an explicit ``m_s`` the default quadrature order is
-    bounded by 4 (N + 1) + 32, since the first N + 1 flat modes have
-    harmonics of at most N + 1.  Integer arithmetic, so any step
+    assembly.  Without an explicit ``m_s`` the estimate takes
+    4 (N + 1) + 32, which still bounds the default quadrature order
+    2 h + 32 by a wide margin, since the first N + 1 flat modes have
+    harmonics h of at most N + 1.  Integer arithmetic, so any step
     count is estimated without overflow.
     """
     m_s = 4 * n_basis + 36 if m_s is None else m_s
@@ -159,6 +162,15 @@ def _fit_slopes(a_grid, differences) -> np.ndarray:
     return np.polyfit(np.log(a_grid), np.log(diff), 1)[0]
 
 
+def _sector_values(config: GalerkinConfig) -> np.ndarray:
+    """Ascending Galerkin eigenvalues from one values-only eigensolve per
+    sector block; the N x N matrix is never formed."""
+    blocks = _project(_discretise(config))
+    return np.sort(np.concatenate([
+        eig_dense_symmetric(block, want_vectors=False).eigenvalues for block in blocks
+    ]))
+
+
 def eigenvalue_sweep(
     radius: float,
     a_grid,
@@ -179,10 +191,9 @@ def eigenvalue_sweep(
             params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
             geometry=geometry, close_pairs=True,
         )
-        dense = _assemble_dense(_discretise(config))
-        true = eig_dense_symmetric(dense, want_vectors=False).eigenvalues
-        eff = effective_spectrum(params, count).values(count)
-        return eff, true[:count]
+        true = _sector_values(config)
+        _, _, _, eff, _ = _effective_modes(params, count)
+        return eff[:count], true[:count]
 
     rows = _map_grid(worker, a_grid, threads)
     eff = np.vstack([r[0] for r in rows])

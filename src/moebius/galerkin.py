@@ -42,6 +42,10 @@ FFT per kernel, the cosine sector reads
 h = |m|, and the sine sector flips the sign of both sum-frequency terms.
 A frequency p is folded into [0, m_s] modulo 2 m_s, so an ``m_s`` below
 twice the largest harmonic aliases exactly as the trapezoid sum does.
+The default m_s is 2 h_max + 32.  An integrand's harmonics reach
+2 h_max + J, J the bandwidth of the kernels in s, and alias only at
+2 m_s, so m_s > h_max + J/2 suffices; the margin 32 covers J where h_max
+is small.
 The kernels are read at (min(n_j, n_k), max(n_j, n_k)), so the matrix is
 exactly symmetric by construction.  No longitudinal table is sampled for
 assembly; the factor tables (rows L_m and L'_m on the s nodes, one cosine
@@ -50,10 +54,11 @@ need them.
 
 The strip is symmetric under the reflection s -> -s, so cosine modes
 (m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
-never computed and are exactly zero.  ``solve`` diagonalises the matrix
-with the basis listed sector by sector, which makes it block diagonal, so
-every coefficient column vanishes exactly off its sector and rounding
-cannot mix a nearly degenerate cosine/sine pair.
+never computed and are exactly zero: the projection yields one block per
+sector.  ``solve`` diagonalises the matrix with the basis listed sector
+by sector, which makes it block diagonal, so every coefficient column
+vanishes exactly off its sector and rounding cannot mix a nearly
+degenerate cosine/sine pair.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
@@ -116,6 +121,8 @@ EXPORT_POINT_BYTES = 256
 # configurations kept by _basis_arrays' cache; an eigenvector sweep point
 # reads its basis twice, once to solve and once to expand the effective modes
 _CACHED_BASES = 64
+# transverse row counts kept by _pair_table's cache; a sweep meets a handful
+_CACHED_PAIR_TABLES = 16
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
 # where one (m_s, N, m_u) array took three times as long at N = 96
 _S_BLOCK = 16
@@ -128,7 +135,8 @@ class GalerkinConfig:
     ``n_basis`` counts basis functions, ordered by ascending flat
     eigenvalue with ties broken (harmonic ascending, cosine before sine,
     n ascending).  ``m_s``/``m_u`` override the quadrature orders, which
-    default to 4 * max harmonic + 32 and 2 * max transverse index + 16.
+    default to 2 * max harmonic + 32 (the aliasing bound of the module
+    docstring) and 2 * max transverse index + 16.
     ``close_pairs`` extends the basis by one function when the cutoff
     would orphan half of a +/-m pair; an orphaned partner breaks the exact
     cosine/sine decoupling of the matrix and artificially splits
@@ -343,7 +351,7 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     params = config.params
     require_capacity(config.n_basis)  # bounds N before the basis is enumerated
     m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
-    m_s = config.m_s if config.m_s is not None else 4 * int(np.abs(m).max()) + 32
+    m_s = config.m_s if config.m_s is not None else 2 * int(np.abs(m).max()) + 32
     m_u = config.m_u if config.m_u is not None else 2 * int(n.max()) + 16
     require_capacity(m.size, m_s, m_u, np.unique(n).size)
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
@@ -382,6 +390,19 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     )
 
 
+@functools.lru_cache(maxsize=_CACHED_PAIR_TABLES)
+def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs q = (n, n') of ``n_count`` transverse rows with n <= n', as
+    ``np.triu_indices``, and the table of q at (n, n') and (n', n).  Made
+    once per ``n_count`` and shared read-only."""
+    low, high = np.triu_indices(n_count)
+    pair = np.empty((n_count, n_count), dtype=np.intp)
+    pair[low, high] = pair[high, low] = np.arange(low.size)
+    for table in (low, high, pair):
+        table.flags.writeable = False
+    return low, high, pair
+
+
 def _kernel_spectra(disc: _Discretisation, top: int, *fields):
     """Cosine sums of the u-contracted kernels, one per field.
 
@@ -391,25 +412,23 @@ def _kernel_spectra(disc: _Discretisation, top: int, *fields):
     the kernel's FFT zero-padded to 2 m_s, read at p folded into [0, m_s]
     modulo 2 m_s.  Returns C and the table of q at (n, n') and (n', n).
     """
-    n_count = disc.transverse.shape[0]
-    low, high = np.triu_indices(n_count)
+    low, high, pair = _pair_table(disc.transverse.shape[0])
     products = disc.transverse[low] * disc.transverse[high]  # (pairs, m_u)
     kernels = np.stack(fields) @ products.T                   # (fields, m_s, pairs)
     m_s = kernels.shape[1]
     p = np.arange(top + 1) % (2 * m_s)
     spectra = np.fft.rfft(kernels, n=2 * m_s, axis=1).real[:, np.minimum(p, 2 * m_s - p)]
-    pair = np.empty((n_count, n_count), dtype=np.intp)
-    pair[low, high] = pair[high, low] = np.arange(low.size)
     return spectra, pair
 
 
-def _project(disc: _Discretisation) -> np.ndarray:
-    """The two quadratures of the matrix, sector by sector.
+def _project(disc: _Discretisation) -> list[np.ndarray]:
+    """The matrix restricted to each sector, in the order of ``disc.sectors``.
 
-    Each sector is one gather from the kernel spectra at the difference
+    Each block is one gather from the kernel spectra at the difference
     and sum frequencies (module docstring), with the kernel of the pair
-    (min(n_j, n_k), max(n_j, n_k)), so the matrix is exactly symmetric.
-    Cross-sector entries are never computed and stay exactly 0.
+    (min(n_j, n_k), max(n_j, n_k)), so it is exactly symmetric, plus the
+    transverse kinetic term on its diagonal.  Cross-sector entries are
+    never computed: the matrix is exactly zero outside these blocks.
     """
     R = disc.params.R
     harmonic = np.abs(disc.m)
@@ -421,23 +440,27 @@ def _project(disc: _Discretisation) -> np.ndarray:
     )
     n_pairs = spectra.shape[-1]
     flat = spectra.reshape(2, -1)  # C[i, p, q] at p n_pairs + q
-    out = np.zeros((disc.m.size,) * 2)
+    blocks = []
     for rows in disc.sectors:
         sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
         h, t = harmonic[rows], disc.n_of[rows]
         kernel = pair[np.ix_(t, t)]
         slope_diff, value_diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, 1)
         slope_sum, value_sum = flat.take(np.add.outer(h, h) * n_pairs + kernel, 1)
-        out[np.ix_(rows, rows)] = (0.5 * np.outer(amp[rows], amp[rows])) * (
+        block = (0.5 * np.outer(amp[rows], amp[rows])) * (
             (value_diff + sign * value_sum)
             + np.outer(rate[rows], rate[rows]) * (slope_diff - sign * slope_sum)
         )
-    return out
+        block.flat[::rows.size + 1] += disc.transverse_diag[rows]
+        blocks.append(block)
+    return blocks
 
 
 def _assemble_dense(disc: _Discretisation) -> np.ndarray:
-    dense = _project(disc)
-    dense[np.diag_indices_from(dense)] += disc.transverse_diag
+    """The N x N matrix in basis order, the sector blocks scattered into zeros."""
+    dense = np.zeros((disc.m.size,) * 2)
+    for rows, block in zip(disc.sectors, _project(disc)):
+        dense[np.ix_(rows, rows)] = block
     return dense
 
 

@@ -23,7 +23,8 @@ coefficients normalised so that
 Truncation starts at max(64, count + 16) rows and doubles until every
 requested value is stable to 1e-13.  No recurrence above 4096 rows is built
 (each is solved dense, 128 MiB at that order): a count that leaves no room
-for one doubling below the cap raises ``CapacityError`` before anything is
+for one doubling below the cap, or a |q| well past what the cap resolves
+(``_unresolvable``), raises ``CapacityError`` before anything is
 allocated, and failure to stabilise at the cap raises ``NumericalError``.
 The sign convention fixes the first non-vanishing Fourier coefficient
 positive.  Results are cached per (kind, order, q) and immutable, so
@@ -46,6 +47,13 @@ _BASE_TRUNCATION = 64
 _MAX_TRUNCATION = 4096
 _STABILITY_TOL = 1e-13
 _COEFF_CUTOFF = 1e-16
+# The coefficients of the lowest class values decay like exp(-k^2 / sqrt|q|)
+# in the row k, once the diagonal (2k)^2 outgrows the off-diagonal q, so a
+# recurrence of n rows resolves |q| up to about c n^4.  Bisected for the
+# lowest value of each class under a cap of n rows, largest over the
+# classes: c = 4.0e-4 at n = 256, 5.0e-4 at 1024 and 6.8e-4 at 4096
+# (|q| = 1.9e11); a |q| above ten times this line is refused.
+_RESOLVED_Q_PER_ROW4 = 6.8e-4
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,11 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
             f"{count} Mathieu values of class ({kind}, parity {parity}) need a "
             f"recurrence above the truncation cap {_MAX_TRUNCATION}"
         )
+    if _unresolvable(q):
+        raise CapacityError(
+            f"Mathieu values at |q|={abs(q):.3g} need a recurrence above the "
+            f"truncation cap {_MAX_TRUNCATION} (|q| above {_refused_q():.2g} is refused)"
+        )
     prev = eig_tridiagonal(_recurrence(kind, parity, q, size), count)
     while 2 * size <= _MAX_TRUNCATION:
         size *= 2
@@ -118,6 +131,22 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
         f"Mathieu class ({kind}, parity {parity}) at q={q} did not stabilise "
         f"up to truncation {_MAX_TRUNCATION}"
     )
+
+
+def _unresolvable(q: float) -> bool:
+    """Whether |q| is past every truncation under the cap.
+
+    True above ``_refused_q()``, unless Gershgorin's bound on the
+    recurrence's eigenvalues, (1 + sqrt 2)|q| plus a diagonal far below
+    it, passes the largest double: such a q is left to the eigensolver,
+    which reports overflowing values as non-finite.
+    """
+    return _refused_q() < abs(q) < np.finfo(float).max / (1.0 + np.sqrt(2.0))
+
+
+def _refused_q() -> float:
+    """Ten times the largest |q| the truncation cap resolves."""
+    return 10.0 * _RESOLVED_Q_PER_ROW4 * float(_MAX_TRUNCATION) ** 4
 
 
 def _class_index(m: int, kind: str) -> int:

@@ -74,9 +74,10 @@ DEFAULT_Q = -0.25
 # is built.
 MAX_ARRAY_BYTES = 1 << 29
 # Peak bytes per (n, harmonic) cell of the flat box: its value table and
-# masks and the sorted candidates under the cap, traced at 43 B per cell on
-# thin-strip boxes of 2-70 MiB and up to 64 B where most cells are kept
-_BOX_CELL_BYTES = 72
+# masks, the sorted candidates under the cap and the squared harmonics,
+# traced at 80 B per cell on the one-row boxes of thin strips (0.1-72 MiB),
+# 43 B on two-row boxes and up to 64 B where most cells are kept
+_BOX_CELL_BYTES = 88
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
 
@@ -232,7 +233,10 @@ def _flat_modes(params: StripParams, count: int):
         raise InputError(f"count must be >= 1, got {count}")
     R = params.R
     e1 = params.transverse_energy
-    cap = 8.0 * e1
+    # room for the count + 16 lowest harmonics at n = 1: at a small
+    # half-width a box of about 2R pi / 2a harmonics, sqrt(8) times fewer
+    # than the box under 8 e1
+    cap = min(8.0 * e1, e1 + ((count + 16.0) / (2.0 * R)) ** 2)
     while True:
         _require_box_capacity(R, e1, cap)
         n, harmonic, value, inside = _flat_box(R, e1, cap)
@@ -262,7 +266,7 @@ def _flat_modes(params: StripParams, count: int):
 def _require_box_capacity(R: float, e1: float, cap: float) -> None:
     """Raise ``CapacityError`` when the flat box under ``cap`` would pass
     ``MAX_ARRAY_BYTES``; at a small half-width the first box already holds
-    about 2R sqrt(8) pi / 2a harmonics.  Reckoned in floats, so an
+    about 2R pi / 2a harmonics.  Reckoned in floats, so an
     overflowing box is refused too."""
     cells = np.floor(np.sqrt(cap / e1)) * (2.0 * R * np.sqrt(cap) + 2.0)
     if not _BOX_CELL_BYTES * cells <= MAX_ARRAY_BYTES:
@@ -299,6 +303,22 @@ def fake_spectrum(params: StripParams, count: int) -> Spectrum:
 def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) -> Spectrum:
     """The ``count`` smallest effective-model eigenvalues with multiplicities.
 
+    Enumeration is exhaustive (see ``_effective_modes``).  Modes are
+    ordered by value, then (family, m, n).
+    """
+    sine, m, n, value, entry = _effective_modes(params, count, q)
+    family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
+    return _spectrum(params, "effective", family, m, n, value, entry)
+
+
+def _effective_modes(params: StripParams, count: int, q: float = DEFAULT_Q):
+    """Effective modes of the ``count`` smallest eigenvalues as arrays.
+
+    Returns ``(sine, m, n, value, entry)``, one element per mode, in
+    ``effective_spectrum``'s order: merged entries ascending (``entry``
+    numbers them from 0), members by value, then (family, m, n), so
+    ``value`` ascends.  ``sine`` flags the eff_se family.
+
     The order sweep is bounded by the Weyl estimate
     a_m(q), b_m(q) >= m^2 - 3|q| (the recurrence matrix is its diagonal
     plus an off-diagonal perturbation of norm below 3|q|), so every order
@@ -306,7 +326,6 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     longitudinal budget sized for ``count`` and doubles on shortfall; it
     deliberately does not scale with the transverse energy, which at small
     half-width would drag absurdly high Mathieu orders into the sweep.
-    Modes are ordered by value, then (family, m, n).
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -329,10 +348,8 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     rows, cols = rows[order], cols[order]
     value = value[rows, cols]
     entry, keep = _merge_sorted(value, np.ones(value.size), count)
-    family = np.where(sine[rows[keep]], FAMILY_EFF_SE, FAMILY_EFF_CE)
-    return _spectrum(
-        params, "effective", family, order_m[rows[keep]], n[cols[keep]], value[keep], entry[keep]
-    )
+    rows, cols = rows[keep], cols[keep]
+    return sine[rows], order_m[rows], n[cols], value[keep], entry[keep]
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius import galerkin, mathieu
+from moebius import galerkin, mathieu, models
 from moebius.galerkin import GalerkinConfig, _basis_arrays, assemble, basis_modes, solve
 from moebius.geometry import StripParams
 from moebius.models import (
@@ -23,6 +23,7 @@ from moebius.models import (
     FAMILY_EFF_SE,
     MERGE_RTOL,
     ModeIndex,
+    _effective_modes,
     effective_spectrum,
     fake_spectrum,
 )
@@ -171,6 +172,37 @@ def test_effective_spectrum_equals_the_mode_enumeration(a, R, count, q):
         reference_effective_entries(params, count, q),
         lambda md: (md.family, md.m, md.n),
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.floats(0.01, 1.5),
+    R=st.floats(0.3, 10.0),
+    count=st.integers(1, 60),
+    q=st.sampled_from([-0.25, 0.0, 0.7]),
+)
+def test_effective_values_are_the_spectrum_values_bitwise(a, R, count, q):
+    params = StripParams(a=a, R=R)
+    _, _, _, value, _ = _effective_modes(params, count, q)
+    expected = effective_spectrum(params, count, q=q).values(count)
+    assert np.array_equal(value[:count], expected)
+    assert np.all(np.diff(value) >= 0.0)
+
+
+@pytest.mark.parametrize("a", [1e-3, 1e-4])
+def test_thin_strip_starts_from_a_box_sized_for_the_count(monkeypatch, a):
+    caps = []
+    build = models._flat_box
+
+    def recorded(R, e1, cap):
+        caps.append(cap)
+        return build(R, e1, cap)
+
+    monkeypatch.setattr(models, "_flat_box", recorded)
+    params = StripParams(a=a, R=2.86)
+    assert_matches_reference(params, 20, True)
+    # one n and about 2R pi / 2a harmonics, not the box under 8 e1
+    assert caps and caps[0] < 1.001 * params.transverse_energy
 
 
 def test_near_ties_merge_into_one_entry():

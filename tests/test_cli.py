@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moebius import cli, models
+from moebius import cli, linalg, mathieu, models
 from moebius.cli import main
 from moebius.galerkin import EXPORT_POINT_BYTES
 
@@ -301,6 +301,19 @@ def test_mathieu_non_finite_q_is_invalid_input(capsys):
     code, _, err = run_cli(["mathieu", "--q", "nan", "--max-order", "2"], capsys)
     assert code == 2
     assert "non-finite" in err
+
+
+def test_mathieu_huge_q_is_refused_before_any_solve(capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a Mathieu recurrence was solved")
+
+    monkeypatch.setattr(linalg, "eig_tridiagonal", not_reached)
+    monkeypatch.setattr(mathieu, "eig_tridiagonal", not_reached)
+    for q in ("1e200", "-1e13"):
+        code, out, err = run_cli(["mathieu", f"--q={q}", "--max-order", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Mathieu values at |q|=") and err.count("\n") == 1
 
 
 def test_mathieu_overflowing_q_is_a_numerical_failure(capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from moebius import convergence, galerkin
 from moebius.convergence import (
     MAX_SWEEP_WORK,
     SweepResult,
+    _sector_values,
     _subspace_distance,
     eigenvalue_sweep,
     eigenvector_sweep,
@@ -13,6 +15,7 @@ from moebius.convergence import (
     sweep_work,
 )
 from moebius.errors import CapacityError, InputError
+from moebius.galerkin import GalerkinConfig, _assemble_dense, _discretise
 from moebius.geometry import StripParams, potential_va, potential_veff
 
 RADIUS = 18 / (2 * np.pi)
@@ -96,6 +99,47 @@ def test_sweep_slopes_are_the_per_index_fits():
     assert np.array_equal(sweep.slopes, [fit_rate(sweep, n) for n in range(1, 9)])
     short = eigenvalue_sweep(RADIUS, grid[:3], 8, 40)
     assert short.slopes.shape == (8,) and np.all(np.isnan(short.slopes))
+
+
+@pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
+def test_sweep_values_are_the_dense_spectrum(geometry):
+    grid = np.array([0.05, 0.2, 0.9])
+    for close_pairs in (False, True):
+        for a in grid:
+            config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=41,
+                                    geometry=geometry, close_pairs=close_pairs)
+            dense = np.linalg.eigvalsh(_assemble_dense(_discretise(config)))
+            assert np.max(np.abs(_sector_values(config) - dense) / np.abs(dense)) <= 1e-13
+    # a sweep closes pairs and reads the same values
+    sweep = eigenvalue_sweep(RADIUS, grid, 12, 41, geometry=geometry)
+    for a, true in zip(grid, sweep.true_values):
+        config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=41,
+                                geometry=geometry, close_pairs=True)
+        dense = np.linalg.eigvalsh(_assemble_dense(_discretise(config)))[:12]
+        assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
+
+
+def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("the N x N matrix was assembled")
+
+    orders = []
+    solve = convergence.eig_dense_symmetric
+
+    def recorded(matrix, want_vectors=True):
+        assert want_vectors is False
+        orders.append(matrix.shape[0])
+        return solve(matrix, want_vectors=want_vectors)
+
+    monkeypatch.setattr(galerkin, "_assemble_dense", not_reached)
+    monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
+    grid = [0.1, 0.3]
+    eigenvalue_sweep(RADIUS, grid, 5, 30)
+    # one cosine and one sine block per half-width
+    assert len(orders) == 2 * len(grid)
+    for a, cosine, sine in zip(grid, orders[::2], orders[1::2]):
+        m, _ = galerkin._basis_arrays(StripParams(a=a, R=RADIUS), 30, True)
+        assert (cosine, sine) == (np.count_nonzero(m >= 0), np.count_nonzero(m < 0))
 
 
 def test_eigenvalue_sweep_coarse_sanity_bound():

@@ -330,6 +330,94 @@ def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
         assert np.array_equal(solve(config).matrix.to_dense(), dense)
 
 
+def scattered_matrix(disc):
+    """The N x N matrix filled sector by sector in place, then the transverse
+    diagonal added to the whole: the order of operations that the sector
+    blocks must reproduce bit for bit."""
+    harmonic = np.abs(disc.m)
+    rate = harmonic / (2.0 * disc.params.R)
+    amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * disc.params.R),
+                   1.0 / np.sqrt(np.pi * disc.params.R))
+    spectra, pair = galerkin._kernel_spectra(
+        disc, 2 * int(harmonic.max()),
+        disc.weights / (disc.fa * disc.fa), disc.weights * disc.potential,
+    )
+    n_pairs = spectra.shape[-1]
+    flat = spectra.reshape(2, -1)
+    out = np.zeros((disc.m.size,) * 2)
+    for rows in disc.sectors:
+        sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
+        h, t = harmonic[rows], disc.n_of[rows]
+        kernel = pair[np.ix_(t, t)]
+        slope_diff, value_diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, 1)
+        slope_sum, value_sum = flat.take(np.add.outer(h, h) * n_pairs + kernel, 1)
+        out[np.ix_(rows, rows)] = (0.5 * np.outer(amp[rows], amp[rows])) * (
+            (value_diff + sign * value_sum)
+            + np.outer(rate[rows], rate[rows]) * (slope_diff - sign * slope_sum)
+        )
+    out[np.diag_indices_from(out)] += disc.transverse_diag
+    return out
+
+
+@pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
+def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
+    for params, n_basis, m_s in ((TABLE_PARAMS, 102, 13), (WIDE_PARAMS, 60, 40),
+                                 (StripParams(a=0.073, R=3.15), 73, 182)):
+        for close_pairs in (False, True):
+            config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s,
+                                    geometry=geometry, close_pairs=close_pairs)
+            disc = _discretise(config)
+            dense = galerkin._assemble_dense(disc)
+            assert np.array_equal(dense, scattered_matrix(disc))
+            for rows, block in zip(disc.sectors, galerkin._project(disc)):
+                assert np.array_equal(block, dense[np.ix_(rows, rows)])
+
+
+def test_pair_table_is_shared_and_read_only():
+    low, high, pair = galerkin._pair_table(4)
+    assert galerkin._pair_table(4)[2] is pair
+    assert np.array_equal(np.stack((low, high)), np.triu_indices(4))
+    assert np.array_equal(pair, pair.T)
+    assert np.array_equal(pair[low, high], np.arange(low.size))
+    for table in (low, high, pair):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def sector_ordered(solution):
+    """(eigenvalues, residual norms) of each sector, ascending within it.
+
+    An exactly degenerate cosine/sine pair comes out in either order, so
+    eigenpairs of two solutions are matched within their sector."""
+    sine_rows = solution._disc.m < 0
+    sine = np.any(solution.coefficients[sine_rows] != 0.0, axis=0)
+    return [
+        (solution.eigenvalues[columns], solution.residual_norms[columns])
+        for columns in (np.flatnonzero(~sine), np.flatnonzero(sine))
+    ]
+
+
+@pytest.mark.parametrize("params, n_basis", [
+    (TABLE_PARAMS, 102),
+    (StripParams(a=1.5, R=1.0), 5), (StripParams(a=1.5, R=0.5), 20),  # a >= R: immersed
+    (StripParams(a=0.3, R=0.5), 5), (StripParams(a=0.05, R=2.74), 20),
+])
+def test_default_quadrature_matches_an_over_resolved_one(params, n_basis):
+    # m_s = 2h + 32 resolves the product-to-sum integrands, whose harmonics
+    # reach 2h + J and alias only at 2 m_s; residual norms lose digits to
+    # cancellation of terms of the eigenvalue's size, so they are compared
+    # on that scale
+    default = solve(GalerkinConfig(params=params, n_basis=n_basis))
+    m_s = default._disc.grid.s_nodes.size
+    fine = solve(GalerkinConfig(params=params, n_basis=n_basis, m_s=4 * m_s))
+    rel = np.abs(default.eigenvalues - fine.eigenvalues) / np.abs(fine.eigenvalues)
+    assert np.max(rel) <= 1e-13
+    for (values, residuals), (fine_values, fine_residuals) in zip(
+        sector_ordered(default), sector_ordered(fine)
+    ):
+        assert np.max(np.abs(residuals - fine_residuals) / np.abs(fine_values)) <= 1e-13
+
+
 def test_assembly_samples_no_factor_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("factor tables sampled")

@@ -191,8 +191,27 @@ def test_truncation_never_exceeds_the_cap(monkeypatch, recurrence_sizes):
     assert max(recurrence_sizes) == 256
     with pytest.raises(CapacityError):
         char_value("ce", 2 * 112, Q)  # count 113 would need 258 rows
-    # a huge q never stabilises: stop at the cap with a numerical failure
+    # a q past the 256-row line but under its refusal never stabilises:
+    # stop at the cap with a numerical failure
     recurrence_sizes.clear()
+    assert 1e7 < mathieu._refused_q()
     with pytest.raises(NumericalError, match="did not stabilise"):
-        char_values(1e200, 2)
+        char_values(1e7, 2)
     assert recurrence_sizes and max(recurrence_sizes) <= 256
+    # a huge q is refused before any recurrence is built
+    recurrence_sizes.clear()
+    with pytest.raises(CapacityError, match="truncation cap 256"):
+        char_values(1e200, 2)
+    assert recurrence_sizes == []
+
+
+def test_unresolvable_q_is_ten_times_the_measured_line():
+    line = mathieu._RESOLVED_Q_PER_ROW4 * mathieu._MAX_TRUNCATION**4
+    assert mathieu._refused_q() == pytest.approx(10.0 * line)
+    for q in (0.0, Q, 1e8, line, -line, mathieu._refused_q(), float("nan")):
+        assert not mathieu._unresolvable(q), q
+    for q in (np.nextafter(mathieu._refused_q(), np.inf), 1e13, -1e13, 1e200, -1e200):
+        assert mathieu._unresolvable(q), q
+    # past Gershgorin's float range the eigensolver reports the overflow
+    for q in (1e308, -1e308, np.finfo(float).max):
+        assert not mathieu._unresolvable(q), q
