@@ -16,90 +16,47 @@ and measure the thin-strip convergence rate between the effective and true
 models.
 """
 
-from .convergence import SweepResult, eigenvalue_sweep, eigenvector_sweep, fit_rate
-from .errors import CapacityError, InputError, MoebiusError, NumericalError
-from .galerkin import (
-    GalerkinConfig,
-    GalerkinSolution,
-    assemble,
-    basis_modes,
-    effective_in_basis,
-    residual_norm,
-    solve,
-)
-from .geometry import (
-    StripParams,
-    SurfacePoint,
-    curvatures,
-    embed,
-    jacobian_f,
-    jacobian_f_derivatives,
-    potential_va,
-    potential_veff,
-)
-from .linalg import (
-    EigenDecomposition,
-    SymmetricMatrix,
-    TridiagonalSymmetric,
-    eig_dense_symmetric,
-    eig_tridiagonal,
-)
-from .mathieu import MathieuChar, char_value, char_values, fourier_coefficients
-from .models import (
-    ModeIndex,
-    Spectrum,
-    SpectrumEntry,
-    effective_eigenfunction,
-    effective_spectrum,
-    fake_eigenfunction,
-    fake_spectrum,
-)
-from .quadrature import QuadratureGrid, gauss_legendre, integrate_2d
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CapacityError",
-    "EigenDecomposition",
-    "GalerkinConfig",
-    "GalerkinSolution",
-    "InputError",
-    "MathieuChar",
-    "MoebiusError",
-    "ModeIndex",
-    "NumericalError",
-    "QuadratureGrid",
-    "Spectrum",
-    "SpectrumEntry",
-    "StripParams",
-    "SurfacePoint",
-    "SweepResult",
-    "SymmetricMatrix",
-    "TridiagonalSymmetric",
-    "assemble",
-    "basis_modes",
-    "char_value",
-    "char_values",
-    "curvatures",
-    "effective_eigenfunction",
-    "effective_in_basis",
-    "effective_spectrum",
-    "eig_dense_symmetric",
-    "eig_tridiagonal",
-    "eigenvalue_sweep",
-    "eigenvector_sweep",
-    "embed",
-    "fake_eigenfunction",
-    "fake_spectrum",
-    "fit_rate",
-    "fourier_coefficients",
-    "gauss_legendre",
-    "integrate_2d",
-    "jacobian_f",
-    "jacobian_f_derivatives",
-    "potential_va",
-    "potential_veff",
-    "residual_norm",
-    "solve",
-]
+# Public name -> defining module.  Names resolve on first access (PEP 562
+# ``__getattr__``), so a process imports only the modules it uses: the CLI
+# child of ``moebius mathieu`` never loads the Galerkin solver.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("convergence", "SweepResult eigenvalue_sweep eigenvector_sweep fit_rate"),
+        ("errors", "CapacityError InputError MoebiusError NumericalError"),
+        ("galerkin", "GalerkinConfig GalerkinSolution assemble basis_modes "
+                     "effective_in_basis residual_norm solve"),
+        ("geometry", "StripParams SurfacePoint curvatures embed jacobian_f "
+                     "jacobian_f_derivatives potential_va potential_veff"),
+        ("linalg", "EigenDecomposition SymmetricMatrix TridiagonalSymmetric "
+                   "eig_dense_symmetric eig_tridiagonal"),
+        ("mathieu", "MathieuChar char_value char_values fourier_coefficients"),
+        ("models", "ModeIndex Spectrum SpectrumEntry effective_eigenfunction "
+                   "effective_spectrum fake_eigenfunction fake_spectrum"),
+        ("quadrature", "QuadratureGrid gauss_legendre integrate_2d"),
+    )
+    for name in names.split()
+}
+_SUBMODULES = frozenset({"cli", "verify", *_EXPORTS.values()})
+
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -20,7 +20,9 @@ seconds since 1970 to pin the manifest timestamp and make whole files
 byte-identical; any other value is refused with exit 2 before the run.
 
 Every command accepts ``--threads N``, which must be at least 1 and is
-checked when the arguments are parsed; only ``converge`` uses it.
+checked when the arguments are parsed; only ``converge`` uses it, to solve
+its half-widths on N worker threads when N is 2 or more.  Without it the
+half-widths are solved one after another and no thread pool is started.
 
 Exit codes: 0 success, 2 invalid input (including a flat-mode box, basis,
 quadrature or export grid whose arrays would pass
@@ -45,10 +47,10 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, convergence, galerkin, mathieu, verify
+# each command imports the compute modules it runs, so a child process
+# loads only those (``moebius mathieu`` never loads the Galerkin solver)
+from . import __version__
 from .errors import InputError, MoebiusError, NumericalError
-from .geometry import StripParams, embed
-from .models import effective_spectrum, fake_spectrum
 
 __all__ = ["main", "build_parser", "RunManifest"]
 
@@ -180,8 +182,8 @@ def _add_output_options(parser) -> None:
         "--threads",
         type=_thread_count,
         default=None,
-        help="worker-thread cap for converge's per-half-width parallelism "
-        "(default all cores)",
+        help="worker threads for converge's half-widths; 2 or more starts a "
+        "thread pool (default: solve them serially)",
     )
 
 
@@ -276,6 +278,8 @@ def _mode_label(mode) -> str:
 
 
 def _cmd_mathieu(args) -> int:
+    from . import mathieu
+
     if args.max_order < 0:
         raise InputError(f"--max-order must be >= 0, got {args.max_order}")
     chars = mathieu.char_values(args.q, args.max_order)
@@ -292,6 +296,8 @@ def _cmd_mathieu(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .geometry import StripParams
+
     params = StripParams(a=args.a, R=_radius(args))
     if args.model == "true":
         if args.N is None:
@@ -300,6 +306,8 @@ def _cmd_spectrum(args) -> int:
             raise InputError(f"count must be >= 1, got {args.count}")
         if args.count > args.N:
             raise InputError(f"--count {args.count} exceeds --N {args.N}")
+        from . import galerkin
+
         config = galerkin.GalerkinConfig(
             params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
         )
@@ -310,10 +318,12 @@ def _cmd_spectrum(args) -> int:
             "residual": solution.residual_norms[:args.count],
         }
     else:
+        from . import models
+
         if args.model == "fake":
-            spectrum = fake_spectrum(params, args.count)
+            spectrum = models.fake_spectrum(params, args.count)
         else:
-            spectrum = effective_spectrum(params, args.count)
+            spectrum = models.effective_spectrum(params, args.count)
         values, modes, multiplicities = zip(*spectrum.flattened(args.count))
         table = {
             "index": list(range(1, len(values) + 1)),
@@ -326,6 +336,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from . import convergence
+
     given = args.R is not None or args.circumference is not None
     radius = _radius(args) if given else 18.0 / (2.0 * np.pi)
     if args.steps < 1:
@@ -379,6 +391,9 @@ def _parse_grid_spec(spec: str):
 
 
 def _cmd_eigenfunction(args) -> int:
+    from . import galerkin
+    from .geometry import StripParams, embed
+
     params = StripParams(a=args.a, R=_radius(args))
     if not (1 <= args.k <= args.N):
         raise InputError(f"--k must be in [1, {args.N}], got {args.k}")
@@ -404,6 +419,8 @@ def _cmd_eigenfunction(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all()
     table = {
         "module": [r.module for r in results],

@@ -22,16 +22,15 @@ Eigenvalue sweeps diagonalise each sector block of the projection for its
 values only and never form the N x N matrix; eigenvector sweeps take the
 sector-ordered eigenpairs of ``galerkin.solve`` and never read its
 residual norms, so neither computes them.  Sweeps solve
-independent half-widths, optionally on a thread pool; results are gathered
-in grid order, so the output is deterministic for a given configuration.
+independent half-widths one after another, or on a pool of ``threads``
+worker threads when ``threads`` is 2 or more; results are gathered in grid
+order, so the output is deterministic for a given configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +143,15 @@ def _validate_sweep_args(a_grid, count, n_basis, m_s):
 
 
 def _map_grid(worker, a_grid, threads):
+    """``worker`` over the grid in grid order, serially unless ``threads`` is
+    2 or more: on 2 cores a pool was slower than one thread in both sweeps."""
     if threads is not None and threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or a_grid.size == 1:
+    if threads is None or threads == 1 or a_grid.size == 1:
         return [worker(a) for a in a_grid]
-    # None means one worker per core; the executor's own default (cores + 4)
-    # keeps that many solves' arrays alive at once while LAPACK runs
-    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, a_grid))
 
 

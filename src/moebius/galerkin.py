@@ -285,7 +285,9 @@ class _Factors:
         """Positions within ``rows`` grouped by transverse index, as
         (row of ``transverse``, positions) pairs."""
         n_rows = self.n_of[rows]
-        return [(int(n), np.flatnonzero(n_rows == n)) for n in np.unique(n_rows)]
+        # the distinct rows, ascending; np.unique would import numpy.ma (numpy 2)
+        present = np.flatnonzero(np.bincount(n_rows))
+        return [(int(n), np.flatnonzero(n_rows == n)) for n in present]
 
 
 def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
@@ -353,7 +355,7 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
     m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
     m_s = config.m_s if config.m_s is not None else 2 * int(np.abs(m).max()) + 32
     m_u = config.m_u if config.m_u is not None else 2 * int(n.max()) + 16
-    require_capacity(m.size, m_s, m_u, np.unique(n).size)
+    require_capacity(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
 
     ss = grid.s_nodes[:, None]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moebius import cli, linalg, mathieu, models
+from moebius import cli, convergence, linalg, mathieu, models
 from moebius.cli import main
 from moebius.galerkin import EXPORT_POINT_BYTES
 
@@ -268,13 +268,64 @@ def test_deterministic_output_files(tmp_path):
     assert float(rows[0]["value"]) == pytest.approx(4.384732657634105, rel=1e-11)
 
 
+# runs one command and prints the names in sys.modules once it has finished
+MODULE_PROBE = (
+    "import sys\n"
+    "from moebius.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)))\n"
+    "raise SystemExit(code)\n"
+)
+CONVERGE_SMALL = ["--R", "2.0", "--a-min", "0.2", "--a-max", "0.5", "--steps", "4",
+                  "--K", "2", "--N", "12"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mathieu", "--max-order", "3"],
+        ["spectrum", "--model", "fake", "--a", "0.75", "--R", "2.1", "--count", "5"],
+        ["spectrum", "--model", "effective", "--a", "0.75", "--R", "2.1", "--count", "5"],
+        ["spectrum", "--model", "true", "--a", "0.75", "--R", "2.1", "--count", "5",
+         "--N", "12"],
+        ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL],
+        ["converge", "--kind", "eigenvector", *CONVERGE_SMALL],
+        ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL, "--threads", "1"],
+        ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL, "--threads", "2"],
+        ["eigenfunction", "--k", "1", "--a", "0.5", "--R", "2.0", "--N", "10",
+         "--grid", "8x5", "--embed3d"],
+        ["verify"],
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv, "--output", str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=CHILD_TIMEOUT_S,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "moebius.cli" in loaded
+    assert "numpy.ma" not in loaded
+    threads = int(argv[argv.index("--threads") + 1]) if "--threads" in argv else None
+    assert ("concurrent.futures" in loaded) == (threads is not None and threads >= 2)
+    if argv[0] == "mathieu":
+        assert {m for m in loaded if m.startswith("moebius")} == {
+            "moebius", "moebius.cli", "moebius.errors", "moebius.linalg", "moebius.mathieu",
+        }
+    if argv[0] == "mathieu" or argv[:3] == ["spectrum", "--model", "fake"]:
+        assert not loaded & {"moebius.galerkin", "moebius.convergence", "moebius.verify"}
+
+
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
 def test_malformed_source_date_epoch_is_refused_before_the_run(capsys, monkeypatch, epoch):
     def not_reached(*args, **kwargs):
         raise AssertionError("the run started")
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
-    monkeypatch.setattr(cli.mathieu, "char_values", not_reached)
+    monkeypatch.setattr(mathieu, "char_values", not_reached)
     code, out, err = run_cli(["mathieu", "--max-order", "1"], capsys)
     assert code == 2
     assert out == ""
@@ -388,7 +439,7 @@ def test_runaway_converge_steps_are_refused_before_the_grid(capsys, monkeypatch,
     def not_reached(*args, **kwargs):
         raise AssertionError("the half-width grid was built")
 
-    monkeypatch.setattr(cli.convergence, "geometric_grid", not_reached)
+    monkeypatch.setattr(convergence, "geometric_grid", not_reached)
     monkeypatch.setattr(cli.np, "linspace", not_reached)
     code, out, err = run_cli(["converge", "--steps", str(10**12), "--grid", grid], capsys)
     assert code == 2

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -203,12 +205,24 @@ def test_subspace_distance_sign_alignment():
     assert _subspace_distance(c, tiny, zero) < 1e-11
 
 
-def test_threaded_sweep_is_deterministic():
+def test_threaded_sweep_is_deterministic(monkeypatch):
     grid = np.array([0.2, 0.35, 0.5])
     serial = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=1)
     threaded = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=3)
     assert np.array_equal(serial.ratios, threaded.ratios)
     assert np.array_equal(serial.true_values, threaded.true_values)
+
+    # threads=None (the CLI default) runs serially and builds no pool
+    pair = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    # on the class, so every binding of it refuses to build a pool
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
+    default = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=None)
+    for field in ("effective_values", "true_values", "ratios", "slopes"):
+        assert np.array_equal(getattr(default, field), getattr(pair, field), equal_nan=True)
 
 
 def test_sweep_work_estimate():

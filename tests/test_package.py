@@ -1,0 +1,53 @@
+"""The package's exports, which resolve on first access."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import moebius
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_every_export_is_the_object_of_its_defining_module():
+    for name in moebius.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(moebius, name)
+        assert value.__module__.startswith("moebius.")
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_star_import_binds_all_and_only_the_exports():
+    namespace = {}
+    exec("from moebius import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(moebius.__all__)
+
+
+def test_a_bare_import_loads_no_submodule_and_submodules_still_resolve():
+    probe = (
+        "import sys, moebius\n"
+        "print(sorted(m for m in sys.modules if m.startswith('moebius.')))\n"
+        "print(moebius.galerkin.__name__, moebius.verify.__name__)\n"
+    )
+    python_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": python_path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "moebius.galerkin moebius.verify"]
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        moebius.no_such_name
+    with pytest.raises(ImportError):
+        from moebius import no_such_name  # noqa: F401
