@@ -19,10 +19,10 @@ CSV, as a top-level object in JSON.  Set SOURCE_DATE_EPOCH to whole
 seconds since 1970 to pin the manifest timestamp and make whole files
 byte-identical; any other value is refused with exit 2 before the run.
 
-Every command accepts ``--threads N``, which must be at least 1 and is
-checked when the arguments are parsed; only ``converge`` uses it, to solve
-its half-widths on N worker threads when N is 2 or more.  Without it the
-half-widths are solved one after another and no thread pool is started.
+``converge`` alone takes ``--threads N``, which must be at least 1 and is
+checked when the arguments are parsed; N of 2 or more solves its
+half-widths on N worker threads.  Without it the half-widths are solved
+one after another and no thread pool is started.
 
 Exit codes: 0 success, 2 invalid input (including a flat-mode box, basis,
 quadrature or export grid whose arrays would pass
@@ -178,13 +178,6 @@ def _thread_count(text: str) -> int:
 def _add_output_options(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="write here (default stdout)")
-    parser.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=None,
-        help="worker threads for converge's half-widths; 2 or more starts a "
-        "thread pool (default: solve them serially)",
-    )
 
 
 def _add_radius_options(parser, required=True) -> None:
@@ -240,6 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         default=None,
         help="half-width window for the slope fit (default whole grid)",
+    )
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=None,
+        help="worker threads for the half-widths; 2 or more starts a thread "
+        "pool (default: solve them serially)",
     )
     _add_output_options(p)
 

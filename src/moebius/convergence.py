@@ -18,13 +18,15 @@ Raw eigenvalues are stored alongside the ratios so that rate fits need no
 recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Eigenvalue sweeps diagonalise each sector block of the projection for its
-values only and never form the N x N matrix; eigenvector sweeps take the
-sector-ordered eigenpairs of ``galerkin.solve`` and never read its
-residual norms, so neither computes them.  Sweeps solve
-independent half-widths one after another, or on a pool of ``threads``
-worker threads when ``threads`` is 2 or more; results are gathered in grid
-order, so the output is deterministic for a given configuration.
+Both kinds run through one driver over a point function that returns
+(effective, true, difference) rows.  The eigenvalue point diagonalises
+each sector block for its values only and never forms the N x N matrix;
+the eigenvector point takes the sector-ordered eigenpairs of
+``galerkin.solve`` and never reads its residual norms, so neither computes
+them.  Sweeps solve independent half-widths one after another, or on a
+pool of ``threads`` worker threads when ``threads`` is 2 or more; results
+are gathered in grid order, so the output is deterministic for a given
+configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved.
 """
@@ -124,7 +126,11 @@ class SweepResult:
         return np.abs(self.effective_values - self.true_values)
 
 
-def _validate_sweep_args(a_grid, count, n_basis, m_s):
+def _sweep(
+    kind, point, radius, a_grid, count, n_basis, geometry, m_s, m_u, threads
+) -> SweepResult:
+    """``point`` over the grid, its rows of (effective, true, difference)
+    stacked into per-(a, n) arrays and the slopes fitted."""
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise InputError("a_grid must be a non-empty 1-d sequence")
@@ -139,7 +145,28 @@ def _validate_sweep_args(a_grid, count, n_basis, m_s):
     if count > n_basis:
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
-    return a_grid
+
+    def worker(a: float):
+        config = GalerkinConfig(
+            params=StripParams(a=float(a), R=radius), n_basis=n_basis, m_s=m_s, m_u=m_u,
+            geometry=geometry, close_pairs=True,
+        )
+        return point(config, count)
+
+    rows = _map_grid(worker, a_grid, threads)
+    eff, true, differences = (np.vstack(column) for column in zip(*rows))
+    return SweepResult(
+        kind=kind,
+        radius=radius,
+        a_grid=a_grid,
+        count=count,
+        n_basis=n_basis,
+        effective_values=eff,
+        true_values=true,
+        ratios=differences / a_grid[:, None] ** 2,
+        slopes=_fit_slopes(a_grid, differences),
+        distances=differences if kind == "eigenvector" else None,
+    )
 
 
 def _map_grid(worker, a_grid, threads):
@@ -172,6 +199,13 @@ def _sector_values(config: GalerkinConfig) -> np.ndarray:
     ]))
 
 
+def _eigenvalue_point(config: GalerkinConfig, count: int):
+    """Effective and Galerkin eigenvalues and their gaps at one half-width."""
+    true = _sector_values(config)[:count]
+    eff = _effective_modes(config.params, count)[3][:count]
+    return eff, true, np.abs(eff - true)
+
+
 def eigenvalue_sweep(
     radius: float,
     a_grid,
@@ -184,33 +218,8 @@ def eigenvalue_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
-    a_grid = _validate_sweep_args(a_grid, count, n_basis, m_s)
-
-    def worker(a: float):
-        params = StripParams(a=float(a), R=radius)
-        config = GalerkinConfig(
-            params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
-            geometry=geometry, close_pairs=True,
-        )
-        true = _sector_values(config)
-        _, _, _, eff, _ = _effective_modes(params, count)
-        return eff[:count], true[:count]
-
-    rows = _map_grid(worker, a_grid, threads)
-    eff = np.vstack([r[0] for r in rows])
-    true = np.vstack([r[1] for r in rows])
-    ratios = np.abs(eff - true) / a_grid[:, None] ** 2
-    return SweepResult(
-        kind="eigenvalue",
-        radius=radius,
-        a_grid=a_grid,
-        count=count,
-        n_basis=n_basis,
-        effective_values=eff,
-        true_values=true,
-        ratios=ratios,
-        slopes=_fit_slopes(a_grid, np.abs(eff - true)),
-    )
+    return _sweep("eigenvalue", _eigenvalue_point, radius, a_grid, count, n_basis,
+                  geometry, m_s, m_u, threads)
 
 
 def _clusters(effective, true, count):
@@ -259,6 +268,22 @@ def _subspace_distance(true_block, eff_block, truncations):
     return np.sqrt(squared / h)
 
 
+def _eigenvector_point(config: GalerkinConfig, count: int):
+    """Effective and Galerkin eigenvalues and the eigenvector distances at
+    one half-width, clusters compared as subspaces."""
+    true = solve(config)
+    n_probe = min(count + _CLUSTER_MARGIN, true.eigenvalues.size)
+    expansion = effective_in_basis(config, n_probe)
+    distances = np.empty(count)
+    for lo, hi in _clusters(expansion.values, true.eigenvalues, count):
+        distances[lo:min(hi, count)] = _subspace_distance(
+            true.coefficients[:, lo:hi],
+            expansion.coefficients[:, lo:hi],
+            expansion.truncations[lo:hi],
+        )
+    return expansion.values[:count], true.eigenvalues[:count], distances
+
+
 def eigenvector_sweep(
     radius: float,
     a_grid,
@@ -271,46 +296,8 @@ def eigenvector_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid."""
-    a_grid = _validate_sweep_args(a_grid, count, n_basis, m_s)
-    probe = count + _CLUSTER_MARGIN
-
-    def worker(a: float):
-        params = StripParams(a=float(a), R=radius)
-        config = GalerkinConfig(
-            params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
-            geometry=geometry, close_pairs=True,
-        )
-        true = solve(config)
-        n_probe = min(probe, true.eigenvalues.size)
-        expansion = effective_in_basis(config, n_probe)
-        eff_values = expansion.spectrum.values(n_probe)
-        distances = np.empty(count)
-        for lo, hi in _clusters(eff_values, true.eigenvalues, count):
-            d = _subspace_distance(
-                true.coefficients[:, lo:hi],
-                expansion.coefficients[:, lo:hi],
-                expansion.truncations[lo:hi],
-            )
-            distances[lo:min(hi, count)] = d
-        return eff_values[:count], true.eigenvalues[:count], distances
-
-    rows = _map_grid(worker, a_grid, threads)
-    eff = np.vstack([r[0] for r in rows])
-    true = np.vstack([r[1] for r in rows])
-    distances = np.vstack([r[2] for r in rows])
-    ratios = distances / a_grid[:, None] ** 2
-    return SweepResult(
-        kind="eigenvector",
-        radius=radius,
-        a_grid=a_grid,
-        count=count,
-        n_basis=n_basis,
-        effective_values=eff,
-        true_values=true,
-        ratios=ratios,
-        slopes=_fit_slopes(a_grid, distances),
-        distances=distances,
-    )
+    return _sweep("eigenvector", _eigenvector_point, radius, a_grid, count, n_basis,
+                  geometry, m_s, m_u, threads)
 
 
 def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:

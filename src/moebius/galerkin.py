@@ -55,10 +55,10 @@ need them.
 The strip is symmetric under the reflection s -> -s, so cosine modes
 (m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
 never computed and are exactly zero: the projection yields one block per
-sector.  ``solve`` diagonalises the matrix with the basis listed sector
-by sector, which makes it block diagonal, so every coefficient column
-vanishes exactly off its sector and rounding cannot mix a nearly
-degenerate cosine/sine pair.
+sector.  ``solve`` lays the blocks on the diagonal of one matrix over the
+basis listed sector by sector, so every coefficient column vanishes
+exactly off its sector and rounding cannot mix a nearly degenerate
+cosine/sine pair.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
@@ -85,14 +85,14 @@ from .geometry import StripParams, _f_with_derivatives, _potential_from, potenti
 from .linalg import SymmetricMatrix, eig_dense_symmetric
 from .models import (
     FAMILY_EFF_CE,
+    FAMILY_EFF_SE,
     FAMILY_FAKE,
     DEFAULT_Q,
     MAX_ARRAY_BYTES,
     ModeIndex,
-    Spectrum,
+    _effective_modes,
     _flat_modes,
     _pow2,
-    effective_spectrum,
     transverse_profile,
 )
 from .quadrature import QuadratureGrid
@@ -171,7 +171,6 @@ class GalerkinSolution:
     """
 
     config: GalerkinConfig
-    matrix: SymmetricMatrix
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     _disc: _Discretisation = field(repr=False, compare=False)
@@ -458,17 +457,14 @@ def _project(disc: _Discretisation) -> list[np.ndarray]:
     return blocks
 
 
-def _assemble_dense(disc: _Discretisation) -> np.ndarray:
-    """The N x N matrix in basis order, the sector blocks scattered into zeros."""
+def assemble(config: GalerkinConfig) -> SymmetricMatrix:
+    """Projection matrix of L onto the flat basis in basis order, the sector
+    blocks scattered into zeros; symmetric by storage."""
+    disc = _discretise(config)
     dense = np.zeros((disc.m.size,) * 2)
     for rows, block in zip(disc.sectors, _project(disc)):
         dense[np.ix_(rows, rows)] = block
-    return dense
-
-
-def assemble(config: GalerkinConfig) -> SymmetricMatrix:
-    """Projection matrix of L onto the flat basis, symmetric by storage."""
-    return SymmetricMatrix.from_dense(_assemble_dense(_discretise(config)))
+    return SymmetricMatrix.from_dense(dense)
 
 
 def _residual_norms(
@@ -519,21 +515,24 @@ def _residual_norms(
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
-    """Assemble and diagonalise with the basis listed sector by sector.
+    """Diagonalise the sector blocks laid on the diagonal of one matrix.
 
-    The reordered matrix is block diagonal, so every coefficient column is
-    exactly zero off its sector; coefficient rows come back in basis order.
-    Residual norms wait for their first read.
+    Every coefficient column is exactly zero off its sector; coefficient
+    rows come back in basis order.  Residual norms wait for their first read.
     """
     disc = _discretise(config)
-    dense = _assemble_dense(disc)
     order = np.concatenate(disc.sectors)
-    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
+    blocked = np.zeros((order.size,) * 2)
+    lo = 0
+    for block in _project(disc):
+        hi = lo + block.shape[0]
+        blocked[lo:hi, lo:hi] = block
+        lo = hi
+    decomp = eig_dense_symmetric(blocked)
     coefficients = np.empty_like(decomp.eigenvectors)
     coefficients[order] = decomp.eigenvectors
     return GalerkinSolution(
         config=config,
-        matrix=SymmetricMatrix.from_dense(dense),
         eigenvalues=decomp.eigenvalues,
         coefficients=coefficients,
         _disc=disc,
@@ -553,12 +552,13 @@ def residual_norm(solution: GalerkinSolution, k: int) -> float:
 class EffectiveExpansion:
     """Effective eigenfunctions expanded over a flat Galerkin basis.
 
-    ``coefficients[:, i]`` holds the expansion of the i-th effective
-    eigenfunction; ``truncations[i]`` is 1 - ||expansion||^2, the squared
-    norm escaping the basis.
+    ``values[i]`` is the i-th effective eigenvalue, ascending as in
+    ``effective_spectrum``; ``coefficients[:, i]`` holds the expansion of
+    its eigenfunction; ``truncations[i]`` is 1 - ||expansion||^2, the
+    squared norm escaping the basis.
     """
 
-    spectrum: Spectrum
+    values: np.ndarray
     coefficients: np.ndarray
     truncations: np.ndarray
 
@@ -580,22 +580,22 @@ def effective_in_basis(
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
-    spectrum = effective_spectrum(config.params, count, q=q)
-    flattened = spectrum.flattened(count)
+    sine, order, n_eff, value, _ = _effective_modes(config.params, count, q)
     coeffs = np.zeros((m.size, count))
     truncations = np.empty(count)
-    for i, (_, mode, _) in enumerate(flattened):
-        kind = "ce" if mode.family == FAMILY_EFF_CE else "se"
-        char = mathieu.fourier_coefficients(kind, mode.m, q)
+    modes = zip(sine[:count].tolist(), order[:count].tolist(), n_eff[:count].tolist())
+    for i, (is_sine, mode_m, mode_n) in enumerate(modes):
+        kind = "se" if is_sine else "ce"
+        char = mathieu.fourier_coefficients(kind, mode_m, q)
         # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
         weights = char.fourier.copy()
         if char.harmonics[0] == 0:
             weights[0] *= np.sqrt(2.0)
-        signed = char.harmonics.astype(int) * (1 if kind == "ce" else -1)
+        signed = char.harmonics.astype(int) * (-1 if is_sine else 1)
         rows = np.full(signed.size, -1)
-        if mode.n < position.shape[1]:
+        if mode_n < position.shape[1]:
             inside = np.abs(signed) <= top
-            rows[inside] = position[signed[inside] + top, mode.n]
+            rows[inside] = position[signed[inside] + top, mode_n]
         found = rows >= 0
         coeffs[rows[found], i] = weights[found]
         # accumulated in harmonic order, one square at a time
@@ -604,11 +604,12 @@ def effective_in_basis(
         # below summation roundoff the deficit carries no information
         truncations[i] = leaked if leaked > 1e-14 else 0.0
         if truncations[i] > 1e-6:
+            family = FAMILY_EFF_SE if is_sine else FAMILY_EFF_CE
             raise CapacityError(
                 f"basis of size {m.size} captures only "
                 f"{1.0 - truncations[i]:.9f} of effective mode "
-                f"({mode.family}, m={mode.m}, n={mode.n})"
+                f"({family}, m={mode_m}, n={mode_n})"
             )
     return EffectiveExpansion(
-        spectrum=spectrum, coefficients=coeffs, truncations=truncations
+        values=value[:count], coefficients=coeffs, truncations=truncations
     )

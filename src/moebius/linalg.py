@@ -1,18 +1,20 @@
 """Real symmetric eigensolvers: LAPACK through numpy.
 
-* ``eig_dense_symmetric`` - full spectrum of a dense symmetric matrix (the
+* ``eig_dense_symmetric`` - full spectrum of a dense symmetric array (the
   Galerkin projection matrices), with optional eigenvectors.
 * ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the smallest values, or
   all eigenpairs, of a symmetric tridiagonal matrix (the Mathieu
   recurrences).
 
-Each validates its input (square, finite) and calls ``numpy.linalg.eigh``
-or ``eigvalsh``.  The Mathieu tables need the small eigenvalues of
-recurrences graded with growing diagonals to absolute accuracy near machine
-epsilon; ``tests/test_linalg.py`` re-checks that on the LAPACK path rather
-than assuming it.  A ``LinAlgError`` or a non-finite eigenvalue (overflow
-near the largest double) raises ``NumericalError``.  Eigenvalues are
-returned ascending; degenerate values are not collapsed here.
+Each takes arrays (a ``TridiagonalSymmetric`` holds two), validates them
+(square, finite) and calls ``numpy.linalg.eigh`` or ``eigvalsh``; no solver
+reads ``SymmetricMatrix``, which only ``galerkin.assemble`` returns.  The
+Mathieu tables need the small eigenvalues of recurrences graded with
+growing diagonals to absolute accuracy near machine epsilon;
+``tests/test_linalg.py`` re-checks that on the LAPACK path rather than
+assuming it.  A ``LinAlgError`` or a non-finite eigenvalue (overflow near
+the largest double) raises ``NumericalError``.  Eigenvalues are returned
+ascending; degenerate values are not collapsed here.
 """
 
 from __future__ import annotations
@@ -138,12 +140,9 @@ def _eigh(dense: np.ndarray, want_vectors: bool) -> EigenDecomposition:
 def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition:
     """Full spectrum of a dense real symmetric matrix, ascending.
 
-    ``matrix`` may be a :class:`SymmetricMatrix` or a plain square array,
-    in which case only its lower triangle is checked and read, and the
-    array goes to LAPACK as it is.
+    ``matrix`` is a square array; only its lower triangle is checked and
+    read, and the array goes to LAPACK as it is.
     """
-    if isinstance(matrix, SymmetricMatrix):
-        return _eigh(matrix.to_dense(), want_vectors)
     dense = np.asarray(matrix, dtype=float)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise InputError(f"expected a square matrix, got shape {dense.shape}")

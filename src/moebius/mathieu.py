@@ -23,7 +23,7 @@ coefficients normalised so that
 Truncation starts at max(64, count + 16) rows and doubles until every
 requested value is stable to 1e-13.  No recurrence above 4096 rows is built
 (each is solved dense, 128 MiB at that order): a count that leaves no room
-for one doubling below the cap, or a |q| well past what the cap resolves
+for one doubling below the cap, or a |q| past what the cap resolves
 (``_unresolvable``), raises ``CapacityError`` before anything is
 allocated, and failure to stabilise at the cap raises ``NumericalError``.
 The sign convention fixes the first non-vanishing Fourier coefficient
@@ -51,9 +51,13 @@ _COEFF_CUTOFF = 1e-16
 # in the row k, once the diagonal (2k)^2 outgrows the off-diagonal q, so a
 # recurrence of n rows resolves |q| up to about c n^4.  Bisected for the
 # lowest value of each class under a cap of n rows, largest over the
-# classes: c = 4.0e-4 at n = 256, 5.0e-4 at 1024 and 6.8e-4 at 4096
-# (|q| = 1.9e11); a |q| above ten times this line is refused.
-_RESOLVED_Q_PER_ROW4 = 6.8e-4
+# classes: c = 4.0e-4 at n = 256 and 5.0e-4 at 1024.  At 4096 rows ce1 and
+# se2 fail from 1.8e11; for ce0 and se1 (ce1 at q < 0) the change from
+# 2048 to 4096 rows crosses the stability tolerance near |q| = 1.907e11
+# and grows about 9 % per 1 % of |q|, but roundoff moves it by up to 6 %,
+# so se1 still resolved at 1.913e11.  A |q| above the line at c = 6.9e-4,
+# 1.94e11, where the change is 17 % past the tolerance, is refused.
+_RESOLVED_Q_PER_ROW4 = 6.9e-4
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,8 @@ def _unresolvable(q: float) -> bool:
 
 
 def _refused_q() -> float:
-    """Ten times the largest |q| the truncation cap resolves."""
-    return 10.0 * _RESOLVED_Q_PER_ROW4 * float(_MAX_TRUNCATION) ** 4
+    """The largest |q| the truncation cap resolves."""
+    return _RESOLVED_Q_PER_ROW4 * float(_MAX_TRUNCATION) ** 4
 
 
 def _class_index(m: int, kind: str) -> int:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mathieu
 from .errors import CapacityError, InputError
 from .geometry import StripParams
 
@@ -357,6 +356,8 @@ def _char_table(q: float, m_max: int):
     """``mathieu.char_values(q, m_max)`` as arrays: sine flags, orders and
     values.  Each (q, m_max) is tabulated once per process; the arrays are
     shared and read-only."""
+    from . import mathieu  # the flat model never loads the Mathieu solver
+
     chars = mathieu.char_values(q, m_max)
     table = (
         np.array([ch.kind == "se" for ch in chars]),
@@ -412,6 +413,8 @@ def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
 
 def effective_longitudinal(mode: ModeIndex, params: StripParams, s, q: float = DEFAULT_Q):
     """Unit-norm Mathieu longitudinal factor (pi R)^(-1/2) ce/se(s/2R, q)."""
+    from . import mathieu
+
     kind = "ce" if mode.family == FAMILY_EFF_CE else "se"
     s = np.asarray(s, dtype=float)
     eta = s / (2.0 * params.R)

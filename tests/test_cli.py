@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -317,6 +318,8 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
         }
     if argv[0] == "mathieu" or argv[:3] == ["spectrum", "--model", "fake"]:
         assert not loaded & {"moebius.galerkin", "moebius.convergence", "moebius.verify"}
+    if argv[:3] == ["spectrum", "--model", "fake"]:
+        assert not loaded & {"moebius.mathieu", "moebius.linalg"}
 
 
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
@@ -360,8 +363,11 @@ def test_mathieu_huge_q_is_refused_before_any_solve(capsys, monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_tridiagonal", not_reached)
     monkeypatch.setattr(mathieu, "eig_tridiagonal", not_reached)
-    for q in ("1e200", "-1e13"):
+    # 1e12 is past what the 4096-row cap resolves for every class
+    for q in ("1e200", "-1e13", "1e12", "-1e12"):
+        start = time.perf_counter()
         code, out, err = run_cli(["mathieu", f"--q={q}", "--max-order", "2"], capsys)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
         assert err.startswith("error: Mathieu values at |q|=") and err.count("\n") == 1
@@ -377,8 +383,8 @@ def test_mathieu_overflowing_q_is_a_numerical_failure(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mathieu", "--max-order", "1", "--threads", "-5"],
-        ["spectrum", "--model", "fake", "--a", "0.75", "--R", "2.1", "--threads", "0"],
+        ["converge", "--kind", "eigenvalue", "--steps", "2", "--threads", "-5"],
+        ["converge", "--kind", "eigenvector", "--steps", "2", "--threads", "0"],
     ],
 )
 def test_threads_below_one_are_refused_when_parsing(capsys, argv):
@@ -388,6 +394,16 @@ def test_threads_below_one_are_refused_when_parsing(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--threads: must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["mathieu", "verify"])
+def test_threads_is_an_option_of_converge_alone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threads 2" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from moebius.convergence import (
     sweep_work,
 )
 from moebius.errors import CapacityError, InputError
-from moebius.galerkin import GalerkinConfig, _assemble_dense, _discretise
+from moebius.galerkin import GalerkinConfig, assemble
 from moebius.geometry import StripParams, potential_va, potential_veff
 
 RADIUS = 18 / (2 * np.pi)
@@ -110,14 +110,14 @@ def test_sweep_values_are_the_dense_spectrum(geometry):
         for a in grid:
             config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=41,
                                     geometry=geometry, close_pairs=close_pairs)
-            dense = np.linalg.eigvalsh(_assemble_dense(_discretise(config)))
+            dense = np.linalg.eigvalsh(assemble(config).to_dense())
             assert np.max(np.abs(_sector_values(config) - dense) / np.abs(dense)) <= 1e-13
     # a sweep closes pairs and reads the same values
     sweep = eigenvalue_sweep(RADIUS, grid, 12, 41, geometry=geometry)
     for a, true in zip(grid, sweep.true_values):
         config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=41,
                                 geometry=geometry, close_pairs=True)
-        dense = np.linalg.eigvalsh(_assemble_dense(_discretise(config)))[:12]
+        dense = np.linalg.eigvalsh(assemble(config).to_dense())[:12]
         assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
 
 
@@ -133,7 +133,8 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
         orders.append(matrix.shape[0])
         return solve(matrix, want_vectors=want_vectors)
 
-    monkeypatch.setattr(galerkin, "_assemble_dense", not_reached)
+    monkeypatch.setattr(galerkin, "assemble", not_reached)
+    monkeypatch.setattr(convergence, "solve", not_reached)
     monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
     grid = [0.1, 0.3]
     eigenvalue_sweep(RADIUS, grid, 5, 30)

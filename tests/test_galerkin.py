@@ -181,7 +181,7 @@ def test_eigenvector_quality():
     solution = solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=41))
     c = solution.coefficients
     assert np.max(np.abs(c.T @ c - np.eye(41))) < 1e-10
-    dense = solution.matrix.to_dense()
+    dense = assemble(solution.config).to_dense()
     for k in range(10):
         vec = c[:, k]
         rayleigh = vec @ dense @ vec
@@ -322,12 +322,21 @@ def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
         disc = _discretise(config)
-        dense = galerkin._assemble_dense(disc)
-        assert np.array_equal(dense, dense.T)
+        for block in galerkin._project(disc):
+            assert np.array_equal(block, block.T)
+        dense = assemble(config).to_dense()
         cosine = disc.m >= 0
         assert np.all(dense[np.ix_(cosine, ~cosine)] == 0.0)
         assert np.all(dense[np.ix_(~cosine, cosine)] == 0.0)
-        assert np.array_equal(solve(config).matrix.to_dense(), dense)
+        # solve diagonalises the public matrix gathered into sector order,
+        # coefficient rows scattered back to basis order, bit for bit
+        order = np.concatenate(disc.sectors)
+        decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
+        scattered = np.empty_like(decomp.eigenvectors)
+        scattered[order] = decomp.eigenvectors
+        solution = solve(config)
+        assert np.array_equal(solution.eigenvalues, decomp.eigenvalues)
+        assert np.array_equal(solution.coefficients, scattered)
 
 
 def scattered_matrix(disc):
@@ -367,7 +376,7 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
             config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s,
                                     geometry=geometry, close_pairs=close_pairs)
             disc = _discretise(config)
-            dense = galerkin._assemble_dense(disc)
+            dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc))
             for rows, block in zip(disc.sectors, galerkin._project(disc)):
                 assert np.array_equal(block, dense[np.ix_(rows, rows)])
@@ -570,7 +579,8 @@ def test_effective_expansion_properties():
     dense = assemble(
         GalerkinConfig(params=TABLE_PARAMS, n_basis=72, geometry="flat_with_Veff")
     ).to_dense()
-    reference = expansion.spectrum.values(5)
+    reference = effective_spectrum(TABLE_PARAMS, 5).values(5)
+    assert np.array_equal(expansion.values, reference)
     for i in range(5):
         e = expansion.coefficients[:, i]
         quotient = (e @ dense @ e) / (e @ e)
@@ -598,8 +608,11 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
 
 def test_effective_expansion_capacity_error():
     config = GalerkinConfig(params=TABLE_PARAMS, n_basis=2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"mode \(eff_ce, m=0, n=1\)$"):
         effective_in_basis(config, 2)
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=10)
+    with pytest.raises(CapacityError, match=r"mode \(eff_se, m=8, n=1\)$"):
+        effective_in_basis(config, 10)
 
 
 def test_config_validation():

@@ -191,12 +191,13 @@ def test_truncation_never_exceeds_the_cap(monkeypatch, recurrence_sizes):
     assert max(recurrence_sizes) == 256
     with pytest.raises(CapacityError):
         char_value("ce", 2 * 112, Q)  # count 113 would need 258 rows
-    # a q past the 256-row line but under its refusal never stabilises:
-    # stop at the cap with a numerical failure
+    # a q past the 256-row line (c = 4.0e-4) but under its refusal, which
+    # scales the 4096-row c, never stabilises: stop at the cap with a
+    # numerical failure
     recurrence_sizes.clear()
-    assert 1e7 < mathieu._refused_q()
+    assert 2.5e6 < mathieu._refused_q()
     with pytest.raises(NumericalError, match="did not stabilise"):
-        char_values(1e7, 2)
+        char_values(2.5e6, 2)
     assert recurrence_sizes and max(recurrence_sizes) <= 256
     # a huge q is refused before any recurrence is built
     recurrence_sizes.clear()
@@ -205,12 +206,14 @@ def test_truncation_never_exceeds_the_cap(monkeypatch, recurrence_sizes):
     assert recurrence_sizes == []
 
 
-def test_unresolvable_q_is_ten_times_the_measured_line():
+def test_unresolvable_q_is_the_measured_line():
     line = mathieu._RESOLVED_Q_PER_ROW4 * mathieu._MAX_TRUNCATION**4
-    assert mathieu._refused_q() == pytest.approx(10.0 * line)
-    for q in (0.0, Q, 1e8, line, -line, mathieu._refused_q(), float("nan")):
+    assert mathieu._refused_q() == pytest.approx(line)
+    # se1 still resolved at 1.913e11; no class did from 1.94e11
+    assert 1.94e11 < line < 1.95e11
+    for q in (0.0, Q, 1e8, 1.913e11, -1.913e11, line, -line, float("nan")):
         assert not mathieu._unresolvable(q), q
-    for q in (np.nextafter(mathieu._refused_q(), np.inf), 1e13, -1e13, 1e200, -1e200):
+    for q in (np.nextafter(line, np.inf), 1.95e11, -1.95e11, 1e12, -1e12, 1e200, -1e200):
         assert mathieu._unresolvable(q), q
     # past Gershgorin's float range the eigensolver reports the overflow
     for q in (1e308, -1e308, np.finfo(float).max):
