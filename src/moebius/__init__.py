@@ -32,8 +32,8 @@ _EXPORTS = {
                      "effective_in_basis residual_norm solve"),
         ("geometry", "StripParams SurfacePoint curvatures embed jacobian_f "
                      "jacobian_f_derivatives potential_va potential_veff"),
-        ("linalg", "EigenDecomposition SymmetricMatrix TridiagonalSymmetric "
-                   "eig_dense_symmetric eig_tridiagonal"),
+        ("linalg", "EigenDecomposition SymmetricMatrix eig_dense_symmetric "
+                   "eig_tridiagonal"),
         ("mathieu", "MathieuChar char_value char_values fourier_coefficients"),
         ("models", "ModeIndex Spectrum SpectrumEntry effective_eigenfunction "
                    "effective_spectrum fake_eigenfunction fake_spectrum"),

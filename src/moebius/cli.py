@@ -372,7 +372,7 @@ def _cmd_converge(args) -> int:
         "n": indices * sweep.a_grid.size + indices,
         "lambda_effective": sweep.effective_values.ravel().tolist() + gap,
         "lambda_true": sweep.true_values.ravel().tolist() + gap,
-        "difference": sweep.differences().ravel().tolist() + gap,
+        "difference": sweep.differences.ravel().tolist() + gap,
         "ratio": sweep.ratios.ravel().tolist() + gap,
         "slope": [None] * samples + slopes,
     }

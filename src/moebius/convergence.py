@@ -14,8 +14,9 @@ principal angles) instead of vector by vector, and every cluster member
 reports the same per-vector distance.  Sign (and intra-cluster rotation)
 alignment is built into that definition.
 
-Raw eigenvalues are stored alongside the ratios so that rate fits need no
-recomputation.  ``fit_rate`` performs the least-squares log-log fit; the
+Raw eigenvalues and the differences are stored alongside the ratios.
+``fit_rate`` is the one slope path: a least-squares log-log fit of the
+differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
 Both kinds run through one driver over a point function that returns
@@ -100,12 +101,12 @@ def geometric_grid(a_min: float, a_max: float, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-half-width comparison data plus whole-grid fitted slopes.
+    """Per-half-width comparison data, one row per grid point and one column
+    per index n.
 
-    ``ratios`` is |difference| / a^2 with difference the eigenvalue gap or
-    the eigenvector distance depending on ``kind``; ``distances`` is only
-    set for eigenvector sweeps.  ``slopes[n-1]`` is the full-grid log-log
-    slope for index n (NaN when the grid has fewer than 4 points).
+    ``differences`` holds |lambda_eff - lambda_true| (eigenvalue kind) or
+    the eigenvector distance (eigenvector kind), and ``ratios`` holds
+    ``differences / a^2``; ``fit_rate`` fits their log-log slope.
     """
 
     kind: str
@@ -115,22 +116,15 @@ class SweepResult:
     n_basis: int
     effective_values: np.ndarray
     true_values: np.ndarray
+    differences: np.ndarray
     ratios: np.ndarray
-    slopes: np.ndarray
-    distances: np.ndarray | None = None
-
-    def differences(self) -> np.ndarray:
-        """|lambda_eff - lambda_true| or eigenvector distances, per (a, n)."""
-        if self.kind == "eigenvector":
-            return self.distances
-        return np.abs(self.effective_values - self.true_values)
 
 
 def _sweep(
     kind, point, radius, a_grid, count, n_basis, geometry, m_s, m_u, threads
 ) -> SweepResult:
     """``point`` over the grid, its rows of (effective, true, difference)
-    stacked into per-(a, n) arrays and the slopes fitted."""
+    stacked into per-(a, n) arrays."""
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise InputError("a_grid must be a non-empty 1-d sequence")
@@ -163,9 +157,8 @@ def _sweep(
         n_basis=n_basis,
         effective_values=eff,
         true_values=true,
+        differences=differences,
         ratios=differences / a_grid[:, None] ** 2,
-        slopes=_fit_slopes(a_grid, differences),
-        distances=differences if kind == "eigenvector" else None,
     )
 
 
@@ -180,14 +173,6 @@ def _map_grid(worker, a_grid, threads):
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, a_grid))
-
-
-def _fit_slopes(a_grid, differences) -> np.ndarray:
-    """Log-log slope per column of ``differences``, one fit for all columns."""
-    if a_grid.size < 4:
-        return np.full(differences.shape[1], np.nan)
-    diff = np.maximum(np.abs(differences), 1e-300)
-    return np.polyfit(np.log(a_grid), np.log(diff), 1)[0]
 
 
 def _sector_values(config: GalerkinConfig) -> np.ndarray:
@@ -317,5 +302,5 @@ def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:
             f"rate fit needs at least 4 grid points in the window, "
             f"got {int(mask.sum())}"
         )
-    diff = np.maximum(sweep.differences()[mask, index - 1], 1e-300)
+    diff = np.maximum(sweep.differences[mask, index - 1], 1e-300)
     return float(np.polyfit(np.log(sweep.a_grid[mask]), np.log(diff), 1)[0])

@@ -3,18 +3,19 @@
 * ``eig_dense_symmetric`` - full spectrum of a dense symmetric array (the
   Galerkin projection matrices), with optional eigenvectors.
 * ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the smallest values, or
-  all eigenpairs, of a symmetric tridiagonal matrix (the Mathieu
-  recurrences).
+  all eigenpairs, of a symmetric tridiagonal matrix given by its diagonal
+  and off-diagonal arrays (the Mathieu recurrences).
 
-Each takes arrays (a ``TridiagonalSymmetric`` holds two), validates them
-(square, finite) and calls ``numpy.linalg.eigh`` or ``eigvalsh``; no solver
-reads ``SymmetricMatrix``, which only ``galerkin.assemble`` returns.  The
-Mathieu tables need the small eigenvalues of recurrences graded with
-growing diagonals to absolute accuracy near machine epsilon;
-``tests/test_linalg.py`` re-checks that on the LAPACK path rather than
-assuming it.  A ``LinAlgError`` or a non-finite eigenvalue (overflow near
-the largest double) raises ``NumericalError``.  Eigenvalues are returned
-ascending; degenerate values are not collapsed here.
+Each validates its arrays (shape, finite) and calls ``numpy.linalg.eigh``
+or ``eigvalsh``; a tridiagonal matrix goes to LAPACK as one dense array,
+filled in place.  No solver reads ``SymmetricMatrix``, which only
+``galerkin.assemble`` returns.  The Mathieu tables need the small
+eigenvalues of recurrences graded with growing diagonals to absolute
+accuracy near machine epsilon; ``tests/test_linalg.py`` re-checks that on
+the LAPACK path rather than assuming it.  A ``LinAlgError`` or a
+non-finite eigenvalue (overflow near the largest double) raises
+``NumericalError``.  Eigenvalues are returned ascending; degenerate values
+are not collapsed here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import InputError, NumericalError
 
 __all__ = [
     "SymmetricMatrix",
-    "TridiagonalSymmetric",
     "EigenDecomposition",
     "eig_dense_symmetric",
     "eig_tridiagonal",
@@ -78,40 +78,6 @@ class SymmetricMatrix:
 
 
 @dataclass(frozen=True)
-class TridiagonalSymmetric:
-    """Symmetric tridiagonal matrix: ``diagonal`` (n) and ``offdiagonal`` (n-1)."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        e = np.asarray(self.offdiagonal, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise InputError("diagonal must be a non-empty 1-d array")
-        if e.shape != (d.size - 1,):
-            raise InputError(
-                f"offdiagonal must have length {d.size - 1}, got {e.shape}"
-            )
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise InputError("tridiagonal matrix has non-finite entries")
-        object.__setattr__(self, "diagonal", d)
-        object.__setattr__(self, "offdiagonal", e)
-
-    @property
-    def order(self) -> int:
-        return self.diagonal.size
-
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diagonal)
-        n = self.order
-        if n > 1:
-            out[np.arange(n - 1), np.arange(1, n)] = self.offdiagonal
-            out[np.arange(1, n), np.arange(n - 1)] = self.offdiagonal
-        return out
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues, plus orthonormal eigenvector columns if requested."""
 
@@ -153,13 +119,33 @@ def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition
     return _eigh(dense, want_vectors)
 
 
-def eig_tridiagonal(tri: TridiagonalSymmetric, count: int) -> np.ndarray:
+def _tridiagonal(diagonal, offdiagonal) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix of ``diagonal`` (n) and
+    ``offdiagonal`` (n-1), validated and filled in place."""
+    d = np.asarray(diagonal, dtype=float)
+    e = np.asarray(offdiagonal, dtype=float)
+    if d.ndim != 1 or d.size < 1:
+        raise InputError("diagonal must be a non-empty 1-d array")
+    if e.shape != (d.size - 1,):
+        raise InputError(
+            f"offdiagonal must have length {d.size - 1}, got {e.shape}"
+        )
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise InputError("tridiagonal matrix has non-finite entries")
+    out = np.diag(d)
+    out.flat[1::d.size + 1] = e
+    out.flat[d.size::d.size + 1] = e
+    return out
+
+
+def eig_tridiagonal(diagonal, offdiagonal, count: int) -> np.ndarray:
     """The ``count`` smallest eigenvalues of a symmetric tridiagonal matrix."""
-    if not (1 <= count <= tri.order):
-        raise InputError(f"count must be in [1, {tri.order}], got {count}")
-    return _eigh(tri.to_dense(), want_vectors=False).eigenvalues[:count]
+    dense = _tridiagonal(diagonal, offdiagonal)
+    if not (1 <= count <= dense.shape[0]):
+        raise InputError(f"count must be in [1, {dense.shape[0]}], got {count}")
+    return _eigh(dense, want_vectors=False).eigenvalues[:count]
 
 
-def eig_tridiagonal_full(tri: TridiagonalSymmetric) -> EigenDecomposition:
+def eig_tridiagonal_full(diagonal, offdiagonal) -> EigenDecomposition:
     """All eigenpairs of a symmetric tridiagonal matrix, ascending."""
-    return _eigh(tri.to_dense(), want_vectors=True)
+    return _eigh(_tridiagonal(diagonal, offdiagonal), want_vectors=True)

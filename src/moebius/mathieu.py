@@ -25,7 +25,9 @@ requested value is stable to 1e-13.  No recurrence above 4096 rows is built
 (each is solved dense, 128 MiB at that order): a count that leaves no room
 for one doubling below the cap, or a |q| past what the cap resolves
 (``_unresolvable``), raises ``CapacityError`` before anything is
-allocated, and failure to stabilise at the cap raises ``NumericalError``.
+allocated, and failure to stabilise at the cap raises ``NumericalError``,
+as does, also before anything is allocated, a finite |q| whose recurrences
+reach the largest double (``_OVERFLOW_Q``, about 7.4e307).
 The sign convention fixes the first non-vanishing Fourier coefficient
 positive.  Results are cached per (kind, order, q) and immutable, so
 concurrent use is safe.
@@ -39,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError
-from .linalg import TridiagonalSymmetric, eig_tridiagonal, eig_tridiagonal_full
+from .linalg import eig_tridiagonal, eig_tridiagonal_full
 
 __all__ = ["MathieuChar", "char_values", "char_value", "fourier_coefficients", "evaluate"]
 
@@ -58,6 +60,11 @@ _COEFF_CUTOFF = 1e-16
 # so se1 still resolved at 1.913e11.  A |q| above the line at c = 6.9e-4,
 # 1.94e11, where the change is 17 % past the tolerance, is refused.
 _RESOLVED_Q_PER_ROW4 = 6.9e-4
+# From this |q| on, Gershgorin's bound on a recurrence's eigenvalues,
+# (1 + sqrt 2)|q| plus a diagonal far below it, passes the largest double:
+# the values either overflow or sit near -2|q| and move by about
+# |q| / rows^2 under doubling, so no truncation stabilises.
+_OVERFLOW_Q = float(np.finfo(float).max / (1.0 + np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ def _first_harmonic(kind: str, parity: int) -> int:
     return 1 if parity == 1 else 2
 
 
-def _recurrence(kind: str, parity: int, q: float, size: int) -> TridiagonalSymmetric:
+def _recurrence(kind: str, parity: int, q: float, size: int):
+    """Diagonal and off-diagonal of one class's recurrence at ``size`` rows."""
     start = _first_harmonic(kind, parity)
     harmonics = start + 2.0 * np.arange(size)
     diag = harmonics**2
@@ -104,7 +112,7 @@ def _recurrence(kind: str, parity: int, q: float, size: int) -> TridiagonalSymme
         diag[0] = 1.0 - q
     elif kind == "ce" and parity == 0:
         off[0] = np.sqrt(2.0) * q
-    return TridiagonalSymmetric(diagonal=diag, offdiagonal=off)
+    return diag, off
 
 
 @lru_cache(maxsize=None)
@@ -119,15 +127,20 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
             f"{count} Mathieu values of class ({kind}, parity {parity}) need a "
             f"recurrence above the truncation cap {_MAX_TRUNCATION}"
         )
+    if _OVERFLOW_Q <= abs(q) < np.inf:
+        raise NumericalError(
+            f"non-finite eigenvalues: Mathieu recurrences at |q|={abs(q):.3g} reach "
+            f"the largest double (from |q|={_OVERFLOW_Q:.3g}) and never stabilise"
+        )
     if _unresolvable(q):
         raise CapacityError(
             f"Mathieu values at |q|={abs(q):.3g} need a recurrence above the "
             f"truncation cap {_MAX_TRUNCATION} (|q| above {_refused_q():.2g} is refused)"
         )
-    prev = eig_tridiagonal(_recurrence(kind, parity, q, size), count)
+    prev = eig_tridiagonal(*_recurrence(kind, parity, q, size), count)
     while 2 * size <= _MAX_TRUNCATION:
         size *= 2
-        cur = eig_tridiagonal(_recurrence(kind, parity, q, size), count)
+        cur = eig_tridiagonal(*_recurrence(kind, parity, q, size), count)
         if np.all(np.abs(cur - prev) <= _STABILITY_TOL * np.maximum(1.0, np.abs(cur))):
             return cur, size
         prev = cur
@@ -138,14 +151,9 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
 
 
 def _unresolvable(q: float) -> bool:
-    """Whether |q| is past every truncation under the cap.
-
-    True above ``_refused_q()``, unless Gershgorin's bound on the
-    recurrence's eigenvalues, (1 + sqrt 2)|q| plus a diagonal far below
-    it, passes the largest double: such a q is left to the eigensolver,
-    which reports overflowing values as non-finite.
-    """
-    return _refused_q() < abs(q) < np.finfo(float).max / (1.0 + np.sqrt(2.0))
+    """Whether |q| is past every truncation under the cap but below the
+    overflow band from ``_OVERFLOW_Q``, which is a numerical failure."""
+    return _refused_q() < abs(q) < _OVERFLOW_Q
 
 
 def _refused_q() -> float:
@@ -210,7 +218,7 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     parity = m % 2
     idx = _class_index(m, kind)
     _, size = _stable_class_values(kind, parity, q, idx + 1)
-    decomp = eig_tridiagonal_full(_recurrence(kind, parity, q, size))
+    decomp = eig_tridiagonal_full(*_recurrence(kind, parity, q, size))
     value = float(decomp.eigenvalues[idx])
     y = decomp.eigenvectors[:, idx].copy()
     y /= np.linalg.norm(y)

@@ -232,9 +232,9 @@ def _flat_modes(params: StripParams, count: int):
         raise InputError(f"count must be >= 1, got {count}")
     R = params.R
     e1 = params.transverse_energy
-    # room for the count + 16 lowest harmonics at n = 1: at a small
-    # half-width a box of about 2R pi / 2a harmonics, sqrt(8) times fewer
-    # than the box under 8 e1
+    # room for the count + 16 lowest harmonics at n = 1: a box of about
+    # count + 16 harmonics (more at a thin strip, where the cap rounds),
+    # not the about 2R sqrt(7) pi / 2a under 8 e1
     cap = min(8.0 * e1, e1 + ((count + 16.0) / (2.0 * R)) ** 2)
     while True:
         _require_box_capacity(R, e1, cap)
@@ -264,10 +264,9 @@ def _flat_modes(params: StripParams, count: int):
 
 def _require_box_capacity(R: float, e1: float, cap: float) -> None:
     """Raise ``CapacityError`` when the flat box under ``cap`` would pass
-    ``MAX_ARRAY_BYTES``; at a small half-width the first box already holds
-    about 2R pi / 2a harmonics.  Reckoned in floats, so an
-    overflowing box is refused too."""
-    cells = np.floor(np.sqrt(cap / e1)) * (2.0 * R * np.sqrt(cap) + 2.0)
+    ``MAX_ARRAY_BYTES``.  Reckoned in floats, so an overflowing box is
+    refused too."""
+    cells = np.floor(np.sqrt(cap / e1)) * (_box_span(R, e1, cap) + 2.0)
     if not _BOX_CELL_BYTES * cells <= MAX_ARRAY_BYTES:
         raise CapacityError(
             f"the flat modes below {cap:.3g} need about "
@@ -283,10 +282,18 @@ def _flat_box(R: float, e1: float, cap: float):
     n = np.arange(1, int(np.sqrt(cap / e1)) + 2)
     tn = e1 * n * n
     n, tn = n[tn <= cap], tn[tn <= cap]
-    harmonic = np.arange(int(2.0 * R * np.sqrt(cap)) + 2)
+    harmonic = np.arange(int(_box_span(R, e1, cap)) + 2)
     value = _pow2(harmonic / (2.0 * R)) + tn[:, None]
     inside = (value <= cap) & ((harmonic + n[:, None]) % 2 == 1)
     return n, harmonic, value, inside
+
+
+def _box_span(R: float, e1: float, cap: float) -> float:
+    """Bound on the harmonics of cells under ``cap``: h / 2R <= sqrt(cap - e1)
+    at n = 1, widened by two spacings of ``cap`` for the rounding of the
+    cell values, which at a thin strip matters since cap - e1 can fall
+    below the spacing of e1."""
+    return 2.0 * R * np.sqrt(max(cap - e1, 0.0) + 2.0 * np.spacing(cap))
 
 
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:

@@ -74,6 +74,19 @@ def _result(module, name, observed, bound, detail_fmt="max deviation") -> CheckR
     )
 
 
+def _spread(count: int, *ranges) -> tuple:
+    """``count`` fixed points spread evenly over the box of ``ranges``, one
+    (lo, hi) per axis: the Kronecker sequence frac(1/2 + k alpha), k = 1..count,
+    with alpha_j = phi^-j and phi the positive root of x^(d+1) = x + 1 (the
+    golden ratio in one dimension, the plastic number in two).  It covers
+    the box without lying on a line and needs no random generator."""
+    dim, phi = len(ranges), 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    unit = (0.5 + np.arange(1, count + 1)[:, None] * phi ** -np.arange(1.0, dim + 1)) % 1.0
+    return tuple(lo + (hi - lo) * unit[:, j] for j, (lo, hi) in enumerate(ranges))
+
+
 def check_jacobian_bounds(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     s = np.linspace(0.0, params.circumference, 2000, endpoint=False)
     t = np.linspace(-params.a, params.a, 200)
@@ -101,8 +114,7 @@ def check_seam_symmetry(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
 def check_fermi_identity(
     params: StripParams = DEFAULT_PARAMS, curvature_fn=curvatures
 ) -> CheckResult:
-    rng = np.random.default_rng(20240)
-    s = rng.uniform(0.0, params.circumference, 50)
+    (s,) = _spread(50, (0.0, params.circumference))
     gauss, geodesic = curvature_fn(params, s)
     lhs = -geodesic**2 / 4.0 - gauss / 2.0
     worst = float(np.max(np.abs(lhs - potential_veff(params, s))))
@@ -112,9 +124,7 @@ def check_fermi_identity(
 
 
 def check_derivatives_fd(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    rng = np.random.default_rng(7)
-    s = rng.uniform(0.0, params.circumference, 100)
-    t = rng.uniform(-params.a, params.a, 100)
+    s, t = _spread(100, (0.0, params.circumference), (-params.a, params.a))
     h = 1e-6
     d1f, d2f, _, _ = jacobian_f_derivatives(params, s, t)
     fd1 = (jacobian_f(params, s + h, t) - jacobian_f(params, s - h, t)) / (2 * h)
@@ -129,9 +139,7 @@ def check_derivatives_fd(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
 
 def check_embedding_metric(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     """The coded Jacobian must match the metric induced by the embedding."""
-    rng = np.random.default_rng(11)
-    s = rng.uniform(0.0, params.circumference, 60)
-    t = rng.uniform(-params.a, params.a, 60)
+    s, t = _spread(60, (0.0, params.circumference), (-params.a, params.a))
     h = 1e-6
     dxs = (embed(params, s + h, t) - embed(params, s - h, t)) / (2 * h)
     dxt = (embed(params, s, t + h) - embed(params, s, t - h)) / (2 * h)
@@ -197,8 +205,7 @@ def check_mathieu_orthogonality() -> CheckResult:
 
 
 def check_mathieu_ode_residual() -> CheckResult:
-    rng = np.random.default_rng(3)
-    eta = rng.uniform(-np.pi, np.pi, 100)
+    (eta,) = _spread(100, (-np.pi, np.pi))
     q = -0.25
     worst = 0.0
     for kind, orders in (("ce", range(0, 7)), ("se", range(1, 7))):

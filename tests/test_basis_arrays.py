@@ -201,8 +201,36 @@ def test_thin_strip_starts_from_a_box_sized_for_the_count(monkeypatch, a):
     monkeypatch.setattr(models, "_flat_box", recorded)
     params = StripParams(a=a, R=2.86)
     assert_matches_reference(params, 20, True)
-    # one n and about 2R pi / 2a harmonics, not the box under 8 e1
+    # a cap just above e1, not 8 e1: one n, and about count + 16 harmonics
     assert caps and caps[0] < 1.001 * params.transverse_energy
+
+
+def full_span(R, e1, cap):
+    """The box span before the cut: every harmonic up to 2R sqrt(cap),
+    whatever the transverse energy e1 already takes of the cap."""
+    return 2.0 * R * np.sqrt(cap)
+
+
+def wide_span(R, e1, cap):
+    """The cut span with 1024 spacings of the cap where it has 2: far past
+    the rounding of any cell value, and small enough to build on strips
+    too thin for the full span."""
+    return 2.0 * R * np.sqrt(max(cap - e1, 0.0) + 1024.0 * np.spacing(cap))
+
+
+@pytest.mark.parametrize(
+    "a, reference",
+    [(a, full_span) for a in (0.75, 0.1, 1e-2, 1e-3, 1e-4, 1e-5)]
+    + [(a, wide_span) for a in (1e-7, 1e-9, 1e-11)],
+)
+def test_box_cut_to_the_reachable_harmonics_keeps_every_mode(monkeypatch, a, reference):
+    cases = [(R, count) for R in (0.8, 2.0, 5.0) for count in (1, 5, 200)]
+    cut = [models._flat_modes(StripParams(a=a, R=R), count) for R, count in cases]
+    monkeypatch.setattr(models, "_box_span", reference)
+    for (R, count), modes in zip(cases, cut):
+        expected = models._flat_modes(StripParams(a=a, R=R), count)
+        for got, want in zip(modes, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (R, count)
 
 
 def test_near_ties_merge_into_one_entry():

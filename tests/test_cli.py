@@ -320,6 +320,8 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
         assert not loaded & {"moebius.galerkin", "moebius.convergence", "moebius.verify"}
     if argv[:3] == ["spectrum", "--model", "fake"]:
         assert not loaded & {"moebius.mathieu", "moebius.linalg"}
+    if argv[0] == "verify":
+        assert "numpy.random" not in loaded
 
 
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999"])
@@ -373,11 +375,30 @@ def test_mathieu_huge_q_is_refused_before_any_solve(capsys, monkeypatch):
         assert err.startswith("error: Mathieu values at |q|=") and err.count("\n") == 1
 
 
-def test_mathieu_overflowing_q_is_a_numerical_failure(capsys):
+def test_mathieu_overflowing_q_is_a_numerical_failure(capsys, monkeypatch):
     # finite entries, but the recurrence eigenvalues overflow to -inf
     code, _, err = run_cli(["mathieu", "--q", "1e308", "--max-order", "2"], capsys)
     assert code == 3
     assert "numerical failure: non-finite eigenvalues" in err
+    # non-finite q is invalid input, as before
+    for q in ("nan", "inf", "-inf"):
+        code, _, err = run_cli(["mathieu", f"--q={q}", "--max-order", "2"], capsys)
+        assert code == 2 and "non-finite" in err
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a Mathieu recurrence was built")
+
+    # the whole band from finfo.max / (1 + sqrt 2), about 7.4e307, fails
+    # before a recurrence is built, without numpy's overflow warning
+    monkeypatch.setattr(mathieu, "_recurrence", not_reached)
+    huge = float(np.finfo(float).max)
+    for q in (7.5e307, 1.7e308, huge, -7.5e307, -1.7e308, -huge):
+        start = time.perf_counter()
+        code, out, err = run_cli(["mathieu", f"--q={q!r}", "--max-order", "2"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: non-finite eigenvalues") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -468,13 +489,37 @@ def test_runaway_converge_steps_are_refused_before_the_grid(capsys, monkeypatch,
 
 @pytest.mark.parametrize("model", ["fake", "true"])
 def test_thin_strip_flat_box_is_refused_before_it_is_built(capsys, monkeypatch, model):
-    # at a = 1e-9 the first box of flat modes holds about 10^11 cells
+    # the box spans only the harmonics that reach the value cap at n = 1,
+    # but that reach is set by the rounding of the cap, which grows as 1/a:
+    # at R = 2 and count 5 it passes the cap from a = 1.58e-14 down
     def not_reached(*args, **kwargs):
         raise AssertionError("the flat box was built")
 
     monkeypatch.setattr(models, "_flat_box", not_reached)
-    argv = ["spectrum", "--model", model, "--a", "1e-9", "--R", "2.0", "--count", "5"]
+    argv = ["spectrum", "--model", model, "--a", "1e-14", "--R", "2.0", "--count", "5"]
     code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: the flat modes below ") and err.endswith("MiB cap\n")
+
+
+@pytest.mark.parametrize("model", ["fake", "true"])
+def test_thin_strip_flat_box_holds_a_few_hundred_harmonics(capsys, monkeypatch, model):
+    # at a = 1e-9 a box of every harmonic up to 2R sqrt(cap) would span
+    # about 6e9 harmonics and was refused; the cut box spans 130
+    widths = []
+    build = models._flat_box
+
+    def recorded(R, e1, cap):
+        box = build(R, e1, cap)
+        widths.append(box[1].size)
+        return box
+
+    monkeypatch.setattr(models, "_flat_box", recorded)
+    argv = ["spectrum", "--model", model, "--a", "1e-9", "--R", "2.0", "--count", "5"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2 + 5
+    assert widths and max(widths) < 1000

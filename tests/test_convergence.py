@@ -36,8 +36,8 @@ def synthetic_sweep(power, scale=1.0):
         n_basis=10,
         effective_values=effective,
         true_values=true,
+        differences=differences[:, None],
         ratios=differences[:, None] / a_grid[:, None] ** 2,
-        slopes=np.array([np.nan]),
     )
 
 
@@ -94,13 +94,13 @@ def test_eigenvalue_sweep_smoke():
                 assert abs(sweep.ratios[i, n + 1] - sweep.ratios[i, n]) < 1e-6
 
 
-def test_sweep_slopes_are_the_per_index_fits():
+def test_sweep_differences_are_the_gaps_and_ratios_their_scaling():
     grid = geometric_grid(0.1, 0.5, 5)
     sweep = eigenvalue_sweep(RADIUS, grid, 8, 40)
-    # one least-squares solve for all indices, each slope as fit_rate's
-    assert np.array_equal(sweep.slopes, [fit_rate(sweep, n) for n in range(1, 9)])
-    short = eigenvalue_sweep(RADIUS, grid[:3], 8, 40)
-    assert short.slopes.shape == (8,) and np.all(np.isnan(short.slopes))
+    gaps = np.abs(sweep.effective_values - sweep.true_values)
+    assert sweep.differences.shape == (5, 8)
+    assert np.array_equal(sweep.differences, gaps)
+    assert np.array_equal(sweep.ratios, sweep.differences / grid[:, None] ** 2)
 
 
 @pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
@@ -175,13 +175,13 @@ def test_eigenvector_sweep_flat_oracle():
     # with the flat-plus-potential geometry both models coincide
     grid = np.array([0.1, 0.25, 0.5])
     sweep = eigenvector_sweep(RADIUS, grid, 5, 40, geometry="flat_with_Veff")
-    assert np.max(sweep.distances) < 1e-9
+    assert np.max(sweep.differences) < 1e-9
 
 
 def test_eigenvector_sweep_bounded_ratio():
     grid = geometric_grid(0.1, 0.5, 5)
     sweep = eigenvector_sweep(RADIUS, grid, 5, 40)
-    assert sweep.distances.shape == (5, 5)
+    assert sweep.differences.shape == (5, 5)
     assert np.all(np.isfinite(sweep.ratios))
     # quadratic rate: ratio stays bounded and nearly constant
     spread = sweep.ratios.max(axis=0) / sweep.ratios.min(axis=0)
@@ -222,8 +222,8 @@ def test_threaded_sweep_is_deterministic(monkeypatch):
     # on the class, so every binding of it refuses to build a pool
     monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
     default = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=None)
-    for field in ("effective_values", "true_values", "ratios", "slopes"):
-        assert np.array_equal(getattr(default, field), getattr(pair, field), equal_nan=True)
+    for field in ("effective_values", "true_values", "differences", "ratios"):
+        assert np.array_equal(getattr(default, field), getattr(pair, field))
 
 
 def test_sweep_work_estimate():

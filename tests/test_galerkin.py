@@ -489,7 +489,7 @@ def test_eigenpair_consumers_never_compute_residuals(monkeypatch, tmp_path):
                  "--N", "30", "--grid", "12x5", "--output", str(tmp_path / "density.csv")])
     assert code == 0
     sweep = eigenvector_sweep(WIDE_PARAMS.R, [0.3, 0.6], 3, 24)
-    assert np.all(np.isfinite(sweep.distances))
+    assert np.all(np.isfinite(sweep.differences))
 
 
 @pytest.mark.parametrize("params, n_basis", [(TABLE_PARAMS, 82), (WIDE_PARAMS, 60)])
@@ -599,7 +599,7 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
     galerkin._basis_arrays.cache_clear()
     a_grid = [0.31, 0.47, 0.62]
     sweep = eigenvector_sweep(WIDE_PARAMS.R, a_grid, 3, 24)
-    assert np.all(np.isfinite(sweep.distances))
+    assert np.all(np.isfinite(sweep.differences))
     assert [params.a for params in calls] == a_grid
     m, n = galerkin._basis_arrays(StripParams(a=0.47, R=WIDE_PARAMS.R), 24, True)
     assert len(calls) == 3

@@ -1,9 +1,10 @@
 """Golden outputs of the README commands, compared within stated bounds.
 
 ``tests/golden/<name>.csv`` holds the CSV output of one README command
-(``tests/golden/regenerate.py`` lists them and rewrites the files), run
-in-process through ``moebius.cli.main`` with SOURCE_DATE_EPOCH pinned.
-A fresh run must match its golden file as follows:
+(``tests/golden/regenerate.py`` lists them, defines the column sets and
+tolerances below and merges fresh runs into the files), run in-process
+through ``moebius.cli.main`` with SOURCE_DATE_EPOCH pinned.  A fresh run
+must match its golden file as follows:
 
 * the manifest line, the header and the row count exactly;
 * the input and label columns (``m``, ``index``, ``n``, ``a``, ``s``, ``u``,
@@ -21,9 +22,7 @@ A fresh run must match its golden file as follows:
   the tie, so there only the mode index ``(m=..,n=..)`` is compared.
 """
 
-import csv
 import importlib.util
-import io
 from pathlib import Path
 
 import pytest
@@ -33,62 +32,49 @@ _spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "re
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
-EXACT = {"m", "index", "n", "a", "s", "u", "record", "multiplicity", "module", "check", "status"}
-RELATIVE = {"a_m", "b_m", "value", "lambda_effective", "lambda_true", "residual",
-            "density", "x", "y", "z"}
-GAPS = {"difference", "ratio"}
-NOT_CELLWISE = {"detail", "mode"}  # free text; labels compared per group below
-VALUE_RTOL = 1e-12
-GAP_RTOL = 1e-12
-SLOPE_RTOL = 1e-5
-
-
-def split(text):
-    lines = text.splitlines()
-    return lines[0], lines[1], list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
-
-
-def tolerance(column, old):
-    """Absolute tolerance of one numeric cell of the golden row ``old``."""
-    if column in RELATIVE:
-        return VALUE_RTOL * abs(float(old[column]))
-    if column == "slope":
-        return SLOPE_RTOL * abs(float(old[column]))
-    gap = GAP_RTOL * max(float(old["lambda_effective"]), float(old["lambda_true"]))
-    return gap / float(old["a"]) ** 2 if column == "ratio" else gap
-
-
-def mode_groups(rows):
-    groups, i = [], 0
-    while i < len(rows):
-        size = int(rows[i]["multiplicity"])
-        labels = [row["mode"] for row in rows[i:i + size]]
-        if len(labels) < size:
-            labels = [label[label.index("("):] for label in labels]
-        groups.append(sorted(labels))
-        i += size
-    return groups
-
 
 @pytest.mark.parametrize("name", sorted(regenerate.COMMANDS))
 def test_readme_command_matches_golden(name):
-    new_manifest, new_header, new_rows = split(regenerate.run(regenerate.COMMANDS[name]))
-    old_manifest, old_header, old_rows = split((GOLDEN / f"{name}.csv").read_text())
+    fresh = regenerate.run(regenerate.COMMANDS[name])
+    committed = (GOLDEN / f"{name}.csv").read_text()
+    new_manifest, new_header, new_rows = regenerate.split(fresh)
+    old_manifest, old_header, old_rows = regenerate.split(committed)
     assert new_manifest == old_manifest
     assert new_header == old_header
     assert len(new_rows) == len(old_rows)
     columns = new_header.split(",")
-    assert set(columns) <= EXACT | RELATIVE | GAPS | NOT_CELLWISE | {"slope"}
-    compared = [c for c in columns if c not in NOT_CELLWISE]
+    assert set(columns) <= (regenerate.EXACT | regenerate.RELATIVE | regenerate.GAPS
+                            | regenerate.NOT_CELLWISE | {"slope"})
+    compared = [c for c in columns if c not in regenerate.NOT_CELLWISE]
 
     for i, (new, old) in enumerate(zip(new_rows, old_rows)):
         for column in compared:
-            got, want = new[column], old[column]
-            if column in EXACT or "" in (got, want):
-                ok = got == want
-            else:
-                ok = abs(float(got) - float(want)) <= tolerance(column, old)
-            assert ok, f"row {i + 1} column {column}: {got} (golden {want})"
+            assert regenerate.cell_matches(column, new, old), (
+                f"row {i + 1} column {column}: {new[column]} (golden {old[column]})"
+            )
 
     if "mode" in columns:
-        assert mode_groups(new_rows) == mode_groups(old_rows)
+        assert regenerate.mode_groups(new_rows) == regenerate.mode_groups(old_rows)
+    # so a regeneration from this run rewrites nothing
+    assert regenerate.merge(fresh, committed) == committed
+
+
+def test_regeneration_rewrites_only_the_cells_that_moved():
+    committed = (GOLDEN / "converge-eigenvalue.csv").read_text()
+    lines = committed.splitlines(keepends=True)
+    header = lines[1].rstrip("\n").split(",")
+    column = header.index("lambda_true")
+    cells = lines[2].rstrip("\n").split(",")
+    value = float(cells[column])
+    # a last-bits change is kept as committed, a moved value is written
+    for fresh_value, expected in ((value * (1.0 + 4e-16), cells[column]),
+                                  (value * (1.0 + 1e-9), repr(value * (1.0 + 1e-9)))):
+        fresh_cells = list(cells)
+        fresh_cells[column] = repr(fresh_value)
+        fresh = "".join(lines[:2]) + ",".join(fresh_cells) + "\n" + "".join(lines[3:])
+        merged = regenerate.merge(fresh, committed).splitlines(keepends=True)
+        assert merged[:2] + merged[3:] == lines[:2] + lines[3:]
+        assert merged[2].rstrip("\n").split(",")[column] == expected
+    # a changed header or row count is the fresh text as it is
+    shorter = "".join(lines[:-1])
+    assert regenerate.merge(shorter, committed) == shorter

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from moebius.errors import InputError, NumericalError
 from moebius.linalg import (
     SymmetricMatrix,
-    TridiagonalSymmetric,
+    _tridiagonal,
     eig_dense_symmetric,
     eig_tridiagonal,
     eig_tridiagonal_full,
@@ -87,24 +89,25 @@ def test_symmetric_matrix_storage():
 
 
 def test_tridiagonal_decoupled():
-    tri = TridiagonalSymmetric(np.array([0.0, 4.0, 16.0]), np.zeros(2))
-    assert eig_tridiagonal(tri, 3) == pytest.approx([0.0, 4.0, 16.0], abs=1e-15)
+    values = eig_tridiagonal(np.array([0.0, 4.0, 16.0]), np.zeros(2), 3)
+    assert values == pytest.approx([0.0, 4.0, 16.0], abs=1e-15)
 
 
 def test_tridiagonal_discrete_laplacian():
     # classical closed form: eigenvalues 2 - 2 cos(k pi / (n+1))
     n = 34
-    tri = TridiagonalSymmetric(np.full(n, 2.0), np.full(n - 1, -1.0))
     expected = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     expected.sort()
-    assert eig_tridiagonal(tri, n) == pytest.approx(expected, abs=1e-13)
+    assert eig_tridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0), n) == pytest.approx(
+        expected, abs=1e-13
+    )
 
 
 def test_tridiagonal_full_pairs():
     rng = np.random.default_rng(8)
-    tri = TridiagonalSymmetric(rng.standard_normal(25), rng.standard_normal(24))
-    decomp = eig_tridiagonal_full(tri)
-    dense = tri.to_dense()
+    diag, off = rng.standard_normal(25), rng.standard_normal(24)
+    decomp = eig_tridiagonal_full(diag, off)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     v = decomp.eigenvectors
     assert np.max(np.abs(v.T @ v - np.eye(25))) < 1e-10
     residual = dense @ v - v * decomp.eigenvalues[None, :]
@@ -117,26 +120,46 @@ def test_graded_matrix_small_eigenvalue_accuracy():
     diag = (2.0 * np.arange(n)) ** 2
     off = np.full(n - 1, -0.25)
     off[0] *= np.sqrt(2.0)
-    tri = TridiagonalSymmetric(diag, off)
-    coarse = eig_tridiagonal(tri, 1)[0]
+    coarse = eig_tridiagonal(diag, off, 1)[0]
     fine = eig_tridiagonal(
-        TridiagonalSymmetric(
-            (2.0 * np.arange(2 * n)) ** 2,
-            np.concatenate([off, np.full(n, -0.25)]),
-        ),
-        1,
+        (2.0 * np.arange(2 * n)) ** 2, np.concatenate([off, np.full(n, -0.25)]), 1
     )[0]
     assert abs(coarse - fine) < 1e-14
 
 
 def test_input_validation():
-    with pytest.raises(InputError):
-        TridiagonalSymmetric(np.array([1.0, 2.0]), np.array([np.inf]))
-    tri = TridiagonalSymmetric(np.array([1.0, 2.0]), np.array([0.5]))
-    with pytest.raises(InputError):
-        eig_tridiagonal(tri, 3)
-    with pytest.raises(InputError):
-        eig_tridiagonal(tri, 0)
+    diag, off = np.array([1.0, 2.0]), np.array([0.5])
+    for bad_diag, bad_off, message in (
+        (np.zeros((2, 2)), off, "diagonal must be a non-empty 1-d array"),
+        (np.zeros(0), np.zeros(0), "diagonal must be a non-empty 1-d array"),
+        (diag, np.zeros(2), r"offdiagonal must have length 1, got \(2,\)"),
+        (diag, np.array([np.inf]), "tridiagonal matrix has non-finite entries"),
+        (np.array([np.nan, 2.0]), off, "tridiagonal matrix has non-finite entries"),
+    ):
+        with pytest.raises(InputError, match=message):
+            eig_tridiagonal(bad_diag, bad_off, 1)
+        with pytest.raises(InputError, match=message):
+            eig_tridiagonal_full(bad_diag, bad_off)
+    for count in (3, 0):
+        with pytest.raises(InputError, match=rf"count must be in \[1, 2\], got {count}"):
+            eig_tridiagonal(diag, off, count)
+
+
+def test_tridiagonal_builder_fills_one_dense_matrix():
+    diag, off = np.arange(1.0, 6.0), np.arange(-1.0, -5.0, -1.0)
+    assert np.array_equal(_tridiagonal(diag, off), np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert np.array_equal(_tridiagonal(np.array([3.0]), np.zeros(0)), [[3.0]])
+    # filled in place: the traced peak is the one n x n array and a few
+    # kilobytes of fixed overhead, no index arrays of length n
+    n = 1024
+    diag, off = np.arange(float(n)), np.ones(n - 1)
+    tracemalloc.start()
+    try:
+        _tridiagonal(diag, off)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n * n <= peak < 8 * n * n + 8192
 
 
 def test_plain_arrays_go_to_lapack_unpacked(monkeypatch):
@@ -161,11 +184,11 @@ def test_plain_arrays_go_to_lapack_unpacked(monkeypatch):
 
 def test_overflow_raises_numerical_error():
     # finite entries near the largest double overflow inside LAPACK
-    tri = TridiagonalSymmetric(np.full(8, 1e308), np.full(7, 1e308))
+    diag, off = np.full(8, 1e308), np.full(7, 1e308)
     with pytest.raises(NumericalError, match="non-finite"):
-        eig_tridiagonal(tri, 1)
+        eig_tridiagonal(diag, off, 1)
     with pytest.raises(NumericalError, match="non-finite"):
-        eig_dense_symmetric(tri.to_dense())
+        eig_dense_symmetric(_tridiagonal(diag, off))
 
 
 def test_lapack_failure_raises_numerical_error(monkeypatch):

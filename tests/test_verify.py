@@ -27,7 +27,7 @@ def test_fermi_check_catches_sign_error():
 
 
 def test_mathieu_check_catches_wrong_symmetrisation():
-    from moebius.linalg import TridiagonalSymmetric, eig_tridiagonal
+    from moebius.linalg import eig_tridiagonal
     from moebius.mathieu import char_values
 
     def broken_char_values(q, max_order):
@@ -36,7 +36,7 @@ def test_mathieu_check_catches_wrong_symmetrisation():
         size = 64
         diag = (2.0 * np.arange(size)) ** 2
         off = np.full(size - 1, q)  # missing sqrt(2) on off[0]
-        broken = eig_tridiagonal(TridiagonalSymmetric(diag, off), max_order // 2 + 1)
+        broken = eig_tridiagonal(diag, off, max_order // 2 + 1)
         out = []
         for ch in chars:
             if ch.kind == "ce" and ch.m % 2 == 0:
@@ -47,3 +47,14 @@ def test_mathieu_check_catches_wrong_symmetrisation():
 
     assert verify.check_mathieu_reference(char_values_fn=broken_char_values).passed is False
     assert verify.check_mathieu_reference().passed is True
+
+
+def test_sample_points_spread_over_the_whole_rectangle():
+    s, t = verify._spread(60, (0.0, 6.0), (-0.5, 0.5))
+    assert s.size == t.size == 60 and np.unique(s).size == np.unique(t).size == 60
+    assert 0.0 < s.min() and s.max() < 6.0 and -0.5 < t.min() and t.max() < 0.5
+    # every cell of a 5 x 5 grid over the rectangle holds a point
+    cells = np.floor(s / 6.0 * 5).astype(int) * 5 + np.floor((t + 0.5) * 5).astype(int)
+    assert np.unique(cells).size == 25
+    (eta,) = verify._spread(100, (-np.pi, np.pi))
+    assert np.histogram(eta, bins=10, range=(-np.pi, np.pi))[0].min() >= 9
