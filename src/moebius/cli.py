@@ -21,7 +21,7 @@ byte-identical; any other value is refused with exit 2 before the run.
 
 ``converge`` alone takes ``--threads N``, which must be at least 1 and is
 checked when the arguments are parsed; N of 2 or more solves its
-half-widths on N worker threads.  Without it the half-widths are solved
+chunks of half-widths on N worker threads.  Without it the half-widths are solved
 one after another and no thread pool is started.
 
 Exit codes: 0 success, 2 invalid input (including a flat-mode box, basis,
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_thread_count,
         default=None,
-        help="worker threads for the half-widths; 2 or more starts a thread "
+        help="worker threads for the chunks of half-widths; 2 or more starts a thread "
         "pool (default: solve them serially)",
     )
     _add_output_options(p)
@@ -315,7 +315,7 @@ def _cmd_spectrum(args) -> int:
         table = {
             "index": list(range(1, args.count + 1)),
             "value": solution.eigenvalues[:args.count],
-            "residual": solution.residual_norms[:args.count],
+            "residual": solution.leading_residual_norms(args.count),
         }
     else:
         from . import models

@@ -19,17 +19,26 @@ Raw eigenvalues and the differences are stored alongside the ratios.
 differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Both kinds run through one driver over a point function that returns
-(effective, true, difference) rows.  The eigenvalue point diagonalises
-each sector block for its values only and never forms the N x N matrix;
-the eigenvector point takes the sector-ordered eigenpairs of
-``galerkin.solve`` and never reads its residual norms, so neither computes
-them.  Sweeps solve independent half-widths one after another, or on a
-pool of ``threads`` worker threads when ``threads`` is 2 or more; results
-are gathered in grid order, so the output is deterministic for a given
-configuration.
+Both kinds run through one driver, which solves the grid a chunk of
+``_CHUNK`` half-widths at a time.  ``galerkin._project_chunk`` gives the
+chunk's sector blocks, one stack per sector for each group of points with
+the same basis and quadrature orders: the points whose orders agree (each
+keeps its own, so its values are those of ``galerkin.solve``'s matrix)
+share one quadrature, one broadcast field evaluation, one kernel product
+and one FFT.  Each sector's stack goes to
+LAPACK in one ``eig_dense_symmetric`` call, and the sector values merge by
+a stable sort, cosine before sine among ties.  The eigenvalue kind asks
+for values only; the eigenvector kind takes the eigenvectors of the same
+stacks, scatters their rows into basis order and compares each point's
+leading columns with its effective expansion.  Neither forms the N x N
+matrix, calls ``galerkin.solve`` or computes residual norms.  Chunks run
+one after another, or on a pool of ``threads`` worker threads when
+``threads`` is 2 or more; results are gathered in grid order, so the
+output is deterministic for a given configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
-refused with ``CapacityError`` before any point is solved.
+refused with ``CapacityError`` before any point is solved, and a chunk
+whose stacked arrays would pass ``galerkin.MAX_ARRAY_BYTES`` before any of
+them is built.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, _discretise, _project, effective_in_basis, solve
+from .galerkin import GalerkinConfig, _project_chunk, effective_in_basis
+from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
 from .models import _effective_modes
@@ -56,13 +66,19 @@ __all__ = [
 ]
 
 CLUSTER_RTOL = 1e-9
+# half-widths solved together: those of a chunk that share quadrature orders
+# share one field evaluation, and those that share a basis as well one
+# eigensolve per sector; at N = 72 the stacked fields of 8 points take
+# about 400 KiB
+_CHUNK = 8
 _CLUSTER_MARGIN = 4  # extra indices inspected so cutoff-straddling clusters close
 # Cap on ``sweep_work``: at N = 72, where one point is estimated at 1.5e7
-# operations and takes 0.7-1.1 ms on one core, it admits 650k points, 8-12
-# minutes.
+# operations and takes 0.43 ms (eigenvalue kind) to 0.79 ms (eigenvector
+# kind) on one core in 64-point sweeps, it admits 650k points, 5-9 minutes.
 MAX_SWEEP_WORK = 10**13
-# one point's fixed cost in operations, mostly interpreter work: about
-# 0.45 ms at N = 20, where the N-dependent terms are small
+# one point's fixed cost in operations, mostly interpreter work: 0.19 ms
+# (eigenvalue kind) to 0.32 ms (eigenvector kind) at N = 20, where the
+# N-dependent terms are small
 _POINT_OVERHEAD = 5 * 10**6
 
 
@@ -121,10 +137,11 @@ class SweepResult:
 
 
 def _sweep(
-    kind, point, radius, a_grid, count, n_basis, geometry, m_s, m_u, threads
+    kind, chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u, threads
 ) -> SweepResult:
-    """``point`` over the grid, its rows of (effective, true, difference)
-    stacked into per-(a, n) arrays."""
+    """``chunk_rows`` over the grid a chunk of ``_CHUNK`` half-widths at a
+    time, its (effective, true, difference) arrays stacked into per-(a, n)
+    arrays."""
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise InputError("a_grid must be a non-empty 1-d sequence")
@@ -140,15 +157,19 @@ def _sweep(
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
 
-    def worker(a: float):
-        config = GalerkinConfig(
-            params=StripParams(a=float(a), R=radius), n_basis=n_basis, m_s=m_s, m_u=m_u,
-            geometry=geometry, close_pairs=True,
-        )
-        return point(config, count)
+    def worker(chunk):
+        configs = [
+            GalerkinConfig(
+                params=StripParams(a=float(a), R=radius), n_basis=n_basis, m_s=m_s,
+                m_u=m_u, geometry=geometry, close_pairs=True,
+            )
+            for a in chunk
+        ]
+        return chunk_rows(configs, count)
 
-    rows = _map_grid(worker, a_grid, threads)
-    eff, true, differences = (np.vstack(column) for column in zip(*rows))
+    chunks = [a_grid[lo:lo + _CHUNK] for lo in range(0, a_grid.size, _CHUNK)]
+    rows = _map_grid(worker, chunks, threads)
+    eff, true, differences = (np.concatenate(column) for column in zip(*rows))
     return SweepResult(
         kind=kind,
         radius=radius,
@@ -162,32 +183,53 @@ def _sweep(
     )
 
 
-def _map_grid(worker, a_grid, threads):
-    """``worker`` over the grid in grid order, serially unless ``threads`` is
-    2 or more: on 2 cores a pool was slower than one thread in both sweeps."""
+def _map_grid(worker, chunks, threads):
+    """``worker`` over the chunks in grid order, serially unless ``threads``
+    is 2 or more and the grid has more than one point: on 2 cores a pool
+    was slower than one thread in both sweeps."""
     if threads is not None and threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    if threads is None or threads == 1 or a_grid.size == 1:
-        return [worker(a) for a in a_grid]
+    if threads is None or threads == 1 or len(chunks[0]) == 1:
+        return [worker(chunk) for chunk in chunks]
     from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, a_grid))
+        return list(pool.map(worker, chunks))
 
 
-def _sector_values(config: GalerkinConfig) -> np.ndarray:
-    """Ascending Galerkin eigenvalues from one values-only eigensolve per
-    sector block; the N x N matrix is never formed."""
-    blocks = _project(_discretise(config))
-    return np.sort(np.concatenate([
-        eig_dense_symmetric(block, want_vectors=False).eigenvalues for block in blocks
-    ]))
+def _solved_chunk(configs, want_vectors: bool):
+    """Per stack group of ``galerkin._project_chunk``: (positions of its
+    configurations, ascending values (points, N), the merge order
+    (points, N) and, with ``want_vectors``, eigenvectors (points, N, N)
+    with coefficient rows in basis order and columns in sector order).
+
+    Each sector's stack of blocks is diagonalised by one call; the sector
+    values are merged by a stable sort, cosine before sine among ties.
+    """
+    solved = []
+    for points, m, sectors, stacks in _project_chunk(configs):
+        decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
+        values = np.concatenate([d.eigenvalues for d in decomps], axis=1)
+        order = np.argsort(values, axis=1, kind="stable")
+        vectors = None
+        if want_vectors:
+            vectors = np.zeros((len(points), m.size, m.size))
+            lo = 0
+            for rows, decomp in zip(sectors, decomps):
+                vectors[:, rows, lo:lo + rows.size] = decomp.eigenvectors
+                lo += rows.size
+        solved.append((points, np.take_along_axis(values, order, axis=1), order, vectors))
+    return solved
 
 
-def _eigenvalue_point(config: GalerkinConfig, count: int):
-    """Effective and Galerkin eigenvalues and their gaps at one half-width."""
-    true = _sector_values(config)[:count]
-    eff = _effective_modes(config.params, count)[3][:count]
+def _eigenvalue_chunk(configs, count: int):
+    """Effective and Galerkin eigenvalues and their gaps at each half-width
+    of the chunk, from values-only eigensolves of the sector stacks; the
+    N x N matrix is never formed."""
+    true = np.empty((len(configs), count))
+    for points, values, _, _ in _solved_chunk(configs, want_vectors=False):
+        true[points] = values[:, :count]
+    eff = np.array([_effective_modes(config.params, count)[3][:count] for config in configs])
     return eff, true, np.abs(eff - true)
 
 
@@ -203,7 +245,7 @@ def eigenvalue_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
-    return _sweep("eigenvalue", _eigenvalue_point, radius, a_grid, count, n_basis,
+    return _sweep("eigenvalue", _eigenvalue_chunk, radius, a_grid, count, n_basis,
                   geometry, m_s, m_u, threads)
 
 
@@ -253,20 +295,26 @@ def _subspace_distance(true_block, eff_block, truncations):
     return np.sqrt(squared / h)
 
 
-def _eigenvector_point(config: GalerkinConfig, count: int):
+def _eigenvector_chunk(configs, count: int):
     """Effective and Galerkin eigenvalues and the eigenvector distances at
-    one half-width, clusters compared as subspaces."""
-    true = solve(config)
-    n_probe = min(count + _CLUSTER_MARGIN, true.eigenvalues.size)
-    expansion = effective_in_basis(config, n_probe)
-    distances = np.empty(count)
-    for lo, hi in _clusters(expansion.values, true.eigenvalues, count):
-        distances[lo:min(hi, count)] = _subspace_distance(
-            true.coefficients[:, lo:hi],
-            expansion.coefficients[:, lo:hi],
-            expansion.truncations[lo:hi],
-        )
-    return expansion.values[:count], true.eigenvalues[:count], distances
+    each half-width of the chunk, clusters compared as subspaces."""
+    eff = np.empty((len(configs), count))
+    true = np.empty_like(eff)
+    distances = np.empty_like(eff)
+    for points, values, order, vectors in _solved_chunk(configs, want_vectors=True):
+        n_probe = min(count + _CLUSTER_MARGIN, values.shape[1])
+        for g, i in enumerate(points):
+            coefficients = vectors[g][:, order[g, :n_probe]]
+            expansion = effective_in_basis(configs[i], n_probe)
+            for lo, hi in _clusters(expansion.values, values[g], count):
+                distances[i, lo:min(hi, count)] = _subspace_distance(
+                    coefficients[:, lo:hi],
+                    expansion.coefficients[:, lo:hi],
+                    expansion.truncations[lo:hi],
+                )
+            eff[i] = expansion.values[:count]
+            true[i] = values[g, :count]
+    return eff, true, distances
 
 
 def eigenvector_sweep(
@@ -281,7 +329,7 @@ def eigenvector_sweep(
     threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid."""
-    return _sweep("eigenvector", _eigenvector_point, radius, a_grid, count, n_basis,
+    return _sweep("eigenvector", _eigenvector_chunk, radius, a_grid, count, n_basis,
                   geometry, m_s, m_u, threads)
 
 

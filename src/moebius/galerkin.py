@@ -55,6 +55,11 @@ need them.
 The strip is symmetric under the reflection s -> -s, so cosine modes
 (m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
 never computed and are exactly zero: the projection yields one block per
+sector.  The field evaluation (``_fields``), the kernel spectra
+(``_kernel_spectra``) and the gather (``_sector_blocks``) take a leading
+axis of half-widths: ``_project`` runs them for one point, and
+``_project_chunk`` for the points of a sweep chunk that share quadrature
+orders, each distinct basis among them gathering one stack of blocks per
 sector.  ``solve`` lays the blocks on the diagonal of one matrix over the
 basis listed sector by sector, so every coefficient column vanishes
 exactly off its sector and rounding cannot mix a nearly degenerate
@@ -167,7 +172,8 @@ class GalerkinSolution:
     the columns are orthonormal.  ``residual_norms[k]`` is the strong-form
     L2 residual of the k-th eigenpair, computed on first read from the
     discretisation the solution keeps, so callers that need only the
-    eigenpairs never pay for it.
+    eigenpairs never pay for it; ``leading_residual_norms(count)`` computes
+    only the first ``count``.
     """
 
     config: GalerkinConfig
@@ -182,7 +188,14 @@ class GalerkinSolution:
 
     @functools.cached_property
     def residual_norms(self) -> np.ndarray:
-        return _residual_norms(self._disc, self.eigenvalues, self.coefficients)
+        return self.leading_residual_norms(self.eigenvalues.size)
+
+    def leading_residual_norms(self, count: int) -> np.ndarray:
+        """The first ``count`` residual norms, computed for those eigenpairs
+        only unless all of them have been read."""
+        if "residual_norms" in self.__dict__:
+            return self.residual_norms[:count]
+        return _residual_norms(self._disc, self.eigenvalues, self.coefficients, count)
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
@@ -348,31 +361,48 @@ class _Discretisation:
         return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes)
 
 
+def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
+    """``config``'s (m_s, m_u), or the defaults for the basis (m, n)."""
+    m_s = config.m_s if config.m_s is not None else 2 * int(np.abs(m).max()) + 32
+    m_u = config.m_u if config.m_u is not None else 2 * int(n.max()) + 16
+    return m_s, m_u
+
+
+def _sectors(m) -> tuple[np.ndarray, ...]:
+    """Basis rows with m >= 0, then those with m < 0, each if non-empty."""
+    cosine = m >= 0
+    return tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any())
+
+
+def _fields(params: StripParams, a: np.ndarray, grid: QuadratureGrid, geometry: str):
+    """fa, d1 fa and V on the nodes of ``grid`` at each half-width of ``a``
+    (the radius from ``params``), each of shape (a.size, m_s, m_u).
+
+    One broadcast evaluation of f and its derivatives at t = a u feeds all
+    three, for every half-width; each element is the one a single
+    half-width's evaluation gives.
+    """
+    ss = grid.s_nodes[:, None]
+    shape = (a.size, grid.s_nodes.size, grid.u_nodes.size)
+    if geometry == "true_geometry":
+        derivatives = _f_with_derivatives(params, ss, a[:, None, None] * grid.u_nodes)
+        return derivatives[0], derivatives[1], _potential_from(*derivatives)
+    fa, d_s_fa = np.ones(shape), np.zeros(shape)
+    if geometry == "flat_with_Veff":
+        return fa, d_s_fa, np.broadcast_to(potential_veff(params, ss), shape)
+    return fa, d_s_fa, np.zeros(shape)  # flat_plain
+
+
 def _discretise(config: GalerkinConfig) -> _Discretisation:
     params = config.params
     require_capacity(config.n_basis)  # bounds N before the basis is enumerated
     m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
-    m_s = config.m_s if config.m_s is not None else 2 * int(np.abs(m).max()) + 32
-    m_u = config.m_u if config.m_u is not None else 2 * int(n.max()) + 16
+    m_s, m_u = _quadrature_orders(config, m, n)
     require_capacity(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
     grid = QuadratureGrid.for_strip(params, m_s, m_u)
-
-    ss = grid.s_nodes[:, None]
-    uu = grid.u_nodes[None, :]
-    if config.geometry == "true_geometry":
-        # one evaluation of f and its derivatives at t = a u feeds all three
-        derivatives = _f_with_derivatives(params, ss, params.a * uu)
-        fa, d_s_fa = derivatives[:2]
-        potential = _potential_from(*derivatives)
-    else:
-        fa = np.ones((m_s, m_u))
-        d_s_fa = np.zeros((m_s, m_u))
-        if config.geometry == "flat_with_Veff":
-            potential = np.broadcast_to(potential_veff(params, ss), (m_s, m_u))
-        else:  # flat_plain
-            potential = np.zeros((m_s, m_u))
-
-    cosine = m >= 0
+    fa, d_s_fa, potential = (
+        field[0] for field in _fields(params, np.array([params.a]), grid, config.geometry)
+    )
     transverse, n_of = _transverse_rows(n, grid.u_nodes)
     return _Discretisation(
         params=params,
@@ -381,7 +411,7 @@ def _discretise(config: GalerkinConfig) -> _Discretisation:
         n=n,
         transverse=transverse,
         n_of=n_of,
-        sectors=tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any()),
+        sectors=_sectors(m),
         weights=grid.weights_2d,
         fa=fa,
         d_s_fa=d_s_fa,
@@ -404,57 +434,155 @@ def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, pair
 
 
-def _kernel_spectra(disc: _Discretisation, top: int, *fields):
-    """Cosine sums of the u-contracted kernels, one per field.
+def _kernel_spectra(transverse, weights, fa, potential, top: int):
+    """Cosine sums of the u-contracted kernels, per half-width and field.
 
-    K_q(s) = sum_u field(s, u) T_n(u) T_n'(u) for each pair q = (n, n') of
-    distinct transverse indices with n <= n', and C[i, p, q] =
-    sum_k K_q(s_k) cos(pi p k / m_s) for p = 0..``top``: the real part of
-    the kernel's FFT zero-padded to 2 m_s, read at p folded into [0, m_s]
-    modulo 2 m_s.  Returns C and the table of q at (n, n') and (n', n).
+    ``fa`` and ``potential`` are stacks (points, m_s, m_u) of fields on the
+    nodes, ``transverse`` holds T_n on the u nodes per distinct transverse
+    index.  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / fa^2 and
+    F = w V and each pair q = (n, n') of rows with n <= n', all formed by
+    one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s) for
+    p = 0..``top``, the real part of the kernels' one FFT zero-padded to
+    2 m_s, read at p folded into [0, m_s] modulo 2 m_s.  Returns C, of
+    shape (points, 2, top + 1, pairs), and the table of q at (n, n') and
+    (n', n).
     """
-    low, high, pair = _pair_table(disc.transverse.shape[0])
-    products = disc.transverse[low] * disc.transverse[high]  # (pairs, m_u)
-    kernels = np.stack(fields) @ products.T                   # (fields, m_s, pairs)
-    m_s = kernels.shape[1]
+    low, high, pair = _pair_table(transverse.shape[0])
+    products = transverse[low] * transverse[high]  # (pairs, m_u)
+    fields = np.empty((fa.shape[0], 2) + fa.shape[1:])  # (points, 2, m_s, m_u)
+    np.multiply(fa, fa, out=fields[:, 0])
+    np.divide(weights, fields[:, 0], out=fields[:, 0])
+    np.multiply(weights, potential, out=fields[:, 1])
+    m_s = fields.shape[2]
+    kernels = (fields.reshape(-1, fields.shape[-1]) @ products.T).reshape(fields.shape[:3] + (-1,))
     p = np.arange(top + 1) % (2 * m_s)
-    spectra = np.fft.rfft(kernels, n=2 * m_s, axis=1).real[:, np.minimum(p, 2 * m_s - p)]
+    spectra = np.fft.rfft(kernels, n=2 * m_s, axis=2).real[:, :, np.minimum(p, 2 * m_s - p)]
     return spectra, pair
 
 
-def _project(disc: _Discretisation) -> list[np.ndarray]:
-    """The matrix restricted to each sector, in the order of ``disc.sectors``.
+def _sector_blocks(spectra, pair, m, n_of, sectors, transverse_diag, radius: float):
+    """The matrix restricted to each sector, one stack (points, r, r) per
+    sector of ``sectors``, for the basis (m, n) shared by every point.
 
-    Each block is one gather from the kernel spectra at the difference
-    and sum frequencies (module docstring), with the kernel of the pair
-    (min(n_j, n_k), max(n_j, n_k)), so it is exactly symmetric, plus the
-    transverse kinetic term on its diagonal.  Cross-sector entries are
+    ``spectra`` and ``pair`` come from ``_kernel_spectra`` of the points,
+    ``n_of`` gives each mode's transverse row there and
+    ``transverse_diag`` (points, N) each point's transverse kinetic term.
+    Each stack is one gather from the kernel spectra at the difference and
+    sum frequencies (module docstring), with the kernel of the pair
+    (min(n_j, n_k), max(n_j, n_k)), so every block is exactly symmetric,
+    plus the transverse term on its diagonal.  Cross-sector entries are
     never computed: the matrix is exactly zero outside these blocks.
     """
-    R = disc.params.R
-    harmonic = np.abs(disc.m)
-    rate = harmonic / (2.0 * R)
-    amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * R), 1.0 / np.sqrt(np.pi * R))
-    spectra, pair = _kernel_spectra(
-        disc, 2 * int(harmonic.max()),
-        disc.weights / (disc.fa * disc.fa), disc.weights * disc.potential,
+    harmonic = np.abs(m)
+    rate = harmonic / (2.0 * radius)
+    amp = np.where(
+        harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * radius), 1.0 / np.sqrt(np.pi * radius)
     )
     n_pairs = spectra.shape[-1]
-    flat = spectra.reshape(2, -1)  # C[i, p, q] at p n_pairs + q
-    blocks = []
-    for rows in disc.sectors:
-        sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
-        h, t = harmonic[rows], disc.n_of[rows]
+    flat = spectra.reshape(spectra.shape[:2] + (-1,))  # C[., i, p, q] at p n_pairs + q
+    stacks = []
+    for rows in sectors:
+        sign = 1.0 if m[rows[0]] >= 0 else -1.0
+        h, t = harmonic[rows], n_of[rows]
         kernel = pair[np.ix_(t, t)]
-        slope_diff, value_diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, 1)
-        slope_sum, value_sum = flat.take(np.add.outer(h, h) * n_pairs + kernel, 1)
+        diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, axis=-1)
+        total = flat.take(np.add.outer(h, h) * n_pairs + kernel, axis=-1)
         block = (0.5 * np.outer(amp[rows], amp[rows])) * (
-            (value_diff + sign * value_sum)
-            + np.outer(rate[rows], rate[rows]) * (slope_diff - sign * slope_sum)
+            (diff[:, 1] + sign * total[:, 1])
+            + np.outer(rate[rows], rate[rows]) * (diff[:, 0] - sign * total[:, 0])
         )
-        block.flat[::rows.size + 1] += disc.transverse_diag[rows]
-        blocks.append(block)
-    return blocks
+        block.reshape(block.shape[0], -1)[:, ::rows.size + 1] += transverse_diag[:, rows]
+        stacks.append(block)
+    return stacks
+
+
+def _project(disc: _Discretisation) -> list[np.ndarray]:
+    """The matrix restricted to each sector, in the order of ``disc.sectors``:
+    ``_kernel_spectra`` and ``_sector_blocks`` for one point."""
+    spectra, pair = _kernel_spectra(
+        disc.transverse, disc.weights, disc.fa[None], disc.potential[None],
+        2 * int(np.abs(disc.m).max()),
+    )
+    stacks = _sector_blocks(
+        spectra, pair, disc.m, disc.n_of, disc.sectors, disc.transverse_diag[None],
+        disc.params.R,
+    )
+    return [stack[0] for stack in stacks]
+
+
+def _chunk_bytes(points: int, n_basis: int, m_s: int, m_u: int, n_count: int) -> int:
+    """Estimated bytes of the largest array ``_project_chunk`` builds for
+    ``points`` half-widths sharing one quadrature: the field stack
+    (points, 2, m_s, m_u), the complex kernel spectra (points, 2, m_s + 1,
+    pairs) or the gathered blocks (points, 2, N, N), which bound the
+    eigenvector stacks too.  The temporaries of the field evaluation,
+    (points, m_s, m_u) each, are half the field stack."""
+    pairs = n_count * (n_count + 1) // 2
+    return points * max(16 * m_s * m_u, 32 * (m_s + 1) * pairs, 16 * n_basis * n_basis)
+
+
+def _grouped(keys) -> list[list[int]]:
+    """Positions of equal keys, groups in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _project_chunk(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarray]]]:
+    """Sector blocks of configurations that differ only in half-width.
+
+    Each point keeps its own quadrature orders, default or explicit, so
+    its blocks are those ``_project`` gives it.  The points that share
+    orders share one quadrature: their fields come from one ``_fields``
+    call and their kernels from one ``_kernel_spectra`` call over the
+    union of their transverse indices; then each distinct basis among them
+    takes one ``_sector_blocks`` gather for its points.  Returns, per
+    distinct (orders, basis), (positions of its configurations, m,
+    sectors, block stacks).  Every per-point capacity check of
+    ``_discretise`` runs, and the stacked arrays of every quadrature are
+    refused with ``CapacityError`` before any of them is built.
+    """
+    first = configs[0]
+    bases = []
+    for config in configs:
+        require_capacity(config.n_basis)
+        bases.append(_basis_arrays(config.params, config.n_basis, config.close_pairs))
+    orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
+    for (m, n), (m_s, m_u) in zip(bases, orders):
+        require_capacity(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
+    quadratures = []  # (points, their transverse indices) per distinct orders
+    for points in _grouped(orders):
+        n_values = np.flatnonzero(np.bincount(np.concatenate([bases[i][1] for i in points])))
+        n_basis = max(bases[i][0].size for i in points)
+        m_s, m_u = orders[points[0]]
+        needed = _chunk_bytes(len(points), n_basis, m_s, m_u, n_values.size)
+        if needed > MAX_ARRAY_BYTES:
+            raise CapacityError(
+                f"a chunk of {len(points)} half-widths at N={n_basis}, m_s={m_s}, "
+                f"m_u={m_u} needs an array of about {needed / 2**20:.0f} MiB, above "
+                f"the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+            )
+        quadratures.append((points, n_values))
+    a = np.array([config.params.a for config in configs])
+    chunk = []
+    for points, n_values in quadratures:
+        grid = QuadratureGrid.for_strip(first.params, *orders[points[0]])
+        fa, _, potential = _fields(first.params, a[points], grid, first.geometry)
+        transverse = _transverse_rows(n_values, grid.u_nodes)[0]
+        top = 2 * max(int(np.abs(bases[i][0]).max()) for i in points)
+        spectra, pair = _kernel_spectra(transverse, grid.weights_2d, fa, potential, top)
+        del fa, potential  # the field stacks are not needed for the gathers
+        for members in _grouped((bases[i][0].tobytes(), bases[i][1].tobytes()) for i in points):
+            positions = [points[k] for k in members]
+            m, n = bases[positions[0]]
+            sectors = _sectors(m)
+            stacks = _sector_blocks(
+                spectra[members], pair, m, np.searchsorted(n_values, n), sectors,
+                _pow2(n * np.pi / 2.0) / _pow2(a[positions])[:, None], first.params.R,
+            )
+            chunk.append((positions, m, sectors, stacks))
+    return chunk
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
@@ -468,9 +596,9 @@ def assemble(config: GalerkinConfig) -> SymmetricMatrix:
 
 
 def _residual_norms(
-    disc: _Discretisation, eigenvalues: np.ndarray, coefficients: np.ndarray
+    disc: _Discretisation, eigenvalues: np.ndarray, coefficients: np.ndarray, count: int
 ) -> np.ndarray:
-    """Strong-form residual norms of the eigenpairs.
+    """Strong-form residual norms of the first ``count`` eigenpairs.
 
     With L Psi_j expanded analytically,
 
@@ -480,8 +608,14 @@ def _residual_norms(
     the k-th residual field sum_j c_jk (L Psi_j - lambda_k Psi_j) is a sum
     over n and four terms of a longitudinal row (C^T L', C^T (m/2R)^2 L,
     C^T L, lambda C^T L) times an (m_s, m_u) field times T_n(u).  Batched
-    products over blocks of s nodes add the terms up.
+    products over blocks of s nodes add the terms up, and one weighted sum
+    per eigenpair reduces them, so the first ``count`` norms are bitwise
+    those of all N.  At least two eigenpairs are formed: numpy takes a
+    one-row product through a matrix-vector kernel that sums in another
+    order.
     """
+    width = min(max(count, 2), eigenvalues.size)
+    eigenvalues, coefficients = eigenvalues[:width], coefficients[:, :width]
     factors = disc.factors
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
@@ -510,8 +644,9 @@ def _residual_norms(
     for lo in range(0, rows_s.shape[0], _S_BLOCK):
         block = rows_s[lo:lo + _S_BLOCK] @ fields_s[lo:lo + _S_BLOCK]
         block *= block
-        squared += (block @ disc.weights[lo:lo + _S_BLOCK, :, None]).sum(axis=0)[:, 0]
-    return np.sqrt(squared)
+        # not a matrix-vector product, whose summation order depends on K
+        squared += np.einsum("skm,sm->k", block, disc.weights[lo:lo + _S_BLOCK])
+    return np.sqrt(squared[:count])
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
@@ -545,7 +680,7 @@ def residual_norm(solution: GalerkinSolution, k: int) -> float:
         raise InputError(
             f"k must be in [1, {solution.eigenvalues.size}], got {k}"
         )
-    return float(solution.residual_norms[k - 1])
+    return float(solution.leading_residual_norms(k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -581,35 +716,43 @@ def effective_in_basis(
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
     sine, order, n_eff, value, _ = _effective_modes(config.params, count, q)
+    sine, order, n_eff = sine[:count], order[:count], n_eff[:count]
+    chars = [
+        mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)
+        for is_sine, mode_m in zip(sine.tolist(), order.tolist())
+    ]
+    # every mode's coefficients in one row: mode i, column j within the mode
+    sizes = np.array([char.fourier.size for char in chars])
+    mode = np.repeat(np.arange(count), sizes)
+    column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    harmonics = np.concatenate([char.harmonics for char in chars]).astype(int)
+    weights = np.concatenate([char.fourier for char in chars])
+    # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
+    weights[harmonics == 0] *= np.sqrt(2.0)
+    signed = np.where(sine[mode], -harmonics, harmonics)
+    mode_n = n_eff[mode]
+    rows = np.full(signed.size, -1)
+    inside = (np.abs(signed) <= top) & (mode_n < position.shape[1])
+    rows[inside] = position[signed[inside] + top, mode_n[inside]]
+    found = rows >= 0
     coeffs = np.zeros((m.size, count))
-    truncations = np.empty(count)
-    modes = zip(sine[:count].tolist(), order[:count].tolist(), n_eff[:count].tolist())
-    for i, (is_sine, mode_m, mode_n) in enumerate(modes):
-        kind = "se" if is_sine else "ce"
-        char = mathieu.fourier_coefficients(kind, mode_m, q)
-        # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
-        weights = char.fourier.copy()
-        if char.harmonics[0] == 0:
-            weights[0] *= np.sqrt(2.0)
-        signed = char.harmonics.astype(int) * (-1 if is_sine else 1)
-        rows = np.full(signed.size, -1)
-        if mode_n < position.shape[1]:
-            inside = np.abs(signed) <= top
-            rows[inside] = position[signed[inside] + top, mode_n]
-        found = rows >= 0
-        coeffs[rows[found], i] = weights[found]
-        # accumulated in harmonic order, one square at a time
-        captured = np.cumsum(weights[found] ** 2)[-1] if found.any() else 0.0
-        leaked = 1.0 - captured
-        # below summation roundoff the deficit carries no information
-        truncations[i] = leaked if leaked > 1e-14 else 0.0
-        if truncations[i] > 1e-6:
-            family = FAMILY_EFF_SE if is_sine else FAMILY_EFF_CE
-            raise CapacityError(
-                f"basis of size {m.size} captures only "
-                f"{1.0 - truncations[i]:.9f} of effective mode "
-                f"({family}, m={mode_m}, n={mode_n})"
-            )
+    coeffs[rows[found], mode[found]] = weights[found]
+    # accumulated in harmonic order, one square at a time; the zeros padding
+    # each mode's row leave its partial sums unchanged
+    squares = np.zeros((count, int(sizes.max())))
+    squares[mode[found], column[found]] = weights[found] ** 2
+    leaked = 1.0 - np.cumsum(squares, axis=1)[:, -1]
+    # below summation roundoff the deficit carries no information
+    truncations = np.where(leaked > 1e-14, leaked, 0.0)
+    failed = np.flatnonzero(truncations > 1e-6)
+    if failed.size:
+        i = failed[0]
+        family = FAMILY_EFF_SE if sine[i] else FAMILY_EFF_CE
+        raise CapacityError(
+            f"basis of size {m.size} captures only "
+            f"{1.0 - truncations[i]:.9f} of effective mode "
+            f"({family}, m={order[i]}, n={n_eff[i]})"
+        )
     return EffectiveExpansion(
         values=value[:count], coefficients=coeffs, truncations=truncations
     )

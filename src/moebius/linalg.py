@@ -1,20 +1,22 @@
 """Real symmetric eigensolvers: LAPACK through numpy.
 
-* ``eig_dense_symmetric`` - full spectrum of a dense symmetric array (the
-  Galerkin projection matrices), with optional eigenvectors.
+* ``eig_dense_symmetric`` - full spectrum of a dense symmetric array, or
+  of each member of a stack of them with shape (..., n, n) as numpy takes
+  it (the Galerkin sector blocks of a chunk of sweep points), with
+  optional eigenvectors.
 * ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the smallest values, or
   all eigenpairs, of a symmetric tridiagonal matrix given by its diagonal
   and off-diagonal arrays (the Mathieu recurrences).
 
-Each validates its arrays (shape, finite) and calls ``numpy.linalg.eigh``
-or ``eigvalsh``; a tridiagonal matrix goes to LAPACK as one dense array,
+Each validates its arrays (shape, finite, every member of a stack alike)
+and calls ``numpy.linalg.eigh`` or ``eigvalsh`` once; a tridiagonal matrix goes to LAPACK as one dense array,
 filled in place.  No solver reads ``SymmetricMatrix``, which only
 ``galerkin.assemble`` returns.  The Mathieu tables need the small
 eigenvalues of recurrences graded with growing diagonals to absolute
 accuracy near machine epsilon; ``tests/test_linalg.py`` re-checks that on
 the LAPACK path rather than assuming it.  A ``LinAlgError`` or a
 non-finite eigenvalue (overflow near the largest double) raises
-``NumericalError``.  Eigenvalues are returned ascending; degenerate values
+``NumericalError``; every message names the matrix order n.  Eigenvalues are returned ascending; degenerate values
 are not collapsed here.
 """
 
@@ -94,11 +96,11 @@ def _eigh(dense: np.ndarray, want_vectors: bool) -> EigenDecomposition:
             values, vectors = np.linalg.eigvalsh(dense), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"eigensolver failed on a matrix of order {dense.shape[0]}: {exc}"
+            f"eigensolver failed on a matrix of order {dense.shape[-1]}: {exc}"
         ) from exc
     if not np.all(np.isfinite(values)):
         raise NumericalError(
-            f"non-finite eigenvalues for a matrix of order {dense.shape[0]}"
+            f"non-finite eigenvalues for a matrix of order {dense.shape[-1]}"
         )
     return EigenDecomposition(values, vectors)
 
@@ -106,16 +108,19 @@ def _eigh(dense: np.ndarray, want_vectors: bool) -> EigenDecomposition:
 def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition:
     """Full spectrum of a dense real symmetric matrix, ascending.
 
-    ``matrix`` is a square array; only its lower triangle is checked and
-    read, and the array goes to LAPACK as it is.
+    ``matrix`` is a square array, or a stack of them with shape
+    (..., n, n); only the lower triangle of each is checked and read, and
+    the array goes to LAPACK as it is, in one call.  A stack gives values
+    of shape (..., n) and vectors of shape (..., n, n), each member's
+    equal bit for bit to its own call.
     """
     dense = np.asarray(matrix, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+    if dense.ndim < 2 or dense.shape[-1] != dense.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {dense.shape}")
-    if dense.shape[0] < 1:
+    if dense.shape[-1] < 1:
         raise InputError("matrix order must be >= 1, got 0")
     if not np.all(np.isfinite(np.tril(dense))):
-        raise InputError("matrix has non-finite entries")
+        raise InputError(f"matrix of order {dense.shape[-1]} has non-finite entries")
     return _eigh(dense, want_vectors)
 
 

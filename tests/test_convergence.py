@@ -2,12 +2,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebius import convergence, galerkin
 from moebius.convergence import (
     MAX_SWEEP_WORK,
     SweepResult,
-    _sector_values,
     _subspace_distance,
     eigenvalue_sweep,
     eigenvector_sweep,
@@ -17,8 +18,9 @@ from moebius.convergence import (
     sweep_work,
 )
 from moebius.errors import CapacityError, InputError
-from moebius.galerkin import GalerkinConfig, assemble
+from moebius.galerkin import GalerkinConfig, _discretise, _project, assemble, largest_array_bytes
 from moebius.geometry import StripParams, potential_va, potential_veff
+from moebius.models import _effective_modes
 
 RADIUS = 18 / (2 * np.pi)
 
@@ -39,6 +41,11 @@ def synthetic_sweep(power, scale=1.0):
         differences=differences[:, None],
         ratios=differences[:, None] / a_grid[:, None] ** 2,
     )
+
+
+def sector_values(config):
+    """Ascending eigenvalues of the sector blocks of one configuration."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _project(_discretise(config))]))
 
 
 def test_fit_rate_synthetic_cubic():
@@ -111,7 +118,7 @@ def test_sweep_values_are_the_dense_spectrum(geometry):
             config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=41,
                                     geometry=geometry, close_pairs=close_pairs)
             dense = np.linalg.eigvalsh(assemble(config).to_dense())
-            assert np.max(np.abs(_sector_values(config) - dense) / np.abs(dense)) <= 1e-13
+            assert np.max(np.abs(sector_values(config) - dense) / np.abs(dense)) <= 1e-13
     # a sweep closes pairs and reads the same values
     sweep = eigenvalue_sweep(RADIUS, grid, 12, 41, geometry=geometry)
     for a, true in zip(grid, sweep.true_values):
@@ -125,24 +132,41 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
     def not_reached(*args):
         raise AssertionError("the N x N matrix was assembled")
 
-    orders = []
-    solve = convergence.eig_dense_symmetric
+    stacks = []  # half-widths and sector size of each stack, in solve order
+    project = convergence._project_chunk
+
+    def grouped(configs):
+        groups = project(configs)
+        for points, _, sectors, _ in groups:
+            stacks.extend(([configs[i].params.a for i in points], rows.size) for rows in sectors)
+        return groups
+
+    shapes = []
+    eig = convergence.eig_dense_symmetric
 
     def recorded(matrix, want_vectors=True):
         assert want_vectors is False
-        orders.append(matrix.shape[0])
-        return solve(matrix, want_vectors=want_vectors)
+        shapes.append(matrix.shape)
+        return eig(matrix, want_vectors=want_vectors)
 
     monkeypatch.setattr(galerkin, "assemble", not_reached)
+    monkeypatch.setattr(galerkin, "solve", not_reached)
     monkeypatch.setattr(convergence, "solve", not_reached)
+    monkeypatch.setattr(convergence, "_project_chunk", grouped)
     monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
-    grid = [0.1, 0.3]
+    # two chunks, the first full, whose thin points share a basis
+    grid = np.geomspace(0.02, 0.9, convergence._CHUNK + 3)
     eigenvalue_sweep(RADIUS, grid, 5, 30)
-    # one cosine and one sine block per half-width
-    assert len(orders) == 2 * len(grid)
-    for a, cosine, sine in zip(grid, orders[::2], orders[1::2]):
-        m, _ = galerkin._basis_arrays(StripParams(a=a, R=RADIUS), 30, True)
-        assert (cosine, sine) == (np.count_nonzero(m >= 0), np.count_nonzero(m < 0))
+    # one eigensolve per stack of blocks
+    assert shapes == [(len(a_values), size, size) for a_values, size in stacks]
+    assert len(shapes) < 2 * grid.size
+    # each half-width's cosine and sine blocks solved exactly once
+    solved = sorted((a, size) for a_values, size in stacks for a in a_values)
+    expected = []
+    for a in grid:
+        m, _ = galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True)
+        expected += [(a, np.count_nonzero(m >= 0)), (a, np.count_nonzero(m < 0))]
+    assert solved == sorted(expected)
 
 
 def test_eigenvalue_sweep_coarse_sanity_bound():
@@ -248,3 +272,63 @@ def test_sweep_capacity_admits_readme_sweeps_and_refuses_runaways():
         require_sweep_capacity(MAX_SWEEP_WORK // per_point + 1, 72)
     with pytest.raises(CapacityError, match="cap"):
         eigenvalue_sweep(RADIUS, np.linspace(0.1, 0.2, 10), 1, 4, m_s=10**12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    radius=st.floats(min_value=0.8, max_value=5.0),
+    a_min=st.floats(min_value=0.01, max_value=1.2),
+    steps=st.sampled_from([1, convergence._CHUNK - 1, convergence._CHUNK,
+                           convergence._CHUNK + 1, 2 * convergence._CHUNK + 3]),
+    n_basis=st.integers(min_value=4, max_value=48),
+    count=st.integers(min_value=1, max_value=8),
+    geometry=st.sampled_from(["true_geometry", "flat_with_Veff", "flat_plain"]),
+    orders=st.none() | st.tuples(st.integers(8, 160), st.integers(4, 40)),
+)
+def test_chunked_sweep_is_each_points_own_spectrum(
+    radius, a_min, steps, n_basis, count, geometry, orders
+):
+    grid = np.geomspace(a_min, 1.5, steps) if steps > 1 else np.array([a_min])
+    m_s, m_u = orders or (None, None)
+    count = min(count, n_basis)
+    sweep = eigenvalue_sweep(radius, grid, count, n_basis, geometry=geometry, m_s=m_s, m_u=m_u)
+    for a, eff, true in zip(grid, sweep.effective_values, sweep.true_values):
+        params = StripParams(a=float(a), R=radius)
+        config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, m_u=m_u,
+                                geometry=geometry, close_pairs=True)
+        dense = np.linalg.eigvalsh(assemble(config).to_dense())[:count]
+        assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
+        assert np.array_equal(eff, _effective_modes(params, count)[3][:count])
+
+
+def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):
+    # a full chunk of thin strips: one transverse index, so the per-point
+    # bound is small and the chunk's stacked fields are the largest arrays
+    grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
+    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
+    m_s = max(2 * int(np.abs(m).max()) + 32 for m, _ in bases)
+    m_u = max(2 * int(n.max()) + 16 for _, n in bases)
+    n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
+    needed = galerkin._chunk_bytes(grid.size, max(m.size for m, _ in bases), m_s, m_u, n_count)
+    # the stacked fields, (points, 2, m_s, m_u) doubles
+    assert needed == 16 * grid.size * m_s * m_u
+    per_point = max(
+        largest_array_bytes(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
+        for m, n in bases
+    )
+    assert per_point < needed
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+    eigenvalue_sweep(RADIUS, grid, 3, 30)  # exactly at the cap is allowed
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a chunk array was built before the capacity check")
+
+    monkeypatch.setattr(galerkin, "_f_with_derivatives", not_reached)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    for sweep in (eigenvalue_sweep, eigenvector_sweep):
+        with pytest.raises(CapacityError, match=f"a chunk of {grid.size} half-widths at N=31, m_s={m_s}"):
+            sweep(RADIUS, grid, 3, 30)
+    # a shorter chunk of the same strips fits
+    monkeypatch.undo()
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    eigenvalue_sweep(RADIUS, grid[:-1], 3, 30)

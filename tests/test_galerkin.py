@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moebius import galerkin
+from moebius import galerkin, mathieu
 from moebius.cli import main
 from moebius.convergence import eigenvector_sweep
 from moebius.errors import CapacityError, InputError
@@ -25,8 +25,10 @@ from moebius.geometry import (
 )
 from moebius.linalg import eig_dense_symmetric
 from moebius.models import (
+    DEFAULT_Q,
     FAMILY_FAKE,
     ModeIndex,
+    _effective_modes,
     effective_spectrum,
     fake_eigenfunction,
     fake_longitudinal,
@@ -348,11 +350,11 @@ def scattered_matrix(disc):
     amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * disc.params.R),
                    1.0 / np.sqrt(np.pi * disc.params.R))
     spectra, pair = galerkin._kernel_spectra(
-        disc, 2 * int(harmonic.max()),
-        disc.weights / (disc.fa * disc.fa), disc.weights * disc.potential,
+        disc.transverse, disc.weights, disc.fa[None], disc.potential[None],
+        2 * int(harmonic.max()),
     )
     n_pairs = spectra.shape[-1]
-    flat = spectra.reshape(2, -1)
+    flat = spectra[0].reshape(2, -1)
     out = np.zeros((disc.m.size,) * 2)
     for rows in disc.sectors:
         sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
@@ -478,6 +480,37 @@ def test_residuals_are_computed_on_first_read_only(monkeypatch):
     first = solution.residual_norms
     assert solution.residual_norms is first
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("params, n_basis", [
+    (TABLE_PARAMS, 82), (WIDE_PARAMS, 60), (StripParams(a=0.05, R=2.0), 120),
+])
+def test_leading_residuals_are_the_full_computation_bitwise(params, n_basis):
+    config = GalerkinConfig(params=params, n_basis=n_basis)
+    full = solve(config).residual_norms
+    for count in range(1, n_basis + 1):
+        fresh = solve(config)
+        leading = fresh.leading_residual_norms(count)
+        assert leading.shape == (count,) and np.array_equal(leading, full[:count])
+        assert "residual_norms" not in fresh.__dict__  # the full set was not computed
+        assert residual_norm(fresh, count) == full[count - 1]
+    # once all are read, the leading ones are read from them
+    solution = solve(config)
+    assert np.shares_memory(solution.residual_norms, solution.leading_residual_norms(5))
+
+
+def test_true_spectrum_computes_residuals_for_the_printed_rows(monkeypatch, capsys):
+    counts = []
+    compute = galerkin._residual_norms
+
+    def counted(disc, eigenvalues, coefficients, count):
+        counts.append(count)
+        return compute(disc, eigenvalues, coefficients, count)
+
+    monkeypatch.setattr(galerkin, "_residual_norms", counted)
+    assert main(["spectrum", "--model", "true", "--a", "0.75", "--circumference", "13.2",
+                 "--count", "6", "--N", "40"]) == 0
+    assert counts == [6]
 
 
 def test_eigenpair_consumers_never_compute_residuals(monkeypatch, tmp_path):
@@ -613,6 +646,71 @@ def test_effective_expansion_capacity_error():
     config = GalerkinConfig(params=TABLE_PARAMS, n_basis=10)
     with pytest.raises(CapacityError, match=r"mode \(eff_se, m=8, n=1\)$"):
         effective_in_basis(config, 10)
+
+
+def expansion_by_loop(config, count, q=DEFAULT_Q):
+    """The per-mode loop ``effective_in_basis`` replaced, kept as its
+    reference: (values, coefficients, truncations), or the CapacityError
+    message of the first mode that fails."""
+    m, n = galerkin._basis_arrays(config.params, config.n_basis, config.close_pairs)
+    top = int(np.abs(m).max())
+    position = np.full((2 * top + 1, int(n.max()) + 1), -1)
+    position[m + top, n] = np.arange(m.size)
+    sine, order, n_eff, value, _ = _effective_modes(config.params, count, q)
+    coeffs = np.zeros((m.size, count))
+    truncations = np.empty(count)
+    modes = zip(sine[:count].tolist(), order[:count].tolist(), n_eff[:count].tolist())
+    for i, (is_sine, mode_m, mode_n) in enumerate(modes):
+        char = mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)
+        weights = char.fourier.copy()
+        if char.harmonics[0] == 0:
+            weights[0] *= np.sqrt(2.0)
+        signed = char.harmonics.astype(int) * (-1 if is_sine else 1)
+        rows = np.full(signed.size, -1)
+        if mode_n < position.shape[1]:
+            inside = np.abs(signed) <= top
+            rows[inside] = position[signed[inside] + top, mode_n]
+        found = rows >= 0
+        coeffs[rows[found], i] = weights[found]
+        captured = np.cumsum(weights[found] ** 2)[-1] if found.any() else 0.0
+        leaked = 1.0 - captured
+        truncations[i] = leaked if leaked > 1e-14 else 0.0
+        if truncations[i] > 1e-6:
+            family = "eff_se" if is_sine else "eff_ce"
+            return (f"basis of size {m.size} captures only {1.0 - truncations[i]:.9f} "
+                    f"of effective mode ({family}, m={mode_m}, n={mode_n})")
+    return value[:count], coeffs, truncations
+
+
+@pytest.mark.parametrize("params, n_basis, count, close_pairs", [
+    # the eigenvector sweep's points: count + 4 modes, pairs closed
+    *[(StripParams(a=a, R=18 / (2 * np.pi)), 72, 9, True) for a in (0.01, 0.37, 0.98, 1.5)],
+    # a small basis whose truncations are kept but not zero
+    (StripParams(a=1.5, R=18 / (2 * np.pi)), 16, 9, True),
+    # the eigenfunction export's strip, and the table strip
+    (WIDE_PARAMS, 96, 20, False),
+    (TABLE_PARAMS, 72, 5, False),
+    # thin strips, where one transverse index holds every mode
+    (StripParams(a=1e-3, R=3.0), 40, 12, True),
+    (StripParams(a=1e-6, R=0.8), 25, 25, False),
+    # bases too small for the modes: the first failing mode is named
+    (TABLE_PARAMS, 2, 2, False),
+    (TABLE_PARAMS, 10, 10, False),
+    (WIDE_PARAMS, 12, 12, True),
+])
+def test_effective_expansion_is_the_per_mode_loop_bitwise(params, n_basis, count, close_pairs):
+    config = GalerkinConfig(params=params, n_basis=n_basis, close_pairs=close_pairs)
+    reference = expansion_by_loop(config, count)
+    if isinstance(reference, str):
+        with pytest.raises(CapacityError) as caught:
+            effective_in_basis(config, count)
+        assert str(caught.value) == reference
+        return
+    expansion = effective_in_basis(config, count)
+    for got, want in zip(
+        (expansion.values, expansion.coefficients, expansion.truncations), reference
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_config_validation():

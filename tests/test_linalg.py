@@ -198,3 +198,48 @@ def test_lapack_failure_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(NumericalError, match="did not converge"):
         eig_dense_symmetric(np.eye(3))
+
+
+def test_stacks_are_solved_member_by_member_bitwise():
+    for shape in ((3,), (2, 2), (1,)):
+        for n in (1, 5, 37):
+            members = [random_symmetric(n, seed=10 + k) for k in range(int(np.prod(shape)))]
+            stack = np.array(members).reshape(shape + (n, n))
+            values = eig_dense_symmetric(stack, want_vectors=False)
+            pairs = eig_dense_symmetric(stack)
+            assert values.eigenvalues.shape == shape + (n,) and values.eigenvectors is None
+            assert pairs.eigenvectors.shape == shape + (n, n)
+            for k, matrix in enumerate(members):
+                index = np.unravel_index(k, shape)
+                alone = eig_dense_symmetric(matrix, want_vectors=False).eigenvalues
+                assert np.array_equal(values.eigenvalues[index], alone)
+                alone = eig_dense_symmetric(matrix)
+                assert np.array_equal(pairs.eigenvalues[index], alone.eigenvalues)
+                assert np.array_equal(pairs.eigenvectors[index], alone.eigenvectors)
+
+
+def test_stacks_are_checked_in_every_member(monkeypatch):
+    stack = np.array([random_symmetric(4, seed=k) for k in range(3)])
+    for member in range(3):
+        bad = stack.copy()
+        bad[member, 3, 1] = np.nan  # lower triangle of one member only
+        with pytest.raises(InputError, match="matrix of order 4 has non-finite entries"):
+            eig_dense_symmetric(bad)
+        bad = stack.copy()
+        bad[member, 1, 3] = np.nan  # the upper triangle is not read
+        eig_dense_symmetric(bad, want_vectors=False)
+    for shape in ((3, 4, 5), (2, 3, 1, 2)):
+        with pytest.raises(InputError, match=rf"square matrix, got shape \({shape[0]}, "):
+            eig_dense_symmetric(np.zeros(shape))
+    with pytest.raises(InputError, match="matrix order must be >= 1, got 0"):
+        eig_dense_symmetric(np.zeros((3, 0, 0)))
+    overflowing = np.stack([np.eye(8), _tridiagonal(np.full(8, 1e308), np.full(7, 1e308))])
+    with pytest.raises(NumericalError, match="non-finite eigenvalues for a matrix of order 8"):
+        eig_dense_symmetric(overflowing, want_vectors=False)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError, match="failed on a matrix of order 6: Eigenvalues"):
+        eig_dense_symmetric(np.zeros((2, 6, 6)))
