@@ -20,25 +20,26 @@ differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
 Both kinds run through one driver, which solves the grid a chunk of
-``_CHUNK`` half-widths at a time.  ``galerkin._project_chunk`` gives the
-chunk's sector blocks, one stack per sector for each group of points with
-the same basis and quadrature orders: the points whose orders agree (each
-keeps its own, so its values are those of ``galerkin.solve``'s matrix)
-share one quadrature, one broadcast field evaluation, one kernel product
-and one FFT.  Each sector's stack goes to
-LAPACK in one ``eig_dense_symmetric`` call, and the sector values merge by
-a stable sort, cosine before sine among ties.  The eigenvalue kind asks
-for values only; the eigenvector kind takes the eigenvectors of the same
-stacks, scatters their rows into basis order and compares each point's
-leading columns with its effective expansion.  Neither forms the N x N
-matrix, calls ``galerkin.solve`` or computes residual norms.  Chunks run
-one after another, or on a pool of ``threads`` worker threads when
-``threads`` is 2 or more; results are gathered in grid order, so the
-output is deterministic for a given configuration.
+``_CHUNK`` half-widths at a time.  ``galerkin._project``, the projection
+that ``galerkin.solve`` runs for one configuration, gives the chunk's
+sector blocks, one stack per sector for each group of points with the same
+basis and quadrature orders: the points whose orders agree (each keeps its
+own, so its values are those of ``galerkin.solve``'s matrix) share one
+quadrature, one broadcast field evaluation, one kernel product and one
+FFT.  Each sector's stack goes to LAPACK in one ``eig_dense_symmetric``
+call, and the sector values merge by a stable sort, cosine before sine
+among ties.  The eigenvalue kind asks for values only; the eigenvector
+kind takes the eigenvectors of the same stacks, scatters their rows into
+basis order and compares each point's leading columns with its effective
+expansion.  Neither forms the N x N matrix, calls ``galerkin.solve`` or
+computes residual norms.  Chunks run one after another, or on a pool of
+``threads`` worker threads when ``threads`` is 2 or more; results are
+gathered in grid order, so the output is deterministic for a given
+configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
 whose stacked arrays would pass ``galerkin.MAX_ARRAY_BYTES`` before any of
-them is built.
+them is built, by the capacity check of a single run.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, _project_chunk, effective_in_basis
+from .galerkin import GalerkinConfig, _project, effective_in_basis
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
@@ -198,7 +199,7 @@ def _map_grid(worker, chunks, threads):
 
 
 def _solved_chunk(configs, want_vectors: bool):
-    """Per stack group of ``galerkin._project_chunk``: (positions of its
+    """Per stack group of ``galerkin._project``: (positions of its
     configurations, ascending values (points, N), the merge order
     (points, N) and, with ``want_vectors``, eigenvectors (points, N, N)
     with coefficient rows in basis order and columns in sector order).
@@ -207,7 +208,7 @@ def _solved_chunk(configs, want_vectors: bool):
     values are merged by a stable sort, cosine before sine among ties.
     """
     solved = []
-    for points, m, sectors, stacks in _project_chunk(configs):
+    for points, m, sectors, stacks in _project(configs):
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
         values = np.concatenate([d.eigenvalues for d in decomps], axis=1)
         order = np.argsort(values, axis=1, kind="stable")

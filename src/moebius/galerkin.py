@@ -57,18 +57,21 @@ The strip is symmetric under the reflection s -> -s, so cosine modes
 never computed and are exactly zero: the projection yields one block per
 sector.  The field evaluation (``_fields``), the kernel spectra
 (``_kernel_spectra``) and the gather (``_sector_blocks``) take a leading
-axis of half-widths: ``_project`` runs them for one point, and
-``_project_chunk`` for the points of a sweep chunk that share quadrature
-orders, each distinct basis among them gathering one stack of blocks per
-sector.  ``solve`` lays the blocks on the diagonal of one matrix over the
-basis listed sector by sector, so every coefficient column vanishes
-exactly off its sector and rounding cannot mix a nearly degenerate
-cosine/sine pair.
+axis of half-widths, and one function, ``_project``, runs them for a list
+of configurations: the points that share quadrature orders share one
+quadrature, and each distinct basis among them gathers one stack of
+blocks per sector.  A sweep passes a chunk of half-widths, ``solve`` and
+``assemble`` a single configuration.  ``solve`` lays the blocks on the
+diagonal of one matrix over the basis listed sector by sector, so every
+coefficient column vanishes exactly off its sector and rounding cannot
+mix a nearly degenerate cosine/sine pair; ``assemble`` scatters that
+matrix back into basis order.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
 || L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form when a
-solution's ``residual_norms`` is first read, with L Psi_j expanded
+solution's residuals are first read, from quadrature fields the solution
+builds at that moment (``_discretise``), with L Psi_j expanded
 analytically through the closed-form derivatives of fa and summed per n
 from the coefficient-weighted longitudinal rows.
 
@@ -80,7 +83,8 @@ V = potential_veff) must reproduce the closed-form effective spectrum.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +128,8 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # 192x65 README export and 83-91 B on grids up to 768x260.
 EXPORT_POINT_BYTES = 256
 # configurations kept by _basis_arrays' cache; an eigenvector sweep point
-# reads its basis twice, once to solve and once to expand the effective modes
+# reads its basis twice, once to project and once to expand the effective
+# modes, and a solution reads it again for labels, exports and residuals
 _CACHED_BASES = 64
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16
@@ -170,36 +175,38 @@ class GalerkinSolution:
 
     ``coefficients[:, k]`` expands the k-th eigenfunction over ``basis``;
     the columns are orthonormal.  ``residual_norms[k]`` is the strong-form
-    L2 residual of the k-th eigenpair, computed on first read from the
-    discretisation the solution keeps, so callers that need only the
+    L2 residual of the k-th eigenpair, computed on first read from
+    quadrature fields built at that moment, so callers that need only the
     eigenpairs never pay for it; ``leading_residual_norms(count)`` computes
-    only the first ``count``.
+    only the first ``count``, bitwise equal to those of all.
     """
 
     config: GalerkinConfig
     eigenvalues: np.ndarray
     coefficients: np.ndarray
-    _disc: _Discretisation = field(repr=False, compare=False)
 
     @functools.cached_property
     def basis(self) -> tuple[ModeIndex, ...]:
         """Labels of the basis functions, in coefficient-row order."""
-        return _mode_labels(self._disc.m, self._disc.n)
+        config = self.config
+        return _mode_labels(*_basis_arrays(config.params, config.n_basis, config.close_pairs))
+
+    @functools.cached_property
+    def _discretisation(self) -> _Discretisation:
+        return _discretise(self.config)
 
     @functools.cached_property
     def residual_norms(self) -> np.ndarray:
         return self.leading_residual_norms(self.eigenvalues.size)
 
     def leading_residual_norms(self, count: int) -> np.ndarray:
-        """The first ``count`` residual norms, computed for those eigenpairs
-        only unless all of them have been read."""
-        if "residual_norms" in self.__dict__:
-            return self.residual_norms[:count]
-        return _residual_norms(self._disc, self.eigenvalues, self.coefficients, count)
+        """The first ``count`` residual norms, computed for those eigenpairs only."""
+        return _residual_norms(self._discretisation, self.eigenvalues, self.coefficients, count)
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
-        m, n = self._disc.m, self._disc.n
+        config = self.config
+        m, n = _basis_arrays(config.params, config.n_basis, config.close_pairs)
         if not (1 <= k <= m.size):
             raise InputError(f"k must be in [1, {m.size}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -261,6 +268,8 @@ def largest_array_bytes(
     ``export_points`` grid samples.  The kernel spectra of assembly, two
     complex rows of m_s + 1 per pair n <= n', 16 (m_s + 1) n_count (n_count
     + 1) bytes, stay within the residual terms' bound, since n_count <= N.
+    ``_project`` counts points stacked on one quadrature as one quadrature
+    of all their s nodes and one matrix of all their N x N entries.
     """
     return max(
         8 * n_basis * n_basis,
@@ -337,17 +346,14 @@ def _transverse_rows(n, u) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Discretisation:
-    """Basis labels, transverse rows and quadrature fields shared by
-    assembly and residuals; the longitudinal factor tables wait for their
-    first read."""
+    """Basis labels and quadrature fields of one configuration, what its
+    strong-form residuals read; the factor tables wait for their first
+    read."""
 
     params: StripParams
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    transverse: np.ndarray   # (distinct n, m_u) T_n on the u nodes, n ascending
-    n_of: np.ndarray         # (N,) row of ``transverse`` holding T_{n_j}
-    sectors: tuple[np.ndarray, ...]  # basis rows with m >= 0, then m < 0 (non-empty)
     weights: np.ndarray      # (m_s, m_u)
     fa: np.ndarray           # (m_s, m_u)
     d_s_fa: np.ndarray       # (m_s, m_u) d1 fa
@@ -393,30 +399,29 @@ def _fields(params: StripParams, a: np.ndarray, grid: QuadratureGrid, geometry: 
     return fa, d_s_fa, np.zeros(shape)  # flat_plain
 
 
+def _transverse_diag(n, a) -> np.ndarray:
+    """(n pi / 2)^2 / a^2 per mode of ``n`` (columns) and half-width of
+    ``a`` (rows), squared as Python floats square."""
+    return _pow2(n * np.pi / 2.0) / _pow2(a)[:, None]
+
+
 def _discretise(config: GalerkinConfig) -> _Discretisation:
+    """What the residuals of ``config`` read; ``_project`` checked its sizes."""
     params = config.params
-    require_capacity(config.n_basis)  # bounds N before the basis is enumerated
     m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
-    m_s, m_u = _quadrature_orders(config, m, n)
-    require_capacity(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
-    grid = QuadratureGrid.for_strip(params, m_s, m_u)
-    fa, d_s_fa, potential = (
-        field[0] for field in _fields(params, np.array([params.a]), grid, config.geometry)
-    )
-    transverse, n_of = _transverse_rows(n, grid.u_nodes)
+    grid = QuadratureGrid.for_strip(params, *_quadrature_orders(config, m, n))
+    a = np.array([params.a])
+    fa, d_s_fa, potential = (field[0] for field in _fields(params, a, grid, config.geometry))
     return _Discretisation(
         params=params,
         grid=grid,
         m=m,
         n=n,
-        transverse=transverse,
-        n_of=n_of,
-        sectors=_sectors(m),
         weights=grid.weights_2d,
         fa=fa,
         d_s_fa=d_s_fa,
         potential=potential,
-        transverse_diag=_pow2(n * np.pi / 2.0) / params.a**2,
+        transverse_diag=_transverse_diag(n, a)[0],
         rates_sq=_pow2(m / (2.0 * params.R)),
     )
 
@@ -496,31 +501,6 @@ def _sector_blocks(spectra, pair, m, n_of, sectors, transverse_diag, radius: flo
     return stacks
 
 
-def _project(disc: _Discretisation) -> list[np.ndarray]:
-    """The matrix restricted to each sector, in the order of ``disc.sectors``:
-    ``_kernel_spectra`` and ``_sector_blocks`` for one point."""
-    spectra, pair = _kernel_spectra(
-        disc.transverse, disc.weights, disc.fa[None], disc.potential[None],
-        2 * int(np.abs(disc.m).max()),
-    )
-    stacks = _sector_blocks(
-        spectra, pair, disc.m, disc.n_of, disc.sectors, disc.transverse_diag[None],
-        disc.params.R,
-    )
-    return [stack[0] for stack in stacks]
-
-
-def _chunk_bytes(points: int, n_basis: int, m_s: int, m_u: int, n_count: int) -> int:
-    """Estimated bytes of the largest array ``_project_chunk`` builds for
-    ``points`` half-widths sharing one quadrature: the field stack
-    (points, 2, m_s, m_u), the complex kernel spectra (points, 2, m_s + 1,
-    pairs) or the gathered blocks (points, 2, N, N), which bound the
-    eigenvector stacks too.  The temporaries of the field evaluation,
-    (points, m_s, m_u) each, are half the field stack."""
-    pairs = n_count * (n_count + 1) // 2
-    return points * max(16 * m_s * m_u, 32 * (m_s + 1) * pairs, 16 * n_basis * n_basis)
-
-
 def _grouped(keys) -> list[list[int]]:
     """Positions of equal keys, groups in order of first appearance."""
     groups: dict = {}
@@ -529,46 +509,45 @@ def _grouped(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _project_chunk(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarray]]]:
-    """Sector blocks of configurations that differ only in half-width.
+def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarray]]]:
+    """Sector blocks of configurations that differ at most in half-width.
 
-    Each point keeps its own quadrature orders, default or explicit, so
-    its blocks are those ``_project`` gives it.  The points that share
-    orders share one quadrature: their fields come from one ``_fields``
-    call and their kernels from one ``_kernel_spectra`` call over the
-    union of their transverse indices; then each distinct basis among them
-    takes one ``_sector_blocks`` gather for its points.  Returns, per
-    distinct (orders, basis), (positions of its configurations, m,
-    sectors, block stacks).  Every per-point capacity check of
-    ``_discretise`` runs, and the stacked arrays of every quadrature are
-    refused with ``CapacityError`` before any of them is built.
+    Each point keeps its own quadrature orders, default or explicit.  The
+    points that share orders share one quadrature: their fields come from
+    one ``_fields`` call and their kernels from one ``_kernel_spectra``
+    call over the union of their transverse indices; then each distinct
+    basis among them takes one ``_sector_blocks`` gather for its points.
+    Returns, per distinct (orders, basis), (positions of its
+    configurations, m, sectors, block stacks (points, r, r)).
+
+    Every N is checked before its basis is enumerated.  The P points that
+    share a quadrature stack P copies of one point's arrays, so before any
+    is built they are checked as one quadrature of P m_s nodes in s, at the
+    largest N and all their transverse indices (fields, kernel spectra),
+    and as one matrix of order sqrt(P) N (blocks, and the (P, N, N)
+    eigenvectors of a sweep).  A single configuration is checked exactly
+    at its own sizes.
     """
-    first = configs[0]
     bases = []
     for config in configs:
-        require_capacity(config.n_basis)
+        require_capacity(config.n_basis)  # bounds N before the basis is enumerated
         bases.append(_basis_arrays(config.params, config.n_basis, config.close_pairs))
     orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
-    for (m, n), (m_s, m_u) in zip(bases, orders):
-        require_capacity(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
     quadratures = []  # (points, their transverse indices) per distinct orders
     for points in _grouped(orders):
         n_values = np.flatnonzero(np.bincount(np.concatenate([bases[i][1] for i in points])))
         n_basis = max(bases[i][0].size for i in points)
         m_s, m_u = orders[points[0]]
-        needed = _chunk_bytes(len(points), n_basis, m_s, m_u, n_values.size)
-        if needed > MAX_ARRAY_BYTES:
-            raise CapacityError(
-                f"a chunk of {len(points)} half-widths at N={n_basis}, m_s={m_s}, "
-                f"m_u={m_u} needs an array of about {needed / 2**20:.0f} MiB, above "
-                f"the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
-            )
+        require_capacity(n_basis, len(points) * m_s, m_u, n_values.size)
+        # P stacked N x N arrays hold as much as one matrix of order sqrt(P) N
+        require_capacity(math.isqrt(len(points) * n_basis**2 - 1) + 1)
         quadratures.append((points, n_values))
+    params, geometry = configs[0].params, configs[0].geometry
     a = np.array([config.params.a for config in configs])
-    chunk = []
+    projected = []
     for points, n_values in quadratures:
-        grid = QuadratureGrid.for_strip(first.params, *orders[points[0]])
-        fa, _, potential = _fields(first.params, a[points], grid, first.geometry)
+        grid = QuadratureGrid.for_strip(params, *orders[points[0]])
+        fa, _, potential = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)[0]
         top = 2 * max(int(np.abs(bases[i][0]).max()) for i in points)
         spectra, pair = _kernel_spectra(transverse, grid.weights_2d, fa, potential, top)
@@ -579,19 +558,33 @@ def _project_chunk(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.
             sectors = _sectors(m)
             stacks = _sector_blocks(
                 spectra[members], pair, m, np.searchsorted(n_values, n), sectors,
-                _pow2(n * np.pi / 2.0) / _pow2(a[positions])[:, None], first.params.R,
+                _transverse_diag(n, a[positions]), params.R,
             )
-            chunk.append((positions, m, sectors, stacks))
-    return chunk
+            projected.append((positions, m, sectors, stacks))
+    return projected
+
+
+def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The basis rows listed sector by sector, and the projection matrix
+    over them: ``config``'s sector blocks on the diagonal, zeros elsewhere."""
+    [(_, _, sectors, stacks)] = _project([config])
+    order = np.concatenate(sectors)
+    blocked = np.zeros((order.size,) * 2)
+    lo = 0
+    for stack in stacks:
+        hi = lo + stack.shape[1]
+        blocked[lo:hi, lo:hi] = stack[0]
+        lo = hi
+    return order, blocked
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
-    """Projection matrix of L onto the flat basis in basis order, the sector
-    blocks scattered into zeros; symmetric by storage."""
-    disc = _discretise(config)
-    dense = np.zeros((disc.m.size,) * 2)
-    for rows, block in zip(disc.sectors, _project(disc)):
-        dense[np.ix_(rows, rows)] = block
+    """Projection matrix of L onto the flat basis in basis order: the
+    sector-ordered matrix ``solve`` diagonalises, scattered back; symmetric
+    by storage."""
+    order, blocked = _sector_ordered(config)
+    dense = np.empty_like(blocked)
+    dense[np.ix_(order, order)] = blocked
     return SymmetricMatrix.from_dense(dense)
 
 
@@ -655,22 +648,12 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     Every coefficient column is exactly zero off its sector; coefficient
     rows come back in basis order.  Residual norms wait for their first read.
     """
-    disc = _discretise(config)
-    order = np.concatenate(disc.sectors)
-    blocked = np.zeros((order.size,) * 2)
-    lo = 0
-    for block in _project(disc):
-        hi = lo + block.shape[0]
-        blocked[lo:hi, lo:hi] = block
-        lo = hi
+    order, blocked = _sector_ordered(config)
     decomp = eig_dense_symmetric(blocked)
     coefficients = np.empty_like(decomp.eigenvectors)
     coefficients[order] = decomp.eigenvectors
     return GalerkinSolution(
-        config=config,
-        eigenvalues=decomp.eigenvalues,
-        coefficients=coefficients,
-        _disc=disc,
+        config=config, eigenvalues=decomp.eigenvalues, coefficients=coefficients
     )
 
 

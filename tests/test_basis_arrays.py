@@ -256,7 +256,6 @@ def test_assembly_builds_no_mode_labels(monkeypatch):
     with pytest.raises(AssertionError, match="ModeIndex"):
         solution.basis
     monkeypatch.undo()
-    assert [(md.m, md.n) for md in solution.basis] == list(
-        zip(solution._disc.m.tolist(), solution._disc.n.tolist())
-    )
+    m, n = _basis_arrays(config.params, 72, True)
+    assert [(md.m, md.n) for md in solution.basis] == list(zip(m.tolist(), n.tolist()))
     assert galerkin.basis_modes(config.params, 72, True) == list(solution.basis)

@@ -18,7 +18,7 @@ from moebius.convergence import (
     sweep_work,
 )
 from moebius.errors import CapacityError, InputError
-from moebius.galerkin import GalerkinConfig, _discretise, _project, assemble, largest_array_bytes
+from moebius.galerkin import GalerkinConfig, _project, assemble, largest_array_bytes
 from moebius.geometry import StripParams, potential_va, potential_veff
 from moebius.models import _effective_modes
 
@@ -45,7 +45,8 @@ def synthetic_sweep(power, scale=1.0):
 
 def sector_values(config):
     """Ascending eigenvalues of the sector blocks of one configuration."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _project(_discretise(config))]))
+    [(_, _, _, stacks)] = _project([config])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in stacks]))
 
 
 def test_fit_rate_synthetic_cubic():
@@ -133,7 +134,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
         raise AssertionError("the N x N matrix was assembled")
 
     stacks = []  # half-widths and sector size of each stack, in solve order
-    project = convergence._project_chunk
+    project = convergence._project
 
     def grouped(configs):
         groups = project(configs)
@@ -152,7 +153,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
     monkeypatch.setattr(galerkin, "assemble", not_reached)
     monkeypatch.setattr(galerkin, "solve", not_reached)
     monkeypatch.setattr(convergence, "solve", not_reached)
-    monkeypatch.setattr(convergence, "_project_chunk", grouped)
+    monkeypatch.setattr(convergence, "_project", grouped)
     monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
     # two chunks, the first full, whose thin points share a basis
     grid = np.geomspace(0.02, 0.9, convergence._CHUNK + 3)
@@ -302,16 +303,17 @@ def test_chunked_sweep_is_each_points_own_spectrum(
 
 
 def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):
-    # a full chunk of thin strips: one transverse index, so the per-point
-    # bound is small and the chunk's stacked fields are the largest arrays
+    # a full chunk of thin strips sharing one quadrature: its stacked fields
+    # and kernel spectra are checked as one quadrature of 8 m_s nodes, a
+    # bound that every point alone stays under
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
     bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
     m_s = max(2 * int(np.abs(m).max()) + 32 for m, _ in bases)
     m_u = max(2 * int(n.max()) + 16 for _, n in bases)
     n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
-    needed = galerkin._chunk_bytes(grid.size, max(m.size for m, _ in bases), m_s, m_u, n_count)
-    # the stacked fields, (points, 2, m_s, m_u) doubles
-    assert needed == 16 * grid.size * m_s * m_u
+    needed = largest_array_bytes(max(m.size for m, _ in bases), grid.size * m_s, m_u, n_count)
+    # the stacked fields, (points, 2, m_s, m_u) doubles, are within it
+    assert 16 * grid.size * m_s * m_u <= needed
     per_point = max(
         largest_array_bytes(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
         for m, n in bases
@@ -326,9 +328,34 @@ def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(galerkin, "_f_with_derivatives", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
     for sweep in (eigenvalue_sweep, eigenvector_sweep):
-        with pytest.raises(CapacityError, match=f"a chunk of {grid.size} half-widths at N=31, m_s={m_s}"):
+        with pytest.raises(CapacityError, match=f"N=31, m_s={grid.size * m_s}, m_u={m_u}"):
             sweep(RADIUS, grid, 3, 30)
     # a shorter chunk of the same strips fits
     monkeypatch.undo()
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
     eigenvalue_sweep(RADIUS, grid[:-1], 3, 30)
+
+
+def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch):
+    # at m_s = m_u = 2 the chunk's stacked N x N arrays, the eigenvector
+    # sweep's (8, N, N) above all, pass every bound of its quadrature; they
+    # are checked as one matrix of order sqrt(8) N
+    grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
+    sizes = {galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True)[0].size
+             for a in grid}
+    assert sizes == {31}
+    quadrature = largest_array_bytes(31, grid.size * 2, 2, 1)
+    order = 88  # the least integer at or above sqrt(8) 31 = 87.7
+    needed = largest_array_bytes(order)
+    assert 8 * grid.size * 31**2 <= needed and quadrature < needed
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+    eigenvector_sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)  # exactly at the cap is allowed
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a chunk array was built before the capacity check")
+
+    monkeypatch.setattr(galerkin, "_f_with_derivatives", not_reached)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    for sweep in (eigenvalue_sweep, eigenvector_sweep):
+        with pytest.raises(CapacityError, match=f"N={order} needs"):
+            sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)

@@ -234,7 +234,8 @@ def test_eigenfunction_values_expand_the_flat_basis():
 
 
 def test_discretisation_keeps_factor_tables():
-    disc = _discretise(GalerkinConfig(params=WIDE_PARAMS, n_basis=60))
+    config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60)
+    disc = _discretise(config)
     s, u = disc.grid.s_nodes, disc.grid.u_nodes
     factors = disc.factors
     labels = list(zip(disc.m.tolist(), disc.n.tolist()))
@@ -246,9 +247,11 @@ def test_discretisation_keeps_factor_tables():
             factors.slope[j], fake_longitudinal(m, WIDE_PARAMS, s, derivative=1)
         )
         assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(n, u))
-    cosine, sine = disc.sectors
-    assert np.all(disc.m[cosine] >= 0) and np.all(disc.m[sine] < 0)
-    assert sorted(np.concatenate(disc.sectors)) == list(range(disc.m.size))
+    # the projection's sectors partition the same basis
+    [(_, m, (cosine, sine), _)] = galerkin._project([config])
+    assert np.array_equal(m, disc.m)
+    assert np.all(m[cosine] >= 0) and np.all(m[sine] < 0)
+    assert sorted(np.concatenate((cosine, sine))) == list(range(m.size))
     # nothing of size N x m_s m_u is kept
     n, points = disc.m.size, s.size * u.size
     arrays = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
@@ -323,16 +326,16 @@ def test_factorised_matrix_matches_full_table_reference(geometry):
 def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
-        disc = _discretise(config)
-        for block in galerkin._project(disc):
-            assert np.array_equal(block, block.T)
+        [(_, m, sectors, stacks)] = galerkin._project([config])
+        for stack in stacks:
+            assert np.array_equal(stack[0], stack[0].T)
         dense = assemble(config).to_dense()
-        cosine = disc.m >= 0
+        cosine = m >= 0
         assert np.all(dense[np.ix_(cosine, ~cosine)] == 0.0)
         assert np.all(dense[np.ix_(~cosine, cosine)] == 0.0)
         # solve diagonalises the public matrix gathered into sector order,
         # coefficient rows scattered back to basis order, bit for bit
-        order = np.concatenate(disc.sectors)
+        order = np.concatenate(sectors)
         decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
         scattered = np.empty_like(decomp.eigenvectors)
         scattered[order] = decomp.eigenvectors
@@ -349,16 +352,17 @@ def scattered_matrix(disc):
     rate = harmonic / (2.0 * disc.params.R)
     amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * disc.params.R),
                    1.0 / np.sqrt(np.pi * disc.params.R))
+    transverse, n_of = galerkin._transverse_rows(disc.n, disc.grid.u_nodes)
     spectra, pair = galerkin._kernel_spectra(
-        disc.transverse, disc.weights, disc.fa[None], disc.potential[None],
+        transverse, disc.weights, disc.fa[None], disc.potential[None],
         2 * int(harmonic.max()),
     )
     n_pairs = spectra.shape[-1]
     flat = spectra[0].reshape(2, -1)
     out = np.zeros((disc.m.size,) * 2)
-    for rows in disc.sectors:
-        sign = 1.0 if disc.m[rows[0]] >= 0 else -1.0
-        h, t = harmonic[rows], disc.n_of[rows]
+    for sign in (1.0, -1.0):  # cosine sector m >= 0, sine sector m < 0
+        rows = np.flatnonzero((disc.m >= 0) == (sign > 0))
+        h, t = harmonic[rows], n_of[rows]
         kernel = pair[np.ix_(t, t)]
         slope_diff, value_diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, 1)
         slope_sum, value_sum = flat.take(np.add.outer(h, h) * n_pairs + kernel, 1)
@@ -380,8 +384,9 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
             disc = _discretise(config)
             dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc))
-            for rows, block in zip(disc.sectors, galerkin._project(disc)):
-                assert np.array_equal(block, dense[np.ix_(rows, rows)])
+            [(_, _, sectors, stacks)] = galerkin._project([config])
+            for rows, stack in zip(sectors, stacks):
+                assert np.array_equal(stack[0], dense[np.ix_(rows, rows)])
 
 
 def test_pair_table_is_shared_and_read_only():
@@ -400,7 +405,7 @@ def sector_ordered(solution):
 
     An exactly degenerate cosine/sine pair comes out in either order, so
     eigenpairs of two solutions are matched within their sector."""
-    sine_rows = solution._disc.m < 0
+    sine_rows = np.array([md.m < 0 for md in solution.basis])
     sine = np.any(solution.coefficients[sine_rows] != 0.0, axis=0)
     return [
         (solution.eigenvalues[columns], solution.residual_norms[columns])
@@ -419,7 +424,7 @@ def test_default_quadrature_matches_an_over_resolved_one(params, n_basis):
     # cancellation of terms of the eigenvalue's size, so they are compared
     # on that scale
     default = solve(GalerkinConfig(params=params, n_basis=n_basis))
-    m_s = default._disc.grid.s_nodes.size
+    m_s = default._discretisation.grid.s_nodes.size
     fine = solve(GalerkinConfig(params=params, n_basis=n_basis, m_s=4 * m_s))
     rel = np.abs(default.eigenvalues - fine.eigenvalues) / np.abs(fine.eigenvalues)
     assert np.max(rel) <= 1e-13
@@ -494,9 +499,9 @@ def test_leading_residuals_are_the_full_computation_bitwise(params, n_basis):
         assert leading.shape == (count,) and np.array_equal(leading, full[:count])
         assert "residual_norms" not in fresh.__dict__  # the full set was not computed
         assert residual_norm(fresh, count) == full[count - 1]
-    # once all are read, the leading ones are read from them
+    # once all are read, the leading ones are still computed on their own
     solution = solve(config)
-    assert np.shares_memory(solution.residual_norms, solution.leading_residual_norms(5))
+    assert np.array_equal(solution.residual_norms[:5], solution.leading_residual_norms(5))
 
 
 def test_true_spectrum_computes_residuals_for_the_printed_rows(monkeypatch, capsys):
@@ -555,28 +560,50 @@ def test_largest_array_estimate():
     assert largest_array_bytes(2, 2, 2, 1, export_points=1) == EXPORT_POINT_BYTES
 
 
-def test_capacity_guard_refuses_before_building(monkeypatch):
-    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30)
+def not_reached(*args, **kwargs):
+    raise AssertionError("allocated before the capacity check")
+
+
+def refused_before_building(config, monkeypatch):
+    """``largest_array_bytes`` of ``config``'s sizes, after checking that
+    ``solve`` and ``assemble`` admit it at that cap and refuse it one byte
+    below, before the quadrature is built."""
     disc = _discretise(config)
     orders = disc.grid.s_nodes.size, disc.grid.u_nodes.size
-    needed = largest_array_bytes(30, *orders, disc.factors.transverse.shape[0])
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
-    _discretise(config)  # exactly at the cap is allowed
+    needed = largest_array_bytes(config.n_basis, *orders, disc.factors.transverse.shape[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+        for run in (solve, assemble):
+            run(config)  # exactly at the cap is allowed
+        patch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
+        patch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+        for run in (solve, assemble):
+            with pytest.raises(CapacityError, match="MiB cap"):
+                run(config)
+    return needed
 
-    def not_reached(*args, **kwargs):
-        raise AssertionError("allocated before the capacity check")
 
+def test_capacity_guard_refuses_before_building(monkeypatch):
+    needed = refused_before_building(GalerkinConfig(params=TABLE_PARAMS, n_basis=30), monkeypatch)
     monkeypatch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
-    with pytest.raises(CapacityError, match="MiB cap"):
-        _discretise(config)
-    with pytest.raises(CapacityError, match="m_s=99999"):
-        _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))
+    for run in (solve, assemble):
+        with pytest.raises(CapacityError, match="m_s=99999"):
+            run(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))
     # a matrix too large on its own is refused before the basis is enumerated
     monkeypatch.setattr(galerkin, "_basis_arrays", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
-    with pytest.raises(CapacityError, match="N=31 needs"):
-        _discretise(GalerkinConfig(params=TABLE_PARAMS, n_basis=31))
+    for run in (solve, assemble):
+        with pytest.raises(CapacityError, match="N=31 needs"):
+            run(GalerkinConfig(params=TABLE_PARAMS, n_basis=31))
+
+
+def test_single_configuration_is_held_to_the_matrix_bound(monkeypatch):
+    # at m_s = m_u = 2 the N x N matrix, 8 N^2 bytes, is the largest array
+    # of the estimate; the sector gathers are not counted beyond it, so a
+    # single run is admitted exactly up to that bound
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=2, m_u=2)
+    assert refused_before_building(config, monkeypatch) == 8 * 30 * 30
 
 
 def test_capacity_guard_admits_readme_and_benchmark_sizes():

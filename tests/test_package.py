@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 import moebius
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "moebius").glob("*.py"))
+MODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
 
 
 def test_every_export_is_the_object_of_its_defining_module():
@@ -51,3 +54,24 @@ def test_an_unknown_name_raises_attribute_error():
         moebius.no_such_name
     with pytest.raises(ImportError):
         from moebius import no_such_name  # noqa: F401
+
+
+def test_names_quoted_in_the_docs_exist():
+    # `module.name` in the package's docstrings and comments and in the
+    # README, and ``_private`` in the package, which must belong to the
+    # module that names it
+    dotted = re.compile(r"`(%s)\.(\w+)" % "|".join(MODULES))
+    private = re.compile(r"``(_\w+)``")
+    missing = []
+    for path in [*SOURCES, SRC.parent / "README.md"]:
+        text = path.read_text()
+        for module, name in dotted.findall(text):
+            if name != "py" and not hasattr(importlib.import_module(f"moebius.{module}"), name):
+                missing.append(f"{path.name}: {module}.{name}")
+        if path.suffix == ".py":
+            owner = importlib.import_module(
+                "moebius" if path.stem == "__init__" else f"moebius.{path.stem}"
+            )
+            missing += [f"{path.name}: {name}" for name in private.findall(text)
+                        if not hasattr(owner, name)]
+    assert missing == []
