@@ -23,12 +23,15 @@ Both kinds run through one driver, which solves the grid a chunk of
 ``_CHUNK`` half-widths at a time.  ``galerkin._project``, the projection
 that ``galerkin.solve`` runs for one configuration, gives the chunk's
 sector blocks, one stack per sector for each group of points with the same
-basis and quadrature orders: the points whose orders agree (each keeps its
-own, so its values are those of ``galerkin.solve``'s matrix) share one
-quadrature, one broadcast field evaluation, one kernel product and one
-FFT.  Each sector's stack goes to LAPACK in one ``eig_dense_symmetric``
-call, and the sector values merge by a stable sort, cosine before sine
-among ties.  The eigenvalue kind asks for values only; the eigenvector
+basis and quadrature orders: the chunk's flat bases come from one
+enumeration over its half-widths, and the points whose orders agree (each
+keeps its own, so its values are those of ``galerkin.solve``'s matrix)
+share one quadrature, one broadcast field evaluation on half the s nodes,
+one kernel product and one FFT.  The eigenvalue kind takes the chunk's
+effective values from one enumeration of the effective modes as well.
+Each sector's stack goes to LAPACK in one ``eig_dense_symmetric`` call,
+and the sector values merge by a stable sort, cosine before sine among
+ties.  The eigenvalue kind asks for values only; the eigenvector
 kind takes the eigenvectors of the same stacks, scatters their rows into
 basis order and compares each point's leading columns with its effective
 expansion.  Neither forms the N x N matrix, calls ``galerkin.solve`` or
@@ -74,11 +77,12 @@ CLUSTER_RTOL = 1e-9
 _CHUNK = 8
 _CLUSTER_MARGIN = 4  # extra indices inspected so cutoff-straddling clusters close
 # Cap on ``sweep_work``: at N = 72, where one point is estimated at 1.5e7
-# operations and takes 0.43 ms (eigenvalue kind) to 0.79 ms (eigenvector
-# kind) on one core in 64-point sweeps, it admits 650k points, 5-9 minutes.
+# operations and takes 0.39-0.45 ms (eigenvalue kind) to 0.88-0.98 ms
+# (eigenvector kind) on one core in 64-point sweeps (2-core VM, one BLAS
+# thread), it admits 650k points, 4-11 minutes.
 MAX_SWEEP_WORK = 10**13
-# one point's fixed cost in operations, mostly interpreter work: 0.19 ms
-# (eigenvalue kind) to 0.32 ms (eigenvector kind) at N = 20, where the
+# one point's fixed cost in operations, mostly interpreter work: 0.13-0.15 ms
+# (eigenvalue kind) to 0.36-0.40 ms (eigenvector kind) at N = 20, where the
 # N-dependent terms are small
 _POINT_OVERHEAD = 5 * 10**6
 
@@ -230,7 +234,10 @@ def _eigenvalue_chunk(configs, count: int):
     true = np.empty((len(configs), count))
     for points, values, _, _ in _solved_chunk(configs, want_vectors=False):
         true[points] = values[:, :count]
-    eff = np.array([_effective_modes(config.params, count)[3][:count] for config in configs])
+    point, _, _, _, value, _ = _effective_modes(
+        configs[0].params.R, [config.params.a for config in configs], count
+    )
+    eff = value[np.searchsorted(point, np.arange(len(configs)))[:, None] + np.arange(count)]
     return eff, true, np.abs(eff - true)
 
 

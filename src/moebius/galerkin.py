@@ -20,13 +20,18 @@ the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
 The basis is enumerated once per configuration as two integer arrays
-(m_j, n_j), in the order of ``basis_modes``, and memoised per
-(params, n_basis, close_pairs); ``ModeIndex`` labels are made only when
+(m_j, n_j), in the order of ``basis_modes``, and kept per
+(params, n_basis, close_pairs); the configurations of a chunk that are not
+kept yet are enumerated together, by one ``models._flat_modes`` call over
+their half-widths (``_bases``).  ``ModeIndex`` labels are made only when
 ``basis_modes`` or a solution's ``basis`` asks for them.  Psi_j(s, u) =
 L_{m_j}(s) T_{n_j}(u) with L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s)
 (m < 0), mu = |m| / 2R, a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).
 The (m_s, m_u) fields w, fa, d1 fa and V come from one evaluation of f and
-its derivatives, and T_n is sampled once per distinct n on the u nodes.
+its derivatives on the s nodes k = 0..m_s // 2: the strip has
+f(2 pi R - s, t) = f(s, -t) and the u nodes come in exact +/- pairs, so
+node m_s - k is node k with u reversed, d1 fa negated (``_fields``).  T_n
+is sampled once per distinct n on the u nodes.
 The integrals contract the u-quadrature first,
 
     A_nn'(s) = sum_u w T_n T_n' / fa^2,    B_nn'(s) = sum_u w V T_n T_n',
@@ -84,6 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +133,12 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # streamed as text), traced at 177 B for JSON and 135 B for CSV on the
 # 192x65 README export and 83-91 B on grids up to 768x260.
 EXPORT_POINT_BYTES = 256
-# configurations kept by _basis_arrays' cache; an eigenvector sweep point
-# reads its basis twice, once to project and once to expand the effective
-# modes, and a solution reads it again for labels, exports and residuals
+# configurations kept by _bases' cache; an eigenvector sweep point reads
+# its basis twice, once to project and once to expand the effective modes,
+# and a solution reads it again for labels, exports and residuals
 _CACHED_BASES = 64
+_BASES: dict = {}  # (params, n_basis, close_pairs) -> (m, n), oldest first
+_BASES_LOCK = threading.Lock()  # sweep chunks may run on threads
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
@@ -219,7 +227,6 @@ class GalerkinSolution:
         )
 
 
-@functools.lru_cache(maxsize=_CACHED_BASES)
 def _basis_arrays(
     params: StripParams, n_basis: int, close_pairs: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,22 +236,52 @@ def _basis_arrays(
     ``fake_spectrum``, and within an entry by (harmonic, cosine before
     sine, n).  ``close_pairs`` appends the next mode when the last one is
     half of a +/-m pair whose partner was cut off.  Each configuration is
-    enumerated once per process; the arrays returned are shared and
-    read-only.
+    enumerated once per process (see ``_bases``); the arrays returned are
+    shared and read-only.
     """
-    m, n, _, entry = _flat_modes(params, n_basis + 1)
+    return _bases([params], n_basis, close_pairs)[0]
+
+
+def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_basis_arrays`` at each of ``params``, strips of one radius.
+
+    The configurations not yet enumerated in this process are enumerated
+    together, by one ``_flat_modes`` call over their half-widths, and kept
+    for later reads, the oldest dropped first beyond ``_CACHED_BASES``.
+    """
+    keys = [(p, n_basis, close_pairs) for p in params]
+    with _BASES_LOCK:
+        missing = [key for key in dict.fromkeys(keys) if key not in _BASES]
+        if missing:
+            made = _enumerated_bases([key[0] for key in missing], n_basis, close_pairs)
+            _BASES.update(zip(missing, made))
+        bases = [_BASES[key] for key in keys]
+        while len(_BASES) > _CACHED_BASES:
+            del _BASES[next(iter(_BASES))]
+    return bases
+
+
+def _enumerated_bases(params, n_basis: int, close_pairs: bool):
+    """The (m, n) of ``_basis_arrays`` at each of ``params``, from one
+    enumeration of their flat modes."""
+    point, m, n, _, entry = _flat_modes(params[0].R, [p.a for p in params], n_basis + 1)
     order = np.lexsort((n, m < 0, np.abs(m), entry))
-    m, n = m[order], n[order]
-    size = n_basis
+    point, m, n = point[order], m[order], n[order]
+    lo = np.searchsorted(point, np.arange(len(params)))
+    size = np.full(lo.size, n_basis)
     if close_pairs and n_basis > 0:
-        last_m, last_n = m[n_basis - 1], n[n_basis - 1]
-        partnered = (m[:n_basis] == -last_m) & (n[:n_basis] == last_n)
-        if last_m != 0 and not partnered.any():
-            size += 1
-    m, n = m[:size], n[:size]
-    m.flags.writeable = False
-    n.flags.writeable = False
-    return m, n
+        # a point's last mode is orphaned when no earlier mode of the point
+        # is its +/-m partner
+        last = lo + n_basis - 1
+        partner = (m == -m[last][point]) & (n == n[last][point]) & (np.arange(m.size) < last[point])
+        size += (m[last] != 0) & (np.bincount(point[partner], minlength=lo.size) == 0)
+    made = []
+    for start, stop in zip(lo.tolist(), (lo + size).tolist()):
+        basis = m[start:stop], n[start:stop]
+        for column in basis:
+            column.flags.writeable = False
+        made.append(basis)
+    return made
 
 
 def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
@@ -385,18 +422,44 @@ def _fields(params: StripParams, a: np.ndarray, grid: QuadratureGrid, geometry: 
     (the radius from ``params``), each of shape (a.size, m_s, m_u).
 
     One broadcast evaluation of f and its derivatives at t = a u feeds all
-    three, for every half-width; each element is the one a single
-    half-width's evaluation gives.
+    three, for every half-width, on the s nodes k = 0..m_s // 2 only: the
+    strip has f(2 pi R - s, t) = f(s, -t), and the u nodes come in exact
+    +/- pairs, so ``_mirrored`` fills the other nodes.
     """
     ss = grid.s_nodes[:, None]
-    shape = (a.size, grid.s_nodes.size, grid.u_nodes.size)
+    m_s = ss.size
+    shape = (a.size, m_s, grid.u_nodes.size)
     if geometry == "true_geometry":
-        derivatives = _f_with_derivatives(params, ss, a[:, None, None] * grid.u_nodes)
-        return derivatives[0], derivatives[1], _potential_from(*derivatives)
+        derivatives = _f_with_derivatives(params, ss[:m_s // 2 + 1], a[:, None, None] * grid.u_nodes)
+        return (
+            _mirrored(derivatives[0], m_s, 1.0),
+            _mirrored(derivatives[1], m_s, -1.0),
+            _mirrored(_potential_from(*derivatives), m_s, 1.0),
+        )
     fa, d_s_fa = np.ones(shape), np.zeros(shape)
     if geometry == "flat_with_Veff":
         return fa, d_s_fa, np.broadcast_to(potential_veff(params, ss), shape)
     return fa, d_s_fa, np.zeros(shape)  # flat_plain
+
+
+def _mirrored(half: np.ndarray, m_s: int, sign: float) -> np.ndarray:
+    """A field on all ``m_s`` s nodes (axis 1) from its values ``half`` on
+    the nodes k = 0..m_s // 2.
+
+    The field F has F(2 pi R - s, u) = ``sign`` F(s, -u): fa and V are even
+    under that mirror, d1 fa is odd.  Node m_s - k takes node k with u
+    reversed, times ``sign``.  At even m_s the node s = pi R is its own
+    mirror, and its u < 0 half is filled from its u > 0 half, so the field
+    is mirror-symmetric at every node by construction.
+    """
+    top = half.shape[1]
+    tail = half[:, m_s - top:0:-1, ::-1]
+    full = np.concatenate((half, -tail if sign < 0.0 else tail), axis=1)
+    if m_s % 2 == 0:
+        low = half.shape[2] // 2
+        middle = full[:, top - 1]
+        middle[:, :low] = sign * middle[:, :-low - 1:-1]  # exact: sign is +/-1
+    return full
 
 
 def _transverse_diag(n, a) -> np.ndarray:
@@ -512,6 +575,7 @@ def _grouped(keys) -> list[list[int]]:
 def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarray]]]:
     """Sector blocks of configurations that differ at most in half-width.
 
+    The bases not yet enumerated are enumerated together (``_bases``).
     Each point keeps its own quadrature orders, default or explicit.  The
     points that share orders share one quadrature: their fields come from
     one ``_fields`` call and their kernels from one ``_kernel_spectra``
@@ -528,10 +592,9 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarra
     eigenvectors of a sweep).  A single configuration is checked exactly
     at its own sizes.
     """
-    bases = []
-    for config in configs:
-        require_capacity(config.n_basis)  # bounds N before the basis is enumerated
-        bases.append(_basis_arrays(config.params, config.n_basis, config.close_pairs))
+    first = configs[0]
+    require_capacity(first.n_basis)  # bounds N before any basis is enumerated
+    bases = _bases([config.params for config in configs], first.n_basis, first.close_pairs)
     orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
     quadratures = []  # (points, their transverse indices) per distinct orders
     for points in _grouped(orders):
@@ -542,7 +605,7 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarra
         # P stacked N x N arrays hold as much as one matrix of order sqrt(P) N
         require_capacity(math.isqrt(len(points) * n_basis**2 - 1) + 1)
         quadratures.append((points, n_values))
-    params, geometry = configs[0].params, configs[0].geometry
+    params, geometry = first.params, first.geometry
     a = np.array([config.params.a for config in configs])
     projected = []
     for points, n_values in quadratures:
@@ -698,7 +761,7 @@ def effective_in_basis(
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
-    sine, order, n_eff, value, _ = _effective_modes(config.params, count, q)
+    _, sine, order, n_eff, value, _ = _effective_modes(config.params.R, [config.params.a], count, q)
     sine, order, n_eff = sine[:count], order[:count], n_eff[:count]
     chars = [
         mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)

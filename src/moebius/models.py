@@ -72,10 +72,11 @@ DEFAULT_Q = -0.25
 # quadrature or export grid is refused with CapacityError before anything
 # is built.
 MAX_ARRAY_BYTES = 1 << 29
-# Peak bytes per (n, harmonic) cell of the flat box: its value table and
-# masks, the sorted candidates under the cap and the squared harmonics,
-# traced at 80 B per cell on the one-row boxes of thin strips (0.1-72 MiB),
-# 43 B on two-row boxes and up to 64 B where most cells are kept
+# Peak bytes per (n, harmonic) cell of the flat box: the squared harmonics,
+# the cell indices, values and masks, and the sorted candidates under the
+# cap, traced at 72 B per cell on the one-row boxes of thin strips
+# (13-25 MiB) and 58-86 B on boxes of two or more rows where most cells are
+# kept; a sweep chunk's boxes are counted together
 _BOX_CELL_BYTES = 88
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
@@ -171,36 +172,65 @@ def _pow2(x):
     return (np.asarray(x, dtype=float).astype(object) ** 2).astype(float)
 
 
-def _merge_sorted(value, multiplicity, count):
-    """Merged entries of ascending candidate ``value``s, and the candidates kept.
+def _cells(rows, cols):
+    """The cells (box, i, j) of one ``rows`` x ``cols`` box per element,
+    i < rows[box] and j < cols[box], box by box and row-major within each."""
+    cells = rows * cols
+    box = np.repeat(np.arange(cells.size), cells)
+    i, j = np.divmod(np.arange(box.size) - np.repeat(np.cumsum(cells) - cells, cells), cols[box])
+    return box, i, j
 
-    An entry opens wherever a value is not within ``MERGE_RTOL`` of the
-    first value of the open entry; next to a distant predecessor that is
-    certain, so only runs of near ties are walked one by one.  Entries are
-    kept up to the first at which the modes counted (``multiplicity`` per
-    candidate) reach ``count``.  Returns the entry index of each candidate
+
+def _merge_sorted(value, multiplicity, count, point):
+    """Merged entries of candidate ``value``s, and the candidates kept.
+
+    The candidates come point by point (``point`` ascending, every point
+    from 0 present), each point's values ascending.  An entry opens at each
+    point's first candidate and wherever a value is not within
+    ``MERGE_RTOL`` of the first value of the open entry; next to a distant
+    predecessor that is certain, so only near ties are walked one by one,
+    in one walk for all points that starts at the first near tie to open
+    an entry.  Each point keeps its entries up to the first at which its
+    modes counted (``multiplicity`` per candidate) reach ``count``.
+    Returns the entry index of each candidate, numbered across the points,
     and the mask of kept candidates.
     """
-    close = np.abs(value[1:] - value[:-1]) <= MERGE_RTOL * np.maximum(
-        np.abs(value[:-1]), np.abs(value[1:])
+    close = (point[1:] == point[:-1]) & (
+        np.abs(value[1:] - value[:-1])
+        <= MERGE_RTOL * np.maximum(np.abs(value[:-1]), np.abs(value[1:]))
     )
     opens = np.concatenate(([True], ~close))
     last_open = np.maximum.accumulate(np.where(opens, np.arange(opens.size), 0))
+    # every near tie is tested against the entry open before it; up to the
+    # first that fails no entry opens in the walk, so the walk starts there
+    ties = np.flatnonzero(close) + 1
+    ref, val = value[last_open[ties]], value[ties]
+    fails = ~(np.abs(val - ref) <= MERGE_RTOL * np.maximum(np.abs(ref), np.abs(val)))
     anchor = 0
-    for i in np.flatnonzero(close) + 1:
+    for i in ties[np.argmax(fails):] if fails.any() else ():
         anchor = max(anchor, int(last_open[i]))
         ref, val = float(value[anchor]), float(value[i])
         if not abs(val - ref) <= MERGE_RTOL * max(abs(ref), abs(val)):
             opens[i] = True
             anchor = i
     entry = np.cumsum(opens) - 1
-    reached = np.cumsum(np.bincount(entry, weights=multiplicity)) >= count
-    if not reached[-1]:
+    # modes counted per point up to each entry, and each point's first
+    # entry that reaches the count
+    counted = np.cumsum(np.bincount(entry, weights=multiplicity))
+    entry_point = point[opens]
+    points = int(point[-1]) + 1
+    first = np.searchsorted(entry_point, np.arange(points + 1))
+    before = np.concatenate(([0.0], counted))[first]
+    short = counted - before[entry_point] < count
+    limit = first[:-1] + np.bincount(entry_point[short], minlength=points)
+    unreached = np.flatnonzero(limit == first[1:])
+    if unreached.size:
+        p = unreached[0]
         raise InputError(
-            f"internal enumeration produced only {int(multiplicity.sum())} of "
+            f"internal enumeration produced only {int(before[p + 1] - before[p])} of "
             f"{count} eigenvalues"
         )
-    return entry, entry <= np.argmax(reached)
+    return entry, entry <= limit[point]
 
 
 def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Spectrum:
@@ -218,82 +248,120 @@ def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Sp
     return Spectrum(params=params, model=model, entries=entries)
 
 
-def _flat_modes(params: StripParams, count: int):
-    """Flat modes of the ``count`` smallest eigenvalues as arrays.
+def _flat_modes(R: float, a, count: int):
+    """Flat modes of the ``count`` smallest eigenvalues at each half-width
+    of ``a``, all on the radius ``R``, as arrays.
 
-    Returns ``(m, n, value, entry)``, one element per mode, in
+    Returns ``(point, m, n, value, entry)``, one element per mode, point by
+    point (``point`` indexes ``a``) and within a point in
     ``fake_spectrum``'s order: merged entries ascending (``entry`` numbers
-    them from 0), members by exact value, then m, then n.  Enumeration is
-    exhaustive: a value cap is doubled until the box of all (m, n) with
-    lambda <= cap holds at least ``count + 8`` eigenvalues counted with
-    multiplicity, so nothing below the returned maximum can be missed.
+    them across the points from 0), members by exact value, then m, then n.
+    Enumeration is exhaustive: each point's value cap is doubled until the
+    box of all (m, n) with lambda <= cap holds at least ``count + 8``
+    eigenvalues counted with multiplicity, so nothing below the returned
+    maximum can be missed.  The points share one row of squared harmonics,
+    one sort and one near-tie walk; a single half-width goes through the
+    same code.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    R = params.R
-    e1 = params.transverse_energy
+    e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
     # room for the count + 16 lowest harmonics at n = 1: a box of about
     # count + 16 harmonics (more at a thin strip, where the cap rounds),
     # not the about 2R sqrt(7) pi / 2a under 8 e1
-    cap = min(8.0 * e1, e1 + ((count + 16.0) / (2.0 * R)) ** 2)
-    while True:
-        _require_box_capacity(R, e1, cap)
-        n, harmonic, value, inside = _flat_box(R, e1, cap)
-        total = 2 * np.count_nonzero(inside) - np.count_nonzero(inside[:, 0])
-        if total >= count + 8:
-            break
-        cap *= 2.0
+    cap = np.minimum(8.0 * e1, e1 + ((count + 16.0) / (2.0 * R)) ** 2)
+    point, n, harmonic, value = _flat_cells(R, e1, cap, count + 8)
     # one candidate per (|m|, n), ordered by value, then by its first
     # label (-|m|, n): the sine partner sorts before its cosine
-    rows, cols = np.nonzero(inside)
-    order = np.lexsort((n[rows], -harmonic[cols], value[rows, cols]))
-    rows, cols = rows[order], cols[order]
-    multiplicity = np.where(harmonic[cols] == 0, 1, 2)
-    entry, keep = _merge_sorted(value[rows, cols], multiplicity, count)
+    order = np.lexsort((n, -harmonic, value, point))
+    point, n, harmonic, value = point[order], n[order], harmonic[order], value[order]
+    multiplicity = np.where(harmonic == 0, 1, 2)
+    entry, keep = _merge_sorted(value, multiplicity, count, point)
 
     # each nonzero harmonic is a (-|m|, n), (|m|, n) pair of one value
     mult = multiplicity[keep]
-    m = np.repeat(harmonic[cols[keep]], mult)
+    m = np.repeat(harmonic[keep], mult)
     m[np.cumsum(mult)[mult == 2] - 2] *= -1
-    n = np.repeat(n[rows[keep]], mult)
-    value = np.repeat(value[rows[keep], cols[keep]], mult)
-    entry = np.repeat(entry[keep], mult)
+    point, n, value, entry = (np.repeat(x[keep], mult) for x in (point, n, value, entry))
     order = np.lexsort((n, m, value, entry))
-    return m[order], n[order], value[order], entry[order]
+    return point[order], m[order], n[order], value[order], entry[order]
 
 
-def _require_box_capacity(R: float, e1: float, cap: float) -> None:
-    """Raise ``CapacityError`` when the flat box under ``cap`` would pass
-    ``MAX_ARRAY_BYTES``.  Reckoned in floats, so an overflowing box is
-    refused too."""
-    cells = np.floor(np.sqrt(cap / e1)) * (_box_span(R, e1, cap) + 2.0)
-    if not _BOX_CELL_BYTES * cells <= MAX_ARRAY_BYTES:
+def _flat_cells(R: float, e1, cap, needed: int):
+    """The cells (point, n, harmonic, value) of each point's flat box, box
+    by box, once it holds ``needed`` modes counted with multiplicity: the
+    cap (one per element of ``e1``, doubled in place) is doubled for the
+    points whose box holds fewer, and only their boxes are built again."""
+    found = []  # the cells kept at each doubling
+    pending = np.arange(e1.size)
+    while pending.size:
+        _require_box_capacity(R, e1[pending], cap[pending])
+        box, n, harmonic, value = _flat_box(R, e1[pending], cap[pending])
+        total = np.bincount(box, weights=np.where(harmonic == 0, 1, 2), minlength=pending.size)
+        short = total < needed
+        cells = pending[box], n, harmonic, value
+        if short.any():
+            cells = tuple(column[~short[box]] for column in cells)
+        found.append(cells)
+        pending = pending[short]
+        cap[pending] *= 2.0
+    return _joined(found)
+
+
+def _joined(found):
+    """The columns of the cells kept at each doubling, each joined into one
+    array; a single doubling's arrays are returned as they are."""
+    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
+
+
+def _require_box_capacity(R: float, e1, cap) -> None:
+    """Raise ``CapacityError`` when a flat box under ``cap`` (one per
+    element of ``e1`` and ``cap``), or all of them together, would pass
+    ``MAX_ARRAY_BYTES``.  A box too large alone is refused as it would be
+    alone.  Reckoned in floats, so an overflowing box is refused too."""
+    needed = _BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (_box_span(R, e1, cap) + 2.0))
+    if needed.sum() <= MAX_ARRAY_BYTES:
+        return
+    over = np.flatnonzero(~(needed <= MAX_ARRAY_BYTES))
+    if over.size:
+        i = over[0]
         raise CapacityError(
-            f"the flat modes below {cap:.3g} need about "
-            f"{_BOX_CELL_BYTES * cells / 2**20:.3g} MiB, above the "
-            f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+            f"the flat modes below {cap[i]:.3g} need about {needed[i] / 2**20:.3g} MiB, "
+            f"above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
         )
+    raise CapacityError(
+        f"the flat modes at {cap.size} half-widths together need about "
+        f"{needed.sum() / 2**20:.3g} MiB, above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+    )
 
 
-def _flat_box(R: float, e1: float, cap: float):
-    """The box of flat modes with lambda <= ``cap``: transverse indices n,
-    harmonics, the (n, harmonic) table of values and the mask of cells
-    under the cap with m + n odd."""
-    n = np.arange(1, int(np.sqrt(cap / e1)) + 2)
-    tn = e1 * n * n
-    n, tn = n[tn <= cap], tn[tn <= cap]
-    harmonic = np.arange(int(_box_span(R, e1, cap)) + 2)
-    value = _pow2(harmonic / (2.0 * R)) + tn[:, None]
-    inside = (value <= cap) & ((harmonic + n[:, None]) % 2 == 1)
-    return n, harmonic, value, inside
+def _flat_box(R: float, e1, cap):
+    """The boxes of flat modes with lambda <= ``cap``, one per element of
+    ``e1`` and ``cap``: the cells under the cap with m + n odd, as
+    (box, n, harmonic, value) arrays, box by box.  The boxes share one row
+    of squared harmonics; each holds the rows n with e1 n^2 <= cap."""
+    top = np.sqrt(cap / e1).astype(int) + 1
+    n = np.arange(1, top.max() + 1)
+    tn = e1[:, None] * n * n
+    rows = np.count_nonzero((tn <= cap[:, None]) & (n <= top[:, None]), axis=1)
+    span = _box_span(R, e1, cap).astype(int) + 2
+    # squared first: the object arrays of _pow2 are the peak of a one-row box
+    squares = _pow2(np.arange(span.max()) / (2.0 * R))
+    box, n, harmonic = _cells(rows, span)  # n - 1 until the values are formed
+    value = squares[harmonic]
+    value += tn[box, n]
+    n += 1
+    inside = value <= cap[box]
+    inside &= (harmonic + n) % 2 == 1
+    return box[inside], n[inside], harmonic[inside], value[inside]
 
 
-def _box_span(R: float, e1: float, cap: float) -> float:
+def _box_span(R: float, e1, cap):
     """Bound on the harmonics of cells under ``cap``: h / 2R <= sqrt(cap - e1)
     at n = 1, widened by two spacings of ``cap`` for the rounding of the
     cell values, which at a thin strip matters since cap - e1 can fall
     below the spacing of e1."""
-    return 2.0 * R * np.sqrt(max(cap - e1, 0.0) + 2.0 * np.spacing(cap))
+    return 2.0 * R * np.sqrt(np.maximum(cap - e1, 0.0) + 2.0 * np.spacing(cap))
 
 
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:
@@ -302,7 +370,7 @@ def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     Enumeration is exhaustive (see ``_flat_modes``), so nothing below the
     returned maximum can be missed.
     """
-    m, n, value, entry = _flat_modes(params, count)
+    _, m, n, value, entry = _flat_modes(params.R, [params.a], count)
     return _spectrum(params, "fake", np.full(m.size, FAMILY_FAKE), m, n, value, entry)
 
 
@@ -312,18 +380,21 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     Enumeration is exhaustive (see ``_effective_modes``).  Modes are
     ordered by value, then (family, m, n).
     """
-    sine, m, n, value, entry = _effective_modes(params, count, q)
+    _, sine, m, n, value, entry = _effective_modes(params.R, [params.a], count, q)
     family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
     return _spectrum(params, "effective", family, m, n, value, entry)
 
 
-def _effective_modes(params: StripParams, count: int, q: float = DEFAULT_Q):
-    """Effective modes of the ``count`` smallest eigenvalues as arrays.
+def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
+    """Effective modes of the ``count`` smallest eigenvalues at each
+    half-width of ``a``, all on the radius ``R``, as arrays.
 
-    Returns ``(sine, m, n, value, entry)``, one element per mode, in
+    Returns ``(point, sine, m, n, value, entry)``, one element per mode,
+    point by point (``point`` indexes ``a``) and within a point in
     ``effective_spectrum``'s order: merged entries ascending (``entry``
-    numbers them from 0), members by value, then (family, m, n), so
-    ``value`` ascends.  ``sine`` flags the eff_se family.
+    numbers them across the points from 0), members by value, then
+    (family, m, n), so each point's ``value`` ascends.  ``sine`` flags the
+    eff_se family.
 
     The order sweep is bounded by the Weyl estimate
     a_m(q), b_m(q) >= m^2 - 3|q| (the recurrence matrix is its diagonal
@@ -331,31 +402,39 @@ def _effective_modes(params: StripParams, count: int, q: float = DEFAULT_Q):
     that could fall under the value cap is visited.  The cap starts at a
     longitudinal budget sized for ``count`` and doubles on shortfall; it
     deliberately does not scale with the transverse energy, which at small
-    half-width would drag absurdly high Mathieu orders into the sweep.
+    half-width would drag absurdly high Mathieu orders into the sweep.  The
+    budget does not depend on the half-width, so the points that fall short
+    together share the next Mathieu table, and only e1 n^2 differs between
+    their boxes.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
-    e1 = params.transverse_energy
-    kappa = 1.0 / (2.0 * params.R) ** 2
+    e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
+    kappa = 1.0 / (2.0 * R) ** 2
     budget = kappa * (count + 16.0) ** 2 + 3.0 * abs(q) * kappa
-    while True:
-        cap = e1 + budget
+    found = []  # (point, sine, m, n, value) of the cells kept at each doubling
+    pending = np.arange(e1.size)
+    while pending.size:
+        cap = e1[pending] + budget
         m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
         sine, order_m, mu = _char_table(q, m_max)
         # a_0(q) < 0 lets n pass sqrt(cap / e1) slightly
-        n = np.arange(1, int(np.sqrt(max(cap, cap - kappa * mu.min()) / e1)) + 2)
-        value = kappa * mu[:, None] + e1 * n * n
-        inside = (value <= cap) & ((order_m[:, None] + n) % 2 == 1)  # m + n odd
-        if np.count_nonzero(inside) >= count + 8:
-            break
+        top = np.sqrt(np.maximum(cap, cap - kappa * mu.min()) / e1[pending]).astype(int) + 1
+        box, row, col = _cells(np.full(pending.size, mu.size), top)
+        n = col + 1
+        value = kappa * mu[row] + e1[pending][box] * n * n
+        inside = (value <= cap[box]) & ((order_m[row] + n) % 2 == 1)  # m + n odd
+        short = np.bincount(box[inside], minlength=pending.size) < count + 8
+        kept = inside & ~short[box]
+        row = row[kept]
+        found.append((pending[box[kept]], sine[row], order_m[row], n[kept], value[kept]))
+        pending = pending[short]
         budget *= 2.0
-    rows, cols = np.nonzero(inside)
-    order = np.lexsort((n[cols], order_m[rows], sine[rows], value[rows, cols]))
-    rows, cols = rows[order], cols[order]
-    value = value[rows, cols]
-    entry, keep = _merge_sorted(value, np.ones(value.size), count)
-    rows, cols = rows[keep], cols[keep]
-    return sine[rows], order_m[rows], n[cols], value[keep], entry[keep]
+    point, sine, order_m, n, value = _joined(found)
+    order = np.lexsort((n, order_m, sine, value, point))
+    point, sine, order_m, n, value = (x[order] for x in (point, sine, order_m, n, value))
+    entry, keep = _merge_sorted(value, np.ones(value.size), count, point)
+    return point[keep], sine[keep], order_m[keep], n[keep], value[keep], entry[keep]
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)

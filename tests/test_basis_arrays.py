@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebius import galerkin, mathieu, models
+from moebius.convergence import eigenvalue_sweep
+from moebius.errors import CapacityError
 from moebius.galerkin import GalerkinConfig, _basis_arrays, assemble, basis_modes, solve
 from moebius.geometry import StripParams
 from moebius.models import (
@@ -183,7 +185,7 @@ def test_effective_spectrum_equals_the_mode_enumeration(a, R, count, q):
 )
 def test_effective_values_are_the_spectrum_values_bitwise(a, R, count, q):
     params = StripParams(a=a, R=R)
-    _, _, _, value, _ = _effective_modes(params, count, q)
+    _, _, _, _, value, _ = _effective_modes(params.R, [params.a], count, q)
     expected = effective_spectrum(params, count, q=q).values(count)
     assert np.array_equal(value[:count], expected)
     assert np.all(np.diff(value) >= 0.0)
@@ -215,7 +217,7 @@ def wide_span(R, e1, cap):
     """The cut span with 1024 spacings of the cap where it has 2: far past
     the rounding of any cell value, and small enough to build on strips
     too thin for the full span."""
-    return 2.0 * R * np.sqrt(max(cap - e1, 0.0) + 1024.0 * np.spacing(cap))
+    return 2.0 * R * np.sqrt(np.maximum(cap - e1, 0.0) + 1024.0 * np.spacing(cap))
 
 
 @pytest.mark.parametrize(
@@ -225,10 +227,10 @@ def wide_span(R, e1, cap):
 )
 def test_box_cut_to_the_reachable_harmonics_keeps_every_mode(monkeypatch, a, reference):
     cases = [(R, count) for R in (0.8, 2.0, 5.0) for count in (1, 5, 200)]
-    cut = [models._flat_modes(StripParams(a=a, R=R), count) for R, count in cases]
+    cut = [models._flat_modes(R, [a], count) for R, count in cases]
     monkeypatch.setattr(models, "_box_span", reference)
     for (R, count), modes in zip(cases, cut):
-        expected = models._flat_modes(StripParams(a=a, R=R), count)
+        expected = models._flat_modes(R, [a], count)
         for got, want in zip(modes, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want), (R, count)
 
@@ -259,3 +261,125 @@ def test_assembly_builds_no_mode_labels(monkeypatch):
     m, n = _basis_arrays(config.params, 72, True)
     assert [(md.m, md.n) for md in solution.basis] == list(zip(m.tolist(), n.tolist()))
     assert galerkin.basis_modes(config.params, 72, True) == list(solution.basis)
+
+
+def assert_chunk_is_each_point(R, a_values, n_basis, count, q=-0.25):
+    """One enumeration over the half-widths ``a_values`` equals one
+    enumeration per half-width, bit for bit: the flat bases (with and
+    without pair closure) and the effective modes, entries numbered from
+    each point's first."""
+    params = [StripParams(a=float(a), R=R) for a in a_values]
+    for close_pairs in (False, True):
+        chunk = galerkin._enumerated_bases(params, n_basis, close_pairs)
+        for p, basis in zip(params, chunk):
+            [alone] = galerkin._enumerated_bases([p], n_basis, close_pairs)
+            for got, want in zip(basis, alone):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (p, close_pairs)
+    point, *columns = _effective_modes(R, [p.a for p in params], count, q)
+    for i, p in enumerate(params):
+        got = [column[point == i] for column in columns]
+        got[-1] = got[-1] - got[-1][0]
+        alone = _effective_modes(R, [p.a], count, q)
+        assert not alone[0].any()
+        for column, want in zip(got, alone[1:]):
+            assert column.dtype == want.dtype and np.array_equal(column, want), p
+        assert np.array_equal(got[3][:count], effective_spectrum(p, count, q=q).values(count))
+
+
+def entry_cut(spectrum, multiplicity):
+    """The mode count that ends one mode into the first entry of at least
+    ``multiplicity`` modes: a cutoff inside that merged entry."""
+    before = 0
+    for entry in spectrum.entries:
+        if entry.multiplicity >= multiplicity:
+            return before + 1
+        before += entry.multiplicity
+    raise AssertionError("no such entry")
+
+
+@pytest.mark.parametrize("R, a_values", [
+    # thin strips, down to where the cap rounds and the box spans 1.3e5
+    # harmonics, next to ordinary ones
+    (2.0, [1e-12, 1e-9, 1e-4, 0.05, 0.5]),
+    # at and past a >= R
+    (0.4, [0.4, 0.9, 1.5]),
+    (2.86, [0.02, 1.3, 2.86, 4.0]),
+])
+def test_chunk_enumeration_is_each_points_own(R, a_values):
+    for n_basis, count in ((1, 1), (20, 5), (73, 20)):
+        assert_chunk_is_each_point(R, a_values, n_basis, count)
+
+
+def test_chunk_enumeration_is_each_points_own_across_merged_entries():
+    # R = a sqrt(5) / pi ties (4, 1) with (1, 2) at a = 0.3: a four-mode
+    # flat entry, cut inside by the basis count N + 1
+    a = 0.3
+    R = a * np.sqrt(5.0) / np.pi
+    tied = StripParams(a=a, R=R)
+    assert any(entry.multiplicity == 4 for entry in fake_spectrum(tied, 30).entries)
+    n_basis = entry_cut(fake_spectrum(tied, 30), 4)
+    # an effective count one mode into a merged ce/se pair
+    count = entry_cut(effective_spectrum(tied, 40), 2)
+    for q in (-0.25, 0.0, 1.0):
+        assert_chunk_is_each_point(R, [0.2, a, 0.45], n_basis, count, q)
+        assert_chunk_is_each_point(R, [a], n_basis, count, q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    R=st.floats(0.3, 10.0),
+    a_values=st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=8),
+    n_basis=st.integers(1, 100),
+    count=st.integers(1, 60),
+    q=st.sampled_from([-0.25, 0.0, 1.0]),
+)
+def test_chunk_enumeration_is_each_points_own_property(R, a_values, n_basis, count, q):
+    assert_chunk_is_each_point(R, a_values, n_basis, count, q)
+
+
+def not_built(*args, **kwargs):
+    raise AssertionError("flat modes were enumerated before the capacity check")
+
+
+def test_chunk_with_a_refused_box_is_refused_as_that_point_alone(monkeypatch):
+    # at R = 2 and count 5 the box passes the cap from a = 1.58e-14 down
+    with pytest.raises(CapacityError) as alone:
+        models._flat_modes(2.0, [1e-14], 5)
+    monkeypatch.setattr(models, "_flat_box", not_built)
+    for a_values in ([0.1, 1e-14, 0.5], [1e-14, 0.3], [0.2, 0.7, 1e-14]):
+        with pytest.raises(CapacityError) as chunk:
+            models._flat_modes(2.0, a_values, 5)
+        assert str(chunk.value) == str(alone.value)
+    # through a sweep, whose chunk enumerates its bases together
+    with pytest.raises(CapacityError) as swept:
+        eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 4)
+    with pytest.raises(CapacityError) as solved:
+        solve(GalerkinConfig(params=StripParams(a=1e-14, R=2.0), n_basis=4))
+    assert str(swept.value) == str(solved.value)
+    # N is checked before any basis of the chunk is enumerated
+    monkeypatch.setattr(galerkin, "_flat_modes", not_built)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
+    with pytest.raises(CapacityError, match="N=31 needs"):
+        eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 31)
+
+
+def test_chunk_of_boxes_is_held_to_the_cap_together(monkeypatch):
+    # thin strips whose boxes span thousands of harmonics: each is
+    # admitted alone at a cap that all of them together pass
+    a_values = [1e-11, 2e-11, 4e-11]
+    e1 = models._pow2(np.pi / (2.0 * np.array(a_values)))
+    cap = e1 + (21.0 / 4.0) ** 2
+    span = models._box_span(2.0, e1, cap)
+    needed = models._BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (span + 2.0))
+    assert np.all(span > 1000)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.sum())
+    expected = [models._flat_modes(2.0, [a], 5) for a in a_values]
+    point, *columns = models._flat_modes(2.0, a_values, 5)  # exactly at the cap
+    for i, want in enumerate(expected):
+        got = [column[point == i] for column in columns]
+        got[-1] = got[-1] - got[-1][0]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[1:]))
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.sum() - 1)
+    monkeypatch.setattr(models, "_flat_box", not_built)
+    with pytest.raises(CapacityError, match="at 3 half-widths together need"):
+        models._flat_modes(2.0, a_values, 5)

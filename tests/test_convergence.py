@@ -299,7 +299,29 @@ def test_chunked_sweep_is_each_points_own_spectrum(
                                 geometry=geometry, close_pairs=True)
         dense = np.linalg.eigvalsh(assemble(config).to_dense())[:count]
         assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
-        assert np.array_equal(eff, _effective_modes(params, count)[3][:count])
+        assert np.array_equal(eff, _effective_modes(radius, [float(a)], count)[4][:count])
+
+
+def test_eigenvalue_sweep_enumerates_modes_once_per_chunk(monkeypatch):
+    # one flat and one effective enumeration per chunk, over its half-widths
+    flat, effective = [], []
+    enumerate_flat, enumerate_effective = galerkin._flat_modes, convergence._effective_modes
+
+    def counted_flat(R, a, count):
+        flat.append(list(a))
+        return enumerate_flat(R, a, count)
+
+    def counted_effective(R, a, count, q=-0.25):
+        effective.append(list(a))
+        return enumerate_effective(R, a, count, q)
+
+    monkeypatch.setattr(galerkin, "_flat_modes", counted_flat)
+    monkeypatch.setattr(convergence, "_effective_modes", counted_effective)
+    monkeypatch.setattr(galerkin, "_BASES", {})
+    grid = np.geomspace(0.03, 0.6, convergence._CHUNK + 3)
+    eigenvalue_sweep(RADIUS, grid, 4, 24)
+    chunks = [grid[:convergence._CHUNK].tolist(), grid[convergence._CHUNK:].tolist()]
+    assert flat == chunks and effective == chunks
 
 
 def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -319,6 +322,30 @@ def test_factorised_matrix_matches_full_table_reference(geometry):
         assert np.max(np.abs(dense - reference)) <= 1e-13 * np.max(np.abs(reference)), m_s
 
 
+@pytest.mark.parametrize("m_s", [1, 2, 3, 64, 101, 176])
+def test_fields_are_mirror_symmetric_and_the_direct_evaluation(m_s):
+    # fa and V on node m_s - k are node k with u reversed, d1 fa negated;
+    # evaluated on half the s nodes and filled, they stay the closed forms
+    for params in (TABLE_PARAMS, WIDE_PARAMS, StripParams(a=0.02, R=3.15)):
+        for m_u in (1, 4, 21):
+            grid = QuadratureGrid.for_strip(params, m_s, m_u)
+            a = np.array([0.5 * params.a, params.a])
+            fa, d1, v = (field[1] for field in galerkin._fields(params, a, grid, "true_geometry"))
+            k = np.arange(1, m_s)
+            assert np.array_equal(fa[m_s - k], fa[k, ::-1])
+            assert np.array_equal(v[m_s - k], v[k, ::-1])
+            assert np.array_equal(d1[m_s - k], -d1[k, ::-1])
+            s, u = grid.s_nodes[:, None], grid.u_nodes[None, :]
+            t = params.a * u
+            for got, direct in (
+                (fa, jacobian_f(params, s, t)),
+                (d1, jacobian_f_derivatives(params, s, t)[0]),
+                (v, potential_va(params, s, u)),
+            ):
+                scale = np.max(np.abs(direct))
+                assert np.max(np.abs(got - direct)) <= 1e-14 * scale, (params, m_u)
+
+
 @pytest.mark.parametrize("params, n_basis, m_s", [
     (TABLE_PARAMS, 82, None), (WIDE_PARAMS, 60, None), (WIDE_PARAMS, 60, 13),
     (StripParams(a=0.073, R=3.15), 73, None),
@@ -591,7 +618,7 @@ def test_capacity_guard_refuses_before_building(monkeypatch):
         with pytest.raises(CapacityError, match="m_s=99999"):
             run(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))
     # a matrix too large on its own is refused before the basis is enumerated
-    monkeypatch.setattr(galerkin, "_basis_arrays", not_reached)
+    monkeypatch.setattr(galerkin, "_bases", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
     for run in (solve, assemble):
         with pytest.raises(CapacityError, match="N=31 needs"):
@@ -651,19 +678,49 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
     calls = []
     enumerate_modes = galerkin._flat_modes
 
-    def counted(params, count):
-        calls.append(params)
-        return enumerate_modes(params, count)
+    def counted(R, a, count):
+        calls.append(list(a))
+        return enumerate_modes(R, a, count)
 
     monkeypatch.setattr(galerkin, "_flat_modes", counted)
-    galerkin._basis_arrays.cache_clear()
+    monkeypatch.setattr(galerkin, "_BASES", {})
     a_grid = [0.31, 0.47, 0.62]
     sweep = eigenvector_sweep(WIDE_PARAMS.R, a_grid, 3, 24)
     assert np.all(np.isfinite(sweep.differences))
-    assert [params.a for params in calls] == a_grid
-    m, n = galerkin._basis_arrays(StripParams(a=0.47, R=WIDE_PARAMS.R), 24, True)
-    assert len(calls) == 3
+    # one enumeration for the chunk, read again by each point's expansion,
+    # and by a later expansion or solve of a swept configuration
+    assert calls == [a_grid]
+    params = StripParams(a=0.47, R=WIDE_PARAMS.R)
+    m, n = galerkin._basis_arrays(params, 24, True)
+    config = GalerkinConfig(params=params, n_basis=24, close_pairs=True)
+    effective_in_basis(config, 3)
+    solve(config)
+    assert calls == [a_grid]
     assert not (m.flags.writeable or n.flags.writeable)
+
+
+def test_basis_cache_holds_under_threads(monkeypatch):
+    # more threads than cores enumerate overlapping chunks while the cache,
+    # cut to two entries, fewer than a chunk, evicts; an unlocked update
+    # loses entries that another thread is about to read
+    monkeypatch.setattr(galerkin, "_BASES", {})
+    monkeypatch.setattr(galerkin, "_CACHED_BASES", 2)
+    params = [StripParams(a=float(a), R=WIDE_PARAMS.R) for a in np.linspace(0.1, 1.2, 12)]
+    expected = galerkin._enumerated_bases(params, 20, True)
+    chunks = [params[lo:lo + 4] for lo in range(9)] * 12
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(galerkin._bases, chunk, 20, True) for chunk in chunks]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for chunk, bases in zip(chunks, results):
+        for p, basis in zip(chunk, bases):
+            want = expected[params.index(p)]
+            assert all(np.array_equal(got, w) for got, w in zip(basis, want))
+    assert len(galerkin._BASES) == 2
 
 
 def test_effective_expansion_capacity_error():
@@ -683,7 +740,7 @@ def expansion_by_loop(config, count, q=DEFAULT_Q):
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
-    sine, order, n_eff, value, _ = _effective_modes(config.params, count, q)
+    _, sine, order, n_eff, value, _ = _effective_modes(config.params.R, [config.params.a], count, q)
     coeffs = np.zeros((m.size, count))
     truncations = np.empty(count)
     modes = zip(sine[:count].tolist(), order[:count].tolist(), n_eff[:count].tolist())
