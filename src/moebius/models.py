@@ -76,7 +76,7 @@ MAX_ARRAY_BYTES = 1 << 29
 # the cell indices, values and masks, and the sorted candidates under the
 # cap, traced at 72 B per cell on the one-row boxes of thin strips
 # (13-25 MiB) and 58-86 B on boxes of two or more rows where most cells are
-# kept; a sweep chunk's boxes are counted together
+# kept; a sweep chunk's boxes are built together while their sum fits
 _BOX_CELL_BYTES = 88
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
@@ -288,40 +288,34 @@ def _flat_modes(R: float, a, count: int):
 
 
 def _flat_cells(R: float, e1, cap, needed: int):
-    """The cells (point, n, harmonic, value) of each point's flat box, box
-    by box, once it holds ``needed`` modes counted with multiplicity: the
-    cap (one per element of ``e1``, doubled in place) is doubled for the
-    points whose box holds fewer, and only their boxes are built again."""
-    found = []  # the cells kept at each doubling
+    """The cells (point, n, harmonic, value) of each point's flat box once
+    it holds ``needed`` modes counted with multiplicity: the cap (one per
+    element of ``e1``, doubled in place) is doubled for the points whose box
+    holds fewer, and only their boxes are built again.  The pending boxes
+    are built together, or in runs of consecutive points when together they
+    would pass ``MAX_ARRAY_BYTES``."""
+    found = []  # the cells kept at each build
     pending = np.arange(e1.size)
     while pending.size:
-        _require_box_capacity(R, e1[pending], cap[pending])
-        box, n, harmonic, value = _flat_box(R, e1[pending], cap[pending])
-        total = np.bincount(box, weights=np.where(harmonic == 0, 1, 2), minlength=pending.size)
+        part = pending[: _boxes_that_fit(R, e1[pending], cap[pending])]
+        box, n, harmonic, value = _flat_box(R, e1[part], cap[part])
+        total = np.bincount(box, weights=np.where(harmonic == 0, 1, 2), minlength=part.size)
         short = total < needed
-        cells = pending[box], n, harmonic, value
+        cells = part[box], n, harmonic, value
         if short.any():
             cells = tuple(column[~short[box]] for column in cells)
         found.append(cells)
-        pending = pending[short]
-        cap[pending] *= 2.0
-    return _joined(found)
+        cap[part[short]] *= 2.0
+        pending = np.concatenate((part[short], pending[part.size :]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
-def _joined(found):
-    """The columns of the cells kept at each doubling, each joined into one
-    array; a single doubling's arrays are returned as they are."""
-    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
-
-
-def _require_box_capacity(R: float, e1, cap) -> None:
-    """Raise ``CapacityError`` when a flat box under ``cap`` (one per
-    element of ``e1`` and ``cap``), or all of them together, would pass
-    ``MAX_ARRAY_BYTES``.  A box too large alone is refused as it would be
-    alone.  Reckoned in floats, so an overflowing box is refused too."""
+def _boxes_that_fit(R: float, e1, cap) -> int:
+    """How many leading flat boxes under ``cap`` (one per element of ``e1``
+    and ``cap``) fit under ``MAX_ARRAY_BYTES`` together; ``CapacityError``
+    when a box is too large alone, with the message it has alone.
+    Reckoned in floats, so an overflowing box is refused too."""
     needed = _BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (_box_span(R, e1, cap) + 2.0))
-    if needed.sum() <= MAX_ARRAY_BYTES:
-        return
     over = np.flatnonzero(~(needed <= MAX_ARRAY_BYTES))
     if over.size:
         i = over[0]
@@ -329,10 +323,7 @@ def _require_box_capacity(R: float, e1, cap) -> None:
             f"the flat modes below {cap[i]:.3g} need about {needed[i] / 2**20:.3g} MiB, "
             f"above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
         )
-    raise CapacityError(
-        f"the flat modes at {cap.size} half-widths together need about "
-        f"{needed.sum() / 2**20:.3g} MiB, above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
-    )
+    return int(np.searchsorted(np.cumsum(needed), MAX_ARRAY_BYTES, side="right"))
 
 
 def _flat_box(R: float, e1, cap):
@@ -430,7 +421,7 @@ def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
         found.append((pending[box[kept]], sine[row], order_m[row], n[kept], value[kept]))
         pending = pending[short]
         budget *= 2.0
-    point, sine, order_m, n, value = _joined(found)
+    point, sine, order_m, n, value = map(np.concatenate, zip(*found))
     order = np.lexsort((n, order_m, sine, value, point))
     point, sine, order_m, n, value = (x[order] for x in (point, sine, order_m, n, value))
     entry, keep = _merge_sorted(value, np.ones(value.size), count, point)

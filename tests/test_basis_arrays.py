@@ -363,23 +363,59 @@ def test_chunk_with_a_refused_box_is_refused_as_that_point_alone(monkeypatch):
         eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 31)
 
 
-def test_chunk_of_boxes_is_held_to_the_cap_together(monkeypatch):
+def box_bytes(R, e1, cap):
+    return models._BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (models._box_span(R, e1, cap) + 2.0))
+
+
+def test_chunk_of_boxes_past_the_cap_is_built_in_runs_that_fit(monkeypatch):
     # thin strips whose boxes span thousands of harmonics: each is
     # admitted alone at a cap that all of them together pass
     a_values = [1e-11, 2e-11, 4e-11]
     e1 = models._pow2(np.pi / (2.0 * np.array(a_values)))
-    cap = e1 + (21.0 / 4.0) ** 2
-    span = models._box_span(2.0, e1, cap)
-    needed = models._BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (span + 2.0))
-    assert np.all(span > 1000)
-    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.sum())
+    needed = box_bytes(2.0, e1, e1 + (21.0 / 4.0) ** 2)
+    assert np.all(models._box_span(2.0, e1, e1 + (21.0 / 4.0) ** 2) > 1000)
     expected = [models._flat_modes(2.0, [a], 5) for a in a_values]
-    point, *columns = models._flat_modes(2.0, a_values, 5)  # exactly at the cap
-    for i, want in enumerate(expected):
-        got = [column[point == i] for column in columns]
-        got[-1] = got[-1] - got[-1][0]
-        assert all(np.array_equal(g, w) for g, w in zip(got, want[1:]))
-    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.sum() - 1)
+    build = models._flat_box
+    runs = []
+
+    def recorded(R, e1, cap):
+        runs.append(box_bytes(R, e1, cap).sum())
+        return build(R, e1, cap)
+
+    monkeypatch.setattr(models, "_flat_box", recorded)
+    for limit, built in ((needed.sum(), 1), (needed.sum() - 1, 2)):
+        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", limit)
+        runs.clear()
+        point, *columns = models._flat_modes(2.0, a_values, 5)
+        assert len(runs) == built and max(runs) <= limit
+        for i, want in enumerate(expected):
+            got = [column[point == i] for column in columns]
+            got[-1] = got[-1] - got[-1][0]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want[1:]))
+    # a box too large alone is refused before any is built
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.max() - 1)
     monkeypatch.setattr(models, "_flat_box", not_built)
-    with pytest.raises(CapacityError, match="at 3 half-widths together need"):
+    with pytest.raises(CapacityError, match="the flat modes below .* MiB cap"):
         models._flat_modes(2.0, a_values, 5)
+
+
+def test_sweep_of_thin_strips_past_the_cap_together_is_solved(monkeypatch):
+    # a chunk's boxes that fit only one at a time are built one at a time
+    a_values = [1e-11, 2e-11, 4e-11]
+    monkeypatch.setattr(galerkin, "_BASES", {})
+    build = models._flat_box
+    largest = []
+
+    def recorded(R, e1, cap):
+        largest.append(box_bytes(R, e1, cap).max())
+        return build(R, e1, cap)
+
+    monkeypatch.setattr(models, "_flat_box", recorded)
+    want = eigenvalue_sweep(2.0, a_values, 3, 4)
+    monkeypatch.setattr(galerkin, "_BASES", {})
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", max(largest))
+    largest.clear()
+    got = eigenvalue_sweep(2.0, a_values, 3, 4)
+    assert len(largest) >= 2
+    assert np.array_equal(got.true_values, want.true_values)
+    assert np.array_equal(got.effective_values, want.effective_values)

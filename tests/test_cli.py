@@ -507,14 +507,15 @@ def test_thin_strip_flat_box_is_refused_before_it_is_built(capsys, monkeypatch, 
 def test_thin_strip_flat_box_holds_a_few_hundred_harmonics(capsys, monkeypatch, model):
     # at a = 1e-9 a box of every harmonic up to 2R sqrt(cap) would span
     # about 6e9 harmonics and was refused; the cut box spans 130
+    # (_flat_box lays its cells out through _cells, one column per harmonic)
     widths = []
-    build = models._flat_box
+    cells = models._cells
 
-    def recorded(R, e1, cap):
-        widths.append(int(models._box_span(R, e1, cap).max()) + 2)
-        return build(R, e1, cap)
+    def recorded(rows, cols):
+        widths.append(int(cols.max()))
+        return cells(rows, cols)
 
-    monkeypatch.setattr(models, "_flat_box", recorded)
+    monkeypatch.setattr(models, "_cells", recorded)
     argv = ["spectrum", "--model", model, "--a", "1e-9", "--R", "2.0", "--count", "5"]
     start = time.perf_counter()
     code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
