@@ -24,8 +24,9 @@ checked when the arguments are parsed; N of 2 or more solves its
 chunks of half-widths on N worker threads.  Without it the half-widths are solved
 one after another and no thread pool is started.
 
-Exit codes: 0 success, 2 invalid input (including a flat-mode box, basis,
-quadrature or export grid whose arrays would pass
+Exit codes: 0 success, 2 invalid input (including an ``--output`` that
+cannot be written, a flat-mode box, basis, quadrature or export grid whose
+arrays would pass
 ``galerkin.MAX_ARRAY_BYTES``, and a sweep whose estimated work passes
 ``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired verification checks).  There is no
 randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
@@ -139,16 +140,23 @@ def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
 @contextlib.contextmanager
 def _opened_output(output: str | None):
     """A text handle on stdout, or on a temporary file that replaces
-    ``output`` once the block completes and is removed if it fails."""
+    ``output`` once the block completes and is removed if it fails.  An
+    ``output`` that cannot be created or replaced is invalid input."""
     if output is None:
         yield sys.stdout
         return
-    directory = os.path.dirname(os.path.abspath(output)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".moebius-", text=True)
+    directory = os.path.dirname(os.path.abspath(output))
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".moebius-", text=True)
+    except OSError as exc:
+        raise InputError(f"cannot write --output {output}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
-        os.replace(tmp_path, output)
+        try:
+            os.replace(tmp_path, output)
+        except OSError as exc:
+            raise InputError(f"cannot write --output {output}: {exc.strerror}") from None
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

@@ -212,7 +212,7 @@ def _solved_chunk(configs, want_vectors: bool):
     values are merged by a stable sort, cosine before sine among ties.
     """
     solved = []
-    for points, m, sectors, stacks in _project(configs):
+    for points, m, sectors, stacks, _ in _project(configs):
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
         values = np.concatenate([d.eigenvalues for d in decomps], axis=1)
         order = np.argsort(values, axis=1, kind="stable")

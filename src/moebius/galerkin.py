@@ -75,10 +75,11 @@ matrix back into basis order.
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
 || L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form when a
-solution's residuals are first read, from quadrature fields the solution
-builds at that moment (``_discretise``), with L Psi_j expanded
-analytically through the closed-form derivatives of fa and summed per n
-from the coefficient-weighted longitudinal rows.
+solution's residuals are first read, from the grid and the fields fa, d1 fa
+and V that its projection evaluated and the solution keeps
+(``_Discretisation``), with L Psi_j expanded analytically through the
+closed-form derivatives of fa and summed per n from the
+coefficient-weighted longitudinal rows.
 
 Geometry overrides support the oracle runs: ``flat_plain`` (fa = 1, V = 0)
 must produce an exactly diagonal matrix, and ``flat_with_Veff`` (fa = 1,
@@ -90,7 +91,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,8 +135,7 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # 192x65 README export and 83-91 B on grids up to 768x260.
 EXPORT_POINT_BYTES = 256
 # configurations kept by _bases' cache; an eigenvector sweep point reads
-# its basis twice, once to project and once to expand the effective modes,
-# and a solution reads it again for labels, exports and residuals
+# its basis twice, once to project and once to expand the effective modes
 _CACHED_BASES = 64
 _BASES: dict = {}  # (params, n_basis, close_pairs) -> (m, n), oldest first
 _BASES_LOCK = threading.Lock()  # sweep chunks may run on threads
@@ -183,25 +183,22 @@ class GalerkinSolution:
 
     ``coefficients[:, k]`` expands the k-th eigenfunction over ``basis``;
     the columns are orthonormal.  ``residual_norms[k]`` is the strong-form
-    L2 residual of the k-th eigenpair, computed on first read from
-    quadrature fields built at that moment, so callers that need only the
-    eigenpairs never pay for it; ``leading_residual_norms(count)`` computes
-    only the first ``count``, bitwise equal to those of all.
+    L2 residual of the k-th eigenpair, computed on first read from the
+    quadrature fields that the projection evaluated and the solution keeps
+    (a ``_Discretisation``), so callers that need only the eigenpairs never
+    pay for it; ``leading_residual_norms(count)`` computes only the first
+    ``count``, bitwise equal to those of all.
     """
 
     config: GalerkinConfig
     eigenvalues: np.ndarray
     coefficients: np.ndarray
+    _discretisation: _Discretisation = field(repr=False, compare=False)
 
     @functools.cached_property
     def basis(self) -> tuple[ModeIndex, ...]:
         """Labels of the basis functions, in coefficient-row order."""
-        config = self.config
-        return _mode_labels(*_basis_arrays(config.params, config.n_basis, config.close_pairs))
-
-    @functools.cached_property
-    def _discretisation(self) -> _Discretisation:
-        return _discretise(self.config)
+        return _mode_labels(self._discretisation.m, self._discretisation.n)
 
     @functools.cached_property
     def residual_norms(self) -> np.ndarray:
@@ -213,17 +210,16 @@ class GalerkinSolution:
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
-        config = self.config
-        m, n = _basis_arrays(config.params, config.n_basis, config.close_pairs)
-        if not (1 <= k <= m.size):
-            raise InputError(f"k must be in [1, {m.size}], got {k}")
+        disc = self._discretisation
+        if not (1 <= k <= disc.m.size):
+            raise InputError(f"k must be in [1, {disc.m.size}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        factors = _sample_factors(m, n, self.config.params, s, u)
+        factors = _sample_factors(disc.m, disc.n, disc.params, s, u)
         coeffs = self.coefficients[:, k - 1]
         return sum(
             np.outer(coeffs[pos] @ factors.longitudinal[pos], factors.transverse[row])
-            for row, pos in factors.by_n(np.arange(m.size))
+            for row, pos in factors.by_n(np.arange(disc.m.size))
         )
 
 
@@ -383,25 +379,30 @@ def _transverse_rows(n, u) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Discretisation:
-    """Basis labels and quadrature fields of one configuration, what its
-    strong-form residuals read; the factor tables wait for their first
-    read."""
+    """Basis labels and quadrature fields of one configuration, kept from
+    its projection for its strong-form residuals; the factor tables and
+    diagonal terms wait for their first read."""
 
     params: StripParams
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    weights: np.ndarray      # (m_s, m_u)
     fa: np.ndarray           # (m_s, m_u)
     d_s_fa: np.ndarray       # (m_s, m_u) d1 fa
     potential: np.ndarray    # (m_s, m_u)
-    transverse_diag: np.ndarray  # (N,) (n pi / 2)^2 / a^2
-    rates_sq: np.ndarray     # (N,) (m / 2R)^2
 
     @functools.cached_property
     def factors(self) -> _Factors:
         """Factor tables of the basis on the quadrature nodes."""
         return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes)
+
+    @functools.cached_property
+    def transverse_diag(self) -> np.ndarray:  # (N,) (n pi / 2)^2 / a^2
+        return _transverse_diag(self.n, np.array([self.params.a]))[0]
+
+    @functools.cached_property
+    def rates_sq(self) -> np.ndarray:  # (N,) (m / 2R)^2
+        return _pow2(self.m / (2.0 * self.params.R))
 
 
 def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
@@ -466,27 +467,6 @@ def _transverse_diag(n, a) -> np.ndarray:
     """(n pi / 2)^2 / a^2 per mode of ``n`` (columns) and half-width of
     ``a`` (rows), squared as Python floats square."""
     return _pow2(n * np.pi / 2.0) / _pow2(a)[:, None]
-
-
-def _discretise(config: GalerkinConfig) -> _Discretisation:
-    """What the residuals of ``config`` read; ``_project`` checked its sizes."""
-    params = config.params
-    m, n = _basis_arrays(params, config.n_basis, config.close_pairs)
-    grid = QuadratureGrid.for_strip(params, *_quadrature_orders(config, m, n))
-    a = np.array([params.a])
-    fa, d_s_fa, potential = (field[0] for field in _fields(params, a, grid, config.geometry))
-    return _Discretisation(
-        params=params,
-        grid=grid,
-        m=m,
-        n=n,
-        weights=grid.weights_2d,
-        fa=fa,
-        d_s_fa=d_s_fa,
-        potential=potential,
-        transverse_diag=_transverse_diag(n, a)[0],
-        rates_sq=_pow2(m / (2.0 * params.R)),
-    )
 
 
 @functools.lru_cache(maxsize=_CACHED_PAIR_TABLES)
@@ -572,7 +552,7 @@ def _grouped(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarray]]]:
+def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list, _Discretisation | None]]:
     """Sector blocks of configurations that differ at most in half-width.
 
     The bases not yet enumerated are enumerated together (``_bases``).
@@ -582,7 +562,9 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarra
     call over the union of their transverse indices; then each distinct
     basis among them takes one ``_sector_blocks`` gather for its points.
     Returns, per distinct (orders, basis), (positions of its
-    configurations, m, sectors, block stacks (points, r, r)).
+    configurations, m, sectors, block stacks (points, r, r), and the
+    ``_Discretisation`` of a single configuration, which its residuals
+    read, or None for several, whose field stacks go before the gathers).
 
     Every N is checked before its basis is enumerated.  The P points that
     share a quadrature stack P copies of one point's arrays, so before any
@@ -610,11 +592,14 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarra
     projected = []
     for points, n_values in quadratures:
         grid = QuadratureGrid.for_strip(params, *orders[points[0]])
-        fa, _, potential = _fields(params, a[points], grid, geometry)
+        fa, d_s_fa, potential = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)[0]
         top = 2 * max(int(np.abs(bases[i][0]).max()) for i in points)
         spectra, pair = _kernel_spectra(transverse, grid.weights_2d, fa, potential, top)
-        del fa, potential  # the field stacks are not needed for the gathers
+        disc = None
+        if len(configs) == 1:
+            disc = _Discretisation(params, grid, *bases[0], fa[0], d_s_fa[0], potential[0])
+        del fa, d_s_fa, potential  # the gathers read none of the field stacks
         for members in _grouped((bases[i][0].tobytes(), bases[i][1].tobytes()) for i in points):
             positions = [points[k] for k in members]
             m, n = bases[positions[0]]
@@ -623,14 +608,15 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list[np.ndarra
                 spectra[members], pair, m, np.searchsorted(n_values, n), sectors,
                 _transverse_diag(n, a[positions]), params.R,
             )
-            projected.append((positions, m, sectors, stacks))
+            projected.append((positions, m, sectors, stacks, disc))
     return projected
 
 
-def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The basis rows listed sector by sector, and the projection matrix
-    over them: ``config``'s sector blocks on the diagonal, zeros elsewhere."""
-    [(_, _, sectors, stacks)] = _project([config])
+def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Discretisation]:
+    """The basis rows listed sector by sector, the projection matrix over
+    them (``config``'s sector blocks on the diagonal, zeros elsewhere) and
+    the discretisation that the projection evaluated."""
+    [(_, _, sectors, stacks, disc)] = _project([config])
     order = np.concatenate(sectors)
     blocked = np.zeros((order.size,) * 2)
     lo = 0
@@ -638,14 +624,14 @@ def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray]:
         hi = lo + stack.shape[1]
         blocked[lo:hi, lo:hi] = stack[0]
         lo = hi
-    return order, blocked
+    return order, blocked, disc
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     """Projection matrix of L onto the flat basis in basis order: the
     sector-ordered matrix ``solve`` diagonalises, scattered back; symmetric
     by storage."""
-    order, blocked = _sector_ordered(config)
+    order, blocked, _ = _sector_ordered(config)
     dense = np.empty_like(blocked)
     dense[np.ix_(order, order)] = blocked
     return SymmetricMatrix.from_dense(dense)
@@ -672,7 +658,7 @@ def _residual_norms(
     """
     width = min(max(count, 2), eigenvalues.size)
     eigenvalues, coefficients = eigenvalues[:width], coefficients[:, :width]
-    factors = disc.factors
+    factors, weights = disc.factors, disc.grid.weights_2d
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
     rows_terms, field_terms = [], []  # (K, m_s) and (m_s, m_u) per term
@@ -701,7 +687,7 @@ def _residual_norms(
         block = rows_s[lo:lo + _S_BLOCK] @ fields_s[lo:lo + _S_BLOCK]
         block *= block
         # not a matrix-vector product, whose summation order depends on K
-        squared += np.einsum("skm,sm->k", block, disc.weights[lo:lo + _S_BLOCK])
+        squared += np.einsum("skm,sm->k", block, weights[lo:lo + _S_BLOCK])
     return np.sqrt(squared[:count])
 
 
@@ -709,15 +695,14 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     """Diagonalise the sector blocks laid on the diagonal of one matrix.
 
     Every coefficient column is exactly zero off its sector; coefficient
-    rows come back in basis order.  Residual norms wait for their first read.
+    rows come back in basis order.  The solution keeps the projection's
+    quadrature fields; residual norms wait for their first read.
     """
-    order, blocked = _sector_ordered(config)
+    order, blocked, disc = _sector_ordered(config)
     decomp = eig_dense_symmetric(blocked)
     coefficients = np.empty_like(decomp.eigenvectors)
     coefficients[order] = decomp.eigenvectors
-    return GalerkinSolution(
-        config=config, eigenvalues=decomp.eigenvalues, coefficients=coefficients
-    )
+    return GalerkinSolution(config, decomp.eigenvalues, coefficients, disc)
 
 
 def residual_norm(solution: GalerkinSolution, k: int) -> float:

@@ -23,6 +23,7 @@ from .geometry import (
     jacobian_f_derivatives,
     potential_veff,
 )
+from .quadrature import QuadratureGrid
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -220,15 +221,17 @@ def check_mathieu_ode_residual() -> CheckResult:
 
 
 def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    disc = galerkin._discretise(galerkin.GalerkinConfig(params=params, n_basis=30))
-    factors, grid = disc.factors, disc.grid
+    m, n = galerkin._basis_arrays(params, 30)
+    config = galerkin.GalerkinConfig(params=params, n_basis=30)
+    grid = QuadratureGrid.for_strip(params, *galerkin._quadrature_orders(config, m, n))
+    factors = galerkin._sample_factors(m, n, params, grid.s_nodes, grid.u_nodes)
     # w(s, u) = w_s w_u: the Gram matrix is the elementwise product of the
     # longitudinal and transverse ones
     transverse = factors.transverse[factors.n_of]
     gram = ((factors.longitudinal * grid.s_weights) @ factors.longitudinal.T) * (
         (transverse * grid.u_weights) @ transverse.T
     )
-    worst = float(np.max(np.abs(gram - np.eye(disc.m.size))))
+    worst = float(np.max(np.abs(gram - np.eye(m.size))))
     return _result("quadrature", "fake-basis-gram-identity", worst, 1e-10)
 
 

@@ -353,6 +353,31 @@ def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt):
     assert peak / (192 * 65) <= EXPORT_POINT_BYTES
 
 
+@pytest.mark.parametrize("kind", [
+    "missing directory",
+    "directory",
+    pytest.param("read-only directory", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root writes into read-only directories")),
+])
+def test_an_unwritable_output_is_invalid_input(capsys, tmp_path, kind):
+    # one error line, not a traceback, and no temporary file left behind
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    target = {
+        "missing directory": tmp_path / "missing" / "out.csv",
+        "directory": folder,
+        "read-only directory": folder / "out.csv",
+    }[kind]
+    folder.chmod(0o500 if kind == "read-only directory" else 0o700)
+    try:
+        code, out, err = run_cli(["mathieu", "--max-order", "2", "--output", str(target)], capsys)
+    finally:
+        folder.chmod(0o700)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --output") and len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.rglob("*")] == ["folder"]
+
+
 def test_mathieu_non_finite_q_is_invalid_input(capsys):
     code, _, err = run_cli(["mathieu", "--q", "nan", "--max-order", "2"], capsys)
     assert code == 2

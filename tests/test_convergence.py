@@ -45,7 +45,7 @@ def synthetic_sweep(power, scale=1.0):
 
 def sector_values(config):
     """Ascending eigenvalues of the sector blocks of one configuration."""
-    [(_, _, _, stacks)] = _project([config])
+    [(_, _, _, stacks, _)] = _project([config])
     return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in stacks]))
 
 
@@ -138,7 +138,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
 
     def grouped(configs):
         groups = project(configs)
-        for points, _, sectors, _ in groups:
+        for points, _, sectors, _, _ in groups:
             stacks.extend(([configs[i].params.a for i in points], rows.size) for rows in sectors)
         return groups
 

@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebius import galerkin, mathieu
 from moebius.cli import main
@@ -11,7 +13,6 @@ from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
     EXPORT_POINT_BYTES,
     GalerkinConfig,
-    _discretise,
     assemble,
     basis_modes,
     effective_in_basis,
@@ -238,7 +239,7 @@ def test_eigenfunction_values_expand_the_flat_basis():
 
 def test_discretisation_keeps_factor_tables():
     config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60)
-    disc = _discretise(config)
+    disc = solve(config)._discretisation
     s, u = disc.grid.s_nodes, disc.grid.u_nodes
     factors = disc.factors
     labels = list(zip(disc.m.tolist(), disc.n.tolist()))
@@ -251,7 +252,7 @@ def test_discretisation_keeps_factor_tables():
         )
         assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(n, u))
     # the projection's sectors partition the same basis
-    [(_, m, (cosine, sine), _)] = galerkin._project([config])
+    [(_, m, (cosine, sine), _, _)] = galerkin._project([config])
     assert np.array_equal(m, disc.m)
     assert np.all(m[cosine] >= 0) and np.all(m[sine] < 0)
     assert sorted(np.concatenate((cosine, sine))) == list(range(m.size))
@@ -266,7 +267,7 @@ def test_diagonal_terms_are_squared_as_python_floats():
     # at R = 1.051, (2 / 2R) ** 2 in Python (C pow) and numpy's x * x differ
     # in the last bit; the diagonals follow the per-mode Python expression
     params = StripParams(a=0.3, R=1.051)
-    disc = _discretise(GalerkinConfig(params=params, n_basis=40))
+    disc = solve(GalerkinConfig(params=params, n_basis=40))._discretisation
     rates = disc.m / (2.0 * params.R)
     assert np.any(rates * rates != [r**2 for r in rates.tolist()])
     labels = list(zip(disc.m.tolist(), disc.n.tolist()))
@@ -311,7 +312,7 @@ def test_factorised_matrix_matches_full_table_reference(geometry):
     # where sum frequencies alias exactly as in the trapezoid sums
     for m_s in (None, 13, 21, 40):
         config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60, m_s=m_s, geometry=geometry)
-        disc = _discretise(config)
+        disc = solve(config)._discretisation
         assert m_s is None or m_s < 2 * np.abs(disc.m).max()
         values, slopes = full_tables(disc, WIDE_PARAMS)
         fa, _, v = reference_fields(disc, WIDE_PARAMS, geometry)
@@ -353,7 +354,7 @@ def test_fields_are_mirror_symmetric_and_the_direct_evaluation(m_s):
 def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
-        [(_, m, sectors, stacks)] = galerkin._project([config])
+        [(_, m, sectors, stacks, _)] = galerkin._project([config])
         for stack in stacks:
             assert np.array_equal(stack[0], stack[0].T)
         dense = assemble(config).to_dense()
@@ -381,7 +382,7 @@ def scattered_matrix(disc):
                    1.0 / np.sqrt(np.pi * disc.params.R))
     transverse, n_of = galerkin._transverse_rows(disc.n, disc.grid.u_nodes)
     spectra, pair = galerkin._kernel_spectra(
-        transverse, disc.weights, disc.fa[None], disc.potential[None],
+        transverse, disc.grid.weights_2d, disc.fa[None], disc.potential[None],
         2 * int(harmonic.max()),
     )
     n_pairs = spectra.shape[-1]
@@ -408,10 +409,10 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
         for close_pairs in (False, True):
             config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s,
                                     geometry=geometry, close_pairs=close_pairs)
-            disc = _discretise(config)
+            disc = solve(config)._discretisation
             dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc))
-            [(_, _, sectors, stacks)] = galerkin._project([config])
+            [(_, _, sectors, stacks, _)] = galerkin._project([config])
             for rows, stack in zip(sectors, stacks):
                 assert np.array_equal(stack[0], dense[np.ix_(rows, rows)])
 
@@ -560,7 +561,7 @@ def test_eigenpair_consumers_never_compute_residuals(monkeypatch, tmp_path):
 @pytest.mark.parametrize("params, n_basis", [(TABLE_PARAMS, 82), (WIDE_PARAMS, 60)])
 def test_residuals_match_full_table_reference(params, n_basis):
     solution = solve(GalerkinConfig(params=params, n_basis=n_basis))
-    disc = _discretise(solution.config)
+    disc = solution._discretisation
     values, slopes = full_tables(disc, params)
     fa, d1, v = reference_fields(disc, params, "true_geometry")
     rates_sq = np.array([(m / (2 * params.R)) ** 2 for m in disc.m.tolist()])
@@ -576,6 +577,50 @@ def test_residuals_match_full_table_reference(params, n_basis):
     fields = c.T @ operator_rows - solution.eigenvalues[:, None] * (c.T @ values)
     reference = np.sqrt((fields**2 * disc.grid.weights_2d.ravel()).sum(axis=1))
     assert np.max(np.abs(solution.residual_norms - reference) / reference) < 1e-12
+
+
+def test_a_solution_reads_the_fields_its_projection_evaluated(monkeypatch):
+    # residuals, labels and exports read the grid, the fields and the basis
+    # that the solve built: one field evaluation and one grid in all
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(galerkin, "_BASES", {})
+    monkeypatch.setattr(galerkin, "_fields", counted("fields", galerkin._fields))
+    monkeypatch.setattr(QuadratureGrid, "for_strip", counted("grid", QuadratureGrid.for_strip))
+    monkeypatch.setattr(
+        galerkin, "_enumerated_bases", counted("basis", galerkin._enumerated_bases)
+    )
+    solution = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=40))
+    assert calls == ["basis", "grid", "fields"]
+    assert np.all(np.isfinite(solution.residual_norms))
+    assert np.array_equal(solution.leading_residual_norms(5), solution.residual_norms[:5])
+    assert len(solution.basis) == 40
+    values = solution.eigenfunction_values(1, np.linspace(0.0, 1.0, 5), np.linspace(-1, 1, 3))
+    assert values.shape == (5, 3)
+    assert calls == ["basis", "grid", "fields"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    R=st.floats(0.3, 5.0),
+    width=st.floats(0.02, 1.0),
+    c=st.floats(0.2, 5.0),
+    n_basis=st.integers(4, 40),
+)
+def test_spectrum_and_residuals_scale_with_the_strip(R, width, c, n_basis):
+    # the Laplacian of the strip scaled by c is the original's over c^2;
+    # the residual norm on Pi scales the same way
+    a = width * 1.4 * min(R, 1.5)
+    base = solve(GalerkinConfig(params=StripParams(a=a, R=R), n_basis=n_basis))
+    scaled = solve(GalerkinConfig(params=StripParams(a=c * a, R=c * R), n_basis=n_basis))
+    assert np.max(np.abs(scaled.eigenvalues * c**2 / base.eigenvalues - 1.0)) <= 1e-13
+    assert np.max(np.abs(scaled.residual_norms * c**2 / base.residual_norms - 1.0)) <= 1e-8
 
 
 def test_largest_array_estimate():
@@ -595,7 +640,7 @@ def refused_before_building(config, monkeypatch):
     """``largest_array_bytes`` of ``config``'s sizes, after checking that
     ``solve`` and ``assemble`` admit it at that cap and refuse it one byte
     below, before the quadrature is built."""
-    disc = _discretise(config)
+    disc = solve(config)._discretisation
     orders = disc.grid.s_nodes.size, disc.grid.u_nodes.size
     needed = largest_array_bytes(config.n_basis, *orders, disc.factors.transverse.shape[0])
     with monkeypatch.context() as patch:
@@ -642,7 +687,7 @@ def test_capacity_guard_admits_readme_and_benchmark_sizes():
         (StripParams(a=1.5, R=19.8 / (2 * np.pi)), 77),
         (StripParams(a=0.045, R=19.8 / (2 * np.pi)), 77),
     ):
-        disc = _discretise(GalerkinConfig(params=params, n_basis=n_basis))
+        disc = solve(GalerkinConfig(params=params, n_basis=n_basis))._discretisation
         sizes = disc.grid.s_nodes.size, disc.grid.u_nodes.size, disc.factors.transverse.shape[0]
         assert largest_array_bytes(n_basis, *sizes) < galerkin.MAX_ARRAY_BYTES / 16
     assert largest_array_bytes(export_points=192 * 65) < galerkin.MAX_ARRAY_BYTES / 16

@@ -1,5 +1,6 @@
 """The package's exports, which resolve on first access."""
 
+import ast
 import importlib
 import os
 import re
@@ -75,3 +76,30 @@ def test_names_quoted_in_the_docs_exist():
             missing += [f"{path.name}: {name}" for name in private.findall(text)
                         if not hasattr(owner, name)]
     assert missing == []
+
+
+def test_every_module_level_import_is_read():
+    # a name imported at module level that the module never reads and does
+    # not export is dead; convergence.solve is kept because
+    # benchmark/spans.py rebinds it there to trace the solves of a sweep
+    kept = {("convergence", "solve")}
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported |= {item.value for item in ast.walk(node.value)
+                             if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported and (path.stem, name) not in kept:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
