@@ -24,8 +24,9 @@ checked when the arguments are parsed; N of 2 or more solves its
 chunks of half-widths on N worker threads.  Without it the half-widths are solved
 one after another and no thread pool is started.
 
-Exit codes: 0 success, 2 invalid input (including an ``--output`` that
-cannot be written, a flat-mode box, basis, quadrature or export grid whose
+Exit codes: 0 success, 1 when the reader closes stdout before the output
+ends (nothing is printed to stderr), 2 invalid input (including an
+``--output`` that cannot be written, a flat-mode box, basis, quadrature or export grid whose
 arrays would pass
 ``galerkin.MAX_ARRAY_BYTES``, and a sweep whose estimated work passes
 ``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired verification checks).  There is no
@@ -219,8 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_radius_options(p)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--N", type=int, default=None, help="basis size (model=true)")
-    p.add_argument("--ms", type=int, default=None, help="longitudinal quadrature nodes")
-    p.add_argument("--mu", type=int, default=None, help="transverse quadrature nodes")
+    p.add_argument(
+        "--ms", type=int, default=None, help="longitudinal quadrature nodes (model=true)"
+    )
+    p.add_argument(
+        "--mu", type=int, default=None, help="transverse quadrature nodes (model=true)"
+    )
     _add_output_options(p)
 
     p = sub.add_parser("converge", help="thin-strip convergence sweep")
@@ -326,6 +331,11 @@ def _cmd_spectrum(args) -> int:
             "residual": solution.leading_residual_norms(args.count),
         }
     else:
+        given = [f"--{name}" for name in ("N", "ms", "mu") if getattr(args, name) is not None]
+        if given:
+            raise InputError(
+                f"--N, --ms and --mu apply only to --model true, got {', '.join(given)}"
+            )
         from . import models
 
         if args.model == "fake":
@@ -472,7 +482,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that closed stdout is met here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the output, and the flush at
+        # shutdown, go to the null device, and the run ends quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

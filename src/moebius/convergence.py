@@ -27,14 +27,15 @@ basis and quadrature orders: the chunk's flat bases come from one
 enumeration over its half-widths, and the points whose orders agree (each
 keeps its own, so its values are those of ``galerkin.solve``'s matrix)
 share one quadrature, one broadcast field evaluation on half the s nodes,
-one kernel product and one FFT.  The eigenvalue kind takes the chunk's
-effective values from one enumeration of the effective modes as well.
+one kernel product and one FFT.  Both kinds take the chunk's effective
+modes from one enumeration over its half-widths as well.
 Each sector's stack goes to LAPACK in one ``eig_dense_symmetric`` call,
 and the sector values merge by a stable sort, cosine before sine among
 ties.  The eigenvalue kind asks for values only; the eigenvector
 kind takes the eigenvectors of the same stacks, scatters their rows into
 basis order and compares each point's leading columns with its effective
-expansion.  Neither forms the N x N matrix, calls ``galerkin.solve`` or
+expansion, which ``galerkin._expansions`` places over the bases the
+projection enumerated.  Neither forms the N x N matrix, calls ``galerkin.solve`` or
 computes residual norms.  Chunks run one after another, or on a pool of
 ``threads`` worker threads when ``threads`` is 2 or more; results are
 gathered in grid order, so the output is deterministic for a given
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .galerkin import GalerkinConfig, _project, effective_in_basis
+from .galerkin import GalerkinConfig, _expansions, _project
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
@@ -204,15 +205,15 @@ def _map_grid(worker, chunks, threads):
 
 def _solved_chunk(configs, want_vectors: bool):
     """Per stack group of ``galerkin._project``: (positions of its
-    configurations, ascending values (points, N), the merge order
-    (points, N) and, with ``want_vectors``, eigenvectors (points, N, N)
+    configurations, basis (m, n), ascending values (points, N), the merge
+    order (points, N) and, with ``want_vectors``, eigenvectors (points, N, N)
     with coefficient rows in basis order and columns in sector order).
 
     Each sector's stack of blocks is diagonalised by one call; the sector
     values are merged by a stable sort, cosine before sine among ties.
     """
     solved = []
-    for points, m, sectors, stacks, _ in _project(configs):
+    for points, m, n, sectors, stacks, _ in _project(configs):
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
         values = np.concatenate([d.eigenvalues for d in decomps], axis=1)
         order = np.argsort(values, axis=1, kind="stable")
@@ -223,7 +224,7 @@ def _solved_chunk(configs, want_vectors: bool):
             for rows, decomp in zip(sectors, decomps):
                 vectors[:, rows, lo:lo + rows.size] = decomp.eigenvectors
                 lo += rows.size
-        solved.append((points, np.take_along_axis(values, order, axis=1), order, vectors))
+        solved.append((points, (m, n), np.take_along_axis(values, order, axis=1), order, vectors))
     return solved
 
 
@@ -232,7 +233,7 @@ def _eigenvalue_chunk(configs, count: int):
     of the chunk, from values-only eigensolves of the sector stacks; the
     N x N matrix is never formed."""
     true = np.empty((len(configs), count))
-    for points, values, _, _ in _solved_chunk(configs, want_vectors=False):
+    for points, _, values, _, _ in _solved_chunk(configs, want_vectors=False):
         true[points] = values[:, :count]
     point, _, _, _, value, _ = _effective_modes(
         configs[0].params.R, [config.params.a for config in configs], count
@@ -305,15 +306,20 @@ def _subspace_distance(true_block, eff_block, truncations):
 
 def _eigenvector_chunk(configs, count: int):
     """Effective and Galerkin eigenvalues and the eigenvector distances at
-    each half-width of the chunk, clusters compared as subspaces."""
+    each half-width of the chunk, clusters compared as subspaces; the
+    effective modes are expanded over the bases the projection enumerated."""
     eff = np.empty((len(configs), count))
     true = np.empty_like(eff)
     distances = np.empty_like(eff)
-    for points, values, order, vectors in _solved_chunk(configs, want_vectors=True):
-        n_probe = min(count + _CLUSTER_MARGIN, values.shape[1])
+    solved = _solved_chunk(configs, want_vectors=True)
+    basis_of = {i: basis for points, basis, *_ in solved for i in points}
+    bases = [basis_of[i] for i in range(len(configs))]
+    probes = [min(count + _CLUSTER_MARGIN, m.size) for m, _ in bases]
+    expansions = _expansions([config.params for config in configs], bases, probes)
+    for points, _, values, order, vectors in solved:
         for g, i in enumerate(points):
-            coefficients = vectors[g][:, order[g, :n_probe]]
-            expansion = effective_in_basis(configs[i], n_probe)
+            coefficients = vectors[g][:, order[g, :probes[i]]]
+            expansion = expansions[i]
             for lo, hi in _clusters(expansion.values, values[g], count):
                 distances[i, lo:min(hi, count)] = _subspace_distance(
                     coefficients[:, lo:hi],

@@ -19,13 +19,13 @@ the large 1/a^2 scale and is inserted analytically; the two integrals use
 the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
-The basis is enumerated once per configuration as two integer arrays
-(m_j, n_j), in the order of ``basis_modes``, and kept per
-(params, n_basis, close_pairs); the configurations of a chunk that are not
-kept yet are enumerated together, by one ``models._flat_modes`` call over
-their half-widths (``_bases``).  ``ModeIndex`` labels are made only when
-``basis_modes`` or a solution's ``basis`` asks for them.  Psi_j(s, u) =
-L_{m_j}(s) T_{n_j}(u) with L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s)
+The basis is enumerated as two integer arrays (m_j, n_j), in the order
+of ``basis_modes``; the configurations of a sweep chunk are enumerated
+together, by one ``models._flat_modes`` call over their half-widths
+(``_bases``), and the chunk's effective modes are expanded over the bases
+its projection returns (``_expansions``).  ``ModeIndex`` labels are made
+only when ``basis_modes`` or a solution's ``basis`` asks for them.
+Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s)
 (m < 0), mu = |m| / 2R, a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).
 The (m_s, m_u) fields w, fa, d1 fa and V come from one evaluation of f and
 its derivatives on the s nodes k = 0..m_s // 2: the strip has
@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,11 +133,6 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 # streamed as text), traced at 177 B for JSON and 135 B for CSV on the
 # 192x65 README export and 83-91 B on grids up to 768x260.
 EXPORT_POINT_BYTES = 256
-# configurations kept by _bases' cache; an eigenvector sweep point reads
-# its basis twice, once to project and once to expand the effective modes
-_CACHED_BASES = 64
-_BASES: dict = {}  # (params, n_basis, close_pairs) -> (m, n), oldest first
-_BASES_LOCK = threading.Lock()  # sweep chunks may run on threads
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
@@ -231,35 +225,15 @@ def _basis_arrays(
     Modes come by ascending flat eigenvalue, merged entries as in
     ``fake_spectrum``, and within an entry by (harmonic, cosine before
     sine, n).  ``close_pairs`` appends the next mode when the last one is
-    half of a +/-m pair whose partner was cut off.  Each configuration is
-    enumerated once per process (see ``_bases``); the arrays returned are
-    shared and read-only.
+    half of a +/-m pair whose partner was cut off.  A sweep chunk
+    enumerates the bases of all its half-widths at once (``_bases``).
     """
     return _bases([params], n_basis, close_pairs)[0]
 
 
 def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_basis_arrays`` at each of ``params``, strips of one radius.
-
-    The configurations not yet enumerated in this process are enumerated
-    together, by one ``_flat_modes`` call over their half-widths, and kept
-    for later reads, the oldest dropped first beyond ``_CACHED_BASES``.
-    """
-    keys = [(p, n_basis, close_pairs) for p in params]
-    with _BASES_LOCK:
-        missing = [key for key in dict.fromkeys(keys) if key not in _BASES]
-        if missing:
-            made = _enumerated_bases([key[0] for key in missing], n_basis, close_pairs)
-            _BASES.update(zip(missing, made))
-        bases = [_BASES[key] for key in keys]
-        while len(_BASES) > _CACHED_BASES:
-            del _BASES[next(iter(_BASES))]
-    return bases
-
-
-def _enumerated_bases(params, n_basis: int, close_pairs: bool):
-    """The (m, n) of ``_basis_arrays`` at each of ``params``, from one
-    enumeration of their flat modes."""
+    """``_basis_arrays`` at each of ``params``, strips of one radius, from
+    one enumeration of their flat modes."""
     point, m, n, _, entry = _flat_modes(params[0].R, [p.a for p in params], n_basis + 1)
     order = np.lexsort((n, m < 0, np.abs(m), entry))
     point, m, n = point[order], m[order], n[order]
@@ -271,13 +245,7 @@ def _enumerated_bases(params, n_basis: int, close_pairs: bool):
         last = lo + n_basis - 1
         partner = (m == -m[last][point]) & (n == n[last][point]) & (np.arange(m.size) < last[point])
         size += (m[last] != 0) & (np.bincount(point[partner], minlength=lo.size) == 0)
-    made = []
-    for start, stop in zip(lo.tolist(), (lo + size).tolist()):
-        basis = m[start:stop], n[start:stop]
-        for column in basis:
-            column.flags.writeable = False
-        made.append(basis)
-    return made
+    return [(m[i:j], n[i:j]) for i, j in zip(lo.tolist(), (lo + size).tolist())]
 
 
 def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
@@ -552,19 +520,22 @@ def _grouped(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list, _Discretisation | None]]:
+def _project(
+    configs,
+) -> list[tuple[list[int], np.ndarray, np.ndarray, tuple, list, _Discretisation | None]]:
     """Sector blocks of configurations that differ at most in half-width.
 
-    The bases not yet enumerated are enumerated together (``_bases``).
+    Their bases are enumerated together (``_bases``).
     Each point keeps its own quadrature orders, default or explicit.  The
     points that share orders share one quadrature: their fields come from
     one ``_fields`` call and their kernels from one ``_kernel_spectra``
     call over the union of their transverse indices; then each distinct
     basis among them takes one ``_sector_blocks`` gather for its points.
     Returns, per distinct (orders, basis), (positions of its
-    configurations, m, sectors, block stacks (points, r, r), and the
-    ``_Discretisation`` of a single configuration, which its residuals
-    read, or None for several, whose field stacks go before the gathers).
+    configurations, the basis m and n, sectors, block stacks (points, r, r),
+    and the ``_Discretisation`` of a single configuration, which its
+    residuals read, or None for several, whose field stacks go before the
+    gathers).
 
     Every N is checked before its basis is enumerated.  The P points that
     share a quadrature stack P copies of one point's arrays, so before any
@@ -608,7 +579,7 @@ def _project(configs) -> list[tuple[list[int], np.ndarray, tuple, list, _Discret
                 spectra[members], pair, m, np.searchsorted(n_values, n), sectors,
                 _transverse_diag(n, a[positions]), params.R,
             )
-            projected.append((positions, m, sectors, stacks, disc))
+            projected.append((positions, m, n, sectors, stacks, disc))
     return projected
 
 
@@ -616,7 +587,7 @@ def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Di
     """The basis rows listed sector by sector, the projection matrix over
     them (``config``'s sector blocks on the diagonal, zeros elsewhere) and
     the discretisation that the projection evaluated."""
-    [(_, _, sectors, stacks, disc)] = _project([config])
+    [(_, _, _, sectors, stacks, disc)] = _project([config])
     order = np.concatenate(sectors)
     blocked = np.zeros((order.size,) * 2)
     lo = 0
@@ -741,49 +712,71 @@ def effective_in_basis(
     above 1e-6 (less than 99.9999 percent of the norm captured) raises
     ``CapacityError``.
     """
-    m, n = _basis_arrays(config.params, config.n_basis, config.close_pairs)
-    # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
-    top = int(np.abs(m).max())
-    position = np.full((2 * top + 1, int(n.max()) + 1), -1)
-    position[m + top, n] = np.arange(m.size)
-    _, sine, order, n_eff, value, _ = _effective_modes(config.params.R, [config.params.a], count, q)
-    sine, order, n_eff = sine[:count], order[:count], n_eff[:count]
-    chars = [
-        mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)
-        for is_sine, mode_m in zip(sine.tolist(), order.tolist())
-    ]
-    # every mode's coefficients in one row: mode i, column j within the mode
-    sizes = np.array([char.fourier.size for char in chars])
-    mode = np.repeat(np.arange(count), sizes)
-    column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    harmonics = np.concatenate([char.harmonics for char in chars]).astype(int)
-    weights = np.concatenate([char.fourier for char in chars])
-    # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
-    weights[harmonics == 0] *= np.sqrt(2.0)
-    signed = np.where(sine[mode], -harmonics, harmonics)
-    mode_n = n_eff[mode]
-    rows = np.full(signed.size, -1)
-    inside = (np.abs(signed) <= top) & (mode_n < position.shape[1])
-    rows[inside] = position[signed[inside] + top, mode_n[inside]]
-    found = rows >= 0
-    coeffs = np.zeros((m.size, count))
-    coeffs[rows[found], mode[found]] = weights[found]
-    # accumulated in harmonic order, one square at a time; the zeros padding
-    # each mode's row leave its partial sums unchanged
-    squares = np.zeros((count, int(sizes.max())))
-    squares[mode[found], column[found]] = weights[found] ** 2
-    leaked = 1.0 - np.cumsum(squares, axis=1)[:, -1]
-    # below summation roundoff the deficit carries no information
-    truncations = np.where(leaked > 1e-14, leaked, 0.0)
-    failed = np.flatnonzero(truncations > 1e-6)
-    if failed.size:
-        i = failed[0]
-        family = FAMILY_EFF_SE if sine[i] else FAMILY_EFF_CE
-        raise CapacityError(
-            f"basis of size {m.size} captures only "
-            f"{1.0 - truncations[i]:.9f} of effective mode "
-            f"({family}, m={order[i]}, n={n_eff[i]})"
+    basis = _basis_arrays(config.params, config.n_basis, config.close_pairs)
+    return _expansions([config.params], [basis], [count], q)[0]
+
+
+def _expansions(params, bases, counts, q: float = DEFAULT_Q) -> list[EffectiveExpansion]:
+    """``effective_in_basis`` at each of ``params``, strips of one radius:
+    the first ``counts[i]`` effective eigenfunctions of point i expanded
+    over its basis ``bases[i]`` = (m, n).
+
+    The points that ask for the same count take their effective modes from
+    one ``_effective_modes`` call over their half-widths; a sweep chunk's
+    counts differ only where a basis size caps them, and pair closure can
+    make one basis a mode larger.  Points are expanded in order, so a
+    ``CapacityError`` names the first failing mode of the first failing
+    point.
+    """
+    modes = [None] * len(params)
+    for points in _grouped(counts):
+        count = counts[points[0]]
+        point, *columns, _ = _effective_modes(params[0].R, [params[i].a for i in points], count, q)
+        for i, start in zip(points, np.searchsorted(point, np.arange(len(points))).tolist()):
+            modes[i] = [column[start:start + count] for column in columns]
+    expansions = []
+    for (m, n), (sine, order, n_eff, value), count in zip(bases, modes, counts):
+        # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
+        top = int(np.abs(m).max())
+        position = np.full((2 * top + 1, int(n.max()) + 1), -1)
+        position[m + top, n] = np.arange(m.size)
+        chars = [
+            mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)
+            for is_sine, mode_m in zip(sine.tolist(), order.tolist())
+        ]
+        # every mode's coefficients in one row: mode i, column j within the mode
+        sizes = np.array([char.fourier.size for char in chars])
+        mode = np.repeat(np.arange(count), sizes)
+        column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        harmonics = np.concatenate([char.harmonics for char in chars]).astype(int)
+        weights = np.concatenate([char.fourier for char in chars])
+        # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
+        weights[harmonics == 0] *= np.sqrt(2.0)
+        signed = np.where(sine[mode], -harmonics, harmonics)
+        mode_n = n_eff[mode]
+        rows = np.full(signed.size, -1)
+        inside = (np.abs(signed) <= top) & (mode_n < position.shape[1])
+        rows[inside] = position[signed[inside] + top, mode_n[inside]]
+        found = rows >= 0
+        coeffs = np.zeros((m.size, count))
+        coeffs[rows[found], mode[found]] = weights[found]
+        # accumulated in harmonic order, one square at a time; the zeros
+        # padding each mode's row leave its partial sums unchanged
+        squares = np.zeros((count, int(sizes.max())))
+        squares[mode[found], column[found]] = weights[found] ** 2
+        leaked = 1.0 - np.cumsum(squares, axis=1)[:, -1]
+        # below summation roundoff the deficit carries no information
+        truncations = np.where(leaked > 1e-14, leaked, 0.0)
+        failed = np.flatnonzero(truncations > 1e-6)
+        if failed.size:
+            i = failed[0]
+            family = FAMILY_EFF_SE if sine[i] else FAMILY_EFF_CE
+            raise CapacityError(
+                f"basis of size {m.size} captures only "
+                f"{1.0 - truncations[i]:.9f} of effective mode "
+                f"({family}, m={order[i]}, n={n_eff[i]})"
+            )
+        expansions.append(
+            EffectiveExpansion(values=value, coefficients=coeffs, truncations=truncations)
         )
-    return EffectiveExpansion(
-        values=value[:count], coefficients=coeffs, truncations=truncations
-    )
+    return expansions

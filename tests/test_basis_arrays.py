@@ -270,9 +270,9 @@ def assert_chunk_is_each_point(R, a_values, n_basis, count, q=-0.25):
     each point's first."""
     params = [StripParams(a=float(a), R=R) for a in a_values]
     for close_pairs in (False, True):
-        chunk = galerkin._enumerated_bases(params, n_basis, close_pairs)
+        chunk = galerkin._bases(params, n_basis, close_pairs)
         for p, basis in zip(params, chunk):
-            [alone] = galerkin._enumerated_bases([p], n_basis, close_pairs)
+            [alone] = galerkin._bases([p], n_basis, close_pairs)
             for got, want in zip(basis, alone):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (p, close_pairs)
     point, *columns = _effective_modes(R, [p.a for p in params], count, q)
@@ -402,7 +402,6 @@ def test_chunk_of_boxes_past_the_cap_is_built_in_runs_that_fit(monkeypatch):
 def test_sweep_of_thin_strips_past_the_cap_together_is_solved(monkeypatch):
     # a chunk's boxes that fit only one at a time are built one at a time
     a_values = [1e-11, 2e-11, 4e-11]
-    monkeypatch.setattr(galerkin, "_BASES", {})
     build = models._flat_box
     largest = []
 
@@ -412,7 +411,6 @@ def test_sweep_of_thin_strips_past_the_cap_together_is_solved(monkeypatch):
 
     monkeypatch.setattr(models, "_flat_box", recorded)
     want = eigenvalue_sweep(2.0, a_values, 3, 4)
-    monkeypatch.setattr(galerkin, "_BASES", {})
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", max(largest))
     largest.clear()
     got = eigenvalue_sweep(2.0, a_values, 3, 4)

@@ -152,6 +152,43 @@ def test_spectrum_true_rejects_empty_count(capsys, count):
     assert "count must be >= 1" in err
 
 
+@pytest.mark.parametrize("model", ["fake", "effective"])
+@pytest.mark.parametrize("options", [["--N", "5"], ["--ms", "3"], ["--N", "5", "--mu", "7"]])
+def test_spectrum_refuses_galerkin_options_off_the_true_model(capsys, model, options):
+    # the flat and effective models take no basis or quadrature; a run that
+    # names one would record it in the manifest without using it
+    code, out, err = run_cli(
+        ["spectrum", "--model", model, "--a", "0.75", "--circumference", "13.2",
+         "--count", "3", *options],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "apply only to --model true" in err and options[0] in err
+
+
+def test_a_reader_closing_stdout_ends_the_run_quietly():
+    # the README export, read for 100 bytes: the rest of its megabyte meets
+    # a closed pipe, which ends the run with exit 1 and no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "moebius.cli", "eigenfunction", "--k", "1", "--a", "1.3",
+         "--R", "2.8647889756541165", "--N", "96", "--grid", "192x65", "--embed3d"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=CHILD_TIMEOUT_S)
+    finally:
+        proc.kill()
+    assert head.startswith(b"# manifest: ") and len(head) == 100
+    assert proc.returncode == 1
+    assert err == b""
+
+
 @pytest.mark.parametrize("option", ["--R", "--circumference"])
 def test_converge_rejects_zero_radius(capsys, option):
     code, out, err = run_cli(

@@ -45,7 +45,7 @@ def synthetic_sweep(power, scale=1.0):
 
 def sector_values(config):
     """Ascending eigenvalues of the sector blocks of one configuration."""
-    [(_, _, _, stacks, _)] = _project([config])
+    [(_, _, _, _, stacks, _)] = _project([config])
     return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in stacks]))
 
 
@@ -138,7 +138,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
 
     def grouped(configs):
         groups = project(configs)
-        for points, _, sectors, _, _ in groups:
+        for points, _, _, sectors, _, _ in groups:
             stacks.extend(([configs[i].params.a for i in points], rows.size) for rows in sectors)
         return groups
 
@@ -238,6 +238,14 @@ def test_threaded_sweep_is_deterministic(monkeypatch):
     assert np.array_equal(serial.ratios, threaded.ratios)
     assert np.array_equal(serial.true_values, threaded.true_values)
 
+    # three chunks on three threads at once, both kinds
+    chunks = np.geomspace(0.05, 1.2, 2 * convergence._CHUNK + 3)
+    for sweep in (eigenvalue_sweep, eigenvector_sweep):
+        serial = sweep(RADIUS, chunks, 4, 24, threads=1)
+        threaded = sweep(RADIUS, chunks, 4, 24, threads=3)
+        for field in ("effective_values", "true_values", "differences"):
+            assert np.array_equal(getattr(serial, field), getattr(threaded, field))
+
     # threads=None (the CLI default) runs serially and builds no pool
     pair = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=2)
 
@@ -317,7 +325,6 @@ def test_eigenvalue_sweep_enumerates_modes_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(galerkin, "_flat_modes", counted_flat)
     monkeypatch.setattr(convergence, "_effective_modes", counted_effective)
-    monkeypatch.setattr(galerkin, "_BASES", {})
     grid = np.geomspace(0.03, 0.6, convergence._CHUNK + 3)
     eigenvalue_sweep(RADIUS, grid, 4, 24)
     chunks = [grid[:convergence._CHUNK].tolist(), grid[convergence._CHUNK:].tolist()]

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +5,7 @@ from hypothesis import strategies as st
 
 from moebius import galerkin, mathieu
 from moebius.cli import main
-from moebius.convergence import eigenvector_sweep
+from moebius.convergence import _CHUNK, eigenvector_sweep
 from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
     EXPORT_POINT_BYTES,
@@ -252,7 +249,8 @@ def test_discretisation_keeps_factor_tables():
         )
         assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(n, u))
     # the projection's sectors partition the same basis
-    [(_, m, (cosine, sine), _, _)] = galerkin._project([config])
+    [(_, m, n, (cosine, sine), _, _)] = galerkin._project([config])
+    assert np.array_equal(n, disc.n)
     assert np.array_equal(m, disc.m)
     assert np.all(m[cosine] >= 0) and np.all(m[sine] < 0)
     assert sorted(np.concatenate((cosine, sine))) == list(range(m.size))
@@ -354,7 +352,7 @@ def test_fields_are_mirror_symmetric_and_the_direct_evaluation(m_s):
 def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
-        [(_, m, sectors, stacks, _)] = galerkin._project([config])
+        [(_, m, _, sectors, stacks, _)] = galerkin._project([config])
         for stack in stacks:
             assert np.array_equal(stack[0], stack[0].T)
         dense = assemble(config).to_dense()
@@ -412,7 +410,7 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
             disc = solve(config)._discretisation
             dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc))
-            [(_, _, sectors, stacks, _)] = galerkin._project([config])
+            [(_, _, _, sectors, stacks, _)] = galerkin._project([config])
             for rows, stack in zip(sectors, stacks):
                 assert np.array_equal(stack[0], dense[np.ix_(rows, rows)])
 
@@ -590,12 +588,9 @@ def test_a_solution_reads_the_fields_its_projection_evaluated(monkeypatch):
             return function(*args)
         return wrapper
 
-    monkeypatch.setattr(galerkin, "_BASES", {})
     monkeypatch.setattr(galerkin, "_fields", counted("fields", galerkin._fields))
     monkeypatch.setattr(QuadratureGrid, "for_strip", counted("grid", QuadratureGrid.for_strip))
-    monkeypatch.setattr(
-        galerkin, "_enumerated_bases", counted("basis", galerkin._enumerated_bases)
-    )
+    monkeypatch.setattr(galerkin, "_bases", counted("basis", galerkin._bases))
     solution = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=40))
     assert calls == ["basis", "grid", "fields"]
     assert np.all(np.isfinite(solution.residual_norms))
@@ -720,52 +715,70 @@ def test_effective_expansion_properties():
 
 
 def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
-    calls = []
-    enumerate_modes = galerkin._flat_modes
+    # one flat and one effective enumeration per chunk, over its
+    # half-widths: the expansions read the bases the projection enumerated
+    flat, effective = [], []
+    enumerate_flat, enumerate_effective = galerkin._flat_modes, galerkin._effective_modes
 
-    def counted(R, a, count):
-        calls.append(list(a))
-        return enumerate_modes(R, a, count)
+    def counted_flat(R, a, count):
+        flat.append(list(a))
+        return enumerate_flat(R, a, count)
 
-    monkeypatch.setattr(galerkin, "_flat_modes", counted)
-    monkeypatch.setattr(galerkin, "_BASES", {})
-    a_grid = [0.31, 0.47, 0.62]
+    def counted_effective(R, a, count, q=DEFAULT_Q):
+        effective.append(list(a))
+        return enumerate_effective(R, a, count, q)
+
+    monkeypatch.setattr(galerkin, "_flat_modes", counted_flat)
+    monkeypatch.setattr(galerkin, "_effective_modes", counted_effective)
+    a_grid = np.geomspace(0.2, 0.8, _CHUNK + 3)
     sweep = eigenvector_sweep(WIDE_PARAMS.R, a_grid, 3, 24)
     assert np.all(np.isfinite(sweep.differences))
-    # one enumeration for the chunk, read again by each point's expansion,
-    # and by a later expansion or solve of a swept configuration
-    assert calls == [a_grid]
-    params = StripParams(a=0.47, R=WIDE_PARAMS.R)
-    m, n = galerkin._basis_arrays(params, 24, True)
-    config = GalerkinConfig(params=params, n_basis=24, close_pairs=True)
-    effective_in_basis(config, 3)
-    solve(config)
-    assert calls == [a_grid]
-    assert not (m.flags.writeable or n.flags.writeable)
+    chunks = [a_grid[:_CHUNK].tolist(), a_grid[_CHUNK:].tolist()]
+    assert flat == chunks and effective == chunks
 
 
-def test_basis_cache_holds_under_threads(monkeypatch):
-    # more threads than cores enumerate overlapping chunks while the cache,
-    # cut to two entries, fewer than a chunk, evicts; an unlocked update
-    # loses entries that another thread is about to read
-    monkeypatch.setattr(galerkin, "_BASES", {})
-    monkeypatch.setattr(galerkin, "_CACHED_BASES", 2)
-    params = [StripParams(a=float(a), R=WIDE_PARAMS.R) for a in np.linspace(0.1, 1.2, 12)]
-    expected = galerkin._enumerated_bases(params, 20, True)
-    chunks = [params[lo:lo + 4] for lo in range(9)] * 12
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(galerkin._bases, chunk, 20, True) for chunk in chunks]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for chunk, bases in zip(chunks, results):
-        for p, basis in zip(chunk, bases):
-            want = expected[params.index(p)]
-            assert all(np.array_equal(got, w) for got, w in zip(basis, want))
-    assert len(galerkin._BASES) == 2
+@pytest.mark.parametrize("R, a_values, n_basis, count, close_pairs", [
+    # the eigenvector sweep's points: count + 4 modes, pairs closed
+    (18 / (2 * np.pi), (0.01, 0.37, 0.98, 1.5), 72, 9, True),
+    (18 / (2 * np.pi), (0.5, 1.5), 16, 9, True),
+    # the eigenfunction export's strip, and the table strip
+    (WIDE_PARAMS.R, (0.4, WIDE_PARAMS.a), 96, 20, False),
+    (TABLE_PARAMS.R, (0.3, TABLE_PARAMS.a, 1.1), 72, 5, False),
+    # thin strips, where one transverse index holds every mode
+    (3.0, (1e-3, 2e-3, 5e-2), 40, 12, True),
+    (0.8, (1e-6, 3e-6), 25, 20, False),
+])
+def test_chunk_expansions_are_each_points_bitwise(R, a_values, n_basis, count, close_pairs):
+    # one effective enumeration per distinct count over a chunk's bases
+    # equals each point's own effective_in_basis, bit for bit
+    params = [StripParams(a=a, R=R) for a in a_values]
+    bases = galerkin._bases(params, n_basis, close_pairs)
+    for counts in ([count] * len(params), [count - i % 2 for i in range(len(params))]):
+        for p, k, got in zip(params, counts, galerkin._expansions(params, bases, counts)):
+            config = GalerkinConfig(params=p, n_basis=n_basis, close_pairs=close_pairs)
+            want = effective_in_basis(config, k)
+            for field in ("values", "coefficients", "truncations"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (p, k, field)
+
+
+def test_chunk_expansions_name_the_first_failing_point():
+    # points 1 and 2 both fail; point 2 shares its count, and so its
+    # enumeration, with point 0, yet point 1 comes first in the grid
+    params = [StripParams(a=a, R=TABLE_PARAMS.R) for a in (0.5, TABLE_PARAMS.a, 0.9)]
+    sizes, counts = (72, 2, 10), [10, 2, 10]
+    bases = [galerkin._basis_arrays(p, size) for p, size in zip(params, sizes)]
+    messages = []
+    for p, size, count in zip(params, sizes, counts):
+        try:
+            effective_in_basis(GalerkinConfig(params=p, n_basis=size), count)
+            messages.append(None)
+        except CapacityError as exc:
+            messages.append(str(exc))
+    assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
+    with pytest.raises(CapacityError) as caught:
+        galerkin._expansions(params, bases, counts)
+    assert str(caught.value) == messages[1]
 
 
 def test_effective_expansion_capacity_error():

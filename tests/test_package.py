@@ -103,3 +103,45 @@ def test_every_module_level_import_is_read():
                     if name not in read | exported and (path.stem, name) not in kept:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_no_function_mutates_module_level_state():
+    # a dict, list or set bound at module level and changed by a function
+    # is shared by every caller and every sweep thread in the process;
+    # caches go through functools.lru_cache, which guards its own state
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    mutators = {
+        "add", "append", "clear", "difference_update", "discard", "extend", "insert",
+        "intersection_update", "pop", "popitem", "remove", "reverse", "setdefault", "sort",
+        "symmetric_difference_update", "update",
+    }
+    mutated = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        shared = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, containers)
+                or isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in {"dict", "list", "set"}
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                shared |= {target.id for target in targets if isinstance(target, ast.Name)}
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # a parameter or local binding of the same name shadows the module's
+            local = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+            local |= {node.id for node in ast.walk(function)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in mutators:
+                    target = node.func.value
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in shared - local:
+                    mutated.append(f"{path.name}:{node.lineno}")
+    assert mutated == []
