@@ -41,6 +41,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -361,6 +362,9 @@ def _cmd_converge(args) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be >= 1, got {args.steps}")
     convergence.require_sweep_capacity(args.steps, args.N, args.ms)  # before the grid
+    for option, end in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not math.isfinite(end):
+            raise InputError(f"{option} must be finite, got {end}")
     if args.grid == "geometric":
         a_grid = convergence.geometric_grid(args.a_min, args.a_max, args.steps)
     else:

@@ -19,27 +19,21 @@ Raw eigenvalues and the differences are stored alongside the ratios.
 differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Both kinds run through one driver, which solves the grid a chunk of
-``_CHUNK`` half-widths at a time.  ``galerkin._project``, the projection
-that ``galerkin.solve`` runs for one configuration, gives the chunk's
-sector blocks, one stack per sector for each group of points with the same
-basis and quadrature orders: the chunk's flat bases come from one
-enumeration over its half-widths, and the points whose orders agree (each
-keeps its own, so its values are those of ``galerkin.solve``'s matrix)
-share one quadrature, one broadcast field evaluation on half the s nodes,
-one kernel product and one FFT.  Both kinds take the chunk's effective
-modes from one enumeration over its half-widths as well.
-Each sector's stack goes to LAPACK in one ``eig_dense_symmetric`` call,
+Both kinds run through one driver, which projects the grid a chunk of
+``_CHUNK`` half-widths at a time through ``galerkin._project``, as
+``galerkin.solve`` projects one configuration; each point keeps its own
+basis and quadrature orders, so its values agree with ``galerkin.solve``'s
+to roundoff; the chunk's effective modes come from one enumeration over
+its half-widths.  Each sector's stack of blocks of the points with
+equal sector sizes goes to LAPACK in one ``eig_dense_symmetric`` call,
 and the sector values merge by a stable sort, cosine before sine among
-ties.  The eigenvalue kind asks for values only; the eigenvector
-kind takes the eigenvectors of the same stacks, scatters their rows into
-basis order and compares each point's leading columns with its effective
-expansion, which ``galerkin._expansions`` places over the bases the
-projection enumerated.  Neither forms the N x N matrix, calls ``galerkin.solve`` or
-computes residual norms.  Chunks run one after another, or on a pool of
-``threads`` worker threads when ``threads`` is 2 or more; results are
-gathered in grid order, so the output is deterministic for a given
-configuration.
+ties.  The eigenvector kind also takes the eigenvectors, scatters their
+rows into basis order and compares each point's leading columns with its
+effective expansion, which ``galerkin._expansions`` places over the bases
+the projection enumerated.  Neither kind forms the N x N matrix, calls
+``galerkin.solve`` or computes residual norms.  Chunks run one after another, or on a pool of ``threads`` worker threads
+when ``threads`` is 2 or more; results are gathered in grid order, so the
+output is deterministic for a given configuration.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
 whose stacked arrays would pass ``galerkin.MAX_ARRAY_BYTES`` before any of
@@ -72,7 +66,7 @@ __all__ = [
 
 CLUSTER_RTOL = 1e-9
 # half-widths solved together: those of a chunk that share quadrature orders
-# share one field evaluation, and those that share a basis as well one
+# share one field evaluation, and those with equal sector sizes one
 # eigensolve per sector; at N = 72 the stacked fields of 8 points take
 # about 400 KiB
 _CHUNK = 8
@@ -114,8 +108,8 @@ def require_sweep_capacity(steps: int, n_basis: int, m_s: int | None = None) -> 
 
 def geometric_grid(a_min: float, a_max: float, steps: int) -> np.ndarray:
     """Log-uniform half-width grid, the natural spacing for rate fits."""
-    if not (0.0 < a_min <= a_max):
-        raise InputError(f"need 0 < a_min <= a_max, got {a_min}, {a_max}")
+    if not (0.0 < a_min <= a_max < np.inf):
+        raise InputError(f"need 0 < a_min <= a_max < inf, got {a_min}, {a_max}")
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     return np.geomspace(a_min, a_max, steps)
@@ -204,10 +198,10 @@ def _map_grid(worker, chunks, threads):
 
 
 def _solved_chunk(configs, want_vectors: bool):
-    """Per stack group of ``galerkin._project``: (positions of its
-    configurations, basis (m, n), ascending values (points, N), the merge
-    order (points, N) and, with ``want_vectors``, eigenvectors (points, N, N)
-    with coefficient rows in basis order and columns in sector order).
+    """Per ``galerkin._project`` record: (positions, bases m and n, ascending
+    values and their merge order, each (points, N), and with
+    ``want_vectors`` eigenvectors (points, N, N) with coefficient rows in
+    basis order and columns in sector order).
 
     Each sector's stack of blocks is diagonalised by one call; the sector
     values are merged by a stable sort, cosine before sine among ties.
@@ -219,12 +213,13 @@ def _solved_chunk(configs, want_vectors: bool):
         order = np.argsort(values, axis=1, kind="stable")
         vectors = None
         if want_vectors:
-            vectors = np.zeros((len(points), m.size, m.size))
+            vectors = np.zeros(m.shape + m.shape[-1:])
+            point = np.arange(len(points))[:, None]
             lo = 0
             for rows, decomp in zip(sectors, decomps):
-                vectors[:, rows, lo:lo + rows.size] = decomp.eigenvectors
-                lo += rows.size
-        solved.append((points, (m, n), np.take_along_axis(values, order, axis=1), order, vectors))
+                vectors[point, rows, lo:lo + rows.shape[1]] = decomp.eigenvectors
+                lo += rows.shape[1]
+        solved.append((points, m, n, np.take_along_axis(values, order, axis=1), order, vectors))
     return solved
 
 
@@ -233,7 +228,7 @@ def _eigenvalue_chunk(configs, count: int):
     of the chunk, from values-only eigensolves of the sector stacks; the
     N x N matrix is never formed."""
     true = np.empty((len(configs), count))
-    for points, _, values, _, _ in _solved_chunk(configs, want_vectors=False):
+    for points, _, _, values, _, _ in _solved_chunk(configs, want_vectors=False):
         true[points] = values[:, :count]
     point, _, _, _, value, _ = _effective_modes(
         configs[0].params.R, [config.params.a for config in configs], count
@@ -312,11 +307,11 @@ def _eigenvector_chunk(configs, count: int):
     true = np.empty_like(eff)
     distances = np.empty_like(eff)
     solved = _solved_chunk(configs, want_vectors=True)
-    basis_of = {i: basis for points, basis, *_ in solved for i in points}
+    basis_of = {i: (m[g], n[g]) for points, m, n, *_ in solved for g, i in enumerate(points)}
     bases = [basis_of[i] for i in range(len(configs))]
     probes = [min(count + _CLUSTER_MARGIN, m.size) for m, _ in bases]
     expansions = _expansions([config.params for config in configs], bases, probes)
-    for points, _, values, order, vectors in solved:
+    for points, _, _, values, order, vectors in solved:
         for g, i in enumerate(points):
             coefficients = vectors[g][:, order[g, :probes[i]]]
             expansion = expansions[i]

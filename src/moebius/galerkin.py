@@ -20,21 +20,18 @@ the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
 The basis is enumerated as two integer arrays (m_j, n_j), in the order
-of ``basis_modes``; the configurations of a sweep chunk are enumerated
-together, by one ``models._flat_modes`` call over their half-widths
-(``_bases``), and the chunk's effective modes are expanded over the bases
-its projection returns (``_expansions``).  ``ModeIndex`` labels are made
-only when ``basis_modes`` or a solution's ``basis`` asks for them.
-Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s)
-(m < 0), mu = |m| / 2R, a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).
-The (m_s, m_u) fields w, fa, d1 fa and V come from one evaluation of f and
-its derivatives on the s nodes k = 0..m_s // 2: the strip has
-f(2 pi R - s, t) = f(s, -t) and the u nodes come in exact +/- pairs, so
-node m_s - k is node k with u reversed, d1 fa negated (``_fields``).  T_n
-is sampled once per distinct n on the u nodes.
-The integrals contract the u-quadrature first,
+of ``basis_modes``, a sweep chunk's all at once (``_bases``), with its
+effective modes expanded over them (``_expansions``); ``ModeIndex``
+labels are made only on request.  Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with
+L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s) (m < 0), mu = |m| / 2R,
+a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).  The fields come from
+g = fa^2: one evaluation of g and its derivatives on the s nodes
+k = 0..m_s // 2 gives g and V with no square root, and the mirror
+f(2 pi R - s, t) = f(s, -t) fills the other nodes (``_fields``); only a
+single configuration's residuals take fa = sqrt(g) and d1 fa.  The
+integrals contract the u-quadrature first,
 
-    A_nn'(s) = sum_u w T_n T_n' / fa^2,    B_nn'(s) = sum_u w V T_n T_n',
+    A_nn'(s) = sum_u w T_n T_n' / g,    B_nn'(s) = sum_u w V T_n T_n',
 
 and the s-sums of products of two trigonometric rows are Fourier
 coefficients of these kernels: with s_k = 2 pi R k / m_s and
@@ -47,30 +44,24 @@ FFT per kernel, the cosine sector reads
 h = |m|, and the sine sector flips the sign of both sum-frequency terms.
 A frequency p is folded into [0, m_s] modulo 2 m_s, so an ``m_s`` below
 twice the largest harmonic aliases exactly as the trapezoid sum does.
-The default m_s is 2 h_max + 32.  An integrand's harmonics reach
-2 h_max + J, J the bandwidth of the kernels in s, and alias only at
-2 m_s, so m_s > h_max + J/2 suffices; the margin 32 covers J where h_max
-is small.
-The kernels are read at (min(n_j, n_k), max(n_j, n_k)), so the matrix is
-exactly symmetric by construction.  No longitudinal table is sampled for
-assembly; the factor tables (rows L_m and L'_m on the s nodes, one cosine
-and one sine per distinct harmonic) are sampled when the residuals first
-need them.
+The default m_s = 2 h_max + 32 resolves the integrands, whose harmonics
+reach 2 h_max + J (J the bandwidth of the kernels in s) and alias only at
+2 m_s.  The kernels are read at (min(n_j, n_k), max(n_j, n_k)), so the
+matrix is exactly symmetric by construction, and no longitudinal table
+is sampled for assembly.
 
 The strip is symmetric under the reflection s -> -s, so cosine modes
-(m >= 0) and sine modes (m < 0) decouple exactly.  Cross-sector blocks are
-never computed and are exactly zero: the projection yields one block per
-sector.  The field evaluation (``_fields``), the kernel spectra
-(``_kernel_spectra``) and the gather (``_sector_blocks``) take a leading
-axis of half-widths, and one function, ``_project``, runs them for a list
-of configurations: the points that share quadrature orders share one
-quadrature, and each distinct basis among them gathers one stack of
-blocks per sector.  A sweep passes a chunk of half-widths, ``solve`` and
-``assemble`` a single configuration.  ``solve`` lays the blocks on the
-diagonal of one matrix over the basis listed sector by sector, so every
-coefficient column vanishes exactly off its sector and rounding cannot
-mix a nearly degenerate cosine/sine pair; ``assemble`` scatters that
-matrix back into basis order.
+(m >= 0) and sine modes (m < 0) decouple exactly; cross-sector blocks are
+never computed and are exactly zero.  ``_project`` projects a list of
+configurations in one pass: one kernel-spectra array spans their points
+and transverse indices, the points that share quadrature orders fill
+their rows of it from one field evaluation, one kernel product and one
+FFT, and the points whose sectors have equal sizes take one gather per
+sector, indexed per point (``_sector_blocks``).  A sweep passes a chunk
+of half-widths, ``solve`` and ``assemble`` one configuration.  ``solve``
+lays the blocks on the diagonal of one matrix over the basis listed
+sector by sector, so every coefficient column vanishes exactly off its
+sector; ``assemble`` returns that matrix in basis order.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
@@ -88,6 +79,7 @@ V = potential_veff) must reproduce the closed-form effective spectrum.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -96,7 +88,7 @@ import numpy as np
 
 from . import mathieu
 from .errors import CapacityError, InputError
-from .geometry import StripParams, _f_with_derivatives, _potential_from, potential_veff
+from .geometry import StripParams, _g_with_derivatives, _potential_from_g, potential_veff
 from .linalg import SymmetricMatrix, eig_dense_symmetric
 from .models import (
     FAMILY_EFF_CE,
@@ -266,11 +258,12 @@ def largest_array_bytes(
     distinct transverse index, ``n_count`` of them, each with N x m_s
     longitudinal and m_s x m_u quadrature values, which bound the factor
     tables and fields too), or the rows of an eigenfunction export of
-    ``export_points`` grid samples.  The kernel spectra of assembly, two
-    complex rows of m_s + 1 per pair n <= n', 16 (m_s + 1) n_count (n_count
-    + 1) bytes, stay within the residual terms' bound, since n_count <= N.
+    ``export_points`` grid samples.  The FFT of the kernels, two complex
+    rows of m_s + 1 per pair n <= n', 16 (m_s + 1) n_count (n_count + 1)
+    bytes, stays within the residual terms' bound, since n_count <= N.
     ``_project`` counts points stacked on one quadrature as one quadrature
-    of all their s nodes and one matrix of all their N x N entries.
+    of all their s nodes, and its stacked blocks and kernel spectra (whose
+    frequencies can pass m_s) each as one matrix of as many entries.
     """
     return max(
         8 * n_basis * n_basis,
@@ -355,8 +348,8 @@ class _Discretisation:
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    fa: np.ndarray           # (m_s, m_u)
-    d_s_fa: np.ndarray       # (m_s, m_u) d1 fa
+    fa: np.ndarray           # (m_s, m_u) sqrt(g)
+    d_s_fa: np.ndarray       # (m_s, m_u) d1 fa = d1 g / (2 fa)
     potential: np.ndarray    # (m_s, m_u)
 
     @functools.cached_property
@@ -380,43 +373,35 @@ def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
     return m_s, m_u
 
 
-def _sectors(m) -> tuple[np.ndarray, ...]:
-    """Basis rows with m >= 0, then those with m < 0, each if non-empty."""
-    cosine = m >= 0
-    return tuple(np.flatnonzero(mask) for mask in (cosine, ~cosine) if mask.any())
-
-
 def _fields(params: StripParams, a: np.ndarray, grid: QuadratureGrid, geometry: str):
-    """fa, d1 fa and V on the nodes of ``grid`` at each half-width of ``a``
-    (the radius from ``params``), each of shape (a.size, m_s, m_u).
-
-    One broadcast evaluation of f and its derivatives at t = a u feeds all
-    three, for every half-width, on the s nodes k = 0..m_s // 2 only: the
-    strip has f(2 pi R - s, t) = f(s, -t), and the u nodes come in exact
-    +/- pairs, so ``_mirrored`` fills the other nodes.
-    """
+    """g = fa^2 and V on the nodes of ``grid`` at each half-width of ``a``
+    (the radius from ``params``), each of shape (a.size, m_s, m_u), and d1 g
+    on the s nodes k = 0..m_s // 2, from one broadcast evaluation of g and
+    its derivatives at t = a u on those nodes: the strip has
+    f(2 pi R - s, t) = f(s, -t), and the u nodes come in exact +/- pairs,
+    so ``_mirrored`` fills the other nodes."""
     ss = grid.s_nodes[:, None]
     m_s = ss.size
     shape = (a.size, m_s, grid.u_nodes.size)
     if geometry == "true_geometry":
-        derivatives = _f_with_derivatives(params, ss[:m_s // 2 + 1], a[:, None, None] * grid.u_nodes)
+        derivatives = _g_with_derivatives(params, ss[:m_s // 2 + 1], a[:, None, None] * grid.u_nodes)
         return (
             _mirrored(derivatives[0], m_s, 1.0),
-            _mirrored(derivatives[1], m_s, -1.0),
-            _mirrored(_potential_from(*derivatives), m_s, 1.0),
+            _mirrored(_potential_from_g(*derivatives), m_s, 1.0),
+            derivatives[1],
         )
-    fa, d_s_fa = np.ones(shape), np.zeros(shape)
+    g, slope = np.ones(shape), np.zeros((a.size, m_s // 2 + 1, grid.u_nodes.size))
     if geometry == "flat_with_Veff":
-        return fa, d_s_fa, np.broadcast_to(potential_veff(params, ss), shape)
-    return fa, d_s_fa, np.zeros(shape)  # flat_plain
+        return g, np.broadcast_to(potential_veff(params, ss), shape), slope
+    return g, np.zeros(shape), slope  # flat_plain
 
 
 def _mirrored(half: np.ndarray, m_s: int, sign: float) -> np.ndarray:
     """A field on all ``m_s`` s nodes (axis 1) from its values ``half`` on
     the nodes k = 0..m_s // 2.
 
-    The field F has F(2 pi R - s, u) = ``sign`` F(s, -u): fa and V are even
-    under that mirror, d1 fa is odd.  Node m_s - k takes node k with u
+    The field F has F(2 pi R - s, u) = ``sign`` F(s, -u): g and V are even
+    under that mirror, d1 g is odd.  Node m_s - k takes node k with u
     reversed, times ``sign``.  At even m_s the node s = pi R is its own
     mirror, and its u < 0 half is filled from its u > 0 half, so the field
     is mirror-symmetric at every node by construction.
@@ -450,64 +435,69 @@ def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, pair
 
 
-def _kernel_spectra(transverse, weights, fa, potential, top: int):
+def _kernel_spectra(transverse, weights, g, potential, top: int):
     """Cosine sums of the u-contracted kernels, per half-width and field.
 
-    ``fa`` and ``potential`` are stacks (points, m_s, m_u) of fields on the
-    nodes, ``transverse`` holds T_n on the u nodes per distinct transverse
-    index.  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / fa^2 and
-    F = w V and each pair q = (n, n') of rows with n <= n', all formed by
-    one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s) for
-    p = 0..``top``, the real part of the kernels' one FFT zero-padded to
+    ``g`` and ``potential`` are stacks (points, m_s, m_u) of fa^2 and V on
+    the nodes, ``transverse`` holds T_n on the u nodes per distinct
+    transverse index.  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / g
+    and F = w V and each pair q = (n, n') of rows with n <= n', all formed
+    by one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s)
+    for p = 0..``top``, the real part of the kernels' one FFT zero-padded to
     2 m_s, read at p folded into [0, m_s] modulo 2 m_s.  Returns C, of
-    shape (points, 2, top + 1, pairs), and the table of q at (n, n') and
-    (n', n).
+    shape (points, 2, top + 1, pairs), pairs numbered as ``_pair_table``.
     """
-    low, high, pair = _pair_table(transverse.shape[0])
+    low, high, _ = _pair_table(transverse.shape[0])
     products = transverse[low] * transverse[high]  # (pairs, m_u)
-    fields = np.empty((fa.shape[0], 2) + fa.shape[1:])  # (points, 2, m_s, m_u)
-    np.multiply(fa, fa, out=fields[:, 0])
-    np.divide(weights, fields[:, 0], out=fields[:, 0])
+    fields = np.empty((g.shape[0], 2) + g.shape[1:])  # (points, 2, m_s, m_u)
+    np.divide(weights, g, out=fields[:, 0])
     np.multiply(weights, potential, out=fields[:, 1])
     m_s = fields.shape[2]
     kernels = (fields.reshape(-1, fields.shape[-1]) @ products.T).reshape(fields.shape[:3] + (-1,))
     p = np.arange(top + 1) % (2 * m_s)
-    spectra = np.fft.rfft(kernels, n=2 * m_s, axis=2).real[:, :, np.minimum(p, 2 * m_s - p)]
-    return spectra, pair
+    return np.fft.rfft(kernels, n=2 * m_s, axis=2).real[:, :, np.minimum(p, 2 * m_s - p)]
 
 
-def _sector_blocks(spectra, pair, m, n_of, sectors, transverse_diag, radius: float):
+def _sector_blocks(spectra, pair, points, m, n_of, sectors, transverse_diag, radius: float):
     """The matrix restricted to each sector, one stack (points, r, r) per
-    sector of ``sectors``, for the basis (m, n) shared by every point.
+    sector (points, r) of basis rows, for points whose sectors have equal
+    sizes.
 
-    ``spectra`` and ``pair`` come from ``_kernel_spectra`` of the points,
-    ``n_of`` gives each mode's transverse row there and
-    ``transverse_diag`` (points, N) each point's transverse kinetic term.
-    Each stack is one gather from the kernel spectra at the difference and
-    sum frequencies (module docstring), with the kernel of the pair
+    Point i reads row ``points[i]`` of ``spectra`` (``_kernel_spectra``,
+    pairs as in ``_pair_table``), its modes' signed harmonics ``m[i]``,
+    transverse rows ``n_of[i]`` and ``transverse_diag[i]``, the transverse
+    term per row.  Each stack is one gather at the difference and sum
+    frequencies (module docstring), with the kernel of the pair
     (min(n_j, n_k), max(n_j, n_k)), so every block is exactly symmetric,
-    plus the transverse term on its diagonal.  Cross-sector entries are
-    never computed: the matrix is exactly zero outside these blocks.
+    plus the transverse term on its diagonal.
     """
     harmonic = np.abs(m)
     rate = harmonic / (2.0 * radius)
     amp = np.where(
         harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * radius), 1.0 / np.sqrt(np.pi * radius)
     )
-    n_pairs = spectra.shape[-1]
-    flat = spectra.reshape(spectra.shape[:2] + (-1,))  # C[., i, p, q] at p n_pairs + q
+    # C[i, f, p, q] sits at i 2 size + f size + p n_pairs + q: the 1/g
+    # kernels (f = 0) are read from ``slope``, the V kernels from ``value``
+    n_pairs, size = spectra.shape[-1], spectra[0, 0].size
+    slope = spectra.reshape(-1)
+    value = slope[size:]
+    point = np.arange(len(points))[:, None]
+    start = np.asarray(points)[:, None, None] * (2 * size)
     stacks = []
     for rows in sectors:
-        sign = 1.0 if m[rows[0]] >= 0 else -1.0
-        h, t = harmonic[rows], n_of[rows]
-        kernel = pair[np.ix_(t, t)]
-        diff = flat.take(np.abs(np.subtract.outer(h, h)) * n_pairs + kernel, axis=-1)
-        total = flat.take(np.add.outer(h, h) * n_pairs + kernel, axis=-1)
-        block = (0.5 * np.outer(amp[rows], amp[rows])) * (
-            (diff[:, 1] + sign * total[:, 1])
-            + np.outer(rate[rows], rate[rows]) * (diff[:, 0] - sign * total[:, 0])
-        )
-        block.reshape(block.shape[0], -1)[:, ::rows.size + 1] += transverse_diag[:, rows]
+        # the sum frequency enters the cosine sector with +, the sine with -
+        plus, minus = (np.add, np.subtract) if m[0, rows[0, 0]] >= 0 else (np.subtract, np.add)
+        h, t, amp_r, rate_r = (column[point, rows] for column in (harmonic, n_of, amp, rate))
+        h = h * n_pairs
+        base = pair[t[:, :, None], t[:, None, :]] + start
+        diff = np.abs(h[:, :, None] - h[:, None, :]) + base
+        base += h[:, :, None] + h[:, None, :]  # the sum frequency
+        kinetic = minus(slope.take(diff), slope.take(base))
+        kinetic *= rate_r[:, :, None] * rate_r[:, None, :]
+        block = plus(value.take(diff), value.take(base))
+        block += kinetic
+        block *= 0.5 * (amp_r[:, :, None] * amp_r[:, None, :])
+        block.reshape(len(points), -1)[:, ::rows.shape[1] + 1] += transverse_diag[point, t]
         stacks.append(block)
     return stacks
 
@@ -520,92 +510,94 @@ def _grouped(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _project(
-    configs,
-) -> list[tuple[list[int], np.ndarray, np.ndarray, tuple, list, _Discretisation | None]]:
-    """Sector blocks of configurations that differ at most in half-width.
+# the points of a projection whose sectors have equal sizes: their positions
+# among the configurations, bases m and n (points, N), and per sector the
+# basis rows (points, r) and blocks (points, r, r); with a single
+# configuration, its _Discretisation (None for several)
+_Projected = collections.namedtuple("_Projected", "points m n sectors stacks disc")
 
-    Their bases are enumerated together (``_bases``).
-    Each point keeps its own quadrature orders, default or explicit.  The
-    points that share orders share one quadrature: their fields come from
-    one ``_fields`` call and their kernels from one ``_kernel_spectra``
-    call over the union of their transverse indices; then each distinct
-    basis among them takes one ``_sector_blocks`` gather for its points.
-    Returns, per distinct (orders, basis), (positions of its
-    configurations, the basis m and n, sectors, block stacks (points, r, r),
-    and the ``_Discretisation`` of a single configuration, which its
-    residuals read, or None for several, whose field stacks go before the
-    gathers).
+
+def _project(configs) -> list[_Projected]:
+    """Sector blocks of configurations that differ at most in half-width,
+    one ``_Projected`` per set of equal sector sizes.
+
+    Their bases are enumerated together (``_bases``); each point keeps its
+    own quadrature orders, default or explicit.  One kernel-spectra array
+    spans all points and transverse indices; the points that share orders
+    fill their rows of it from one ``_fields`` and one ``_kernel_spectra``
+    call, and the points whose sectors have equal sizes take one
+    ``_sector_blocks`` gather, whatever their bases.  A single
+    configuration keeps its ``_Discretisation`` for its residuals.
 
     Every N is checked before its basis is enumerated.  The P points that
     share a quadrature stack P copies of one point's arrays, so before any
     is built they are checked as one quadrature of P m_s nodes in s, at the
-    largest N and all their transverse indices (fields, kernel spectra),
-    and as one matrix of order sqrt(P) N (blocks, and the (P, N, N)
-    eigenvectors of a sweep).  A single configuration is checked exactly
-    at its own sizes.
+    largest N and all the transverse indices (fields, kernels), and each
+    set of equal sector sizes as one matrix of order sqrt(P) N (blocks, and
+    the (P, N, N) eigenvectors of a sweep); the kernel-spectra array is
+    checked as one matrix of as many entries.  A single configuration is
+    checked exactly at its own sizes.
     """
     first = configs[0]
     require_capacity(first.n_basis)  # bounds N before any basis is enumerated
     bases = _bases([config.params for config in configs], first.n_basis, first.close_pairs)
     orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
-    quadratures = []  # (points, their transverse indices) per distinct orders
-    for points in _grouped(orders):
-        n_values = np.flatnonzero(np.bincount(np.concatenate([bases[i][1] for i in points])))
-        n_basis = max(bases[i][0].size for i in points)
+    n_values = np.flatnonzero(np.bincount(np.concatenate([n for _, n in bases])))
+    quadratures = _grouped(orders)
+    for points in quadratures:
         m_s, m_u = orders[points[0]]
-        require_capacity(n_basis, len(points) * m_s, m_u, n_values.size)
+        require_capacity(max(bases[i][0].size for i in points), len(points) * m_s, m_u, n_values.size)
+    stacked = _grouped((int(np.count_nonzero(m >= 0)), m.size) for m, _ in bases)
+    for points in stacked:
         # P stacked N x N arrays hold as much as one matrix of order sqrt(P) N
-        require_capacity(math.isqrt(len(points) * n_basis**2 - 1) + 1)
-        quadratures.append((points, n_values))
+        require_capacity(math.isqrt(len(points) * bases[points[0]][0].size ** 2 - 1) + 1)
+    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
+    low, _, pair = _pair_table(n_values.size)
+    shape = (len(configs), 2, top + 1, low.size)
+    require_capacity(math.isqrt(math.prod(shape) - 1) + 1)
     params, geometry = first.params, first.geometry
     a = np.array([config.params.a for config in configs])
-    projected = []
-    for points, n_values in quadratures:
+    spectra = np.empty(shape)
+    disc = None
+    for points in quadratures:
         grid = QuadratureGrid.for_strip(params, *orders[points[0]])
-        fa, d_s_fa, potential = _fields(params, a[points], grid, geometry)
+        g, potential, slope = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)[0]
-        top = 2 * max(int(np.abs(bases[i][0]).max()) for i in points)
-        spectra, pair = _kernel_spectra(transverse, grid.weights_2d, fa, potential, top)
-        disc = None
+        spectra[points] = _kernel_spectra(transverse, grid.weights_2d, g, potential, top)
         if len(configs) == 1:
-            disc = _Discretisation(params, grid, *bases[0], fa[0], d_s_fa[0], potential[0])
-        del fa, d_s_fa, potential  # the gathers read none of the field stacks
-        for members in _grouped((bases[i][0].tobytes(), bases[i][1].tobytes()) for i in points):
-            positions = [points[k] for k in members]
-            m, n = bases[positions[0]]
-            sectors = _sectors(m)
-            stacks = _sector_blocks(
-                spectra[members], pair, m, np.searchsorted(n_values, n), sectors,
-                _transverse_diag(n, a[positions]), params.R,
-            )
-            projected.append((positions, m, n, sectors, stacks, disc))
+            fa = np.sqrt(g[0])
+            d_s_fa = _mirrored(slope, grid.s_nodes.size, -1.0)[0] / (2.0 * fa)
+            disc = _Discretisation(params, grid, *bases[0], fa, d_s_fa, potential[0])
+        del g, potential, slope  # the gathers read none of the field stacks
+    projected = []
+    for points in stacked:
+        m = np.stack([bases[i][0] for i in points])
+        n = np.stack([bases[i][1] for i in points])
+        sectors = [
+            np.nonzero(mask)[1].reshape(len(points), -1) for mask in (m >= 0, m < 0) if mask[0].any()
+        ]
+        n_of = np.searchsorted(n_values, n)
+        diag = _transverse_diag(n_values, a[points])
+        stacks = _sector_blocks(spectra, pair, points, m, n_of, sectors, diag, params.R)
+        projected.append(_Projected(points, m, n, sectors, stacks, disc))
     return projected
 
 
-def _sector_ordered(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Discretisation]:
-    """The basis rows listed sector by sector, the projection matrix over
-    them (``config``'s sector blocks on the diagonal, zeros elsewhere) and
-    the discretisation that the projection evaluated."""
-    [(_, _, _, sectors, stacks, disc)] = _project([config])
-    order = np.concatenate(sectors)
-    blocked = np.zeros((order.size,) * 2)
-    lo = 0
-    for stack in stacks:
-        hi = lo + stack.shape[1]
-        blocked[lo:hi, lo:hi] = stack[0]
-        lo = hi
-    return order, blocked, disc
+def _matrix(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Discretisation]:
+    """The projection matrix in basis order (``config``'s sector blocks,
+    zeros elsewhere), the basis rows listed sector by sector and the
+    discretisation that the projection evaluated."""
+    [projected] = _project([config])
+    dense = np.zeros((projected.m.shape[1],) * 2)
+    for rows, stack in zip(projected.sectors, projected.stacks):
+        dense[np.ix_(rows[0], rows[0])] = stack[0]
+    return dense, np.concatenate([rows[0] for rows in projected.sectors]), projected.disc
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
-    """Projection matrix of L onto the flat basis in basis order: the
-    sector-ordered matrix ``solve`` diagonalises, scattered back; symmetric
-    by storage."""
-    order, blocked, _ = _sector_ordered(config)
-    dense = np.empty_like(blocked)
-    dense[np.ix_(order, order)] = blocked
-    return SymmetricMatrix.from_dense(dense)
+    """Projection matrix of L onto the flat basis in basis order, the
+    matrix ``solve`` diagonalises; symmetric by storage."""
+    return SymmetricMatrix.from_dense(_matrix(config)[0])
 
 
 def _residual_norms(
@@ -663,14 +655,15 @@ def _residual_norms(
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
-    """Diagonalise the sector blocks laid on the diagonal of one matrix.
+    """Diagonalise the projection matrix gathered into sector order, its
+    sector blocks on the diagonal.
 
     Every coefficient column is exactly zero off its sector; coefficient
     rows come back in basis order.  The solution keeps the projection's
     quadrature fields; residual norms wait for their first read.
     """
-    order, blocked, disc = _sector_ordered(config)
-    decomp = eig_dense_symmetric(blocked)
+    dense, order, disc = _matrix(config)
+    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
     coefficients = np.empty_like(decomp.eigenvectors)
     coefficients[order] = decomp.eigenvectors
     return GalerkinSolution(config, decomp.eigenvalues, coefficients, disc)

@@ -15,13 +15,14 @@ and f > 0 for every a, R > 0, so the formulas stay valid in the immersed
 (possibly self-overlapping, a >= R) regime.
 
 All derivatives of f are hard-coded closed forms obtained by differentiating
-f^2 once symbolically; they feed the transformed potential
+g = f^2 once symbolically.  The transformed potential
 
     V(s, u) = -(5/4) (d1 fa)^2 / fa^4 + (1/2) d1^2 fa / fa^3
               -(1/4) (d2 fa)^2 / (a^2 fa^2) + (1/2) d2^2 fa / (a^2 fa)
 
 of the curved Laplacian mapped onto the fixed rectangle
-Pi = (0, 2 pi R) x (-1, 1), where fa(s, u) = f(s, a u).  The chain rule
+Pi = (0, 2 pi R) x (-1, 1), where fa(s, u) = f(s, a u), is evaluated from
+g and its derivatives directly, with no square root.  The chain rule
 cancels every explicit 1/a^2, so ``potential_va`` is evaluated without
 small-a cancellation.
 
@@ -36,6 +37,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,16 @@ class StripParams:
             raise InputError(f"half-width a must be positive and finite, got {self.a}")
         if not (self.R > 0.0 and np.isfinite(self.R)):
             raise InputError(f"radius R must be positive and finite, got {self.R}")
+        # the energy scales are squared as Python floats square, raising on overflow
+        for name, value, scale in (("half-width a", self.a, math.pi / (2.0 * float(self.a))),
+                                   ("radius R", self.R, 1.0 / (2.0 * float(self.R)))):
+            try:
+                finite = scale**2 < math.inf
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise InputError(f"{name} is too small, got {value}: its energy "
+                                 f"scale {scale:.3g} squared overflows")
 
     @classmethod
     def from_circumference(cls, a: float, circumference: float) -> "StripParams":
@@ -145,25 +157,19 @@ def jacobian_f(params: StripParams, s, t):
     return np.sqrt(w * w + (t / (2.0 * params.R)) ** 2)
 
 
-def _f_with_derivatives(params: StripParams, s, t):
-    """f and its partial derivatives (f, d1f, d2f, d11f, d22f), from one
-    evaluation of the shared terms; see ``jacobian_f_derivatives``."""
+def _g_with_derivatives(params: StripParams, s, t):
+    """g = f^2 and its partial derivatives (g, d1g, d2g, d11g, d22g), from
+    one evaluation of the shared terms; see ``jacobian_f_derivatives``."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     R = params.R
     c, sg, w = _f_terms(params, s, t)
-    f = np.sqrt(w * w + (t / (2.0 * R)) ** 2)
-
+    g = w * w + (t / (2.0 * R)) ** 2
     d1g = t * w * sg / R**2
     d2g = -2.0 * w * c / R + t / (2.0 * R**2)
     d11g = t * t * sg * sg / (2.0 * R**4) + w * t * c / (2.0 * R**3)
     d22g = 2.0 * c * c / R**2 + 1.0 / (2.0 * R**2)
-
-    d1f = d1g / (2.0 * f)
-    d2f = d2g / (2.0 * f)
-    d11f = (d11g - 2.0 * d1f * d1f) / (2.0 * f)
-    d22f = (d22g - 2.0 * d2f * d2f) / (2.0 * f)
-    return f, d1f, d2f, d11f, d22f
+    return g, d1g, d2g, d11g, d22g
 
 
 def jacobian_f_derivatives(params: StripParams, s, t):
@@ -181,17 +187,17 @@ def jacobian_f_derivatives(params: StripParams, s, t):
     d^2 f = (d^2 g - 2 (d f)^2) / (2 f).  In particular
     d2f(s, 0) = -cos(s/2R) / R, with the minus sign fixed by d2 g.
     """
-    return _f_with_derivatives(params, s, t)[1:]
+    g, d1g, d2g, d11g, d22g = _g_with_derivatives(params, s, t)
+    f = np.sqrt(g)
+    d1f = d1g / (2.0 * f)
+    d2f = d2g / (2.0 * f)
+    return d1f, d2f, (d11g - 2.0 * d1f * d1f) / (2.0 * f), (d22g - 2.0 * d2f * d2f) / (2.0 * f)
 
 
-def _potential_from(f, d1f, d2f, d11f, d22f):
-    """The potential V of ``potential_va`` from f and its derivatives at (s, a u)."""
-    return (
-        -1.25 * d1f * d1f / f**4
-        + 0.5 * d11f / f**3
-        - 0.25 * d2f * d2f / f**2
-        + 0.5 * d22f / f
-    )
+def _potential_from_g(g, d1g, d2g, d11g, d22g):
+    """The potential V of ``potential_va`` from g = f^2 and its derivatives."""
+    inv = 1.0 / g
+    return 0.25 * inv * (d11g * inv - 1.75 * (d1g * inv) ** 2 + d22g - 0.75 * d2g * d2g * inv)
 
 
 def potential_va(params: StripParams, s, u):
@@ -199,16 +205,21 @@ def potential_va(params: StripParams, s, u):
 
     u is the rescaled transverse coordinate, t = a u with u in [-1, 1].
     Writing fa(s, u) = f(s, a u), the chain rule turns every d2/a factor
-    into a plain t derivative, so the implementation evaluates
+    into a plain t derivative, so V is
 
         V = -(5/4) (d1f)^2 / f^4 + (1/2) d11f / f^3
             -(1/4) (d2f)^2 / f^2 + (1/2) d22f / f
 
-    at (s, a u).  Converges pointwise to ``potential_veff`` as a -> 0, with
-    an a-uniform O(a) error.
+    at (s, a u), which with f = sqrt(g) is evaluated from g = f^2 as
+
+        V = d11g / (4 g^2) - 7 (d1g)^2 / (16 g^3)
+            + d22g / (4 g) - 3 (d2g)^2 / (16 g^2).
+
+    Converges pointwise to ``potential_veff`` as a -> 0, with an a-uniform
+    O(a) error.
     """
     t = params.a * np.asarray(u, dtype=float)
-    return _potential_from(*_f_with_derivatives(params, s, t))
+    return _potential_from_g(*_g_with_derivatives(params, s, t))
 
 
 def potential_veff(params: StripParams, s):

@@ -119,7 +119,8 @@ def eig_dense_symmetric(matrix, want_vectors: bool = True) -> EigenDecomposition
         raise InputError(f"expected a square matrix, got shape {dense.shape}")
     if dense.shape[-1] < 1:
         raise InputError("matrix order must be >= 1, got 0")
-    if not np.all(np.isfinite(np.tril(dense))):
+    # the whole array first: the lower-triangle copy is made only when that fails
+    if not np.isfinite(dense).all() and not np.isfinite(np.tril(dense)).all():
         raise InputError(f"matrix of order {dense.shape[-1]} has non-finite entries")
     return _eigh(dense, want_vectors)
 

@@ -585,3 +585,46 @@ def test_thin_strip_flat_box_holds_a_few_hundred_harmonics(capsys, monkeypatch, 
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 2 + 5
     assert widths and max(widths) < 1000
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("half-width a", ["spectrum", "--model", "fake", "--a", "1e-300", "--circumference", "13.2",
+                      "--count", "5"]),
+    ("half-width a", ["spectrum", "--model", "true", "--a", "1e-300", "--circumference", "13.2",
+                      "--count", "5", "--N", "20"]),
+    ("half-width a", ["spectrum", "--model", "effective", "--a", "1e-300",
+                      "--circumference", "13.2", "--count", "5"]),
+    ("half-width a", ["spectrum", "--model", "fake", "--a", "1e-160", "--circumference", "13.2",
+                      "--count", "5"]),
+    ("half-width a", ["converge", "--a-min", "1e-300", "--a-max", "0.5", "--steps", "3",
+                      "--K", "2", "--N", "10"]),
+    ("half-width a", ["eigenfunction", "--k", "1", "--a", "1e-300", "--R", "2.1", "--N", "10",
+                      "--grid", "4x3"]),
+    ("radius R", ["spectrum", "--model", "effective", "--a", "0.75", "--circumference", "1e-300",
+                  "--count", "5"]),
+])
+def test_strips_whose_energy_scale_overflows_are_invalid_input(capsys, name, argv):
+    # (pi / 2a)^2 or (1 / 2R)^2 past the largest double, squared as Python
+    # floats square, is refused when the strip is built
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} is too small") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["uniform", "geometric"])
+@pytest.mark.parametrize("option", ["--a-min", "--a-max"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_grid_ends_are_refused_before_the_grid(capsys, monkeypatch, grid, option, value):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the half-width grid was built")
+
+    monkeypatch.setattr(convergence, "geometric_grid", not_reached)
+    monkeypatch.setattr(cli.np, "linspace", not_reached)
+    ends = {"--a-min": "0.1", "--a-max": "0.5", option: value}
+    argv = ["converge", "--kind", "eigenvalue", "--steps", "3", "--K", "2", "--N", "10",
+            "--grid", grid] + [item for pair in ends.items() for item in pair]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must be finite, got {float(value)}\n"

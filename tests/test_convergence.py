@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,8 +46,8 @@ def synthetic_sweep(power, scale=1.0):
 
 def sector_values(config):
     """Ascending eigenvalues of the sector blocks of one configuration."""
-    [(_, _, _, _, stacks, _)] = _project([config])
-    return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in stacks]))
+    [projected] = _project([config])
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in projected.stacks]))
 
 
 def test_fit_rate_synthetic_cubic():
@@ -76,6 +77,8 @@ def test_geometric_grid():
     assert np.max(np.abs(ratios - ratios[0])) < 1e-12
     with pytest.raises(InputError):
         geometric_grid(-1.0, 0.5, 4)
+    with pytest.raises(InputError):
+        geometric_grid(0.1, np.inf, 4)
 
 
 def test_sweep_validation():
@@ -129,45 +132,70 @@ def test_sweep_values_are_the_dense_spectrum(geometry):
         assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
 
 
-def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
-    def not_reached(*args):
-        raise AssertionError("the N x N matrix was assembled")
-
-    stacks = []  # half-widths and sector size of each stack, in solve order
-    project = convergence._project
-
-    def grouped(configs):
-        groups = project(configs)
-        for points, _, _, sectors, _, _ in groups:
-            stacks.extend(([configs[i].params.a for i in points], rows.size) for rows in sectors)
-        return groups
-
+def recorded_eigensolves(monkeypatch, want_vectors):
+    """Shapes of the stacks passed to ``eig_dense_symmetric``, in call order."""
     shapes = []
     eig = convergence.eig_dense_symmetric
 
     def recorded(matrix, want_vectors=True):
-        assert want_vectors is False
+        assert want_vectors is expected
         shapes.append(matrix.shape)
         return eig(matrix, want_vectors=want_vectors)
+
+    expected = want_vectors
+    monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
+    return shapes
+
+
+def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
+    def not_reached(*args):
+        raise AssertionError("the N x N matrix was assembled")
+
+    groups = []  # per chunk, the half-widths of each group of equal sector sizes
+    project = convergence._project
+
+    def grouped(configs):
+        projected = project(configs)
+        groups.append([[configs[i].params.a for i in group.points] for group in projected])
+        return projected
 
     monkeypatch.setattr(galerkin, "assemble", not_reached)
     monkeypatch.setattr(galerkin, "solve", not_reached)
     monkeypatch.setattr(convergence, "solve", not_reached)
     monkeypatch.setattr(convergence, "_project", grouped)
-    monkeypatch.setattr(convergence, "eig_dense_symmetric", recorded)
-    # two chunks, the first full, whose thin points share a basis
-    grid = np.geomspace(0.02, 0.9, convergence._CHUNK + 3)
-    eigenvalue_sweep(RADIUS, grid, 5, 30)
-    # one eigensolve per stack of blocks
-    assert shapes == [(len(a_values), size, size) for a_values, size in stacks]
-    assert len(shapes) < 2 * grid.size
-    # each half-width's cosine and sine blocks solved exactly once
-    solved = sorted((a, size) for a_values, size in stacks for a in a_values)
-    expected = []
+    shapes = recorded_eigensolves(monkeypatch, want_vectors=False)
+    # two chunks, the first full, whose points differ in sector sizes
+    grid = np.linspace(0.8, 1.5, convergence._CHUNK + 3)
+    eigenvalue_sweep(RADIUS, grid, 5, 40)
+    assert [len(chunk) for chunk in groups] == [2, 1]
+    sizes = {}  # each half-width's sector sizes, cosine then sine
     for a in grid:
-        m, _ = galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True)
-        expected += [(a, np.count_nonzero(m >= 0)), (a, np.count_nonzero(m < 0))]
-    assert solved == sorted(expected)
+        m, _ = galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 40, True)
+        sizes[a] = (np.count_nonzero(m >= 0), np.count_nonzero(m < 0))
+    # per chunk, one eigensolve per sector per set of equal sector sizes
+    expected = []
+    for chunk in groups:
+        assert all(len({sizes[a] for a in a_values}) == 1 for a_values in chunk)
+        assert len({sizes[a_values[0]] for a_values in chunk}) == len(chunk)
+        expected += [(len(a_values), r, r) for a_values in chunk for r in sizes[a_values[0]]]
+    assert shapes == expected
+    assert len(shapes) < len(grid)
+    # each half-width's cosine and sine blocks solved exactly once
+    solved = sorted(a for chunk in groups for a_values in chunk for a in a_values)
+    assert solved == sorted(grid)
+    # the README sweep: one chunk of seven points, two eigensolves
+    shapes.clear()
+    eigenvalue_sweep(RADIUS, geometric_grid(0.05, 0.5, 7), 20, 72)
+    assert shapes == [(7, 37, 37), (7, 36, 36)]
+
+
+def test_readme_eigenvector_sweep_makes_few_eigensolves(monkeypatch):
+    # one call per sector per set of equal sector sizes in each of four
+    # chunks, against 52 when each distinct basis took its own
+    shapes = recorded_eigensolves(monkeypatch, want_vectors=True)
+    eigenvector_sweep(RADIUS, np.linspace(0.01, 1.5, 30), 5, 72)
+    assert len(shapes) <= 10
+    assert sum(shape[0] for shape in shapes) == 2 * 30
 
 
 def test_eigenvalue_sweep_coarse_sanity_bound():
@@ -354,7 +382,7 @@ def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("a chunk array was built before the capacity check")
 
-    monkeypatch.setattr(galerkin, "_f_with_derivatives", not_reached)
+    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
     for sweep in (eigenvalue_sweep, eigenvector_sweep):
         with pytest.raises(CapacityError, match=f"N=31, m_s={grid.size * m_s}, m_u={m_u}"):
@@ -383,8 +411,38 @@ def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("a chunk array was built before the capacity check")
 
-    monkeypatch.setattr(galerkin, "_f_with_derivatives", not_reached)
+    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
     for sweep in (eigenvalue_sweep, eigenvector_sweep):
         with pytest.raises(CapacityError, match=f"N={order} needs"):
             sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)
+
+
+def test_chunk_kernel_spectra_are_refused_before_any_is_built(monkeypatch):
+    # at m_s = m_u = 1 a chunk of thin and wide strips is held back by its
+    # kernel-spectra array, which spans the thin strips' harmonics and the
+    # wide strips' transverse indices; it is checked as one matrix of as
+    # many entries
+    radius = 0.5
+    grid = np.geomspace(0.02, 1.5, convergence._CHUNK)
+    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=radius), 30, True) for a in grid]
+    n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
+    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
+    entries = grid.size * 2 * (top + 1) * n_count * (n_count + 1) // 2
+    order = math.isqrt(entries - 1) + 1
+    needed = largest_array_bytes(order)
+    n_basis = max(m.size for m, _ in bases)
+    others = max(largest_array_bytes(n_basis, grid.size, 1, n_count),
+                 largest_array_bytes(math.isqrt(grid.size * n_basis**2 - 1) + 1))
+    assert 8 * entries <= needed and others < needed
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+    eigenvalue_sweep(radius, grid, 3, 30, m_s=1, m_u=1)  # exactly at the cap is allowed
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a field was evaluated before the capacity check")
+
+    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
+    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    for sweep in (eigenvalue_sweep, eigenvector_sweep):
+        with pytest.raises(CapacityError, match=f"N={order} needs"):
+            sweep(radius, grid, 3, 30, m_s=1, m_u=1)

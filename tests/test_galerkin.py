@@ -249,7 +249,9 @@ def test_discretisation_keeps_factor_tables():
         )
         assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(n, u))
     # the projection's sectors partition the same basis
-    [(_, m, n, (cosine, sine), _, _)] = galerkin._project([config])
+    [projected] = galerkin._project([config])
+    m, n = projected.m[0], projected.n[0]
+    cosine, sine = (rows[0] for rows in projected.sectors)
     assert np.array_equal(n, disc.n)
     assert np.array_equal(m, disc.m)
     assert np.all(m[cosine] >= 0) and np.all(m[sine] < 0)
@@ -323,26 +325,72 @@ def test_factorised_matrix_matches_full_table_reference(geometry):
 
 @pytest.mark.parametrize("m_s", [1, 2, 3, 64, 101, 176])
 def test_fields_are_mirror_symmetric_and_the_direct_evaluation(m_s):
-    # fa and V on node m_s - k are node k with u reversed, d1 fa negated;
+    # g and V on node m_s - k are node k with u reversed, d1 g negated;
     # evaluated on half the s nodes and filled, they stay the closed forms
     for params in (TABLE_PARAMS, WIDE_PARAMS, StripParams(a=0.02, R=3.15)):
         for m_u in (1, 4, 21):
             grid = QuadratureGrid.for_strip(params, m_s, m_u)
             a = np.array([0.5 * params.a, params.a])
-            fa, d1, v = (field[1] for field in galerkin._fields(params, a, grid, "true_geometry"))
+            g, v, slope = galerkin._fields(params, a, grid, "true_geometry")
+            g, v, d1 = g[1], v[1], galerkin._mirrored(slope, m_s, -1.0)[1]
             k = np.arange(1, m_s)
-            assert np.array_equal(fa[m_s - k], fa[k, ::-1])
+            assert np.array_equal(g[m_s - k], g[k, ::-1])
             assert np.array_equal(v[m_s - k], v[k, ::-1])
             assert np.array_equal(d1[m_s - k], -d1[k, ::-1])
             s, u = grid.s_nodes[:, None], grid.u_nodes[None, :]
             t = params.a * u
             for got, direct in (
-                (fa, jacobian_f(params, s, t)),
-                (d1, jacobian_f_derivatives(params, s, t)[0]),
+                (np.sqrt(g), jacobian_f(params, s, t)),
+                (d1 / (2.0 * np.sqrt(g)), jacobian_f_derivatives(params, s, t)[0]),
                 (v, potential_va(params, s, u)),
             ):
                 scale = np.max(np.abs(direct))
                 assert np.max(np.abs(got - direct)) <= 1e-14 * scale, (params, m_u)
+
+
+@pytest.mark.parametrize("m_s", [1, 2, 3, 64, 101, 176])
+def test_potential_from_g_is_the_f_derivative_composition(m_s):
+    # V from g = f^2 against the chain of f-derivatives of the potential_va
+    # docstring, on the grids of the mirror test above
+    for params in (TABLE_PARAMS, WIDE_PARAMS, StripParams(a=0.02, R=3.15)):
+        for m_u in (1, 4, 21):
+            grid = QuadratureGrid.for_strip(params, m_s, m_u)
+            s, u = grid.s_nodes[:, None], grid.u_nodes[None, :]
+            t = params.a * u
+            f = jacobian_f(params, s, t)
+            d1f, d2f, d11f, d22f = jacobian_f_derivatives(params, s, t)
+            composed = (-1.25 * d1f * d1f / f**4 + 0.5 * d11f / f**3
+                        - 0.25 * d2f * d2f / f**2 + 0.5 * d22f / f)
+            v = potential_va(params, s, u)
+            assert np.max(np.abs(v - composed)) <= 1e-14 * np.max(np.abs(composed)), (params, m_u)
+
+
+def projection_fields(disc, geometry):
+    """g, V and the half-grid d1 g of ``disc``'s configuration, as its
+    projection evaluated them."""
+    return galerkin._fields(disc.params, np.array([disc.params.a]), disc.grid, geometry)
+
+
+@pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
+def test_solution_fields_are_the_root_of_g_bitwise(geometry):
+    # fa = sqrt(g) and d1 fa = d1 g / (2 fa), which are bit for bit the f
+    # and d1 f of the closed forms evaluated on half the s nodes and mirrored
+    for params, m_s in ((TABLE_PARAMS, None), (WIDE_PARAMS, 41), (StripParams(a=0.02, R=3.15), 64)):
+        config = GalerkinConfig(params=params, n_basis=30, m_s=m_s, geometry=geometry)
+        disc = solve(config)._discretisation
+        g, v, slope = (field[0] for field in projection_fields(disc, geometry))
+        size = disc.grid.s_nodes.size
+        d_s_g = galerkin._mirrored(slope[None], size, -1.0)[0]
+        assert np.array_equal(disc.fa, np.sqrt(g))
+        assert np.array_equal(disc.d_s_fa, d_s_g / (2.0 * disc.fa))
+        assert np.array_equal(disc.potential, v)
+        if geometry != "true_geometry":
+            assert np.all(disc.fa == 1.0) and np.all(disc.d_s_fa == 0.0)
+            continue
+        s, t = disc.grid.s_nodes[:size // 2 + 1, None], params.a * disc.grid.u_nodes
+        f = galerkin._mirrored(jacobian_f(params, s, t)[None], size, 1.0)[0]
+        d1f = galerkin._mirrored(jacobian_f_derivatives(params, s, t)[0][None], size, -1.0)[0]
+        assert np.array_equal(disc.fa, f) and np.array_equal(disc.d_s_fa, d1f)
 
 
 @pytest.mark.parametrize("params, n_basis, m_s", [
@@ -352,16 +400,16 @@ def test_fields_are_mirror_symmetric_and_the_direct_evaluation(m_s):
 def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
-        [(_, m, _, sectors, stacks, _)] = galerkin._project([config])
-        for stack in stacks:
+        [projected] = galerkin._project([config])
+        for stack in projected.stacks:
             assert np.array_equal(stack[0], stack[0].T)
         dense = assemble(config).to_dense()
-        cosine = m >= 0
+        cosine = projected.m[0] >= 0
         assert np.all(dense[np.ix_(cosine, ~cosine)] == 0.0)
         assert np.all(dense[np.ix_(~cosine, cosine)] == 0.0)
         # solve diagonalises the public matrix gathered into sector order,
         # coefficient rows scattered back to basis order, bit for bit
-        order = np.concatenate(sectors)
+        order = np.concatenate([rows[0] for rows in projected.sectors])
         decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
         scattered = np.empty_like(decomp.eigenvectors)
         scattered[order] = decomp.eigenvectors
@@ -370,7 +418,7 @@ def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
         assert np.array_equal(solution.coefficients, scattered)
 
 
-def scattered_matrix(disc):
+def scattered_matrix(disc, geometry):
     """The N x N matrix filled sector by sector in place, then the transverse
     diagonal added to the whole: the order of operations that the sector
     blocks must reproduce bit for bit."""
@@ -379,10 +427,11 @@ def scattered_matrix(disc):
     amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * disc.params.R),
                    1.0 / np.sqrt(np.pi * disc.params.R))
     transverse, n_of = galerkin._transverse_rows(disc.n, disc.grid.u_nodes)
-    spectra, pair = galerkin._kernel_spectra(
-        transverse, disc.grid.weights_2d, disc.fa[None], disc.potential[None],
-        2 * int(harmonic.max()),
+    g = projection_fields(disc, geometry)[0]  # fa^2
+    spectra = galerkin._kernel_spectra(
+        transverse, disc.grid.weights_2d, g, disc.potential[None], 2 * int(harmonic.max())
     )
+    pair = galerkin._pair_table(transverse.shape[0])[2]
     n_pairs = spectra.shape[-1]
     flat = spectra[0].reshape(2, -1)
     out = np.zeros((disc.m.size,) * 2)
@@ -409,10 +458,10 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
                                     geometry=geometry, close_pairs=close_pairs)
             disc = solve(config)._discretisation
             dense = assemble(config).to_dense()
-            assert np.array_equal(dense, scattered_matrix(disc))
-            [(_, _, _, sectors, stacks, _)] = galerkin._project([config])
-            for rows, stack in zip(sectors, stacks):
-                assert np.array_equal(stack[0], dense[np.ix_(rows, rows)])
+            assert np.array_equal(dense, scattered_matrix(disc, geometry))
+            [projected] = galerkin._project([config])
+            for rows, stack in zip(projected.sectors, projected.stacks):
+                assert np.array_equal(stack[0], dense[np.ix_(rows[0], rows[0])])
 
 
 def test_pair_table_is_shared_and_read_only():
