@@ -7,12 +7,14 @@ basis size, recording
     eigenvalue kind:   |lambda_eff[n] - lambda_true[n]| / a^2,
     eigenvector kind:  || f_true[n] - f_eff[n] ||_{L2(Pi)} / a^2,
 
-per index n.  Indices are matched by sorted position; where eigenvalues
-cluster within 1e-9 * max(1, lambda) on either side, eigenvectors are
-compared between the cluster subspaces (orthogonal Procrustes through the
-principal angles) instead of vector by vector, and every cluster member
-reports the same per-vector distance.  Sign (and intra-cluster rotation)
-alignment is built into that definition.
+per index n.  Eigenvalues are matched by sorted position.  Under the
+reflection s -> -s every eigenfunction of either model is even (the cosine
+sector, flat modes m >= 0, eff_ce) or odd (the sine sector, m < 0, eff_se),
+and the n-th effective eigenfunction c is compared with the Galerkin
+eigenfunction e of its sector nearest to it, the one of largest |e.c|:
+d = sqrt(||c - sign(e.c) e||^2 + t), t its squared norm outside the
+Galerkin basis, summed elementwise so distances far below sqrt(eps) stay
+resolved.
 
 Raw eigenvalues and the differences are stored alongside the ratios.
 ``fit_rate`` is the one slope path: a least-squares log-log fit of the
@@ -26,14 +28,13 @@ basis and quadrature orders, so its values agree with ``galerkin.solve``'s
 to roundoff; the chunk's effective modes come from one enumeration over
 its half-widths.  Each sector's stack of blocks of the points with
 equal sector sizes goes to LAPACK in one ``eig_dense_symmetric`` call,
-and the sector values merge by a stable sort, cosine before sine among
-ties.  The eigenvector kind also takes the eigenvectors, scatters their
-rows into basis order and compares each point's leading columns with its
-effective expansion, which ``galerkin._expansions`` places over the bases
-the projection enumerated.  Neither kind forms the N x N matrix, calls
-``galerkin.solve`` or computes residual norms.  Chunks run one after another, or on a pool of ``threads`` worker threads
-when ``threads`` is 2 or more; results are gathered in grid order, so the
-output is deterministic for a given configuration.
+and the sector values merge by one sort.  The eigenvector kind compares
+each effective mode, expanded by ``galerkin._expansions`` over the bases
+the projection enumerated, with the eigenvectors of its sector, in sector
+rows.  Neither kind forms the N x N matrix, calls ``galerkin.solve`` or
+computes residual norms.  Chunks run one after another, or on a pool of
+``threads`` worker threads when ``threads`` is 2 or more; results are
+gathered in grid order, so the output is deterministic.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
 whose stacked arrays would pass ``galerkin.MAX_ARRAY_BYTES`` before any of
@@ -64,13 +65,11 @@ __all__ = [
     "sweep_work",
 ]
 
-CLUSTER_RTOL = 1e-9
 # half-widths solved together: those of a chunk that share quadrature orders
 # share one field evaluation, and those with equal sector sizes one
 # eigensolve per sector; at N = 72 the stacked fields of 8 points take
 # about 400 KiB
 _CHUNK = 8
-_CLUSTER_MARGIN = 4  # extra indices inspected so cutoff-straddling clusters close
 # Cap on ``sweep_work``: at N = 72, where one point is estimated at 1.5e7
 # operations and takes 0.39-0.45 ms (eigenvalue kind) to 0.88-0.98 ms
 # (eigenvector kind) on one core in 64-point sweeps (2-core VM, one BLAS
@@ -121,8 +120,9 @@ class SweepResult:
     per index n.
 
     ``differences`` holds |lambda_eff - lambda_true| (eigenvalue kind) or
-    the eigenvector distance (eigenvector kind), and ``ratios`` holds
-    ``differences / a^2``; ``fit_rate`` fits their log-log slope.
+    the distance of the n-th effective eigenfunction to the nearest Galerkin
+    eigenfunction of its reflection sector, sign-aligned, plus truncation
+    (module docstring); ``ratios`` holds ``differences / a^2``.
     """
 
     kind: str
@@ -198,28 +198,14 @@ def _map_grid(worker, chunks, threads):
 
 
 def _solved_chunk(configs, want_vectors: bool):
-    """Per ``galerkin._project`` record: (positions, bases m and n, ascending
-    values and their merge order, each (points, N), and with
-    ``want_vectors`` eigenvectors (points, N, N) with coefficient rows in
-    basis order and columns in sector order).
-
-    Each sector's stack of blocks is diagonalised by one call; the sector
-    values are merged by a stable sort, cosine before sine among ties.
-    """
+    """Per ``galerkin._project`` record: (positions, bases m and n, sector
+    rows, one ``eig_dense_symmetric`` call per sector stack, eigenvectors in
+    sector rows if ``want_vectors``, and the merged ascending values)."""
     solved = []
     for points, m, n, sectors, stacks, _ in _project(configs):
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
-        values = np.concatenate([d.eigenvalues for d in decomps], axis=1)
-        order = np.argsort(values, axis=1, kind="stable")
-        vectors = None
-        if want_vectors:
-            vectors = np.zeros(m.shape + m.shape[-1:])
-            point = np.arange(len(points))[:, None]
-            lo = 0
-            for rows, decomp in zip(sectors, decomps):
-                vectors[point, rows, lo:lo + rows.shape[1]] = decomp.eigenvectors
-                lo += rows.shape[1]
-        solved.append((points, m, n, np.take_along_axis(values, order, axis=1), order, vectors))
+        values = np.sort(np.concatenate([d.eigenvalues for d in decomps], axis=1), axis=1)
+        solved.append((points, m, n, sectors, decomps, values))
     return solved
 
 
@@ -228,7 +214,7 @@ def _eigenvalue_chunk(configs, count: int):
     of the chunk, from values-only eigensolves of the sector stacks; the
     N x N matrix is never formed."""
     true = np.empty((len(configs), count))
-    for points, _, _, values, _, _ in _solved_chunk(configs, want_vectors=False):
+    for points, *_, values in _solved_chunk(configs, want_vectors=False):
         true[points] = values[:, :count]
     point, _, _, _, value, _ = _effective_modes(
         configs[0].params.R, [config.params.a for config in configs], count
@@ -253,77 +239,38 @@ def eigenvalue_sweep(
                   geometry, m_s, m_u, threads)
 
 
-def _clusters(effective, true, count):
-    """Partition 0..count-1 into runs degenerate on either side.
-
-    A run may extend past ``count`` (up to a small margin) so that a pair
-    straddling the requested cutoff is still compared as a whole.
-    """
-
-    def joined(i):
-        tol_eff = CLUSTER_RTOL * max(1.0, abs(effective[i]))
-        tol_true = CLUSTER_RTOL * max(1.0, abs(true[i]))
-        return (
-            abs(effective[i + 1] - effective[i]) <= tol_eff
-            or abs(true[i + 1] - true[i]) <= tol_true
-        )
-
-    limit = min(count + _CLUSTER_MARGIN, effective.size, true.size)
-    parts = []
-    start = 0
-    while start < count:
-        end = start + 1
-        while end < limit and joined(end - 1):
-            end += 1
-        parts.append((start, end))
-        start = end
-    return parts
-
-
-def _subspace_distance(true_block, eff_block, truncations):
-    """Per-vector Procrustes distance between two near-orthonormal blocks.
-
-    Minimises ||C - E Q||_F over orthogonal alignments Q (the optimum is
-    U V^T from the polar part of E^T C) and evaluates the minimum
-    elementwise, which stays accurate for distances far below sqrt(eps);
-    the closed form 2h - 2 sum(sigma) would lose everything below ~1e-8 to
-    cancellation.  The effective block lives in the Galerkin basis, so its
-    out-of-basis tail (squared norm ``truncations``) is added back; the
-    tail is invariant under Q.  Divided by sqrt(h) the result reduces to
-    the sign-aligned single-vector distance when h = 1.
-    """
-    h = true_block.shape[1]
-    u, _, vt = np.linalg.svd(eff_block.T @ true_block)
-    aligned = eff_block @ (u @ vt)
-    squared = float(np.sum((true_block - aligned) ** 2)) + float(np.sum(truncations))
-    return np.sqrt(squared / h)
+def _nearest_distances(vectors, modes, truncations):
+    """Distance of each column c of ``modes`` to the column e of the
+    orthonormal ``vectors`` of largest |e.c|: sqrt(||c - sign(e.c) e||^2 + t),
+    t from ``truncations``.  Summed elementwise, so it stays accurate far
+    below sqrt(eps), where 1 + ||c||^2 - 2 |e.c| would cancel."""
+    overlaps = vectors.T @ modes
+    nearest = np.abs(overlaps).argmax(axis=0)
+    signs = np.copysign(1.0, overlaps[nearest, np.arange(nearest.size)])
+    return np.sqrt(np.sum((modes - signs * vectors[:, nearest]) ** 2, axis=0) + truncations)
 
 
 def _eigenvector_chunk(configs, count: int):
     """Effective and Galerkin eigenvalues and the eigenvector distances at
-    each half-width of the chunk, clusters compared as subspaces; the
-    effective modes are expanded over the bases the projection enumerated."""
-    eff = np.empty((len(configs), count))
-    true = np.empty_like(eff)
-    distances = np.empty_like(eff)
+    each half-width of the chunk, each effective mode, expanded over the
+    basis the projection enumerated, against the eigenvectors of its sector."""
+    true = np.empty((len(configs), count))
+    distances = np.empty_like(true)
     solved = _solved_chunk(configs, want_vectors=True)
     basis_of = {i: (m[g], n[g]) for points, m, n, *_ in solved for g, i in enumerate(points)}
     bases = [basis_of[i] for i in range(len(configs))]
-    probes = [min(count + _CLUSTER_MARGIN, m.size) for m, _ in bases]
-    expansions = _expansions([config.params for config in configs], bases, probes)
-    for points, _, _, values, order, vectors in solved:
+    expansions = _expansions([config.params for config in configs], bases, count)
+    for points, m, _, sectors, decomps, values in solved:
+        true[points] = values[:, :count]
         for g, i in enumerate(points):
-            coefficients = vectors[g][:, order[g, :probes[i]]]
-            expansion = expansions[i]
-            for lo, hi in _clusters(expansion.values, values[g], count):
-                distances[i, lo:min(hi, count)] = _subspace_distance(
-                    coefficients[:, lo:hi],
-                    expansion.coefficients[:, lo:hi],
-                    expansion.truncations[lo:hi],
+            modes = expansions[i]
+            for rows, decomp in zip(sectors, decomps):
+                family = modes.sine == (m[g, rows[g, 0]] < 0)  # eff_se in the sine sector
+                distances[i, family] = _nearest_distances(
+                    decomp.eigenvectors[g], modes.coefficients[np.ix_(rows[g], family)],
+                    modes.truncations[family],
                 )
-            eff[i] = expansion.values[:count]
-            true[i] = values[g, :count]
-    return eff, true, distances
+    return np.array([modes.values for modes in expansions]), true, distances
 
 
 def eigenvector_sweep(
@@ -337,7 +284,9 @@ def eigenvector_sweep(
     m_u: int | None = None,
     threads: int | None = 1,
 ) -> SweepResult:
-    """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid."""
+    """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid, f_true
+    the Galerkin eigenfunction of f_eff's reflection sector nearest to it,
+    sign-aligned, and f_eff's squared norm outside the basis added."""
     return _sweep("eigenvector", _eigenvector_chunk, radius, a_grid, count, n_basis,
                   geometry, m_s, m_u, threads)
 

@@ -328,14 +328,14 @@ def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
     slope[down] = ((amp * rate)[:, None] * cos)[h_of[down]]
     longitudinal[constant] = 1.0 / np.sqrt(2.0 * np.pi * R)
     slope[constant] = 0.0
-    transverse, n_of = _transverse_rows(n, u)
+    n_values, n_of = np.unique(n, return_inverse=True)
+    transverse = _transverse_rows(n_values, u)
     return _Factors(longitudinal=longitudinal, slope=slope, transverse=transverse, n_of=n_of)
 
 
-def _transverse_rows(n, u) -> tuple[np.ndarray, np.ndarray]:
-    """T_k(u) per distinct transverse index k (ascending), and each mode's row."""
-    n_values, n_of = np.unique(n, return_inverse=True)
-    return np.array([transverse_profile(int(k), u) for k in n_values]), n_of
+def _transverse_rows(n_values, u) -> np.ndarray:
+    """T_k(u), one row per transverse index k of ``n_values``."""
+    return np.array([transverse_profile(int(k), u) for k in n_values])
 
 
 @dataclass(frozen=True)
@@ -562,7 +562,7 @@ def _project(configs) -> list[_Projected]:
     for points in quadratures:
         grid = QuadratureGrid.for_strip(params, *orders[points[0]])
         g, potential, slope = _fields(params, a[points], grid, geometry)
-        transverse = _transverse_rows(n_values, grid.u_nodes)[0]
+        transverse = _transverse_rows(n_values, grid.u_nodes)
         spectra[points] = _kernel_spectra(transverse, grid.weights_2d, g, potential, top)
         if len(configs) == 1:
             fa = np.sqrt(g[0])
@@ -685,12 +685,14 @@ class EffectiveExpansion:
     ``values[i]`` is the i-th effective eigenvalue, ascending as in
     ``effective_spectrum``; ``coefficients[:, i]`` holds the expansion of
     its eigenfunction; ``truncations[i]`` is 1 - ||expansion||^2, the
-    squared norm escaping the basis.
+    squared norm escaping the basis; ``sine[i]`` flags the eff_se family,
+    expanded on the sine modes (m < 0), eff_ce on the cosine modes.
     """
 
     values: np.ndarray
     coefficients: np.ndarray
     truncations: np.ndarray
+    sine: np.ndarray
 
 
 def effective_in_basis(
@@ -706,29 +708,22 @@ def effective_in_basis(
     ``CapacityError``.
     """
     basis = _basis_arrays(config.params, config.n_basis, config.close_pairs)
-    return _expansions([config.params], [basis], [count], q)[0]
+    return _expansions([config.params], [basis], count, q)[0]
 
 
-def _expansions(params, bases, counts, q: float = DEFAULT_Q) -> list[EffectiveExpansion]:
+def _expansions(params, bases, count: int, q: float = DEFAULT_Q) -> list[EffectiveExpansion]:
     """``effective_in_basis`` at each of ``params``, strips of one radius:
-    the first ``counts[i]`` effective eigenfunctions of point i expanded
-    over its basis ``bases[i]`` = (m, n).
-
-    The points that ask for the same count take their effective modes from
-    one ``_effective_modes`` call over their half-widths; a sweep chunk's
-    counts differ only where a basis size caps them, and pair closure can
-    make one basis a mode larger.  Points are expanded in order, so a
-    ``CapacityError`` names the first failing mode of the first failing
-    point.
+    the first ``count`` effective eigenfunctions of point i expanded over
+    its basis ``bases[i]`` = (m, n), their modes from one
+    ``_effective_modes`` call over the half-widths.  Points are expanded in
+    order, so a ``CapacityError`` names the first failing mode of the first
+    failing point.
     """
-    modes = [None] * len(params)
-    for points in _grouped(counts):
-        count = counts[points[0]]
-        point, *columns, _ = _effective_modes(params[0].R, [params[i].a for i in points], count, q)
-        for i, start in zip(points, np.searchsorted(point, np.arange(len(points))).tolist()):
-            modes[i] = [column[start:start + count] for column in columns]
+    point, *columns, _ = _effective_modes(params[0].R, [p.a for p in params], count, q)
+    starts = np.searchsorted(point, np.arange(len(params))).tolist()
     expansions = []
-    for (m, n), (sine, order, n_eff, value), count in zip(bases, modes, counts):
+    for (m, n), start in zip(bases, starts):
+        sine, order, n_eff, value = (column[start:start + count] for column in columns)
         # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
         top = int(np.abs(m).max())
         position = np.full((2 * top + 1, int(n.max()) + 1), -1)
@@ -770,6 +765,7 @@ def _expansions(params, bases, counts, q: float = DEFAULT_Q) -> list[EffectiveEx
                 f"({family}, m={order[i]}, n={n_eff[i]})"
             )
         expansions.append(
-            EffectiveExpansion(values=value, coefficients=coeffs, truncations=truncations)
+            EffectiveExpansion(values=value, coefficients=coeffs, truncations=truncations,
+                               sine=sine)
         )
     return expansions

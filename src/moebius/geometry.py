@@ -38,6 +38,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,16 +75,18 @@ class StripParams:
             raise InputError(f"half-width a must be positive and finite, got {self.a}")
         if not (self.R > 0.0 and np.isfinite(self.R)):
             raise InputError(f"radius R must be positive and finite, got {self.R}")
-        # the energy scales are squared as Python floats square, raising on overflow
+        # the energy scales are squared as Python floats square, raising on
+        # overflow; a square below the least normal double has lost digits
         for name, value, scale in (("half-width a", self.a, math.pi / (2.0 * float(self.a))),
                                    ("radius R", self.R, 1.0 / (2.0 * float(self.R)))):
             try:
-                finite = scale**2 < math.inf
+                square = scale**2
             except OverflowError:
-                finite = False
-            if not finite:
-                raise InputError(f"{name} is too small, got {value}: its energy "
-                                 f"scale {scale:.3g} squared overflows")
+                square = math.inf
+            if not sys.float_info.min <= square < math.inf:
+                small, flow = ("small", "overflows") if square > 1.0 else ("large", "underflows")
+                raise InputError(f"{name} is too {small}, got {value}: its energy "
+                                 f"scale {scale:.3g} squared {flow}")
 
     @classmethod
     def from_circumference(cls, a: float, circumference: float) -> "StripParams":

@@ -76,7 +76,8 @@ MAX_ARRAY_BYTES = 1 << 29
 # the cell indices, values and masks, and the sorted candidates under the
 # cap, traced at 72 B per cell on the one-row boxes of thin strips
 # (13-25 MiB) and 58-86 B on boxes of two or more rows where most cells are
-# kept; a sweep chunk's boxes are built together while their sum fits
+# kept; a sweep chunk's boxes are built together while their sum fits.  It
+# bounds the (order, n) cells of the effective box too, traced at 65-68 B
 _BOX_CELL_BYTES = 88
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
@@ -396,7 +397,8 @@ def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
     half-width would drag absurdly high Mathieu orders into the sweep.  The
     budget does not depend on the half-width, so the points that fall short
     together share the next Mathieu table, and only e1 n^2 differs between
-    their boxes.
+    their boxes, which are refused with ``CapacityError`` when together
+    they would pass ``MAX_ARRAY_BYTES``.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -407,8 +409,16 @@ def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
     pending = np.arange(e1.size)
     while pending.size:
         cap = e1[pending] + budget
-        m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
-        sine, order_m, mu = _char_table(q, m_max)
+        orders = np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q))) + 1.0
+        with np.errstate(over="ignore"):  # in floats, so an overflowing box is refused too
+            rows = np.floor(np.sqrt(cap / e1[pending])) + 1.0
+        needed = _BOX_CELL_BYTES * (2.0 * orders + 1.0) * rows.sum()
+        if not needed <= MAX_ARRAY_BYTES:
+            raise CapacityError(
+                f"the effective modes below {cap.max():.3g} need about {needed / 2**20:.3g} "
+                f"MiB, above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
+            )
+        sine, order_m, mu = _char_table(q, int(orders))
         # a_0(q) < 0 lets n pass sqrt(cap / e1) slightly
         top = np.sqrt(np.maximum(cap, cap - kappa * mu.min()) / e1[pending]).astype(int) + 1
         box, row, col = _cells(np.full(pending.size, mu.size), top)

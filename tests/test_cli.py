@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,6 +611,37 @@ def test_strips_whose_energy_scale_overflows_are_invalid_input(capsys, name, arg
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {name} is too small") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("half-width a", ["spectrum", "--model", "fake", "--a", "1e158", "--R", "1", "--count", "5"]),
+    ("half-width a", ["spectrum", "--model", "fake", "--a", "1e165", "--R", "1", "--count", "5"]),
+    ("radius R", ["spectrum", "--model", "effective", "--a", "0.5", "--R", "1e155",
+                  "--count", "5"]),
+])
+def test_strips_whose_energy_scale_underflows_are_invalid_input(capsys, name, argv):
+    # (pi / 2a)^2 or (1 / 2R)^2 below the least normal double was printed
+    # with lost digits, or ended in a warning or a traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and not caught
+    assert err.startswith(f"error: {name} is too large") and err.count("\n") == 1
+
+
+def test_effective_box_past_the_integers_is_refused(capsys):
+    # at 2 pi R = 1e-150 the effective box has about 3e151 rows, past any
+    # integer cast; it is reckoned in floats and refused
+    argv = ["spectrum", "--model", "effective", "--a", "0.75", "--circumference", "1e-150",
+            "--count", "5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and not caught
+    assert err.startswith("error: the effective modes below ") and err.endswith("MiB cap\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", ["uniform", "geometric"])

@@ -10,7 +10,7 @@ from moebius import convergence, galerkin
 from moebius.convergence import (
     MAX_SWEEP_WORK,
     SweepResult,
-    _subspace_distance,
+    _nearest_distances,
     eigenvalue_sweep,
     eigenvector_sweep,
     fit_rate,
@@ -19,7 +19,14 @@ from moebius.convergence import (
     sweep_work,
 )
 from moebius.errors import CapacityError, InputError
-from moebius.galerkin import GalerkinConfig, _project, assemble, largest_array_bytes
+from moebius.galerkin import (
+    GalerkinConfig,
+    _project,
+    assemble,
+    effective_in_basis,
+    largest_array_bytes,
+    solve,
+)
 from moebius.geometry import StripParams, potential_va, potential_veff
 from moebius.models import _effective_modes
 
@@ -241,22 +248,75 @@ def test_eigenvector_sweep_bounded_ratio():
     assert np.all(spread < 2.0)
 
 
-def test_subspace_distance_sign_alignment():
+def test_nearest_distance_sign_alignment():
     rng = np.random.default_rng(0)
     c = rng.standard_normal((12, 1))
     c /= np.linalg.norm(c)
     e = c + 0.01 * rng.standard_normal((12, 1))
     e /= np.linalg.norm(e)
     zero = np.zeros(1)
-    d_plus = _subspace_distance(c, e, zero)
-    d_minus = _subspace_distance(-c, e, zero)
+    d_plus = _nearest_distances(c, e, zero)
+    d_minus = _nearest_distances(-c, e, zero)
     assert d_plus == pytest.approx(d_minus, abs=1e-15)
     assert d_plus == pytest.approx(float(np.linalg.norm(c - e)), abs=1e-12)
     # far below sqrt(eps) the distance must stay resolvable
     tiny = c.copy()
     tiny[0, 0] += 1e-12
     tiny /= np.linalg.norm(tiny)
-    assert _subspace_distance(c, tiny, zero) < 1e-11
+    assert _nearest_distances(c, tiny, zero) < 1e-11
+
+
+def test_nearest_distance_takes_the_largest_overlap():
+    # each mode is compared with the eigenvector it overlaps most, whatever
+    # their order, and its out-of-basis tail is added under the root
+    vectors = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)))[0]
+    modes = np.stack([-vectors[:, 4], vectors[:, 1]], axis=1)
+    modes[:, 1] += 1e-3 * vectors[:, 2]
+    got = _nearest_distances(vectors, modes, np.array([0.0, 4e-6]))
+    assert got[0] < 1e-15
+    assert got[1] == pytest.approx(np.sqrt(1e-6 + 4e-6), rel=1e-12)
+
+
+def nearest_solve_distances(config, count):
+    """Per effective mode: the least sign-aligned distance, truncation
+    added, to the coefficient columns of ``solve`` in the mode's sector."""
+    solution = solve(config)
+    expansion = effective_in_basis(config, count)
+    m = np.array([mode.m for mode in solution.basis])
+    # each column is exactly zero off its sector
+    sine_columns = np.any(solution.coefficients[m < 0] != 0.0, axis=0)
+    distances = []
+    for c, sine, t in zip(expansion.coefficients.T, expansion.sine, expansion.truncations):
+        columns = solution.coefficients[:, sine_columns == sine]
+        signs = np.copysign(1.0, columns.T @ c)
+        distances.append(np.sqrt(np.sum((c[:, None] - signs * columns) ** 2, axis=0) + t).min())
+    return np.array(distances)
+
+
+# the reference diagonalises the whole N x N matrix, whose eigenvectors
+# differ from the sector blocks' by roundoff that grows with the transverse
+# scale 1/a^2 (up to 8e-12 absolute at a = 0.01), while the distances
+# shrink as a^2; from a = 0.37 on the two agree to 1e-12 relative
+@pytest.mark.parametrize("a_values, count, n_basis", [
+    # the K 20 grid of linspace(0.01, 1.5, 30), a = 1.0376 among others,
+    # where matching by global position compared modes of opposite sectors
+    (np.linspace(0.01, 1.5, 30)[[7, 13, 20, 26, 29]], 20, 72),
+    (np.array([0.4, 0.75, 1.2]), 5, 72),
+    (np.array([0.9, 1.4]), 12, 40),
+])
+def test_eigenvector_distances_are_the_nearest_same_sector_solutions(a_values, count, n_basis):
+    sweep = eigenvector_sweep(RADIUS, a_values, count, n_basis)
+    for a, distances in zip(a_values, sweep.differences):
+        config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=n_basis,
+                                close_pairs=True)
+        want = nearest_solve_distances(config, count)
+        assert np.max(np.abs(distances - want) / want) <= 1e-12, a
+
+
+def test_eigenvector_sweep_compares_no_modes_of_opposite_sectors():
+    # orthogonal functions of opposite sectors lie sqrt(2) apart
+    sweep = eigenvector_sweep(RADIUS, np.linspace(0.01, 1.5, 30), 20, 72)
+    assert np.max(sweep.differences) < 1.0
 
 
 def test_threaded_sweep_is_deterministic(monkeypatch):

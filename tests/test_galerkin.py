@@ -426,7 +426,8 @@ def scattered_matrix(disc, geometry):
     rate = harmonic / (2.0 * disc.params.R)
     amp = np.where(harmonic == 0, 1.0 / np.sqrt(2.0 * np.pi * disc.params.R),
                    1.0 / np.sqrt(np.pi * disc.params.R))
-    transverse, n_of = galerkin._transverse_rows(disc.n, disc.grid.u_nodes)
+    n_values, n_of = np.unique(disc.n, return_inverse=True)
+    transverse = galerkin._transverse_rows(n_values, disc.grid.u_nodes)
     g = projection_fields(disc, geometry)[0]  # fa^2
     spectra = galerkin._kernel_spectra(
         transverse, disc.grid.weights_2d, g, disc.potential[None], 2 * int(harmonic.max())
@@ -787,7 +788,7 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
 
 
 @pytest.mark.parametrize("R, a_values, n_basis, count, close_pairs", [
-    # the eigenvector sweep's points: count + 4 modes, pairs closed
+    # the eigenvector sweep's points, pairs closed
     (18 / (2 * np.pi), (0.01, 0.37, 0.98, 1.5), 72, 9, True),
     (18 / (2 * np.pi), (0.5, 1.5), 16, 9, True),
     # the eigenfunction export's strip, and the table strip
@@ -798,27 +799,26 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
     (0.8, (1e-6, 3e-6), 25, 20, False),
 ])
 def test_chunk_expansions_are_each_points_bitwise(R, a_values, n_basis, count, close_pairs):
-    # one effective enumeration per distinct count over a chunk's bases
-    # equals each point's own effective_in_basis, bit for bit
+    # one effective enumeration over a chunk's bases equals each point's
+    # own effective_in_basis, bit for bit
     params = [StripParams(a=a, R=R) for a in a_values]
     bases = galerkin._bases(params, n_basis, close_pairs)
-    for counts in ([count] * len(params), [count - i % 2 for i in range(len(params))]):
-        for p, k, got in zip(params, counts, galerkin._expansions(params, bases, counts)):
-            config = GalerkinConfig(params=p, n_basis=n_basis, close_pairs=close_pairs)
-            want = effective_in_basis(config, k)
-            for field in ("values", "coefficients", "truncations"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (p, k, field)
+    for p, got in zip(params, galerkin._expansions(params, bases, count)):
+        config = GalerkinConfig(params=p, n_basis=n_basis, close_pairs=close_pairs)
+        want = effective_in_basis(config, count)
+        for field in ("values", "coefficients", "truncations", "sine"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (p, field)
 
 
 def test_chunk_expansions_name_the_first_failing_point():
-    # points 1 and 2 both fail; point 2 shares its count, and so its
-    # enumeration, with point 0, yet point 1 comes first in the grid
+    # points 1 and 2 both fail, each at its own mode, from one enumeration;
+    # point 1 comes first in the grid
     params = [StripParams(a=a, R=TABLE_PARAMS.R) for a in (0.5, TABLE_PARAMS.a, 0.9)]
-    sizes, counts = (72, 2, 10), [10, 2, 10]
+    sizes, count = (72, 2, 10), 10
     bases = [galerkin._basis_arrays(p, size) for p, size in zip(params, sizes)]
     messages = []
-    for p, size, count in zip(params, sizes, counts):
+    for p, size in zip(params, sizes):
         try:
             effective_in_basis(GalerkinConfig(params=p, n_basis=size), count)
             messages.append(None)
@@ -826,7 +826,7 @@ def test_chunk_expansions_name_the_first_failing_point():
             messages.append(str(exc))
     assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
     with pytest.raises(CapacityError) as caught:
-        galerkin._expansions(params, bases, counts)
+        galerkin._expansions(params, bases, count)
     assert str(caught.value) == messages[1]
 
 
@@ -874,7 +874,7 @@ def expansion_by_loop(config, count, q=DEFAULT_Q):
 
 
 @pytest.mark.parametrize("params, n_basis, count, close_pairs", [
-    # the eigenvector sweep's points: count + 4 modes, pairs closed
+    # the eigenvector sweep's points, pairs closed
     *[(StripParams(a=a, R=18 / (2 * np.pi)), 72, 9, True) for a in (0.01, 0.37, 0.98, 1.5)],
     # a small basis whose truncations are kept but not zero
     (StripParams(a=1.5, R=18 / (2 * np.pi)), 16, 9, True),

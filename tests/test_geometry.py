@@ -36,6 +36,17 @@ def test_strip_params_validation():
     assert not StripParams(a=2.0, R=1.0).is_embedded()
 
 
+def test_strips_whose_energy_scale_underflows_are_refused():
+    # (pi / 2a)^2 and (1 / 2R)^2 below the least normal double would carry
+    # fewer digits; the limits are a = 1.05e154 and R = 3.35e153
+    StripParams(a=1.04e154, R=1.0)
+    StripParams(a=0.5, R=3.3e153)
+    with pytest.raises(InputError, match="half-width a is too large"):
+        StripParams(a=1.06e154, R=1.0)
+    with pytest.raises(InputError, match="radius R is too large"):
+        StripParams(a=0.5, R=3.4e153)
+
+
 def test_surface_point_domain():
     p = StripParams(a=0.5, R=2.0)
     assert SurfacePoint(s=1.0, t=0.2).in_domain(p)
