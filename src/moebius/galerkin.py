@@ -122,8 +122,8 @@ __all__ = [
 GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 
 # Peak memory per exported grid point (one CLI row with its 3-space point,
-# streamed as text), traced at 177 B for JSON and 135 B for CSV on the
-# 192x65 README export and 83-91 B on grids up to 768x260.
+# streamed as text), traced at 128 B for JSON and 192 B for CSV on the
+# 192x65 README export and 81-99 B on grids of 384x130 and 768x260.
 EXPORT_POINT_BYTES = 256
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16

@@ -29,8 +29,11 @@ allocated, and failure to stabilise at the cap raises ``NumericalError``,
 as does, also before anything is allocated, a finite |q| whose recurrences
 reach the largest double (``_OVERFLOW_Q``, about 7.4e307).
 The sign convention fixes the first non-vanishing Fourier coefficient
-positive.  Results are cached per (kind, order, q) and immutable, so
-concurrent use is safe.
+positive.  The eigenvalues of each recurrence are solved once, kept per
+(kind, parity, q, rows), and every count reads their leading slice; the
+eigenpairs of the last four classes at their accepted size are kept too.
+Results are cached per (kind, order, q) and immutable (their arrays are
+read-only), so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ _BASE_TRUNCATION = 64
 _MAX_TRUNCATION = 4096
 _STABILITY_TOL = 1e-13
 _COEFF_CUTOFF = 1e-16
+# decompositions kept by _class_decomposition's cache: the four classes of
+# one q, at most 4 x 128 MiB at the truncation cap
+_CACHED_DECOMPOSITIONS = 4
 # The coefficients of the lowest class values decay like exp(-k^2 / sqrt|q|)
 # in the row k, once the diagonal (2k)^2 outgrows the off-diagonal q, so a
 # recurrence of n rows resolves |q| up to about c n^4.  Bisected for the
@@ -137,10 +143,10 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
             f"Mathieu values at |q|={abs(q):.3g} need a recurrence above the "
             f"truncation cap {_MAX_TRUNCATION} (|q| above {_refused_q():.2g} is refused)"
         )
-    prev = eig_tridiagonal(*_recurrence(kind, parity, q, size), count)
+    prev = _class_values(kind, parity, q, size)[:count]
     while 2 * size <= _MAX_TRUNCATION:
         size *= 2
-        cur = eig_tridiagonal(*_recurrence(kind, parity, q, size), count)
+        cur = _class_values(kind, parity, q, size)[:count]
         if np.all(np.abs(cur - prev) <= _STABILITY_TOL * np.maximum(1.0, np.abs(cur))):
             return cur, size
         prev = cur
@@ -148,6 +154,25 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
         f"Mathieu class ({kind}, parity {parity}) at q={q} did not stabilise "
         f"up to truncation {_MAX_TRUNCATION}"
     )
+
+
+@lru_cache(maxsize=None)
+def _class_values(kind: str, parity: int, q: float, size: int) -> np.ndarray:
+    """All eigenvalues of one class's recurrence at ``size`` rows, ascending
+    and read-only; the first ``count`` of them are, bit for bit, what
+    ``eig_tridiagonal`` returns for that count."""
+    values = eig_tridiagonal(*_recurrence(kind, parity, q, size), size)
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=_CACHED_DECOMPOSITIONS)
+def _class_decomposition(kind: str, parity: int, q: float, size: int):
+    """All eigenpairs of one class's recurrence at ``size`` rows, read-only."""
+    decomp = eig_tridiagonal_full(*_recurrence(kind, parity, q, size))
+    decomp.eigenvalues.flags.writeable = False
+    decomp.eigenvectors.flags.writeable = False
+    return decomp
 
 
 def _unresolvable(q: float) -> bool:
@@ -218,7 +243,7 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     parity = m % 2
     idx = _class_index(m, kind)
     _, size = _stable_class_values(kind, parity, q, idx + 1)
-    decomp = eig_tridiagonal_full(*_recurrence(kind, parity, q, size))
+    decomp = _class_decomposition(kind, parity, q, size)
     value = float(decomp.eigenvalues[idx])
     y = decomp.eigenvectors[:, idx].copy()
     y /= np.linalg.norm(y)

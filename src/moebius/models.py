@@ -408,6 +408,11 @@ def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
     found = []  # (point, sine, m, n, value) of the cells kept at each doubling
     pending = np.arange(e1.size)
     while pending.size:
+        if not np.isfinite(budget):  # (1 / 2R)^2 is finite, but not times (count + 16)^2
+            raise CapacityError(
+                f"the longitudinal energies of {count} effective modes overflow on a "
+                f"circumference of {2.0 * np.pi * R:.3g}"
+            )
         cap = e1[pending] + budget
         orders = np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q))) + 1.0
         with np.errstate(over="ignore"):  # in floats, so an overflowing box is refused too

@@ -101,6 +101,7 @@ def report(criterion, passed, detail):
 
 def test_criterion_1_mathieu_table():
     mathieu._stable_class_values.cache_clear()
+    mathieu._class_values.cache_clear()
     start = time.perf_counter()
     chars = mathieu.char_values(-0.25, 10)
     elapsed = time.perf_counter() - start
@@ -135,6 +136,7 @@ def test_criterion_2_fake_spectrum():
 
 def test_criterion_3_effective_spectrum():
     mathieu._stable_class_values.cache_clear()
+    mathieu._class_values.cache_clear()
     start = time.perf_counter()
     values = effective_spectrum(TABLE_PARAMS, 20).values(20)
     elapsed = time.perf_counter() - start

@@ -1,8 +1,10 @@
+import ast
 import csv
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -167,6 +169,57 @@ def test_spectrum_refuses_galerkin_options_off_the_true_model(capsys, model, opt
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "apply only to --model true" in err and options[0] in err
+
+
+README_EXPORT = ["eigenfunction", "--k", "1", "--a", "1.3", "--R", "2.8647889756541165",
+                 "--N", "96", "--grid", "192x65", "--embed3d"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_process_writes_what_main_writes(tmp_path, monkeypatch, fmt):
+    # the process ends without interpreter teardown once its output is
+    # flushed and closed; not a byte may be lost, to a pipe or a file
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = README_EXPORT + ["--format", fmt]
+    assert main(argv + ["--output", str(tmp_path / "main.out")]) == 0
+    expected = (tmp_path / "main.out").read_bytes()
+    for output in ([], ["--output", str(tmp_path / "child.out")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "moebius.cli", *argv, *output],
+            capture_output=True,
+            env=child_env(SOURCE_DATE_EPOCH="1700000000"),
+            timeout=CHILD_TIMEOUT_S,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        written = (tmp_path / "child.out").read_bytes() if output else proc.stdout
+        assert written == expected
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["child.out", "main.out"]
+
+
+def test_a_process_refuses_invalid_input_with_exit_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "moebius.cli", "mathieu", "--max-order", "-1"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=CHILD_TIMEOUT_S,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --max-order must be >= 0, got -1\n"
+
+
+def test_the_console_script_is_the_process_entry():
+    # tomllib is missing on Python 3.10, so the line is read as text
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    target = re.search(r'^moebius = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    assert target is not None and target.group(1) == "moebius.cli"
+    assert callable(getattr(cli, target.group(2)))
+    # the one statement under ``if __name__ == "__main__":`` calls it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block).splitlines()[1:] == [f"    {target.group(2)}()"]
 
 
 def test_a_reader_closing_stdout_ends_the_run_quietly():
@@ -509,6 +562,9 @@ def test_oversized_runs_are_refused_at_the_start(capsys, argv):
     assert "MiB cap" in err
 
 
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.0]
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -516,6 +572,13 @@ def test_oversized_runs_are_refused_at_the_start(capsys, argv):
         {"k": [1, 2, 3], "x": np.array([0.1, np.nan, -np.inf]), "flag": [True, False, None]},
         {"label": ['a, "b"', "é{}", None], "n, {m}": [None, 5, -7]},
         {"s": np.linspace(0.0, 1.0, 2 * cli._ROW_CHUNK + 3), "i": np.arange(2 * cli._ROW_CHUNK + 3)},
+        # float columns alone, repeating values of distinct bits across chunks,
+        # one of them a strided view as the embedded coordinates are
+        {"x": np.tile(SPECIAL_FLOATS, cli._ROW_CHUNK // 2 + 1),
+         "y": np.repeat(SPECIAL_FLOATS, cli._ROW_CHUNK // 2 + 1),
+         "z": np.arange(21.0 * (cli._ROW_CHUNK // 2 + 1)).reshape(-1, 3).T[1]},
+        {"x": np.array(SPECIAL_FLOATS), "label": ["a", "b", None, "c", "d", "e, f", ""]},
+        {"x": np.array([-0.0])},
     ],
 )
 def test_streamed_tables_match_whole_document_encoders(table):
@@ -628,6 +691,24 @@ def test_strips_whose_energy_scale_underflows_are_invalid_input(capsys, name, ar
     assert code == 2
     assert out == "" and not caught
     assert err.startswith(f"error: {name} is too large") and err.count("\n") == 1
+
+
+def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, monkeypatch):
+    # (1 / 2R)^2 is finite at 2 pi R = 1e-153, but the budget of count 5,
+    # (1 / 2R)^2 (5 + 16)^2, is not
+    def not_reached(*args, **kwargs):
+        raise AssertionError("an effective box was built")
+
+    monkeypatch.setattr(models, "_char_table", not_reached)
+    argv = ["spectrum", "--model", "effective", "--a", "0.75", "--circumference", "1e-153",
+            "--count", "5"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the longitudinal energies of 5 effective modes overflow on a "
+        "circumference of 1e-153\n"
+    )
 
 
 def test_effective_box_past_the_integers_is_refused(capsys):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,6 +170,7 @@ def test_invalid_orders():
 def recurrence_sizes(monkeypatch):
     """Orders of the recurrence matrices built while the test runs."""
     mathieu._stable_class_values.cache_clear()
+    mathieu._class_values.cache_clear()
     sizes = []
     build = mathieu._recurrence
 
@@ -220,3 +226,66 @@ def test_unresolvable_q_is_the_measured_line():
         assert not mathieu._unresolvable(q), q
         with pytest.raises(NumericalError, match="non-finite eigenvalues"):
             char_values(q, 2)
+
+
+ORDERS = [("ce", m) for m in range(11)] + [("se", m) for m in range(1, 11)]
+
+
+def solved(q):
+    """Every value and Fourier expansion of orders up to 10 at ``q``."""
+    table = [ch.value for ch in mathieu.char_values(q, 10)]
+    single = [mathieu.char_value(kind, m, q) for kind, m in ORDERS]
+    expansions = [mathieu.fourier_coefficients(kind, m, q) for kind, m in ORDERS]
+    return table, single, expansions
+
+
+def test_cached_solves_are_the_uncached_ones_bitwise(monkeypatch):
+    qs = (Q, 0.0, 1.5, -7.0, 40.0)
+    cached = [solved(q) for q in qs]
+    # every cache bypassed: each count and each order solves its own recurrence
+    for name in ("_stable_class_values", "_class_values", "_class_decomposition",
+                 "fourier_coefficients"):
+        monkeypatch.setattr(mathieu, name, getattr(mathieu, name).__wrapped__)
+    for q, (table, single, expansions) in zip(qs, cached):
+        fresh_table, fresh_single, fresh_expansions = solved(q)
+        assert table == fresh_table and single == fresh_single
+        for ch, fresh in zip(expansions, fresh_expansions):
+            assert ch.value == fresh.value
+            assert np.array_equal(ch.harmonics, fresh.harmonics)
+            assert np.array_equal(ch.fourier, fresh.fourier)
+
+
+def test_cached_arrays_are_read_only():
+    values, _ = mathieu._stable_class_values("ce", 0, Q, 3)
+    decomp = mathieu._class_decomposition("ce", 0, Q, 128)
+    for array in (values, decomp.eigenvalues, decomp.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+# counts the Mathieu recurrences solved by a cold ``verify``, in a child
+# process so that no cache of this one is warm
+SOLVE_COUNTER = (
+    "from moebius import mathieu, verify\n"
+    "solves = []\n"
+    "for name in ('eig_tridiagonal', 'eig_tridiagonal_full'):\n"
+    "    solver = getattr(mathieu, name)\n"
+    "    def counted(*args, solver=solver):\n"
+    "        solves.append(len(args[0]))\n"
+    "        return solver(*args)\n"
+    "    setattr(mathieu, name, counted)\n"
+    "assert all(result.passed for result in verify.run_all())\n"
+    "print(len(solves))\n"
+)
+
+
+def test_verify_solves_each_distinct_recurrence_once():
+    # four classes at q = -1/4, each at 64 and 128 rows for its values
+    # and at 128 rows for its eigenvectors: 12 matrices (55 solves when
+    # each count and each order solved its own)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", SOLVE_COUNTER], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 12
