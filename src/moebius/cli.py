@@ -27,8 +27,8 @@ one after another and no thread pool is started.
 
 Exit codes: 0 success, 1 when the reader closes stdout before the output
 ends (nothing is printed to stderr), 2 invalid input (including an
-``--output`` that cannot be written, a flat-mode box, basis, quadrature or export grid whose
-arrays would pass
+``--output`` or a stdout that cannot be written, a mode box, basis, quadrature or export grid
+whose arrays would pass
 ``galerkin.MAX_ARRAY_BYTES``, and a sweep whose estimated work passes
 ``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired verification checks).  There is no
 randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
@@ -182,9 +182,18 @@ def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
 def _opened_output(output: str | None):
     """A text handle on stdout, or on a temporary file that replaces
     ``output`` once the block completes and is removed if it fails.  An
-    ``output`` that cannot be created or replaced is invalid input."""
+    ``output`` that cannot be created or replaced is invalid input, and so
+    is a stdout that cannot be written, except by a reader that closed it
+    (``BrokenPipeError``, which ``main`` ends quietly)."""
     if output is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _discard_stdout()
+            raise InputError(f"cannot write stdout: {exc.strerror}") from None
         return
     directory = os.path.dirname(os.path.abspath(output))
     try:
@@ -202,6 +211,17 @@ def _opened_output(output: str | None):
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the bytes it
+    still buffers, and the flush at exit, go nowhere.  A stdout without a
+    descriptor is left as it is."""
+    try:
+        descriptor = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    os.dup2(os.open(os.devnull, os.O_WRONLY), descriptor)
 
 
 def _radius(args) -> float:
@@ -531,7 +551,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: the rest of the output, and the flush at
         # shutdown, go to the null device, and the run ends quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return 1
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -52,7 +52,7 @@ from .galerkin import GalerkinConfig, _expansions, _project
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
-from .models import _effective_modes
+from .models import DEFAULT_Q, _modes
 
 __all__ = [
     "MAX_SWEEP_WORK",
@@ -216,8 +216,8 @@ def _eigenvalue_chunk(configs, count: int):
     true = np.empty((len(configs), count))
     for points, *_, values in _solved_chunk(configs, want_vectors=False):
         true[points] = values[:, :count]
-    point, _, _, _, value, _ = _effective_modes(
-        configs[0].params.R, [config.params.a for config in configs], count
+    point, _, _, _, value, _ = _modes(
+        configs[0].params.R, [config.params.a for config in configs], count, DEFAULT_Q
     )
     eff = value[np.searchsorted(point, np.arange(len(configs)))[:, None] + np.arange(count)]
     return eff, true, np.abs(eff - true)

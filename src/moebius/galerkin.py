@@ -97,8 +97,7 @@ from .models import (
     DEFAULT_Q,
     MAX_ARRAY_BYTES,
     ModeIndex,
-    _effective_modes,
-    _flat_modes,
+    _modes,
     _pow2,
     transverse_profile,
 )
@@ -127,6 +126,10 @@ GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 EXPORT_POINT_BYTES = 256
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16
+# Largest transverse energy (n pi / 2a)^2 of a Galerkin solve: residual
+# fields of its size are squared, and a sweep's gaps, of its roundoff, are
+# divided by a^2, which past about 1e154 overflows
+_LARGEST_DIAGONAL = 1e150
 # s nodes per block of residual fields: a 16 x N x m_u block stays in cache,
 # where one (m_s, N, m_u) array took three times as long at N = 96
 _S_BLOCK = 16
@@ -226,9 +229,9 @@ def _basis_arrays(
 def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """``_basis_arrays`` at each of ``params``, strips of one radius, from
     one enumeration of their flat modes."""
-    point, m, n, _, entry = _flat_modes(params[0].R, [p.a for p in params], n_basis + 1)
-    order = np.lexsort((n, m < 0, np.abs(m), entry))
-    point, m, n = point[order], m[order], n[order]
+    point, sine, m, n, _, entry = _modes(params[0].R, [p.a for p in params], n_basis + 1, None)
+    order = np.lexsort((n, sine, m, entry))
+    point, m, n = point[order], np.where(sine, -m, m)[order], n[order]
     lo = np.searchsorted(point, np.arange(len(params)))
     size = np.full(lo.size, n_basis)
     if close_pairs and n_basis > 0:
@@ -543,6 +546,13 @@ def _project(configs) -> list[_Projected]:
     bases = _bases([config.params for config in configs], first.n_basis, first.close_pairs)
     orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
     n_values = np.flatnonzero(np.bincount(np.concatenate([n for _, n in bases])))
+    thinnest = min((config.params for config in configs), key=lambda params: params.a)
+    diagonal = thinnest.transverse_energy * float(n_values[-1]) ** 2
+    if not diagonal < _LARGEST_DIAGONAL:
+        raise InputError(
+            f"half-width a is too small for the Galerkin solve: at a={thinnest.a:.3g} "
+            f"(n pi / 2a)^2 reaches {diagonal:.3g}, above {_LARGEST_DIAGONAL:.0e}"
+        )
     quadratures = _grouped(orders)
     for points in quadratures:
         m_s, m_u = orders[points[0]]
@@ -715,11 +725,11 @@ def _expansions(params, bases, count: int, q: float = DEFAULT_Q) -> list[Effecti
     """``effective_in_basis`` at each of ``params``, strips of one radius:
     the first ``count`` effective eigenfunctions of point i expanded over
     its basis ``bases[i]`` = (m, n), their modes from one
-    ``_effective_modes`` call over the half-widths.  Points are expanded in
+    ``_modes`` call over the half-widths.  Points are expanded in
     order, so a ``CapacityError`` names the first failing mode of the first
     failing point.
     """
-    point, *columns, _ = _effective_modes(params[0].R, [p.a for p in params], count, q)
+    point, *columns, _ = _modes(params[0].R, [p.a for p in params], count, q)
     starts = np.searchsorted(point, np.arange(len(params))).tolist()
     expansions = []
     for (m, n), start in zip(bases, starts):

@@ -29,10 +29,16 @@ which fixes the correspondence between the signed flat index and the
 ce/se families; ``effective_spectrum`` keeps q overridable so that
 degeneration is testable.
 
-Eigenvalues are returned merged into multiplicity-aware entries: values
-within 1e-9 relative collapse into one entry (the near-identical ce/se
-pairs at large order must merge, physically split pairs stay apart), with
-a deterministic lexicographic mode order inside each entry.
+Both spectra come from one enumeration (``_modes``) over a table of
+longitudinal energies sorted by energy: (m / 2R)^2 for the flat cosine
+and sine of order m, which is the effective table at q = 0, or
+a_m(q) / (2R)^2 and b_m(q) / (2R)^2; a mode is a row of the table with a
+transverse index n, of value energy + (n pi / 2a)^2.  Eigenvalues are
+returned merged into multiplicity-aware entries: values within 1e-9
+relative collapse into one entry (the near-identical ce/se pairs at large
+order must merge, physically split pairs stay apart), members ordered by
+value, then order, then n, then label, so that where a thin strip's values
+round to one double the lowest harmonics come first.
 """
 
 from __future__ import annotations
@@ -68,16 +74,15 @@ FAMILY_EFF_SE = "eff_se"
 MERGE_RTOL = 1e-9
 DEFAULT_Q = -0.25
 
-# Cap on the largest array of one run, 512 MiB: a larger flat box, basis,
+# Cap on the largest array of one run, 512 MiB: a larger mode box, basis,
 # quadrature or export grid is refused with CapacityError before anything
 # is built.
 MAX_ARRAY_BYTES = 1 << 29
-# Peak bytes per (n, harmonic) cell of the flat box: the squared harmonics,
+# Peak bytes per (n, table row) cell of the mode boxes of one enumeration:
 # the cell indices, values and masks, and the sorted candidates under the
-# cap, traced at 72 B per cell on the one-row boxes of thin strips
-# (13-25 MiB) and 58-86 B on boxes of two or more rows where most cells are
-# kept; a sweep chunk's boxes are built together while their sum fits.  It
-# bounds the (order, n) cells of the effective box too, traced at 65-68 B
+# cap, traced at 57-72 B per cell on boxes of 3e3 to 3e5 cells (a sweep
+# chunk of thin or wide strips, one wide strip of the effective model);
+# boxes of a few hundred cells carry the table besides, under 0.1 MB
 _BOX_CELL_BYTES = 88
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
@@ -182,7 +187,7 @@ def _cells(rows, cols):
     return box, i, j
 
 
-def _merge_sorted(value, multiplicity, count, point):
+def _merge_sorted(value, count, point):
     """Merged entries of candidate ``value``s, and the candidates kept.
 
     The candidates come point by point (``point`` ascending, every point
@@ -192,7 +197,7 @@ def _merge_sorted(value, multiplicity, count, point):
     predecessor that is certain, so only near ties are walked one by one,
     in one walk for all points that starts at the first near tie to open
     an entry.  Each point keeps its entries up to the first at which its
-    modes counted (``multiplicity`` per candidate) reach ``count``.
+    candidates counted reach ``count``.
     Returns the entry index of each candidate, numbered across the points,
     and the mask of kept candidates.
     """
@@ -217,11 +222,11 @@ def _merge_sorted(value, multiplicity, count, point):
     entry = np.cumsum(opens) - 1
     # modes counted per point up to each entry, and each point's first
     # entry that reaches the count
-    counted = np.cumsum(np.bincount(entry, weights=multiplicity))
+    counted = np.cumsum(np.bincount(entry))
     entry_point = point[opens]
     points = int(point[-1]) + 1
     first = np.searchsorted(entry_point, np.arange(points + 1))
-    before = np.concatenate(([0.0], counted))[first]
+    before = np.concatenate(([0], counted))[first]
     short = counted - before[entry_point] < count
     limit = first[:-1] + np.bincount(entry_point[short], minlength=points)
     unreached = np.flatnonzero(limit == first[1:])
@@ -249,212 +254,142 @@ def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Sp
     return Spectrum(params=params, model=model, entries=entries)
 
 
-def _flat_modes(R: float, a, count: int):
-    """Flat modes of the ``count`` smallest eigenvalues at each half-width
-    of ``a``, all on the radius ``R``, as arrays.
-
-    Returns ``(point, m, n, value, entry)``, one element per mode, point by
-    point (``point`` indexes ``a``) and within a point in
-    ``fake_spectrum``'s order: merged entries ascending (``entry`` numbers
-    them across the points from 0), members by exact value, then m, then n.
-    Enumeration is exhaustive: each point's value cap is doubled until the
-    box of all (m, n) with lambda <= cap holds at least ``count + 8``
-    eigenvalues counted with multiplicity, so nothing below the returned
-    maximum can be missed.  The points share one row of squared harmonics,
-    one sort and one near-tie walk; a single half-width goes through the
-    same code.
-    """
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
-    e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
-    # room for the count + 16 lowest harmonics at n = 1: a box of about
-    # count + 16 harmonics (more at a thin strip, where the cap rounds),
-    # not the about 2R sqrt(7) pi / 2a under 8 e1
-    cap = np.minimum(8.0 * e1, e1 + ((count + 16.0) / (2.0 * R)) ** 2)
-    point, n, harmonic, value = _flat_cells(R, e1, cap, count + 8)
-    # one candidate per (|m|, n), ordered by value, then by its first
-    # label (-|m|, n): the sine partner sorts before its cosine
-    order = np.lexsort((n, -harmonic, value, point))
-    point, n, harmonic, value = point[order], n[order], harmonic[order], value[order]
-    multiplicity = np.where(harmonic == 0, 1, 2)
-    entry, keep = _merge_sorted(value, multiplicity, count, point)
-
-    # each nonzero harmonic is a (-|m|, n), (|m|, n) pair of one value
-    mult = multiplicity[keep]
-    m = np.repeat(harmonic[keep], mult)
-    m[np.cumsum(mult)[mult == 2] - 2] *= -1
-    point, n, value, entry = (np.repeat(x[keep], mult) for x in (point, n, value, entry))
-    order = np.lexsort((n, m, value, entry))
-    return point[order], m[order], n[order], value[order], entry[order]
-
-
-def _flat_cells(R: float, e1, cap, needed: int):
-    """The cells (point, n, harmonic, value) of each point's flat box once
-    it holds ``needed`` modes counted with multiplicity: the cap (one per
-    element of ``e1``, doubled in place) is doubled for the points whose box
-    holds fewer, and only their boxes are built again.  The pending boxes
-    are built together, or in runs of consecutive points when together they
-    would pass ``MAX_ARRAY_BYTES``."""
-    found = []  # the cells kept at each build
-    pending = np.arange(e1.size)
-    while pending.size:
-        part = pending[: _boxes_that_fit(R, e1[pending], cap[pending])]
-        box, n, harmonic, value = _flat_box(R, e1[part], cap[part])
-        total = np.bincount(box, weights=np.where(harmonic == 0, 1, 2), minlength=part.size)
-        short = total < needed
-        cells = part[box], n, harmonic, value
-        if short.any():
-            cells = tuple(column[~short[box]] for column in cells)
-        found.append(cells)
-        cap[part[short]] *= 2.0
-        pending = np.concatenate((part[short], pending[part.size :]))
-    return tuple(map(np.concatenate, zip(*found)))
-
-
-def _boxes_that_fit(R: float, e1, cap) -> int:
-    """How many leading flat boxes under ``cap`` (one per element of ``e1``
-    and ``cap``) fit under ``MAX_ARRAY_BYTES`` together; ``CapacityError``
-    when a box is too large alone, with the message it has alone.
-    Reckoned in floats, so an overflowing box is refused too."""
-    needed = _BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (_box_span(R, e1, cap) + 2.0))
-    over = np.flatnonzero(~(needed <= MAX_ARRAY_BYTES))
-    if over.size:
-        i = over[0]
-        raise CapacityError(
-            f"the flat modes below {cap[i]:.3g} need about {needed[i] / 2**20:.3g} MiB, "
-            f"above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
-        )
-    return int(np.searchsorted(np.cumsum(needed), MAX_ARRAY_BYTES, side="right"))
-
-
-def _flat_box(R: float, e1, cap):
-    """The boxes of flat modes with lambda <= ``cap``, one per element of
-    ``e1`` and ``cap``: the cells under the cap with m + n odd, as
-    (box, n, harmonic, value) arrays, box by box.  The boxes share one row
-    of squared harmonics; each holds the rows n with e1 n^2 <= cap."""
-    top = np.sqrt(cap / e1).astype(int) + 1
-    n = np.arange(1, top.max() + 1)
-    tn = e1[:, None] * n * n
-    rows = np.count_nonzero((tn <= cap[:, None]) & (n <= top[:, None]), axis=1)
-    span = _box_span(R, e1, cap).astype(int) + 2
-    # squared first: the object arrays of _pow2 are the peak of a one-row box
-    squares = _pow2(np.arange(span.max()) / (2.0 * R))
-    box, n, harmonic = _cells(rows, span)  # n - 1 until the values are formed
-    value = squares[harmonic]
-    value += tn[box, n]
-    n += 1
-    inside = value <= cap[box]
-    inside &= (harmonic + n) % 2 == 1
-    return box[inside], n[inside], harmonic[inside], value[inside]
-
-
-def _box_span(R: float, e1, cap):
-    """Bound on the harmonics of cells under ``cap``: h / 2R <= sqrt(cap - e1)
-    at n = 1, widened by two spacings of ``cap`` for the rounding of the
-    cell values, which at a thin strip matters since cap - e1 can fall
-    below the spacing of e1."""
-    return 2.0 * R * np.sqrt(np.maximum(cap - e1, 0.0) + 2.0 * np.spacing(cap))
-
-
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     """The ``count`` smallest flat-model eigenvalues with multiplicities.
 
-    Enumeration is exhaustive (see ``_flat_modes``), so nothing below the
-    returned maximum can be missed.
+    Enumeration is exhaustive (see ``_modes``), so nothing below the
+    returned maximum can be missed.  Modes are ordered by value, then by
+    harmonic |m|, the order of the exact longitudinal energies (m / 2R)^2,
+    then n, then -m before +m: where values round to one double, at a thin
+    strip, m = 0 comes first and then the +/-2 pair.
     """
-    _, m, n, value, entry = _flat_modes(params.R, [params.a], count)
+    _, sine, m, n, value, entry = _modes(params.R, [params.a], count, None)
+    m = np.where(sine, -m, m)
     return _spectrum(params, "fake", np.full(m.size, FAMILY_FAKE), m, n, value, entry)
 
 
 def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) -> Spectrum:
     """The ``count`` smallest effective-model eigenvalues with multiplicities.
 
-    Enumeration is exhaustive (see ``_effective_modes``).  Modes are
-    ordered by value, then (family, m, n).
+    Enumeration is exhaustive (see ``_modes``).  Modes are ordered by
+    value, then by order m, then n, then eff_ce before eff_se.
     """
-    _, sine, m, n, value, entry = _effective_modes(params.R, [params.a], count, q)
+    _, sine, m, n, value, entry = _modes(params.R, [params.a], count, q)
     family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
     return _spectrum(params, "effective", family, m, n, value, entry)
 
 
-def _effective_modes(R: float, a, count: int, q: float = DEFAULT_Q):
-    """Effective modes of the ``count`` smallest eigenvalues at each
-    half-width of ``a``, all on the radius ``R``, as arrays.
+def _modes(R: float, a, count: int, q):
+    """Modes of the ``count`` smallest eigenvalues at each half-width of
+    ``a``, all on the radius ``R``, as arrays: the flat model when ``q`` is
+    None, else the effective model at Mathieu parameter ``q``.
 
     Returns ``(point, sine, m, n, value, entry)``, one element per mode,
-    point by point (``point`` indexes ``a``) and within a point in
-    ``effective_spectrum``'s order: merged entries ascending (``entry``
-    numbers them across the points from 0), members by value, then
-    (family, m, n), so each point's ``value`` ascends.  ``sine`` flags the
-    eff_se family.
+    point by point (``point`` indexes ``a``) and within a point merged
+    entries ascending (``entry`` numbers them across the points from 0),
+    members by value, then order m, then n, then label (flat -m before +m,
+    eff_ce before eff_se), so each point's ``value`` ascends.  ``sine``
+    flags the sine rows (flat label -m, or eff_se); m >= 0.
 
-    The order sweep is bounded by the Weyl estimate
-    a_m(q), b_m(q) >= m^2 - 3|q| (the recurrence matrix is its diagonal
-    plus an off-diagonal perturbation of norm below 3|q|), so every order
-    that could fall under the value cap is visited.  The cap starts at a
-    longitudinal budget sized for ``count`` and doubles on shortfall; it
-    deliberately does not scale with the transverse energy, which at small
-    half-width would drag absurdly high Mathieu orders into the sweep.  The
-    budget does not depend on the half-width, so the points that fall short
-    together share the next Mathieu table, and only e1 n^2 differs between
-    their boxes, which are refused with ``CapacityError`` when together
-    they would pass ``MAX_ARRAY_BYTES``.
+    A mode is a cell (n, row) of the longitudinal table (``_table``) with
+    m + n odd, of value energy + e1 n^2, e1 = (pi / 2a)^2.  Each point
+    builds the cells under its cap e1 + budget; the budget starts at
+    min(7 e1, reach), reach = ((count + 16) / 2R)^2, and doubles until the
+    cells hold ``count + 8`` modes, so nothing below the returned values
+    is missed.  At reach the rows of n = 1 alone hold that many, so a
+    budget short of reach doubles to reach at most, and the table, sized
+    for the larger of reach and the budgets, depends on the count and q
+    alone.  A point's columns are the rows of energy up to its budget plus
+    two spacings of its cap, for the rounding of the cell values; at a
+    strip so thin that those spacings pass the table, the values that round
+    onto one double hold the rows the table reaches.  Boxes that together
+    would pass ``MAX_ARRAY_BYTES`` are refused with ``CapacityError``,
+    reckoned in floats, so an overflowing box is refused too.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
     kappa = 1.0 / (2.0 * R) ** 2
-    budget = kappa * (count + 16.0) ** 2 + 3.0 * abs(q) * kappa
+    model = "flat" if q is None else "effective"
+    weyl = 0.0 if q is None else 3.0 * abs(q)  # a_m(q), b_m(q) >= m^2 - 3|q|
+    reach = kappa * (count + 16.0) ** 2
+    with np.errstate(over="ignore"):  # 7 e1 past the largest double leaves reach
+        budget = np.minimum(7.0 * e1, reach)
     found = []  # (point, sine, m, n, value) of the cells kept at each doubling
     pending = np.arange(e1.size)
+    built = None  # the orders of the table in hand
     while pending.size:
-        if not np.isfinite(budget):  # (1 / 2R)^2 is finite, but not times (count + 16)^2
+        # the orders that can reach the top energy, which carries a Weyl margin
+        # of its own; in floats, so an overflowing table is refused too
+        top = max(budget.max(), reach) + weyl * kappa
+        orders = np.ceil(np.sqrt(top / kappa + weyl)) + 1.0
+        if not orders / (2.0 * R) < 1e154:  # the table's energies, about (orders / 2R)^2
             raise CapacityError(
-                f"the longitudinal energies of {count} effective modes overflow on a "
+                f"the longitudinal energies of {count} {model} modes overflow on a "
                 f"circumference of {2.0 * np.pi * R:.3g}"
             )
+        if orders != built:
+            sine, order, energy = _table(R, q, int(orders))
+            built = orders
         cap = e1[pending] + budget
-        orders = np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q))) + 1.0
-        with np.errstate(over="ignore"):  # in floats, so an overflowing box is refused too
-            rows = np.floor(np.sqrt(cap / e1[pending])) + 1.0
-        needed = _BOX_CELL_BYTES * (2.0 * orders + 1.0) * rows.sum()
+        cols = np.searchsorted(energy, budget + 2.0 * np.spacing(cap), side="right")
+        with np.errstate(over="ignore"):
+            # a_0(q) < 0 lets n pass sqrt(cap / e1)
+            rows = np.floor(np.sqrt(np.maximum(cap, cap - energy[0]) / e1[pending])) + 1.0
+        needed = _BOX_CELL_BYTES * np.sum(rows * cols)
         if not needed <= MAX_ARRAY_BYTES:
             raise CapacityError(
-                f"the effective modes below {cap.max():.3g} need about {needed / 2**20:.3g} "
+                f"the {model} modes below {cap.max():.3g} need about {needed / 2**20:.3g} "
                 f"MiB, above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
             )
-        sine, order_m, mu = _char_table(q, int(orders))
-        # a_0(q) < 0 lets n pass sqrt(cap / e1) slightly
-        top = np.sqrt(np.maximum(cap, cap - kappa * mu.min()) / e1[pending]).astype(int) + 1
-        box, row, col = _cells(np.full(pending.size, mu.size), top)
-        n = col + 1
-        value = kappa * mu[row] + e1[pending][box] * n * n
-        inside = (value <= cap[box]) & ((order_m[row] + n) % 2 == 1)  # m + n odd
+        box, n, row = _cells(rows.astype(int), cols)
+        n += 1
+        with np.errstate(over="ignore"):  # a row past the cap may overflow; it stays out
+            value = energy[row] + e1[pending][box] * n * n
+        inside = (value <= cap[box]) & ((order[row] + n) % 2 == 1)  # m + n odd
         short = np.bincount(box[inside], minlength=pending.size) < count + 8
         kept = inside & ~short[box]
-        row = row[kept]
-        found.append((pending[box[kept]], sine[row], order_m[row], n[kept], value[kept]))
-        pending = pending[short]
-        budget *= 2.0
-    point, sine, order_m, n, value = map(np.concatenate, zip(*found))
-    order = np.lexsort((n, order_m, sine, value, point))
-    point, sine, order_m, n, value = (x[order] for x in (point, sine, order_m, n, value))
-    entry, keep = _merge_sorted(value, np.ones(value.size), count, point)
-    return point[keep], sine[keep], order_m[keep], n[keep], value[keep], entry[keep]
+        box, row = box[kept], row[kept]
+        found.append((pending[box], sine[row], order[row], n[kept], value[kept]))
+        pending, budget = pending[short], budget[short]
+        budget = np.where(budget < reach, np.minimum(2.0 * budget, reach), 2.0 * budget)
+    point, sine, order, n, value = map(np.concatenate, zip(*found))
+    # the labels' order breaks the last ties: fake -m before +m, eff_ce before eff_se
+    rank = np.lexsort((sine != (q is None), n, order, value, point))
+    point, sine, order, n, value = (x[rank] for x in (point, sine, order, n, value))
+    entry, keep = _merge_sorted(value, count, point)
+    return point[keep], sine[keep], order[keep], n[keep], value[keep], entry[keep]
+
+
+def _table(R: float, q, orders: int):
+    """The longitudinal table up to order ``orders``: sine flags, orders and
+    energies, sorted by energy.  Flat (``q`` None): (m / 2R)^2 for cos,
+    m >= 0, and sin, m >= 1, the sine row first of each pair.  Effective:
+    (1 / 2R)^2 a_m(q) and (1 / 2R)^2 b_m(q) from ``_char_table``, ce_m
+    before se_m where they tie."""
+    if q is None:
+        row = np.arange(2 * orders + 1)
+        order = (row + 1) // 2
+        return row % 2 == 1, order, _pow2(order / (2.0 * R))
+    sine, order, mu = _char_table(q, orders)
+    kappa = 1.0 / (2.0 * R) ** 2
+    return sine, order, kappa * mu
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)
 def _char_table(q: float, m_max: int):
     """``mathieu.char_values(q, m_max)`` as arrays: sine flags, orders and
-    values.  Each (q, m_max) is tabulated once per process; the arrays are
-    shared and read-only."""
+    values, sorted by value, ce_m before se_m where they tie.  Each
+    (q, m_max) is tabulated once per process; the arrays are shared and
+    read-only."""
     from . import mathieu  # the flat model never loads the Mathieu solver
 
-    chars = mathieu.char_values(q, m_max)
+    chars = mathieu.char_values(q, m_max)  # ce, then se
+    rank = np.argsort([ch.value for ch in chars], kind="stable")
     table = (
-        np.array([ch.kind == "se" for ch in chars]),
-        np.array([ch.m for ch in chars]),
-        np.array([ch.value for ch in chars]),
+        np.array([ch.kind == "se" for ch in chars])[rank],
+        np.array([ch.m for ch in chars])[rank],
+        np.array([ch.value for ch in chars])[rank],
     )
     for column in table:
         column.flags.writeable = False

@@ -5,9 +5,9 @@
 ``models.effective_spectrum`` and ``galerkin.basis_modes`` that the
 vectorised enumeration replaced, kept here as the definition of the order:
 a value cap doubled until the box holds ``count + 8`` modes, candidates
-sorted by (value, labels), values within 1e-9 of an entry's first value
-merged into it, and, for the basis, (harmonic, cosine first, n) within an
-entry.
+sorted by value, values within 1e-9 of an entry's first value merged into
+it, members by (value, order |m|, n, label), and, for the basis,
+(harmonic, cosine first, n) within an entry.
 """
 
 import numpy as np
@@ -25,15 +25,16 @@ from moebius.models import (
     FAMILY_EFF_SE,
     MERGE_RTOL,
     ModeIndex,
-    _effective_modes,
+    _modes,
     effective_spectrum,
     fake_spectrum,
 )
 
 
-def reference_merge(candidates, count):
+def reference_merge(candidates, count, member):
     """Sort (value, labels) candidates, merge values within 1e-9 of an
-    entry's first value, keep entries until ``count`` labels are reached."""
+    entry's first value, keep entries until ``count`` labels are reached;
+    an entry's (value, label) members are sorted by ``member``."""
     candidates.sort()
     entries, total, anchor, group = [], 0, None, []
     for value, modes in candidates:
@@ -43,7 +44,7 @@ def reference_merge(candidates, count):
             group.extend((value, md) for md in modes)
             continue
         if anchor is not None:
-            entries.append(sorted(group))
+            entries.append(sorted(group, key=member))
             total += len(group)
             if total >= count:
                 break
@@ -51,27 +52,41 @@ def reference_merge(candidates, count):
         group = [(value, md) for md in modes]
     else:
         if anchor is not None and total < count:
-            entries.append(sorted(group))
+            entries.append(sorted(group, key=member))
     return entries
 
 
-def reference_entries(params, count):
-    """Merged flat entries as sorted lists of (value, (m, n)), one mode at a time."""
+def flat_member(member):
+    """Flat members by value, then harmonic |m|, then n, then -m before +m."""
+    value, (m, n) = member
+    return value, abs(m), n, m
+
+
+def effective_member(member):
+    """Effective members by value, then order m, then n, then eff_ce first."""
+    value, (family, m, n) = member
+    return value, m, n, family
+
+
+def reference_entries(params, count, cap=None, orders=None):
+    """Merged flat entries as sorted lists of (value, (m, n)), one mode at a
+    time, from the value ``cap`` (8 e1 by default) doubled until it holds
+    ``count + 8`` modes, over the harmonics up to ``orders`` (all by default)."""
     R, e1 = params.R, params.transverse_energy
-    cap = 8.0 * e1
+    cap = 8.0 * e1 if cap is None else cap
     while True:
         candidates, total, n = [], 0, 1
         while e1 * n * n <= cap:
             tn = e1 * n * n
             m = 1 if n % 2 == 0 else 0
-            while (m / (2.0 * R)) ** 2 + tn <= cap:
+            while (m / (2.0 * R)) ** 2 + tn <= cap and (orders is None or m <= orders):
                 value = (m / (2.0 * R)) ** 2 + tn
                 candidates.append((value, ((0, n),) if m == 0 else ((-m, n), (m, n))))
                 total += 1 if m == 0 else 2
                 m += 2
             n += 1
         if total >= count + 8:
-            return reference_merge(candidates, count)
+            return reference_merge(candidates, count, flat_member)
         cap *= 2.0
 
 
@@ -91,7 +106,7 @@ def reference_effective_entries(params, count, q):
                 candidates.append((kappa * ch.value + e1 * n * n, ((family, ch.m, n),)))
                 n += 2
         if len(candidates) >= count + 8:
-            return reference_merge(candidates, count)
+            return reference_merge(candidates, count, effective_member)
         budget *= 2.0
 
 
@@ -185,7 +200,7 @@ def test_effective_spectrum_equals_the_mode_enumeration(a, R, count, q):
 )
 def test_effective_values_are_the_spectrum_values_bitwise(a, R, count, q):
     params = StripParams(a=a, R=R)
-    _, _, _, _, value, _ = _effective_modes(params.R, [params.a], count, q)
+    _, _, _, _, value, _ = _modes(params.R, [params.a], count, q)
     expected = effective_spectrum(params, count, q=q).values(count)
     assert np.array_equal(value[:count], expected)
     assert np.all(np.diff(value) >= 0.0)
@@ -193,31 +208,37 @@ def test_effective_values_are_the_spectrum_values_bitwise(a, R, count, q):
 
 @pytest.mark.parametrize("a", [1e-3, 1e-4])
 def test_thin_strip_starts_from_a_box_sized_for_the_count(monkeypatch, a):
-    caps = []
-    build = models._flat_box
+    # every cell under the cap is a candidate, so a cap of 8 e1 would bring
+    # in n = 2 at 4 e1
+    largest = []
+    merge = models._merge_sorted
 
-    def recorded(R, e1, cap):
-        caps.append(cap)
-        return build(R, e1, cap)
+    def recorded(value, count, point):
+        largest.append(value.max())
+        return merge(value, count, point)
 
-    monkeypatch.setattr(models, "_flat_box", recorded)
+    monkeypatch.setattr(models, "_merge_sorted", recorded)
     params = StripParams(a=a, R=2.86)
     assert_matches_reference(params, 20, True)
     # a cap just above e1, not 8 e1: one n, and about count + 16 harmonics
-    assert caps and caps[0] < 1.001 * params.transverse_energy
+    assert largest and largest[0] < 1.001 * params.transverse_energy
 
 
-def full_span(R, e1, cap):
-    """The box span before the cut: every harmonic up to 2R sqrt(cap),
-    whatever the transverse energy e1 already takes of the cap."""
-    return 2.0 * R * np.sqrt(cap)
+def full_span(params, count):
+    """Every flat mode under a cap doubled from e1 + ((count + 16) / 2R)^2,
+    one harmonic at a time: the strips whose values stay apart by more
+    than the rounding of e1 over the harmonics the count reaches."""
+    e1 = params.transverse_energy
+    return reference_entries(params, count, cap=e1 + ((count + 16) / (2.0 * params.R)) ** 2)
 
 
-def wide_span(R, e1, cap):
-    """The cut span with 1024 spacings of the cap where it has 2: far past
-    the rounding of any cell value, and small enough to build on strips
-    too thin for the full span."""
-    return 2.0 * R * np.sqrt(np.maximum(cap - e1, 0.0) + 1024.0 * np.spacing(cap))
+def wide_span(params, count):
+    """The same over the harmonics up to count + 17, the reach of the
+    longitudinal table: at strips so thin that the spacing of e1 spans more
+    harmonics, the values that round onto one double hold the table's."""
+    e1 = params.transverse_energy
+    return reference_entries(params, count, cap=e1 + ((count + 16) / (2.0 * params.R)) ** 2,
+                             orders=count + 17)
 
 
 @pytest.mark.parametrize(
@@ -225,14 +246,12 @@ def wide_span(R, e1, cap):
     [(a, full_span) for a in (0.75, 0.1, 1e-2, 1e-3, 1e-4, 1e-5)]
     + [(a, wide_span) for a in (1e-7, 1e-9, 1e-11)],
 )
-def test_box_cut_to_the_reachable_harmonics_keeps_every_mode(monkeypatch, a, reference):
-    cases = [(R, count) for R in (0.8, 2.0, 5.0) for count in (1, 5, 200)]
-    cut = [models._flat_modes(R, [a], count) for R, count in cases]
-    monkeypatch.setattr(models, "_box_span", reference)
-    for (R, count), modes in zip(cases, cut):
-        expected = models._flat_modes(R, [a], count)
-        for got, want in zip(modes, expected):
-            assert got.dtype == want.dtype and np.array_equal(got, want), (R, count)
+def test_box_cut_to_the_reachable_harmonics_keeps_every_mode(a, reference):
+    for R in (0.8, 2.0, 5.0):
+        params = StripParams(a=a, R=R)
+        for count in (1, 5, 200):
+            assert_entries(fake_spectrum(params, count), reference(params, count),
+                           lambda md: (md.m, md.n))
 
 
 def test_near_ties_merge_into_one_entry():
@@ -275,11 +294,11 @@ def assert_chunk_is_each_point(R, a_values, n_basis, count, q=-0.25):
             [alone] = galerkin._bases([p], n_basis, close_pairs)
             for got, want in zip(basis, alone):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (p, close_pairs)
-    point, *columns = _effective_modes(R, [p.a for p in params], count, q)
+    point, *columns = _modes(R, [p.a for p in params], count, q)
     for i, p in enumerate(params):
         got = [column[point == i] for column in columns]
         got[-1] = got[-1] - got[-1][0]
-        alone = _effective_modes(R, [p.a], count, q)
+        alone = _modes(R, [p.a], count, q)
         assert not alone[0].any()
         for column, want in zip(got, alone[1:]):
             assert column.dtype == want.dtype and np.array_equal(column, want), p
@@ -298,9 +317,9 @@ def entry_cut(spectrum, multiplicity):
 
 
 @pytest.mark.parametrize("R, a_values", [
-    # thin strips, down to where the cap rounds and the box spans 1.3e5
-    # harmonics, next to ordinary ones
-    (2.0, [1e-12, 1e-9, 1e-4, 0.05, 0.5]),
+    # thin strips, down to where e1's spacing spans far more harmonics
+    # than the table reaches, next to ordinary ones
+    (2.0, [1e-14, 1e-12, 1e-9, 1e-4, 0.05, 0.5]),
     # at and past a >= R
     (0.4, [0.4, 0.9, 1.5]),
     (2.86, [0.02, 1.3, 2.86, 4.0]),
@@ -341,79 +360,30 @@ def not_built(*args, **kwargs):
     raise AssertionError("flat modes were enumerated before the capacity check")
 
 
-def test_chunk_with_a_refused_box_is_refused_as_that_point_alone(monkeypatch):
-    # at R = 2 and count 5 the box passes the cap from a = 1.58e-14 down
-    with pytest.raises(CapacityError) as alone:
-        models._flat_modes(2.0, [1e-14], 5)
-    monkeypatch.setattr(models, "_flat_box", not_built)
-    for a_values in ([0.1, 1e-14, 0.5], [1e-14, 0.3], [0.2, 0.7, 1e-14]):
-        with pytest.raises(CapacityError) as chunk:
-            models._flat_modes(2.0, a_values, 5)
-        assert str(chunk.value) == str(alone.value)
-    # through a sweep, whose chunk enumerates its bases together
-    with pytest.raises(CapacityError) as swept:
-        eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 4)
-    with pytest.raises(CapacityError) as solved:
-        solve(GalerkinConfig(params=StripParams(a=1e-14, R=2.0), n_basis=4))
-    assert str(swept.value) == str(solved.value)
-    # N is checked before any basis of the chunk is enumerated
-    monkeypatch.setattr(galerkin, "_flat_modes", not_built)
+def test_n_is_checked_before_any_basis_is_enumerated(monkeypatch):
+    monkeypatch.setattr(galerkin, "_modes", not_built)
     monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
     with pytest.raises(CapacityError, match="N=31 needs"):
         eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 31)
 
 
-def box_bytes(R, e1, cap):
-    return models._BOX_CELL_BYTES * (np.floor(np.sqrt(cap / e1)) * (models._box_span(R, e1, cap) + 2.0))
-
-
-def test_chunk_of_boxes_past_the_cap_is_built_in_runs_that_fit(monkeypatch):
-    # thin strips whose boxes span thousands of harmonics: each is
-    # admitted alone at a cap that all of them together pass
-    a_values = [1e-11, 2e-11, 4e-11]
-    e1 = models._pow2(np.pi / (2.0 * np.array(a_values)))
-    needed = box_bytes(2.0, e1, e1 + (21.0 / 4.0) ** 2)
-    assert np.all(models._box_span(2.0, e1, e1 + (21.0 / 4.0) ** 2) > 1000)
-    expected = [models._flat_modes(2.0, [a], 5) for a in a_values]
-    build = models._flat_box
-    runs = []
-
-    def recorded(R, e1, cap):
-        runs.append(box_bytes(R, e1, cap).sum())
-        return build(R, e1, cap)
-
-    monkeypatch.setattr(models, "_flat_box", recorded)
-    for limit, built in ((needed.sum(), 1), (needed.sum() - 1, 2)):
-        monkeypatch.setattr(models, "MAX_ARRAY_BYTES", limit)
-        runs.clear()
-        point, *columns = models._flat_modes(2.0, a_values, 5)
-        assert len(runs) == built and max(runs) <= limit
-        for i, want in enumerate(expected):
-            got = [column[point == i] for column in columns]
-            got[-1] = got[-1] - got[-1][0]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want[1:]))
-    # a box too large alone is refused before any is built
-    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed.max() - 1)
-    monkeypatch.setattr(models, "_flat_box", not_built)
-    with pytest.raises(CapacityError, match="the flat modes below .* MiB cap"):
-        models._flat_modes(2.0, a_values, 5)
-
-
 def test_sweep_of_thin_strips_past_the_cap_together_is_solved(monkeypatch):
-    # a chunk's boxes that fit only one at a time are built one at a time
+    # every harmonic whose value rounds under the cap would span thousands
+    # of cells per strip; cut at the table's reach, a chunk of such strips
+    # builds a few hundred, and each is solved as alone
     a_values = [1e-11, 2e-11, 4e-11]
-    build = models._flat_box
-    largest = []
+    cells = []
+    layout = models._cells
 
-    def recorded(R, e1, cap):
-        largest.append(box_bytes(R, e1, cap).max())
-        return build(R, e1, cap)
+    def recorded(rows, cols):
+        cells.append(int(np.sum(rows * cols)))
+        return layout(rows, cols)
 
-    monkeypatch.setattr(models, "_flat_box", recorded)
-    want = eigenvalue_sweep(2.0, a_values, 3, 4)
-    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", max(largest))
-    largest.clear()
-    got = eigenvalue_sweep(2.0, a_values, 3, 4)
-    assert len(largest) >= 2
-    assert np.array_equal(got.true_values, want.true_values)
-    assert np.array_equal(got.effective_values, want.effective_values)
+    monkeypatch.setattr(models, "_cells", recorded)
+    swept = eigenvalue_sweep(2.0, a_values, 3, 4)
+    assert cells and max(cells) < 1000
+    monkeypatch.undo()
+    for a, effective, true in zip(a_values, swept.effective_values, swept.true_values):
+        alone = eigenvalue_sweep(2.0, [a], 3, 4)
+        assert np.array_equal(true, alone.true_values[0])
+        assert np.array_equal(effective, alone.effective_values[0])

@@ -1,5 +1,6 @@
 import ast
 import csv
+import errno
 import importlib.util
 import io
 import json
@@ -241,6 +242,53 @@ def test_a_reader_closing_stdout_ends_the_run_quietly():
     assert head.startswith(b"# manifest: ") and len(head) == 100
     assert proc.returncode == 1
     assert err == b""
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose every write fails with ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, status, message", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2,
+     f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"),
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 1, ""),
+])
+def test_a_stdout_that_cannot_be_written_ends_the_run(capsys, monkeypatch, error, status, message):
+    # a full device is refused in one line, as an unwritable --output is; a
+    # reader that closed stdout ends the run quietly
+    argv = ["mathieu", "--max-order", "2"]
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error))
+    assert main(argv) == status
+    assert capsys.readouterr().err == message
+    # through the process entry, which ends the process with main's status
+    ended = []
+    monkeypatch.setattr(cli.os, "_exit", ended.append)
+    monkeypatch.setattr(sys, "argv", ["moebius", *argv])
+    cli.run()
+    assert ended == [status]
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+def test_a_process_writing_to_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moebius.cli", "mathieu", "--max-order", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+            timeout=CHILD_TIMEOUT_S,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("option", ["--R", "--circumference"])
@@ -614,26 +662,12 @@ def test_runaway_converge_steps_are_refused_before_the_grid(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("model", ["fake", "true"])
-def test_thin_strip_flat_box_is_refused_before_it_is_built(capsys, monkeypatch, model):
-    # the box spans only the harmonics that reach the value cap at n = 1,
-    # but that reach is set by the rounding of the cap, which grows as 1/a:
-    # at R = 2 and count 5 it passes the cap from a = 1.58e-14 down
-    def not_reached(*args, **kwargs):
-        raise AssertionError("the flat box was built")
-
-    monkeypatch.setattr(models, "_flat_box", not_reached)
-    argv = ["spectrum", "--model", model, "--a", "1e-14", "--R", "2.0", "--count", "5"]
-    code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: the flat modes below ") and err.endswith("MiB cap\n")
-
-
-@pytest.mark.parametrize("model", ["fake", "true"])
 def test_thin_strip_flat_box_holds_a_few_hundred_harmonics(capsys, monkeypatch, model):
     # at a = 1e-9 a box of every harmonic up to 2R sqrt(cap) would span
-    # about 6e9 harmonics and was refused; the cut box spans 130
-    # (_flat_box lays its cells out through _cells, one column per harmonic)
+    # about 6e9 harmonics, and one of every harmonic whose value rounds
+    # under the cap about 130 at 1e-9 and 1.3e5 at 1e-14; the box holds the
+    # rows of the longitudinal table, a few dozen
+    # (_modes lays its cells out through _cells, one column per table row)
     widths = []
     cells = models._cells
 
@@ -642,13 +676,29 @@ def test_thin_strip_flat_box_holds_a_few_hundred_harmonics(capsys, monkeypatch, 
         return cells(rows, cols)
 
     monkeypatch.setattr(models, "_cells", recorded)
-    argv = ["spectrum", "--model", model, "--a", "1e-9", "--R", "2.0", "--count", "5"]
-    start = time.perf_counter()
-    code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
-    assert time.perf_counter() - start < 1.0
-    assert code == 0 and err == ""
-    assert len(out.splitlines()) == 2 + 5
+    for a in ("1e-9", "1e-14"):
+        argv = ["spectrum", "--model", model, "--a", a, "--R", "2.0", "--count", "5"]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv + (["--N", "20"] if model == "true" else []), capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2 + 5
     assert widths and max(widths) < 1000
+
+
+def test_thin_strip_entry_lists_the_lowest_harmonics_first(capsys):
+    # at a = 1e-9 the n = 1 values of the table's harmonics round to one
+    # double; they are listed by harmonic, m = 0 and then the +/-2 pair
+    argv = ["spectrum", "--model", "fake", "--a", "1e-9", "--R", "2", "--count", "5",
+            "--format", "csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [row["mode"] for row in rows] == [
+        f"fake(m={m},n=1)" for m in (0, -2, 2, -4, 4)
+    ]
+    # the entry holds the even harmonics up to the table's reach, count + 17
+    assert {(row["value"], row["multiplicity"]) for row in rows} == {(repr(2.467401100272339e18), "23")}
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -691,6 +741,27 @@ def test_strips_whose_energy_scale_underflows_are_invalid_input(capsys, name, ar
     assert code == 2
     assert out == "" and not caught
     assert err.startswith(f"error: {name} is too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--model", "true", "--count", "5", "--N", "20", "--a", "{a}"],
+    ["converge", "--kind", "eigenvalue", "--a-min", "{a}", "--a-max", "1e-60", "--steps", "3",
+     "--K", "2", "--N", "10"],
+    ["converge", "--kind", "eigenvector", "--a-min", "{a}", "--a-max", "1e-60", "--steps", "3",
+     "--K", "2", "--N", "10"],
+    ["eigenfunction", "--k", "1", "--a", "{a}", "--N", "10", "--grid", "4x3"],
+])
+def test_galerkin_runs_on_strips_too_thin_to_square_are_refused(capsys, command):
+    # every flat basis is enumerated at any half-width; the Galerkin solve
+    # squares (n pi / 2a)^2 in its residuals and divides a sweep's gaps by
+    # a^2, so from (n pi / 2a)^2 = 1e150 on it is refused, and below that it
+    # runs without an overflow (a RuntimeWarning fails the test)
+    code, out, err = run_cli([item.format(a="1e-76") for item in command] + ["--R", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: half-width a is too small for the Galerkin solve: at a=1e-76 ")
+    assert err.count("\n") == 1
+    code, _, err = run_cli([item.format(a="1e-70") for item in command] + ["--R", "2"], capsys)
+    assert code == 0 and err == ""
 
 
 def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, monkeypatch):

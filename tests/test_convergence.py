@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius import convergence, galerkin
+from moebius import convergence, galerkin, models
 from moebius.convergence import (
     MAX_SWEEP_WORK,
     SweepResult,
@@ -28,7 +28,7 @@ from moebius.galerkin import (
     solve,
 )
 from moebius.geometry import StripParams, potential_va, potential_veff
-from moebius.models import _effective_modes
+from moebius.models import DEFAULT_Q, _modes
 
 RADIUS = 18 / (2 * np.pi)
 
@@ -395,24 +395,20 @@ def test_chunked_sweep_is_each_points_own_spectrum(
                                 geometry=geometry, close_pairs=True)
         dense = np.linalg.eigvalsh(assemble(config).to_dense())[:count]
         assert np.max(np.abs(true - dense) / np.abs(dense)) <= 1e-13
-        assert np.array_equal(eff, _effective_modes(radius, [float(a)], count)[4][:count])
+        assert np.array_equal(eff, _modes(radius, [float(a)], count, DEFAULT_Q)[4][:count])
 
 
 def test_eigenvalue_sweep_enumerates_modes_once_per_chunk(monkeypatch):
     # one flat and one effective enumeration per chunk, over its half-widths
     flat, effective = [], []
-    enumerate_flat, enumerate_effective = galerkin._flat_modes, convergence._effective_modes
+    enumerate_modes = models._modes
 
-    def counted_flat(R, a, count):
-        flat.append(list(a))
-        return enumerate_flat(R, a, count)
+    def counted(R, a, count, q):
+        (flat if q is None else effective).append(list(a))
+        return enumerate_modes(R, a, count, q)
 
-    def counted_effective(R, a, count, q=-0.25):
-        effective.append(list(a))
-        return enumerate_effective(R, a, count, q)
-
-    monkeypatch.setattr(galerkin, "_flat_modes", counted_flat)
-    monkeypatch.setattr(convergence, "_effective_modes", counted_effective)
+    monkeypatch.setattr(galerkin, "_modes", counted)
+    monkeypatch.setattr(convergence, "_modes", counted)
     grid = np.geomspace(0.03, 0.6, convergence._CHUNK + 3)
     eigenvalue_sweep(RADIUS, grid, 4, 24)
     chunks = [grid[:convergence._CHUNK].tolist(), grid[convergence._CHUNK:].tolist()]

@@ -29,7 +29,7 @@ from moebius.models import (
     DEFAULT_Q,
     FAMILY_FAKE,
     ModeIndex,
-    _effective_modes,
+    _modes,
     effective_spectrum,
     fake_eigenfunction,
     fake_longitudinal,
@@ -768,18 +768,13 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
     # one flat and one effective enumeration per chunk, over its
     # half-widths: the expansions read the bases the projection enumerated
     flat, effective = [], []
-    enumerate_flat, enumerate_effective = galerkin._flat_modes, galerkin._effective_modes
+    enumerate_modes = galerkin._modes
 
-    def counted_flat(R, a, count):
-        flat.append(list(a))
-        return enumerate_flat(R, a, count)
+    def counted(R, a, count, q):
+        (flat if q is None else effective).append(list(a))
+        return enumerate_modes(R, a, count, q)
 
-    def counted_effective(R, a, count, q=DEFAULT_Q):
-        effective.append(list(a))
-        return enumerate_effective(R, a, count, q)
-
-    monkeypatch.setattr(galerkin, "_flat_modes", counted_flat)
-    monkeypatch.setattr(galerkin, "_effective_modes", counted_effective)
+    monkeypatch.setattr(galerkin, "_modes", counted)
     a_grid = np.geomspace(0.2, 0.8, _CHUNK + 3)
     sweep = eigenvector_sweep(WIDE_PARAMS.R, a_grid, 3, 24)
     assert np.all(np.isfinite(sweep.differences))
@@ -847,7 +842,7 @@ def expansion_by_loop(config, count, q=DEFAULT_Q):
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
-    _, sine, order, n_eff, value, _ = _effective_modes(config.params.R, [config.params.a], count, q)
+    _, sine, order, n_eff, value, _ = _modes(config.params.R, [config.params.a], count, q)
     coeffs = np.zeros((m.size, count))
     truncations = np.empty(count)
     modes = zip(sine[:count].tolist(), order[:count].tolist(), n_eff[:count].tolist())

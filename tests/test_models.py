@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moebius import mathieu, models
-from moebius.errors import InputError
+from moebius.errors import CapacityError, InputError
 from moebius.geometry import StripParams, potential_veff
 from moebius.mathieu import char_value, evaluate
 from moebius.models import (
@@ -154,13 +156,42 @@ def test_effective_shift_bound():
     assert np.max(np.abs(effective - fake)) <= bound + 1e-12
 
 
-def test_effective_degenerates_to_fake_at_zero_coupling():
-    fake = fake_spectrum(TABLE_PARAMS, 25)
-    effective = effective_spectrum(TABLE_PARAMS, 25, q=0.0)
-    assert effective.values(25) == pytest.approx(fake.values(25), rel=1e-13)
-    assert [e.multiplicity for e in effective.entries] == [
-        e.multiplicity for e in fake.entries
-    ]
+@settings(max_examples=40, deadline=None)
+@given(R=st.floats(0.5, 5.0), count=st.integers(1, 150), a=st.floats(1e-4, 1.5))
+@example(R=TABLE_PARAMS.R, count=25, a=TABLE_PARAMS.a)
+def test_effective_degenerates_to_fake_at_zero_coupling(R, count, a):
+    # at q = 0 the Mathieu recurrences are diagonal: a_m = b_m = m^2, and
+    # ce_m, se_m are the flat cosine and sine (label -m) of order m
+    params = StripParams(a=a, R=R)
+    fake = fake_spectrum(params, count)
+    effective = effective_spectrum(params, count, q=0.0)
+    assert len(effective.entries) == len(fake.entries)
+    for eff, flat in zip(effective.entries, fake.entries):
+        labels = {(-md.m if md.family == FAMILY_EFF_SE else md.m, md.n) for md in eff.modes}
+        assert labels == {(md.m, md.n) for md in flat.modes}
+        values, expected = np.sort(eff.mode_values), np.sort(flat.mode_values)
+        assert np.all(np.abs(values - expected) <= 1e-15 * expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_a=st.floats(-14.0, 6.0), R=st.floats(0.5, 5.0), count=st.integers(1, 60))
+@example(log_a=6.0, R=1.0, count=5)
+@example(log_a=-14.0, R=2.0, count=5)
+@example(log_a=-153.8, R=2.0, count=5)
+def test_both_models_admit_the_same_strips(log_a, R, count):
+    # one enumeration sizes both models' boxes: a strip is answered by both
+    # or refused by both (at a = 1.6e-154, 4 e1 at n = 2 overflows, past the
+    # cap, and a RuntimeWarning fails the test)
+    params = StripParams(a=10.0**log_a, R=R)
+    answered = []
+    for spectrum in (fake_spectrum, effective_spectrum):
+        try:
+            spectrum(params, count)
+        except CapacityError:
+            answered.append(False)
+        else:
+            answered.append(True)
+    assert answered[0] == answered[1]
 
 
 def test_fake_eigenfunction_ground_state():

@@ -1,6 +1,7 @@
 """The package's exports, which resolve on first access."""
 
 import ast
+import collections
 import importlib
 import os
 import re
@@ -145,3 +146,38 @@ def test_no_function_mutates_module_level_state():
                 if isinstance(target, ast.Name) and target.id in shared - local:
                     mutated.append(f"{path.name}:{node.lineno}")
     assert mutated == []
+
+
+def test_every_private_module_level_name_is_used():
+    # a private function, class or constant that nothing in the package
+    # reads besides its own definition only served code that is gone
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES}
+    read = collections.Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                read[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                read[node.name.split(".")[-1]] += 1
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                # reads inside its own definition (recursion) do not count
+                own = sum(1 for inner in ast.walk(node)
+                          if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+                          and inner.id == name)
+                if read[name] - own < 1:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
