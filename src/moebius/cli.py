@@ -27,13 +27,12 @@ one after another and no thread pool is started.
 
 Exit codes: 0 success, 1 when the reader closes stdout before the output
 ends (nothing is printed to stderr), 2 invalid input (including an
-``--output`` or a stdout that cannot be written, a mode box, basis, quadrature or export grid
-whose arrays would pass
-``galerkin.MAX_ARRAY_BYTES``, and a sweep whose estimated work passes
-``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired verification checks).  There is no
-randomness anywhere; the MOEBIUS_SEEDLESS environment variable is accepted
-only as "1" and has no effect, any other value is rejected to keep that
-contract visible.
+``--output`` or a stdout that cannot be written, a run whose arrays would
+pass ``models.MAX_ARRAY_BYTES`` and a sweep whose estimated work passes
+``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired
+verification checks).  There is no randomness anywhere; the
+MOEBIUS_SEEDLESS environment variable is accepted only as "1" and has no
+effect, any other value is rejected to keep that contract visible.
 
 A process started as ``moebius`` or ``python -m moebius.cli`` enters at
 ``run``, which ends it with ``main``'s exit code as soon as its output is
@@ -65,6 +64,10 @@ __all__ = ["main", "run", "build_parser", "RunManifest"]
 
 # rows formatted and written per step of streamed output
 _ROW_CHUNK = 1024
+# Peak memory per exported grid point (one CLI row with its 3-space point,
+# streamed as text), traced at 128 B for JSON and 192 B for CSV on the
+# 192x65 README export and 81-99 B on grids of 384x130 and 768x260.
+EXPORT_POINT_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -474,12 +477,13 @@ def _parse_grid_spec(spec: str):
 def _cmd_eigenfunction(args) -> int:
     from . import galerkin
     from .geometry import StripParams, embed
+    from .models import require_bytes
 
     params = StripParams(a=args.a, R=_radius(args))
     if not (1 <= args.k <= args.N):
         raise InputError(f"--k must be in [1, {args.N}], got {args.k}")
     grid_s, grid_u = _parse_grid_spec(args.grid)
-    galerkin.require_capacity(export_points=grid_s * grid_u)
+    require_bytes(EXPORT_POINT_BYTES * grid_s * grid_u, f"the {grid_s}x{grid_u} export rows")
     config = galerkin.GalerkinConfig(
         params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
     )

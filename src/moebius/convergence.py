@@ -37,8 +37,8 @@ computes residual norms.  Chunks run one after another, or on a pool of
 gathered in grid order, so the output is deterministic.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
-whose stacked arrays would pass ``galerkin.MAX_ARRAY_BYTES`` before any of
-them is built, by the capacity check of a single run.
+whose arrays would pass ``models.MAX_ARRAY_BYTES`` before any of them is
+built (``_project``).
 """
 
 from __future__ import annotations
@@ -202,7 +202,9 @@ def _solved_chunk(configs, want_vectors: bool):
     rows, one ``eig_dense_symmetric`` call per sector stack, eigenvectors in
     sector rows if ``want_vectors``, and the merged ascending values)."""
     solved = []
-    for points, m, n, sectors, stacks, _ in _project(configs):
+    projected = _project(configs)
+    while projected:  # each set's blocks are let go once solved
+        points, m, n, sectors, stacks, _ = projected.pop(0)
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
         values = np.sort(np.concatenate([d.eigenvalues for d in decomps], axis=1), axis=1)
         solved.append((points, m, n, sectors, decomps, values))

@@ -61,7 +61,9 @@ sector, indexed per point (``_sector_blocks``).  A sweep passes a chunk
 of half-widths, ``solve`` and ``assemble`` one configuration.  ``solve``
 lays the blocks on the diagonal of one matrix over the basis listed
 sector by sector, so every coefficient column vanishes exactly off its
-sector; ``assemble`` returns that matrix in basis order.
+sector; ``assemble`` returns that matrix in basis order.  Before building
+anything, ``_project`` charges each step's arrays to
+``models.require_bytes`` from their shapes.
 
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
@@ -81,7 +83,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,10 +96,10 @@ from .models import (
     FAMILY_EFF_SE,
     FAMILY_FAKE,
     DEFAULT_Q,
-    MAX_ARRAY_BYTES,
     ModeIndex,
     _modes,
     _pow2,
+    require_bytes,
     transverse_profile,
 )
 from .quadrature import QuadratureGrid
@@ -108,22 +109,28 @@ __all__ = [
     "GalerkinConfig",
     "GalerkinSolution",
     "EffectiveExpansion",
-    "MAX_ARRAY_BYTES",
     "basis_modes",
     "assemble",
     "solve",
-    "largest_array_bytes",
-    "require_capacity",
     "residual_norm",
     "effective_in_basis",
 ]
 
 GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 
-# Peak memory per exported grid point (one CLI row with its 3-space point,
-# streamed as text), traced at 128 B for JSON and 192 B for CSV on the
-# 192x65 README export and 81-99 B on grids of 384x130 and 768x260.
-EXPORT_POINT_BYTES = 256
+# Peak bytes per entry of arrays live together, traced with tracemalloc.
+# The fields of a quadrature group, per (point, s node, u node): g, V and
+# the derivatives of g, then the weighted fields; traced at 40-44 B
+_FIELD_BYTES = 48
+# Its kernels, per (point, pair of n, s node + 1): the kernels, then their
+# complex FFT with a copy of its real part; traced at 48-53 B
+_KERNEL_BYTES = 56
+# A sector stack being gathered, per entry beyond its block (8 B, as every
+# block): its indices and the kernels read at them; traced at 40-41 B
+_GATHER_BYTES = 48
+# A single configuration's N x N matrices: traced at 16 B in solve (matrix
+# and eigenvectors, then eigenvectors and coefficients), 24 B in assemble
+_MATRIX_BYTES = 32
 # transverse row counts kept by _pair_table's cache; a sweep meets a handful
 _CACHED_PAIR_TABLES = 16
 # Largest transverse energy (n pi / 2a)^2 of a Galerkin solve: residual
@@ -250,44 +257,6 @@ def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
     """First ``n_basis`` flat modes, ascending eigenvalue, deterministic ties."""
     return list(_mode_labels(*_basis_arrays(params, n_basis, close_pairs)))
-
-
-def largest_array_bytes(
-    n_basis: int = 0, m_s: int = 0, m_u: int = 0, n_count: int = 0, export_points: int = 0
-) -> int:
-    """Estimated bytes of the largest array one run allocates.
-
-    That is the N x N projection matrix, the residual terms (four per
-    distinct transverse index, ``n_count`` of them, each with N x m_s
-    longitudinal and m_s x m_u quadrature values, which bound the factor
-    tables and fields too), or the rows of an eigenfunction export of
-    ``export_points`` grid samples.  The FFT of the kernels, two complex
-    rows of m_s + 1 per pair n <= n', 16 (m_s + 1) n_count (n_count + 1)
-    bytes, stays within the residual terms' bound, since n_count <= N.
-    ``_project`` counts points stacked on one quadrature as one quadrature
-    of all their s nodes, and its stacked blocks and kernel spectra (whose
-    frequencies can pass m_s) each as one matrix of as many entries.
-    """
-    return max(
-        8 * n_basis * n_basis,
-        32 * n_count * m_s * max(n_basis, m_u),
-        EXPORT_POINT_BYTES * export_points,
-    )
-
-
-def require_capacity(
-    n_basis: int = 0, m_s: int = 0, m_u: int = 0, n_count: int = 0, export_points: int = 0
-) -> None:
-    """Raise ``CapacityError`` when the largest array would pass ``MAX_ARRAY_BYTES``."""
-    needed = largest_array_bytes(n_basis, m_s, m_u, n_count, export_points)
-    if needed > MAX_ARRAY_BYTES:
-        sizes = {"N": n_basis, "m_s": m_s, "m_u": m_u, "distinct n": n_count,
-                 "export points": export_points}
-        described = ", ".join(f"{name}={size}" for name, size in sizes.items() if size)
-        raise CapacityError(
-            f"{described} needs an array of about {needed / 2**20:.0f} MiB, "
-            f"above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
-        )
 
 
 @dataclass(frozen=True)
@@ -438,7 +407,7 @@ def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, pair
 
 
-def _kernel_spectra(transverse, weights, g, potential, top: int):
+def _kernel_spectra(transverse, weights, g, potential, out):
     """Cosine sums of the u-contracted kernels, per half-width and field.
 
     ``g`` and ``potential`` are stacks (points, m_s, m_u) of fa^2 and V on
@@ -446,9 +415,9 @@ def _kernel_spectra(transverse, weights, g, potential, top: int):
     transverse index.  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / g
     and F = w V and each pair q = (n, n') of rows with n <= n', all formed
     by one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s)
-    for p = 0..``top``, the real part of the kernels' one FFT zero-padded to
-    2 m_s, read at p folded into [0, m_s] modulo 2 m_s.  Returns C, of
-    shape (points, 2, top + 1, pairs), pairs numbered as ``_pair_table``.
+    for p = 0..top, the real part of the kernels' one FFT zero-padded to
+    2 m_s, read at p folded into [0, m_s] modulo 2 m_s, is written into
+    ``out`` (points, 2, top + 1, pairs), pairs numbered as ``_pair_table``.
     """
     low, high, _ = _pair_table(transverse.shape[0])
     products = transverse[low] * transverse[high]  # (pairs, m_u)
@@ -457,8 +426,10 @@ def _kernel_spectra(transverse, weights, g, potential, top: int):
     np.multiply(weights, potential, out=fields[:, 1])
     m_s = fields.shape[2]
     kernels = (fields.reshape(-1, fields.shape[-1]) @ products.T).reshape(fields.shape[:3] + (-1,))
-    p = np.arange(top + 1) % (2 * m_s)
-    return np.fft.rfft(kernels, n=2 * m_s, axis=2).real[:, :, np.minimum(p, 2 * m_s - p)]
+    spectra = np.fft.rfft(kernels, n=2 * m_s, axis=2).real
+    del kernels  # take copies the real part, contiguous, in its place
+    p = np.arange(out.shape[2]) % (2 * m_s)
+    spectra.take(np.minimum(p, 2 * m_s - p), axis=2, out=out, mode="clip")  # "clip" is unbuffered
 
 
 def _sector_blocks(spectra, pair, points, m, n_of, sectors, transverse_diag, radius: float):
@@ -520,7 +491,7 @@ def _grouped(keys) -> list[list[int]]:
 _Projected = collections.namedtuple("_Projected", "points m n sectors stacks disc")
 
 
-def _project(configs) -> list[_Projected]:
+def _project(configs, dense: bool = False) -> list[_Projected]:
     """Sector blocks of configurations that differ at most in half-width,
     one ``_Projected`` per set of equal sector sizes.
 
@@ -529,20 +500,19 @@ def _project(configs) -> list[_Projected]:
     spans all points and transverse indices; the points that share orders
     fill their rows of it from one ``_fields`` and one ``_kernel_spectra``
     call, and the points whose sectors have equal sizes take one
-    ``_sector_blocks`` gather, whatever their bases.  A single
-    configuration keeps its ``_Discretisation`` for its residuals.
+    ``_sector_blocks`` gather, whatever their bases.  With ``dense``, for
+    ``_matrix``, the single configuration keeps its ``_Discretisation`` for
+    its residuals.
 
-    Every N is checked before its basis is enumerated.  The P points that
-    share a quadrature stack P copies of one point's arrays, so before any
-    is built they are checked as one quadrature of P m_s nodes in s, at the
-    largest N and all the transverse indices (fields, kernels), and each
-    set of equal sector sizes as one matrix of order sqrt(P) N (blocks, and
-    the (P, N, N) eigenvectors of a sweep); the kernel-spectra array is
-    checked as one matrix of as many entries.  A single configuration is
-    checked exactly at its own sizes.
+    Before anything is built, each step's arrays are charged to
+    ``require_bytes`` from their shapes: one point's blocks at N before the
+    bases, each quadrature group's fields and kernels, the sector blocks,
+    and with ``dense`` the N x N matrices and the residual data.
     """
     first = configs[0]
-    require_capacity(first.n_basis)  # bounds N before any basis is enumerated
+    # any point's blocks hold at least those of N rows split evenly
+    require_bytes(8 * (first.n_basis**2 // 2) + _GATHER_BYTES * (first.n_basis**2 // 4),
+                  f"the sector blocks of one point at N={first.n_basis}")
     bases = _bases([config.params for config in configs], first.n_basis, first.close_pairs)
     orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
     n_values = np.flatnonzero(np.bincount(np.concatenate([n for _, n in bases])))
@@ -553,28 +523,44 @@ def _project(configs) -> list[_Projected]:
             f"half-width a is too small for the Galerkin solve: at a={thinnest.a:.3g} "
             f"(n pi / 2a)^2 reaches {diagonal:.3g}, above {_LARGEST_DIAGONAL:.0e}"
         )
+    sizes = [m.size for m, _ in bases]
+    cosine = [int(np.count_nonzero(m >= 0)) for m, _ in bases]
+    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
+    low, _, pair = _pair_table(n_values.size)
+    spectra_bytes = 8 * len(configs) * 2 * (top + 1) * low.size  # the kernel-spectra array
     quadratures = _grouped(orders)
     for points in quadratures:
         m_s, m_u = orders[points[0]]
-        require_capacity(max(bases[i][0].size for i in points), len(points) * m_s, m_u, n_values.size)
-    stacked = _grouped((int(np.count_nonzero(m >= 0)), m.size) for m, _ in bases)
-    for points in stacked:
-        # P stacked N x N arrays hold as much as one matrix of order sqrt(P) N
-        require_capacity(math.isqrt(len(points) * bases[points[0]][0].size ** 2 - 1) + 1)
-    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
-    low, _, pair = _pair_table(n_values.size)
-    shape = (len(configs), 2, top + 1, low.size)
-    require_capacity(math.isqrt(math.prod(shape) - 1) + 1)
+        per_point = _FIELD_BYTES * m_s * m_u + low.size * _KERNEL_BYTES * (m_s + 1)
+        require_bytes(len(points) * per_point + spectra_bytes,
+                      f"the fields and kernels at points={len(points)}, "
+                      f"N={max(sizes[i] for i in points)}, m_s={m_s}, m_u={m_u}, "
+                      f"distinct n={n_values.size}")
+    stacked = _grouped(zip(cosine, sizes))
+    entries = [len(points) * r * r for points in stacked  # of each sector's stack of blocks
+               for r in (cosine[points[0]], sizes[points[0]] - cosine[points[0]])]
+    require_bytes(spectra_bytes + 8 * sum(entries) + _GATHER_BYTES * max(entries),
+                  f"the kernel spectra and sector blocks at points={len(configs)}, N={max(sizes)}")
+    if dense:
+        (m_s, m_u), size, n_count = orders[0], sizes[0], n_values.size
+        require_bytes(_MATRIX_BYTES * size * size, f"the N x N matrices at N={size}")
+        # the coefficients and one n's copy, the factor tables and one n's rows,
+        # seven (m_s, m_u) fields, two blocks of residual fields and the terms
+        require_bytes(8 * (2 * size**2 + 3 * size * m_s + 7 * m_s * m_u + 2 * _S_BLOCK * size * m_u
+                           + 4 * n_count * m_s * (size + m_u)),
+                      f"the residual data at N={size}, m_s={m_s}, m_u={m_u}, distinct n={n_count}")
     params, geometry = first.params, first.geometry
     a = np.array([config.params.a for config in configs])
-    spectra = np.empty(shape)
+    spectra = np.empty((len(configs), 2, top + 1, low.size))
+    row = np.argsort(np.concatenate(quadratures))  # each group's rows of spectra lie together
     disc = None
     for points in quadratures:
         grid = QuadratureGrid.for_strip(params, *orders[points[0]])
         g, potential, slope = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)
-        spectra[points] = _kernel_spectra(transverse, grid.weights_2d, g, potential, top)
-        if len(configs) == 1:
+        lo = row[points[0]]
+        _kernel_spectra(transverse, grid.weights_2d, g, potential, spectra[lo:lo + len(points)])
+        if dense:
             fa = np.sqrt(g[0])
             d_s_fa = _mirrored(slope, grid.s_nodes.size, -1.0)[0] / (2.0 * fa)
             disc = _Discretisation(params, grid, *bases[0], fa, d_s_fa, potential[0])
@@ -588,26 +574,31 @@ def _project(configs) -> list[_Projected]:
         ]
         n_of = np.searchsorted(n_values, n)
         diag = _transverse_diag(n_values, a[points])
-        stacks = _sector_blocks(spectra, pair, points, m, n_of, sectors, diag, params.R)
+        stacks = _sector_blocks(spectra, pair, row[points], m, n_of, sectors, diag, params.R)
         projected.append(_Projected(points, m, n, sectors, stacks, disc))
     return projected
 
 
 def _matrix(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Discretisation]:
-    """The projection matrix in basis order (``config``'s sector blocks,
-    zeros elsewhere), the basis rows listed sector by sector and the
-    discretisation that the projection evaluated."""
-    [projected] = _project([config])
-    dense = np.zeros((projected.m.shape[1],) * 2)
-    for rows, stack in zip(projected.sectors, projected.stacks):
-        dense[np.ix_(rows[0], rows[0])] = stack[0]
-    return dense, np.concatenate([rows[0] for rows in projected.sectors]), projected.disc
+    """The projection matrix over the basis in sector order (its sector
+    blocks on the diagonal, zeros elsewhere), each basis row's position in
+    that order, and the discretisation that the projection evaluated."""
+    [projected] = _project([config], dense=True)
+    order = np.concatenate([rows[0] for rows in projected.sectors])
+    dense = np.zeros((order.size,) * 2)
+    c = projected.stacks[0].shape[1]  # the cosine sector, which holds m = 0, comes first
+    for block, stack in zip((dense[:c, :c], dense[c:, c:]), projected.stacks):
+        block[...] = stack[0]
+    return dense, np.argsort(order), projected.disc
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     """Projection matrix of L onto the flat basis in basis order, the
-    matrix ``solve`` diagonalises; symmetric by storage."""
-    return SymmetricMatrix.from_dense(_matrix(config)[0])
+    matrix ``solve`` diagonalises in sector order; symmetric by storage."""
+    dense, rank, _ = _matrix(config)
+    basis = dense[np.ix_(rank, rank)]
+    del dense  # the triangle is packed from the copy
+    return SymmetricMatrix.from_dense(basis)
 
 
 def _residual_norms(
@@ -634,27 +625,25 @@ def _residual_norms(
     factors, weights = disc.factors, disc.grid.weights_2d
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
-    rows_terms, field_terms = [], []  # (K, m_s) and (m_s, m_u) per term
-    for n, rows in factors.by_n(np.arange(disc.m.size)):
-        coeffs = coefficients[rows].T
-        psi = coeffs @ factors.longitudinal[rows]
-        chi = factors.transverse[n]
-        rows_terms += [
-            coeffs @ factors.slope[rows],
-            coeffs @ (disc.rates_sq[rows, None] * factors.longitudinal[rows]),
-            psi,
-            eigenvalues[:, None] * psi,
-        ]
-        field_terms += [
-            drift * chi,
-            inv_f_sq * chi,
-            (disc.potential + disc.transverse_diag[rows[0]]) * chi,
-            np.broadcast_to(-chi, inv_f_sq.shape),
-        ]
+    groups = factors.by_n(np.arange(disc.m.size))
+    # four terms per n, each a (K, m_s) row and an (m_s, m_u) field
+    rows_terms = np.empty((4 * len(groups), width, inv_f_sq.shape[0]))
+    field_terms = np.empty((4 * len(groups),) + inv_f_sq.shape)
+    for i, (n, rows) in enumerate(groups):
+        coeffs, chi = coefficients[rows].T, factors.transverse[n]
+        row, field = rows_terms[4 * i:4 * i + 4], field_terms[4 * i:4 * i + 4]
+        np.matmul(coeffs, factors.slope[rows], out=row[0])
+        np.matmul(coeffs, disc.rates_sq[rows, None] * factors.longitudinal[rows], out=row[1])
+        np.matmul(coeffs, factors.longitudinal[rows], out=row[2])
+        np.multiply(eigenvalues[:, None], row[2], out=row[3])
+        np.multiply(drift, chi, out=field[0])
+        np.multiply(inv_f_sq, chi, out=field[1])
+        np.multiply(disc.potential + disc.transverse_diag[rows[0]], chi, out=field[2])
+        field[3] = -chi
     # (m_s, K, terms) @ (m_s, terms, m_u) gives the residual fields, formed
     # a block of s nodes at a time so that no (m_s, K, m_u) array is held
-    rows_s = np.stack(rows_terms).transpose(2, 1, 0)
-    fields_s = np.stack(field_terms).transpose(1, 0, 2)
+    rows_s = rows_terms.transpose(2, 1, 0)
+    fields_s = field_terms.transpose(1, 0, 2)
     squared = np.zeros(rows_s.shape[1])
     for lo in range(0, rows_s.shape[0], _S_BLOCK):
         block = rows_s[lo:lo + _S_BLOCK] @ fields_s[lo:lo + _S_BLOCK]
@@ -665,18 +654,17 @@ def _residual_norms(
 
 
 def solve(config: GalerkinConfig) -> GalerkinSolution:
-    """Diagonalise the projection matrix gathered into sector order, its
-    sector blocks on the diagonal.
+    """Diagonalise the projection matrix in sector order, its sector blocks
+    on the diagonal.
 
     Every coefficient column is exactly zero off its sector; coefficient
     rows come back in basis order.  The solution keeps the projection's
     quadrature fields; residual norms wait for their first read.
     """
-    dense, order, disc = _matrix(config)
-    decomp = eig_dense_symmetric(dense[np.ix_(order, order)])
-    coefficients = np.empty_like(decomp.eigenvectors)
-    coefficients[order] = decomp.eigenvectors
-    return GalerkinSolution(config, decomp.eigenvalues, coefficients, disc)
+    dense, rank, disc = _matrix(config)
+    decomp = eig_dense_symmetric(dense)
+    del dense  # the coefficients take its place
+    return GalerkinSolution(config, decomp.eigenvalues, decomp.eigenvectors[rank], disc)
 
 
 def residual_norm(solution: GalerkinSolution, k: int) -> float:

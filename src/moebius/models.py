@@ -74,9 +74,8 @@ FAMILY_EFF_SE = "eff_se"
 MERGE_RTOL = 1e-9
 DEFAULT_Q = -0.25
 
-# Cap on the largest array of one run, 512 MiB: a larger mode box, basis,
-# quadrature or export grid is refused with CapacityError before anything
-# is built.
+# Cap on the bytes of one run's arrays, 512 MiB, read only by ``require_bytes``,
+# to which each builder charges its arrays before it builds them
 MAX_ARRAY_BYTES = 1 << 29
 # Peak bytes per (n, table row) cell of the mode boxes of one enumeration:
 # the cell indices, values and masks, and the sorted candidates under the
@@ -166,6 +165,15 @@ class Spectrum:
             for v, m in zip(e.mode_values, e.modes)
         ]
         return flat if count is None else flat[:count]
+
+
+def require_bytes(needed, what: str) -> None:
+    """Refuse the arrays ``what`` with ``CapacityError`` when their ``needed``
+    bytes, reckoned as a float, pass ``MAX_ARRAY_BYTES``."""
+    needed = float(needed) if needed < 2.0**1023 else np.inf  # an int past it would not convert
+    if not needed <= MAX_ARRAY_BYTES:
+        raise CapacityError(f"{what} need about {needed / 2**20:.3g} MiB, above the "
+                            f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB cap")
 
 
 def _pow2(x):
@@ -302,9 +310,8 @@ def _modes(R: float, a, count: int, q):
     alone.  A point's columns are the rows of energy up to its budget plus
     two spacings of its cap, for the rounding of the cell values; at a
     strip so thin that those spacings pass the table, the values that round
-    onto one double hold the rows the table reaches.  Boxes that together
-    would pass ``MAX_ARRAY_BYTES`` are refused with ``CapacityError``,
-    reckoned in floats, so an overflowing box is refused too.
+    onto one double hold the rows the table reaches.  The boxes of each
+    doubling are charged together to ``require_bytes`` before they are built.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -337,11 +344,7 @@ def _modes(R: float, a, count: int, q):
             # a_0(q) < 0 lets n pass sqrt(cap / e1)
             rows = np.floor(np.sqrt(np.maximum(cap, cap - energy[0]) / e1[pending])) + 1.0
         needed = _BOX_CELL_BYTES * np.sum(rows * cols)
-        if not needed <= MAX_ARRAY_BYTES:
-            raise CapacityError(
-                f"the {model} modes below {cap.max():.3g} need about {needed / 2**20:.3g} "
-                f"MiB, above the {MAX_ARRAY_BYTES / 2**20:.0f} MiB cap"
-            )
+        require_bytes(needed, f"the {model} modes below {cap.max():.3g}")
         box, n, row = _cells(rows.astype(int), cols)
         n += 1
         with np.errstate(over="ignore"):  # a row past the cap may overflow; it stays out

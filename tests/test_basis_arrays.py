@@ -361,9 +361,15 @@ def not_built(*args, **kwargs):
 
 
 def test_n_is_checked_before_any_basis_is_enumerated(monkeypatch):
+    # every point at N = 31 has sector blocks of at least 961 // 2 entries,
+    # 961 // 4 of them in one sector, charged before any mode is enumerated
+    blocks = 8 * 480 + galerkin._GATHER_BYTES * 240
     monkeypatch.setattr(galerkin, "_modes", not_built)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
-    with pytest.raises(CapacityError, match="N=31 needs"):
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", blocks)
+    with pytest.raises(AssertionError, match="flat modes were enumerated"):
+        eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 31)  # admitted at the cap
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", blocks - 1)
+    with pytest.raises(CapacityError, match="^the sector blocks of one point at N=31 need"):
         eigenvalue_sweep(2.0, [1e-14, 0.1, 0.5], 3, 31)
 
 

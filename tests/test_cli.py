@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from moebius import cli, convergence, linalg, mathieu, models
-from moebius.cli import main
-from moebius.galerkin import EXPORT_POINT_BYTES
+from moebius.cli import EXPORT_POINT_BYTES, main
 
 TABLE_R = repr(13.2 / (2 * np.pi))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -477,7 +476,7 @@ def test_malformed_source_date_epoch_is_refused_before_the_run(capsys, monkeypat
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt):
+def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt, charges):
     # the README export; the guard charges EXPORT_POINT_BYTES per grid point
     argv = ["eigenfunction", "--k", "1", "--a", "1.3", "--R", "2.8647889756541165",
             "--N", "96", "--grid", "192x65", "--embed3d", "--format", fmt,
@@ -489,7 +488,33 @@ def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert code == 0
+    assert charges[0] == (EXPORT_POINT_BYTES * 192 * 65, "the 192x65 export rows")
     assert peak / (192 * 65) <= EXPORT_POINT_BYTES
+
+
+def test_a_refused_chunk_names_its_points_and_the_run_sizes(capsys, monkeypatch, charges):
+    # the user's --ms and --mu, the basis size and the chunk's point count,
+    # never a quadrature that no point uses
+    argv = ["converge", "--kind", "eigenvalue", "--N", "60", "--steps", "8", "--ms", "400",
+            "--mu", "40", "--a-min", "0.5", "--a-max", "0.6", "--K", "3"]
+    assert run_cli(argv, capsys)[0] == 0
+    [(needed, what)] = [charge for charge in charges if charge[1].startswith("the fields")]
+    assert max(charges)[0] == needed
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: the fields and kernels at points=8, N=6[01], m_s=400, m_u=40, "
+        r"distinct n=\d+ need about [\d.]+ MiB, above the [\d.]+ MiB cap\n", err
+    )
+
+
+def test_a_basis_past_the_largest_double_is_refused(capsys):
+    code, out, err = run_cli(["spectrum", "--model", "true", "--a", "0.5", "--R", "2",
+                               "--N", str(10**400)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the sector blocks of one point at N={10**400} need about inf MiB, "
+                   "above the 512 MiB cap\n")
 
 
 @pytest.mark.parametrize("kind", [

@@ -1,4 +1,4 @@
-import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +24,6 @@ from moebius.galerkin import (
     _project,
     assemble,
     effective_in_basis,
-    largest_array_bytes,
     solve,
 )
 from moebius.geometry import StripParams, potential_va, potential_veff
@@ -415,90 +414,84 @@ def test_eigenvalue_sweep_enumerates_modes_once_per_chunk(monkeypatch):
     assert flat == chunks and effective == chunks
 
 
-def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch):
-    # a full chunk of thin strips sharing one quadrature: its stacked fields
-    # and kernel spectra are checked as one quadrature of 8 m_s nodes, a
-    # bound that every point alone stays under
+def not_reached(*args, **kwargs):
+    raise AssertionError("a chunk array was built before the capacity check")
+
+
+def refused_before_any_is_built(monkeypatch, needed, what, *args, **orders):
+    """Check that both sweeps over ``args`` are admitted at the cap
+    ``needed`` and refused one byte below, naming ``what``, before any field
+    is evaluated."""
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "MAX_ARRAY_BYTES", needed)
+        for sweep in (eigenvalue_sweep, eigenvector_sweep):
+            sweep(*args, **orders)  # exactly at the cap is allowed
+        patch.setattr(galerkin, "_g_with_derivatives", not_reached)
+        patch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
+        for sweep in (eigenvalue_sweep, eigenvector_sweep):
+            with pytest.raises(CapacityError, match=f"^{re.escape(what)} need about "):
+                sweep(*args, **orders)
+
+
+def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch, charges):
+    # a full chunk of thin strips sharing one quadrature: its fields and
+    # kernels, eight times one point's, beside the kernel spectra are its
+    # largest charge
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
     bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
-    m_s = max(2 * int(np.abs(m).max()) + 32 for m, _ in bases)
-    m_u = max(2 * int(n.max()) + 16 for _, n in bases)
-    n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
-    needed = largest_array_bytes(max(m.size for m, _ in bases), grid.size * m_s, m_u, n_count)
-    # the stacked fields, (points, 2, m_s, m_u) doubles, are within it
-    assert 16 * grid.size * m_s * m_u <= needed
-    per_point = max(
-        largest_array_bytes(m.size, m_s, m_u, np.count_nonzero(np.bincount(n)))
-        for m, n in bases
-    )
-    assert per_point < needed
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
-    eigenvalue_sweep(RADIUS, grid, 3, 30)  # exactly at the cap is allowed
-
-    def not_reached(*args, **kwargs):
-        raise AssertionError("a chunk array was built before the capacity check")
-
-    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
-    for sweep in (eigenvalue_sweep, eigenvector_sweep):
-        with pytest.raises(CapacityError, match=f"N=31, m_s={grid.size * m_s}, m_u={m_u}"):
-            sweep(RADIUS, grid, 3, 30)
+    assert {m.size for m, _ in bases} == {31} and {int(n.max()) for _, n in bases} == {1}
+    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
+    m_s, m_u = top + 32, 18
+    needed = grid.size * (galerkin._FIELD_BYTES * m_s * m_u + galerkin._KERNEL_BYTES * (m_s + 1)
+                          + 8 * 2 * (top + 1))
+    what = f"the fields and kernels at points=8, N=31, m_s={m_s}, m_u={m_u}, distinct n=1"
+    eigenvalue_sweep(RADIUS, grid, 3, 30)
+    assert max(charges) == (needed, what)
+    refused_before_any_is_built(monkeypatch, needed, what, RADIUS, grid, 3, 30)
     # a shorter chunk of the same strips fits
-    monkeypatch.undo()
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
     eigenvalue_sweep(RADIUS, grid[:-1], 3, 30)
 
 
-def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch):
-    # at m_s = m_u = 2 the chunk's stacked N x N arrays, the eigenvector
-    # sweep's (8, N, N) above all, pass every bound of its quadrature; they
-    # are checked as one matrix of order sqrt(8) N
+def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch, charges):
+    # at m_s = m_u = 2 the chunk's sector blocks, 16 x 16 and 15 x 15 at
+    # each point, with the gather of the larger stack and the kernel spectra
+    # they are read from, are its largest charge; the eigenvector sweep's
+    # blocks and eigenvectors together stay within it
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
-    sizes = {galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True)[0].size
-             for a in grid}
-    assert sizes == {31}
-    quadrature = largest_array_bytes(31, grid.size * 2, 2, 1)
-    order = 88  # the least integer at or above sqrt(8) 31 = 87.7
-    needed = largest_array_bytes(order)
-    assert 8 * grid.size * 31**2 <= needed and quadrature < needed
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
-    eigenvector_sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)  # exactly at the cap is allowed
+    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
+    assert {(np.count_nonzero(m >= 0), m.size) for m, _ in bases} == {(16, 31)}
+    top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
+    blocks = 8 * grid.size * (16**2 + 15**2)
+    needed = 8 * grid.size * 2 * (top + 1) + blocks + galerkin._GATHER_BYTES * grid.size * 16**2
+    what = "the kernel spectra and sector blocks at points=8, N=31"
+    eigenvector_sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)
+    assert max(charges) == (needed, what)
+    assert 2 * blocks < needed
+    refused_before_any_is_built(monkeypatch, needed, what, RADIUS, grid, 3, 30, m_s=2, m_u=2)
 
-    def not_reached(*args, **kwargs):
-        raise AssertionError("a chunk array was built before the capacity check")
 
-    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+def test_a_one_point_sweep_is_not_charged_a_single_solve(charges):
+    # a sweep forms no N x N matrix and reads no residual, even at one point
     for sweep in (eigenvalue_sweep, eigenvector_sweep):
-        with pytest.raises(CapacityError, match=f"N={order} needs"):
-            sweep(RADIUS, grid, 3, 30, m_s=2, m_u=2)
+        sweep(RADIUS, [0.5], 3, 30)
+    assert charges and not [what for _, what in charges if "N x N" in what or "residual" in what]
 
 
-def test_chunk_kernel_spectra_are_refused_before_any_is_built(monkeypatch):
+def test_chunk_kernel_spectra_are_refused_before_any_is_built(monkeypatch, charges):
     # at m_s = m_u = 1 a chunk of thin and wide strips is held back by its
-    # kernel-spectra array, which spans the thin strips' harmonics and the
-    # wide strips' transverse indices; it is checked as one matrix of as
-    # many entries
+    # kernel spectra, which span the thin strips' harmonics and the wide
+    # strips' transverse pairs; they are charged with the blocks read from
+    # them, and outweigh the blocks
     radius = 0.5
     grid = np.geomspace(0.02, 1.5, convergence._CHUNK)
     bases = [galerkin._basis_arrays(StripParams(a=float(a), R=radius), 30, True) for a in grid]
     n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
-    entries = grid.size * 2 * (top + 1) * n_count * (n_count + 1) // 2
-    order = math.isqrt(entries - 1) + 1
-    needed = largest_array_bytes(order)
+    spectra = 8 * grid.size * 2 * (top + 1) * n_count * (n_count + 1) // 2
+    eigenvalue_sweep(radius, grid, 3, 30, m_s=1, m_u=1)
+    needed, what = max(charges)
     n_basis = max(m.size for m, _ in bases)
-    others = max(largest_array_bytes(n_basis, grid.size, 1, n_count),
-                 largest_array_bytes(math.isqrt(grid.size * n_basis**2 - 1) + 1))
-    assert 8 * entries <= needed and others < needed
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
-    eigenvalue_sweep(radius, grid, 3, 30, m_s=1, m_u=1)  # exactly at the cap is allowed
-
-    def not_reached(*args, **kwargs):
-        raise AssertionError("a field was evaluated before the capacity check")
-
-    monkeypatch.setattr(galerkin, "_g_with_derivatives", not_reached)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
-    for sweep in (eigenvalue_sweep, eigenvector_sweep):
-        with pytest.raises(CapacityError, match=f"N={order} needs"):
-            sweep(radius, grid, 3, 30, m_s=1, m_u=1)
+    assert what == f"the kernel spectra and sector blocks at points=8, N={n_basis}"
+    assert needed - spectra < spectra
+    refused_before_any_is_built(monkeypatch, needed, what, radius, grid, 3, 30, m_s=1, m_u=1)

@@ -1,19 +1,20 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius import galerkin, mathieu
-from moebius.cli import main
-from moebius.convergence import _CHUNK, eigenvector_sweep
+from moebius import galerkin, mathieu, models
+from moebius.cli import EXPORT_POINT_BYTES, main
+from moebius.convergence import _CHUNK, eigenvalue_sweep, eigenvector_sweep
 from moebius.errors import CapacityError, InputError
 from moebius.galerkin import (
-    EXPORT_POINT_BYTES,
     GalerkinConfig,
     assemble,
     basis_modes,
     effective_in_basis,
-    largest_array_bytes,
     residual_norm,
     solve,
 )
@@ -429,10 +430,9 @@ def scattered_matrix(disc, geometry):
     n_values, n_of = np.unique(disc.n, return_inverse=True)
     transverse = galerkin._transverse_rows(n_values, disc.grid.u_nodes)
     g = projection_fields(disc, geometry)[0]  # fa^2
-    spectra = galerkin._kernel_spectra(
-        transverse, disc.grid.weights_2d, g, disc.potential[None], 2 * int(harmonic.max())
-    )
-    pair = galerkin._pair_table(transverse.shape[0])[2]
+    low, _, pair = galerkin._pair_table(transverse.shape[0])
+    spectra = np.empty((1, 2, 2 * int(harmonic.max()) + 1, low.size))
+    galerkin._kernel_spectra(transverse, disc.grid.weights_2d, g, disc.potential[None], spectra)
     n_pairs = spectra.shape[-1]
     flat = spectra[0].reshape(2, -1)
     out = np.zeros((disc.m.size,) * 2)
@@ -668,74 +668,119 @@ def test_spectrum_and_residuals_scale_with_the_strip(R, width, c, n_basis):
     assert np.max(np.abs(scaled.residual_norms * c**2 / base.residual_norms - 1.0)) <= 1e-8
 
 
-def test_largest_array_estimate():
-    # four residual terms per distinct n, N x m_s or m_s x m_u doubles each
-    assert largest_array_bytes(10, 20, 5, n_count=2) == 8 * 4 * 2 * 20 * 10
-    assert largest_array_bytes(10, 20, 50, n_count=2) == 8 * 4 * 2 * 20 * 50
-    assert largest_array_bytes(100, 2, 2, n_count=1) == 8 * 100 * 100
-    assert largest_array_bytes(export_points=3) == 3 * EXPORT_POINT_BYTES
-    assert largest_array_bytes(2, 2, 2, 1, export_points=1) == EXPORT_POINT_BYTES
+def test_each_site_charges_its_own_shapes(charges):
+    # one configuration: N before its basis is enumerated, its quadrature,
+    # its sector blocks with the kernel spectra, its N x N matrices and its
+    # residual data
+    disc = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=60))._discretisation
+    m_s, m_u = disc.grid.s_nodes.size, disc.grid.u_nodes.size
+    n_count = disc.factors.transverse.shape[0]
+    pairs = n_count * (n_count + 1) // 2
+    cosine = int(np.count_nonzero(disc.m >= 0))
+    spectra = 8 * 2 * (2 * int(np.abs(disc.m).max()) + 1) * pairs
+    sizes = f"m_s={m_s}, m_u={m_u}, distinct n={n_count}"
+    gather = galerkin._GATHER_BYTES
+    assert [charge for charge in charges if " modes below " not in charge[1]] == [
+        (8 * 2 * 30**2 + gather * 30**2, "the sector blocks of one point at N=60"),
+        (galerkin._FIELD_BYTES * m_s * m_u + pairs * galerkin._KERNEL_BYTES * (m_s + 1) + spectra,
+         f"the fields and kernels at points=1, N=60, {sizes}"),
+        (spectra + 8 * (cosine**2 + (60 - cosine) ** 2) + gather * max(cosine, 60 - cosine) ** 2,
+         "the kernel spectra and sector blocks at points=1, N=60"),
+        (galerkin._MATRIX_BYTES * 60**2, "the N x N matrices at N=60"),
+        (8 * (2 * 60**2 + 3 * 60 * m_s + 7 * m_s * m_u + 2 * galerkin._S_BLOCK * 60 * m_u
+              + 4 * n_count * m_s * (60 + m_u)),
+         f"the residual data at N=60, {sizes}"),
+    ]
 
 
 def not_reached(*args, **kwargs):
     raise AssertionError("allocated before the capacity check")
 
 
-def refused_before_building(config, monkeypatch):
-    """``largest_array_bytes`` of ``config``'s sizes, after checking that
-    ``solve`` and ``assemble`` admit it at that cap and refuse it one byte
-    below, before the quadrature is built."""
-    disc = solve(config)._discretisation
-    orders = disc.grid.s_nodes.size, disc.grid.u_nodes.size
-    needed = largest_array_bytes(config.n_basis, *orders, disc.factors.transverse.shape[0])
+def refused_before_building(config, monkeypatch, charges):
+    """The largest charge of ``solve`` at ``config`` and its description,
+    after checking that ``solve`` and ``assemble`` admit it at that cap and
+    refuse it one byte below, naming it, before the quadrature is built."""
+    charges.clear()
+    solve(config)
+    needed, what = max(charges)
     with monkeypatch.context() as patch:
-        patch.setattr(galerkin, "MAX_ARRAY_BYTES", needed)
+        patch.setattr(models, "MAX_ARRAY_BYTES", needed)
         for run in (solve, assemble):
             run(config)  # exactly at the cap is allowed
         patch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
-        patch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+        patch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
         for run in (solve, assemble):
-            with pytest.raises(CapacityError, match="MiB cap"):
+            with pytest.raises(CapacityError, match=f"^{re.escape(what)} need about "):
                 run(config)
-    return needed
+    return needed, what
 
 
-def test_capacity_guard_refuses_before_building(monkeypatch):
-    needed = refused_before_building(GalerkinConfig(params=TABLE_PARAMS, n_basis=30), monkeypatch)
+def test_capacity_guard_refuses_before_building(monkeypatch, charges):
+    # a default solve is held to the residual data of all its eigenpairs
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30)
+    disc = solve(config)._discretisation
+    sizes = (f"m_s={disc.grid.s_nodes.size}, m_u={disc.grid.u_nodes.size}, "
+             f"distinct n={disc.factors.transverse.shape[0]}")
+    needed, what = refused_before_building(config, monkeypatch, charges)
+    assert what == f"the residual data at N=30, {sizes}"
     monkeypatch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", needed - 1)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
     for run in (solve, assemble):
         with pytest.raises(CapacityError, match="m_s=99999"):
             run(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))
-    # a matrix too large on its own is refused before the basis is enumerated
+    # blocks too large for any point at N are refused before the basis is
+    # enumerated: at N = 31, at least 961 // 2 entries, 961 // 4 in one sector
     monkeypatch.setattr(galerkin, "_bases", not_reached)
-    monkeypatch.setattr(galerkin, "MAX_ARRAY_BYTES", 8 * 30 * 30)
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", 8 * 480 + galerkin._GATHER_BYTES * 240 - 1)
     for run in (solve, assemble):
-        with pytest.raises(CapacityError, match="N=31 needs"):
+        with pytest.raises(CapacityError, match="^the sector blocks of one point at N=31 need"):
             run(GalerkinConfig(params=TABLE_PARAMS, n_basis=31))
 
 
-def test_single_configuration_is_held_to_the_matrix_bound(monkeypatch):
-    # at m_s = m_u = 2 the N x N matrix, 8 N^2 bytes, is the largest array
-    # of the estimate; the sector gathers are not counted beyond it, so a
-    # single run is admitted exactly up to that bound
-    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=2, m_u=2)
-    assert refused_before_building(config, monkeypatch) == 8 * 30 * 30
+def test_single_configuration_is_held_to_the_matrix_bound(monkeypatch, charges):
+    # at m_s = m_u = 2 the N x N matrices are the largest charge of a
+    # single run, which is admitted exactly up to it
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=60, m_s=2, m_u=2)
+    assert refused_before_building(config, monkeypatch, charges) == (
+        galerkin._MATRIX_BYTES * 60 * 60, "the N x N matrices at N=60"
+    )
 
 
-def test_capacity_guard_admits_readme_and_benchmark_sizes():
+def test_capacity_guard_admits_readme_and_benchmark_sizes(charges):
     # the largest README and benchmark runs: the 102-function table, the
     # eigenfunction export, sweeps up to a = 1.5 with N = 76 and 2 pi R = 19.8
-    for params, n_basis in (
-        (TABLE_PARAMS, 102),
-        (StripParams(a=1.3, R=2.8647889756541165), 96),
-        (StripParams(a=1.5, R=19.8 / (2 * np.pi)), 77),
-        (StripParams(a=0.045, R=19.8 / (2 * np.pi)), 77),
-    ):
-        disc = solve(GalerkinConfig(params=params, n_basis=n_basis))._discretisation
-        sizes = disc.grid.s_nodes.size, disc.grid.u_nodes.size, disc.factors.transverse.shape[0]
-        assert largest_array_bytes(n_basis, *sizes) < galerkin.MAX_ARRAY_BYTES / 16
-    assert largest_array_bytes(export_points=192 * 65) < galerkin.MAX_ARRAY_BYTES / 16
+    solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=102)).residual_norms
+    solve(GalerkinConfig(params=StripParams(a=1.3, R=2.8647889756541165), n_basis=96))
+    for a_min, a_max in ((0.045, 0.3), (0.3, 1.5)):
+        eigenvector_sweep(19.8 / (2 * np.pi), np.geomspace(a_min, a_max, _CHUNK), 20, 76)
+    assert max(needed for needed, _ in charges) < models.MAX_ARRAY_BYTES / 16
+    assert EXPORT_POINT_BYTES * 192 * 65 < models.MAX_ARRAY_BYTES / 16
+
+
+THIN = np.geomspace(0.02, 0.1, _CHUNK)
+RADIUS = 2.8647889756541165
+
+
+@pytest.mark.parametrize("run", [
+    # the residual terms of all 100 eigenpairs on a 600 x 100 quadrature
+    lambda: solve(GalerkinConfig(params=StripParams(a=0.5, R=RADIUS), n_basis=100, m_s=600,
+                                 m_u=100)).residual_norms,
+    # a chunk's sector blocks at N = 300
+    lambda: eigenvalue_sweep(RADIUS, THIN, 3, 300, m_s=2, m_u=2),
+    lambda: eigenvector_sweep(RADIUS, THIN, 3, 300, m_s=2, m_u=2),
+    # kernel spectra over the thin strips' harmonics and the wide strips'
+    # transverse pairs
+    lambda: eigenvalue_sweep(0.5, np.geomspace(0.02, 1.5, _CHUNK), 3, 200, m_s=1, m_u=1),
+], ids=["residuals", "eigenvalue-chunk", "eigenvector-chunk", "mixed-chunk"])
+def test_traced_peak_is_within_the_largest_charge(charges, run):
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(needed for needed, _ in charges)
 
 
 def test_effective_expansion_properties():

@@ -194,6 +194,16 @@ def test_both_models_admit_the_same_strips(log_a, R, count):
     assert answered[0] == answered[1]
 
 
+def test_capacity_gate_reckons_in_floats():
+    models.require_bytes(models.MAX_ARRAY_BYTES, "the arrays")  # exactly at the cap
+    with pytest.raises(CapacityError, match="^the arrays need about 512 MiB, above the 512 MiB"):
+        models.require_bytes(models.MAX_ARRAY_BYTES + 1, "the arrays")
+    # an integer past the largest double, and overflowing or undefined floats
+    for needed in (10**400, float("inf"), np.float64("nan")):
+        with pytest.raises(CapacityError, match=" need about inf MiB, "):
+            models.require_bytes(needed, "the arrays")
+
+
 def test_fake_eigenfunction_ground_state():
     psi = fake_eigenfunction(ModeIndex(FAMILY_FAKE, 0, 1), TABLE_PARAMS)
     s = np.linspace(0, TABLE_PARAMS.circumference, 30)

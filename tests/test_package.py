@@ -181,3 +181,27 @@ def test_every_private_module_level_name_is_used():
                 if read[name] - own < 1:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_the_capacity_cap_has_one_binding_read_by_one_gate():
+    # tests patch models.MAX_ARRAY_BYTES, and every charge goes through
+    # models.require_bytes, so neither may be bypassed by a copy of the cap
+    bound, imported, read = [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        gate = {id(node) for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and function.name == "require_bytes"
+                for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "MAX_ARRAY_BYTES":
+                imported.append(path.name)
+            if not (isinstance(node, ast.Name) and node.id == "MAX_ARRAY_BYTES"
+                    or isinstance(node, ast.Attribute) and node.attr == "MAX_ARRAY_BYTES"):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.append(f"{path.name}:{'require_bytes' if id(node) in gate else node.lineno}")
+            else:
+                bound.append(path.name)
+    assert bound == ["models.py"]
+    assert imported == []
+    assert read and set(read) == {"models.py:require_bytes"}
