@@ -20,10 +20,10 @@ CSV, as a top-level object in JSON.  Set SOURCE_DATE_EPOCH to whole
 seconds since 1970 to pin the manifest timestamp and make whole files
 byte-identical; any other value is refused with exit 2 before the run.
 
-``converge`` alone takes ``--threads N``, which must be at least 1 and is
-checked when the arguments are parsed; N of 2 or more solves its
-chunks of half-widths on N worker threads.  Without it the half-widths are solved
-one after another and no thread pool is started.
+``converge`` solves its chunks of half-widths one after another.  It
+alone takes ``--threads``, which accepts only 1, for scripts written when
+the option sized a thread pool; any other value is a usage error (exit 2)
+when the arguments are parsed.
 
 Exit codes: 0 success, 1 when the reader closes stdout before the output
 ends (nothing is printed to stderr), 2 invalid input (including an
@@ -237,16 +237,6 @@ def _radius(args) -> float:
     return args.circumference / (2.0 * np.pi)
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_output_options(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="write here (default stdout)")
@@ -312,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads",
-        type=_thread_count,
+        type=int,
+        choices=(1,),
         default=None,
-        help="worker threads for the chunks of half-widths; 2 or more starts a thread "
-        "pool (default: solve them serially)",
+        help="accepted only as 1: the chunks of half-widths are solved one after another",
     )
     _add_output_options(p)
 
@@ -436,9 +426,7 @@ def _cmd_converge(args) -> int:
         if args.kind == "eigenvalue"
         else convergence.eigenvector_sweep
     )
-    sweep = sweep_fn(
-        radius, a_grid, args.K, args.N, m_s=args.ms, m_u=args.mu, threads=args.threads
-    )
+    sweep = sweep_fn(radius, a_grid, args.K, args.N, m_s=args.ms, m_u=args.mu)
     window = tuple(args.window) if args.window is not None else None
     slopes = []
     for n in range(1, args.K + 1):

@@ -32,9 +32,8 @@ and the sector values merge by one sort.  The eigenvector kind compares
 each effective mode, expanded by ``galerkin._expansions`` over the bases
 the projection enumerated, with the eigenvectors of its sector, in sector
 rows.  Neither kind forms the N x N matrix, calls ``galerkin.solve`` or
-computes residual norms.  Chunks run one after another, or on a pool of
-``threads`` worker threads when ``threads`` is 2 or more; results are
-gathered in grid order, so the output is deterministic.
+computes residual norms.  Chunks run one after another in grid order,
+each building its configurations when it is solved.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
 whose arrays would pass ``models.MAX_ARRAY_BYTES`` before any of them is
@@ -136,9 +135,7 @@ class SweepResult:
     ratios: np.ndarray
 
 
-def _sweep(
-    kind, chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u, threads
-) -> SweepResult:
+def _sweep(kind, chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> SweepResult:
     """``chunk_rows`` over the grid a chunk of ``_CHUNK`` half-widths at a
     time, its (effective, true, difference) arrays stacked into per-(a, n)
     arrays."""
@@ -157,18 +154,16 @@ def _sweep(
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
 
-    def worker(chunk):
+    rows = []
+    for lo in range(0, a_grid.size, _CHUNK):
         configs = [
             GalerkinConfig(
                 params=StripParams(a=float(a), R=radius), n_basis=n_basis, m_s=m_s,
                 m_u=m_u, geometry=geometry, close_pairs=True,
             )
-            for a in chunk
+            for a in a_grid[lo:lo + _CHUNK]
         ]
-        return chunk_rows(configs, count)
-
-    chunks = [a_grid[lo:lo + _CHUNK] for lo in range(0, a_grid.size, _CHUNK)]
-    rows = _map_grid(worker, chunks, threads)
+        rows.append(chunk_rows(configs, count))
     eff, true, differences = (np.concatenate(column) for column in zip(*rows))
     return SweepResult(
         kind=kind,
@@ -181,20 +176,6 @@ def _sweep(
         differences=differences,
         ratios=differences / a_grid[:, None] ** 2,
     )
-
-
-def _map_grid(worker, chunks, threads):
-    """``worker`` over the chunks in grid order, serially unless ``threads``
-    is 2 or more and the grid has more than one point: on 2 cores a pool
-    was slower than one thread in both sweeps."""
-    if threads is not None and threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    if threads is None or threads == 1 or len(chunks[0]) == 1:
-        return [worker(chunk) for chunk in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
 
 
 def _solved_chunk(configs, want_vectors: bool):
@@ -234,11 +215,10 @@ def eigenvalue_sweep(
     geometry: str = "true_geometry",
     m_s: int | None = None,
     m_u: int | None = None,
-    threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
     return _sweep("eigenvalue", _eigenvalue_chunk, radius, a_grid, count, n_basis,
-                  geometry, m_s, m_u, threads)
+                  geometry, m_s, m_u)
 
 
 def _nearest_distances(vectors, modes, truncations):
@@ -284,13 +264,12 @@ def eigenvector_sweep(
     geometry: str = "true_geometry",
     m_s: int | None = None,
     m_u: int | None = None,
-    threads: int | None = 1,
 ) -> SweepResult:
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid, f_true
     the Galerkin eigenfunction of f_eff's reflection sector nearest to it,
     sign-aligned, and f_eff's squared norm outside the basis added."""
     return _sweep("eigenvector", _eigenvector_chunk, radius, a_grid, count, n_basis,
-                  geometry, m_s, m_u, threads)
+                  geometry, m_s, m_u)
 
 
 def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:

@@ -72,7 +72,8 @@ solution's residuals are first read, from the grid and the fields fa, d1 fa
 and V that its projection evaluated and the solution keeps
 (``_Discretisation``), with L Psi_j expanded analytically through the
 closed-form derivatives of fa and summed per n from the
-coefficient-weighted longitudinal rows.
+coefficient-weighted longitudinal rows.  Their arrays, for the eigenpairs
+read, are charged to ``models.require_bytes`` before any is built.
 
 Geometry overrides support the oracle runs: ``flat_plain`` (fa = 1, V = 0)
 must produce an exactly diagonal matrix, and ``flat_with_Veff`` (fa = 1,
@@ -507,7 +508,8 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     Before anything is built, each step's arrays are charged to
     ``require_bytes`` from their shapes: one point's blocks at N before the
     bases, each quadrature group's fields and kernels, the sector blocks,
-    and with ``dense`` the N x N matrices and the residual data.
+    and with ``dense`` the N x N matrices.  Residual data are charged when
+    they are read (``_residual_norms``).
     """
     first = configs[0]
     # any point's blocks hold at least those of N rows split evenly
@@ -542,13 +544,8 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     require_bytes(spectra_bytes + 8 * sum(entries) + _GATHER_BYTES * max(entries),
                   f"the kernel spectra and sector blocks at points={len(configs)}, N={max(sizes)}")
     if dense:
-        (m_s, m_u), size, n_count = orders[0], sizes[0], n_values.size
+        size = sizes[0]
         require_bytes(_MATRIX_BYTES * size * size, f"the N x N matrices at N={size}")
-        # the coefficients and one n's copy, the factor tables and one n's rows,
-        # seven (m_s, m_u) fields, two blocks of residual fields and the terms
-        require_bytes(8 * (2 * size**2 + 3 * size * m_s + 7 * m_s * m_u + 2 * _S_BLOCK * size * m_u
-                           + 4 * n_count * m_s * (size + m_u)),
-                      f"the residual data at N={size}, m_s={m_s}, m_u={m_u}, distinct n={n_count}")
     params, geometry = first.params, first.geometry
     a = np.array([config.params.a for config in configs])
     spectra = np.empty((len(configs), 2, top + 1, low.size))
@@ -621,6 +618,16 @@ def _residual_norms(
     order.
     """
     width = min(max(count, 2), eigenvalues.size)
+    size, (m_s, m_u) = disc.m.size, disc.fa.shape
+    n_count = int(np.count_nonzero(np.bincount(disc.n)))
+    # the factor tables and one n's rows, one n's coefficients, seven
+    # (m_s, m_u) fields, two blocks of residual fields and the terms,
+    # charged before the factor tables are first read; what the read
+    # allocates was traced at 81-92 % of it (N = 60 to 2150, count 1 to N)
+    require_bytes(8 * (3 * size * m_s + size * width + 7 * m_s * m_u + 2 * _S_BLOCK * width * m_u
+                       + 4 * n_count * m_s * (width + m_u)),
+                  f"the residual data at N={size}, count={count}, m_s={m_s}, m_u={m_u}, "
+                  f"distinct n={n_count}")
     eigenvalues, coefficients = eigenvalues[:width], coefficients[:, :width]
     factors, weights = disc.factors, disc.grid.weights_2d
     inv_f_sq = 1.0 / (disc.fa * disc.fa)

@@ -31,7 +31,9 @@ reach the largest double (``_OVERFLOW_Q``, about 7.4e307).
 The sign convention fixes the first non-vanishing Fourier coefficient
 positive.  The eigenvalues of each recurrence are solved once, kept per
 (kind, parity, q, rows), and every count reads their leading slice; the
-eigenpairs of the last four classes at their accepted size are kept too.
+eigenpairs of the last four classes at their accepted size are kept too,
+for their vectors alone: every value, with or without its expansion, is
+read from the eigenvalue solve.
 Results are cached per (kind, order, q) and immutable (their arrays are
 read-only), so concurrent use is safe.
 """
@@ -242,10 +244,8 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     q = float(q)
     parity = m % 2
     idx = _class_index(m, kind)
-    _, size = _stable_class_values(kind, parity, q, idx + 1)
-    decomp = _class_decomposition(kind, parity, q, size)
-    value = float(decomp.eigenvalues[idx])
-    y = decomp.eigenvectors[:, idx].copy()
+    values, size = _stable_class_values(kind, parity, q, idx + 1)
+    y = _class_decomposition(kind, parity, q, size).eigenvectors[:, idx].copy()
     y /= np.linalg.norm(y)
     nonzero = np.nonzero(np.abs(y) > _COEFF_CUTOFF)[0]
     if nonzero.size and y[nonzero[0]] < 0.0:
@@ -260,7 +260,7 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
         kind=kind,
         m=m,
         q=q,
-        value=value,
+        value=float(values[idx]),  # char_value's; eigh's value differs in the last bits
         harmonics=harmonics,
         fourier=coeff[:last].copy(),
     )

@@ -303,20 +303,25 @@ def test_converge_rejects_zero_radius(capsys, option):
 
 
 def test_converge_command(capsys):
-    code, out, _ = run_cli(
-        ["converge", "--kind", "eigenvalue", "--R", repr(18 / (2 * np.pi)),
-         "--a-min", "0.2", "--a-max", "0.5", "--steps", "4", "--grid", "geometric",
-         "--K", "3", "--N", "16", "--threads", "2"],
-        capsys,
-    )
+    argv = ["converge", "--kind", "eigenvalue", "--R", repr(18 / (2 * np.pi)),
+            "--a-min", "0.2", "--a-max", "0.5", "--steps", "4", "--grid", "geometric",
+            "--K", "3", "--N", "16"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    _, rows = parse_csv(out)
+    manifest, rows = parse_csv(out)
     samples = [r for r in rows if r["record"] == "sample"]
     slopes = [r for r in rows if r["record"] == "slope"]
     assert len(samples) == 4 * 3
     assert len(slopes) == 3
     assert all(float(r["ratio"]) > 0 for r in samples)
     assert all(r["slope"] != "" for r in slopes)
+
+    # --threads accepts only 1, which changes no row, only the manifest's field
+    code, pinned, _ = run_cli(argv + ["--threads", "1"], capsys)
+    assert code == 0
+    assert pinned.split("\n", 1)[1] == out.split("\n", 1)[1]
+    assert parse_csv(pinned)[0]["parameters"] == {**manifest["parameters"], "threads": 1}
+    assert manifest["parameters"]["threads"] is None
 
 
 def test_eigenfunction_export(capsys):
@@ -430,7 +435,6 @@ CONVERGE_SMALL = ["--R", "2.0", "--a-min", "0.2", "--a-max", "0.5", "--steps", "
         ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL],
         ["converge", "--kind", "eigenvector", *CONVERGE_SMALL],
         ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL, "--threads", "1"],
-        ["converge", "--kind", "eigenvalue", *CONVERGE_SMALL, "--threads", "2"],
         ["eigenfunction", "--k", "1", "--a", "0.5", "--R", "2.0", "--N", "10",
          "--grid", "8x5", "--embed3d"],
         ["verify"],
@@ -448,8 +452,7 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
     loaded = set(proc.stdout.split())
     assert "moebius.cli" in loaded
     assert "numpy.ma" not in loaded
-    threads = int(argv[argv.index("--threads") + 1]) if "--threads" in argv else None
-    assert ("concurrent.futures" in loaded) == (threads is not None and threads >= 2)
+    assert "concurrent.futures" not in loaded  # sweeps start no thread pool
     if argv[0] == "mathieu":
         assert {m for m in loaded if m.startswith("moebius")} == {
             "moebius", "moebius.cli", "moebius.errors", "moebius.linalg", "moebius.mathieu",
@@ -595,15 +598,21 @@ def test_mathieu_overflowing_q_is_a_numerical_failure(capsys, monkeypatch):
     [
         ["converge", "--kind", "eigenvalue", "--steps", "2", "--threads", "-5"],
         ["converge", "--kind", "eigenvector", "--steps", "2", "--threads", "0"],
+        ["converge", "--kind", "eigenvalue", "--steps", "2", "--threads", "2"],
     ],
 )
-def test_threads_below_one_are_refused_when_parsing(capsys, argv):
+def test_threads_other_than_one_are_refused_when_parsing(capsys, monkeypatch, argv):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(convergence, "require_sweep_capacity", not_reached)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--threads: must be >= 1" in captured.err
+    assert captured.err.count("usage: ") == 1
+    assert f"--threads: invalid choice: {argv[-1]} (choose from 1)" in captured.err
 
 
 @pytest.mark.parametrize("command", ["mathieu", "verify"])

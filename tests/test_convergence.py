@@ -1,5 +1,4 @@
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,34 +315,6 @@ def test_eigenvector_sweep_compares_no_modes_of_opposite_sectors():
     # orthogonal functions of opposite sectors lie sqrt(2) apart
     sweep = eigenvector_sweep(RADIUS, np.linspace(0.01, 1.5, 30), 20, 72)
     assert np.max(sweep.differences) < 1.0
-
-
-def test_threaded_sweep_is_deterministic(monkeypatch):
-    grid = np.array([0.2, 0.35, 0.5])
-    serial = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=1)
-    threaded = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=3)
-    assert np.array_equal(serial.ratios, threaded.ratios)
-    assert np.array_equal(serial.true_values, threaded.true_values)
-
-    # three chunks on three threads at once, both kinds
-    chunks = np.geomspace(0.05, 1.2, 2 * convergence._CHUNK + 3)
-    for sweep in (eigenvalue_sweep, eigenvector_sweep):
-        serial = sweep(RADIUS, chunks, 4, 24, threads=1)
-        threaded = sweep(RADIUS, chunks, 4, 24, threads=3)
-        for field in ("effective_values", "true_values", "differences"):
-            assert np.array_equal(getattr(serial, field), getattr(threaded, field))
-
-    # threads=None (the CLI default) runs serially and builds no pool
-    pair = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=2)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
-
-    # on the class, so every binding of it refuses to build a pool
-    monkeypatch.setattr(ThreadPoolExecutor, "__init__", no_pool)
-    default = eigenvalue_sweep(RADIUS, grid, 4, 24, threads=None)
-    for field in ("effective_values", "true_values", "differences", "ratios"):
-        assert np.array_equal(getattr(default, field), getattr(pair, field))
 
 
 def test_sweep_work_estimate():

@@ -670,16 +670,19 @@ def test_spectrum_and_residuals_scale_with_the_strip(R, width, c, n_basis):
 
 def test_each_site_charges_its_own_shapes(charges):
     # one configuration: N before its basis is enumerated, its quadrature,
-    # its sector blocks with the kernel spectra, its N x N matrices and its
-    # residual data
-    disc = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=60))._discretisation
+    # its sector blocks with the kernel spectra and its N x N matrices; its
+    # residual data when they are read, for the eigenpairs read (at least 2)
+    solution = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=60))
+    disc = solution._discretisation
     m_s, m_u = disc.grid.s_nodes.size, disc.grid.u_nodes.size
-    n_count = disc.factors.transverse.shape[0]
+    n_count = np.unique(disc.n).size
     pairs = n_count * (n_count + 1) // 2
     cosine = int(np.count_nonzero(disc.m >= 0))
     spectra = 8 * 2 * (2 * int(np.abs(disc.m).max()) + 1) * pairs
     sizes = f"m_s={m_s}, m_u={m_u}, distinct n={n_count}"
     gather = galerkin._GATHER_BYTES
+    solution.leading_residual_norms(1)
+    solution.residual_norms
     assert [charge for charge in charges if " modes below " not in charge[1]] == [
         (8 * 2 * 30**2 + gather * 30**2, "the sector blocks of one point at N=60"),
         (galerkin._FIELD_BYTES * m_s * m_u + pairs * galerkin._KERNEL_BYTES * (m_s + 1) + spectra,
@@ -687,9 +690,11 @@ def test_each_site_charges_its_own_shapes(charges):
         (spectra + 8 * (cosine**2 + (60 - cosine) ** 2) + gather * max(cosine, 60 - cosine) ** 2,
          "the kernel spectra and sector blocks at points=1, N=60"),
         (galerkin._MATRIX_BYTES * 60**2, "the N x N matrices at N=60"),
-        (8 * (2 * 60**2 + 3 * 60 * m_s + 7 * m_s * m_u + 2 * galerkin._S_BLOCK * 60 * m_u
-              + 4 * n_count * m_s * (60 + m_u)),
-         f"the residual data at N=60, {sizes}"),
+    ] + [
+        (8 * (3 * 60 * m_s + 60 * width + 7 * m_s * m_u + 2 * galerkin._S_BLOCK * width * m_u
+              + 4 * n_count * m_s * (width + m_u)),
+         f"the residual data at N=60, count={count}, {sizes}")
+        for count, width in ((1, 2), (60, 60))
     ]
 
 
@@ -717,15 +722,28 @@ def refused_before_building(config, monkeypatch, charges):
 
 
 def test_capacity_guard_refuses_before_building(monkeypatch, charges):
-    # a default solve is held to the residual data of all its eigenpairs
+    # a default solve is held to its projection's arrays, and a read of its
+    # residuals to the data of the eigenpairs read, refused before the
+    # factor tables are built while the eigenpairs stay admitted
     config = GalerkinConfig(params=TABLE_PARAMS, n_basis=30)
-    disc = solve(config)._discretisation
+    refused_before_building(config, monkeypatch, charges)
+    solution = solve(config)
+    disc = solution._discretisation
     sizes = (f"m_s={disc.grid.s_nodes.size}, m_u={disc.grid.u_nodes.size}, "
-             f"distinct n={disc.factors.transverse.shape[0]}")
-    needed, what = refused_before_building(config, monkeypatch, charges)
-    assert what == f"the residual data at N=30, {sizes}"
-    monkeypatch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
+             f"distinct n={np.unique(disc.n).size}")
+    charges.clear()
+    residuals = solve(config).residual_norms
+    needed, what = max(charges)
+    assert what == f"the residual data at N=30, count=30, {sizes}"
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed)
+    assert np.array_equal(solve(config).residual_norms, residuals)  # exactly at the cap
     monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(galerkin, "_sample_factors", not_reached)
+        with pytest.raises(CapacityError, match=f"^{re.escape(what)} need about "):
+            solution.residual_norms
+    assert np.array_equal(solution.leading_residual_norms(20), residuals[:20])
+    monkeypatch.setattr(galerkin.QuadratureGrid, "for_strip", not_reached)
     for run in (solve, assemble):
         with pytest.raises(CapacityError, match="m_s=99999"):
             run(GalerkinConfig(params=TABLE_PARAMS, n_basis=30, m_s=99999))

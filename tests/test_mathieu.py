@@ -115,6 +115,15 @@ def test_ode_residual_ce1():
     assert np.max(np.abs(residual)) < 1e-10
 
 
+def test_expansion_value_is_the_characteristic_value_bitwise():
+    # one source per value, the eigvalsh solve; an eigh solve of the same
+    # recurrence differs in the last bits (ce_5 at q = -1/4 by 1e-14)
+    for q in (Q, 0.1, -3.0, 40.0):
+        for kind, lowest in (("ce", 0), ("se", 1)):
+            for m in range(lowest, 40):
+                assert fourier_coefficients(kind, m, q).value == char_value(kind, m, q)
+
+
 def test_ode_residual_all_orders():
     rng = np.random.default_rng(12)
     eta = rng.uniform(-np.pi, np.pi, 100)

@@ -108,7 +108,7 @@ def test_every_module_level_import_is_read():
 
 def test_no_function_mutates_module_level_state():
     # a dict, list or set bound at module level and changed by a function
-    # is shared by every caller and every sweep thread in the process;
+    # is shared by every caller in the process;
     # caches go through functools.lru_cache, which guards its own state
     containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     mutators = {
@@ -146,6 +146,23 @@ def test_no_function_mutates_module_level_state():
                 if isinstance(target, ast.Name) and target.id in shared - local:
                     mutated.append(f"{path.name}:{node.lineno}")
     assert mutated == []
+
+
+def test_no_module_imports_a_concurrency_library():
+    # sweeps run their chunks one after another: a pool of sweep threads
+    # never ran two chunks at once, since the sweep holds the GIL
+    banned = {"concurrent", "threading", "multiprocessing"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] in banned]
+    assert found == []
 
 
 def test_every_private_module_level_name_is_used():
