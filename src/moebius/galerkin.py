@@ -132,8 +132,12 @@ _GATHER_BYTES = 48
 # A single configuration's N x N matrices: traced at 16 B in solve (matrix
 # and eigenvectors, then eigenvectors and coefficients), 24 B in assemble
 _MATRIX_BYTES = 32
-# transverse row counts kept by _pair_table's cache; a sweep meets a handful
-_CACHED_PAIR_TABLES = 16
+# An eigenfunction sampled on an export grid, per (basis function, s node):
+# the two factor tables of the basis and the harmonics' cosines and sines,
+# then a gather of the rows of one n; traced at 26-38 B.  Beside them come
+# the transverse rows, 16 B per (distinct n, u node), and the per-n
+# products and their sum, 24 B per grid point
+_SAMPLE_BYTES = 40
 # Largest transverse energy (n pi / 2a)^2 of a Galerkin solve: residual
 # fields of its size are squared, and a sweep's gaps, of its roundoff, are
 # divided by a^2, which past about 1e154 overflows
@@ -212,6 +216,11 @@ class GalerkinSolution:
             raise InputError(f"k must be in [1, {disc.m.size}], got {k}")
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        n_rows = np.count_nonzero(np.bincount(disc.n))
+        require_bytes(
+            _SAMPLE_BYTES * disc.m.size * s.size + 16 * n_rows * u.size + 24 * s.size * u.size,
+            f"the basis factor tables on the {s.size}x{u.size} grid at N={disc.m.size}",
+        )
         factors = _sample_factors(disc.m, disc.n, disc.params, s, u)
         coeffs = self.coefficients[:, k - 1]
         return sum(
@@ -395,32 +404,28 @@ def _transverse_diag(n, a) -> np.ndarray:
     return _pow2(n * np.pi / 2.0) / _pow2(a)[:, None]
 
 
-@functools.lru_cache(maxsize=_CACHED_PAIR_TABLES)
 def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs q = (n, n') of ``n_count`` transverse rows with n <= n', as
-    ``np.triu_indices``, and the table of q at (n, n') and (n', n).  Made
-    once per ``n_count`` and shared read-only."""
+    ``np.triu_indices``, and the table of q at (n, n') and (n', n)."""
     low, high = np.triu_indices(n_count)
     pair = np.empty((n_count, n_count), dtype=np.intp)
     pair[low, high] = pair[high, low] = np.arange(low.size)
-    for table in (low, high, pair):
-        table.flags.writeable = False
     return low, high, pair
 
 
-def _kernel_spectra(transverse, weights, g, potential, out):
+def _kernel_spectra(transverse, low, high, weights, g, potential, out):
     """Cosine sums of the u-contracted kernels, per half-width and field.
 
     ``g`` and ``potential`` are stacks (points, m_s, m_u) of fa^2 and V on
     the nodes, ``transverse`` holds T_n on the u nodes per distinct
-    transverse index.  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / g
+    transverse index, and ``low``, ``high`` the rows of each pair
+    (``_pair_table``).  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / g
     and F = w V and each pair q = (n, n') of rows with n <= n', all formed
     by one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s)
     for p = 0..top, the real part of the kernels' one FFT zero-padded to
     2 m_s, read at p folded into [0, m_s] modulo 2 m_s, is written into
-    ``out`` (points, 2, top + 1, pairs), pairs numbered as ``_pair_table``.
+    ``out`` (points, 2, top + 1, pairs).
     """
-    low, high, _ = _pair_table(transverse.shape[0])
     products = transverse[low] * transverse[high]  # (pairs, m_u)
     fields = np.empty((g.shape[0], 2) + g.shape[1:])  # (points, 2, m_s, m_u)
     np.divide(weights, g, out=fields[:, 0])
@@ -528,7 +533,7 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     sizes = [m.size for m, _ in bases]
     cosine = [int(np.count_nonzero(m >= 0)) for m, _ in bases]
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
-    low, _, pair = _pair_table(n_values.size)
+    low, high, pair = _pair_table(n_values.size)
     spectra_bytes = 8 * len(configs) * 2 * (top + 1) * low.size  # the kernel-spectra array
     quadratures = _grouped(orders)
     for points in quadratures:
@@ -556,7 +561,8 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
         g, potential, slope = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)
         lo = row[points[0]]
-        _kernel_spectra(transverse, grid.weights_2d, g, potential, spectra[lo:lo + len(points)])
+        _kernel_spectra(transverse, low, high, grid.weights_2d, g, potential,
+                        spectra[lo:lo + len(points)])
         if dense:
             fa = np.sqrt(g[0])
             d_s_fa = _mirrored(slope, grid.s_nodes.size, -1.0)[0] / (2.0 * fa)

@@ -215,9 +215,8 @@ def char_values(q: float, max_order: int) -> list[MathieuChar]:
     for kind in ("ce", "se"):
         lowest = 0 if kind == "ce" else 1
         for parity in (0, 1):
-            orders = [
-                m for m in range(lowest, max_order + 1) if m % 2 == parity
-            ]
+            # a range, so an order past the truncation cap is refused unlisted
+            orders = range(lowest + (lowest + parity) % 2, max_order + 1, 2)
             if not orders:
                 continue
             count = _class_index(orders[-1], kind) + 1

@@ -83,6 +83,12 @@ MAX_ARRAY_BYTES = 1 << 29
 # chunk of thin or wide strips, one wide strip of the effective model);
 # boxes of a few hundred cells carry the table besides, under 0.1 MB
 _BOX_CELL_BYTES = 88
+# Peak bytes per row of the flat longitudinal table as ``_pow2`` squares
+# it, traced at 89 B on 2e4 to 2e6 rows (the effective table's Mathieu
+# solves are bounded by the solver's truncation cap, 131 MB traced at
+# 4,000 orders), and per (point + 1, mode) of the corners of the caps'
+# bounds, traced at 16-20 B
+_TABLE_ROW_BYTES, _BOUND_BYTES = 96, 24
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
 
@@ -300,18 +306,23 @@ def _modes(R: float, a, count: int, q):
     flags the sine rows (flat label -m, or eff_se); m >= 0.
 
     A mode is a cell (n, row) of the longitudinal table (``_table``) with
-    m + n odd, of value energy + e1 n^2, e1 = (pi / 2a)^2.  Each point
-    builds the cells under its cap e1 + budget; the budget starts at
-    min(7 e1, reach), reach = ((count + 16) / 2R)^2, and doubles until the
-    cells hold ``count + 8`` modes, so nothing below the returned values
-    is missed.  At reach the rows of n = 1 alone hold that many, so a
-    budget short of reach doubles to reach at most, and the table, sized
-    for the larger of reach and the budgets, depends on the count and q
-    alone.  A point's columns are the rows of energy up to its budget plus
-    two spacings of its cap, for the rounding of the cell values; at a
-    strip so thin that those spacings pass the table, the values that round
-    onto one double hold the rows the table reaches.  The boxes of each
-    doubling are charged together to ``require_bytes`` before they are built.
+    m + n odd, of value energy + e1 n^2, e1 = (pi / 2a)^2.  The table holds
+    every row of energy up to reach = ((count + 16) / 2R)^2 and a Weyl
+    margin.  Each point's cap comes from a bound on its count-th value: for
+    k >= 1 the rows [0, ceil(count / k)) hold k modes each with n <= 2k, at
+    or below the far corner energy + e1 (2k)^2, and the first ``count`` rows
+    of even order one each at n = 1, below their last energy + e1 (a table
+    missing rows only raises a corner).  The least corner, widened by twice
+    the merge tolerance and two spacings, holds the whole merged entry of
+    the count-th mode.  Where the bound is under e1 + reach the cap is
+    clipped there, so an entry whose values round onto one double, at a
+    thin strip, holds the rows the table reaches; past it, at large |q|,
+    a_m(q), b_m(q) <= m^2 + 2|q| keeps the cap inside the table's margin.
+    A point's box spans the rows of energy up to its cap less e1, plus two
+    spacings of the cap for the rounding of the cell values, and the n up
+    to where e1 n^2 passes the cap less the lowest energy (a_0(q) <= 0).
+    The table with the bounds, then all boxes, are charged to
+    ``require_bytes`` before they are built, each once.
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
@@ -320,46 +331,35 @@ def _modes(R: float, a, count: int, q):
     model = "flat" if q is None else "effective"
     weyl = 0.0 if q is None else 3.0 * abs(q)  # a_m(q), b_m(q) >= m^2 - 3|q|
     reach = kappa * (count + 16.0) ** 2
-    with np.errstate(over="ignore"):  # 7 e1 past the largest double leaves reach
-        budget = np.minimum(7.0 * e1, reach)
-    found = []  # (point, sine, m, n, value) of the cells kept at each doubling
-    pending = np.arange(e1.size)
-    built = None  # the orders of the table in hand
-    while pending.size:
-        # the orders that can reach the top energy, which carries a Weyl margin
-        # of its own; in floats, so an overflowing table is refused too
-        top = max(budget.max(), reach) + weyl * kappa
-        orders = np.ceil(np.sqrt(top / kappa + weyl)) + 1.0
-        if not orders / (2.0 * R) < 1e154:  # the table's energies, about (orders / 2R)^2
-            raise CapacityError(
-                f"the longitudinal energies of {count} {model} modes overflow on a "
-                f"circumference of {2.0 * np.pi * R:.3g}"
-            )
-        if orders != built:
-            sine, order, energy = _table(R, q, int(orders))
-            built = orders
-        cap = e1[pending] + budget
-        cols = np.searchsorted(energy, budget + 2.0 * np.spacing(cap), side="right")
-        with np.errstate(over="ignore"):
-            # a_0(q) < 0 lets n pass sqrt(cap / e1)
-            rows = np.floor(np.sqrt(np.maximum(cap, cap - energy[0]) / e1[pending])) + 1.0
-        needed = _BOX_CELL_BYTES * np.sum(rows * cols)
-        require_bytes(needed, f"the {model} modes below {cap.max():.3g}")
-        box, n, row = _cells(rows.astype(int), cols)
-        n += 1
-        with np.errstate(over="ignore"):  # a row past the cap may overflow; it stays out
-            value = energy[row] + e1[pending][box] * n * n
-        inside = (value <= cap[box]) & ((order[row] + n) % 2 == 1)  # m + n odd
-        short = np.bincount(box[inside], minlength=pending.size) < count + 8
-        kept = inside & ~short[box]
-        box, row = box[kept], row[kept]
-        found.append((pending[box], sine[row], order[row], n[kept], value[kept]))
-        pending, budget = pending[short], budget[short]
-        budget = np.where(budget < reach, np.minimum(2.0 * budget, reach), 2.0 * budget)
-    point, sine, order, n, value = map(np.concatenate, zip(*found))
+    # the orders up to reach and a Weyl margin, in floats: an overflow is refused
+    orders = np.ceil(np.sqrt((reach + weyl * kappa) / kappa + weyl)) + 1.0
+    if not orders / (2.0 * R) < 1e154:  # the table's energies, about (orders / 2R)^2
+        raise CapacityError(
+            f"the longitudinal energies of {count} {model} modes overflow on a "
+            f"circumference of {2.0 * np.pi * R:.3g}"
+        )
+    require_bytes(_TABLE_ROW_BYTES * (2.0 * orders + 1.0) + _BOUND_BYTES * (e1.size + 1.0) * count,
+                  f"the longitudinal table and bounds of {count} {model} modes")
+    sine, order, energy = _table(R, q, int(orders))
+    k = np.arange(1, count + 1)
+    with np.errstate(over="ignore"):  # an overflowing corner is never the least
+        corners = energy[(count - 1) // k] + e1[:, None] * (2 * k) * (2 * k)
+        even = np.flatnonzero(order % 2 == 0)  # rows with a mode at n = 1
+        bound = np.minimum(corners.min(axis=1), energy[even[count - 1]] + e1)
+        widened = bound + 2.0 * MERGE_RTOL * np.abs(bound) + 2.0 * np.spacing(bound)
+        cap = np.where(bound <= e1 + reach, np.minimum(widened, e1 + reach), widened)
+        cols = np.searchsorted(energy, cap - e1 + 2.0 * np.spacing(cap), side="right")
+        rows = np.floor(np.sqrt((cap - energy[0]) / e1)) + 1.0
+    require_bytes(_BOX_CELL_BYTES * np.sum(rows * cols), f"the {model} modes below {cap.max():.3g}")
+    point, n, row = _cells(rows.astype(int), cols)
+    n += 1
+    with np.errstate(over="ignore"):  # a row past the cap may overflow; it stays out
+        value = energy[row] + e1[point] * n * n
+    inside = (value <= cap[point]) & ((order[row] + n) % 2 == 1)  # m + n odd
+    point, n, row, value = (x[inside] for x in (point, n, row, value))
     # the labels' order breaks the last ties: fake -m before +m, eff_ce before eff_se
-    rank = np.lexsort((sine != (q is None), n, order, value, point))
-    point, sine, order, n, value = (x[rank] for x in (point, sine, order, n, value))
+    rank = np.lexsort((sine[row] != (q is None), n, order[row], value, point))
+    point, sine, order, n, value = (x[rank] for x in (point, sine[row], order[row], n, value))
     entry, keep = _merge_sorted(value, count, point)
     return point[keep], sine[keep], order[keep], n[keep], value[keep], entry[keep]
 

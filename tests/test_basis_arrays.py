@@ -90,21 +90,29 @@ def reference_entries(params, count, cap=None, orders=None):
         cap *= 2.0
 
 
+def effective_candidates(params, q, cap):
+    """Every effective mode of value at most ``cap``, one order and n at a
+    time, as (value, ((family, m, n),)) candidates."""
+    e1 = params.transverse_energy
+    kappa = 1.0 / (2.0 * params.R) ** 2
+    # a_m(q), b_m(q) >= m^2 - 3|q| bounds the orders that reach the cap
+    m_max = int(np.ceil(np.sqrt(max((cap - e1) / kappa + 3.0 * abs(q), 0.0)))) + 1
+    candidates = []
+    for ch in mathieu.char_values(q, m_max):
+        family = FAMILY_EFF_CE if ch.kind == "ce" else FAMILY_EFF_SE
+        n = 1 if ch.m % 2 == 0 else 2
+        while kappa * ch.value + e1 * n * n <= cap:
+            candidates.append((kappa * ch.value + e1 * n * n, ((family, ch.m, n),)))
+            n += 2
+    return candidates
+
+
 def reference_effective_entries(params, count, q):
     """Merged effective entries as sorted lists of (value, (family, m, n))."""
-    e1 = params.transverse_energy
     kappa = 1.0 / (2.0 * params.R) ** 2
     budget = kappa * (count + 16.0) ** 2 + 3.0 * abs(q) * kappa
     while True:
-        cap = e1 + budget
-        m_max = int(np.ceil(np.sqrt(budget / kappa + 3.0 * abs(q)))) + 1
-        candidates = []
-        for ch in mathieu.char_values(q, m_max):
-            family = FAMILY_EFF_CE if ch.kind == "ce" else FAMILY_EFF_SE
-            n = 1 if ch.m % 2 == 0 else 2
-            while kappa * ch.value + e1 * n * n <= cap:
-                candidates.append((kappa * ch.value + e1 * n * n, ((family, ch.m, n),)))
-                n += 2
+        candidates = effective_candidates(params, q, params.transverse_energy + budget)
         if len(candidates) >= count + 8:
             return reference_merge(candidates, count, effective_member)
         budget *= 2.0
@@ -222,6 +230,72 @@ def test_thin_strip_starts_from_a_box_sized_for_the_count(monkeypatch, a):
     assert_matches_reference(params, 20, True)
     # a cap just above e1, not 8 e1: one n, and about count + 16 harmonics
     assert largest and largest[0] < 1.001 * params.transverse_energy
+
+
+def cells_built(monkeypatch):
+    """The cell counts of each box that ``_modes`` lays out, call by call."""
+    built = []
+    layout = models._cells
+
+    def recorded(rows, cols):
+        built.append(int(np.sum(rows * cols)))
+        return layout(rows, cols)
+
+    monkeypatch.setattr(models, "_cells", recorded)
+    return built
+
+
+@pytest.mark.parametrize("R, a_values, count, q", [
+    (2.0, [1e-14, 1e-9, 1e-4], 5, None),  # thin
+    (2.0, [1e-14, 1e-9, 1e-4], 5, -0.25),
+    (13.2 / (2 * np.pi), [0.75], 83, None),  # the N = 82 basis
+    (13.2 / (2 * np.pi), [0.75], 2151, None),
+    (13.2 / (2 * np.pi), [0.75], 20, -0.25),
+    (1.0, [1e6], 5, None),  # wide
+    (1.0, [1e6], 5, -0.25),
+    (0.4, [0.4, 0.9, 1.5, 40.0], 60, 40.0),
+    # a README sweep chunk: its flat bases at N = 72 and its effective values
+    (18 / (2 * np.pi), np.geomspace(0.05, 0.5, 7), 73, None),
+    (18 / (2 * np.pi), np.geomspace(0.05, 0.5, 7), 20, -0.25),
+])
+def test_each_enumeration_builds_one_box(monkeypatch, R, a_values, count, q):
+    built = cells_built(monkeypatch)
+    point, *_ = _modes(R, a_values, count, q)
+    assert len(built) == 1
+    assert np.all(np.bincount(point, minlength=len(a_values)) >= count)
+
+
+def test_wide_effective_strip_builds_a_few_cells(monkeypatch):
+    # a box counted down from a_0(q) / (2R)^2 < 0 to a cap searched for
+    # count + 8 modes would hold 56,080 cells for these 5 values
+    built = cells_built(monkeypatch)
+    params = StripParams(a=1e6, R=1.0)
+    spectrum = effective_spectrum(params, 5)
+    assert len(built) == 1 and built[0] <= 20
+    cap = np.nextafter(spectrum.values().max(), np.inf)
+    assert_entries(spectrum, reference_merge(effective_candidates(params, -0.25, cap), 5,
+                                             effective_member),
+                   lambda md: (md.family, md.m, md.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    R=st.floats(0.05, 20.0),
+    log_ratio=st.floats(0.0, 8.0),
+    count=st.integers(1, 20),
+    q=st.sampled_from([-0.25, 0.1, -3.0, 40.0]),
+)
+def test_wide_effective_strips_equal_the_brute_force_enumeration(R, log_ratio, count, q):
+    # a >= R, up to where the box counted down from a_0(q) / (2R)^2 < 0 to a
+    # searched cap passed the capacity cap (from a = 1e6 R at q = 40): the
+    # cap comes from the bound, and every mode under the last value
+    # returned is found
+    params = StripParams(a=R * 10.0**log_ratio, R=R)
+    spectrum = effective_spectrum(params, count, q=q)
+    cap = np.nextafter(spectrum.values().max(), np.inf)
+    assert_entries(spectrum, reference_merge(effective_candidates(params, q, cap), count,
+                                             effective_member),
+                   lambda md: (md.family, md.m, md.n))
 
 
 def full_span(params, count):

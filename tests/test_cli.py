@@ -478,12 +478,21 @@ def test_malformed_source_date_epoch_is_refused_before_the_run(capsys, monkeypat
     assert err.startswith("error: SOURCE_DATE_EPOCH") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt, charges):
-    # the README export; the guard charges EXPORT_POINT_BYTES per grid point
-    argv = ["eigenfunction", "--k", "1", "--a", "1.3", "--R", "2.8647889756541165",
-            "--N", "96", "--grid", "192x65", "--embed3d", "--format", fmt,
-            "--output", str(tmp_path / f"density.{fmt}")]
+@pytest.mark.parametrize("fmt, strip, basis, grid", [
+    pytest.param(fmt, *export, id=name + fmt)
+    for name, export in (
+        # the README export, where the guard charges EXPORT_POINT_BYTES per point
+        ("", (["--a", "1.3", "--R", "2.8647889756541165"], "96", (192, 65))),
+        # a long thin grid, where the basis factor tables outweigh the rows
+        ("20000x2-", (["--a", "0.75", "--circumference", "13.2"], "300", (20000, 2))),
+    )
+    for fmt in ("csv", "json")
+])
+def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt, charges, strip, basis,
+                                                         grid):
+    grid_s, grid_u = grid
+    argv = ["eigenfunction", "--k", "1", *strip, "--N", basis, "--grid", f"{grid_s}x{grid_u}",
+            "--embed3d", "--format", fmt, "--output", str(tmp_path / f"density.{fmt}")]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -491,8 +500,8 @@ def test_export_peak_memory_is_within_the_capacity_bound(tmp_path, fmt, charges)
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert charges[0] == (EXPORT_POINT_BYTES * 192 * 65, "the 192x65 export rows")
-    assert peak / (192 * 65) <= EXPORT_POINT_BYTES
+    assert charges[0] == (EXPORT_POINT_BYTES * grid_s * grid_u, f"the {grid_s}x{grid_u} export rows")
+    assert peak <= max(needed for needed, _ in charges)
 
 
 def test_a_refused_chunk_names_its_points_and_the_run_sizes(capsys, monkeypatch, charges):
@@ -565,6 +574,19 @@ def test_mathieu_huge_q_is_refused_before_any_solve(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith("error: Mathieu values at |q|=") and err.count("\n") == 1
+
+
+def test_mathieu_orders_past_the_truncation_cap_are_refused_unlisted(capsys):
+    # every order up to 1e7, listed, took seconds and 195 MiB before the refusal
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["mathieu", "--max-order", "10000000"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 5000001 Mathieu values of class (ce, parity 0) need a ")
+    assert peak < 10 * 2**20
 
 
 def test_mathieu_overflowing_q_is_a_numerical_failure(capsys, monkeypatch):
@@ -799,7 +821,7 @@ def test_galerkin_runs_on_strips_too_thin_to_square_are_refused(capsys, command)
 
 
 def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, monkeypatch):
-    # (1 / 2R)^2 is finite at 2 pi R = 1e-153, but the budget of count 5,
+    # (1 / 2R)^2 is finite at 2 pi R = 1e-153, but the reach of count 5,
     # (1 / 2R)^2 (5 + 16)^2, is not
     def not_reached(*args, **kwargs):
         raise AssertionError("an effective box was built")
@@ -816,9 +838,23 @@ def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, mo
     )
 
 
+def test_longitudinal_table_past_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a longitudinal table was built")
+
+    monkeypatch.setattr(models, "_table", not_reached)
+    argv = ["spectrum", "--model", "fake", "--a", "0.75", "--circumference", "13.2",
+            "--count", "100000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the longitudinal table and bounds of 100000000 flat modes need ")
+    assert err.count("\n") == 1
+
+
 def test_effective_box_past_the_integers_is_refused(capsys):
-    # at 2 pi R = 1e-150 the effective box has about 3e151 rows, past any
-    # integer cast; it is reckoned in floats and refused
+    # at 2 pi R = 1e-150 the effective box has about 1e145 rows, past any
+    # integer cast (e1 = 4.4 is lost beside a_0(q) / (2R)^2 = -3e299, so
+    # the values cannot be told apart); it is reckoned in floats and refused
     argv = ["spectrum", "--model", "effective", "--a", "0.75", "--circumference", "1e-150",
             "--count", "5"]
     with warnings.catch_warnings(record=True) as caught:
