@@ -30,7 +30,7 @@ _EXPORTS = {
         ("errors", "CapacityError InputError MoebiusError NumericalError"),
         ("galerkin", "GalerkinConfig GalerkinSolution assemble basis_modes "
                      "effective_in_basis residual_norm solve"),
-        ("geometry", "StripParams SurfacePoint curvatures embed jacobian_f "
+        ("geometry", "StripParams curvatures embed jacobian_f "
                      "jacobian_f_derivatives potential_va potential_veff"),
         ("linalg", "EigenDecomposition SymmetricMatrix eig_dense_symmetric "
                    "eig_tridiagonal"),

@@ -127,17 +127,17 @@ _FIELD_BYTES = 48
 # complex FFT with a copy of its real part; traced at 48-53 B
 _KERNEL_BYTES = 56
 # A sector stack being gathered, per entry beyond its block (8 B, as every
-# block): its indices and the kernels read at them; traced at 40-41 B
-_GATHER_BYTES = 48
+# block): its two index arrays and the kinetic part; traced at 23-28 B
+_GATHER_BYTES = 28
 # A single configuration's N x N matrices: traced at 16 B in solve (matrix
 # and eigenvectors, then eigenvectors and coefficients), 24 B in assemble
 _MATRIX_BYTES = 32
 # An eigenfunction sampled on an export grid, per (basis function, s node):
-# the two factor tables of the basis and the harmonics' cosines and sines,
-# then a gather of the rows of one n; traced at 26-38 B.  Beside them come
-# the transverse rows, 16 B per (distinct n, u node), and the per-n
-# products and their sum, 24 B per grid point
-_SAMPLE_BYTES = 40
+# the longitudinal factor table of the basis and the harmonics' cosines
+# and sines, then a gather of the rows of one n; traced at 16-28 B.  Beside
+# them come the transverse rows, 16 B per (distinct n, u node), and the
+# per-n products and their sum, 24 B per grid point
+_SAMPLE_BYTES = 32
 # Largest transverse energy (n pi / 2a)^2 of a Galerkin solve: residual
 # fields of its size are squared, and a sweep's gaps, of its roundoff, are
 # divided by a^2, which past about 1e154 overflows
@@ -274,7 +274,7 @@ class _Factors:
     """Flat basis Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) in factor form on s x u."""
 
     longitudinal: np.ndarray  # (N, |s|) L_{m_j}(s)
-    slope: np.ndarray         # (N, |s|) d/ds L_{m_j}(s)
+    slope: np.ndarray | None  # (N, |s|) d/ds L_{m_j}(s), for the residuals only
     transverse: np.ndarray    # (distinct n, |u|) T_n(u), n ascending
     n_of: np.ndarray          # (N,) row of ``transverse`` holding T_{n_j}
 
@@ -287,8 +287,9 @@ class _Factors:
         return [(int(n), np.flatnonzero(n_rows == n)) for n in present]
 
 
-def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
-    """Factor tables of the flat basis with labels (m, n).
+def _sample_factors(m, n, params: StripParams, s, u, with_slope: bool = False) -> _Factors:
+    """Factor tables of the flat basis with labels (m, n), the slope table
+    only ``with_slope``.
 
     One cosine and one sine of the phase (|m| / 2R) s per distinct
     harmonic, scattered to the rows, and one transverse row per distinct
@@ -302,14 +303,16 @@ def _sample_factors(m, n, params: StripParams, s, u) -> _Factors:
     cos, sin = np.cos(phase), np.sin(phase)
     amp = 1.0 / np.sqrt(np.pi * R)
     longitudinal = np.empty((m.size, s.size))
-    slope = np.empty_like(longitudinal)
     up, down, constant = m > 0, m < 0, m == 0
     longitudinal[up] = (amp * cos)[h_of[up]]
-    slope[up] = ((-amp * rate)[:, None] * sin)[h_of[up]]
     longitudinal[down] = (amp * sin)[h_of[down]]
-    slope[down] = ((amp * rate)[:, None] * cos)[h_of[down]]
     longitudinal[constant] = 1.0 / np.sqrt(2.0 * np.pi * R)
-    slope[constant] = 0.0
+    slope = None
+    if with_slope:
+        slope = np.empty_like(longitudinal)
+        slope[up] = ((-amp * rate)[:, None] * sin)[h_of[up]]
+        slope[down] = ((amp * rate)[:, None] * cos)[h_of[down]]
+        slope[constant] = 0.0
     n_values, n_of = np.unique(n, return_inverse=True)
     transverse = _transverse_rows(n_values, u)
     return _Factors(longitudinal=longitudinal, slope=slope, transverse=transverse, n_of=n_of)
@@ -337,7 +340,8 @@ class _Discretisation:
     @functools.cached_property
     def factors(self) -> _Factors:
         """Factor tables of the basis on the quadrature nodes."""
-        return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes)
+        return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes,
+                               with_slope=True)
 
     @functools.cached_property
     def transverse_diag(self) -> np.ndarray:  # (N,) (n pi / 2)^2 / a^2
@@ -469,13 +473,19 @@ def _sector_blocks(spectra, pair, points, m, n_of, sectors, transverse_diag, rad
         plus, minus = (np.add, np.subtract) if m[0, rows[0, 0]] >= 0 else (np.subtract, np.add)
         h, t, amp_r, rate_r = (column[point, rows] for column in (harmonic, n_of, amp, rate))
         h = h * n_pairs
+        # the indices at the difference and sum frequencies, then the kernels
+        # read at them in place: four arrays the size of the stack at most
         base = pair[t[:, :, None], t[:, None, :]] + start
         diff = np.abs(h[:, :, None] - h[:, None, :]) + base
         base += h[:, :, None] + h[:, None, :]  # the sum frequency
-        kinetic = minus(slope.take(diff), slope.take(base))
+        block, kinetic = value.take(diff), slope.take(diff)
+        read = diff.view(float)  # the difference indices are spent; reuse their bytes
+        minus(kinetic, slope.take(base, out=read, mode="clip"), out=kinetic)  # "clip": unbuffered
+        plus(block, value.take(base, out=read, mode="clip"), out=block)
+        del base, diff, read
         kinetic *= rate_r[:, :, None] * rate_r[:, None, :]
-        block = plus(value.take(diff), value.take(base))
         block += kinetic
+        del kinetic  # before the next sector's gather
         block *= 0.5 * (amp_r[:, :, None] * amp_r[:, None, :])
         block.reshape(len(points), -1)[:, ::rows.shape[1] + 1] += transverse_diag[point, t]
         stacks.append(block)
@@ -725,58 +735,65 @@ def effective_in_basis(
 def _expansions(params, bases, count: int, q: float = DEFAULT_Q) -> list[EffectiveExpansion]:
     """``effective_in_basis`` at each of ``params``, strips of one radius:
     the first ``count`` effective eigenfunctions of point i expanded over
-    its basis ``bases[i]`` = (m, n), their modes from one
-    ``_modes`` call over the half-widths.  Points are expanded in
-    order, so a ``CapacityError`` names the first failing mode of the first
-    failing point.
+    its basis ``bases[i]`` = (m, n), their modes from one ``_modes`` call
+    over the half-widths.  Each distinct mode's harmonics and weights are
+    read once, and placed once per distinct basis for all its points.  A
+    ``CapacityError`` names the first failing mode of the first failing
+    point.
     """
-    point, *columns, _ = _modes(params[0].R, [p.a for p in params], count, q)
-    starts = np.searchsorted(point, np.arange(len(params))).tolist()
-    expansions = []
-    for (m, n), start in zip(bases, starts):
-        sine, order, n_eff, value = (column[start:start + count] for column in columns)
+    point, sine, order, n_eff, value, _ = _modes(params[0].R, [p.a for p in params], count, q)
+    pick = np.searchsorted(point, np.arange(len(params)))[:, None] + np.arange(count)
+    sine, order, n_eff, value = (column[pick] for column in (sine, order, n_eff, value))
+    # the distinct modes, keyed 2 m + sine; np.unique would import numpy.ma (numpy 2)
+    keys = 2 * order + sine
+    distinct = np.flatnonzero(np.bincount(keys.ravel()))
+    chars = [mathieu.fourier_coefficients("se" if key % 2 else "ce", key // 2, q)
+             for key in distinct.tolist()]
+    # a row of signed harmonics (negative for se) and weights per distinct
+    # mode, padded past its last coefficient by weight 0 at a harmonic
+    # outside every basis
+    sizes = np.array([char.fourier.size for char in chars])
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    harmonics = np.full(filled.shape, np.iinfo(np.intp).max)
+    weights = np.zeros(filled.shape)
+    harmonics[filled] = np.concatenate([char.harmonics for char in chars])
+    weights[filled] = np.concatenate([char.fourier for char in chars])
+    # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
+    weights[harmonics == 0] *= np.sqrt(2.0)
+    harmonics[distinct % 2 == 1] *= -1
+    mode_of = np.searchsorted(distinct, keys)
+    coeffs, truncations = [None] * len(params), np.empty(keys.shape)
+    for points in _grouped((m.tobytes(), n.tobytes()) for m, n in bases):
+        m, n = bases[points[0]]
         # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
         top = int(np.abs(m).max())
         position = np.full((2 * top + 1, int(n.max()) + 1), -1)
         position[m + top, n] = np.arange(m.size)
-        chars = [
-            mathieu.fourier_coefficients("se" if is_sine else "ce", mode_m, q)
-            for is_sine, mode_m in zip(sine.tolist(), order.tolist())
-        ]
-        # every mode's coefficients in one row: mode i, column j within the mode
-        sizes = np.array([char.fourier.size for char in chars])
-        mode = np.repeat(np.arange(count), sizes)
-        column = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        harmonics = np.concatenate([char.harmonics for char in chars]).astype(int)
-        weights = np.concatenate([char.fourier for char in chars])
-        # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
-        weights[harmonics == 0] *= np.sqrt(2.0)
-        signed = np.where(sine[mode], -harmonics, harmonics)
-        mode_n = n_eff[mode]
-        rows = np.full(signed.size, -1)
-        inside = (np.abs(signed) <= top) & (mode_n < position.shape[1])
-        rows[inside] = position[signed[inside] + top, mode_n[inside]]
-        found = rows >= 0
-        coeffs = np.zeros((m.size, count))
-        coeffs[rows[found], mode[found]] = weights[found]
+        # (point, mode, harmonic) cells of the group's points
+        h = harmonics[mode_of[points]]
+        cell_n = np.broadcast_to(n_eff[points][:, :, None], h.shape)
+        rows = np.full(h.shape, -1)
+        inside = (np.abs(h) <= top) & (cell_n < position.shape[1])
+        rows[inside] = position[h[inside] + top, cell_n[inside]]
+        placed = np.where(rows >= 0, weights[mode_of[points]], 0.0)
         # accumulated in harmonic order, one square at a time; the zeros
         # padding each mode's row leave its partial sums unchanged
-        squares = np.zeros((count, int(sizes.max())))
-        squares[mode[found], column[found]] = weights[found] ** 2
-        leaked = 1.0 - np.cumsum(squares, axis=1)[:, -1]
+        leaked = 1.0 - np.cumsum(placed**2, axis=2)[:, :, -1]
         # below summation roundoff the deficit carries no information
-        truncations = np.where(leaked > 1e-14, leaked, 0.0)
-        failed = np.flatnonzero(truncations > 1e-6)
-        if failed.size:
-            i = failed[0]
-            family = FAMILY_EFF_SE if sine[i] else FAMILY_EFF_CE
-            raise CapacityError(
-                f"basis of size {m.size} captures only "
-                f"{1.0 - truncations[i]:.9f} of effective mode "
-                f"({family}, m={order[i]}, n={n_eff[i]})"
-            )
-        expansions.append(
-            EffectiveExpansion(values=value, coefficients=coeffs, truncations=truncations,
-                               sine=sine)
+        truncations[points] = np.where(leaked > 1e-14, leaked, 0.0)
+        for g, i in enumerate(points):
+            found = rows[g] >= 0
+            coeffs[i] = np.zeros((m.size, count))
+            coeffs[i][rows[g][found], np.nonzero(found)[0]] = placed[g][found]
+    failed = np.argwhere(truncations > 1e-6)  # point by point, modes in order
+    if failed.size:
+        p, i = failed[0]
+        family = FAMILY_EFF_SE if sine[p, i] else FAMILY_EFF_CE
+        raise CapacityError(
+            f"basis of size {bases[p][0].size} captures only "
+            f"{1.0 - truncations[p, i]:.9f} of effective mode "
+            f"({family}, m={order[p, i]}, n={n_eff[p, i]})"
         )
-    return expansions
+    return [EffectiveExpansion(values=value[i], coefficients=coeffs[i],
+                               truncations=truncations[i], sine=sine[i])
+            for i in range(len(params))]

@@ -47,7 +47,6 @@ from .errors import InputError
 
 __all__ = [
     "StripParams",
-    "SurfacePoint",
     "embed",
     "jacobian_f",
     "jacobian_f_derivatives",
@@ -104,17 +103,6 @@ class StripParams:
     def transverse_energy(self) -> float:
         """Lowest transverse Dirichlet energy (pi / 2a)^2."""
         return (np.pi / (2.0 * self.a)) ** 2
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A coordinate pair on the strip, s in [0, 2 pi R), |t| < a."""
-
-    s: float
-    t: float
-
-    def in_domain(self, params: StripParams) -> bool:
-        return 0.0 <= self.s < params.circumference and abs(self.t) < params.a
 
 
 def embed(params: StripParams, s, t):

@@ -20,20 +20,21 @@ coefficients normalised so that
 
     integral_{-pi}^{pi} |ce_m|^2 = integral_{-pi}^{pi} |se_m|^2 = pi.
 
-Truncation starts at max(64, count + 16) rows and doubles until every
-requested value is stable to 1e-13.  No recurrence above 4096 rows is built
-(each is solved dense, 128 MiB at that order): a count that leaves no room
-for one doubling below the cap, or a |q| past what the cap resolves
-(``_unresolvable``), raises ``CapacityError`` before anything is
-allocated, and failure to stabilise at the cap raises ``NumericalError``,
-as does, also before anything is allocated, a finite |q| whose recurrences
-reach the largest double (``_OVERFLOW_Q``, about 7.4e307).
+Each class is solved once, at a truncation computed from q and the count
+(``_truncation``): at least 64 rows, growing with the count and with
+|q|^(1/4), the width in rows of the lowest eigenvectors at large |q|, so
+that doubling it moves no requested value by more than 1e-13.  No
+recurrence above 4096 rows is built (each is solved dense, 128 MiB at that
+order): a (q, count) whose truncation is past that cap raises
+``CapacityError`` before anything is allocated, a finite |q| whose
+recurrences reach the largest double (``_OVERFLOW_Q``, about 7.4e307)
+raises ``NumericalError``, and a non-finite q ``InputError``.
 The sign convention fixes the first non-vanishing Fourier coefficient
 positive.  The eigenvalues of each recurrence are solved once, kept per
-(kind, parity, q, rows), and every count reads their leading slice; the
-eigenpairs of the last four classes at their accepted size are kept too,
-for their vectors alone: every value, with or without its expansion, is
-read from the eigenvalue solve.
+(kind, parity, q, rows), and every count at those rows reads their leading
+slice; the eigenpairs of the last four classes are kept too, for their
+vectors alone: every value, with or without its expansion, is read from
+the eigenvalue solve.
 Results are cached per (kind, order, q) and immutable (their arrays are
 read-only), so concurrent use is safe.
 """
@@ -52,26 +53,26 @@ __all__ = ["MathieuChar", "char_values", "char_value", "fourier_coefficients", "
 
 _BASE_TRUNCATION = 64
 _MAX_TRUNCATION = 4096
+# tolerance, relative to max(1, |value|), within which doubling a
+# truncation moves no value
 _STABILITY_TOL = 1e-13
 _COEFF_CUTOFF = 1e-16
 # decompositions kept by _class_decomposition's cache: the four classes of
 # one q, at most 4 x 128 MiB at the truncation cap
 _CACHED_DECOMPOSITIONS = 4
-# The coefficients of the lowest class values decay like exp(-k^2 / sqrt|q|)
-# in the row k, once the diagonal (2k)^2 outgrows the off-diagonal q, so a
-# recurrence of n rows resolves |q| up to about c n^4.  Bisected for the
-# lowest value of each class under a cap of n rows, largest over the
-# classes: c = 4.0e-4 at n = 256 and 5.0e-4 at 1024.  At 4096 rows ce1 and
-# se2 fail from 1.8e11; for ce0 and se1 (ce1 at q < 0) the change from
-# 2048 to 4096 rows crosses the stability tolerance near |q| = 1.907e11
-# and grows about 9 % per 1 % of |q|, but roundoff moves it by up to 6 %,
-# so se1 still resolved at 1.913e11.  A |q| above the line at c = 6.9e-4,
-# 1.94e11, where the change is 17 % past the tolerance, is refused.
-_RESOLVED_Q_PER_ROW4 = 6.9e-4
+# The lowest values of a class at large |q| lie in the wells of
+# -2 q cos 2 eta, where the recurrence is a discrete harmonic oscillator in
+# the row: the count-th level turns near row |q|^(1/4) sqrt(2 count), and
+# its coefficients then decay within a few |q|^(1/4) rows.  Bisected per
+# class, q and count for the least constant at which doubling the
+# truncation moves no value past the stability tolerance (|q| from 1e2 to
+# 3e12, counts 1 to 1000, largest over the classes): at most 2.1, and 2.5
+# where a value near 0, resolved only to about 1e-16 |q|, needs the two
+# solves to agree bit for bit.  4.73 keeps the line of the lowest values
+# at |q| = 1.94e11, where the search by doubling refused.
+_WELL_TAIL = 4.73
 # From this |q| on, Gershgorin's bound on a recurrence's eigenvalues,
-# (1 + sqrt 2)|q| plus a diagonal far below it, passes the largest double:
-# the values either overflow or sit near -2|q| and move by about
-# |q| / rows^2 under doubling, so no truncation stabilises.
+# (1 + sqrt 2)|q| plus a diagonal far below it, passes the largest double.
 _OVERFLOW_Q = float(np.finfo(float).max / (1.0 + np.sqrt(2.0)))
 
 
@@ -123,39 +124,38 @@ def _recurrence(kind: str, parity: int, q: float, size: int):
     return diag, off
 
 
+def _truncation(q: float, count: int) -> int:
+    """Rows of the recurrences that resolve the first ``count`` values of
+    every class at a finite ``q``: ``count`` + 16 past the free levels
+    (2k)^2, plus the rows that the count-th level of the wells of
+    -2 q cos 2 eta spans, |q|^(1/4) (sqrt(2 count) + ``_WELL_TAIL``); at
+    least 64."""
+    count = min(count, _MAX_TRUNCATION)  # a larger count is past the cap alike
+    well = abs(q) ** 0.25 * (np.sqrt(2.0 * count) + _WELL_TAIL)
+    return max(_BASE_TRUNCATION, count + 16 + int(np.ceil(well)))
+
+
 @lru_cache(maxsize=None)
 def _stable_class_values(kind: str, parity: int, q: float, count: int):
-    """First ``count`` class eigenvalues at a truncation stable under doubling.
+    """First ``count`` class eigenvalues, solved at ``_truncation`` rows.
 
-    Returns (values, size) where ``size`` is the accepted truncation.
+    Returns (values, size) where ``size`` is that truncation.
     """
-    size = max(_BASE_TRUNCATION, count + 16)
-    if 2 * size > _MAX_TRUNCATION:
-        raise CapacityError(
-            f"{count} Mathieu values of class ({kind}, parity {parity}) need a "
-            f"recurrence above the truncation cap {_MAX_TRUNCATION}"
-        )
-    if _OVERFLOW_Q <= abs(q) < np.inf:
+    if not np.isfinite(q):
+        raise InputError(f"non-finite Mathieu parameter q={q}")
+    if _OVERFLOW_Q <= abs(q):
         raise NumericalError(
             f"non-finite eigenvalues: Mathieu recurrences at |q|={abs(q):.3g} reach "
-            f"the largest double (from |q|={_OVERFLOW_Q:.3g}) and never stabilise"
+            f"the largest double (from |q|={_OVERFLOW_Q:.3g})"
         )
-    if _unresolvable(q):
-        raise CapacityError(
-            f"Mathieu values at |q|={abs(q):.3g} need a recurrence above the "
-            f"truncation cap {_MAX_TRUNCATION} (|q| above {_refused_q():.2g} is refused)"
-        )
-    prev = _class_values(kind, parity, q, size)[:count]
-    while 2 * size <= _MAX_TRUNCATION:
-        size *= 2
-        cur = _class_values(kind, parity, q, size)[:count]
-        if np.all(np.abs(cur - prev) <= _STABILITY_TOL * np.maximum(1.0, np.abs(cur))):
-            return cur, size
-        prev = cur
-    raise NumericalError(
-        f"Mathieu class ({kind}, parity {parity}) at q={q} did not stabilise "
-        f"up to truncation {_MAX_TRUNCATION}"
-    )
+    size = _truncation(q, count)
+    if size > _MAX_TRUNCATION:
+        cap = f"need a recurrence above the truncation cap {_MAX_TRUNCATION}"
+        if _truncation(q, 1) > _MAX_TRUNCATION:  # no value of this q fits
+            raise CapacityError(f"Mathieu values at |q|={abs(q):.3g} {cap}")
+        raise CapacityError(f"{count} Mathieu values of class ({kind}, parity {parity}) {cap} "
+                            f"at |q|={abs(q):.3g}")
+    return _class_values(kind, parity, q, size)[:count], size
 
 
 @lru_cache(maxsize=None)
@@ -175,17 +175,6 @@ def _class_decomposition(kind: str, parity: int, q: float, size: int):
     decomp.eigenvalues.flags.writeable = False
     decomp.eigenvectors.flags.writeable = False
     return decomp
-
-
-def _unresolvable(q: float) -> bool:
-    """Whether |q| is past every truncation under the cap but below the
-    overflow band from ``_OVERFLOW_Q``, which is a numerical failure."""
-    return _refused_q() < abs(q) < _OVERFLOW_Q
-
-
-def _refused_q() -> float:
-    """The largest |q| the truncation cap resolves."""
-    return _RESOLVED_Q_PER_ROW4 * float(_MAX_TRUNCATION) ** 4
 
 
 def _class_index(m: int, kind: str) -> int:

@@ -159,10 +159,6 @@ class Spectrum:
         flat = [v for e in self.entries for v in e.mode_values]
         return np.array(flat if count is None else flat[:count])
 
-    def modes_flat(self, count: int | None = None) -> list[ModeIndex]:
-        flat = [m for e in self.entries for m in e.modes]
-        return flat if count is None else flat[:count]
-
     def flattened(self, count: int | None = None):
         """(exact value, mode, entry multiplicity) triples with multiplicity."""
         flat = [
@@ -326,6 +322,7 @@ def _modes(R: float, a, count: int, q):
     """
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
+    R = float(R)  # a numpy scalar would warn where the float overflows to inf
     e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
     kappa = 1.0 / (2.0 * R) ** 2
     model = "flat" if q is None else "effective"

@@ -180,10 +180,9 @@ def check_mathieu_interlacing() -> CheckResult:
     for m in range(2, 11):
         pair = [("se", m), ("ce", m)] if m % 2 == 0 else [("ce", m), ("se", m)]
         chain.extend(chars[key] for key in pair)
-    # ties below the solver's 1e-13 stability scale are unresolvable
-    ok = all(
-        x <= y + 1e-13 * max(1.0, abs(x)) for x, y in zip(chain, chain[1:])
-    )
+    # ties below the solver's stability scale are unresolvable
+    tol = mathieu._STABILITY_TOL
+    ok = all(x <= y + tol * max(1.0, abs(x)) for x, y in zip(chain, chain[1:]))
     return CheckResult(
         "mathieu",
         "interlacing-chain",

@@ -18,6 +18,8 @@ import pytest
 
 from moebius import cli, convergence, linalg, mathieu, models
 from moebius.cli import EXPORT_POINT_BYTES, main
+from moebius.errors import CapacityError
+from moebius.geometry import StripParams
 
 TABLE_R = repr(13.2 / (2 * np.pi))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -836,6 +838,11 @@ def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, mo
         "error: the longitudinal energies of 5 effective modes overflow on a "
         "circumference of 1e-153\n"
     )
+    # a numpy-scalar radius is refused alike, with no RuntimeWarning
+    for R in (1e-153, np.float64(1e-153)):
+        for spectrum in (models.fake_spectrum, models.effective_spectrum):
+            with pytest.raises(CapacityError, match="overflow on a circumference of 6.28e-153"):
+                spectrum(StripParams(a=0.75, R=R), 20)
 
 
 def test_longitudinal_table_past_the_cap_is_refused_before_it_is_built(capsys, monkeypatch):

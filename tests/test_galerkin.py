@@ -501,7 +501,7 @@ def test_default_quadrature_matches_an_over_resolved_one(params, n_basis):
 
 
 def test_assembly_samples_no_factor_tables(monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("factor tables sampled")
 
     sample = galerkin._sample_factors
@@ -513,9 +513,9 @@ def test_assembly_samples_no_factor_tables(monkeypatch):
         solution.residual_norms
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return sample(*args)
+        return sample(*args, **kwargs)
 
     monkeypatch.setattr(galerkin, "_sample_factors", counted)
     solution = solve(config)

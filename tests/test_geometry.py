@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from moebius.errors import InputError
 from moebius.geometry import (
     StripParams,
-    SurfacePoint,
     curvatures,
     embed,
     f_squared_bounds,
@@ -45,14 +44,6 @@ def test_strips_whose_energy_scale_underflows_are_refused():
         StripParams(a=1.06e154, R=1.0)
     with pytest.raises(InputError, match="radius R is too large"):
         StripParams(a=0.5, R=3.4e153)
-
-
-def test_surface_point_domain():
-    p = StripParams(a=0.5, R=2.0)
-    assert SurfacePoint(s=1.0, t=0.2).in_domain(p)
-    assert not SurfacePoint(s=-0.1, t=0.0).in_domain(p)
-    assert not SurfacePoint(s=1.0, t=0.5).in_domain(p)
-    assert not SurfacePoint(s=p.circumference, t=0.0).in_domain(p)
 
 
 def test_embed_centre_circle():

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moebius import mathieu
 from moebius.errors import CapacityError, InputError, NumericalError
@@ -201,40 +204,110 @@ def test_count_beyond_truncation_cap_is_refused_before_building(recurrence_sizes
 
 def test_truncation_never_exceeds_the_cap(monkeypatch, recurrence_sizes):
     monkeypatch.setattr(mathieu, "_MAX_TRUNCATION", 256)
-    # count 112 starts at 128 rows and has room for exactly one doubling
-    assert char_value("ce", 2 * 111, Q) == pytest.approx(222.0**2, rel=1e-9)
-    assert max(recurrence_sizes) == 256
-    with pytest.raises(CapacityError):
-        char_value("ce", 2 * 112, Q)  # count 113 would need 258 rows
-    # a q past the 256-row line (c = 4.0e-4) but under its refusal, which
-    # scales the 4096-row c, never stabilises: stop at the cap with a
-    # numerical failure
-    recurrence_sizes.clear()
-    assert 2.5e6 < mathieu._refused_q()
-    with pytest.raises(NumericalError, match="did not stabilise"):
-        char_values(2.5e6, 2)
-    assert recurrence_sizes and max(recurrence_sizes) <= 256
-    # a huge q is refused before any recurrence is built
-    recurrence_sizes.clear()
-    with pytest.raises(CapacityError, match="truncation cap 256"):
-        char_values(1e200, 2)
+    # the most values of a class that fit the cap are solved once, at their
+    # computed truncation; one more is refused before any recurrence is built
+    count = max(c for c in range(1, 256) if mathieu._truncation(Q, c) <= 256)
+    m = 2 * (count - 1)  # the ce order of the count-th value of its class
+    assert char_value("ce", m, Q) == pytest.approx(float(m) ** 2, rel=1e-9)
+    assert recurrence_sizes == [mathieu._truncation(Q, count)]
+    with pytest.raises(CapacityError, match=rf"^{count + 1} Mathieu values of class \(ce, parity 0\) "
+                       r"need a recurrence above the truncation cap 256 at \|q\|=0.25$"):
+        char_value("ce", m + 2, Q)
+    # a q whose lowest values need more rows than the cap is refused
+    # before any recurrence is built, of either sign
+    line = largest_admitted_q(1)
+    assert mathieu._truncation(line, 1) <= 256 < mathieu._truncation(2.0 * line, 1)
+    for q in (2.0 * line, -2.0 * line, 1e200):
+        with pytest.raises(CapacityError, match=r"^Mathieu values at \|q\|=.* truncation cap 256$"):
+            char_values(q, 2)
+    assert recurrence_sizes == [mathieu._truncation(Q, count)]
+
+
+def largest_admitted_q(count):
+    """The largest |q| (to roundoff) at which ``count`` values of a class
+    fit the truncation cap; the truncation depends on |q|^(1/4) alone."""
+    lo, hi = 0.0, 2.0**256  # fourth roots
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mathieu._truncation(mid**4, count) <= mathieu._MAX_TRUNCATION else (lo, mid)
+    return lo**4 * (1.0 - 1e-12)
+
+
+def test_unresolvable_q_is_the_measured_line(recurrence_sizes):
+    # the lowest value of a class is admitted up to the line where its
+    # truncation reaches the cap, 1.9424e11, as the search by doubling was
+    line = largest_admitted_q(1)
+    assert 1.94e11 < line < 1.95e11
+    for q in (0.0, Q, 1e8, line, -line):
+        assert mathieu._truncation(q, 1) <= mathieu._MAX_TRUNCATION
+    for q in (1.0001 * line, -1.0001 * line, 1e12, -1e12, 1e200, -1e200):
+        with pytest.raises(CapacityError, match=r"^Mathieu values at \|q\|="):
+            char_values(q, 2)
+    # non-finite q is invalid input, and past Gershgorin's float range the
+    # recurrences would overflow: a numerical failure
+    for q in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError, match="non-finite Mathieu parameter"):
+            char_values(q, 2)
+    for q in (1e308, -1e308, np.finfo(float).max):
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
+            char_values(q, 2)
     assert recurrence_sizes == []
 
 
-def test_unresolvable_q_is_the_measured_line():
-    line = mathieu._RESOLVED_Q_PER_ROW4 * mathieu._MAX_TRUNCATION**4
-    assert mathieu._refused_q() == pytest.approx(line)
-    # se1 still resolved at 1.913e11; no class did from 1.94e11
-    assert 1.94e11 < line < 1.95e11
-    for q in (0.0, Q, 1e8, 1.913e11, -1.913e11, line, -line, float("nan")):
-        assert not mathieu._unresolvable(q), q
-    for q in (np.nextafter(line, np.inf), 1.95e11, -1.95e11, 1e12, -1e12, 1e200, -1e200):
-        assert mathieu._unresolvable(q), q
-    # past Gershgorin's float range the q is a numerical failure instead
-    for q in (1e308, -1e308, np.finfo(float).max):
-        assert not mathieu._unresolvable(q), q
-        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
-            char_values(q, 2)
+CLASSES = [("ce", 0), ("ce", 1), ("se", 1), ("se", 0)]
+# every count that fits the cap at q = 0, where the truncation is count + 16
+MOST_VALUES = mathieu._MAX_TRUNCATION - 16
+
+
+def lapack_values(kind, parity, q, size):
+    """All eigenvalues of one class's recurrence at ``size`` rows from
+    LAPACK's dsterf, the routine behind numpy's eigvalsh of the dense
+    tridiagonal matrix (``test_dsterf_is_the_solvers_eigvalsh``), in
+    O(size^2) time and O(size) memory: doubling the cap's 4096 rows would
+    take 512 MiB and tens of seconds dense."""
+    from scipy.linalg.lapack import dsterf
+
+    values, info = dsterf(*mathieu._recurrence(kind, parity, q, size))
+    assert info == 0
+    return values
+
+
+needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                                 reason="the doubled recurrences are solved by scipy's dsterf")
+
+
+@needs_scipy
+@pytest.mark.parametrize("q", [Q, 40.0, -3.0e4, 1.0e9])
+def test_dsterf_is_the_solvers_eigvalsh(q):
+    for kind, parity in CLASSES:
+        for size in (64, 700):
+            assert np.array_equal(lapack_values(kind, parity, q, size),
+                                  mathieu._class_values(kind, parity, q, size))
+
+
+@needs_scipy
+@settings(max_examples=20, deadline=None)
+@given(log_count=st.floats(0.0, np.log10(MOST_VALUES)), reach=st.floats(0.0, 1.0),
+       negative=st.booleans(), cls=st.sampled_from(CLASSES))
+@example(log_count=np.log10(MOST_VALUES), reach=0.0, negative=False, cls=("ce", 1))  # q = 0
+@example(log_count=0.0, reach=1.0, negative=False, cls=("ce", 1))  # at the line
+@example(log_count=0.0, reach=1.0, negative=True, cls=("se", 1))
+@example(log_count=np.log10(48), reach=0.4, negative=True, cls=("ce", 0))
+def test_doubling_the_truncation_moves_no_value(log_count, reach, negative, cls):
+    # q = 0 or |q| log-uniform from 1e-3 up to the line of the count
+    count = int(round(10.0**log_count))
+    line = largest_admitted_q(count)
+    if reach == 0.0 or line < 1e-3:
+        q = reach * line
+    else:
+        q = 10.0 ** (-3.0 + reach * (np.log10(line) + 3.0))
+    q = -q if negative else q
+    size = mathieu._truncation(q, count)
+    assert size <= mathieu._MAX_TRUNCATION
+    values = lapack_values(*cls, q, size)[:count]
+    doubled = lapack_values(*cls, q, 2 * size)[:count]
+    tol = mathieu._STABILITY_TOL * np.maximum(1.0, np.abs(doubled))
+    assert np.all(np.abs(values - doubled) <= tol), (q, count, size)
 
 
 ORDERS = [("ce", m) for m in range(11)] + [("se", m) for m in range(1, 11)]
@@ -265,8 +338,8 @@ def test_cached_solves_are_the_uncached_ones_bitwise(monkeypatch):
 
 
 def test_cached_arrays_are_read_only():
-    values, _ = mathieu._stable_class_values("ce", 0, Q, 3)
-    decomp = mathieu._class_decomposition("ce", 0, Q, 128)
+    values, size = mathieu._stable_class_values("ce", 0, Q, 3)
+    decomp = mathieu._class_decomposition("ce", 0, Q, size)
     for array in (values, decomp.eigenvalues, decomp.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -284,17 +357,18 @@ SOLVE_COUNTER = (
     "        return solver(*args)\n"
     "    setattr(mathieu, name, counted)\n"
     "assert all(result.passed for result in verify.run_all())\n"
-    "print(len(solves))\n"
+    "print(solves)\n"
 )
 
 
 def test_verify_solves_each_distinct_recurrence_once():
-    # four classes at q = -1/4, each at 64 and 128 rows for its values
-    # and at 128 rows for its eigenvectors: 12 matrices (55 solves when
-    # each count and each order solved its own)
+    # four classes at q = -1/4, each solved at 64 rows once for its values
+    # and once for its eigenvectors: 8 matrices (12, at 64 and 128 rows,
+    # when the truncation was searched by doubling; 55 solves when each
+    # count and each order solved its own)
     src = Path(__file__).resolve().parent.parent / "src"
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", SOLVE_COUNTER], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 12
+    assert proc.stdout.strip() == str([64] * 8)

@@ -217,7 +217,7 @@ def test_fake_eigenfunction_ground_state():
 def test_fake_eigenfunction_norms_and_seam():
     rng = np.random.default_rng(5)
     spectrum = fake_spectrum(TABLE_PARAMS, 40)
-    modes = spectrum.modes_flat(40)
+    modes = [mode for _, mode, _ in spectrum.flattened(40)]
     picks = rng.choice(len(modes), size=10, replace=False)
     grid = QuadratureGrid.for_strip(TABLE_PARAMS, 4 * 40 + 32, 2 * 6 + 16)
     u = np.linspace(-1, 1, 50)
@@ -275,4 +275,3 @@ def test_spectrum_flattening_helpers():
     assert len(flattened) == 5
     values = [v for v, _, _ in flattened]
     assert values == pytest.approx(sorted(values))
-    assert len(spectrum.modes_flat(5)) == 5
