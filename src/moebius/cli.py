@@ -30,9 +30,7 @@ ends (nothing is printed to stderr), 2 invalid input (including an
 ``--output`` or a stdout that cannot be written, a run whose arrays would
 pass ``models.MAX_ARRAY_BYTES`` and a sweep whose estimated work passes
 ``convergence.MAX_SWEEP_WORK``), 3 numerical failure (including fired
-verification checks).  There is no randomness anywhere; the
-MOEBIUS_SEEDLESS environment variable is accepted only as "1" and has no
-effect, any other value is rejected to keep that contract visible.
+verification checks).  There is no randomness anywhere.
 
 A process started as ``moebius`` or ``python -m moebius.cli`` enters at
 ``run``, which ends it with ``main``'s exit code as soon as its output is
@@ -520,13 +518,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    seedless = os.environ.get("MOEBIUS_SEEDLESS")
-    if seedless is not None and seedless != "1":
-        sys.stderr.write(
-            "error: MOEBIUS_SEEDLESS accepts only '1'; this tool is "
-            "deterministic and seedless by construction\n"
-        )
-        return 2
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
     if pinned is not None:
         try:

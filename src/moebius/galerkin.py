@@ -99,7 +99,6 @@ from .models import (
     DEFAULT_Q,
     ModeIndex,
     _modes,
-    _pow2,
     require_bytes,
     transverse_profile,
 )
@@ -349,7 +348,8 @@ class _Discretisation:
 
     @functools.cached_property
     def rates_sq(self) -> np.ndarray:  # (N,) (m / 2R)^2
-        return _pow2(self.m / (2.0 * self.params.R))
+        rate = self.m / (2.0 * self.params.R)
+        return rate * rate
 
 
 def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
@@ -404,8 +404,9 @@ def _mirrored(half: np.ndarray, m_s: int, sign: float) -> np.ndarray:
 
 def _transverse_diag(n, a) -> np.ndarray:
     """(n pi / 2)^2 / a^2 per mode of ``n`` (columns) and half-width of
-    ``a`` (rows), squared as Python floats square."""
-    return _pow2(n * np.pi / 2.0) / _pow2(a)[:, None]
+    ``a`` (rows), each square a product."""
+    halfwave = n * np.pi / 2.0
+    return halfwave * halfwave / (a * a)[:, None]
 
 
 def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -61,9 +61,8 @@ class StripParams:
     """Half-width ``a`` and centre-circle radius ``R`` of the strip.
 
     Both must be positive.  The embedded (non-self-overlapping) picture
-    additionally needs a < R; that is recorded by :meth:`is_embedded` but
-    deliberately not enforced, since every formula below is valid for the
-    immersed strip too.
+    additionally needs a < R; that is deliberately not enforced, since
+    every formula below is valid for the immersed strip too.
     """
 
     a: float
@@ -74,26 +73,15 @@ class StripParams:
             raise InputError(f"half-width a must be positive and finite, got {self.a}")
         if not (self.R > 0.0 and np.isfinite(self.R)):
             raise InputError(f"radius R must be positive and finite, got {self.R}")
-        # the energy scales are squared as Python floats square, raising on
-        # overflow; a square below the least normal double has lost digits
+        # a square of an energy scale past the largest double overflows, and
+        # one below the least normal double has lost digits
         for name, value, scale in (("half-width a", self.a, math.pi / (2.0 * float(self.a))),
                                    ("radius R", self.R, 1.0 / (2.0 * float(self.R)))):
-            try:
-                square = scale**2
-            except OverflowError:
-                square = math.inf
+            square = scale * scale
             if not sys.float_info.min <= square < math.inf:
                 small, flow = ("small", "overflows") if square > 1.0 else ("large", "underflows")
                 raise InputError(f"{name} is too {small}, got {value}: its energy "
                                  f"scale {scale:.3g} squared {flow}")
-
-    @classmethod
-    def from_circumference(cls, a: float, circumference: float) -> "StripParams":
-        """Build params from the centre-circle circumference 2 pi R."""
-        return cls(a=a, R=circumference / (2.0 * np.pi))
-
-    def is_embedded(self) -> bool:
-        return self.a < self.R
 
     @property
     def circumference(self) -> float:
@@ -102,7 +90,8 @@ class StripParams:
     @property
     def transverse_energy(self) -> float:
         """Lowest transverse Dirichlet energy (pi / 2a)^2."""
-        return (np.pi / (2.0 * self.a)) ** 2
+        scale = np.pi / (2.0 * self.a)
+        return scale * scale
 
 
 def embed(params: StripParams, s, t):

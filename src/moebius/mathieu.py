@@ -29,8 +29,9 @@ order): a (q, count) whose truncation is past that cap raises
 ``CapacityError`` before anything is allocated, a finite |q| whose
 recurrences reach the largest double (``_OVERFLOW_Q``, about 7.4e307)
 raises ``NumericalError``, and a non-finite q ``InputError``.
-The sign convention fixes the first non-vanishing Fourier coefficient
-positive.  The eigenvalues of each recurrence are solved once, kept per
+The sign convention fixes each expansion's coefficient of its own harmonic
+m positive, so that ce_m -> cos m eta and se_m -> sin m eta as q -> 0.
+The eigenvalues of each recurrence are solved once, kept per
 (kind, parity, q, rows), and every count at those rows reads their leading
 slice; the eigenpairs of the last four classes are kept too, for their
 vectors alone: every value, with or without its expansion, is read from
@@ -224,7 +225,7 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
 
     The recurrence eigenvector is normalised to unit length (which realises
     the sqrt(pi) function normalisation), its overall sign is fixed by a
-    positive first non-vanishing coefficient, and for the ce-even class the
+    positive coefficient of the harmonic m, and for the ce-even class the
     constant-harmonic coefficient is rescaled by 1/sqrt(2) back to function
     space.  Trailing coefficients below 1e-16 are dropped.
     """
@@ -233,12 +234,10 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     parity = m % 2
     idx = _class_index(m, kind)
     values, size = _stable_class_values(kind, parity, q, idx + 1)
-    y = _class_decomposition(kind, parity, q, size).eigenvectors[:, idx].copy()
-    y /= np.linalg.norm(y)
-    nonzero = np.nonzero(np.abs(y) > _COEFF_CUTOFF)[0]
-    if nonzero.size and y[nonzero[0]] < 0.0:
-        y = -y
-    coeff = y.copy()
+    y = _class_decomposition(kind, parity, q, size).eigenvectors[:, idx]
+    coeff = y / np.linalg.norm(y)
+    if coeff[idx] < 0.0:  # row idx carries the harmonic m
+        coeff = -coeff
     if kind == "ce" and parity == 0:
         coeff[0] /= np.sqrt(2.0)
     keep = np.nonzero(np.abs(coeff) >= _COEFF_CUTOFF)[0]

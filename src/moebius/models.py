@@ -83,12 +83,13 @@ MAX_ARRAY_BYTES = 1 << 29
 # chunk of thin or wide strips, one wide strip of the effective model);
 # boxes of a few hundred cells carry the table besides, under 0.1 MB
 _BOX_CELL_BYTES = 88
-# Peak bytes per row of the flat longitudinal table as ``_pow2`` squares
-# it, traced at 89 B on 2e4 to 2e6 rows (the effective table's Mathieu
-# solves are bounded by the solver's truncation cap, 131 MB traced at
-# 4,000 orders), and per (point + 1, mode) of the corners of the caps'
-# bounds, traced at 16-20 B
-_TABLE_ROW_BYTES, _BOUND_BYTES = 96, 24
+# Peak bytes per row of the flat longitudinal table, its row indices,
+# orders, sine flags, rates and squared energies, traced at 33 B on 2e4 to
+# 2e6 rows and at 37 B with the rows of even order that the caps' bounds
+# take (the effective table's Mathieu solves are bounded by the solver's
+# truncation cap, 131 MB traced at 4,000 orders), and per (point + 1,
+# mode) of the corners of the caps' bounds, traced at 16-20 B
+_TABLE_ROW_BYTES, _BOUND_BYTES = 40, 24
 # (q, max order) tables kept by _char_table's cache; a sweep visits a handful
 _CACHED_TABLES = 64
 
@@ -176,16 +177,6 @@ def require_bytes(needed, what: str) -> None:
     if not needed <= MAX_ARRAY_BYTES:
         raise CapacityError(f"{what} need about {needed / 2**20:.3g} MiB, above the "
                             f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB cap")
-
-
-def _pow2(x):
-    """Elementwise ``x ** 2`` exactly as Python floats square (C ``pow``).
-
-    numpy's ``x * x`` differs from it in the last bit for about one value
-    in 1,500, and the flat eigenvalues, their ties and the Galerkin
-    diagonals are defined by the Python expression.
-    """
-    return (np.asarray(x, dtype=float).astype(object) ** 2).astype(float)
 
 
 def _cells(rows, cols):
@@ -323,13 +314,16 @@ def _modes(R: float, a, count: int, q):
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     R = float(R)  # a numpy scalar would warn where the float overflows to inf
-    e1 = _pow2(np.pi / (2.0 * np.asarray(a, dtype=float)))  # each point's transverse energy
-    kappa = 1.0 / (2.0 * R) ** 2
+    scale = np.pi / (2.0 * np.asarray(a, dtype=float))
+    e1 = scale * scale  # each point's transverse energy
+    kappa = 1.0 / (2.0 * R * (2.0 * R))
     model = "flat" if q is None else "effective"
     weyl = 0.0 if q is None else 3.0 * abs(q)  # a_m(q), b_m(q) >= m^2 - 3|q|
-    reach = kappa * (count + 16.0) ** 2
-    # the orders up to reach and a Weyl margin, in floats: an overflow is refused
-    orders = np.ceil(np.sqrt((reach + weyl * kappa) / kappa + weyl)) + 1.0
+    span = (count + 16.0) * (count + 16.0)  # reach in units of kappa
+    reach = kappa * span
+    # the orders up to reach and a Weyl margin, span + 2 weyl, in floats:
+    # an overflow is refused
+    orders = np.ceil(np.sqrt(span + 2.0 * weyl)) + 1.0
     if not orders / (2.0 * R) < 1e154:  # the table's energies, about (orders / 2R)^2
         raise CapacityError(
             f"the longitudinal energies of {count} {model} modes overflow on a "
@@ -370,9 +364,10 @@ def _table(R: float, q, orders: int):
     if q is None:
         row = np.arange(2 * orders + 1)
         order = (row + 1) // 2
-        return row % 2 == 1, order, _pow2(order / (2.0 * R))
+        rate = order / (2.0 * R)
+        return row % 2 == 1, order, rate * rate
     sine, order, mu = _char_table(q, orders)
-    kappa = 1.0 / (2.0 * R) ** 2
+    kappa = 1.0 / (2.0 * R * (2.0 * R))
     return sine, order, kappa * mu
 
 
@@ -406,12 +401,12 @@ def transverse_profile(n: int, u, derivative: int = 0):
             return np.cos(phase)
         if derivative == 1:
             return -halfwave * np.sin(phase)
-        return -(halfwave**2) * np.cos(phase)
+        return -(halfwave * halfwave) * np.cos(phase)
     if derivative == 0:
         return np.sin(phase)
     if derivative == 1:
         return halfwave * np.cos(phase)
-    return -(halfwave**2) * np.sin(phase)
+    return -(halfwave * halfwave) * np.sin(phase)
 
 
 def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
@@ -430,12 +425,12 @@ def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
             return amp * np.cos(phase)
         if derivative == 1:
             return -amp * rate * np.sin(phase)
-        return -amp * rate**2 * np.cos(phase)
+        return -amp * (rate * rate) * np.cos(phase)
     if derivative == 0:
         return amp * np.sin(phase)
     if derivative == 1:
         return amp * rate * np.cos(phase)
-    return -amp * rate**2 * np.sin(phase)
+    return -amp * (rate * rate) * np.sin(phase)
 
 
 def effective_longitudinal(mode: ModeIndex, params: StripParams, s, q: float = DEFAULT_Q):

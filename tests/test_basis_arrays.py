@@ -79,8 +79,11 @@ def reference_entries(params, count, cap=None, orders=None):
         while e1 * n * n <= cap:
             tn = e1 * n * n
             m = 1 if n % 2 == 0 else 0
-            while (m / (2.0 * R)) ** 2 + tn <= cap and (orders is None or m <= orders):
-                value = (m / (2.0 * R)) ** 2 + tn
+            while orders is None or m <= orders:
+                rate = m / (2.0 * R)
+                value = rate * rate + tn
+                if value > cap:
+                    break
                 candidates.append((value, ((0, n),) if m == 0 else ((-m, n), (m, n))))
                 total += 1 if m == 0 else 2
                 m += 2
@@ -94,7 +97,7 @@ def effective_candidates(params, q, cap):
     """Every effective mode of value at most ``cap``, one order and n at a
     time, as (value, ((family, m, n),)) candidates."""
     e1 = params.transverse_energy
-    kappa = 1.0 / (2.0 * params.R) ** 2
+    kappa = 1.0 / (2.0 * params.R * (2.0 * params.R))
     # a_m(q), b_m(q) >= m^2 - 3|q| bounds the orders that reach the cap
     m_max = int(np.ceil(np.sqrt(max((cap - e1) / kappa + 3.0 * abs(q), 0.0)))) + 1
     candidates = []
@@ -109,8 +112,8 @@ def effective_candidates(params, q, cap):
 
 def reference_effective_entries(params, count, q):
     """Merged effective entries as sorted lists of (value, (family, m, n))."""
-    kappa = 1.0 / (2.0 * params.R) ** 2
-    budget = kappa * (count + 16.0) ** 2 + 3.0 * abs(q) * kappa
+    kappa = 1.0 / (2.0 * params.R * (2.0 * params.R))
+    budget = kappa * ((count + 16.0) * (count + 16.0)) + 3.0 * abs(q) * kappa
     while True:
         candidates = effective_candidates(params, q, params.transverse_energy + budget)
         if len(candidates) >= count + 8:
@@ -298,12 +301,18 @@ def test_wide_effective_strips_equal_the_brute_force_enumeration(R, log_ratio, c
                    lambda md: (md.family, md.m, md.n))
 
 
+def reach(params, count):
+    """((count + 16) / 2R)^2, the reach of the longitudinal table."""
+    rate = (count + 16) / (2.0 * params.R)
+    return rate * rate
+
+
 def full_span(params, count):
     """Every flat mode under a cap doubled from e1 + ((count + 16) / 2R)^2,
     one harmonic at a time: the strips whose values stay apart by more
     than the rounding of e1 over the harmonics the count reaches."""
     e1 = params.transverse_energy
-    return reference_entries(params, count, cap=e1 + ((count + 16) / (2.0 * params.R)) ** 2)
+    return reference_entries(params, count, cap=e1 + reach(params, count))
 
 
 def wide_span(params, count):
@@ -311,7 +320,7 @@ def wide_span(params, count):
     longitudinal table: at strips so thin that the spacing of e1 spans more
     harmonics, the values that round onto one double hold the table's."""
     e1 = params.transverse_energy
-    return reference_entries(params, count, cap=e1 + ((count + 16) / (2.0 * params.R)) ** 2,
+    return reference_entries(params, count, cap=e1 + reach(params, count),
                              orders=count + 17)
 
 

@@ -37,8 +37,7 @@ def child_env(**variables):
     It holds only PATH, a PYTHONPATH with this checkout's ``src`` first (so
     the child runs the code under test, installed or not, whatever the
     working directory) and the variables under test. Nothing else leaks in
-    from the outer shell, such as a stray MOEBIUS_SEEDLESS or
-    SOURCE_DATE_EPOCH.
+    from the outer shell, such as a stray SOURCE_DATE_EPOCH.
     """
     python_path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": python_path, **variables}
@@ -369,27 +368,6 @@ def test_invalid_grid_spec(capsys):
     )
     assert code == 2
     assert "MSxMU" in err
-
-
-def test_seedless_guard():
-    proc = subprocess.run(
-        [sys.executable, "-m", "moebius.cli", "mathieu", "--max-order", "1"],
-        capture_output=True,
-        text=True,
-        env=child_env(MOEBIUS_SEEDLESS="7"),
-        timeout=CHILD_TIMEOUT_S,
-    )
-    assert proc.returncode == 2
-    assert "MOEBIUS_SEEDLESS" in proc.stderr
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "moebius.cli", "mathieu", "--max-order", "1"],
-        capture_output=True,
-        text=True,
-        env=child_env(MOEBIUS_SEEDLESS="1"),
-        timeout=CHILD_TIMEOUT_S,
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_deterministic_output_files(tmp_path):
@@ -776,8 +754,8 @@ def test_thin_strip_entry_lists_the_lowest_harmonics_first(capsys):
                   "--count", "5"]),
 ])
 def test_strips_whose_energy_scale_overflows_are_invalid_input(capsys, name, argv):
-    # (pi / 2a)^2 or (1 / 2R)^2 past the largest double, squared as Python
-    # floats square, is refused when the strip is built
+    # (pi / 2a)^2 or (1 / 2R)^2 past the largest double is refused when the
+    # strip is built
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

@@ -264,18 +264,16 @@ def test_discretisation_keeps_factor_tables():
     assert max(a.size for a in arrays) <= max(n * s.size, points)
 
 
-def test_diagonal_terms_are_squared_as_python_floats():
-    # at R = 1.051, (2 / 2R) ** 2 in Python (C pow) and numpy's x * x differ
-    # in the last bit; the diagonals follow the per-mode Python expression
+def test_diagonal_terms_are_squared_as_products():
+    # at R = 1.051, (2 / 2R) ** 2 in Python (C pow) and the product differ
+    # in the last bit; every diagonal square is the correctly rounded product
     params = StripParams(a=0.3, R=1.051)
     disc = solve(GalerkinConfig(params=params, n_basis=40))._discretisation
-    rates = disc.m / (2.0 * params.R)
-    assert np.any(rates * rates != [r**2 for r in rates.tolist()])
-    labels = list(zip(disc.m.tolist(), disc.n.tolist()))
-    assert disc.rates_sq.tolist() == [(m / (2.0 * params.R)) ** 2 for m, _ in labels]
-    assert disc.transverse_diag.tolist() == [
-        (n * np.pi / 2.0) ** 2 / params.a**2 for _, n in labels
-    ]
+    rates = [m / (2.0 * params.R) for m in disc.m.tolist()]
+    assert any(r * r != r**2 for r in rates)
+    assert disc.rates_sq.tolist() == [r * r for r in rates]
+    halfwaves = [n * np.pi / 2.0 for n in disc.n.tolist()]
+    assert disc.transverse_diag.tolist() == [h * h / (params.a * params.a) for h in halfwaves]
 
 
 def full_tables(disc, params):

@@ -29,10 +29,6 @@ def test_strip_params_validation():
         StripParams(a=0.0, R=1.0)
     with pytest.raises(InputError):
         StripParams(a=1.0, R=-2.0)
-    p = StripParams.from_circumference(a=0.75, circumference=13.2)
-    assert p.R == pytest.approx(13.2 / (2 * np.pi), rel=1e-15)
-    assert p.is_embedded()
-    assert not StripParams(a=2.0, R=1.0).is_embedded()
 
 
 def test_strips_whose_energy_scale_underflows_are_refused():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -101,12 +102,40 @@ def test_free_limit_coefficients():
     assert se1.fourier == pytest.approx([1.0], abs=1e-15)
 
 
-def test_sign_convention():
-    for kind, orders in (("ce", range(0, 8)), ("se", range(1, 8))):
-        for m in orders:
-            ch = fourier_coefficients(kind, m, Q)
-            leading = ch.fourier[np.abs(ch.fourier) > 1e-15][0]
-            assert leading > 0
+def test_each_expansion_tends_to_its_own_harmonic():
+    # ce_m -> cos m eta and se_m -> sin m eta as q -> 0: at |q| = 1e-3 the
+    # harmonic m carries the largest coefficient, and it is positive
+    for q in (1e-3, -1e-3):
+        for kind, lowest in (("ce", 0), ("se", 1)):
+            for m in range(lowest, 60):
+                ch = fourier_coefficients(kind, m, q)
+                own = ch.fourier[ch.harmonics.tolist().index(m)]
+                assert own > 0.0 and own == np.max(np.abs(ch.fourier)), (kind, m, q)
+
+
+def doubled_expansion(kind, m, q):
+    """``fourier_coefficients`` solved at twice the class truncation, past
+    the caches keyed by order or count."""
+    truncation = mathieu._truncation
+    with mock.patch.multiple(mathieu, _truncation=lambda q, count: 2 * truncation(q, count),
+                             _stable_class_values=mathieu._stable_class_values.__wrapped__):
+        return mathieu.fourier_coefficients.__wrapped__(kind, m, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ce", "se"]), m=st.integers(0, 59), step=st.integers(0, 28),
+       negative=st.booleans())
+@example(kind="ce", m=32, step=11, negative=False)  # q = 0.56, first coefficients roundoff
+@example(kind="se", m=29, step=18, negative=True)  # q = -31.6
+@example(kind="se", m=27, step=28, negative=False)  # own harmonic 0.3 % of the largest
+def test_doubling_the_truncation_flips_no_expansion(kind, m, step, negative):
+    # q = +/-10^k, k from -3 to 4 in 29 steps: the sign rule reads no roundoff
+    m = max(m, 1) if kind == "se" else m
+    q = (-1.0 if negative else 1.0) * 10.0 ** (-3.0 + 0.25 * step)
+    expansions = [fourier_coefficients(kind, m, q).fourier, doubled_expansion(kind, m, q).fourier]
+    size = max(c.size for c in expansions)
+    fourier, doubled = (np.pad(c, (0, size - c.size)) for c in expansions)
+    assert np.max(np.abs(fourier - doubled)) < 1e-9, (kind, m, q)
 
 
 def test_ode_residual_ce1():

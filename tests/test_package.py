@@ -165,6 +165,21 @@ def test_no_module_imports_a_concurrency_library():
     assert found == []
 
 
+def test_no_module_converts_an_array_to_python_objects():
+    # energies are squared as IEEE products, never through Python floats;
+    # a text table built with dtype=object does no arithmetic and may stay
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "astype" and node.args:
+                target = node.args[0]
+                if (isinstance(target, ast.Name) and target.id == "object") or \
+                        (isinstance(target, ast.Constant) and target.value == "O"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_every_private_module_level_name_is_used():
     # a private function, class or constant that nothing in the package
     # reads besides its own definition only served code that is gone
