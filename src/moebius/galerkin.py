@@ -156,9 +156,9 @@ class GalerkinConfig:
     default to 2 * max harmonic + 32 (the aliasing bound of the module
     docstring) and 2 * max transverse index + 16.
     ``close_pairs`` extends the basis by one function when the cutoff
-    would orphan half of a +/-m pair; an orphaned partner breaks the exact
-    cosine/sine decoupling of the matrix and artificially splits
-    degenerate pairs, which the convergence sweeps cannot tolerate.
+    would orphan half of a +/-m pair; an orphaned partner artificially
+    splits the degenerate pair, which the convergence sweeps cannot
+    tolerate.
     """
 
     params: StripParams
@@ -169,6 +169,8 @@ class GalerkinConfig:
     close_pairs: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.n_basis, (int, np.integer)):
+            raise InputError(f"basis size must be an integer, got {self.n_basis!r}")
         if self.n_basis < 1:
             raise InputError(f"basis size must be >= 1, got {self.n_basis}")
         if self.geometry not in GEOMETRY_CHOICES:
@@ -206,6 +208,8 @@ class GalerkinSolution:
 
     def leading_residual_norms(self, count: int) -> np.ndarray:
         """The first ``count`` residual norms, computed for those eigenpairs only."""
+        if not 0 <= count <= self.eigenvalues.size:
+            raise InputError(f"count must be in [0, {self.eigenvalues.size}], got {count}")
         return _residual_norms(self._discretisation, self.eigenvalues, self.coefficients, count)
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
@@ -541,6 +545,13 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
             f"half-width a is too small for the Galerkin solve: at a={thinnest.a:.3g} "
             f"(n pi / 2a)^2 reaches {diagonal:.3g}, above {_LARGEST_DIAGONAL:.0e}"
         )
+    if first.geometry == "true_geometry":
+        # the fields divide by R^4 and square d2 g, of size up to (2 + 2.5 a / R) / R
+        R, a = first.params.R, max(config.params.a for config in configs)
+        slope = (2.0 + 2.5 * (a / R)) / R
+        if not (0.0 < R * R * (R * R) < np.inf and slope * slope < np.inf):
+            raise InputError(f"strip out of range for the Galerkin solve: at a={a:.3g}, "
+                             f"R={R:.3g} its fields overflow")
     sizes = [m.size for m, _ in bases]
     cosine = [int(np.count_nonzero(m >= 0)) for m, _ in bases]
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
@@ -717,10 +728,9 @@ class EffectiveExpansion:
     sine: np.ndarray
 
 
-def effective_in_basis(
-    config: GalerkinConfig, count: int, q: float = DEFAULT_Q
-) -> EffectiveExpansion:
-    """Expand the first ``count`` effective eigenfunctions in the flat basis.
+def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion:
+    """Expand the first ``count`` effective eigenfunctions, at q = -1/4
+    (``DEFAULT_Q``), in the flat basis.
 
     The Mathieu Fourier harmonics at eta = s/2R are exactly the flat
     longitudinal functions, so the expansion is exact up to truncation:
@@ -730,10 +740,10 @@ def effective_in_basis(
     ``CapacityError``.
     """
     basis = _basis_arrays(config.params, config.n_basis, config.close_pairs)
-    return _expansions([config.params], [basis], count, q)[0]
+    return _expansions([config.params], [basis], count)[0]
 
 
-def _expansions(params, bases, count: int, q: float = DEFAULT_Q) -> list[EffectiveExpansion]:
+def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
     """``effective_in_basis`` at each of ``params``, strips of one radius:
     the first ``count`` effective eigenfunctions of point i expanded over
     its basis ``bases[i]`` = (m, n), their modes from one ``_modes`` call
@@ -742,13 +752,14 @@ def _expansions(params, bases, count: int, q: float = DEFAULT_Q) -> list[Effecti
     ``CapacityError`` names the first failing mode of the first failing
     point.
     """
-    point, sine, order, n_eff, value, _ = _modes(params[0].R, [p.a for p in params], count, q)
+    a = [p.a for p in params]
+    point, sine, order, n_eff, value, _ = _modes(params[0].R, a, count, DEFAULT_Q)
     pick = np.searchsorted(point, np.arange(len(params)))[:, None] + np.arange(count)
     sine, order, n_eff, value = (column[pick] for column in (sine, order, n_eff, value))
     # the distinct modes, keyed 2 m + sine; np.unique would import numpy.ma (numpy 2)
     keys = 2 * order + sine
     distinct = np.flatnonzero(np.bincount(keys.ravel()))
-    chars = [mathieu.fourier_coefficients("se" if key % 2 else "ce", key // 2, q)
+    chars = [mathieu.fourier_coefficients("se" if key % 2 else "ce", key // 2, DEFAULT_Q)
              for key in distinct.tolist()]
     # a row of signed harmonics (negative for se) and weights per distinct
     # mode, padded past its last coefficient by weight 0 at a harmonic

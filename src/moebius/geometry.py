@@ -31,8 +31,7 @@ in s and automatically satisfy the seam identification
 f(s + 2 pi R, t) = f(s, -t).  (Reducing s modulo 2 pi R would flip the sign
 of cos(s/2R) and break that identity, so no wrapping is performed.)
 
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations

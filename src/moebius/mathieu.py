@@ -37,7 +37,7 @@ slice; the eigenpairs of the last four classes are kept too, for their
 vectors alone: every value, with or without its expansion, is read from
 the eigenvalue solve.
 Results are cached per (kind, order, q) and immutable (their arrays are
-read-only), so concurrent use is safe.
+read-only).
 """
 
 from __future__ import annotations

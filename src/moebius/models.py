@@ -391,26 +391,17 @@ def _char_table(q: float, m_max: int):
     return table
 
 
-def transverse_profile(n: int, u, derivative: int = 0):
+def transverse_profile(n: int, u):
     """Dirichlet transverse factor on (-1, 1): cos(n pi u/2) odd n, sin even n."""
-    u = np.asarray(u, dtype=float)
-    halfwave = 0.5 * n * np.pi
-    phase = halfwave * u
-    if n % 2 == 1:
-        if derivative == 0:
-            return np.cos(phase)
-        if derivative == 1:
-            return -halfwave * np.sin(phase)
-        return -(halfwave * halfwave) * np.cos(phase)
-    if derivative == 0:
-        return np.sin(phase)
-    if derivative == 1:
-        return halfwave * np.cos(phase)
-    return -(halfwave * halfwave) * np.sin(phase)
+    phase = (0.5 * n * np.pi) * np.asarray(u, dtype=float)
+    return np.cos(phase) if n % 2 == 1 else np.sin(phase)
 
 
 def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
-    """Unit-norm flat longitudinal factor on (0, 2 pi R); m < 0 is the sine branch."""
+    """Unit-norm flat longitudinal factor on (0, 2 pi R), or its first or
+    second ``derivative``; m < 0 is the sine branch."""
+    if derivative not in (0, 1, 2):
+        raise InputError(f"derivative must be 0, 1 or 2, got {derivative}")
     s = np.asarray(s, dtype=float)
     R = params.R
     if m == 0:
@@ -433,14 +424,14 @@ def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
     return -amp * (rate * rate) * np.sin(phase)
 
 
-def effective_longitudinal(mode: ModeIndex, params: StripParams, s, q: float = DEFAULT_Q):
-    """Unit-norm Mathieu longitudinal factor (pi R)^(-1/2) ce/se(s/2R, q)."""
+def effective_longitudinal(mode: ModeIndex, params: StripParams, s):
+    """Unit-norm Mathieu longitudinal factor (pi R)^(-1/2) ce/se(s/2R, q), q = -1/4."""
     from . import mathieu
 
     kind = "ce" if mode.family == FAMILY_EFF_CE else "se"
     s = np.asarray(s, dtype=float)
     eta = s / (2.0 * params.R)
-    return mathieu.evaluate(kind, mode.m, q, eta) / np.sqrt(np.pi * params.R)
+    return mathieu.evaluate(kind, mode.m, DEFAULT_Q, eta) / np.sqrt(np.pi * params.R)
 
 
 def fake_eigenfunction(mode: ModeIndex, params: StripParams):
@@ -458,7 +449,7 @@ def fake_eigenfunction(mode: ModeIndex, params: StripParams):
     return psi
 
 
-def effective_eigenfunction(mode: ModeIndex, params: StripParams, q: float = DEFAULT_Q):
+def effective_eigenfunction(mode: ModeIndex, params: StripParams):
     """Evaluable unit-norm effective eigenfunction on Pi.
 
     The longitudinal part solves -phi'' + potential_veff * phi = nu phi with
@@ -468,6 +459,6 @@ def effective_eigenfunction(mode: ModeIndex, params: StripParams, q: float = DEF
         raise InputError(f"expected an effective-family mode, got {mode.family!r}")
 
     def psi(s, u):
-        return effective_longitudinal(mode, params, s, q) * transverse_profile(mode.n, u)
+        return effective_longitudinal(mode, params, s) * transverse_profile(mode.n, u)
 
     return psi

@@ -27,7 +27,8 @@ from .quadrature import QuadratureGrid
 
 __all__ = ["CheckResult", "run_all"]
 
-DEFAULT_PARAMS = StripParams(a=0.75, R=13.2 / (2.0 * np.pi))
+# The README strip; every check's bound was set at it
+PARAMS = StripParams(a=0.75, R=13.2 / (2.0 * np.pi))
 
 # Reference characteristic values at q = -1/4 (first 17 digits of the
 # high-precision tabulation; double precision resolves ~15-16 of them).
@@ -88,48 +89,44 @@ def _spread(count: int, *ranges) -> tuple:
     return tuple(lo + (hi - lo) * unit[:, j] for j, (lo, hi) in enumerate(ranges))
 
 
-def check_jacobian_bounds(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    s = np.linspace(0.0, params.circumference, 2000, endpoint=False)
-    t = np.linspace(-params.a, params.a, 200)
-    fsq = jacobian_f(params, s[:, None], t[None, :]) ** 2
-    lo, hi = f_squared_bounds(params)
+def check_jacobian_bounds() -> CheckResult:
+    s = np.linspace(0.0, PARAMS.circumference, 2000, endpoint=False)
+    t = np.linspace(-PARAMS.a, PARAMS.a, 200)
+    fsq = jacobian_f(PARAMS, s[:, None], t[None, :]) ** 2
+    lo, hi = f_squared_bounds(PARAMS)
     worst = max(float(lo - fsq.min()), float(fsq.max() - hi), 0.0)
     return _result("geometry", "jacobian-uniform-bounds", worst, 0.0, "bound excess")
 
 
-def check_seam_symmetry(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
+def check_seam_symmetry() -> CheckResult:
     u = np.linspace(-1.0, 1.0, 101)
-    length = params.circumference
+    length = PARAMS.circumference
     mismatch = np.max(
         np.abs(
-            jacobian_f(params, length, params.a * u)
-            - jacobian_f(params, 0.0, -params.a * u)
+            jacobian_f(PARAMS, length, PARAMS.a * u)
+            - jacobian_f(PARAMS, 0.0, -PARAMS.a * u)
         )
     )
-    d1_left = jacobian_f_derivatives(params, 0.0, params.a * u)[0]
-    d1_right = jacobian_f_derivatives(params, length, params.a * u)[0]
+    d1_left = jacobian_f_derivatives(PARAMS, 0.0, PARAMS.a * u)[0]
+    d1_right = jacobian_f_derivatives(PARAMS, length, PARAMS.a * u)[0]
     worst = max(float(mismatch), float(np.max(np.abs(d1_left))), float(np.max(np.abs(d1_right))))
     return _result("geometry", "seam-symmetry", worst, 1e-12)
 
 
-def check_fermi_identity(
-    params: StripParams = DEFAULT_PARAMS, curvature_fn=curvatures
-) -> CheckResult:
-    (s,) = _spread(50, (0.0, params.circumference))
-    gauss, geodesic = curvature_fn(params, s)
+def check_fermi_identity(curvature_fn=curvatures) -> CheckResult:
+    (s,) = _spread(50, (0.0, PARAMS.circumference))
+    gauss, geodesic = curvature_fn(PARAMS, s)
     lhs = -geodesic**2 / 4.0 - gauss / 2.0
-    worst = float(np.max(np.abs(lhs - potential_veff(params, s))))
-    return _result(
-        "geometry", "fermi-identity", worst, 1e-15 * max(1.0, 1.0 / params.R**2)
-    )
+    worst = float(np.max(np.abs(lhs - potential_veff(PARAMS, s))))
+    return _result("geometry", "fermi-identity", worst, 1e-15)
 
 
-def check_derivatives_fd(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    s, t = _spread(100, (0.0, params.circumference), (-params.a, params.a))
+def check_derivatives_fd() -> CheckResult:
+    s, t = _spread(100, (0.0, PARAMS.circumference), (-PARAMS.a, PARAMS.a))
     h = 1e-6
-    d1f, d2f, _, _ = jacobian_f_derivatives(params, s, t)
-    fd1 = (jacobian_f(params, s + h, t) - jacobian_f(params, s - h, t)) / (2 * h)
-    fd2 = (jacobian_f(params, s, t + h) - jacobian_f(params, s, t - h)) / (2 * h)
+    d1f, d2f, _, _ = jacobian_f_derivatives(PARAMS, s, t)
+    fd1 = (jacobian_f(PARAMS, s + h, t) - jacobian_f(PARAMS, s - h, t)) / (2 * h)
+    fd2 = (jacobian_f(PARAMS, s, t + h) - jacobian_f(PARAMS, s, t - h)) / (2 * h)
     scale = np.maximum(1.0, np.abs(d1f))
     worst = max(
         float(np.max(np.abs(d1f - fd1) / scale)),
@@ -138,16 +135,16 @@ def check_derivatives_fd(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     return _result("geometry", "derivatives-vs-finite-differences", worst, 1e-6)
 
 
-def check_embedding_metric(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
+def check_embedding_metric() -> CheckResult:
     """The coded Jacobian must match the metric induced by the embedding."""
-    s, t = _spread(60, (0.0, params.circumference), (-params.a, params.a))
+    s, t = _spread(60, (0.0, PARAMS.circumference), (-PARAMS.a, PARAMS.a))
     h = 1e-6
-    dxs = (embed(params, s + h, t) - embed(params, s - h, t)) / (2 * h)
-    dxt = (embed(params, s, t + h) - embed(params, s, t - h)) / (2 * h)
+    dxs = (embed(PARAMS, s + h, t) - embed(PARAMS, s - h, t)) / (2 * h)
+    dxt = (embed(PARAMS, s, t + h) - embed(PARAMS, s, t - h)) / (2 * h)
     g11 = np.einsum("ij,ij->i", dxs, dxs)
     g12 = np.einsum("ij,ij->i", dxs, dxt)
     g22 = np.einsum("ij,ij->i", dxt, dxt)
-    fsq = jacobian_f(params, s, t) ** 2
+    fsq = jacobian_f(PARAMS, s, t) ** 2
     worst = max(
         float(np.max(np.abs(g11 - fsq))),
         float(np.max(np.abs(g12))),
@@ -219,11 +216,11 @@ def check_mathieu_ode_residual() -> CheckResult:
     return _result("mathieu", "ode-residual", worst, 1e-9)
 
 
-def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    m, n = galerkin._basis_arrays(params, 30)
-    config = galerkin.GalerkinConfig(params=params, n_basis=30)
-    grid = QuadratureGrid.for_strip(params, *galerkin._quadrature_orders(config, m, n))
-    factors = galerkin._sample_factors(m, n, params, grid.s_nodes, grid.u_nodes)
+def check_basis_gram() -> CheckResult:
+    m, n = galerkin._basis_arrays(PARAMS, 30)
+    config = galerkin.GalerkinConfig(params=PARAMS, n_basis=30)
+    grid = QuadratureGrid.for_strip(PARAMS, *galerkin._quadrature_orders(config, m, n))
+    factors = galerkin._sample_factors(m, n, PARAMS, grid.s_nodes, grid.u_nodes)
     # w(s, u) = w_s w_u: the Gram matrix is the elementwise product of the
     # longitudinal and transverse ones
     transverse = factors.transverse[factors.n_of]
@@ -234,11 +231,11 @@ def check_basis_gram(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
     return _result("quadrature", "fake-basis-gram-identity", worst, 1e-10)
 
 
-def check_flat_plain_diagonal(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    config = galerkin.GalerkinConfig(params=params, n_basis=40, geometry="flat_plain")
+def check_flat_plain_diagonal() -> CheckResult:
+    config = galerkin.GalerkinConfig(params=PARAMS, n_basis=40, geometry="flat_plain")
     dense = galerkin.assemble(config).to_dense()
     off = dense - np.diag(np.diag(dense))
-    fake = models.fake_spectrum(params, 40).values(40)
+    fake = models.fake_spectrum(PARAMS, 40).values(40)
     worst = max(
         float(np.max(np.abs(off))),
         float(np.max(np.abs(np.sort(np.diag(dense)) - fake))),
@@ -246,19 +243,19 @@ def check_flat_plain_diagonal(params: StripParams = DEFAULT_PARAMS) -> CheckResu
     return _result("galerkin", "flat-plain-diagonal-oracle", worst, 1e-12)
 
 
-def check_flat_veff_effective(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
-    config = galerkin.GalerkinConfig(params=params, n_basis=82, geometry="flat_with_Veff")
+def check_flat_veff_effective() -> CheckResult:
+    config = galerkin.GalerkinConfig(params=PARAMS, n_basis=82, geometry="flat_with_Veff")
     solution = galerkin.solve(config)
-    reference = models.effective_spectrum(params, 20).values(20)
+    reference = models.effective_spectrum(PARAMS, 20).values(20)
     worst = float(np.max(np.abs(solution.eigenvalues[:20] - reference) / reference))
     return _result("galerkin", "flat-veff-matches-effective", worst, 1e-9)
 
 
-def check_rayleigh_ritz_monotonicity(params: StripParams = DEFAULT_PARAMS) -> CheckResult:
+def check_rayleigh_ritz_monotonicity() -> CheckResult:
     sizes = (20, 41, 82)
     spectra = []
     for n in sizes:
-        config = galerkin.GalerkinConfig(params=params, n_basis=n)
+        config = galerkin.GalerkinConfig(params=PARAMS, n_basis=n)
         spectra.append(galerkin.solve(config).eigenvalues)
     worst = 0.0
     for small, big in zip(spectra, spectra[1:]):
@@ -269,20 +266,20 @@ def check_rayleigh_ritz_monotonicity(params: StripParams = DEFAULT_PARAMS) -> Ch
     )
 
 
-def run_all(params: StripParams = DEFAULT_PARAMS) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     """Run every invariant check; returns results in a fixed order."""
     return [
-        check_jacobian_bounds(params),
-        check_seam_symmetry(params),
-        check_fermi_identity(params),
-        check_derivatives_fd(params),
-        check_embedding_metric(params),
+        check_jacobian_bounds(),
+        check_seam_symmetry(),
+        check_fermi_identity(),
+        check_derivatives_fd(),
+        check_embedding_metric(),
         check_mathieu_reference(),
         check_mathieu_interlacing(),
         check_mathieu_orthogonality(),
         check_mathieu_ode_residual(),
-        check_basis_gram(params),
-        check_flat_plain_diagonal(params),
-        check_flat_veff_effective(params),
-        check_rayleigh_ritz_monotonicity(params),
+        check_basis_gram(),
+        check_flat_plain_diagonal(),
+        check_flat_veff_effective(),
+        check_rayleigh_ritz_monotonicity(),
     ]

@@ -800,6 +800,53 @@ def test_galerkin_runs_on_strips_too_thin_to_square_are_refused(capsys, command)
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("command, answered", [
+    (["spectrum", "--model", "true", "--a", "0.5", "--N", "10", "--count", "3"], ["1e-76", "1e76"]),
+    # at R = 1e-76 a sweep's effective modes are refused for their size
+    (["converge", "--kind", "eigenvalue", "--a-min", "0.2", "--a-max", "0.5", "--steps", "3",
+      "--K", "2", "--N", "10"], ["1e76"]),
+    (["converge", "--kind", "eigenvector", "--a-min", "0.2", "--a-max", "0.5", "--steps", "3",
+      "--K", "2", "--N", "10"], ["1e76"]),
+    (["eigenfunction", "--k", "1", "--a", "0.5", "--N", "10", "--grid", "4x3"], ["1e-76", "1e76"]),
+    (["eigenfunction", "--k", "1", "--a", "1e150", "--N", "10", "--grid", "4x3"], ["1e76"]),
+])
+def test_galerkin_runs_on_radii_whose_fields_overflow_are_refused(capsys, command, answered):
+    # the fields divide by R^4, whose Python power overflowed into a
+    # traceback from R = 1.16e77 on, and square terms of size a / R^2, which
+    # ended in RuntimeWarnings and non-finite matrix entries
+    a = "1e+150" if "1e150" in command else "0.5"  # the widest half-width
+    for R in ("1.2e77", "1e100", "1e150", "1e-78", "1e-90", "1e-120", "1e-150"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(command + ["--R", R], capsys)
+        assert (code, out, caught) == (2, "", [])
+        assert err == (f"error: strip out of range for the Galerkin solve: at a={a}, "
+                       f"R={float(R):.3g} its fields overflow\n")
+    for R in answered:
+        code, out, err = run_cli(command + ["--R", R], capsys)
+        assert code == 0 and out and err == ""
+
+
+def test_converge_window_restricts_the_slope_fit(capsys):
+    radius = 18 / (2 * np.pi)
+    argv = ["converge", "--kind", "eigenvalue", "--R", repr(radius), "--a-min", "0.1",
+            "--a-max", "0.5", "--steps", "6", "--grid", "geometric", "--K", "3", "--N", "16"]
+    sweep = convergence.eigenvalue_sweep(radius, convergence.geometric_grid(0.1, 0.5, 6), 3, 16)
+    # the grid is 0.1, 0.138, 0.190, 0.263, 0.362, 0.5: the first window
+    # holds four points, the second two and the reversed one none
+    for window, fitted in (((0.15, 0.5), True), ((0.3, 0.5), False), ((0.5, 0.15), False)):
+        code, out, _ = run_cli(argv + ["--window", *map(repr, window)], capsys)
+        assert code == 0
+        manifest, rows = parse_csv(out)
+        assert manifest["parameters"]["window"] == list(window)
+        slopes = [r["slope"] for r in rows if r["record"] == "slope"]
+        if fitted:
+            assert [float(s) for s in slopes] == [convergence.fit_rate(sweep, n, window)
+                                                  for n in (1, 2, 3)]
+        else:
+            assert slopes == ["", "", ""]
+
+
 def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, monkeypatch):
     # (1 / 2R)^2 is finite at 2 pi R = 1e-153, but the reach of count 5,
     # (1 / 2R)^2 (5 + 16)^2, is not

@@ -551,6 +551,29 @@ def test_residuals_are_computed_on_first_read_only(monkeypatch):
     assert len(calls) == 1
 
 
+def test_leading_residual_counts_outside_the_basis_are_refused():
+    # -1 once returned one norm, -5 none, and 13 or 99 all twelve
+    solution = solve(GalerkinConfig(params=WIDE_PARAMS, n_basis=12))
+    for count in (-1, -5, 13, 99):
+        with pytest.raises(InputError, match=rf"count must be in \[0, 12\], got {count}"):
+            solution.leading_residual_norms(count)
+    assert solution.leading_residual_norms(0).shape == (0,)
+    assert np.array_equal(solution.leading_residual_norms(12), solution.residual_norms)
+
+
+def test_only_the_true_geometry_is_refused_at_radii_whose_fields_overflow():
+    # the fields divide by R^4 and square terms of size a / R^2; the flat
+    # geometries evaluate neither
+    for R in (1.2e77, 1e-78):
+        with pytest.raises(InputError, match=re.escape(f"at a=0.5, R={R:.3g} its fields overflow")):
+            solve(GalerkinConfig(params=StripParams(a=0.5, R=R), n_basis=10))
+    for R in (1.1e77, 1e-77):  # R^4 and (2.5 a / R^2)^2 still finite
+        assert np.all(np.isfinite(solve(GalerkinConfig(StripParams(a=0.5, R=R), 10)).eigenvalues))
+    for geometry in ("flat_plain", "flat_with_Veff"):
+        config = GalerkinConfig(params=StripParams(a=0.5, R=1e100), n_basis=10, geometry=geometry)
+        assert np.all(np.isfinite(solve(config).eigenvalues))
+
+
 @pytest.mark.parametrize("params, n_basis", [
     (TABLE_PARAMS, 82), (WIDE_PARAMS, 60), (StripParams(a=0.05, R=2.0), 120),
 ])
@@ -954,5 +977,10 @@ def test_effective_expansion_is_the_per_mode_loop_bitwise(params, n_basis, count
 def test_config_validation():
     with pytest.raises(InputError):
         GalerkinConfig(params=TABLE_PARAMS, n_basis=0)
+    # a float basis size once failed deep inside the mode enumeration
+    for size in (12.5, 12.0, "12"):
+        with pytest.raises(InputError, match="basis size must be an integer"):
+            GalerkinConfig(params=TABLE_PARAMS, n_basis=size)
+    assert solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=np.int64(12))).eigenvalues.size == 12
     with pytest.raises(InputError):
         GalerkinConfig(params=TABLE_PARAMS, n_basis=4, geometry="spherical")

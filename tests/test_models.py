@@ -16,6 +16,7 @@ from moebius.models import (
     effective_longitudinal,
     effective_spectrum,
     fake_eigenfunction,
+    fake_longitudinal,
     fake_spectrum,
 )
 from moebius.quadrature import QuadratureGrid, integrate_2d
@@ -250,6 +251,14 @@ def test_effective_eigenfunction_ode():
     )
     residual = -phi_pp + potential_veff(params, s) * phi - nu * phi
     assert np.max(np.abs(residual)) < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 2, -2])
+@pytest.mark.parametrize("derivative", [-1, 3, 5])
+def test_fake_longitudinal_refuses_derivative_orders_past_two(m, derivative):
+    # any order from 3 up once returned the second derivative
+    with pytest.raises(InputError, match=f"derivative must be 0, 1 or 2, got {derivative}"):
+        fake_longitudinal(m, StripParams(1, 1), 0.3, derivative=derivative)
 
 
 def test_effective_eigenfunction_norm_and_seam():
