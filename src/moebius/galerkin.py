@@ -61,8 +61,8 @@ sector, indexed per point (``_sector_blocks``).  A sweep passes a chunk
 of half-widths, ``solve`` and ``assemble`` one configuration.  ``solve``
 lays the blocks on the diagonal of one matrix over the basis listed
 sector by sector, so every coefficient column vanishes exactly off its
-sector; ``assemble`` returns that matrix in basis order.  Before building
-anything, ``_project`` charges each step's arrays to
+sector; ``assemble`` scatters them straight into a matrix in basis order.
+Before building anything, ``_project`` charges each step's arrays to
 ``models.require_bytes`` from their shapes.
 
 Its ascending eigenvalues are variational upper bounds on the true
@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,27 +229,20 @@ class GalerkinSolution:
         coeffs = self.coefficients[:, k - 1]
         return sum(
             np.outer(coeffs[pos] @ factors.longitudinal[pos], factors.transverse[row])
-            for row, pos in factors.by_n(np.arange(disc.m.size))
+            for row, pos in factors.by_n()
         )
 
 
-def _basis_arrays(
-    params: StripParams, n_basis: int, close_pairs: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) of the first ``n_basis`` flat modes as integer arrays.
+def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(m, n) of the first ``n_basis`` flat modes as integer arrays, at each
+    of ``params``, strips of one radius, from one enumeration of their flat
+    modes.
 
     Modes come by ascending flat eigenvalue, merged entries as in
     ``fake_spectrum``, and within an entry by (harmonic, cosine before
     sine, n).  ``close_pairs`` appends the next mode when the last one is
-    half of a +/-m pair whose partner was cut off.  A sweep chunk
-    enumerates the bases of all its half-widths at once (``_bases``).
+    half of a +/-m pair whose partner was cut off.
     """
-    return _bases([params], n_basis, close_pairs)[0]
-
-
-def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``_basis_arrays`` at each of ``params``, strips of one radius, from
-    one enumeration of their flat modes."""
     point, sine, m, n, _, entry = _modes(params[0].R, [p.a for p in params], n_basis + 1, None)
     order = np.lexsort((n, sine, m, entry))
     point, m, n = point[order], np.where(sine, -m, m)[order], n[order]
@@ -269,7 +263,7 @@ def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
     """First ``n_basis`` flat modes, ascending eigenvalue, deterministic ties."""
-    return list(_mode_labels(*_basis_arrays(params, n_basis, close_pairs)))
+    return list(_mode_labels(*_bases([params], n_basis, close_pairs)[0]))
 
 
 @dataclass(frozen=True)
@@ -281,13 +275,10 @@ class _Factors:
     transverse: np.ndarray    # (distinct n, |u|) T_n(u), n ascending
     n_of: np.ndarray          # (N,) row of ``transverse`` holding T_{n_j}
 
-    def by_n(self, rows) -> list[tuple[int, np.ndarray]]:
-        """Positions within ``rows`` grouped by transverse index, as
-        (row of ``transverse``, positions) pairs."""
-        n_rows = self.n_of[rows]
-        # the distinct rows, ascending; np.unique would import numpy.ma (numpy 2)
-        present = np.flatnonzero(np.bincount(n_rows))
-        return [(int(n), np.flatnonzero(n_rows == n)) for n in present]
+    def by_n(self) -> list[tuple[int, np.ndarray]]:
+        """Basis positions grouped by transverse index, as (row of
+        ``transverse``, positions) pairs."""
+        return [(n, np.flatnonzero(self.n_of == n)) for n in range(self.transverse.shape[0])]
 
 
 def _sample_factors(m, n, params: StripParams, s, u, with_slope: bool = False) -> _Factors:
@@ -522,8 +513,8 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     fill their rows of it from one ``_fields`` and one ``_kernel_spectra``
     call, and the points whose sectors have equal sizes take one
     ``_sector_blocks`` gather, whatever their bases.  With ``dense``, for
-    ``_matrix``, the single configuration keeps its ``_Discretisation`` for
-    its residuals.
+    ``solve`` and ``assemble``, the single configuration keeps its
+    ``_Discretisation`` for its residuals.
 
     Before anything is built, each step's arrays are charged to
     ``require_bytes`` from their shapes: one point's blocks at N before the
@@ -604,25 +595,14 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     return projected
 
 
-def _matrix(config: GalerkinConfig) -> tuple[np.ndarray, np.ndarray, _Discretisation]:
-    """The projection matrix over the basis in sector order (its sector
-    blocks on the diagonal, zeros elsewhere), each basis row's position in
-    that order, and the discretisation that the projection evaluated."""
-    [projected] = _project([config], dense=True)
-    order = np.concatenate([rows[0] for rows in projected.sectors])
-    dense = np.zeros((order.size,) * 2)
-    c = projected.stacks[0].shape[1]  # the cosine sector, which holds m = 0, comes first
-    for block, stack in zip((dense[:c, :c], dense[c:, c:]), projected.stacks):
-        block[...] = stack[0]
-    return dense, np.argsort(order), projected.disc
-
-
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     """Projection matrix of L onto the flat basis in basis order, the
     matrix ``solve`` diagonalises in sector order; symmetric by storage."""
-    dense, rank, _ = _matrix(config)
-    basis = dense[np.ix_(rank, rank)]
-    del dense  # the triangle is packed from the copy
+    [projected] = _project([config], dense=True)
+    basis = np.zeros((projected.m.shape[1],) * 2)
+    for rows, stack in zip(projected.sectors, projected.stacks):
+        basis[np.ix_(rows[0], rows[0])] = stack[0]
+    del projected, stack  # the blocks are copied; the packing takes their place
     return SymmetricMatrix.from_dense(basis)
 
 
@@ -643,11 +623,35 @@ def _residual_norms(
     per eigenpair reduces them, so the first ``count`` norms are bitwise
     those of all N.  At least two eigenpairs are formed: numpy takes a
     one-row product through a matrix-vector kernel that sums in another
-    order.
+    order.  A strip whose residual fields could overflow, by a bound read
+    from the fields, the rates and the eigenvalues, is refused with
+    ``InputError`` before anything is built.
     """
     width = min(max(count, 2), eigenvalues.size)
     size, (m_s, m_u) = disc.m.size, disc.fa.shape
     n_count = int(np.count_nonzero(np.bincount(disc.n)))
+    # Per eigenpair, the terms of a residual field are each at most sqrt(N)
+    # amp (amp the largest longitudinal amplitude, sqrt(N) the largest
+    # absolute sum of a unit coefficient column) times rate |drift|,
+    # rate^2 / fa^2, |V| + diagonal or |lambda|.  Their sum is at most
+    # sqrt(N) amp times the first three, with |diagonal - lambda| for the
+    # last two, plus the roundoff of forming and adding the 4 per n terms,
+    # at most (4 per n + 4) unit roundoffs of their absolute sum.  The sum
+    # is squared and summed over the weights, and fa is cubed.  The bounds
+    # are Python floats, which reach inf with no warning
+    R, (f_lo, f_hi) = disc.params.R, (float(disc.fa.min()), float(disc.fa.max()))
+    rate = float(np.abs(disc.m).max()) / (2.0 * R)
+    d_lo, d_hi = float(disc.transverse_diag.min()), float(disc.transverse_diag.max())
+    l_lo, l_hi = float(eigenvalues[:width].min()), float(eigenvalues[:width].max())
+    common = (rate * (2.0 * float(np.abs(disc.d_s_fa).max()) / (f_lo * f_lo * f_lo))
+              + rate * rate / (f_lo * f_lo) + float(np.abs(disc.potential).max()))
+    terms = common + d_hi + max(-l_lo, l_hi)
+    bound = (common + max(d_hi - l_lo, l_hi - d_lo) + (4 * n_count + 4) * 2.0**-53 * terms
+             ) * math.sqrt(size / (math.pi * R))
+    if not (f_hi * f_hi * f_hi < math.inf and terms < math.inf
+            and bound * bound * max(float(disc.grid.weights_2d.sum()), 1.0) < math.inf):
+        raise InputError(f"strip out of range for the residual norms: at a={disc.params.a:.3g}, "
+                         f"R={R:.3g} its residual fields overflow")
     # the factor tables and one n's rows, one n's coefficients, seven
     # (m_s, m_u) fields, two blocks of residual fields and the terms,
     # charged before the factor tables are first read; what the read
@@ -660,7 +664,7 @@ def _residual_norms(
     factors, weights = disc.factors, disc.grid.weights_2d
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
-    groups = factors.by_n(np.arange(disc.m.size))
+    groups = factors.by_n()
     # four terms per n, each a (K, m_s) row and an (m_s, m_u) field
     rows_terms = np.empty((4 * len(groups), width, inv_f_sq.shape[0]))
     field_terms = np.empty((4 * len(groups),) + inv_f_sq.shape)
@@ -696,10 +700,17 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     rows come back in basis order.  The solution keeps the projection's
     quadrature fields; residual norms wait for their first read.
     """
-    dense, rank, disc = _matrix(config)
+    [projected] = _project([config], dense=True)
+    order = np.concatenate([rows[0] for rows in projected.sectors])
+    dense = np.zeros((order.size,) * 2)
+    c = projected.stacks[0].shape[1]  # the cosine sector, which holds m = 0, comes first
+    for block, stack in zip((dense[:c, :c], dense[c:, c:]), projected.stacks):
+        block[...] = stack[0]
+    disc = projected.disc
+    del projected, block, stack  # the blocks are copied; the eigenvectors take their place
     decomp = eig_dense_symmetric(dense)
     del dense  # the coefficients take its place
-    return GalerkinSolution(config, decomp.eigenvalues, decomp.eigenvectors[rank], disc)
+    return GalerkinSolution(config, decomp.eigenvalues, decomp.eigenvectors[np.argsort(order)], disc)
 
 
 def residual_norm(solution: GalerkinSolution, k: int) -> float:
@@ -739,8 +750,8 @@ def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion
     above 1e-6 (less than 99.9999 percent of the norm captured) raises
     ``CapacityError``.
     """
-    basis = _basis_arrays(config.params, config.n_basis, config.close_pairs)
-    return _expansions([config.params], [basis], count)[0]
+    basis = _bases([config.params], config.n_basis, config.close_pairs)
+    return _expansions([config.params], basis, count)[0]
 
 
 def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
@@ -748,7 +759,7 @@ def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
     the first ``count`` effective eigenfunctions of point i expanded over
     its basis ``bases[i]`` = (m, n), their modes from one ``_modes`` call
     over the half-widths.  Each distinct mode's harmonics and weights are
-    read once, and placed once per distinct basis for all its points.  A
+    read once, and placed over each point's basis in one pass per point.  A
     ``CapacityError`` names the first failing mode of the first failing
     point.
     """
@@ -774,29 +785,27 @@ def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
     weights[harmonics == 0] *= np.sqrt(2.0)
     harmonics[distinct % 2 == 1] *= -1
     mode_of = np.searchsorted(distinct, keys)
-    coeffs, truncations = [None] * len(params), np.empty(keys.shape)
-    for points in _grouped((m.tobytes(), n.tobytes()) for m, n in bases):
-        m, n = bases[points[0]]
+    coeffs, truncations = [], np.empty(keys.shape)
+    for i, (m, n) in enumerate(bases):
         # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
         top = int(np.abs(m).max())
         position = np.full((2 * top + 1, int(n.max()) + 1), -1)
         position[m + top, n] = np.arange(m.size)
-        # (point, mode, harmonic) cells of the group's points
-        h = harmonics[mode_of[points]]
-        cell_n = np.broadcast_to(n_eff[points][:, :, None], h.shape)
+        # (mode, harmonic) cells of the point
+        h = harmonics[mode_of[i]]
+        cell_n = np.broadcast_to(n_eff[i][:, None], h.shape)
         rows = np.full(h.shape, -1)
         inside = (np.abs(h) <= top) & (cell_n < position.shape[1])
         rows[inside] = position[h[inside] + top, cell_n[inside]]
-        placed = np.where(rows >= 0, weights[mode_of[points]], 0.0)
+        found = rows >= 0
+        placed = np.where(found, weights[mode_of[i]], 0.0)
         # accumulated in harmonic order, one square at a time; the zeros
         # padding each mode's row leave its partial sums unchanged
-        leaked = 1.0 - np.cumsum(placed**2, axis=2)[:, :, -1]
+        leaked = 1.0 - np.cumsum(placed**2, axis=1)[:, -1]
         # below summation roundoff the deficit carries no information
-        truncations[points] = np.where(leaked > 1e-14, leaked, 0.0)
-        for g, i in enumerate(points):
-            found = rows[g] >= 0
-            coeffs[i] = np.zeros((m.size, count))
-            coeffs[i][rows[g][found], np.nonzero(found)[0]] = placed[g][found]
+        truncations[i] = np.where(leaked > 1e-14, leaked, 0.0)
+        coeffs.append(np.zeros((m.size, count)))
+        coeffs[i][rows[found], np.nonzero(found)[0]] = placed[found]
     failed = np.argwhere(truncations > 1e-6)  # point by point, modes in order
     if failed.size:
         p, i = failed[0]

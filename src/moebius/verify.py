@@ -217,7 +217,7 @@ def check_mathieu_ode_residual() -> CheckResult:
 
 
 def check_basis_gram() -> CheckResult:
-    m, n = galerkin._basis_arrays(PARAMS, 30)
+    [(m, n)] = galerkin._bases([PARAMS], 30, False)
     config = galerkin.GalerkinConfig(params=PARAMS, n_basis=30)
     grid = QuadratureGrid.for_strip(PARAMS, *galerkin._quadrature_orders(config, m, n))
     factors = galerkin._sample_factors(m, n, PARAMS, grid.s_nodes, grid.u_nodes)

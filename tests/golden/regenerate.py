@@ -11,8 +11,17 @@ matches the committed one as the test compares it keeps its committed
 text, so a regeneration on another machine, whose LAPACK rounds the last
 bits differently, rewrites only the cells that really moved.
 
-    python tests/golden/regenerate.py              # this checkout's package
-    python tests/golden/regenerate.py --src DIR    # the package under DIR
+    python tests/golden/regenerate.py                 # this checkout's package
+    python tests/golden/regenerate.py --src DIR       # the package under DIR
+    python tests/golden/regenerate.py --check         # write nothing, list what moved
+    python tests/golden/regenerate.py --check --exact # ... down to the last byte
+
+``--check`` writes nothing: it lists every cell of a fresh run that moved
+from the file as ``tests/test_golden.py`` compares them (with ``--exact``,
+every cell that is not byte-identical) and exits 1 if any did.  To show
+that a change leaves the output byte-identical on one machine, regenerate
+into a copy whose CSV files were deleted from the parent's package
+(``--src``), then run ``--check --exact`` there with the change's package.
 
 The goldens are a behaviour gate for refactors: regenerate them only when
 an output is meant to change, and say why in CHANGES.md.
@@ -132,6 +141,32 @@ def merge(fresh: str, committed: str) -> str:
     return out.getvalue()
 
 
+def moved(fresh: str, committed: str, exact: bool = False) -> list[str]:
+    """What of the output ``fresh`` moved from the file ``committed``.
+
+    The manifest line, the header and the row count must match exactly,
+    the cells as ``cell_matches`` compares them and the modes by
+    ``mode_groups``; with ``exact``, every byte must be the committed one.
+    """
+    new_manifest, new_header, new_rows = split(fresh)
+    old_manifest, old_header, old_rows = split(committed)
+    found = [] if new_manifest == old_manifest else [f"manifest: {new_manifest}"]
+    if new_header != old_header or len(new_rows) != len(old_rows):
+        return found + [f"header or row count: {new_header!r} with {len(new_rows)} rows "
+                        f"(golden {old_header!r} with {len(old_rows)})"]
+    columns = new_header.split(",")
+    compared = columns if exact else [c for c in columns if c not in NOT_CELLWISE]
+    for i, (new, old) in enumerate(zip(new_rows, old_rows)):
+        found += [f"row {i + 1} column {column}: {new[column]} (golden {old[column]})"
+                  for column in compared
+                  if not (new[column] == old[column] if exact else cell_matches(column, new, old))]
+    if not exact and "mode" in columns and mode_groups(new_rows) != mode_groups(old_rows):
+        found.append("mode labels of a multiplicity group")
+    if exact and not found and fresh != committed:
+        found.append("bytes outside the cells")
+    return found
+
+
 def run(argv) -> str:
     """CSV output of one in-process CLI run with the timestamp pinned."""
     from moebius.cli import main
@@ -152,20 +187,34 @@ def run(argv) -> str:
     return buffer.getvalue()
 
 
-def main() -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=HERE.parent.parent / "src",
                         help="directory holding the moebius package (default: this checkout's src)")
-    args = parser.parse_args()
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list the cells that moved and exit 1 if any did")
+    parser.add_argument("--exact", action="store_true",
+                        help="with --check, list every cell that is not byte-identical")
+    args = parser.parse_args(argv)
+    if args.exact and not args.check:
+        parser.error("--exact applies only to --check")
     sys.path.insert(0, str(args.src.resolve()))
+    status = 0
     for name, argv in COMMANDS.items():
         path = HERE / f"{name}.csv"
         text = run(argv)
+        if args.check:
+            found = moved(text, path.read_text(), args.exact) if path.exists() else ["no file"]
+            for line in found or ["unchanged"]:
+                print(f"{name}.csv: {line}")
+            status |= bool(found)
+            continue
         if path.exists():
             text = merge(text, path.read_text())
         path.write_text(text, newline="")
         print(f"wrote {name}.csv")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from moebius import galerkin, mathieu, models
 from moebius.convergence import eigenvalue_sweep
 from moebius.errors import CapacityError
-from moebius.galerkin import GalerkinConfig, _basis_arrays, assemble, basis_modes, solve
+from moebius.galerkin import GalerkinConfig, _bases, assemble, basis_modes, solve
 from moebius.geometry import StripParams
 from moebius.models import (
     FAMILY_EFF_CE,
@@ -145,7 +145,7 @@ def reference_basis(params, n_basis, close_pairs):
 
 
 def assert_matches_reference(params, n_basis, close_pairs):
-    m, n = _basis_arrays(params, n_basis, close_pairs)
+    [(m, n)] = _bases([params], n_basis, close_pairs)
     assert m.dtype.kind == n.dtype.kind == "i"
     expected = reference_basis(params, n_basis, close_pairs)
     assert list(zip(m.tolist(), n.tolist())) == expected
@@ -360,7 +360,7 @@ def test_assembly_builds_no_mode_labels(monkeypatch):
     with pytest.raises(AssertionError, match="ModeIndex"):
         solution.basis
     monkeypatch.undo()
-    m, n = _basis_arrays(config.params, 72, True)
+    [(m, n)] = _bases([config.params], 72, True)
     assert [(md.m, md.n) for md in solution.basis] == list(zip(m.tolist(), n.tolist()))
     assert galerkin.basis_modes(config.params, 72, True) == list(solution.basis)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moebius import cli, convergence, linalg, mathieu, models
+from moebius import cli, convergence, galerkin, linalg, mathieu, models
 from moebius.cli import EXPORT_POINT_BYTES, main
 from moebius.errors import CapacityError
 from moebius.geometry import StripParams
@@ -825,6 +825,29 @@ def test_galerkin_runs_on_radii_whose_fields_overflow_are_refused(capsys, comman
     for R in answered:
         code, out, err = run_cli(command + ["--R", R], capsys)
         assert code == 0 and out and err == ""
+
+
+def test_strips_whose_residual_fields_overflow_are_refused_before_any_is_built(capsys, monkeypatch):
+    # the squared residual fields overflowed into residual inf, and fa^3 into
+    # residual 0 beside a negative lowest value, both at exit 0
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the residual factor tables were built")
+
+    argv = ["spectrum", "--model", "true", "--N", "10", "--count", "3"]
+    with monkeypatch.context() as patched:
+        patched.setattr(galerkin, "_sample_factors", not_reached)
+        for a, R in (("1e-60", "1e-75"), ("1e+150", "1")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(argv + ["--a", a, "--R", R], capsys)
+            assert (code, out, caught) == (2, "", [])
+            assert err == (f"error: strip out of range for the residual norms: at a={a}, R={R} "
+                           f"its residual fields overflow\n")
+    # residuals of 1e128 on a strip whose fields reach 3e151, below the
+    # overflow at 1.3e154, are still printed
+    code, out, err = run_cli(argv + ["--a", "1e-72", "--R", "1e-48"], capsys)
+    assert code == 0 and err == ""
+    assert all(1e127 < float(row["residual"]) < 1e130 for row in parse_csv(out)[1])
 
 
 def test_converge_window_restricts_the_slope_fit(capsys):

@@ -175,7 +175,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
     assert [len(chunk) for chunk in groups] == [2, 1]
     sizes = {}  # each half-width's sector sizes, cosine then sine
     for a in grid:
-        m, _ = galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 40, True)
+        [(m, _)] = galerkin._bases([StripParams(a=float(a), R=RADIUS)], 40, True)
         sizes[a] = (np.count_nonzero(m >= 0), np.count_nonzero(m < 0))
     # per chunk, one eigensolve per sector per set of equal sector sizes
     expected = []
@@ -409,7 +409,7 @@ def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch, charges):
     # kernels, eight times one point's, beside the kernel spectra are its
     # largest charge
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
-    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
+    bases = galerkin._bases([StripParams(a=float(a), R=RADIUS) for a in grid], 30, True)
     assert {m.size for m, _ in bases} == {31} and {int(n.max()) for _, n in bases} == {1}
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     m_s, m_u = top + 32, 18
@@ -430,7 +430,7 @@ def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch, c
     # they are read from, are its largest charge; the eigenvector sweep's
     # blocks and eigenvectors together stay within it
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
-    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=RADIUS), 30, True) for a in grid]
+    bases = galerkin._bases([StripParams(a=float(a), R=RADIUS) for a in grid], 30, True)
     assert {(np.count_nonzero(m >= 0), m.size) for m, _ in bases} == {(16, 31)}
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     blocks = 8 * grid.size * (16**2 + 15**2)
@@ -456,7 +456,7 @@ def test_chunk_kernel_spectra_are_refused_before_any_is_built(monkeypatch, charg
     # them, and outweigh the blocks
     radius = 0.5
     grid = np.geomspace(0.02, 1.5, convergence._CHUNK)
-    bases = [galerkin._basis_arrays(StripParams(a=float(a), R=radius), 30, True) for a in grid]
+    bases = galerkin._bases([StripParams(a=float(a), R=radius) for a in grid], 30, True)
     n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     spectra = 8 * grid.size * 2 * (top + 1) * n_count * (n_count + 1) // 2

@@ -449,6 +449,21 @@ def scattered_matrix(disc, geometry):
     return out
 
 
+def permuted_sector_matrix(config):
+    """The matrix laid out sector by sector, its blocks on the diagonal,
+    then gathered into basis order by each row's rank in sector order: the
+    construction that ``assemble`` replaced by one scatter, kept as its
+    reference."""
+    [projected] = galerkin._project([config], dense=True)
+    order = np.concatenate([rows[0] for rows in projected.sectors])
+    dense = np.zeros((order.size,) * 2)
+    c = projected.stacks[0].shape[1]
+    for block, stack in zip((dense[:c, :c], dense[c:, c:]), projected.stacks):
+        block[...] = stack[0]
+    rank = np.argsort(order)
+    return dense[np.ix_(rank, rank)]
+
+
 @pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
 def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
     for params, n_basis, m_s in ((TABLE_PARAMS, 102, 13), (WIDE_PARAMS, 60, 40),
@@ -459,6 +474,7 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
             disc = solve(config)._discretisation
             dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc, geometry))
+            assert np.array_equal(dense, permuted_sector_matrix(config))
             [projected] = galerkin._project([config])
             for rows, stack in zip(projected.sectors, projected.stacks):
                 assert np.array_equal(stack[0], dense[np.ix_(rows[0], rows[0])])
@@ -886,7 +902,7 @@ def test_chunk_expansions_name_the_first_failing_point():
     # point 1 comes first in the grid
     params = [StripParams(a=a, R=TABLE_PARAMS.R) for a in (0.5, TABLE_PARAMS.a, 0.9)]
     sizes, count = (72, 2, 10), 10
-    bases = [galerkin._basis_arrays(p, size) for p, size in zip(params, sizes)]
+    bases = [galerkin._bases([p], size, False)[0] for p, size in zip(params, sizes)]
     messages = []
     for p, size in zip(params, sizes):
         try:
@@ -913,7 +929,7 @@ def expansion_by_loop(config, count, q=DEFAULT_Q):
     """The per-mode loop ``effective_in_basis`` replaced, kept as its
     reference: (values, coefficients, truncations), or the CapacityError
     message of the first mode that fails."""
-    m, n = galerkin._basis_arrays(config.params, config.n_basis, config.close_pairs)
+    [(m, n)] = galerkin._bases([config.params], config.n_basis, config.close_pairs)
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)

@@ -23,6 +23,7 @@ must match its golden file as follows:
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,24 +38,10 @@ _spec.loader.exec_module(regenerate)
 def test_readme_command_matches_golden(name):
     fresh = regenerate.run(regenerate.COMMANDS[name])
     committed = (GOLDEN / f"{name}.csv").read_text()
-    new_manifest, new_header, new_rows = regenerate.split(fresh)
-    old_manifest, old_header, old_rows = regenerate.split(committed)
-    assert new_manifest == old_manifest
-    assert new_header == old_header
-    assert len(new_rows) == len(old_rows)
-    columns = new_header.split(",")
+    columns = regenerate.split(committed)[1].split(",")
     assert set(columns) <= (regenerate.EXACT | regenerate.RELATIVE | regenerate.GAPS
                             | regenerate.NOT_CELLWISE | {"slope"})
-    compared = [c for c in columns if c not in regenerate.NOT_CELLWISE]
-
-    for i, (new, old) in enumerate(zip(new_rows, old_rows)):
-        for column in compared:
-            assert regenerate.cell_matches(column, new, old), (
-                f"row {i + 1} column {column}: {new[column]} (golden {old[column]})"
-            )
-
-    if "mode" in columns:
-        assert regenerate.mode_groups(new_rows) == regenerate.mode_groups(old_rows)
+    assert regenerate.moved(fresh, committed) == []
     # so a regeneration from this run rewrites nothing
     assert regenerate.merge(fresh, committed) == committed
 
@@ -78,3 +65,31 @@ def test_regeneration_rewrites_only_the_cells_that_moved():
     # a changed header or row count is the fresh text as it is
     shorter = "".join(lines[:-1])
     assert regenerate.merge(shorter, committed) == shorter
+
+
+def test_check_lists_the_moved_cells_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # each run puts a --src on it
+    monkeypatch.setattr(regenerate, "COMMANDS", {name: regenerate.COMMANDS[name]
+                                                 for name in ("mathieu", "spectrum-fake")})
+    assert regenerate.main([]) == 0  # fresh files, this machine's bytes
+    capsys.readouterr()
+    assert regenerate.main(["--check", "--exact"]) == 0
+    assert capsys.readouterr().out == "mathieu.csv: unchanged\nspectrum-fake.csv: unchanged\n"
+    path = tmp_path / "spectrum-fake.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    value = float(cells[1])
+    # a last-bits change moves a cell only to --exact, a 1e-9 one to both
+    for changed, exact_only in ((value * (1.0 + 4e-16), True), (value * (1.0 + 1e-9), False)):
+        cells[1] = repr(changed)
+        altered = "".join(lines[:3]) + ",".join(cells) + "".join(lines[4:])
+        path.write_text(altered)
+        moved = f"spectrum-fake.csv: row 2 column value: {value!r} (golden {changed!r})\n"
+        for flags in (["--check"], ["--check", "--exact"]):
+            listed = "--exact" in flags or not exact_only
+            assert regenerate.main(flags) == int(listed)
+            out = capsys.readouterr().out
+            assert out == "mathieu.csv: unchanged\n" + (
+                moved if listed else "spectrum-fake.csv: unchanged\n")
+            assert path.read_text() == altered
