@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mathieu", help="characteristic-value table")
-    p.add_argument("--q", type=float, default=-0.25)
+    p.add_argument(
+        "--q", type=float, default=-0.25,
+        help="Mathieu parameter; write a negative value in exponent form as --q=-1e10",
+    )
     p.add_argument("--max-order", type=int, default=10)
     _add_output_options(p)
 

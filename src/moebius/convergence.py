@@ -124,18 +124,15 @@ class SweepResult:
     (module docstring); ``ratios`` holds ``differences / a^2``.
     """
 
-    kind: str
-    radius: float
     a_grid: np.ndarray
     count: int
-    n_basis: int
     effective_values: np.ndarray
     true_values: np.ndarray
     differences: np.ndarray
     ratios: np.ndarray
 
 
-def _sweep(kind, chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> SweepResult:
+def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> SweepResult:
     """``chunk_rows`` over the grid a chunk of ``_CHUNK`` half-widths at a
     time, its (effective, true, difference) arrays stacked into per-(a, n)
     arrays."""
@@ -166,11 +163,8 @@ def _sweep(kind, chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u)
         rows.append(chunk_rows(configs, count))
     eff, true, differences = (np.concatenate(column) for column in zip(*rows))
     return SweepResult(
-        kind=kind,
-        radius=radius,
         a_grid=a_grid,
         count=count,
-        n_basis=n_basis,
         effective_values=eff,
         true_values=true,
         differences=differences,
@@ -217,8 +211,7 @@ def eigenvalue_sweep(
     m_u: int | None = None,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
-    return _sweep("eigenvalue", _eigenvalue_chunk, radius, a_grid, count, n_basis,
-                  geometry, m_s, m_u)
+    return _sweep(_eigenvalue_chunk, radius, a_grid, count, n_basis, geometry, m_s, m_u)
 
 
 def _nearest_distances(vectors, modes, truncations):
@@ -268,8 +261,7 @@ def eigenvector_sweep(
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid, f_true
     the Galerkin eigenfunction of f_eff's reflection sector nearest to it,
     sign-aligned, and f_eff's squared norm outside the basis added."""
-    return _sweep("eigenvector", _eigenvector_chunk, radius, a_grid, count, n_basis,
-                  geometry, m_s, m_u)
+    return _sweep(_eigenvector_chunk, radius, a_grid, count, n_basis, geometry, m_s, m_u)
 
 
 def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:

@@ -68,7 +68,7 @@ Before building anything, ``_project`` charges each step's arrays to
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
 || L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form when a
-solution's residuals are first read, from the grid and the fields fa, d1 fa
+solution's residuals are read, from the grid and the fields fa, d1 fa
 and V that its projection evaluated and the solution keeps
 (``_Discretisation``), with L Psi_j expanded analytically through the
 closed-form derivatives of fa and summed per n from the
@@ -185,15 +185,14 @@ class GalerkinSolution:
     """Result of one projection run.
 
     ``coefficients[:, k]`` expands the k-th eigenfunction over ``basis``;
-    the columns are orthonormal.  ``residual_norms[k]`` is the strong-form
-    L2 residual of the k-th eigenpair, computed on first read from the
-    quadrature fields that the projection evaluated and the solution keeps
-    (a ``_Discretisation``), so callers that need only the eigenpairs never
-    pay for it; ``leading_residual_norms(count)`` computes only the first
-    ``count``, bitwise equal to those of all.
+    the columns are orthonormal.  ``leading_residual_norms(count)`` gives
+    the strong-form L2 residuals of the first ``count`` eigenpairs, computed
+    when read from the quadrature fields that the projection evaluated and
+    the solution keeps (a ``_Discretisation``), so callers that need only
+    the eigenpairs never pay for them; each is bitwise equal to its value
+    among those of all eigenpairs.
     """
 
-    config: GalerkinConfig
     eigenvalues: np.ndarray
     coefficients: np.ndarray
     _discretisation: _Discretisation = field(repr=False, compare=False)
@@ -202,10 +201,6 @@ class GalerkinSolution:
     def basis(self) -> tuple[ModeIndex, ...]:
         """Labels of the basis functions, in coefficient-row order."""
         return _mode_labels(self._discretisation.m, self._discretisation.n)
-
-    @functools.cached_property
-    def residual_norms(self) -> np.ndarray:
-        return self.leading_residual_norms(self.eigenvalues.size)
 
     def leading_residual_norms(self, count: int) -> np.ndarray:
         """The first ``count`` residual norms, computed for those eigenpairs only."""
@@ -698,7 +693,7 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
 
     Every coefficient column is exactly zero off its sector; coefficient
     rows come back in basis order.  The solution keeps the projection's
-    quadrature fields; residual norms wait for their first read.
+    quadrature fields; residual norms wait until they are read.
     """
     [projected] = _project([config], dense=True)
     order = np.concatenate([rows[0] for rows in projected.sectors])
@@ -710,7 +705,7 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     del projected, block, stack  # the blocks are copied; the eigenvectors take their place
     decomp = eig_dense_symmetric(dense)
     del dense  # the coefficients take its place
-    return GalerkinSolution(config, decomp.eigenvalues, decomp.eigenvectors[np.argsort(order)], disc)
+    return GalerkinSolution(decomp.eigenvalues, decomp.eigenvectors[np.argsort(order)], disc)
 
 
 def residual_norm(solution: GalerkinSolution, k: int) -> float:

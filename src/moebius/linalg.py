@@ -4,7 +4,7 @@
   of each member of a stack of them with shape (..., n, n) as numpy takes
   it (the Galerkin sector blocks of a chunk of sweep points), with
   optional eigenvectors.
-* ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - the smallest values, or
+* ``eig_tridiagonal`` / ``eig_tridiagonal_full`` - all eigenvalues, or
   all eigenpairs, of a symmetric tridiagonal matrix given by its diagonal
   and off-diagonal arrays (the Mathieu recurrences).
 
@@ -144,12 +144,9 @@ def _tridiagonal(diagonal, offdiagonal) -> np.ndarray:
     return out
 
 
-def eig_tridiagonal(diagonal, offdiagonal, count: int) -> np.ndarray:
-    """The ``count`` smallest eigenvalues of a symmetric tridiagonal matrix."""
-    dense = _tridiagonal(diagonal, offdiagonal)
-    if not (1 <= count <= dense.shape[0]):
-        raise InputError(f"count must be in [1, {dense.shape[0]}], got {count}")
-    return _eigh(dense, want_vectors=False).eigenvalues[:count]
+def eig_tridiagonal(diagonal, offdiagonal) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending."""
+    return _eigh(_tridiagonal(diagonal, offdiagonal), want_vectors=False).eigenvalues
 
 
 def eig_tridiagonal_full(diagonal, offdiagonal) -> EigenDecomposition:

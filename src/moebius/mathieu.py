@@ -89,7 +89,6 @@ class MathieuChar:
 
     kind: str
     m: int
-    q: float
     value: float
     harmonics: np.ndarray | None = None
     fourier: np.ndarray | None = None
@@ -162,9 +161,8 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
 @lru_cache(maxsize=None)
 def _class_values(kind: str, parity: int, q: float, size: int) -> np.ndarray:
     """All eigenvalues of one class's recurrence at ``size`` rows, ascending
-    and read-only; the first ``count`` of them are, bit for bit, what
-    ``eig_tridiagonal`` returns for that count."""
-    values = eig_tridiagonal(*_recurrence(kind, parity, q, size), size)
+    and read-only."""
+    values = eig_tridiagonal(*_recurrence(kind, parity, q, size))
     values.flags.writeable = False
     return values
 
@@ -212,9 +210,7 @@ def char_values(q: float, max_order: int) -> list[MathieuChar]:
             count = _class_index(orders[-1], kind) + 1
             values, _ = _stable_class_values(kind, parity, q, count)
             for m in orders:
-                out.append(
-                    MathieuChar(kind=kind, m=m, q=q, value=float(values[_class_index(m, kind)]))
-                )
+                out.append(MathieuChar(kind, m, float(values[_class_index(m, kind)])))
     out.sort(key=lambda ch: (ch.kind, ch.m))
     return out
 
@@ -246,7 +242,6 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     return MathieuChar(
         kind=kind,
         m=m,
-        q=q,
         value=float(values[idx]),  # char_value's; eigh's value differs in the last bits
         harmonics=harmonics,
         fourier=coeff[:last].copy(),
@@ -254,31 +249,19 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
 
 
 def evaluate(kind: str, m: int, q: float, eta, derivative: int = 0):
-    """Pointwise ce_m(eta, q) or se_m(eta, q), or an eta derivative of it.
+    """Pointwise ce_m(eta, q) or se_m(eta, q), or its second eta derivative.
 
     Sums the Fourier series; 2 pi periodic, ce even and se odd in eta,
     pi periodic for even order and pi antiperiodic for odd order.
     """
-    if derivative not in (0, 1, 2):
-        raise InputError(f"derivative must be 0, 1 or 2, got {derivative}")
+    if derivative not in (0, 2):
+        raise InputError(f"derivative must be 0 or 2, got {derivative}")
     ch = fourier_coefficients(kind, m, float(q))
     eta = np.asarray(eta, dtype=float)
     j = ch.harmonics[:, None]
     coeff = ch.fourier[:, None]
     phase = j * eta.reshape(1, -1)
-    if kind == "ce":
-        if derivative == 0:
-            table = coeff * np.cos(phase)
-        elif derivative == 1:
-            table = -coeff * j * np.sin(phase)
-        else:
-            table = -coeff * j * j * np.cos(phase)
-    else:
-        if derivative == 0:
-            table = coeff * np.sin(phase)
-        elif derivative == 1:
-            table = coeff * j * np.cos(phase)
-        else:
-            table = -coeff * j * j * np.sin(phase)
+    wave = np.cos(phase) if kind == "ce" else np.sin(phase)
+    table = coeff * wave if derivative == 0 else -coeff * j * j * wave
     result = table.sum(axis=0).reshape(eta.shape)
     return result if result.shape else float(result)

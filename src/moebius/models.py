@@ -44,7 +44,7 @@ round to one double the lowest harmonics come first.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,10 +122,6 @@ class ModeIndex:
                 f"parity selection rule: m + n must be odd"
             )
 
-    @property
-    def harmonic(self) -> int:
-        return abs(self.m)
-
 
 @dataclass(frozen=True)
 class SpectrumEntry:
@@ -151,9 +147,7 @@ class SpectrumEntry:
 class Spectrum:
     """Ascending merged eigenvalues of one model at fixed parameters."""
 
-    params: StripParams
-    model: str
-    entries: tuple[SpectrumEntry, ...] = field(default_factory=tuple)
+    entries: tuple[SpectrumEntry, ...]
 
     def values(self, count: int | None = None) -> np.ndarray:
         """Exact eigenvalues flattened with multiplicity, lowest first."""
@@ -240,7 +234,7 @@ def _merge_sorted(value, count, point):
     return entry, entry <= limit[point]
 
 
-def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Spectrum:
+def _spectrum(family, m, n, value, entry) -> Spectrum:
     """A spectrum from per-mode arrays listed entry by entry, in member order."""
     starts = np.flatnonzero(np.diff(entry, prepend=-1)).tolist() + [entry.size]
     family, m, n, value = family.tolist(), m.tolist(), n.tolist(), value.tolist()
@@ -252,7 +246,7 @@ def _spectrum(params: StripParams, model: str, family, m, n, value, entry) -> Sp
         )
         for lo, hi in zip(starts[:-1], starts[1:])
     )
-    return Spectrum(params=params, model=model, entries=entries)
+    return Spectrum(entries=entries)
 
 
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:
@@ -266,7 +260,7 @@ def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     """
     _, sine, m, n, value, entry = _modes(params.R, [params.a], count, None)
     m = np.where(sine, -m, m)
-    return _spectrum(params, "fake", np.full(m.size, FAMILY_FAKE), m, n, value, entry)
+    return _spectrum(np.full(m.size, FAMILY_FAKE), m, n, value, entry)
 
 
 def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) -> Spectrum:
@@ -277,7 +271,7 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     """
     _, sine, m, n, value, entry = _modes(params.R, [params.a], count, q)
     family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
-    return _spectrum(params, "effective", family, m, n, value, entry)
+    return _spectrum(family, m, n, value, entry)
 
 
 def _modes(R: float, a, count: int, q):
@@ -398,10 +392,10 @@ def transverse_profile(n: int, u):
 
 
 def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
-    """Unit-norm flat longitudinal factor on (0, 2 pi R), or its first or
-    second ``derivative``; m < 0 is the sine branch."""
-    if derivative not in (0, 1, 2):
-        raise InputError(f"derivative must be 0, 1 or 2, got {derivative}")
+    """Unit-norm flat longitudinal factor on (0, 2 pi R), or at
+    ``derivative`` 1 its s derivative; m < 0 is the sine branch."""
+    if derivative not in (0, 1):
+        raise InputError(f"derivative must be 0 or 1, got {derivative}")
     s = np.asarray(s, dtype=float)
     R = params.R
     if m == 0:
@@ -414,14 +408,10 @@ def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
     if m > 0:
         if derivative == 0:
             return amp * np.cos(phase)
-        if derivative == 1:
-            return -amp * rate * np.sin(phase)
-        return -amp * (rate * rate) * np.cos(phase)
+        return -amp * rate * np.sin(phase)
     if derivative == 0:
         return amp * np.sin(phase)
-    if derivative == 1:
-        return amp * rate * np.cos(phase)
-    return -amp * (rate * rate) * np.sin(phase)
+    return amp * rate * np.cos(phase)
 
 
 def effective_longitudinal(mode: ModeIndex, params: StripParams, s):

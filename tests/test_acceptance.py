@@ -155,7 +155,7 @@ def test_criterion_4_true_spectrum():
     worst = float(
         np.max(np.abs(solution.eigenvalues[:20] - TRUE_REFERENCE) / np.abs(TRUE_REFERENCE))
     )
-    ratio = solution.residual_norms[:20] / RESIDUAL_REFERENCE
+    ratio = solution.leading_residual_norms(20) / RESIDUAL_REFERENCE
     residuals_ok = bool(np.all((ratio < 10.0) & (ratio > 0.1)))
     passed = worst <= 1e-6 and residuals_ok and elapsed < 60.0
     report(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moebius import cli, convergence, galerkin, linalg, mathieu, models
+from moebius import cli, convergence, galerkin, linalg, mathieu, models, quadrature
 from moebius.cli import EXPORT_POINT_BYTES, main
 from moebius.errors import CapacityError
 from moebius.geometry import StripParams
@@ -94,6 +94,20 @@ def test_mathieu_reference_row(capsys):
     assert len(rows) == 11
     assert float(rows[0]["a_m"]) == pytest.approx(-0.0310393954756173, rel=1e-13)
     assert rows[0]["b_m"] == ""
+
+
+def test_negative_q_in_exponent_form_needs_the_equals_form(capsys, monkeypatch):
+    # argparse reads a leading '-' with an exponent as an option
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")  # one timestamp for both runs
+    assert cli.build_parser().parse_args(["mathieu", "--q=-1e10"]).q == -1e10
+    for q in ("-1e10", "-5e-324"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(["mathieu", "--q", q])
+        assert exit_info.value.code == 2
+        assert "argument --q: expected one argument" in capsys.readouterr().err
+    _, equals, _ = run_cli(["mathieu", "--q=-2.5e-1", "--max-order", "3"], capsys)
+    _, spaced, _ = run_cli(["mathieu", "--q", "-0.25", "--max-order", "3"], capsys)
+    assert parse_csv(equals) == parse_csv(spaced)
 
 
 def test_mathieu_free_limit(capsys):
@@ -644,6 +658,29 @@ def test_oversized_runs_are_refused_at_the_start(capsys, argv):
     assert code == 2
     assert out == ""
     assert "MiB cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # ran 2 min 25 s in the Newton iteration of the rule, then exited 0
+    ["spectrum", "--model", "true", "--a", "0.75", "--R", "2", "--N", "10", "--count", "3",
+     "--mu", "100000"],
+    ["converge", "--steps", "3", "--K", "2", "--N", "10", "--mu", "5000"],
+    ["eigenfunction", "--k", "1", "--a", "0.75", "--R", "2", "--N", "10", "--grid", "4x3",
+     "--mu", "5000"],
+])
+def test_quadrature_orders_past_the_cap_are_refused_before_any_rule_or_field(
+        capsys, monkeypatch, argv):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a quadrature rule or a field array was built")
+
+    monkeypatch.setattr(quadrature, "_newton_legendre", not_reached)
+    monkeypatch.setattr(galerkin, "_fields", not_reached)
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: a Gauss-Legendre rule of order {argv[-1]} is above the cap of "
+                   f"{quadrature._MAX_ORDER} nodes\n")
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.0]

@@ -37,11 +37,8 @@ def synthetic_sweep(power, scale=1.0):
     effective = 5.0 + np.zeros((9, 1))
     true = effective - differences[:, None]
     return SweepResult(
-        kind="eigenvalue",
-        radius=RADIUS,
         a_grid=a_grid,
         count=1,
-        n_basis=10,
         effective_values=effective,
         true_values=true,
         differences=differences[:, None],

@@ -89,7 +89,7 @@ def test_symmetric_matrix_storage():
 
 
 def test_tridiagonal_decoupled():
-    values = eig_tridiagonal(np.array([0.0, 4.0, 16.0]), np.zeros(2), 3)
+    values = eig_tridiagonal(np.array([0.0, 4.0, 16.0]), np.zeros(2))
     assert values == pytest.approx([0.0, 4.0, 16.0], abs=1e-15)
 
 
@@ -98,7 +98,7 @@ def test_tridiagonal_discrete_laplacian():
     n = 34
     expected = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     expected.sort()
-    assert eig_tridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0), n) == pytest.approx(
+    assert eig_tridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0)) == pytest.approx(
         expected, abs=1e-13
     )
 
@@ -120,9 +120,9 @@ def test_graded_matrix_small_eigenvalue_accuracy():
     diag = (2.0 * np.arange(n)) ** 2
     off = np.full(n - 1, -0.25)
     off[0] *= np.sqrt(2.0)
-    coarse = eig_tridiagonal(diag, off, 1)[0]
+    coarse = eig_tridiagonal(diag, off)[0]
     fine = eig_tridiagonal(
-        (2.0 * np.arange(2 * n)) ** 2, np.concatenate([off, np.full(n, -0.25)]), 1
+        (2.0 * np.arange(2 * n)) ** 2, np.concatenate([off, np.full(n, -0.25)])
     )[0]
     assert abs(coarse - fine) < 1e-14
 
@@ -137,12 +137,9 @@ def test_input_validation():
         (np.array([np.nan, 2.0]), off, "tridiagonal matrix has non-finite entries"),
     ):
         with pytest.raises(InputError, match=message):
-            eig_tridiagonal(bad_diag, bad_off, 1)
+            eig_tridiagonal(bad_diag, bad_off)
         with pytest.raises(InputError, match=message):
             eig_tridiagonal_full(bad_diag, bad_off)
-    for count in (3, 0):
-        with pytest.raises(InputError, match=rf"count must be in \[1, 2\], got {count}"):
-            eig_tridiagonal(diag, off, count)
 
 
 def test_tridiagonal_builder_fills_one_dense_matrix():
@@ -186,7 +183,7 @@ def test_overflow_raises_numerical_error():
     # finite entries near the largest double overflow inside LAPACK
     diag, off = np.full(8, 1e308), np.full(7, 1e308)
     with pytest.raises(NumericalError, match="non-finite"):
-        eig_tridiagonal(diag, off, 1)
+        eig_tridiagonal(diag, off)
     with pytest.raises(NumericalError, match="non-finite"):
         eig_dense_symmetric(_tridiagonal(diag, off))
 

@@ -237,3 +237,24 @@ def test_the_capacity_cap_has_one_binding_read_by_one_gate():
     assert bound == ["models.py"]
     assert imported == []
     assert read and set(read) == {"models.py:require_bytes"}
+
+
+# Every def and lambda parameter of the package other than self (cls,
+# *args and **kwargs count) and every dataclass field: a change that adds
+# or removes a setting updates this count and says why in CHANGES.md
+SETTABLE_VALUES = 335
+
+
+def test_settable_values_are_counted():
+    count = 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+                names += [arg.arg for arg in (args.vararg, args.kwarg) if arg is not None]
+                count += sum(name != "self" for name in names)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+                count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+    assert count == SETTABLE_VALUES

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius.errors import InputError
+from moebius import quadrature
+from moebius.errors import CapacityError, InputError
 from moebius.geometry import StripParams, jacobian_f, potential_va
 from moebius.models import fake_longitudinal, transverse_profile
 from moebius.quadrature import QuadratureGrid, gauss_legendre, integrate_2d
@@ -12,9 +13,9 @@ PARAMS = StripParams(a=0.75, R=13.2 / (2 * np.pi))
 
 
 def test_gauss_legendre_lowest_orders():
-    nodes, weights = gauss_legendre(1)
-    assert nodes == pytest.approx([0.0], abs=0.0)
-    assert weights == pytest.approx([2.0], abs=0.0)
+    nodes, weights = gauss_legendre(1)  # the general Newton path, bit for bit
+    assert nodes.tobytes() == np.array([0.0]).tobytes()
+    assert weights.tobytes() == np.array([2.0]).tobytes()
     nodes, weights = gauss_legendre(2)
     assert nodes == pytest.approx([-1 / np.sqrt(3), 1 / np.sqrt(3)], abs=1e-15)
     assert weights == pytest.approx([1.0, 1.0], abs=1e-15)
@@ -88,7 +89,7 @@ def test_fake_basis_gram_identity():
     modes = basis_modes(PARAMS, 30)
     grid = QuadratureGrid.for_strip(
         PARAMS,
-        4 * max(md.harmonic for md in modes) + 32,
+        4 * max(abs(md.m) for md in modes) + 32,
         2 * max(md.n for md in modes) + 16,
     )
     rows = np.asarray(
@@ -130,11 +131,21 @@ def test_non_finite_sample_rejected():
         integrate_2d(grid, bad)
 
 
-def test_order_validation():
+def test_order_validation(monkeypatch):
     with pytest.raises(InputError):
         gauss_legendre(0)
     with pytest.raises(InputError):
         QuadratureGrid.for_strip(PARAMS, 0, 4)
+    # the cap's own rule converges; one order past it is refused before
+    # any iteration (20,000 nodes iterated for 6.8 s)
+    cap = quadrature._MAX_ORDER
+    nodes, weights = gauss_legendre(cap)
+    assert nodes.size == cap and abs(weights.sum() - 2.0) < 1e-14
+    monkeypatch.setattr(quadrature, "_newton_legendre", None)
+    for order in (cap + 1, 20000):
+        with pytest.raises(CapacityError, match=f"^a Gauss-Legendre rule of order {order} is "
+                                                f"above the cap of {cap} nodes$"):
+            gauss_legendre(order)
 
 
 @pytest.mark.parametrize("order", [1, 2, 17, 80, 200])
