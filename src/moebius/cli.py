@@ -56,7 +56,7 @@ import numpy as np
 # each command imports the compute modules it runs, so a child process
 # loads only those (``moebius mathieu`` never loads the Galerkin solver)
 from . import __version__
-from .errors import InputError, MoebiusError, NumericalError
+from .errors import InputError, NumericalError
 
 __all__ = ["main", "run", "build_parser", "RunManifest"]
 
@@ -415,7 +415,9 @@ def _cmd_converge(args) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be >= 1, got {args.steps}")
     convergence.require_sweep_capacity(args.steps, args.N, args.ms)  # before the grid
-    for option, end in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+    window = tuple(args.window) if args.window is not None else None
+    for option, end in (("--a-min", args.a_min), ("--a-max", args.a_max),
+                        *(("--window", end) for end in window or ())):
         if not math.isfinite(end):
             raise InputError(f"{option} must be finite, got {end}")
     if args.grid == "geometric":
@@ -428,7 +430,6 @@ def _cmd_converge(args) -> int:
         else convergence.eigenvector_sweep
     )
     sweep = sweep_fn(radius, a_grid, args.K, args.N, m_s=args.ms, m_u=args.mu)
-    window = tuple(args.window) if args.window is not None else None
     slopes = []
     for n in range(1, args.K + 1):
         try:
@@ -544,9 +545,6 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
-    except MoebiusError as exc:  # fallback for any future subclass
-        sys.stderr.write(f"error: {exc}\n")
         return 3
 
 

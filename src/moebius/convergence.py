@@ -16,7 +16,7 @@ d = sqrt(||c - sign(e.c) e||^2 + t), t its squared norm outside the
 Galerkin basis, summed elementwise so distances far below sqrt(eps) stay
 resolved.
 
-Raw eigenvalues and the differences are stored alongside the ratios.
+Raw eigenvalues and the differences are stored, and the ratios read from them.
 ``fit_rate`` is the one slope path: a least-squares log-log fit of the
 differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
@@ -121,15 +121,17 @@ class SweepResult:
     ``differences`` holds |lambda_eff - lambda_true| (eigenvalue kind) or
     the distance of the n-th effective eigenfunction to the nearest Galerkin
     eigenfunction of its reflection sector, sign-aligned, plus truncation
-    (module docstring); ``ratios`` holds ``differences / a^2``.
+    (module docstring); ``ratios`` gives ``differences / a^2``.
     """
 
     a_grid: np.ndarray
-    count: int
     effective_values: np.ndarray
     true_values: np.ndarray
     differences: np.ndarray
-    ratios: np.ndarray
+
+    @property
+    def ratios(self) -> np.ndarray:
+        return self.differences / self.a_grid[:, None] ** 2
 
 
 def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> SweepResult:
@@ -162,14 +164,7 @@ def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> Sw
         ]
         rows.append(chunk_rows(configs, count))
     eff, true, differences = (np.concatenate(column) for column in zip(*rows))
-    return SweepResult(
-        a_grid=a_grid,
-        count=count,
-        effective_values=eff,
-        true_values=true,
-        differences=differences,
-        ratios=differences / a_grid[:, None] ** 2,
-    )
+    return SweepResult(a_grid, eff, true, differences)
 
 
 def _solved_chunk(configs, want_vectors: bool):
@@ -270,8 +265,9 @@ def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:
     ``a_window`` restricts the fit to half-widths in [lo, hi]; at least 4
     grid points must remain.
     """
-    if not (1 <= index <= sweep.count):
-        raise InputError(f"index must be in [1, {sweep.count}], got {index}")
+    count = sweep.differences.shape[1]
+    if not (1 <= index <= count):
+        raise InputError(f"index must be in [1, {count}], got {index}")
     mask = np.ones(sweep.a_grid.size, dtype=bool)
     if a_window is not None:
         lo, hi = a_window

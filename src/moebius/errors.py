@@ -15,4 +15,7 @@ class NumericalError(MoebiusError, RuntimeError):
 
 
 class CapacityError(InputError):
-    """A truncated basis is too small to represent the requested object."""
+    """A run refused as too large for its caps or basis: arrays past the
+    byte cap, a sweep past the work cap, a Mathieu truncation or
+    Gauss-Legendre order past its cap, longitudinal energies that overflow,
+    or more indices or an expansion than a basis can hold."""

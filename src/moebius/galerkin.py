@@ -89,7 +89,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mathieu
 from .errors import CapacityError, InputError
 from .geometry import StripParams, _g_with_derivatives, _potential_from_g, potential_veff
 from .linalg import SymmetricMatrix, eig_dense_symmetric
@@ -100,6 +99,7 @@ from .models import (
     DEFAULT_Q,
     ModeIndex,
     _modes,
+    _table,
     require_bytes,
     transverse_profile,
 )
@@ -315,8 +315,8 @@ def _transverse_rows(n_values, u) -> np.ndarray:
 @dataclass(frozen=True)
 class _Discretisation:
     """Basis labels and quadrature fields of one configuration, kept from
-    its projection for its strong-form residuals; the factor tables and
-    diagonal terms wait for their first read."""
+    its projection for its strong-form residuals, which form the factor
+    tables and diagonal terms from them (``_residual_norms``)."""
 
     params: StripParams
     grid: QuadratureGrid
@@ -325,21 +325,6 @@ class _Discretisation:
     fa: np.ndarray           # (m_s, m_u) sqrt(g)
     d_s_fa: np.ndarray       # (m_s, m_u) d1 fa = d1 g / (2 fa)
     potential: np.ndarray    # (m_s, m_u)
-
-    @functools.cached_property
-    def factors(self) -> _Factors:
-        """Factor tables of the basis on the quadrature nodes."""
-        return _sample_factors(self.m, self.n, self.params, self.grid.s_nodes, self.grid.u_nodes,
-                               with_slope=True)
-
-    @functools.cached_property
-    def transverse_diag(self) -> np.ndarray:  # (N,) (n pi / 2)^2 / a^2
-        return _transverse_diag(self.n, np.array([self.params.a]))[0]
-
-    @functools.cached_property
-    def rates_sq(self) -> np.ndarray:  # (N,) (m / 2R)^2
-        rate = self.m / (2.0 * self.params.R)
-        return rate * rate
 
 
 def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
@@ -635,8 +620,10 @@ def _residual_norms(
     # is squared and summed over the weights, and fa is cubed.  The bounds
     # are Python floats, which reach inf with no warning
     R, (f_lo, f_hi) = disc.params.R, (float(disc.fa.min()), float(disc.fa.max()))
-    rate = float(np.abs(disc.m).max()) / (2.0 * R)
-    d_lo, d_hi = float(disc.transverse_diag.min()), float(disc.transverse_diag.max())
+    top = int(np.abs(disc.m).max())
+    rate = top / (2.0 * R)
+    diagonal = _transverse_diag(disc.n, np.array([disc.params.a]))[0]  # (N,) (n pi / 2)^2 / a^2
+    d_lo, d_hi = float(diagonal.min()), float(diagonal.max())
     l_lo, l_hi = float(eigenvalues[:width].min()), float(eigenvalues[:width].max())
     common = (rate * (2.0 * float(np.abs(disc.d_s_fa).max()) / (f_lo * f_lo * f_lo))
               + rate * rate / (f_lo * f_lo) + float(np.abs(disc.potential).max()))
@@ -649,14 +636,19 @@ def _residual_norms(
                          f"R={R:.3g} its residual fields overflow")
     # the factor tables and one n's rows, one n's coefficients, seven
     # (m_s, m_u) fields, two blocks of residual fields and the terms,
-    # charged before the factor tables are first read; what the read
-    # allocates was traced at 81-92 % of it (N = 60 to 2150, count 1 to N)
+    # charged before the factor tables are sampled; what the residuals
+    # allocate was traced at 81-92 % of it (N = 60 to 2150, count 1 to N)
     require_bytes(8 * (3 * size * m_s + size * width + 7 * m_s * m_u + 2 * _S_BLOCK * width * m_u
                        + 4 * n_count * m_s * (width + m_u)),
                   f"the residual data at N={size}, count={count}, m_s={m_s}, m_u={m_u}, "
                   f"distinct n={n_count}")
     eigenvalues, coefficients = eigenvalues[:width], coefficients[:, :width]
-    factors, weights = disc.factors, disc.grid.weights_2d
+    grid, weights = disc.grid, disc.grid.weights_2d
+    factors = _sample_factors(disc.m, disc.n, disc.params, grid.s_nodes, grid.u_nodes,
+                              with_slope=True)
+    # (m / 2R)^2 per basis function: the flat longitudinal energy of its
+    # harmonic |m|, row 2 |m| of the flat table, each square a product
+    rates_sq = _table(R, None, top)[2][2 * np.abs(disc.m)]
     inv_f_sq = 1.0 / (disc.fa * disc.fa)
     drift = 2.0 * disc.d_s_fa / disc.fa**3
     groups = factors.by_n()
@@ -667,12 +659,12 @@ def _residual_norms(
         coeffs, chi = coefficients[rows].T, factors.transverse[n]
         row, field = rows_terms[4 * i:4 * i + 4], field_terms[4 * i:4 * i + 4]
         np.matmul(coeffs, factors.slope[rows], out=row[0])
-        np.matmul(coeffs, disc.rates_sq[rows, None] * factors.longitudinal[rows], out=row[1])
+        np.matmul(coeffs, rates_sq[rows, None] * factors.longitudinal[rows], out=row[1])
         np.matmul(coeffs, factors.longitudinal[rows], out=row[2])
         np.multiply(eigenvalues[:, None], row[2], out=row[3])
         np.multiply(drift, chi, out=field[0])
         np.multiply(inv_f_sq, chi, out=field[1])
-        np.multiply(disc.potential + disc.transverse_diag[rows[0]], chi, out=field[2])
+        np.multiply(disc.potential + diagonal[rows[0]], chi, out=field[2])
         field[3] = -chi
     # (m_s, K, terms) @ (m_s, terms, m_u) gives the residual fields, formed
     # a block of s nodes at a time so that no (m_s, K, m_u) array is held
@@ -758,6 +750,8 @@ def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
     ``CapacityError`` names the first failing mode of the first failing
     point.
     """
+    from . import mathieu  # the true model's solve never loads the Mathieu solver
+
     a = [p.a for p in params]
     point, sine, order, n_eff, value, _ = _modes(params[0].R, a, count, DEFAULT_Q)
     pick = np.searchsorted(point, np.arange(len(params)))[:, None] + np.arange(count)

@@ -134,9 +134,12 @@ class SpectrumEntry:
     by exact value, lexicographic (family, m, n) on ties.
     """
 
-    value: float
     modes: tuple[ModeIndex, ...]
     mode_values: tuple[float, ...]
+
+    @property
+    def value(self) -> float:
+        return self.mode_values[0]
 
     @property
     def multiplicity(self) -> int:
@@ -151,8 +154,7 @@ class Spectrum:
 
     def values(self, count: int | None = None) -> np.ndarray:
         """Exact eigenvalues flattened with multiplicity, lowest first."""
-        flat = [v for e in self.entries for v in e.mode_values]
-        return np.array(flat if count is None else flat[:count])
+        return np.array([v for v, _, _ in self.flattened(count)])
 
     def flattened(self, count: int | None = None):
         """(exact value, mode, entry multiplicity) triples with multiplicity."""
@@ -191,11 +193,18 @@ def _merge_sorted(value, count, point):
     ``MERGE_RTOL`` of the first value of the open entry; next to a distant
     predecessor that is certain, so only near ties are walked one by one,
     in one walk for all points that starts at the first near tie to open
-    an entry.  Each point keeps its entries up to the first at which its
-    candidates counted reach ``count``.
+    an entry.  A point keeps each entry with fewer than ``count`` of its
+    candidates before the entry's first one, and a point with fewer than
+    ``count`` candidates is refused.
     Returns the entry index of each candidate, numbered across the points,
     and the mask of kept candidates.
     """
+    sizes = np.bincount(point)
+    short = np.flatnonzero(sizes < count)
+    if short.size:
+        raise InputError(
+            f"internal enumeration produced only {int(sizes[short[0]])} of {count} eigenvalues"
+        )
     close = (point[1:] == point[:-1]) & (
         np.abs(value[1:] - value[:-1])
         <= MERGE_RTOL * np.maximum(np.abs(value[:-1]), np.abs(value[1:]))
@@ -214,24 +223,9 @@ def _merge_sorted(value, count, point):
         if not abs(val - ref) <= MERGE_RTOL * max(abs(ref), abs(val)):
             opens[i] = True
             anchor = i
+    rank = np.arange(point.size) - (np.cumsum(sizes) - sizes)[point]  # within its point
     entry = np.cumsum(opens) - 1
-    # modes counted per point up to each entry, and each point's first
-    # entry that reaches the count
-    counted = np.cumsum(np.bincount(entry))
-    entry_point = point[opens]
-    points = int(point[-1]) + 1
-    first = np.searchsorted(entry_point, np.arange(points + 1))
-    before = np.concatenate(([0], counted))[first]
-    short = counted - before[entry_point] < count
-    limit = first[:-1] + np.bincount(entry_point[short], minlength=points)
-    unreached = np.flatnonzero(limit == first[1:])
-    if unreached.size:
-        p = unreached[0]
-        raise InputError(
-            f"internal enumeration produced only {int(before[p + 1] - before[p])} of "
-            f"{count} eigenvalues"
-        )
-    return entry, entry <= limit[point]
+    return entry, (rank < count)[opens][entry]
 
 
 def _spectrum(family, m, n, value, entry) -> Spectrum:
@@ -240,7 +234,6 @@ def _spectrum(family, m, n, value, entry) -> Spectrum:
     family, m, n, value = family.tolist(), m.tolist(), n.tolist(), value.tolist()
     entries = tuple(
         SpectrumEntry(
-            value=value[lo],
             modes=tuple(ModeIndex(family[j], m[j], n[j]) for j in range(lo, hi)),
             mode_values=tuple(value[lo:hi]),
         )

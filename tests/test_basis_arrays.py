@@ -12,12 +12,12 @@ it, members by (value, order |m|, n, label), and, for the basis,
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moebius import galerkin, mathieu, models
 from moebius.convergence import eigenvalue_sweep
-from moebius.errors import CapacityError
+from moebius.errors import CapacityError, InputError
 from moebius.galerkin import GalerkinConfig, _bases, assemble, basis_modes, solve
 from moebius.geometry import StripParams
 from moebius.models import (
@@ -344,6 +344,63 @@ def test_near_ties_merge_into_one_entry():
     entry = next(e for e in fake_spectrum(params, 12).entries if e.multiplicity == 4)
     assert {(md.m, md.n) for md in entry.modes} == {(-4, 1), (4, 1), (-1, 2), (1, 2)}
     assert_matches_reference(params, 12, True)
+
+
+def reference_merge_sorted(value, count, point):
+    """``models._merge_sorted`` walked candidate by candidate: an anchor at
+    each open entry's first value, an entry kept while its first
+    candidate's rank within its point is below ``count``, and a point with
+    fewer than ``count`` candidates refused."""
+    sizes = np.bincount(point).tolist()
+    short = [size for size in sizes if size < count]
+    if short:
+        raise InputError(f"internal enumeration produced only {short[0]} of {count} eigenvalues")
+    entry, keep, opened, previous = [], [], -1, None
+    for v, p in zip(value.tolist(), point.tolist()):
+        if p != previous:
+            rank, anchor, previous = 0, None, p
+        if anchor is None or not abs(v - anchor) <= MERGE_RTOL * max(abs(anchor), abs(v)):
+            anchor, kept, opened = v, rank < count, opened + 1
+        entry.append(opened)
+        keep.append(kept)
+        rank += 1
+    return entry, keep
+
+
+@st.composite
+def near_tie_chains(draw):
+    """Ascending candidates of 1-4 points, each a chain of relative steps
+    on both sides of ``MERGE_RTOL`` and some far apart, and a count."""
+    scale = draw(st.sampled_from([1.0, 1e10]))
+    value, point = [], []
+    for p in range(draw(st.integers(1, 4))):
+        v = scale * draw(st.floats(0.5, 2.0))
+        steps = st.one_of(st.floats(1e-10, 2e-9), st.just(0.3))
+        for step in [0.0] + draw(st.lists(steps, max_size=24)):
+            v *= 1.0 + step
+            value.append(v)
+            point.append(p)
+    return np.array(value), draw(st.integers(1, 12)), np.array(point)
+
+
+def merged_or_refused(merge, value, count, point):
+    try:
+        entry, keep = merge(value, count, point)
+    except InputError as exc:
+        return str(exc)
+    return list(entry), list(keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=near_tie_chains())
+# a chain whose third value is within the tolerance of the second, not the first
+@example(candidates=(np.array([1.0, 1.0 + 6e-10, 1.0 + 1.2e-9]), 2, np.array([0, 0, 0])))
+# the second point has one candidate of the two counted
+@example(candidates=(np.array([1.0, 2.0, 3.0]), 2, np.array([0, 0, 1])))
+def test_merge_is_the_candidate_walk(candidates):
+    value, count, point = candidates
+    assert merged_or_refused(models._merge_sorted, value, count, point) == \
+        merged_or_refused(reference_merge_sorted, value, count, point)
 
 
 def test_assembly_builds_no_mode_labels(monkeypatch):

@@ -1,9 +1,11 @@
 import ast
+import contextlib
 import csv
 import errno
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moebius import cli, convergence, galerkin, linalg, mathieu, models, quadrature
 from moebius.cli import EXPORT_POINT_BYTES, main
@@ -455,6 +459,8 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv):
         assert not loaded & {"moebius.galerkin", "moebius.convergence", "moebius.verify"}
     if argv[:3] == ["spectrum", "--model", "fake"]:
         assert not loaded & {"moebius.mathieu", "moebius.linalg"}
+    if argv[:3] == ["spectrum", "--model", "true"] or argv[0] == "eigenfunction":
+        assert "moebius.mathieu" not in loaded  # only effective modes need the Mathieu solver
     if argv[0] == "verify":
         assert "numpy.random" not in loaded
 
@@ -905,6 +911,10 @@ def test_converge_window_restricts_the_slope_fit(capsys):
                                                   for n in (1, 2, 3)]
         else:
             assert slopes == ["", "", ""]
+    # a non-finite end is refused before the sweep: JSON has no text for it
+    for window, end in ((("nan", "0.5"), "nan"), (("0.1", "inf"), "inf")):
+        code, out, err = run_cli(argv + ["--window", *window], capsys)
+        assert (code, out, err) == (2, "", f"error: --window must be finite, got {end}\n")
 
 
 def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, monkeypatch):
@@ -974,3 +984,100 @@ def test_non_finite_grid_ends_are_refused_before_the_grid(capsys, monkeypatch, g
     assert code == 2
     assert out == ""
     assert err == f"error: {option} must be finite, got {float(value)}\n"
+
+
+# Values for the CLI fuzz: ordinary ones, the edges that earlier changes
+# refused (0, negatives, nan, +/-inf, a subnormal, and the underflow and
+# overflow edges of the fields), and sizes past each cap (bytes, sweep
+# work, Mathieu truncation, Gauss-Legendre order), never just under one,
+# where a run would take long
+FUZZ_FLOATS = st.sampled_from([0.05, 0.3, 0.75, 1.3, 2.0, 6.5, 0.0, -1.0, -0.75, float("nan"),
+                               float("inf"), float("-inf"), 1e-320, 1e-78, 1e77, 1e150])
+FUZZ_COUNTS = st.sampled_from([1, 2, 5, 12, -1, 0, 10**9])
+FUZZ_ORDERS = st.sampled_from([1, 2, 8, 5000, -1, 0, 10**8])
+
+
+def joined(*parts):
+    """The argument lists drawn from ``parts``, one after another."""
+    return st.tuples(*parts).map(lambda drawn: sum(drawn, []))
+
+
+def option(name, values, required=False):
+    """``--name=value`` for a value drawn from ``values``, or, unless
+    ``required``, nothing."""
+    drawn = values.map(lambda value: [f"--{name}={value}"])
+    return drawn if required else st.one_of(st.just([]), drawn)
+
+
+def radius(required=True):
+    return st.one_of(option("R", FUZZ_FLOATS, required), option("circumference", FUZZ_FLOATS, True))
+
+
+# --window takes its ends as two arguments, where "-inf" would read as an option
+FUZZ_WINDOW = st.lists(FUZZ_FLOATS.filter(lambda v: v != float("-inf")), min_size=2, max_size=2)
+FUZZ_GRAMMAR = {  # verify takes --format alone, and runs as the fuzz's explicit examples
+    "mathieu": [option("q", FUZZ_FLOATS), option("max-order", FUZZ_COUNTS)],
+    "spectrum": [
+        option("model", st.sampled_from(["fake", "effective", "true"]), True),
+        option("a", FUZZ_FLOATS, True), radius(), option("count", FUZZ_COUNTS),
+        st.one_of(st.just([]), joined(  # the options of --model true, together
+            option("N", FUZZ_COUNTS, True), option("ms", FUZZ_ORDERS), option("mu", FUZZ_ORDERS))),
+    ],
+    "converge": [
+        option("kind", st.sampled_from(["eigenvalue", "eigenvector"])), radius(False),
+        option("a-min", FUZZ_FLOATS), option("a-max", FUZZ_FLOATS), option("steps", FUZZ_COUNTS),
+        option("grid", st.sampled_from(["uniform", "geometric"])), option("K", FUZZ_COUNTS),
+        option("N", FUZZ_COUNTS), option("ms", FUZZ_ORDERS), option("mu", FUZZ_ORDERS),
+        st.one_of(st.just([]), FUZZ_WINDOW.map(lambda ends: ["--window", *map(str, ends)])),
+        option("threads", st.just(1)),
+    ],
+    "eigenfunction": [
+        option("k", FUZZ_COUNTS, True), option("a", FUZZ_FLOATS, True), radius(),
+        option("N", FUZZ_COUNTS, True),
+        option("grid", st.sampled_from(["8x5", "2x2", "1x5", "x5", "100000x100000"])),
+        st.sampled_from([[], ["--embed3d"]]), option("ms", FUZZ_ORDERS), option("mu", FUZZ_ORDERS),
+    ],
+}
+FUZZ_ARGV = st.sampled_from(sorted(FUZZ_GRAMMAR)).flatmap(lambda name: joined(
+    st.just([name]), *FUZZ_GRAMMAR[name], option("format", st.sampled_from(["csv", "json"]), True)))
+
+
+def printed_numbers(text, fmt):
+    """Every float of a CSV or JSON output, its manifest included."""
+    def walk(value):
+        if isinstance(value, float):
+            yield value
+        elif isinstance(value, (list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from walk(item)
+
+    if fmt == "json":
+        return list(walk(json.loads(text)))
+    manifest, *lines = text.splitlines()
+    numbers = list(walk(json.loads(manifest[len("# manifest: "):])))
+    for row in csv.reader(lines):
+        for cell in row:
+            with contextlib.suppress(ValueError):  # a label or free text
+                numbers.append(float(cell))
+    return numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=FUZZ_ARGV)
+@example(argv=["verify", "--format=csv"])
+@example(argv=["verify", "--format=json"])
+def test_cli_fuzz_exits_cleanly_with_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0:
+        assert err == "" and out
+        numbers = printed_numbers(out, argv[-1][len("--format="):])
+        assert all(math.isfinite(number) for number in numbers)
+    else:
+        assert err.endswith("\n") and err.count("\n") == 1, err

@@ -38,11 +38,9 @@ def synthetic_sweep(power, scale=1.0):
     true = effective - differences[:, None]
     return SweepResult(
         a_grid=a_grid,
-        count=1,
         effective_values=effective,
         true_values=true,
         differences=differences[:, None],
-        ratios=differences[:, None] / a_grid[:, None] ** 2,
     )
 
 
@@ -67,8 +65,9 @@ def test_fit_rate_window_and_validation():
     assert fit_rate(sweep, 1, (0.05, 0.5)) == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(InputError):
         fit_rate(sweep, 1, (0.5, 0.6))  # fewer than 4 points
-    with pytest.raises(InputError):
-        fit_rate(sweep, 2)
+    for index in (0, 2):  # the count is the differences' column count
+        with pytest.raises(InputError, match=rf"index must be in \[1, 1\], got {index}"):
+            fit_rate(sweep, index)
 
 
 def test_geometric_grid():

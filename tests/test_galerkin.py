@@ -238,9 +238,10 @@ def test_eigenfunction_values_expand_the_flat_basis():
 
 def test_discretisation_keeps_factor_tables():
     config = GalerkinConfig(params=WIDE_PARAMS, n_basis=60)
-    disc = solve(config)._discretisation
+    solution = solve(config)
+    disc = solution._discretisation
     s, u = disc.grid.s_nodes, disc.grid.u_nodes
-    factors = disc.factors
+    factors = galerkin._sample_factors(disc.m, disc.n, disc.params, s, u, with_slope=True)
     labels = list(zip(disc.m.tolist(), disc.n.tolist()))
     assert labels == [(md.m, md.n) for md in basis_modes(WIDE_PARAMS, 60)]
     assert factors.transverse.shape[0] == len(set(disc.n.tolist())) >= 3
@@ -258,7 +259,9 @@ def test_discretisation_keeps_factor_tables():
     assert np.array_equal(m, disc.m)
     assert np.all(m[cosine] >= 0) and np.all(m[sine] < 0)
     assert sorted(np.concatenate((cosine, sine))) == list(range(m.size))
-    # nothing of size N x m_s m_u is kept
+    # nothing of size N x m_s m_u is kept, and a residual read keeps nothing
+    solution.leading_residual_norms(60)
+    assert list(vars(disc)) == ["params", "grid", "m", "n", "fa", "d_s_fa", "potential"]
     n, points = disc.m.size, s.size * u.size
     arrays = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
     arrays += [v for v in vars(factors).values() if isinstance(v, np.ndarray)]
@@ -272,9 +275,12 @@ def test_diagonal_terms_are_squared_as_products():
     disc = solve(GalerkinConfig(params=params, n_basis=40))._discretisation
     rates = [m / (2.0 * params.R) for m in disc.m.tolist()]
     assert any(r * r != r**2 for r in rates)
-    assert disc.rates_sq.tolist() == [r * r for r in rates]
+    # the residuals read (m / 2R)^2 as row 2 |m| of the flat longitudinal table
+    energy = models._table(params.R, None, int(np.abs(disc.m).max()))[2]
+    assert energy[2 * np.abs(disc.m)].tolist() == [r * r for r in rates]
     halfwaves = [n * np.pi / 2.0 for n in disc.n.tolist()]
-    assert disc.transverse_diag.tolist() == [h * h / (params.a * params.a) for h in halfwaves]
+    diagonal = galerkin._transverse_diag(disc.n, np.array([params.a]))[0]
+    assert diagonal.tolist() == [h * h / (params.a * params.a) for h in halfwaves]
 
 
 def full_tables(disc, params):
@@ -446,7 +452,8 @@ def scattered_matrix(disc, geometry):
             (value_diff + sign * value_sum)
             + np.outer(rate[rows], rate[rows]) * (slope_diff - sign * slope_sum)
         )
-    out[np.diag_indices_from(out)] += disc.transverse_diag
+    diagonal = galerkin._transverse_diag(disc.n, np.array([disc.params.a]))
+    out[np.diag_indices_from(out)] += diagonal[0]
     return out
 
 

@@ -2,13 +2,16 @@
 
 import ast
 import collections
+import contextlib
 import importlib
+import io
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moebius
@@ -242,7 +245,7 @@ def test_the_capacity_cap_has_one_binding_read_by_one_gate():
 # Every def and lambda parameter of the package other than self (cls,
 # *args and **kwargs count) and every dataclass field: a change that adds
 # or removes a setting updates this count and says why in CHANGES.md
-SETTABLE_VALUES = 335
+SETTABLE_VALUES = 332
 
 
 def test_settable_values_are_counted():
@@ -258,3 +261,42 @@ def test_settable_values_are_counted():
                     "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
                 count += sum(isinstance(item, ast.AnnAssign) for item in node.body)
     assert count == SETTABLE_VALUES
+
+
+def test_every_error_maps_to_one_exit_code():
+    # cli.main turns InputError into exit 2 and NumericalError into exit 3
+    # and has no branch for MoebiusError itself: the package raises no bare
+    # MoebiusError, and every other error class derives from one of the two
+    parents, raised = {}, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                parents[node.name] = [base.id for base in node.bases if isinstance(base, ast.Name)]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name) and target.id == "MoebiusError":
+                    raised.append(f"{path.name}:{node.lineno}")
+
+    def ancestors(name):
+        return {name}.union(*(ancestors(parent) for parent in parents.get(name, [])))
+
+    errors = {name for name in parents if "MoebiusError" in ancestors(name)} - {"MoebiusError"}
+    assert raised == []
+    assert {"InputError", "NumericalError", "CapacityError"} <= errors
+    assert [name for name in sorted(errors)
+            if len(ancestors(name) & {"InputError", "NumericalError"}) != 1] == []
+
+
+def test_the_readme_library_use_block_runs():
+    # the documented API, run as the README shows it: it prints the first
+    # 20 Ritz values and their residuals
+    readme = (SRC.parent / "README.md").read_text()
+    [code] = re.findall(r"## Library use\n\n```python\n(.*?)```", readme, re.DOTALL)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    arrays = [np.array(text.split(), dtype=float)
+              for text in re.findall(r"\[([^\]]*)\]", printed.getvalue())]
+    assert [array.size for array in arrays] == [20, 20]
+    assert all(np.all(np.isfinite(array)) for array in arrays)
+    assert np.all(np.diff(arrays[0]) >= 0.0) and np.all(arrays[1] > 0.0)
