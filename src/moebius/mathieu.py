@@ -21,23 +21,23 @@ coefficients normalised so that
     integral_{-pi}^{pi} |ce_m|^2 = integral_{-pi}^{pi} |se_m|^2 = pi.
 
 Each class is solved once, at a truncation computed from q and the count
-(``_truncation``): at least 64 rows, growing with the count and with
-|q|^(1/4), the width in rows of the lowest eigenvectors at large |q|, so
-that doubling it moves no requested value by more than 1e-13.  No
-recurrence above 4096 rows is built (each is solved dense, 128 MiB at that
-order): a (q, count) whose truncation is past that cap raises
-``CapacityError`` before anything is allocated, a finite |q| whose
-recurrences reach the largest double (``_OVERFLOW_Q``, about 7.4e307)
-raises ``NumericalError``, and a non-finite q ``InputError``.
+(``_truncation``): at least 64 rows, growing with the count and |q|^(1/4),
+the width in rows of the lowest eigenvectors at large |q|, and with
+|q|^(1/2) once the count reaches the values near 0, which must be solved
+to the same bits; doubling it moves no requested value by more than 1e-13
+of max(1, |value|).  No recurrence above 4096 rows is built (each is
+solved dense, 128 MiB at that order): a (q, count) whose truncation is past
+that cap raises ``CapacityError`` before anything is allocated, a finite
+|q| whose recurrences reach the largest double (``_OVERFLOW_Q``, about
+7.4e307) raises ``NumericalError``, and a non-finite q ``InputError``.
 The sign convention fixes each expansion's coefficient of its own harmonic
 m positive, so that ce_m -> cos m eta and se_m -> sin m eta as q -> 0.
-The eigenvalues of each recurrence are solved once, kept per
-(kind, parity, q, rows), and every count at those rows reads their leading
-slice; the eigenpairs of the last four classes are kept too, for their
-vectors alone: every value, with or without its expansion, is read from
-the eigenvalue solve.
-Results are cached per (kind, order, q) and immutable (their arrays are
-read-only).
+Each recurrence's eigenvalues are solved once, kept per (kind, parity, q,
+rows), and read as a leading slice by every count at those rows and by
+every table of values (``_char_arrays``: ``char_values`` and the effective
+model's table), which keeps no copy; the eigenpairs of the last four
+classes are kept for their vectors alone.  Expansions are cached per
+(kind, order, q), with read-only arrays.
 """
 
 from __future__ import annotations
@@ -64,14 +64,18 @@ _CACHED_DECOMPOSITIONS = 4
 # The lowest values of a class at large |q| lie in the wells of
 # -2 q cos 2 eta, where the recurrence is a discrete harmonic oscillator in
 # the row: the count-th level turns near row |q|^(1/4) sqrt(2 count), and
-# its coefficients then decay within a few |q|^(1/4) rows.  Bisected per
-# class, q and count for the least constant at which doubling the
-# truncation moves no value past the stability tolerance (|q| from 1e2 to
-# 3e12, counts 1 to 1000, largest over the classes): at most 2.1, and 2.5
-# where a value near 0, resolved only to about 1e-16 |q|, needs the two
-# solves to agree bit for bit.  4.73 keeps the line of the lowest values
-# at |q| = 1.94e11, where the search by doubling refused.
+# its coefficients then decay within a few |q|^(1/4) rows.  Over |q| from
+# 1e2 to 1e12 and counts 1 to 1000, the least constant at which doubling
+# the truncation moved no value past the tolerance was 2.51, values near 0
+# aside (below); 4.73 keeps the line of the lowest values at |q| = 1.94e11.
 _WELL_TAIL = 4.73
+# A value near 0 is solved only to about 1e-16 (2 rows)^2, so doubling keeps
+# it within 1e-13 of itself only where both solves agree bit for bit: from
+# 1.14-1.27 |q|^(1/2) rows on (|q| from 1e4 to 1e7, past the well rows from
+# 1e6 on).  It is about the 0.27 |q|^(1/2)-th value of its class, so from
+# count |q|^(1/2) / 4 on the rows reach _MIDDLE_ROWS |q|^(1/2) + 16, and
+# _MIDDLE_ROWS 4 count + 16 at larger |q|.
+_MIDDLE_ROWS = 1.25
 # From this |q| on, Gershgorin's bound on a recurrence's eigenvalues,
 # (1 + sqrt 2)|q| plus a diagonal far below it, passes the largest double.
 _OVERFLOW_Q = float(np.finfo(float).max / (1.0 + np.sqrt(2.0)))
@@ -129,10 +133,12 @@ def _truncation(q: float, count: int) -> int:
     every class at a finite ``q``: ``count`` + 16 past the free levels
     (2k)^2, plus the rows that the count-th level of the wells of
     -2 q cos 2 eta spans, |q|^(1/4) (sqrt(2 count) + ``_WELL_TAIL``); at
-    least 64."""
+    least 64, and at least ``_MIDDLE_ROWS`` min(|q|^(1/2), 4 count) + 16,
+    the rows at which the values near 0 are solved bit for bit."""
     count = min(count, _MAX_TRUNCATION)  # a larger count is past the cap alike
     well = abs(q) ** 0.25 * (np.sqrt(2.0 * count) + _WELL_TAIL)
-    return max(_BASE_TRUNCATION, count + 16 + int(np.ceil(well)))
+    middle = _MIDDLE_ROWS * min(np.sqrt(abs(q)), 4.0 * count)
+    return max(_BASE_TRUNCATION, count + 16 + int(np.ceil(well)), 16 + int(np.ceil(middle)))
 
 
 @lru_cache(maxsize=None)
@@ -191,28 +197,29 @@ def char_value(kind: str, m: int, q: float) -> float:
     return float(values[idx])
 
 
-def char_values(q: float, max_order: int) -> list[MathieuChar]:
-    """All characteristic values a_0..a_max and b_1..b_max at parameter q.
-
-    Values only (no Fourier data); ordered ce first then se, each by order.
-    """
+def _char_arrays(q: float, max_order: int):
+    """``char_values`` as arrays: sine flags, orders and values.  Each class
+    is solved before any array is built, so an order past the truncation
+    cap is refused unlisted."""
     if max_order < 0:
         raise InputError(f"max_order must be >= 0, got {max_order}")
-    q = float(q)
-    out = []
-    for kind in ("ce", "se"):
-        lowest = 0 if kind == "ce" else 1
-        for parity in (0, 1):
-            # a range, so an order past the truncation cap is refused unlisted
-            orders = range(lowest + (lowest + parity) % 2, max_order + 1, 2)
-            if not orders:
-                continue
-            count = _class_index(orders[-1], kind) + 1
-            values, _ = _stable_class_values(kind, parity, q, count)
-            for m in orders:
-                out.append(MathieuChar(kind, m, float(values[_class_index(m, kind)])))
-    out.sort(key=lambda ch: (ch.kind, ch.m))
-    return out
+    q, even, odd = float(q), max_order // 2, (max_order + 1) // 2  # even orders from 2, odd orders
+    classes = [_stable_class_values(kind, parity, q, count)[0] if count else ()
+               for kind, parity, count in (("ce", 0, even + 1), ("ce", 1, odd), ("se", 0, even),
+                                           ("se", 1, odd))]
+    ce, se = np.empty(max_order + 1), np.empty(max_order)
+    ce[0::2], ce[1::2], se[1::2], se[0::2] = classes  # the orders of a kind alternate in parity
+    orders = np.arange(max_order + 1)
+    return (np.arange(2 * max_order + 1) > max_order, np.concatenate((orders, orders[1:])),
+            np.concatenate((ce, se)))
+
+
+def char_values(q: float, max_order: int) -> list[MathieuChar]:
+    """All characteristic values a_0..a_max and b_1..b_max at parameter q,
+    values only (no Fourier data), ce first then se, each by order."""
+    sine, order, value = _char_arrays(q, max_order)
+    return [MathieuChar("se" if s else "ce", m, v)
+            for s, m, v in zip(sine.tolist(), order.tolist(), value.tolist())]
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,6 @@ round to one double the lowest harmonics come first.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +89,6 @@ _BOX_CELL_BYTES = 88
 # truncation cap, 131 MB traced at 4,000 orders), and per (point + 1,
 # mode) of the corners of the caps' bounds, traced at 16-20 B
 _TABLE_ROW_BYTES, _BOUND_BYTES = 40, 24
-# (q, max order) tables kept by _char_table's cache; a sweep visits a handful
-_CACHED_TABLES = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -346,36 +343,20 @@ def _table(R: float, q, orders: int):
     """The longitudinal table up to order ``orders``: sine flags, orders and
     energies, sorted by energy.  Flat (``q`` None): (m / 2R)^2 for cos,
     m >= 0, and sin, m >= 1, the sine row first of each pair.  Effective:
-    (1 / 2R)^2 a_m(q) and (1 / 2R)^2 b_m(q) from ``_char_table``, ce_m
-    before se_m where they tie."""
+    (1 / 2R)^2 a_m(q) and (1 / 2R)^2 b_m(q), read from the class solves
+    that ``mathieu`` caches (``mathieu._char_arrays``) and sorted by a stable
+    argsort, so ce_m comes before se_m where they tie."""
     if q is None:
         row = np.arange(2 * orders + 1)
         order = (row + 1) // 2
         rate = order / (2.0 * R)
         return row % 2 == 1, order, rate * rate
-    sine, order, mu = _char_table(q, orders)
-    kappa = 1.0 / (2.0 * R * (2.0 * R))
-    return sine, order, kappa * mu
-
-
-@functools.lru_cache(maxsize=_CACHED_TABLES)
-def _char_table(q: float, m_max: int):
-    """``mathieu.char_values(q, m_max)`` as arrays: sine flags, orders and
-    values, sorted by value, ce_m before se_m where they tie.  Each
-    (q, m_max) is tabulated once per process; the arrays are shared and
-    read-only."""
     from . import mathieu  # the flat model never loads the Mathieu solver
 
-    chars = mathieu.char_values(q, m_max)  # ce, then se
-    rank = np.argsort([ch.value for ch in chars], kind="stable")
-    table = (
-        np.array([ch.kind == "se" for ch in chars])[rank],
-        np.array([ch.m for ch in chars])[rank],
-        np.array([ch.value for ch in chars])[rank],
-    )
-    for column in table:
-        column.flags.writeable = False
-    return table
+    sine, order, mu = mathieu._char_arrays(q, orders)  # ce, then se
+    rank = np.argsort(mu, kind="stable")
+    kappa = 1.0 / (2.0 * R * (2.0 * R))
+    return sine[rank], order[rank], kappa * mu[rank]
 
 
 def transverse_profile(n: int, u):

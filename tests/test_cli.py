@@ -923,7 +923,7 @@ def test_overflowing_longitudinal_energies_are_refused_before_any_box(capsys, mo
     def not_reached(*args, **kwargs):
         raise AssertionError("an effective box was built")
 
-    monkeypatch.setattr(models, "_char_table", not_reached)
+    monkeypatch.setattr(mathieu, "_char_arrays", not_reached)
     argv = ["spectrum", "--model", "effective", "--a", "0.75", "--circumference", "1e-153",
             "--count", "5"]
     code, out, err = run_cli(argv, capsys)
@@ -993,8 +993,9 @@ def test_non_finite_grid_ends_are_refused_before_the_grid(capsys, monkeypatch, g
 # where a run would take long
 FUZZ_FLOATS = st.sampled_from([0.05, 0.3, 0.75, 1.3, 2.0, 6.5, 0.0, -1.0, -0.75, float("nan"),
                                float("inf"), float("-inf"), 1e-320, 1e-78, 1e77, 1e150])
-FUZZ_COUNTS = st.sampled_from([1, 2, 5, 12, -1, 0, 10**9])
-FUZZ_ORDERS = st.sampled_from([1, 2, 8, 5000, -1, 0, 10**8])
+PAST_COUNT, PAST_ORDER = 10**9, 10**8  # past every cap on a count or a quadrature order
+FUZZ_COUNTS = st.sampled_from([1, 2, 5, 12, -1, 0, PAST_COUNT])
+FUZZ_ORDERS = st.sampled_from([1, 2, 8, 5000, -1, 0, PAST_ORDER])
 
 
 def joined(*parts):
@@ -1081,3 +1082,54 @@ def test_cli_fuzz_exits_cleanly_with_finite_output(argv):
         assert all(math.isfinite(number) for number in numbers)
     else:
         assert err.endswith("\n") and err.count("\n") == 1, err
+
+
+STRIP = ["--a", "0.75", "--R", "2"]
+TRUE_RUN = ["spectrum", "--model", "true", *STRIP, "--N", "10", "--count", "3"]
+EXPORT = ["eigenfunction", "--k", "1", *STRIP, "--N", "10", "--grid", "4x3"]
+GRIDS = [(convergence, "geometric_grid"), (np, "linspace")]
+QUADRATURE = [(quadrature, "_newton_legendre"), (quadrature.QuadratureGrid, "for_strip"),
+              (galerkin, "_fields")]
+
+
+@pytest.mark.parametrize("argv, builders", [
+    # --N: one point's sector blocks, before the basis is enumerated
+    (["spectrum", "--model", "true", *STRIP, "--N", str(PAST_COUNT), "--count", "5"],
+     [(galerkin, "_bases")]),
+    (["eigenfunction", "--k", "1", *STRIP, "--N", str(PAST_COUNT)], [(galerkin, "_bases")]),
+    (["converge", "--N", str(PAST_COUNT)], GRIDS + [(galerkin, "_bases")]),
+    # --count: the longitudinal table and bounds, before the table
+    (["spectrum", "--model", "fake", *STRIP, "--count", str(PAST_COUNT)], [(models, "_table")]),
+    (["spectrum", "--model", "effective", *STRIP, "--count", str(PAST_COUNT)],
+     [(models, "_table"), (mathieu, "_char_arrays")]),
+    # --steps: the sweep's work, before the half-width grid
+    (["converge", "--steps", str(PAST_COUNT)], GRIDS),
+    # --grid: the export rows, before the solve
+    (["eigenfunction", "--k", "1", *STRIP, "--N", "10", "--grid", "100000x100000"],
+     [(galerkin, "solve"), (galerkin, "_bases")]),
+    # --ms, --mu: the fields and kernels, before the rule and the fields;
+    # a sweep's --ms by its work, before the grid
+    (TRUE_RUN + ["--ms", str(PAST_ORDER)], QUADRATURE),
+    (TRUE_RUN + ["--mu", str(PAST_ORDER)], QUADRATURE),
+    (EXPORT + ["--ms", str(PAST_ORDER)], QUADRATURE),
+    (EXPORT + ["--mu", str(PAST_ORDER)], QUADRATURE),
+    (["converge", "--mu", str(PAST_ORDER)], QUADRATURE),
+    (["converge", "--ms", str(PAST_ORDER)], GRIDS + QUADRATURE),
+    # --max-order: the Mathieu truncation, before any recurrence
+    (["mathieu", "--max-order", str(PAST_COUNT)], [(mathieu, "_recurrence")]),
+])
+def test_fuzzed_sizes_past_a_cap_are_refused_before_their_builder(capsys, monkeypatch, argv,
+                                                                   builders):
+    # the sizes the CLI fuzz draws past each cap never enter the stage the
+    # cap guards: its builder is never called
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a capped stage was built")
+
+    for owner, name in builders:
+        monkeypatch.setattr(owner, name, not_reached)
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(r"cap\b", err), err

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moebius import mathieu
+from moebius import mathieu, models
 from moebius.errors import CapacityError, InputError, NumericalError
+from moebius.geometry import StripParams
 from moebius.linalg import eig_tridiagonal
 from moebius.mathieu import char_value, char_values, evaluate, fourier_coefficients
 
@@ -322,6 +323,9 @@ def test_dsterf_is_the_solvers_eigvalsh(q):
 @example(log_count=0.0, reach=1.0, negative=False, cls=("ce", 1))  # at the line
 @example(log_count=0.0, reach=1.0, negative=True, cls=("se", 1))
 @example(log_count=np.log10(48), reach=0.4, negative=True, cls=("ce", 0))
+# count 487 at q = 3.131e6, whose 476th value (ce, odd), -5185, lies near 0
+@example(log_count=2.6875, reach=0.86328125, negative=False, cls=("ce", 1))
+@example(log_count=2.6875, reach=0.86328125, negative=True, cls=("se", 1))
 def test_doubling_the_truncation_moves_no_value(log_count, reach, negative, cls):
     # q = 0 or |q| log-uniform from 1e-3 up to the line of the count
     count = int(round(10.0**log_count))
@@ -350,9 +354,17 @@ def solved(q):
     return table, single, expansions
 
 
+def effective_tables(q):
+    """The effective model's spectrum at the table strip, and its modes at
+    three half-widths of one radius, at Mathieu parameter ``q``."""
+    spectrum = models.effective_spectrum(StripParams(a=0.75, R=13.2 / (2 * np.pi)), 30, q)
+    return spectrum, models._modes(2.1, [0.05, 0.4, 1.3], 25, q)
+
+
 def test_cached_solves_are_the_uncached_ones_bitwise(monkeypatch):
     qs = (Q, 0.0, 1.5, -7.0, 40.0)
     cached = [solved(q) for q in qs]
+    effective = [effective_tables(q) for q in qs]
     # every cache bypassed: each count and each order solves its own recurrence
     for name in ("_stable_class_values", "_class_values", "_class_decomposition",
                  "fourier_coefficients"):
@@ -364,6 +376,12 @@ def test_cached_solves_are_the_uncached_ones_bitwise(monkeypatch):
             assert ch.value == fresh.value
             assert np.array_equal(ch.harmonics, fresh.harmonics)
             assert np.array_equal(ch.fourier, fresh.fourier)
+    # the effective tables read the class solves straight, cached or not
+    for q, (spectrum, modes) in zip(qs, effective):
+        fresh_spectrum, fresh_modes = effective_tables(q)
+        assert fresh_spectrum == spectrum
+        for column, fresh in zip(modes, fresh_modes):
+            assert column.dtype == fresh.dtype and np.array_equal(column, fresh)
 
 
 def test_cached_arrays_are_read_only():

@@ -130,24 +130,19 @@ def test_effective_near_degenerate_pair_merges():
     assert families == {FAMILY_EFF_CE, FAMILY_EFF_SE}
 
 
-def test_effective_spectrum_tabulates_each_truncation_once(monkeypatch):
-    calls = []
-    tabulate = mathieu.char_values
-
-    def counted(q, max_order):
-        calls.append((q, max_order))
-        return tabulate(q, max_order)
-
-    monkeypatch.setattr(mathieu, "char_values", counted)
-    models._char_table.cache_clear()
+def test_effective_spectrum_tabulates_each_truncation_once():
+    # each of the four Mathieu classes is solved once; a second spectrum at
+    # the same (q, count) reads the cached solves
+    mathieu._stable_class_values.cache_clear()
+    mathieu._class_values.cache_clear()
     first = effective_spectrum(TABLE_PARAMS, 20)
-    assert len(calls) == 1
+    assert mathieu._class_values.cache_info().misses == 4
+    # the truncation depends on count and q only
     again = effective_spectrum(StripParams(a=0.3, R=TABLE_PARAMS.R), 20)
-    assert len(calls) == 1  # the truncation depends on count and q only
+    assert mathieu._class_values.cache_info().misses == 4
     assert again.values(20)[0] != first.values(20)[0]
     assert effective_spectrum(TABLE_PARAMS, 20) == first
-    sine, order_m, mu = models._char_table(*calls[0])
-    assert not (sine.flags.writeable or order_m.flags.writeable or mu.flags.writeable)
+    assert mathieu._class_values.cache_info().misses == 4
 
 
 def test_effective_shift_bound():

@@ -151,6 +151,35 @@ def test_no_function_mutates_module_level_state():
     assert mutated == []
 
 
+# The functions whose results are cached: the quadrature rules and the
+# Mathieu solves.  A cache over a cached solve keeps a second copy of what
+# the solve already keeps, so adding one takes an edit here.
+CACHED_FUNCTIONS = {"gauss_legendre", "_stable_class_values", "_class_values",
+                    "_class_decomposition", "fourier_coefficients"}
+
+
+def test_every_cache_wraps_an_allowed_function():
+    # functools.lru_cache and functools.cache; a cached_property lives and
+    # dies with its instance
+    def caches(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in {"lru_cache", "cache"}
+
+    cached, elsewhere = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        decorating = set()
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", []):
+                decorating.update(id(inner) for inner in ast.walk(decorator))
+                if caches(decorator.func if isinstance(decorator, ast.Call) else decorator):
+                    cached.append(node.name)
+        # a cache built other than as a decorator is refused too
+        elsewhere += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if caches(node) and id(node) not in decorating]
+    assert elsewhere == []
+    assert sorted(cached) == sorted(CACHED_FUNCTIONS)
+
+
 def test_no_module_imports_a_concurrency_library():
     # sweeps run their chunks one after another: a pool of sweep threads
     # never ran two chunks at once, since the sweep holds the GIL
@@ -245,7 +274,7 @@ def test_the_capacity_cap_has_one_binding_read_by_one_gate():
 # Every def and lambda parameter of the package other than self (cls,
 # *args and **kwargs count) and every dataclass field: a change that adds
 # or removes a setting updates this count and says why in CHANGES.md
-SETTABLE_VALUES = 332
+SETTABLE_VALUES = 331
 
 
 def test_settable_values_are_counted():
