@@ -11,10 +11,12 @@ verify         cross-module invariant suite
 
 Every command builds one table as named columns and streams it as CSV
 (default) or JSON through ``--format``, to stdout or atomically to
-``--output``, a chunk of rows at a time.  Floats are printed in shortest round-trip form, so
-identical runs produce byte-identical rows; within a chunk each distinct
-float of a column is formatted once.  An empty cell is an empty CSV
-field and a JSON null.  A run manifest (command, parameters, version,
+``--output``, a chunk of rows at a time.  Floats are printed in shortest
+round-trip form, so identical runs at one BLAS thread count produce
+byte-identical rows; the CLI runs one BLAS thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set.  Within a
+chunk each distinct float of a column is formatted once.  An empty cell is
+an empty CSV field and a JSON null.  A run manifest (command, parameters, version,
 timestamp) is embedded: as the first ``# manifest: ...`` comment line in
 CSV, as a top-level object in JSON.  Set SOURCE_DATE_EPOCH to whole
 seconds since 1970 to pin the manifest timestamp and make whole files
@@ -48,17 +50,21 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-import numpy as np
+# one BLAS thread unless the caller sets a count: the thread count changes
+# summation orders, and with them the last bits of the rows
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
+
+import numpy as np  # noqa: E402  (BLAS reads the pin when numpy loads)
 
 # each command imports the compute modules it runs, so a child process
 # loads only those (``moebius mathieu`` never loads the Galerkin solver)
 from . import __version__
 from .errors import InputError, NumericalError
 
-__all__ = ["main", "run", "build_parser", "RunManifest"]
+__all__ = ["main", "run", "build_parser"]
 
 # rows formatted and written per step of streamed output
 _ROW_CHUNK = 1024
@@ -66,16 +72,6 @@ _ROW_CHUNK = 1024
 # streamed as text), traced at 128 B for JSON and 192 B for CSV on the
 # 192x65 README export and 81-99 B on grids of 384x130 and 768x260.
 EXPORT_POINT_BYTES = 256
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance header attached to every output file."""
-
-    command: str
-    parameters: dict
-    version: str
-    timestamp: str
 
 
 def _pinned_moment(text: str) -> datetime:
@@ -140,8 +136,9 @@ def _json_cells(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
-    """Write one table given as named columns in header order to ``handle``.
+def _render(manifest: dict, table: dict, fmt: str, handle) -> None:
+    """Write one table given as named columns in header order to ``handle``
+    under the run's manifest.
 
     Each column is a sequence or a 1-d array, all of one length; ``None``
     is an empty cell (an empty CSV field, JSON null).  Rows are streamed a
@@ -150,7 +147,7 @@ def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
     """
     names = list(table)
     if fmt == "csv":
-        handle.write("# manifest: " + json.dumps(asdict(manifest), sort_keys=True) + "\n")
+        handle.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(names)
         # float text is never empty and holds no delimiter, quote or line
@@ -162,7 +159,7 @@ def _render(manifest: RunManifest, table: dict, fmt: str, handle) -> None:
             else:
                 writer.writerows(zip(*chunk))  # csv writes None as "" and floats by repr
         return
-    head = json.dumps({"manifest": asdict(manifest), "rows": []}, indent=2)
+    head = json.dumps({"manifest": manifest, "rows": []}, indent=2)
     opening = head[:-len("[]\n}")]
     row = "{{\n" + ",\n".join(
         "      " + json.dumps(name).replace("{", "{{").replace("}", "}}") + ": {}"
@@ -330,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, table: dict) -> None:
     """Render ``table`` under the run's manifest and write it where asked."""
     skip = ("command", "format", "output")
-    manifest = RunManifest(
-        command=args.command,
-        parameters={k: v for k, v in sorted(vars(args).items()) if k not in skip},
-        version=__version__,
-        timestamp=_timestamp(),
-    )
+    manifest = {
+        "command": args.command,
+        "parameters": {k: v for k, v in sorted(vars(args).items()) if k not in skip},
+        "version": __version__,
+        "timestamp": _timestamp(),
+    }
     with _opened_output(args.output) as handle:
         _render(manifest, table, args.format, handle)
 
@@ -349,15 +346,9 @@ def _cmd_mathieu(args) -> int:
 
     if args.max_order < 0:
         raise InputError(f"--max-order must be >= 0, got {args.max_order}")
-    chars = mathieu.char_values(args.q, args.max_order)
-    a_values = {c.m: c.value for c in chars if c.kind == "ce"}
-    b_values = {c.m: c.value for c in chars if c.kind == "se"}
-    orders = range(args.max_order + 1)
-    table = {
-        "m": list(orders),
-        "a_m": [a_values.get(m) for m in orders],
-        "b_m": [b_values.get(m) for m in orders],
-    }
+    values = [c.value for c in mathieu.char_values(args.q, args.max_order)]  # ce, then se
+    ce = args.max_order + 1
+    table = {"m": list(range(ce)), "a_m": values[:ce], "b_m": [None] + values[ce:]}
     _emit(args, table)
     return 0
 

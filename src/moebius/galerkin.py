@@ -27,8 +27,8 @@ L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s) (m < 0), mu = |m| / 2R,
 a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).  The fields come from
 g = fa^2: one evaluation of g and its derivatives on the s nodes
 k = 0..m_s // 2 gives g and V with no square root, and the mirror
-f(2 pi R - s, t) = f(s, -t) fills the other nodes (``_fields``); only a
-single configuration's residuals take fa = sqrt(g) and d1 fa.  The
+f(2 pi R - s, t) = f(s, -t) fills the other nodes (``_fields``), so no
+square root is taken, for the matrix or for the residuals.  The
 integrals contract the u-quadrature first,
 
     A_nn'(s) = sum_u w T_n T_n' / g,    B_nn'(s) = sum_u w V T_n T_n',
@@ -68,10 +68,10 @@ Before building anything, ``_project`` charges each step's arrays to
 Its ascending eigenvalues are variational upper bounds on the true
 spectrum, non-increasing as the basis grows.  Residual norms
 || L f_k - lambda_k f_k ||_{L2(Pi)} are evaluated in strong form when a
-solution's residuals are read, from the grid and the fields fa, d1 fa
+solution's residuals are read, from the grid and the fields g, d1 g
 and V that its projection evaluated and the solution keeps
-(``_Discretisation``), with L Psi_j expanded analytically through the
-closed-form derivatives of fa and summed per n from the
+(``_Discretisation``), with L Psi_j expanded analytically in g and its
+closed-form derivative d1 g and summed per n from the
 coefficient-weighted longitudinal rows.  Their arrays, for the eigenpairs
 read, are charged to ``models.require_bytes`` before any is built.
 
@@ -99,7 +99,6 @@ from .models import (
     DEFAULT_Q,
     ModeIndex,
     _modes,
-    _table,
     require_bytes,
     transverse_profile,
 )
@@ -322,8 +321,8 @@ class _Discretisation:
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    fa: np.ndarray           # (m_s, m_u) sqrt(g)
-    d_s_fa: np.ndarray       # (m_s, m_u) d1 fa = d1 g / (2 fa)
+    g: np.ndarray            # (m_s, m_u) fa^2
+    d_s_g: np.ndarray        # (m_s, m_u) d1 g
     potential: np.ndarray    # (m_s, m_u)
 
 
@@ -557,9 +556,8 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
         _kernel_spectra(transverse, low, high, grid.weights_2d, g, potential,
                         spectra[lo:lo + len(points)])
         if dense:
-            fa = np.sqrt(g[0])
-            d_s_fa = _mirrored(slope, grid.s_nodes.size, -1.0)[0] / (2.0 * fa)
-            disc = _Discretisation(params, grid, *bases[0], fa, d_s_fa, potential[0])
+            d_s_g = _mirrored(slope, grid.s_nodes.size, -1.0)[0]
+            disc = _Discretisation(params, grid, *bases[0], g[0], d_s_g, potential[0])
         del g, potential, slope  # the gathers read none of the field stacks
     projected = []
     for points in stacked:
@@ -593,7 +591,7 @@ def _residual_norms(
 
     With L Psi_j expanded analytically,
 
-        L Psi_j = 2 (d1 fa / fa^3) d1 Psi_j + (m_j/2R)^2 Psi_j / fa^2
+        L Psi_j = (d1 g / g^2) d1 Psi_j + (m_j/2R)^2 Psi_j / g
                   + (1/a^2)(n_j pi/2)^2 Psi_j + V Psi_j,
 
     the k-th residual field sum_j c_jk (L Psi_j - lambda_k Psi_j) is a sum
@@ -608,29 +606,29 @@ def _residual_norms(
     ``InputError`` before anything is built.
     """
     width = min(max(count, 2), eigenvalues.size)
-    size, (m_s, m_u) = disc.m.size, disc.fa.shape
+    size, (m_s, m_u) = disc.m.size, disc.g.shape
     n_count = int(np.count_nonzero(np.bincount(disc.n)))
     # Per eigenpair, the terms of a residual field are each at most sqrt(N)
     # amp (amp the largest longitudinal amplitude, sqrt(N) the largest
     # absolute sum of a unit coefficient column) times rate |drift|,
-    # rate^2 / fa^2, |V| + diagonal or |lambda|.  Their sum is at most
+    # rate^2 / g, |V| + diagonal or |lambda|.  Their sum is at most
     # sqrt(N) amp times the first three, with |diagonal - lambda| for the
     # last two, plus the roundoff of forming and adding the 4 per n terms,
     # at most (4 per n + 4) unit roundoffs of their absolute sum.  The sum
-    # is squared and summed over the weights, and fa is cubed.  The bounds
+    # is squared and summed over the weights, and g is squared.  The bounds
     # are Python floats, which reach inf with no warning
-    R, (f_lo, f_hi) = disc.params.R, (float(disc.fa.min()), float(disc.fa.max()))
-    top = int(np.abs(disc.m).max())
-    rate = top / (2.0 * R)
+    R, (g_lo, g_hi) = disc.params.R, (float(disc.g.min()), float(disc.g.max()))
+    rates = np.abs(disc.m) / (2.0 * R)  # (N,) |m| / 2R
+    rate = float(rates.max())
     diagonal = _transverse_diag(disc.n, np.array([disc.params.a]))[0]  # (N,) (n pi / 2)^2 / a^2
     d_lo, d_hi = float(diagonal.min()), float(diagonal.max())
     l_lo, l_hi = float(eigenvalues[:width].min()), float(eigenvalues[:width].max())
-    common = (rate * (2.0 * float(np.abs(disc.d_s_fa).max()) / (f_lo * f_lo * f_lo))
-              + rate * rate / (f_lo * f_lo) + float(np.abs(disc.potential).max()))
+    common = (rate * (float(np.abs(disc.d_s_g).max()) / (g_lo * g_lo))
+              + rate * rate / g_lo + float(np.abs(disc.potential).max()))
     terms = common + d_hi + max(-l_lo, l_hi)
     bound = (common + max(d_hi - l_lo, l_hi - d_lo) + (4 * n_count + 4) * 2.0**-53 * terms
              ) * math.sqrt(size / (math.pi * R))
-    if not (f_hi * f_hi * f_hi < math.inf and terms < math.inf
+    if not (g_hi * g_hi < math.inf and terms < math.inf
             and bound * bound * max(float(disc.grid.weights_2d.sum()), 1.0) < math.inf):
         raise InputError(f"strip out of range for the residual norms: at a={disc.params.a:.3g}, "
                          f"R={R:.3g} its residual fields overflow")
@@ -646,15 +644,13 @@ def _residual_norms(
     grid, weights = disc.grid, disc.grid.weights_2d
     factors = _sample_factors(disc.m, disc.n, disc.params, grid.s_nodes, grid.u_nodes,
                               with_slope=True)
-    # (m / 2R)^2 per basis function: the flat longitudinal energy of its
-    # harmonic |m|, row 2 |m| of the flat table, each square a product
-    rates_sq = _table(R, None, top)[2][2 * np.abs(disc.m)]
-    inv_f_sq = 1.0 / (disc.fa * disc.fa)
-    drift = 2.0 * disc.d_s_fa / disc.fa**3
+    rates_sq = rates * rates  # (m / 2R)^2, each square a product
+    inv_g = 1.0 / disc.g
+    drift = disc.d_s_g / (disc.g * disc.g)
     groups = factors.by_n()
     # four terms per n, each a (K, m_s) row and an (m_s, m_u) field
-    rows_terms = np.empty((4 * len(groups), width, inv_f_sq.shape[0]))
-    field_terms = np.empty((4 * len(groups),) + inv_f_sq.shape)
+    rows_terms = np.empty((4 * len(groups), width, m_s))
+    field_terms = np.empty((4 * len(groups), m_s, m_u))
     for i, (n, rows) in enumerate(groups):
         coeffs, chi = coefficients[rows].T, factors.transverse[n]
         row, field = rows_terms[4 * i:4 * i + 4], field_terms[4 * i:4 * i + 4]
@@ -663,7 +659,7 @@ def _residual_norms(
         np.matmul(coeffs, factors.longitudinal[rows], out=row[2])
         np.multiply(eigenvalues[:, None], row[2], out=row[3])
         np.multiply(drift, chi, out=field[0])
-        np.multiply(inv_f_sq, chi, out=field[1])
+        np.multiply(inv_g, chi, out=field[1])
         np.multiply(disc.potential + diagonal[rows[0]], chi, out=field[2])
         field[3] = -chi
     # (m_s, K, terms) @ (m_s, terms, m_u) gives the residual fields, formed

@@ -410,6 +410,20 @@ def test_deterministic_output_files(tmp_path):
     assert float(rows[0]["value"]) == pytest.approx(4.384732657634105, rel=1e-11)
 
 
+def test_output_is_the_same_with_the_blas_threads_unset_or_one():
+    # at N = 400 a second BLAS thread sums the eigensolve in another order;
+    # the CLI pins one thread unless the caller sets a count
+    argv = [sys.executable, "-m", "moebius.cli", "spectrum", "--model", "true", "--a", "0.75",
+            "--circumference", "13.2", "--count", "20", "--N", "400"]
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run(argv, capture_output=True, env=child_env(
+            SOURCE_DATE_EPOCH="1700000000", **threads), timeout=CHILD_TIMEOUT_S)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # runs one command and prints the names in sys.modules once it has finished
 MODULE_PROBE = (
     "import sys\n"
@@ -710,13 +724,14 @@ SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.0]
 )
 def test_streamed_tables_match_whole_document_encoders(table):
     # the streamed text equals encoding the whole table at once
-    manifest = cli.RunManifest("test", {"N": 3, "grid": "2x2"}, "0", "1970-01-01T00:00:00Z")
+    manifest = {"command": "test", "parameters": {"N": 3, "grid": "2x2"}, "version": "0",
+                "timestamp": "1970-01-01T00:00:00Z"}
     columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
     rows = list(zip(*columns))
-    payload = {"manifest": manifest.__dict__, "rows": [dict(zip(table, row)) for row in rows]}
+    payload = {"manifest": manifest, "rows": [dict(zip(table, row)) for row in rows]}
     expected_json = json.dumps(payload, indent=2) + "\n"
     buffer = io.StringIO()
-    buffer.write("# manifest: " + json.dumps(manifest.__dict__, sort_keys=True) + "\n")
+    buffer.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     csv.writer(buffer, lineterminator="\n").writerows([list(table), *rows])
     for fmt, expected in (("json", expected_json), ("csv", buffer.getvalue())):
         handle = io.StringIO()

@@ -167,7 +167,7 @@ def test_reference_table_reproduced_by_energy_cutoff_basis():
     # modes below the pair-complete energy cutoff around 75)
     solution = solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=102))
     rel = np.abs(solution.eigenvalues[:20] - TRUE_REFERENCE) / np.abs(TRUE_REFERENCE)
-    assert np.max(rel) < 1e-9
+    assert np.max(rel) < 3e-11
     ratio = solution.leading_residual_norms(20) / RESIDUAL_REFERENCE
     assert np.all(ratio < 1.5) and np.all(ratio > 0.65)
 
@@ -261,7 +261,7 @@ def test_discretisation_keeps_factor_tables():
     assert sorted(np.concatenate((cosine, sine))) == list(range(m.size))
     # nothing of size N x m_s m_u is kept, and a residual read keeps nothing
     solution.leading_residual_norms(60)
-    assert list(vars(disc)) == ["params", "grid", "m", "n", "fa", "d_s_fa", "potential"]
+    assert list(vars(disc)) == ["params", "grid", "m", "n", "g", "d_s_g", "potential"]
     n, points = disc.m.size, s.size * u.size
     arrays = [v for v in vars(disc).values() if isinstance(v, np.ndarray)]
     arrays += [v for v in vars(factors).values() if isinstance(v, np.ndarray)]
@@ -275,7 +275,8 @@ def test_diagonal_terms_are_squared_as_products():
     disc = solve(GalerkinConfig(params=params, n_basis=40))._discretisation
     rates = [m / (2.0 * params.R) for m in disc.m.tolist()]
     assert any(r * r != r**2 for r in rates)
-    # the residuals read (m / 2R)^2 as row 2 |m| of the flat longitudinal table
+    # the residuals square (m / 2R) as products, which are bitwise row 2 |m|
+    # of the flat longitudinal table
     energy = models._table(params.R, None, int(np.abs(disc.m).max()))[2]
     assert energy[2 * np.abs(disc.m)].tolist() == [r * r for r in rates]
     halfwaves = [n * np.pi / 2.0 for n in disc.n.tolist()]
@@ -378,25 +379,25 @@ def projection_fields(disc, geometry):
 
 
 @pytest.mark.parametrize("geometry", ["true_geometry", "flat_with_Veff", "flat_plain"])
-def test_solution_fields_are_the_root_of_g_bitwise(geometry):
-    # fa = sqrt(g) and d1 fa = d1 g / (2 fa), which are bit for bit the f
-    # and d1 f of the closed forms evaluated on half the s nodes and mirrored
+def test_solution_fields_are_the_projections_g_bitwise(geometry):
+    # the solution keeps the g, mirrored d1 g and V that its projection
+    # evaluated, and they are f^2 and 2 f d1 f of the closed forms
     for params, m_s in ((TABLE_PARAMS, None), (WIDE_PARAMS, 41), (StripParams(a=0.02, R=3.15), 64)):
         config = GalerkinConfig(params=params, n_basis=30, m_s=m_s, geometry=geometry)
         disc = solve(config)._discretisation
         g, v, slope = (field[0] for field in projection_fields(disc, geometry))
         size = disc.grid.s_nodes.size
-        d_s_g = galerkin._mirrored(slope[None], size, -1.0)[0]
-        assert np.array_equal(disc.fa, np.sqrt(g))
-        assert np.array_equal(disc.d_s_fa, d_s_g / (2.0 * disc.fa))
+        assert np.array_equal(disc.g, g)
+        assert np.array_equal(disc.d_s_g, galerkin._mirrored(slope[None], size, -1.0)[0])
         assert np.array_equal(disc.potential, v)
         if geometry != "true_geometry":
-            assert np.all(disc.fa == 1.0) and np.all(disc.d_s_fa == 0.0)
+            assert np.all(disc.g == 1.0) and np.all(disc.d_s_g == 0.0)
             continue
         s, t = disc.grid.s_nodes[:size // 2 + 1, None], params.a * disc.grid.u_nodes
         f = galerkin._mirrored(jacobian_f(params, s, t)[None], size, 1.0)[0]
         d1f = galerkin._mirrored(jacobian_f_derivatives(params, s, t)[0][None], size, -1.0)[0]
-        assert np.array_equal(disc.fa, f) and np.array_equal(disc.d_s_fa, d1f)
+        assert np.max(np.abs(disc.g - f * f) / (f * f)) < 1e-15
+        assert np.max(np.abs(disc.d_s_g - 2.0 * f * d1f)) < 1e-15 * np.max(np.abs(2.0 * f * d1f))
 
 
 @pytest.mark.parametrize("params, n_basis, m_s", [
