@@ -21,9 +21,10 @@ Raw eigenvalues and the differences are stored, and the ratios read from them.
 differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Both kinds run through one driver, which projects the grid a chunk of
-``_CHUNK`` half-widths at a time through ``galerkin._project``, as
-``galerkin.solve`` projects one configuration; each point keeps its own
+Both kinds run through one driver, which builds one configuration, at
+the thinnest half-width, and projects it at the grid's half-widths a
+chunk of ``_CHUNK`` at a time through ``galerkin._project``, as
+``galerkin.solve`` projects it at its own; each point keeps its own
 basis and quadrature orders, so its values agree with ``galerkin.solve``'s
 to roundoff; the chunk's effective modes come from one enumeration over
 its half-widths.  Each sector's stack of blocks of the points with
@@ -32,8 +33,7 @@ and the sector values merge by one sort.  The eigenvector kind compares
 each effective mode, expanded by ``galerkin._expansions`` over the bases
 the projection enumerated, with the eigenvectors of its sector, in sector
 rows.  Neither kind forms the N x N matrix, calls ``galerkin.solve`` or
-computes residual norms.  Chunks run one after another in grid order,
-each building its configurations when it is solved.
+computes residual norms.  Chunks run one after another in grid order.
 A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
 refused with ``CapacityError`` before any point is solved, and a chunk
 whose arrays would pass ``models.MAX_ARRAY_BYTES`` before any of them is
@@ -153,26 +153,21 @@ def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> Sw
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
 
-    rows = []
-    for lo in range(0, a_grid.size, _CHUNK):
-        configs = [
-            GalerkinConfig(
-                params=StripParams(a=float(a), R=radius), n_basis=n_basis, m_s=m_s,
-                m_u=m_u, geometry=geometry, close_pairs=True,
-            )
-            for a in a_grid[lo:lo + _CHUNK]
-        ]
-        rows.append(chunk_rows(configs, count))
+    # the thinnest half-width is the only one whose energy scale can overflow
+    config = GalerkinConfig(params=StripParams(a=float(a_grid[0]), R=radius), n_basis=n_basis,
+                            m_s=m_s, m_u=m_u, geometry=geometry, close_pairs=True)
+    rows = [chunk_rows(config, a_grid[lo:lo + _CHUNK], count)
+            for lo in range(0, a_grid.size, _CHUNK)]
     eff, true, differences = (np.concatenate(column) for column in zip(*rows))
     return SweepResult(a_grid, eff, true, differences)
 
 
-def _solved_chunk(configs, want_vectors: bool):
-    """Per ``galerkin._project`` record: (positions, bases m and n, sector
-    rows, one ``eig_dense_symmetric`` call per sector stack, eigenvectors in
-    sector rows if ``want_vectors``, and the merged ascending values)."""
+def _solved_chunk(config, a, want_vectors: bool):
+    """Per ``galerkin._project`` record of ``config`` at ``a``: (positions,
+    bases m and n, sector rows, one ``eig_dense_symmetric`` call per sector stack,
+    eigenvectors in sector rows if ``want_vectors``, merged ascending values)."""
     solved = []
-    projected = _project(configs)
+    projected = _project(config, a)
     while projected:  # each set's blocks are let go once solved
         points, m, n, sectors, stacks, _ = projected.pop(0)
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
@@ -181,17 +176,15 @@ def _solved_chunk(configs, want_vectors: bool):
     return solved
 
 
-def _eigenvalue_chunk(configs, count: int):
+def _eigenvalue_chunk(config, a, count: int):
     """Effective and Galerkin eigenvalues and their gaps at each half-width
-    of the chunk, from values-only eigensolves of the sector stacks; the
-    N x N matrix is never formed."""
-    true = np.empty((len(configs), count))
-    for points, *_, values in _solved_chunk(configs, want_vectors=False):
+    ``a`` of the chunk, from values-only eigensolves of the sector stacks;
+    the N x N matrix is never formed."""
+    true = np.empty((a.size, count))
+    for points, *_, values in _solved_chunk(config, a, want_vectors=False):
         true[points] = values[:, :count]
-    point, _, _, _, value, _ = _modes(
-        configs[0].params.R, [config.params.a for config in configs], count, DEFAULT_Q
-    )
-    eff = value[np.searchsorted(point, np.arange(len(configs)))[:, None] + np.arange(count)]
+    point, _, _, _, value, _ = _modes(config.params.R, a, count, DEFAULT_Q)
+    eff = value[np.searchsorted(point, np.arange(a.size))[:, None] + np.arange(count)]
     return eff, true, np.abs(eff - true)
 
 
@@ -220,16 +213,16 @@ def _nearest_distances(vectors, modes, truncations):
     return np.sqrt(np.sum((modes - signs * vectors[:, nearest]) ** 2, axis=0) + truncations)
 
 
-def _eigenvector_chunk(configs, count: int):
+def _eigenvector_chunk(config, a, count: int):
     """Effective and Galerkin eigenvalues and the eigenvector distances at
-    each half-width of the chunk, each effective mode, expanded over the
-    basis the projection enumerated, against the eigenvectors of its sector."""
-    true = np.empty((len(configs), count))
+    each half-width ``a`` of the chunk, each effective mode, expanded over
+    the basis the projection enumerated, against the eigenvectors of its sector."""
+    true = np.empty((a.size, count))
     distances = np.empty_like(true)
-    solved = _solved_chunk(configs, want_vectors=True)
+    solved = _solved_chunk(config, a, want_vectors=True)
     basis_of = {i: (m[g], n[g]) for points, m, n, *_ in solved for g, i in enumerate(points)}
-    bases = [basis_of[i] for i in range(len(configs))]
-    expansions = _expansions([config.params for config in configs], bases, count)
+    bases = [basis_of[i] for i in range(a.size)]
+    expansions = _expansions(config.params.R, a, bases, count)
     for points, m, _, sectors, decomps, values in solved:
         true[points] = values[:, :count]
         for g, i in enumerate(points):

@@ -52,16 +52,17 @@ is sampled for assembly.
 
 The strip is symmetric under the reflection s -> -s, so cosine modes
 (m >= 0) and sine modes (m < 0) decouple exactly; cross-sector blocks are
-never computed and are exactly zero.  ``_project`` projects a list of
-configurations in one pass: one kernel-spectra array spans their points
-and transverse indices, the points that share quadrature orders fill
-their rows of it from one field evaluation, one kernel product and one
-FFT, and the points whose sectors have equal sizes take one gather per
-sector, indexed per point (``_sector_blocks``).  A sweep passes a chunk
-of half-widths, ``solve`` and ``assemble`` one configuration.  ``solve``
-lays the blocks on the diagonal of one matrix over the basis listed
-sector by sector, so every coefficient column vanishes exactly off its
-sector; ``assemble`` scatters them straight into a matrix in basis order.
+never computed and are exactly zero.  ``_project`` projects one
+configuration at an array of half-widths in one pass: one kernel-spectra
+array spans their points and transverse indices, the points that share
+quadrature orders fill their rows of it from one field evaluation, one
+kernel product and one FFT, and the points whose sectors have equal sizes
+take one gather per sector, indexed per point (``_sector_blocks``).  A
+sweep passes a chunk of half-widths; ``solve`` and ``assemble`` pass none,
+and the configuration is projected at its own.  ``solve`` lays the blocks
+on the diagonal of one matrix over the basis listed sector by sector, so
+every coefficient column vanishes exactly off its sector; ``assemble``
+scatters them straight into a matrix in basis order and keeps it.
 Before building anything, ``_project`` charges each step's arrays to
 ``models.require_bytes`` from their shapes.
 
@@ -129,7 +130,8 @@ _KERNEL_BYTES = 56
 # block): its two index arrays and the kinetic part; traced at 23-28 B
 _GATHER_BYTES = 28
 # A single configuration's N x N matrices: traced at 16 B in solve (matrix
-# and eigenvectors, then eigenvectors and coefficients), 24 B in assemble
+# and eigenvectors, then eigenvectors and coefficients), 12-18 B in assemble
+# (the sector blocks and the matrix it keeps; N = 200 to 1200)
 _MATRIX_BYTES = 32
 # An eigenfunction sampled on an export grid, per (basis function, s node):
 # the longitudinal factor table of the basis and the harmonics' cosines
@@ -152,9 +154,9 @@ class GalerkinConfig:
 
     ``n_basis`` counts basis functions, ordered by ascending flat
     eigenvalue with ties broken (harmonic ascending, cosine before sine,
-    n ascending).  ``m_s``/``m_u`` override the quadrature orders, which
-    default to 2 * max harmonic + 32 (the aliasing bound of the module
-    docstring) and 2 * max transverse index + 16.
+    n ascending).  ``m_s``/``m_u``, integers >= 1 like ``n_basis``, override
+    the quadrature orders, which default to 2 * max harmonic + 32 (the
+    aliasing bound of the module docstring) and 2 * max transverse index + 16.
     ``close_pairs`` extends the basis by one function when the cutoff
     would orphan half of a +/-m pair; an orphaned partner artificially
     splits the degenerate pair, which the convergence sweeps cannot
@@ -169,10 +171,13 @@ class GalerkinConfig:
     close_pairs: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_basis, (int, np.integer)):
-            raise InputError(f"basis size must be an integer, got {self.n_basis!r}")
-        if self.n_basis < 1:
-            raise InputError(f"basis size must be >= 1, got {self.n_basis}")
+        for name, value in (("basis size", self.n_basis), ("m_s", self.m_s), ("m_u", self.m_u)):
+            if value is None and name != "basis size":  # a default quadrature order
+                continue
+            if not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
         if self.geometry not in GEOMETRY_CHOICES:
             raise InputError(
                 f"geometry must be one of {GEOMETRY_CHOICES}, got {self.geometry!r}"
@@ -227,20 +232,20 @@ class GalerkinSolution:
         )
 
 
-def _bases(params, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+def _bases(R: float, a, n_basis: int, close_pairs: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """(m, n) of the first ``n_basis`` flat modes as integer arrays, at each
-    of ``params``, strips of one radius, from one enumeration of their flat
-    modes.
+    half-width of ``a`` on the radius ``R``, from one enumeration of their
+    flat modes.
 
     Modes come by ascending flat eigenvalue, merged entries as in
     ``fake_spectrum``, and within an entry by (harmonic, cosine before
     sine, n).  ``close_pairs`` appends the next mode when the last one is
     half of a +/-m pair whose partner was cut off.
     """
-    point, sine, m, n, _, entry = _modes(params[0].R, [p.a for p in params], n_basis + 1, None)
+    point, sine, m, n, _, entry = _modes(R, a, n_basis + 1, None)
     order = np.lexsort((n, sine, m, entry))
     point, m, n = point[order], np.where(sine, -m, m)[order], n[order]
-    lo = np.searchsorted(point, np.arange(len(params)))
+    lo = np.searchsorted(point, np.arange(len(a)))
     size = np.full(lo.size, n_basis)
     if close_pairs and n_basis > 0:
         # a point's last mode is orphaned when no earlier mode of the point
@@ -257,7 +262,7 @@ def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
     """First ``n_basis`` flat modes, ascending eigenvalue, deterministic ties."""
-    return list(_mode_labels(*_bases([params], n_basis, close_pairs)[0]))
+    return list(_mode_labels(*_bases(params.R, [params.a], n_basis, close_pairs)[0]))
 
 
 @dataclass(frozen=True)
@@ -476,57 +481,59 @@ def _grouped(keys) -> list[list[int]]:
 
 
 # the points of a projection whose sectors have equal sizes: their positions
-# among the configurations, bases m and n (points, N), and per sector the
-# basis rows (points, r) and blocks (points, r, r); with a single
-# configuration, its _Discretisation (None for several)
+# among the half-widths, bases m and n (points, N), and per sector the basis
+# rows (points, r) and blocks (points, r, r); projecting a configuration at
+# its own half-width, its _Discretisation (else None)
 _Projected = collections.namedtuple("_Projected", "points m n sectors stacks disc")
 
 
-def _project(configs, dense: bool = False) -> list[_Projected]:
-    """Sector blocks of configurations that differ at most in half-width,
-    one ``_Projected`` per set of equal sector sizes.
+def _project(config: GalerkinConfig, a=None) -> list[_Projected]:
+    """Sector blocks of ``config`` at each half-width of ``a``, one
+    ``_Projected`` per set of equal sector sizes.
 
     Their bases are enumerated together (``_bases``); each point keeps its
     own quadrature orders, default or explicit.  One kernel-spectra array
     spans all points and transverse indices; the points that share orders
     fill their rows of it from one ``_fields`` and one ``_kernel_spectra``
     call, and the points whose sectors have equal sizes take one
-    ``_sector_blocks`` gather, whatever their bases.  With ``dense``, for
-    ``solve`` and ``assemble``, the single configuration keeps its
-    ``_Discretisation`` for its residuals.
+    ``_sector_blocks`` gather, whatever their bases.  Without ``a``, for
+    ``solve`` and ``assemble``, ``config`` is projected at its own
+    half-width and keeps its ``_Discretisation`` for its residuals.
 
     Before anything is built, each step's arrays are charged to
     ``require_bytes`` from their shapes: one point's blocks at N before the
     bases, each quadrature group's fields and kernels, the sector blocks,
-    and with ``dense`` the N x N matrices.  Residual data are charged when
+    and without ``a`` the N x N matrices.  Residual data are charged when
     they are read (``_residual_norms``).
     """
-    first = configs[0]
+    params, geometry, size = config.params, config.geometry, config.n_basis
+    whole = a is None
+    a = np.array([params.a] if whole else a, dtype=float)
+    R, thin, wide = params.R, float(a.min()), float(a.max())
     # any point's blocks hold at least those of N rows split evenly
-    require_bytes(8 * (first.n_basis**2 // 2) + _GATHER_BYTES * (first.n_basis**2 // 4),
-                  f"the sector blocks of one point at N={first.n_basis}")
-    bases = _bases([config.params for config in configs], first.n_basis, first.close_pairs)
-    orders = [_quadrature_orders(config, m, n) for config, (m, n) in zip(configs, bases)]
+    require_bytes(8 * (size**2 // 2) + _GATHER_BYTES * (size**2 // 4),
+                  f"the sector blocks of one point at N={size}")
+    bases = _bases(R, a, size, config.close_pairs)
+    orders = [_quadrature_orders(config, m, n) for m, n in bases]
     n_values = np.flatnonzero(np.bincount(np.concatenate([n for _, n in bases])))
-    thinnest = min((config.params for config in configs), key=lambda params: params.a)
-    diagonal = thinnest.transverse_energy * float(n_values[-1]) ** 2
+    scale = np.pi / (2.0 * thin)
+    diagonal = scale * scale * float(n_values[-1]) ** 2
     if not diagonal < _LARGEST_DIAGONAL:
         raise InputError(
-            f"half-width a is too small for the Galerkin solve: at a={thinnest.a:.3g} "
+            f"half-width a is too small for the Galerkin solve: at a={thin:.3g} "
             f"(n pi / 2a)^2 reaches {diagonal:.3g}, above {_LARGEST_DIAGONAL:.0e}"
         )
-    if first.geometry == "true_geometry":
+    if geometry == "true_geometry":
         # the fields divide by R^4 and square d2 g, of size up to (2 + 2.5 a / R) / R
-        R, a = first.params.R, max(config.params.a for config in configs)
-        slope = (2.0 + 2.5 * (a / R)) / R
+        slope = (2.0 + 2.5 * (wide / R)) / R
         if not (0.0 < R * R * (R * R) < np.inf and slope * slope < np.inf):
-            raise InputError(f"strip out of range for the Galerkin solve: at a={a:.3g}, "
+            raise InputError(f"strip out of range for the Galerkin solve: at a={wide:.3g}, "
                              f"R={R:.3g} its fields overflow")
     sizes = [m.size for m, _ in bases]
     cosine = [int(np.count_nonzero(m >= 0)) for m, _ in bases]
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     low, high, pair = _pair_table(n_values.size)
-    spectra_bytes = 8 * len(configs) * 2 * (top + 1) * low.size  # the kernel-spectra array
+    spectra_bytes = 8 * a.size * 2 * (top + 1) * low.size  # the kernel-spectra array
     quadratures = _grouped(orders)
     for points in quadratures:
         m_s, m_u = orders[points[0]]
@@ -539,13 +546,10 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
     entries = [len(points) * r * r for points in stacked  # of each sector's stack of blocks
                for r in (cosine[points[0]], sizes[points[0]] - cosine[points[0]])]
     require_bytes(spectra_bytes + 8 * sum(entries) + _GATHER_BYTES * max(entries),
-                  f"the kernel spectra and sector blocks at points={len(configs)}, N={max(sizes)}")
-    if dense:
-        size = sizes[0]
-        require_bytes(_MATRIX_BYTES * size * size, f"the N x N matrices at N={size}")
-    params, geometry = first.params, first.geometry
-    a = np.array([config.params.a for config in configs])
-    spectra = np.empty((len(configs), 2, top + 1, low.size))
+                  f"the kernel spectra and sector blocks at points={a.size}, N={max(sizes)}")
+    if whole:
+        require_bytes(_MATRIX_BYTES * sizes[0] ** 2, f"the N x N matrices at N={sizes[0]}")
+    spectra = np.empty((a.size, 2, top + 1, low.size))
     row = np.argsort(np.concatenate(quadratures))  # each group's rows of spectra lie together
     disc = None
     for points in quadratures:
@@ -555,7 +559,7 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
         lo = row[points[0]]
         _kernel_spectra(transverse, low, high, grid.weights_2d, g, potential,
                         spectra[lo:lo + len(points)])
-        if dense:
+        if whole:
             d_s_g = _mirrored(slope, grid.s_nodes.size, -1.0)[0]
             disc = _Discretisation(params, grid, *bases[0], g[0], d_s_g, potential[0])
         del g, potential, slope  # the gathers read none of the field stacks
@@ -568,20 +572,20 @@ def _project(configs, dense: bool = False) -> list[_Projected]:
         ]
         n_of = np.searchsorted(n_values, n)
         diag = _transverse_diag(n_values, a[points])
-        stacks = _sector_blocks(spectra, pair, row[points], m, n_of, sectors, diag, params.R)
+        stacks = _sector_blocks(spectra, pair, row[points], m, n_of, sectors, diag, R)
         projected.append(_Projected(points, m, n, sectors, stacks, disc))
     return projected
 
 
 def assemble(config: GalerkinConfig) -> SymmetricMatrix:
     """Projection matrix of L onto the flat basis in basis order, the
-    matrix ``solve`` diagonalises in sector order; symmetric by storage."""
-    [projected] = _project([config], dense=True)
+    matrix ``solve`` diagonalises in sector order, kept as built."""
+    [projected] = _project(config)
     basis = np.zeros((projected.m.shape[1],) * 2)
     for rows, stack in zip(projected.sectors, projected.stacks):
         basis[np.ix_(rows[0], rows[0])] = stack[0]
-    del projected, stack  # the blocks are copied; the packing takes their place
-    return SymmetricMatrix.from_dense(basis)
+    del projected, stack  # the blocks are copied; let them go before the matrix is checked
+    return SymmetricMatrix(basis)
 
 
 def _residual_norms(
@@ -683,7 +687,7 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
     rows come back in basis order.  The solution keeps the projection's
     quadrature fields; residual norms wait until they are read.
     """
-    [projected] = _project([config], dense=True)
+    [projected] = _project(config)
     order = np.concatenate([rows[0] for rows in projected.sectors])
     dense = np.zeros((order.size,) * 2)
     c = projected.stacks[0].shape[1]  # the cosine sector, which holds m = 0, comes first
@@ -733,12 +737,12 @@ def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion
     above 1e-6 (less than 99.9999 percent of the norm captured) raises
     ``CapacityError``.
     """
-    basis = _bases([config.params], config.n_basis, config.close_pairs)
-    return _expansions([config.params], basis, count)[0]
+    R, a = config.params.R, [config.params.a]
+    return _expansions(R, a, _bases(R, a, config.n_basis, config.close_pairs), count)[0]
 
 
-def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
-    """``effective_in_basis`` at each of ``params``, strips of one radius:
+def _expansions(R: float, a, bases, count: int) -> list[EffectiveExpansion]:
+    """``effective_in_basis`` at each half-width of ``a`` on the radius ``R``:
     the first ``count`` effective eigenfunctions of point i expanded over
     its basis ``bases[i]`` = (m, n), their modes from one ``_modes`` call
     over the half-widths.  Each distinct mode's harmonics and weights are
@@ -748,9 +752,8 @@ def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
     """
     from . import mathieu  # the true model's solve never loads the Mathieu solver
 
-    a = [p.a for p in params]
-    point, sine, order, n_eff, value, _ = _modes(params[0].R, a, count, DEFAULT_Q)
-    pick = np.searchsorted(point, np.arange(len(params)))[:, None] + np.arange(count)
+    point, sine, order, n_eff, value, _ = _modes(R, a, count, DEFAULT_Q)
+    pick = np.searchsorted(point, np.arange(len(a)))[:, None] + np.arange(count)
     sine, order, n_eff, value = (column[pick] for column in (sine, order, n_eff, value))
     # the distinct modes, keyed 2 m + sine; np.unique would import numpy.ma (numpy 2)
     keys = 2 * order + sine
@@ -802,4 +805,4 @@ def _expansions(params, bases, count: int) -> list[EffectiveExpansion]:
         )
     return [EffectiveExpansion(values=value[i], coefficients=coeffs[i],
                                truncations=truncations[i], sine=sine[i])
-            for i in range(len(params))]
+            for i in range(len(a))]

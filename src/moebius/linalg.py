@@ -10,8 +10,8 @@
 
 Each validates its arrays (shape, finite, every member of a stack alike)
 and calls ``numpy.linalg.eigh`` or ``eigvalsh`` once; a tridiagonal matrix goes to LAPACK as one dense array,
-filled in place.  No solver reads ``SymmetricMatrix``, which only
-``galerkin.assemble`` returns.  The Mathieu tables need the small
+filled in place.  No solver reads ``SymmetricMatrix``, the dense array
+that only ``galerkin.assemble`` returns.  The Mathieu tables need the small
 eigenvalues of recurrences graded with growing diagonals to absolute
 accuracy near machine epsilon; ``tests/test_linalg.py`` re-checks that on
 the LAPACK path rather than assuming it.  A ``LinAlgError`` or a
@@ -39,44 +39,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Dense symmetric matrix stored as its packed lower triangle.
+    """The dense symmetric matrix ``galerkin.assemble`` built, kept as it
+    was built: square, finite, and symmetric by its construction."""
 
-    ``lower`` holds rows of the lower triangle concatenated
-    (row i contributes entries (i, 0..i)), so symmetry holds by
-    construction.
-    """
-
-    order: int
-    lower: np.ndarray
+    dense: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InputError(f"matrix order must be >= 1, got {self.order}")
-        expected = self.order * (self.order + 1) // 2
-        if self.lower.shape != (expected,):
-            raise InputError(
-                f"packed lower triangle of order {self.order} needs {expected} "
-                f"entries, got shape {self.lower.shape}"
-            )
-        if not np.all(np.isfinite(self.lower)):
+        shape = np.shape(self.dense)
+        if len(shape) != 2 or not 0 < shape[0] == shape[1]:
+            raise InputError(f"expected a non-empty square matrix, got shape {shape}")
+        if not np.all(np.isfinite(self.dense)):
             raise InputError("matrix has non-finite entries")
 
-    @classmethod
-    def from_dense(cls, dense) -> "SymmetricMatrix":
-        """Pack the lower triangle of a square array (upper half ignored)."""
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {dense.shape}")
-        n = dense.shape[0]
-        idx = np.tril_indices(n)
-        return cls(order=n, lower=dense[idx].copy())
-
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.order, self.order))
-        idx = np.tril_indices(self.order)
-        out[idx] = self.lower
-        out.T[idx] = self.lower
-        return out
+        """A copy of the matrix, the caller's to write."""
+        return np.array(self.dense, dtype=float)
 
 
 @dataclass(frozen=True)

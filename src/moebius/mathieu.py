@@ -246,12 +246,14 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     keep = np.nonzero(np.abs(coeff) >= _COEFF_CUTOFF)[0]
     last = keep[-1] + 1 if keep.size else 1
     harmonics = _first_harmonic(kind, parity) + 2 * np.arange(last)
+    fourier = coeff[:last].copy()
+    harmonics.flags.writeable = fourier.flags.writeable = False  # shared through the cache
     return MathieuChar(
         kind=kind,
         m=m,
         value=float(values[idx]),  # char_value's; eigh's value differs in the last bits
         harmonics=harmonics,
-        fourier=coeff[:last].copy(),
+        fourier=fourier,
     )
 
 

@@ -145,7 +145,7 @@ def reference_basis(params, n_basis, close_pairs):
 
 
 def assert_matches_reference(params, n_basis, close_pairs):
-    [(m, n)] = _bases([params], n_basis, close_pairs)
+    [(m, n)] = _bases(params.R, [params.a], n_basis, close_pairs)
     assert m.dtype.kind == n.dtype.kind == "i"
     expected = reference_basis(params, n_basis, close_pairs)
     assert list(zip(m.tolist(), n.tolist())) == expected
@@ -417,7 +417,7 @@ def test_assembly_builds_no_mode_labels(monkeypatch):
     with pytest.raises(AssertionError, match="ModeIndex"):
         solution.basis
     monkeypatch.undo()
-    [(m, n)] = _bases([config.params], 72, True)
+    [(m, n)] = _bases(config.params.R, [config.params.a], 72, True)
     assert [(md.m, md.n) for md in solution.basis] == list(zip(m.tolist(), n.tolist()))
     assert galerkin.basis_modes(config.params, 72, True) == list(solution.basis)
 
@@ -429,9 +429,9 @@ def assert_chunk_is_each_point(R, a_values, n_basis, count, q=-0.25):
     each point's first."""
     params = [StripParams(a=float(a), R=R) for a in a_values]
     for close_pairs in (False, True):
-        chunk = galerkin._bases(params, n_basis, close_pairs)
+        chunk = galerkin._bases(R, [p.a for p in params], n_basis, close_pairs)
         for p, basis in zip(params, chunk):
-            [alone] = galerkin._bases([p], n_basis, close_pairs)
+            [alone] = galerkin._bases(R, [p.a], n_basis, close_pairs)
             for got, want in zip(basis, alone):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (p, close_pairs)
     point, *columns = _modes(R, [p.a for p in params], count, q)

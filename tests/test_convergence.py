@@ -46,7 +46,7 @@ def synthetic_sweep(power, scale=1.0):
 
 def sector_values(config):
     """Ascending eigenvalues of the sector blocks of one configuration."""
-    [projected] = _project([config])
+    [projected] = _project(config, [config.params.a])
     return np.sort(np.concatenate([np.linalg.eigvalsh(stack[0]) for stack in projected.stacks]))
 
 
@@ -155,9 +155,9 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
     groups = []  # per chunk, the half-widths of each group of equal sector sizes
     project = convergence._project
 
-    def grouped(configs):
-        projected = project(configs)
-        groups.append([[configs[i].params.a for i in group.points] for group in projected])
+    def grouped(config, a):
+        projected = project(config, a)
+        groups.append([[a[i] for i in group.points] for group in projected])
         return projected
 
     monkeypatch.setattr(galerkin, "assemble", not_reached)
@@ -171,7 +171,7 @@ def test_eigenvalue_sweep_solves_each_sector_alone(monkeypatch):
     assert [len(chunk) for chunk in groups] == [2, 1]
     sizes = {}  # each half-width's sector sizes, cosine then sine
     for a in grid:
-        [(m, _)] = galerkin._bases([StripParams(a=float(a), R=RADIUS)], 40, True)
+        [(m, _)] = galerkin._bases(RADIUS, [a], 40, True)
         sizes[a] = (np.count_nonzero(m >= 0), np.count_nonzero(m < 0))
     # per chunk, one eigensolve per sector per set of equal sector sizes
     expected = []
@@ -197,6 +197,21 @@ def test_readme_eigenvector_sweep_makes_few_eigensolves(monkeypatch):
     eigenvector_sweep(RADIUS, np.linspace(0.01, 1.5, 30), 5, 72)
     assert len(shapes) <= 10
     assert sum(shape[0] for shape in shapes) == 2 * 30
+
+
+def test_readme_eigenvector_sweep_builds_one_configuration(monkeypatch):
+    # one configuration at the thinnest half-width, projected at every point
+    built = []
+    check = GalerkinConfig.__post_init__
+
+    def counted(config):
+        built.append(config.params.a)
+        check(config)
+
+    monkeypatch.setattr(GalerkinConfig, "__post_init__", counted)
+    grid = np.linspace(0.01, 1.5, 30)
+    eigenvector_sweep(RADIUS, grid, 5, 72)
+    assert built == [grid[0]]
 
 
 def test_eigenvalue_sweep_coarse_sanity_bound():
@@ -405,7 +420,7 @@ def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch, charges):
     # kernels, eight times one point's, beside the kernel spectra are its
     # largest charge
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
-    bases = galerkin._bases([StripParams(a=float(a), R=RADIUS) for a in grid], 30, True)
+    bases = galerkin._bases(RADIUS, grid, 30, True)
     assert {m.size for m, _ in bases} == {31} and {int(n.max()) for _, n in bases} == {1}
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     m_s, m_u = top + 32, 18
@@ -426,7 +441,7 @@ def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch, c
     # they are read from, are its largest charge; the eigenvector sweep's
     # blocks and eigenvectors together stay within it
     grid = np.geomspace(0.02, 0.1, convergence._CHUNK)
-    bases = galerkin._bases([StripParams(a=float(a), R=RADIUS) for a in grid], 30, True)
+    bases = galerkin._bases(RADIUS, grid, 30, True)
     assert {(np.count_nonzero(m >= 0), m.size) for m, _ in bases} == {(16, 31)}
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     blocks = 8 * grid.size * (16**2 + 15**2)
@@ -452,7 +467,7 @@ def test_chunk_kernel_spectra_are_refused_before_any_is_built(monkeypatch, charg
     # them, and outweigh the blocks
     radius = 0.5
     grid = np.geomspace(0.02, 1.5, convergence._CHUNK)
-    bases = galerkin._bases([StripParams(a=float(a), R=radius) for a in grid], 30, True)
+    bases = galerkin._bases(radius, grid, 30, True)
     n_count = np.count_nonzero(np.bincount(np.concatenate([n for _, n in bases])))
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     spectra = 8 * grid.size * 2 * (top + 1) * n_count * (n_count + 1) // 2

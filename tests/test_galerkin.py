@@ -252,7 +252,7 @@ def test_discretisation_keeps_factor_tables():
         )
         assert np.array_equal(factors.transverse[factors.n_of[j]], transverse_profile(n, u))
     # the projection's sectors partition the same basis
-    [projected] = galerkin._project([config])
+    [projected] = galerkin._project(config, [config.params.a])
     m, n = projected.m[0], projected.n[0]
     cosine, sine = (rows[0] for rows in projected.sectors)
     assert np.array_equal(n, disc.n)
@@ -407,7 +407,7 @@ def test_solution_fields_are_the_projections_g_bitwise(geometry):
 def test_matrix_is_exactly_symmetric_and_sector_blocked(params, n_basis, m_s):
     for geometry in ("true_geometry", "flat_with_Veff"):
         config = GalerkinConfig(params=params, n_basis=n_basis, m_s=m_s, geometry=geometry)
-        [projected] = galerkin._project([config])
+        [projected] = galerkin._project(config, [params.a])
         for stack in projected.stacks:
             assert np.array_equal(stack[0], stack[0].T)
         dense = assemble(config).to_dense()
@@ -463,7 +463,7 @@ def permuted_sector_matrix(config):
     then gathered into basis order by each row's rank in sector order: the
     construction that ``assemble`` replaced by one scatter, kept as its
     reference."""
-    [projected] = galerkin._project([config], dense=True)
+    [projected] = galerkin._project(config)
     order = np.concatenate([rows[0] for rows in projected.sectors])
     dense = np.zeros((order.size,) * 2)
     c = projected.stacks[0].shape[1]
@@ -484,7 +484,7 @@ def test_sector_blocks_scatter_to_the_in_place_matrix_bitwise(geometry):
             dense = assemble(config).to_dense()
             assert np.array_equal(dense, scattered_matrix(disc, geometry))
             assert np.array_equal(dense, permuted_sector_matrix(config))
-            [projected] = galerkin._project([config])
+            [projected] = galerkin._project(config, [params.a])
             for rows, stack in zip(projected.sectors, projected.stacks):
                 assert np.array_equal(stack[0], dense[np.ix_(rows[0], rows[0])])
 
@@ -896,8 +896,8 @@ def test_chunk_expansions_are_each_points_bitwise(R, a_values, n_basis, count, c
     # one effective enumeration over a chunk's bases equals each point's
     # own effective_in_basis, bit for bit
     params = [StripParams(a=a, R=R) for a in a_values]
-    bases = galerkin._bases(params, n_basis, close_pairs)
-    for p, got in zip(params, galerkin._expansions(params, bases, count)):
+    bases = galerkin._bases(R, a_values, n_basis, close_pairs)
+    for p, got in zip(params, galerkin._expansions(R, a_values, bases, count)):
         config = GalerkinConfig(params=p, n_basis=n_basis, close_pairs=close_pairs)
         want = effective_in_basis(config, count)
         for field in ("values", "coefficients", "truncations", "sine"):
@@ -910,7 +910,7 @@ def test_chunk_expansions_name_the_first_failing_point():
     # point 1 comes first in the grid
     params = [StripParams(a=a, R=TABLE_PARAMS.R) for a in (0.5, TABLE_PARAMS.a, 0.9)]
     sizes, count = (72, 2, 10), 10
-    bases = [galerkin._bases([p], size, False)[0] for p, size in zip(params, sizes)]
+    bases = [galerkin._bases(p.R, [p.a], size, False)[0] for p, size in zip(params, sizes)]
     messages = []
     for p, size in zip(params, sizes):
         try:
@@ -920,7 +920,7 @@ def test_chunk_expansions_name_the_first_failing_point():
             messages.append(str(exc))
     assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
     with pytest.raises(CapacityError) as caught:
-        galerkin._expansions(params, bases, count)
+        galerkin._expansions(TABLE_PARAMS.R, [p.a for p in params], bases, count)
     assert str(caught.value) == messages[1]
 
 
@@ -937,7 +937,8 @@ def expansion_by_loop(config, count, q=DEFAULT_Q):
     """The per-mode loop ``effective_in_basis`` replaced, kept as its
     reference: (values, coefficients, truncations), or the CapacityError
     message of the first mode that fails."""
-    [(m, n)] = galerkin._bases([config.params], config.n_basis, config.close_pairs)
+    [(m, n)] = galerkin._bases(config.params.R, [config.params.a], config.n_basis,
+                               config.close_pairs)
     top = int(np.abs(m).max())
     position = np.full((2 * top + 1, int(n.max()) + 1), -1)
     position[m + top, n] = np.arange(m.size)
@@ -1008,3 +1009,16 @@ def test_config_validation():
     assert solve(GalerkinConfig(params=TABLE_PARAMS, n_basis=np.int64(12))).eigenvalues.size == 12
     with pytest.raises(InputError):
         GalerkinConfig(params=TABLE_PARAMS, n_basis=4, geometry="spherical")
+
+
+def test_quadrature_orders_are_validated_at_construction():
+    # m_s = 40.5 once failed with numpy's TypeError inside the projection,
+    # and m_u = 20.5 inside the Gauss-Legendre rule
+    for name in ("m_s", "m_u"):
+        for value in (40.5, 0, -3):
+            with pytest.raises(InputError, match=f"^{name} must be "):
+                GalerkinConfig(params=TABLE_PARAMS, n_basis=12, **{name: value})
+            with pytest.raises(InputError, match=f"^{name} must be "):
+                eigenvalue_sweep(3.0, [0.2, 0.4], 2, 12, **{name: value})
+    config = GalerkinConfig(params=TABLE_PARAMS, n_basis=12, m_s=np.int64(40), m_u=20)
+    assert solve(config).eigenvalues.size == 12

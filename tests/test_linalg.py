@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from moebius.errors import InputError, NumericalError
+from moebius.galerkin import GalerkinConfig, assemble, solve
+from moebius.geometry import StripParams
 from moebius.linalg import (
     SymmetricMatrix,
     _tridiagonal,
@@ -76,16 +78,20 @@ def test_permutation_similarity():
 
 
 def test_symmetric_matrix_storage():
+    # the matrix is kept as built; to_dense hands out an equal, independent copy
     dense = np.array([[2.0, -1.0], [-1.0, 5.0]])
-    packed = SymmetricMatrix.from_dense(dense)
-    assert packed.order == 2
-    assert np.array_equal(packed.to_dense(), dense)
+    matrix = SymmetricMatrix(dense)
+    assert matrix.dense is dense
+    copy = matrix.to_dense()
+    assert np.array_equal(copy, dense) and copy is not dense
+    copy[0, 0] = 7.0
+    assert matrix.dense[0, 0] == 2.0 and np.array_equal(matrix.to_dense(), dense)
     huge = np.array([[1e308, 2.0], [2.0, -1e308]])  # no overflow on the diagonal
-    assert np.array_equal(SymmetricMatrix.from_dense(huge).to_dense(), huge)
-    with pytest.raises(InputError):
-        SymmetricMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(InputError):
-        SymmetricMatrix.from_dense(np.zeros((2, 3)))
+    assert np.array_equal(SymmetricMatrix(huge).to_dense(), huge)
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros((2, 3)), np.zeros((0, 0)),
+                np.zeros(4)):
+        with pytest.raises(InputError):
+            SymmetricMatrix(bad)
 
 
 def test_tridiagonal_decoupled():
@@ -161,9 +167,14 @@ def test_tridiagonal_builder_fills_one_dense_matrix():
 
 def test_plain_arrays_go_to_lapack_unpacked(monkeypatch):
     def not_packed(*args, **kwargs):
-        raise AssertionError("packed into a SymmetricMatrix")
+        raise AssertionError("a SymmetricMatrix was constructed")
 
-    monkeypatch.setattr(SymmetricMatrix, "from_dense", not_packed)
+    monkeypatch.setattr(SymmetricMatrix, "__post_init__", not_packed)
+    # solve diagonalises its own array; only assemble returns a SymmetricMatrix
+    config = GalerkinConfig(params=StripParams(a=0.5, R=2.0), n_basis=12)
+    assert solve(config).eigenvalues.size == 12
+    with pytest.raises(AssertionError, match="SymmetricMatrix"):
+        assemble(config)
     a = random_symmetric(12, seed=6)
     expected = np.linalg.eigvalsh(a)
     # only the lower triangle is read and checked

@@ -114,6 +114,17 @@ def test_each_expansion_tends_to_its_own_harmonic():
                 assert own > 0.0 and own == np.max(np.abs(ch.fourier)), (kind, m, q)
 
 
+def test_cached_expansions_are_read_only():
+    # a caller writing into the cached arrays once moved every later
+    # evaluate: ce_2(0) at q = -1/4 read 100.017 after fourier[0] = 99
+    before = evaluate("ce", 2, -0.25, 0.0)
+    ch = fourier_coefficients("ce", 2, -0.25)
+    for array in (ch.harmonics, ch.fourier):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99
+    assert evaluate("ce", 2, -0.25, 0.0) == before
+
+
 def doubled_expansion(kind, m, q):
     """``fourier_coefficients`` solved at twice the class truncation, past
     the caches keyed by order or count."""

@@ -3,6 +3,7 @@
 import ast
 import collections
 import contextlib
+import dataclasses
 import importlib
 import io
 import os
@@ -158,6 +159,29 @@ CACHED_FUNCTIONS = {"gauss_legendre", "_stable_class_values", "_class_values",
                     "_class_decomposition", "fourier_coefficients"}
 
 
+def test_every_cache_hands_out_read_only_arrays():
+    # a cached array is shared by every later caller, so none may write it
+    from moebius import mathieu, quadrature
+
+    results = {
+        "gauss_legendre": quadrature.gauss_legendre(8),
+        "_stable_class_values": mathieu._stable_class_values("ce", 0, -0.25, 3),
+        "_class_values": mathieu._class_values("se", 1, -0.25, 64),
+        "_class_decomposition": mathieu._class_decomposition("ce", 1, -0.25, 64),
+        "fourier_coefficients": mathieu.fourier_coefficients("ce", 2, -0.25),
+    }
+    assert set(results) == CACHED_FUNCTIONS
+    for name, result in results.items():
+        if isinstance(result, np.ndarray):
+            items = [result]
+        elif isinstance(result, tuple):
+            items = result
+        else:
+            items = [getattr(result, field.name) for field in dataclasses.fields(result)]
+        arrays = [item for item in items if isinstance(item, np.ndarray)]
+        assert arrays and [array.flags.writeable for array in arrays] == [False] * len(arrays), name
+
+
 def test_every_cache_wraps_an_allowed_function():
     # functools.lru_cache and functools.cache; a cached_property lives and
     # dies with its instance
@@ -311,7 +335,7 @@ def test_the_capacity_cap_has_one_binding_read_by_one_gate():
 # Every def and lambda parameter of the package other than self (cls,
 # *args and **kwargs count) and every dataclass field: a change that adds
 # or removes a setting updates this count and says why in CHANGES.md
-SETTABLE_VALUES = 327
+SETTABLE_VALUES = 328
 
 
 def test_settable_values_are_counted():
