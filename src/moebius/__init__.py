@@ -35,8 +35,8 @@ _EXPORTS = {
         ("linalg", "EigenDecomposition SymmetricMatrix eig_dense_symmetric "
                    "eig_tridiagonal"),
         ("mathieu", "MathieuChar char_value char_values fourier_coefficients"),
-        ("models", "ModeIndex Spectrum SpectrumEntry effective_eigenfunction "
-                   "effective_spectrum fake_eigenfunction fake_spectrum"),
+        ("models", "ModeIndex Spectrum effective_eigenfunction effective_spectrum "
+                   "fake_eigenfunction fake_spectrum"),
         ("quadrature", "QuadratureGrid gauss_legendre integrate_2d"),
     )
     for name in names.split()

@@ -62,7 +62,7 @@ import numpy as np  # noqa: E402  (BLAS reads the pin when numpy loads)
 # each command imports the compute modules it runs, so a child process
 # loads only those (``moebius mathieu`` never loads the Galerkin solver)
 from . import __version__
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_int
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -337,15 +337,10 @@ def _emit(args, table: dict) -> None:
         _render(manifest, table, args.format, handle)
 
 
-def _mode_label(mode) -> str:
-    return f"{mode.family}(m={mode.m},n={mode.n})"
-
-
 def _cmd_mathieu(args) -> int:
     from . import mathieu
 
-    if args.max_order < 0:
-        raise InputError(f"--max-order must be >= 0, got {args.max_order}")
+    require_int("--max-order", args.max_order, 0)
     values = [c.value for c in mathieu.char_values(args.q, args.max_order)]  # ce, then se
     ce = args.max_order + 1
     table = {"m": list(range(ce)), "a_m": values[:ce], "b_m": [None] + values[ce:]}
@@ -360,8 +355,7 @@ def _cmd_spectrum(args) -> int:
     if args.model == "true":
         if args.N is None:
             raise InputError("--N is required for --model true")
-        if args.count < 1:
-            raise InputError(f"count must be >= 1, got {args.count}")
+        require_int("count", args.count, 1)
         if args.count > args.N:
             raise InputError(f"--count {args.count} exceeds --N {args.N}")
         from . import galerkin
@@ -387,12 +381,13 @@ def _cmd_spectrum(args) -> int:
             spectrum = models.fake_spectrum(params, args.count)
         else:
             spectrum = models.effective_spectrum(params, args.count)
-        values, modes, multiplicities = zip(*spectrum.flattened(args.count))
+        labels = zip(*(column[:args.count].tolist()
+                       for column in (spectrum.family, spectrum.m, spectrum.n)))
         table = {
-            "index": list(range(1, len(values) + 1)),
-            "value": values,
-            "multiplicity": multiplicities,
-            "mode": [_mode_label(mode) for mode in modes],
+            "index": list(range(1, args.count + 1)),
+            "value": spectrum.values(args.count),
+            "multiplicity": spectrum.multiplicity[:args.count],
+            "mode": [f"{family}(m={m},n={n})" for family, m, n in labels],
         }
     _emit(args, table)
     return 0
@@ -403,8 +398,7 @@ def _cmd_converge(args) -> int:
 
     given = args.R is not None or args.circumference is not None
     radius = _radius(args) if given else 18.0 / (2.0 * np.pi)
-    if args.steps < 1:
-        raise InputError(f"--steps must be >= 1, got {args.steps}")
+    require_int("--steps", args.steps, 1)
     convergence.require_sweep_capacity(args.steps, args.N, args.ms)  # before the grid
     window = tuple(args.window) if args.window is not None else None
     for option, end in (("--a-min", args.a_min), ("--a-max", args.a_max),
@@ -461,8 +455,7 @@ def _cmd_eigenfunction(args) -> int:
     from .models import require_bytes
 
     params = StripParams(a=args.a, R=_radius(args))
-    if not (1 <= args.k <= args.N):
-        raise InputError(f"--k must be in [1, {args.N}], got {args.k}")
+    require_int("--k", args.k, 1, args.N)
     grid_s, grid_u = _parse_grid_spec(args.grid)
     require_bytes(EXPORT_POINT_BYTES * grid_s * grid_u, f"the {grid_s}x{grid_u} export rows")
     config = galerkin.GalerkinConfig(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, require_int
 from .galerkin import GalerkinConfig, _expansions, _project
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
@@ -108,8 +108,7 @@ def geometric_grid(a_min: float, a_max: float, steps: int) -> np.ndarray:
     """Log-uniform half-width grid, the natural spacing for rate fits."""
     if not (0.0 < a_min <= a_max < np.inf):
         raise InputError(f"need 0 < a_min <= a_max < inf, got {a_min}, {a_max}")
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
+    require_int("steps", steps, 1)
     return np.geomspace(a_min, a_max, steps)
 
 
@@ -147,8 +146,7 @@ def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> Sw
         raise InputError(
             f"a_grid must lie in (0, 1.5], got [{a_grid[0]}, {a_grid[-1]}]"
         )
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
+    require_int("count", count, 1)
     if count > n_basis:
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
@@ -259,8 +257,7 @@ def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:
     grid points must remain.
     """
     count = sweep.differences.shape[1]
-    if not (1 <= index <= count):
-        raise InputError(f"index must be in [1, {count}], got {index}")
+    require_int("index", index, 1, count)
     mask = np.ones(sweep.a_grid.size, dtype=bool)
     if a_window is not None:
         lo, hi = a_window

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of the
+integer inputs (counts, orders, indices) at its public entry points."""
+
+from numbers import Integral
 
 
 class MoebiusError(Exception):
@@ -19,3 +22,14 @@ class CapacityError(InputError):
     byte cap, a sweep past the work cap, a Mathieu truncation or
     Gauss-Legendre order past its cap, longitudinal energies that overflow,
     or more indices or an expansion than a basis can hold."""
+
+
+def require_int(name: str, value, least=None, most=None) -> None:
+    """``InputError`` unless ``value`` is an integer (a numpy one too, a
+    bool not) in [least, most], an end given as None left open."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if most is not None and not least <= value <= most:
+        raise InputError(f"{name} must be in [{least}, {most}], got {value}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")

@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, require_int
 from .geometry import StripParams, _g_with_derivatives, _potential_from_g, potential_veff
 from .linalg import SymmetricMatrix, eig_dense_symmetric
 from .models import (
@@ -172,12 +172,8 @@ class GalerkinConfig:
 
     def __post_init__(self):
         for name, value in (("basis size", self.n_basis), ("m_s", self.m_s), ("m_u", self.m_u)):
-            if value is None and name != "basis size":  # a default quadrature order
-                continue
-            if not isinstance(value, (int, np.integer)):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
+            if value is not None or name == "basis size":  # None: a default quadrature order
+                require_int(name, value, 1)
         if self.geometry not in GEOMETRY_CHOICES:
             raise InputError(
                 f"geometry must be one of {GEOMETRY_CHOICES}, got {self.geometry!r}"
@@ -208,15 +204,13 @@ class GalerkinSolution:
 
     def leading_residual_norms(self, count: int) -> np.ndarray:
         """The first ``count`` residual norms, computed for those eigenpairs only."""
-        if not 0 <= count <= self.eigenvalues.size:
-            raise InputError(f"count must be in [0, {self.eigenvalues.size}], got {count}")
+        require_int("count", count, 0, self.eigenvalues.size)
         return _residual_norms(self._discretisation, self.eigenvalues, self.coefficients, count)
 
     def eigenfunction_values(self, k: int, s, u) -> np.ndarray:
         """Evaluate the k-th (1-indexed) eigenfunction on a tensor grid."""
         disc = self._discretisation
-        if not (1 <= k <= disc.m.size):
-            raise InputError(f"k must be in [1, {disc.m.size}], got {k}")
+        require_int("k", k, 1, disc.m.size)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         u = np.atleast_1d(np.asarray(u, dtype=float))
         n_rows = np.count_nonzero(np.bincount(disc.n))
@@ -262,6 +256,7 @@ def _mode_labels(m, n) -> tuple[ModeIndex, ...]:
 
 def basis_modes(params: StripParams, n_basis: int, close_pairs: bool = False) -> list[ModeIndex]:
     """First ``n_basis`` flat modes, ascending eigenvalue, deterministic ties."""
+    require_int("basis size", n_basis, 0)
     return list(_mode_labels(*_bases(params.R, [params.a], n_basis, close_pairs)[0]))
 
 
@@ -702,10 +697,7 @@ def solve(config: GalerkinConfig) -> GalerkinSolution:
 
 def residual_norm(solution: GalerkinSolution, k: int) -> float:
     """Strong-form residual of the k-th (1-indexed) eigenpair."""
-    if not (1 <= k <= solution.eigenvalues.size):
-        raise InputError(
-            f"k must be in [1, {solution.eigenvalues.size}], got {k}"
-        )
+    require_int("k", k, 1, solution.eigenvalues.size)
     return float(solution.leading_residual_norms(k)[k - 1])
 
 

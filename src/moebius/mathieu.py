@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericalError
+from .errors import CapacityError, InputError, NumericalError, require_int
 from .linalg import eig_tridiagonal, eig_tridiagonal_full
 
 __all__ = ["MathieuChar", "char_values", "char_value", "fourier_coefficients", "evaluate"]
@@ -101,10 +101,7 @@ class MathieuChar:
 def _validate(kind: str, m: int) -> None:
     if kind not in ("ce", "se"):
         raise InputError(f"kind must be 'ce' or 'se', got {kind!r}")
-    if kind == "ce" and m < 0:
-        raise InputError(f"ce order must be >= 0, got {m}")
-    if kind == "se" and m < 1:
-        raise InputError(f"se order must be >= 1, got {m}")
+    require_int(f"{kind} order", m, 0 if kind == "ce" else 1)
 
 
 def _first_harmonic(kind: str, parity: int) -> int:
@@ -201,8 +198,7 @@ def _char_arrays(q: float, max_order: int):
     """``char_values`` as arrays: sine flags, orders and values.  Each class
     is solved before any array is built, so an order past the truncation
     cap is refused unlisted."""
-    if max_order < 0:
-        raise InputError(f"max_order must be >= 0, got {max_order}")
+    require_int("max_order", max_order, 0)
     q, even, odd = float(q), max_order // 2, (max_order + 1) // 2  # even orders from 2, odd orders
     classes = [_stable_class_values(kind, parity, q, count)[0] if count else ()
                for kind, parity, count in (("ce", 0, even + 1), ("ce", 1, odd), ("se", 0, even),
@@ -222,7 +218,7 @@ def char_values(q: float, max_order: int) -> list[MathieuChar]:
             for s, m, v in zip(sine.tolist(), order.tolist(), value.tolist())]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 or True reaches the check, not 2's entry
 def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     """Characteristic value plus normalised Fourier coefficients of ce_m/se_m.
 

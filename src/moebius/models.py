@@ -33,12 +33,13 @@ Both spectra come from one enumeration (``_modes``) over a table of
 longitudinal energies sorted by energy: (m / 2R)^2 for the flat cosine
 and sine of order m, which is the effective table at q = 0, or
 a_m(q) / (2R)^2 and b_m(q) / (2R)^2; a mode is a row of the table with a
-transverse index n, of value energy + (n pi / 2a)^2.  Eigenvalues are
-returned merged into multiplicity-aware entries: values within 1e-9
-relative collapse into one entry (the near-identical ce/se pairs at large
-order must merge, physically split pairs stay apart), members ordered by
-value, then order, then n, then label, so that where a thin strip's values
-round to one double the lowest harmonics come first.
+transverse index n, of value energy + (n pi / 2a)^2.  A ``Spectrum``
+holds its arrays, one element per mode, labels built only on request.
+Values within 1e-9 relative share a merged entry, whose size is each
+member's multiplicity (the near-identical ce/se pairs at large order must
+merge, physically split pairs stay apart); members come ordered by value,
+then order, then n, then label, so that where a thin strip's values round
+to one double the lowest harmonics come first.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, require_int
 from .geometry import StripParams
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "FAMILY_EFF_CE",
     "FAMILY_EFF_SE",
     "ModeIndex",
-    "SpectrumEntry",
     "Spectrum",
     "fake_spectrum",
     "effective_spectrum",
@@ -107,6 +107,8 @@ class ModeIndex:
     def __post_init__(self):
         if self.family not in (FAMILY_FAKE, FAMILY_EFF_CE, FAMILY_EFF_SE):
             raise InputError(f"unknown mode family {self.family!r}")
+        require_int("m", self.m)
+        require_int("n", self.n)
         if self.n < 1:
             raise InputError(f"transverse index must be >= 1, got n={self.n}")
         if self.family == FAMILY_EFF_CE and self.m < 0:
@@ -120,47 +122,37 @@ class ModeIndex:
             )
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One merged eigenvalue with every mode label sharing it.
-
-    Members keep their exact per-mode eigenvalues in ``mode_values`` (the
-    near-identical large-order pairs differ below any printable tolerance,
-    but the sub-merge-tolerance splitting is physical and the convergence
-    studies track it); ``value`` is the lowest member.  Modes are ordered
-    by exact value, lexicographic (family, m, n) on ties.
-    """
-
-    modes: tuple[ModeIndex, ...]
-    mode_values: tuple[float, ...]
-
-    @property
-    def value(self) -> float:
-        return self.mode_values[0]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.modes)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on arrays compares elementwise
 class Spectrum:
-    """Ascending merged eigenvalues of one model at fixed parameters."""
+    """Ascending eigenvalues of one model at fixed parameters, one element
+    per mode: its exact ``value``, its label (``family``, ``m``, ``n``;
+    the flat m signed, negative for the sine partner) and the merged
+    ``entry`` it falls into, numbered from 0.  Modes are in member order
+    (module docstring)."""
 
-    entries: tuple[SpectrumEntry, ...]
+    value: np.ndarray
+    family: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    entry: np.ndarray
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """The size of each mode's merged entry."""
+        return np.bincount(self.entry)[self.entry]
 
     def values(self, count: int | None = None) -> np.ndarray:
-        """Exact eigenvalues flattened with multiplicity, lowest first."""
-        return np.array([v for v, _, _ in self.flattened(count)])
+        """The first ``count`` exact eigenvalues (all when None), a copy."""
+        if count is not None:
+            require_int("count", count, 0)
+        return self.value[:count].copy()
 
     def flattened(self, count: int | None = None):
-        """(exact value, mode, entry multiplicity) triples with multiplicity."""
-        flat = [
-            (v, m, e.multiplicity)
-            for e in self.entries
-            for v, m in zip(e.mode_values, e.modes)
-        ]
-        return flat if count is None else flat[:count]
+        """(exact value, mode label, entry multiplicity) of the first
+        ``count`` modes (all when None), the labels built here."""
+        value = self.values(count)
+        columns = (c[:value.size].tolist() for c in (self.family, self.m, self.n, self.multiplicity))
+        return [(v, ModeIndex(f, m, n), k) for v, f, m, n, k in zip(value.tolist(), *columns)]
 
 
 def require_bytes(needed, what: str) -> None:
@@ -225,20 +217,6 @@ def _merge_sorted(value, count, point):
     return entry, (rank < count)[opens][entry]
 
 
-def _spectrum(family, m, n, value, entry) -> Spectrum:
-    """A spectrum from per-mode arrays listed entry by entry, in member order."""
-    starts = np.flatnonzero(np.diff(entry, prepend=-1)).tolist() + [entry.size]
-    family, m, n, value = family.tolist(), m.tolist(), n.tolist(), value.tolist()
-    entries = tuple(
-        SpectrumEntry(
-            modes=tuple(ModeIndex(family[j], m[j], n[j]) for j in range(lo, hi)),
-            mode_values=tuple(value[lo:hi]),
-        )
-        for lo, hi in zip(starts[:-1], starts[1:])
-    )
-    return Spectrum(entries=entries)
-
-
 def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     """The ``count`` smallest flat-model eigenvalues with multiplicities.
 
@@ -249,8 +227,7 @@ def fake_spectrum(params: StripParams, count: int) -> Spectrum:
     strip, m = 0 comes first and then the +/-2 pair.
     """
     _, sine, m, n, value, entry = _modes(params.R, [params.a], count, None)
-    m = np.where(sine, -m, m)
-    return _spectrum(np.full(m.size, FAMILY_FAKE), m, n, value, entry)
+    return Spectrum(value, np.full(m.size, FAMILY_FAKE), np.where(sine, -m, m), n, entry)
 
 
 def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) -> Spectrum:
@@ -260,8 +237,7 @@ def effective_spectrum(params: StripParams, count: int, q: float = DEFAULT_Q) ->
     value, then by order m, then n, then eff_ce before eff_se.
     """
     _, sine, m, n, value, entry = _modes(params.R, [params.a], count, q)
-    family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
-    return _spectrum(family, m, n, value, entry)
+    return Spectrum(value, np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE), m, n, entry)
 
 
 def _modes(R: float, a, count: int, q):
@@ -295,8 +271,7 @@ def _modes(R: float, a, count: int, q):
     The table with the bounds, then all boxes, are charged to
     ``require_bytes`` before they are built, each once.
     """
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
+    require_int("count", count, 1)
     R = float(R)  # a numpy scalar would warn where the float overflows to inf
     scale = np.pi / (2.0 * np.asarray(a, dtype=float))
     e1 = scale * scale  # each point's transverse energy
@@ -361,6 +336,7 @@ def _table(R: float, q, orders: int):
 
 def transverse_profile(n: int, u):
     """Dirichlet transverse factor on (-1, 1): cos(n pi u/2) odd n, sin even n."""
+    require_int("n", n, 1)
     phase = (0.5 * n * np.pi) * np.asarray(u, dtype=float)
     return np.cos(phase) if n % 2 == 1 else np.sin(phase)
 
@@ -368,6 +344,7 @@ def transverse_profile(n: int, u):
 def fake_longitudinal(m: int, params: StripParams, s, derivative: int = 0):
     """Unit-norm flat longitudinal factor on (0, 2 pi R), or at
     ``derivative`` 1 its s derivative; m < 0 is the sine branch."""
+    require_int("m", m)
     if derivative not in (0, 1):
         raise InputError(f"derivative must be 0 or 1, got {derivative}")
     s = np.asarray(s, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InputError, NumericalError
+from .errors import CapacityError, InputError, NumericalError, require_int
 from .geometry import StripParams
 
 __all__ = ["QuadratureGrid", "gauss_legendre", "integrate_2d"]
@@ -39,7 +39,7 @@ _MAX_ORDER = 4096
 _CACHED_ORDERS = 64
 
 
-@functools.lru_cache(maxsize=_CACHED_ORDERS)
+@functools.lru_cache(maxsize=_CACHED_ORDERS, typed=True)  # typed: 2.0 or True reaches the check
 def gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights on (-1, 1).
 
@@ -47,8 +47,7 @@ def gauss_legendre(order: int):
     and summing to 2.  Each order is solved once per process; the arrays
     returned are shared and read-only.
     """
-    if order < 1:
-        raise InputError(f"quadrature order must be >= 1, got {order}")
+    require_int("quadrature order", order, 1)
     if order > _MAX_ORDER:
         raise CapacityError(f"a Gauss-Legendre rule of order {order} is above the cap of "
                             f"{_MAX_ORDER} nodes")
@@ -103,8 +102,8 @@ class QuadratureGrid:
 
     @classmethod
     def for_strip(cls, params: StripParams, m_s: int, m_u: int) -> "QuadratureGrid":
-        if m_s < 1 or m_u < 1:
-            raise InputError(f"node counts must be >= 1, got m_s={m_s}, m_u={m_u}")
+        require_int("m_s", m_s, 1)
+        require_int("m_u", m_u, 1)
         length = params.circumference
         h = length / m_s
         s_nodes = h * np.arange(m_s)

@@ -10,6 +10,8 @@ it, members by (value, order |m|, n, label), and, for the basis,
 (harmonic, cosine first, n) within an entry.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from moebius.geometry import StripParams
 from moebius.models import (
     FAMILY_EFF_CE,
     FAMILY_EFF_SE,
+    FAMILY_FAKE,
     MERGE_RTOL,
     ModeIndex,
     _modes,
@@ -121,13 +124,24 @@ def reference_effective_entries(params, count, q):
         budget *= 2.0
 
 
+def flat_label(family, m, n):
+    return m, n
+
+
+def effective_label(family, m, n):
+    return family, m, n
+
+
 def assert_entries(spectrum, reference, label):
-    assert len(spectrum.entries) == len(reference)
-    for entry, members in zip(spectrum.entries, reference):
-        assert entry.value == members[0][0]
-        assert entry.mode_values == tuple(value for value, _ in members)
-        assert [label(md) for md in entry.modes] == [md for _, md in members]
-        assert all(type(value) is float for value in entry.mode_values)
+    """``spectrum`` holds the modes of the ``reference`` entries, member by
+    member: exact values, labels (``label`` of family, m, n), the entry
+    each falls into, numbered from 0, and that entry's size."""
+    members = [(i, value, md, len(entry)) for i, entry in enumerate(reference)
+               for value, md in entry]
+    assert spectrum.value.dtype == np.float64
+    labels = zip(spectrum.family.tolist(), spectrum.m.tolist(), spectrum.n.tolist())
+    assert list(zip(spectrum.entry.tolist(), spectrum.value.tolist(),
+                    [label(*md) for md in labels], spectrum.multiplicity.tolist())) == members
 
 
 def reference_basis(params, n_basis, close_pairs):
@@ -153,7 +167,7 @@ def assert_matches_reference(params, n_basis, close_pairs):
     assert_entries(
         fake_spectrum(params, n_basis + 1),
         reference_entries(params, n_basis + 1),
-        lambda md: (md.m, md.n),
+        flat_label,
     )
 
 
@@ -198,7 +212,7 @@ def test_effective_spectrum_equals_the_mode_enumeration(a, R, count, q):
     assert_entries(
         effective_spectrum(params, count, q=q),
         reference_effective_entries(params, count, q),
-        lambda md: (md.family, md.m, md.n),
+        effective_label,
     )
 
 
@@ -278,7 +292,7 @@ def test_wide_effective_strip_builds_a_few_cells(monkeypatch):
     cap = np.nextafter(spectrum.values().max(), np.inf)
     assert_entries(spectrum, reference_merge(effective_candidates(params, -0.25, cap), 5,
                                              effective_member),
-                   lambda md: (md.family, md.m, md.n))
+                   effective_label)
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,7 +312,7 @@ def test_wide_effective_strips_equal_the_brute_force_enumeration(R, log_ratio, c
     cap = np.nextafter(spectrum.values().max(), np.inf)
     assert_entries(spectrum, reference_merge(effective_candidates(params, q, cap), count,
                                              effective_member),
-                   lambda md: (md.family, md.m, md.n))
+                   effective_label)
 
 
 def reach(params, count):
@@ -333,16 +347,52 @@ def test_box_cut_to_the_reachable_harmonics_keeps_every_mode(a, reference):
     for R in (0.8, 2.0, 5.0):
         params = StripParams(a=a, R=R)
         for count in (1, 5, 200):
-            assert_entries(fake_spectrum(params, count), reference(params, count),
-                           lambda md: (md.m, md.n))
+            assert_entries(fake_spectrum(params, count), reference(params, count), flat_label)
+
+
+@pytest.mark.parametrize("params", [
+    StripParams(a=0.75, R=13.2 / (2 * np.pi)),  # the README strip
+    StripParams(a=1e-5, R=2.0),  # its first flat entry holds 19 modes
+    StripParams(a=0.3, R=0.3 * np.sqrt(5.0) / np.pi),  # (4, 1) tied with (1, 2)
+])
+@pytest.mark.parametrize("q", [None, -0.25])
+def test_spectra_hold_the_enumeration_arrays(params, q):
+    count = 25
+    _, sine, m, n, value, entry = _modes(params.R, [params.a], count, q)
+    if q is None:
+        spectrum = fake_spectrum(params, count)
+        family, m = np.full(m.size, FAMILY_FAKE), np.where(sine, -m, m)
+    else:
+        spectrum = effective_spectrum(params, count, q=q)
+        family = np.where(sine, FAMILY_EFF_SE, FAMILY_EFF_CE)
+    for got, want in zip((spectrum.value, spectrum.family, spectrum.m, spectrum.n, spectrum.entry),
+                         (value, family, m, n, entry)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the labelled triples, built entry by entry
+    reference = []
+    for _, members in itertools.groupby(
+            zip(entry.tolist(), value.tolist(), family.tolist(), m.tolist(), n.tolist()),
+            key=lambda member: member[0]):
+        members = list(members)
+        reference += [(v, ModeIndex(f, mm, nn), len(members)) for _, v, f, mm, nn in members]
+    assert spectrum.multiplicity.tolist() == [size for _, _, size in reference]
+    assert spectrum.flattened() == reference
+    assert spectrum.flattened(count) == reference[:count]
+    values = spectrum.values(count)
+    assert np.array_equal(values, value[:count])
+    values[0] = -1.0  # a copy
+    assert spectrum.value[0] == value[0]
 
 
 def test_near_ties_merge_into_one_entry():
     # an exact tie of (4, 1) and (1, 2): both pairs share one entry
     a = 0.3
     params = StripParams(a=a, R=a * np.sqrt(5.0) / np.pi)
-    entry = next(e for e in fake_spectrum(params, 12).entries if e.multiplicity == 4)
-    assert {(md.m, md.n) for md in entry.modes} == {(-4, 1), (4, 1), (-1, 2), (1, 2)}
+    spectrum = fake_spectrum(params, 12)
+    four = spectrum.multiplicity == 4
+    assert np.unique(spectrum.entry[four]).size == 1
+    assert set(zip(spectrum.m[four].tolist(), spectrum.n[four].tolist())) == \
+        {(-4, 1), (4, 1), (-1, 2), (1, 2)}
     assert_matches_reference(params, 12, True)
 
 
@@ -448,12 +498,9 @@ def assert_chunk_is_each_point(R, a_values, n_basis, count, q=-0.25):
 def entry_cut(spectrum, multiplicity):
     """The mode count that ends one mode into the first entry of at least
     ``multiplicity`` modes: a cutoff inside that merged entry."""
-    before = 0
-    for entry in spectrum.entries:
-        if entry.multiplicity >= multiplicity:
-            return before + 1
-        before += entry.multiplicity
-    raise AssertionError("no such entry")
+    members = np.flatnonzero(spectrum.multiplicity >= multiplicity)
+    assert members.size, "no such entry"
+    return int(members[0]) + 1  # modes come entry by entry: the first is the entry's first
 
 
 @pytest.mark.parametrize("R, a_values", [
@@ -475,7 +522,7 @@ def test_chunk_enumeration_is_each_points_own_across_merged_entries():
     a = 0.3
     R = a * np.sqrt(5.0) / np.pi
     tied = StripParams(a=a, R=R)
-    assert any(entry.multiplicity == 4 for entry in fake_spectrum(tied, 30).entries)
+    assert np.any(fake_spectrum(tied, 30).multiplicity == 4)
     n_basis = entry_cut(fake_spectrum(tied, 30), 4)
     # an effective count one mode into a merged ce/se pair
     count = entry_cut(effective_spectrum(tied, 40), 2)

@@ -72,34 +72,36 @@ def test_mode_index_validation():
 def test_fake_ground_state_simple():
     spectrum = fake_spectrum(TABLE_PARAMS, 20)
     e1 = TABLE_PARAMS.transverse_energy
-    assert spectrum.entries[0].value == pytest.approx(e1, rel=1e-15)
-    assert spectrum.entries[0].multiplicity == 1
-    assert spectrum.entries[0].modes[0] == ModeIndex(FAMILY_FAKE, 0, 1)
+    assert spectrum.value[0] == pytest.approx(e1, rel=1e-15)
+    assert spectrum.multiplicity[0] == 1
+    assert spectrum.flattened(1)[0][1] == ModeIndex(FAMILY_FAKE, 0, 1)
 
 
 def test_fake_reference_values():
     values = fake_spectrum(TABLE_PARAMS, 20).values(20)
     assert np.max(np.abs(values - FAKE_REFERENCE) / np.abs(FAKE_REFERENCE)) < 1e-12
-    second = fake_spectrum(TABLE_PARAMS, 3).entries[1]
+    spectrum = fake_spectrum(TABLE_PARAMS, 3)
+    second = spectrum.entry == 1
     expected = TABLE_PARAMS.transverse_energy + 1.0 / TABLE_PARAMS.R**2
-    assert second.value == pytest.approx(expected, rel=1e-14)
-    assert second.multiplicity == 2
+    assert spectrum.value[second][0] == pytest.approx(expected, rel=1e-14)
+    assert spectrum.multiplicity[second].tolist() == [2, 2]
 
 
 def test_fake_multiplicities():
     spectrum = fake_spectrum(TABLE_PARAMS, 40)
-    for entry in spectrum.entries:
-        signed = {md.m for md in entry.modes}
+    for entry in range(spectrum.entry[-1] + 1):
+        members = spectrum.entry == entry
+        signed = set(spectrum.m[members].tolist())
         assert all(-m in signed for m in signed)  # +/- pairs stay together
-        if any(md.m != 0 for md in entry.modes):
-            assert entry.multiplicity >= 2
+        if signed != {0}:
+            assert np.all(spectrum.multiplicity[members] >= 2)
 
 
 def test_square_strip_fourfold_degeneracy():
     # at pi R = a the second eigenvalue collects (+-1, 2) and (+-2, 1)
     params = StripParams(a=np.pi, R=1.0)
     spectrum = fake_spectrum(params, 6)
-    assert spectrum.entries[1].multiplicity == 4
+    assert spectrum.multiplicity[spectrum.entry == 1].tolist() == [4] * 4
 
 
 def test_fake_exhaustive_against_brute_force():
@@ -116,18 +118,17 @@ def test_effective_reference_values():
 def test_effective_ground_state_formula():
     spectrum = effective_spectrum(TABLE_PARAMS, 1)
     expected = (np.pi / 13.2) ** 2 * char_value("ce", 0, -0.25) + TABLE_PARAMS.transverse_energy
-    assert spectrum.entries[0].value == pytest.approx(expected, rel=1e-14)
-    assert spectrum.entries[0].modes[0] == ModeIndex(FAMILY_EFF_CE, 0, 1)
+    assert spectrum.value[0] == pytest.approx(expected, rel=1e-14)
+    assert spectrum.flattened(1)[0][1] == ModeIndex(FAMILY_EFF_CE, 0, 1)
 
 
 def test_effective_near_degenerate_pair_merges():
     # the (ce, 10) / (se, 10) values coincide in double precision
     spectrum = effective_spectrum(TABLE_PARAMS, 11)
-    tenth = spectrum.values(11)[9]
-    entry = next(e for e in spectrum.entries if e.value == tenth)
-    assert entry.multiplicity == 2
-    families = {md.family for md in entry.modes}
-    assert families == {FAMILY_EFF_CE, FAMILY_EFF_SE}
+    pair = spectrum.entry == spectrum.entry[9]
+    assert spectrum.value[pair][0] == spectrum.value[9]
+    assert spectrum.multiplicity[pair].tolist() == [2, 2]
+    assert set(spectrum.family[pair].tolist()) == {FAMILY_EFF_CE, FAMILY_EFF_SE}
 
 
 def test_effective_spectrum_tabulates_each_truncation_once():
@@ -141,7 +142,8 @@ def test_effective_spectrum_tabulates_each_truncation_once():
     again = effective_spectrum(StripParams(a=0.3, R=TABLE_PARAMS.R), 20)
     assert mathieu._class_values.cache_info().misses == 4
     assert again.values(20)[0] != first.values(20)[0]
-    assert effective_spectrum(TABLE_PARAMS, 20) == first
+    third = effective_spectrum(TABLE_PARAMS, 20)
+    assert all(np.array_equal(column, getattr(third, name)) for name, column in vars(first).items())
     assert mathieu._class_values.cache_info().misses == 4
 
 
@@ -161,11 +163,13 @@ def test_effective_degenerates_to_fake_at_zero_coupling(R, count, a):
     params = StripParams(a=a, R=R)
     fake = fake_spectrum(params, count)
     effective = effective_spectrum(params, count, q=0.0)
-    assert len(effective.entries) == len(fake.entries)
-    for eff, flat in zip(effective.entries, fake.entries):
-        labels = {(-md.m if md.family == FAMILY_EFF_SE else md.m, md.n) for md in eff.modes}
-        assert labels == {(md.m, md.n) for md in flat.modes}
-        values, expected = np.sort(eff.mode_values), np.sort(flat.mode_values)
+    assert np.array_equal(effective.entry, fake.entry)
+    signed = np.where(effective.family == FAMILY_EFF_SE, -effective.m, effective.m)
+    for entry in range(fake.entry[-1] + 1):
+        members = fake.entry == entry
+        labels = set(zip(signed[members].tolist(), effective.n[members].tolist()))
+        assert labels == set(zip(fake.m[members].tolist(), fake.n[members].tolist()))
+        values, expected = np.sort(effective.value[members]), np.sort(fake.value[members])
         assert np.all(np.abs(values - expected) <= 1e-15 * expected)
 
 

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 import moebius
+from moebius import convergence, galerkin, mathieu, models, quadrature
+from moebius.errors import InputError
+from moebius.geometry import StripParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "moebius").glob("*.py"))
@@ -239,6 +242,79 @@ def test_every_private_name_read_across_modules_is_allowed():
                     and node.value.id in modules and private(node.attr):
                 found[path.stem, modules[node.value.id]].add(node.attr)
     assert dict(found) == CROSS_MODULE_PRIVATES
+
+
+# The scopes that build ModeIndex labels, per module: spectra and bases are
+# integer arrays, labelled only when a caller asks for the labels, so a new
+# label builder takes an edit here.
+LABEL_BUILDERS = {("models", "Spectrum.flattened"), ("galerkin", "_mode_labels")}
+
+
+def test_mode_labels_are_built_only_on_request():
+    built = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) == "ModeIndex":
+                built.add((module, scope))
+            visit(child, module, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert built == LABEL_BUILDERS
+
+
+PARAMS = StripParams(a=0.75, R=13.2 / (2 * np.pi))
+CONFIG = galerkin.GalerkinConfig(params=PARAMS, n_basis=20)
+A_GRID = np.geomspace(0.1, 0.5, 5)
+SWEEP = convergence.SweepResult(A_GRID, np.zeros((5, 3)), np.zeros((5, 3)),
+                                np.outer(A_GRID**2, [1.0, 2.0, 3.0]))
+
+# Each public entry point that takes a count, an order or an index: the
+# call of one integer argument, and a value it accepts
+INTEGER_ENTRY_POINTS = {
+    "char_value": (lambda k: mathieu.char_value("ce", k, -0.25), 2),
+    "fourier_coefficients": (lambda k: mathieu.fourier_coefficients("se", k, -0.25), 1),
+    "evaluate": (lambda k: mathieu.evaluate("ce", k, -0.25, 0.3), 2),
+    "char_values": (lambda k: mathieu.char_values(-0.25, k), 3),
+    "ModeIndex.m": (lambda k: models.ModeIndex(models.FAMILY_FAKE, k, 2), 3),
+    "ModeIndex.n": (lambda k: models.ModeIndex(models.FAMILY_FAKE, 0, k), 3),
+    "transverse_profile": (lambda k: models.transverse_profile(k, 0.3), 3),
+    "fake_longitudinal": (lambda k: models.fake_longitudinal(k, PARAMS, 0.3), 3),
+    "fake_spectrum": (lambda k: models.fake_spectrum(PARAMS, k), 3),
+    "effective_spectrum": (lambda k: models.effective_spectrum(PARAMS, k), 3),
+    "Spectrum.values": (lambda k: models.fake_spectrum(PARAMS, 5).values(k), 3),
+    "Spectrum.flattened": (lambda k: models.fake_spectrum(PARAMS, 5).flattened(k), 3),
+    "gauss_legendre": (quadrature.gauss_legendre, 3),
+    "for_strip.m_s": (lambda k: quadrature.QuadratureGrid.for_strip(PARAMS, k, 4), 3),
+    "for_strip.m_u": (lambda k: quadrature.QuadratureGrid.for_strip(PARAMS, 10, k), 3),
+    "GalerkinConfig.n_basis": (lambda k: galerkin.GalerkinConfig(PARAMS, k), 3),
+    "GalerkinConfig.m_s": (lambda k: galerkin.GalerkinConfig(PARAMS, 3, m_s=k), 3),
+    "basis_modes": (lambda k: galerkin.basis_modes(PARAMS, k), 3),
+    "effective_in_basis": (lambda k: galerkin.effective_in_basis(CONFIG, k), 3),
+    "leading_residual_norms": (lambda k: galerkin.solve(CONFIG).leading_residual_norms(k), 3),
+    "residual_norm": (lambda k: galerkin.residual_norm(galerkin.solve(CONFIG), k), 3),
+    "eigenfunction_values": (
+        lambda k: galerkin.solve(CONFIG).eigenfunction_values(k, 0.3, 0.1), 3),
+    "geometric_grid": (lambda k: convergence.geometric_grid(0.1, 1.0, k), 3),
+    "eigenvalue_sweep": (lambda k: convergence.eigenvalue_sweep(PARAMS.R, [0.3, 0.5], k, 20), 3),
+    "fit_rate": (lambda k: convergence.fit_rate(SWEEP, k), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_inputs_refuse_non_integers(name):
+    # a float, even an integral one, and a bool are refused before any
+    # indexing or cache lookup; a numpy integer is an integer
+    call, accepted = INTEGER_ENTRY_POINTS[name]
+    for value in (2.5, 2.0, True, np.float64(3)):
+        with pytest.raises(InputError, match="must be an integer, got "):
+            call(value)
+    call(np.int64(accepted))
 
 
 def test_no_module_imports_a_concurrency_library():
