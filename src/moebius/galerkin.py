@@ -26,10 +26,11 @@ labels are made only on request.  Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with
 L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s) (m < 0), mu = |m| / 2R,
 a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).  The fields come from
 g = fa^2: one evaluation of g and its derivatives on the s nodes
-k = 0..m_s // 2 gives g and V with no square root, and the mirror
-f(2 pi R - s, t) = f(s, -t) fills the other nodes (``_fields``), so no
-square root is taken, for the matrix or for the residuals.  The
-integrals contract the u-quadrature first,
+k = 0..m_s // 2 gives g, d1 g and V with no square root, for the matrix
+and the residuals (``_fields``).  Every s-sum taken is even under the
+seam mirror (s, u) -> (2 pi R - s, -u), as f(2 pi R - s, t) = f(s, -t),
+so it is folded onto those nodes (``QuadratureGrid.folded_weights``).
+The integrals contract the u-quadrature first,
 
     A_nn'(s) = sum_u w T_n T_n' / g,    B_nn'(s) = sum_u w V T_n T_n',
 
@@ -120,12 +121,13 @@ __all__ = [
 GEOMETRY_CHOICES = ("true_geometry", "flat_with_Veff", "flat_plain")
 
 # Peak bytes per entry of arrays live together, traced with tracemalloc.
-# The fields of a quadrature group, per (point, s node, u node): g, V and
-# the derivatives of g, then the weighted fields; traced at 40-44 B
-_FIELD_BYTES = 48
-# Its kernels, per (point, pair of n, s node + 1): the kernels, then their
-# complex FFT with a copy of its real part; traced at 48-53 B
-_KERNEL_BYTES = 56
+# The fields of a quadrature group, per (point, s node k <= m_s // 2, u
+# node): g, V and the derivatives of g, then the weighted fields; traced at
+# 64-75 B
+_FIELD_BYTES = 76
+# Its kernels, per (point, pair of n, s node + 1): the kernels, zero-padded,
+# then their complex FFT with a copy of its real part; traced at 55-61 B
+_KERNEL_BYTES = 64
 # A sector stack being gathered, per entry beyond its block (8 B, as every
 # block): its two index arrays and the kinetic part; traced at 23-28 B
 _GATHER_BYTES = 28
@@ -321,9 +323,9 @@ class _Discretisation:
     grid: QuadratureGrid
     m: np.ndarray            # (N,) signed harmonic of each basis function
     n: np.ndarray            # (N,) transverse index of each basis function
-    g: np.ndarray            # (m_s, m_u) fa^2
-    d_s_g: np.ndarray        # (m_s, m_u) d1 g
-    potential: np.ndarray    # (m_s, m_u)
+    g: np.ndarray            # (m_s // 2 + 1, m_u) fa^2 on the s nodes k <= m_s // 2
+    d_s_g: np.ndarray        # (m_s // 2 + 1, m_u) d1 g
+    potential: np.ndarray    # (m_s // 2 + 1, m_u)
 
 
 def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
@@ -334,46 +336,20 @@ def _quadrature_orders(config: GalerkinConfig, m, n) -> tuple[int, int]:
 
 
 def _fields(params: StripParams, a: np.ndarray, grid: QuadratureGrid, geometry: str):
-    """g = fa^2 and V on the nodes of ``grid`` at each half-width of ``a``
-    (the radius from ``params``), each of shape (a.size, m_s, m_u), and d1 g
-    on the s nodes k = 0..m_s // 2, from one broadcast evaluation of g and
-    its derivatives at t = a u on those nodes: the strip has
-    f(2 pi R - s, t) = f(s, -t), and the u nodes come in exact +/- pairs,
-    so ``_mirrored`` fills the other nodes."""
-    ss = grid.s_nodes[:, None]
-    m_s = ss.size
-    shape = (a.size, m_s, grid.u_nodes.size)
+    """g = fa^2, V and d1 g on the s nodes k = 0..m_s // 2 and the u nodes
+    of ``grid`` at each half-width of ``a`` (the radius from ``params``),
+    each of shape (a.size, m_s // 2 + 1, m_u), from one broadcast
+    evaluation of g and its derivatives at t = a u; every sum over them is
+    folded at the seam mirror (module docstring)."""
+    ss = grid.s_nodes[:grid.s_nodes.size // 2 + 1, None]
     if geometry == "true_geometry":
-        derivatives = _g_with_derivatives(params, ss[:m_s // 2 + 1], a[:, None, None] * grid.u_nodes)
-        return (
-            _mirrored(derivatives[0], m_s, 1.0),
-            _mirrored(_potential_from_g(*derivatives), m_s, 1.0),
-            derivatives[1],
-        )
-    g, slope = np.ones(shape), np.zeros((a.size, m_s // 2 + 1, grid.u_nodes.size))
+        derivatives = _g_with_derivatives(params, ss, a[:, None, None] * grid.u_nodes)
+        return derivatives[0], _potential_from_g(*derivatives), derivatives[1]
+    shape = (a.size, ss.size, grid.u_nodes.size)
+    g, slope = np.ones(shape), np.zeros(shape)
     if geometry == "flat_with_Veff":
         return g, np.broadcast_to(potential_veff(params, ss), shape), slope
     return g, np.zeros(shape), slope  # flat_plain
-
-
-def _mirrored(half: np.ndarray, m_s: int, sign: float) -> np.ndarray:
-    """A field on all ``m_s`` s nodes (axis 1) from its values ``half`` on
-    the nodes k = 0..m_s // 2.
-
-    The field F has F(2 pi R - s, u) = ``sign`` F(s, -u): g and V are even
-    under that mirror, d1 g is odd.  Node m_s - k takes node k with u
-    reversed, times ``sign``.  At even m_s the node s = pi R is its own
-    mirror, and its u < 0 half is filled from its u > 0 half, so the field
-    is mirror-symmetric at every node by construction.
-    """
-    top = half.shape[1]
-    tail = half[:, m_s - top:0:-1, ::-1]
-    full = np.concatenate((half, -tail if sign < 0.0 else tail), axis=1)
-    if m_s % 2 == 0:
-        low = half.shape[2] // 2
-        middle = full[:, top - 1]
-        middle[:, :low] = sign * middle[:, :-low - 1:-1]  # exact: sign is +/-1
-    return full
 
 
 def _transverse_diag(n, a) -> np.ndarray:
@@ -392,24 +368,33 @@ def _pair_table(n_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, high, pair
 
 
-def _kernel_spectra(transverse, low, high, weights, g, potential, out):
+def _kernel_spectra(transverse, low, high, weights, g, potential, m_s: int, out):
     """Cosine sums of the u-contracted kernels, per half-width and field.
 
-    ``g`` and ``potential`` are stacks (points, m_s, m_u) of fa^2 and V on
-    the nodes, ``transverse`` holds T_n on the u nodes per distinct
-    transverse index, and ``low``, ``high`` the rows of each pair
-    (``_pair_table``).  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for F = w / g
-    and F = w V and each pair q = (n, n') of rows with n <= n', all formed
-    by one matrix product; C[., i, p, q] = sum_k K_q(s_k) cos(pi p k / m_s)
-    for p = 0..top, the real part of the kernels' one FFT zero-padded to
-    2 m_s, read at p folded into [0, m_s] modulo 2 m_s, is written into
-    ``out`` (points, 2, top + 1, pairs).
+    ``g`` and ``potential`` are stacks (points, m_s // 2 + 1, m_u) of fa^2
+    and V on the s nodes k = 0..m_s // 2 of an ``m_s``-node rule (``_fields``),
+    ``weights`` its folded weights there, ``transverse`` holds T_n on the u
+    nodes per distinct transverse index, and ``low``, ``high`` the rows of
+    each pair (``_pair_table``).  K_q(s) = sum_u F(s, u) T_n(u) T_n'(u) for
+    F = w / g and F = w V and each pair q = (n, n') of rows with n <= n',
+    all formed by one matrix product; C[., i, p, q] = sum_k K_q(s_k)
+    cos(pi p k / m_s) for p = 0..top, the real part of the kernels' one FFT
+    zero-padded to 2 m_s, read at p folded into [0, m_s] modulo 2 m_s, is
+    written into ``out`` (points, 2, top + 1, pairs).
+
+    The sum over the half nodes is the sum over all m_s nodes at every
+    frequency ``_sector_blocks`` reads.  g and V are even under the seam
+    mirror (s, u) -> (2 pi R - s, -u) and T_n(-u) = (-1)^(n+1) T_n(u), so
+    node m_s - k holds (-1)^(n+n') times the kernel of node k, and its
+    cosine is (-1)^p times node k's: the mirror adds (-1)^(p+n+n') times
+    node k's term.  The blocks read p = h_j +/- h_k, and every flat mode has
+    h + n odd, so p = n + n' modulo 2 (folding p modulo 2 m_s keeps its
+    parity), and the folded weight 2 on node k counts its mirror exactly.
     """
     products = transverse[low] * transverse[high]  # (pairs, m_u)
-    fields = np.empty((g.shape[0], 2) + g.shape[1:])  # (points, 2, m_s, m_u)
+    fields = np.empty((g.shape[0], 2) + g.shape[1:])  # (points, 2, m_s // 2 + 1, m_u)
     np.divide(weights, g, out=fields[:, 0])
     np.multiply(weights, potential, out=fields[:, 1])
-    m_s = fields.shape[2]
     kernels = (fields.reshape(-1, fields.shape[-1]) @ products.T).reshape(fields.shape[:3] + (-1,))
     spectra = np.fft.rfft(kernels, n=2 * m_s, axis=2).real
     del kernels  # take copies the real part, contiguous, in its place
@@ -532,7 +517,7 @@ def _project(config: GalerkinConfig, a=None) -> list[_Projected]:
     quadratures = _grouped(orders)
     for points in quadratures:
         m_s, m_u = orders[points[0]]
-        per_point = _FIELD_BYTES * m_s * m_u + low.size * _KERNEL_BYTES * (m_s + 1)
+        per_point = _FIELD_BYTES * (m_s // 2 + 1) * m_u + low.size * _KERNEL_BYTES * (m_s + 1)
         require_bytes(len(points) * per_point + spectra_bytes,
                       f"the fields and kernels at points={len(points)}, "
                       f"N={max(sizes[i] for i in points)}, m_s={m_s}, m_u={m_u}, "
@@ -552,11 +537,10 @@ def _project(config: GalerkinConfig, a=None) -> list[_Projected]:
         g, potential, slope = _fields(params, a[points], grid, geometry)
         transverse = _transverse_rows(n_values, grid.u_nodes)
         lo = row[points[0]]
-        _kernel_spectra(transverse, low, high, grid.weights_2d, g, potential,
-                        spectra[lo:lo + len(points)])
+        _kernel_spectra(transverse, low, high, grid.folded_weights, g, potential,
+                        grid.s_nodes.size, spectra[lo:lo + len(points)])
         if whole:
-            d_s_g = _mirrored(slope, grid.s_nodes.size, -1.0)[0]
-            disc = _Discretisation(params, grid, *bases[0], g[0], d_s_g, potential[0])
+            disc = _Discretisation(params, grid, *bases[0], g[0], slope[0], potential[0])
         del g, potential, slope  # the gathers read none of the field stacks
     projected = []
     for points in stacked:
@@ -595,17 +579,20 @@ def _residual_norms(
 
     the k-th residual field sum_j c_jk (L Psi_j - lambda_k Psi_j) is a sum
     over n and four terms of a longitudinal row (C^T L', C^T (m/2R)^2 L,
-    C^T L, lambda C^T L) times an (m_s, m_u) field times T_n(u).  Batched
-    products over blocks of s nodes add the terms up, and one weighted sum
-    per eigenpair reduces them, so the first ``count`` norms are bitwise
-    those of all N.  At least two eigenpairs are formed: numpy takes a
-    one-row product through a matrix-vector kernel that sums in another
-    order.  A strip whose residual fields could overflow, by a bound read
-    from the fields, the rates and the eigenvalues, is refused with
-    ``InputError`` before anything is built.
+    C^T L, lambda C^T L) times a field times T_n(u) on the s nodes
+    k = 0..m_s // 2, where its square, even under the seam mirror for an
+    eigenpair of one sector, is folded.  Batched products over blocks of
+    s nodes add the terms up, and one weighted sum per eigenpair reduces
+    them, so the first ``count`` norms are bitwise those of all N.  At
+    least two eigenpairs are formed: numpy takes a one-row product through
+    a matrix-vector kernel that sums in another order.  A strip whose
+    residual fields could overflow, by a bound read from the fields, the
+    rates and the eigenvalues, is refused with ``InputError`` before
+    anything is built.
     """
     width = min(max(count, 2), eigenvalues.size)
-    size, (m_s, m_u) = disc.m.size, disc.g.shape
+    grid, weights = disc.grid, disc.grid.folded_weights
+    size, (half, m_u), m_s = disc.m.size, disc.g.shape, grid.s_nodes.size
     n_count = int(np.count_nonzero(np.bincount(disc.n)))
     # Per eigenpair, the terms of a residual field are each at most sqrt(N)
     # amp (amp the largest longitudinal amplitude, sqrt(N) the largest
@@ -628,28 +615,27 @@ def _residual_norms(
     bound = (common + max(d_hi - l_lo, l_hi - d_lo) + (4 * n_count + 4) * 2.0**-53 * terms
              ) * math.sqrt(size / (math.pi * R))
     if not (g_hi * g_hi < math.inf and terms < math.inf
-            and bound * bound * max(float(disc.grid.weights_2d.sum()), 1.0) < math.inf):
+            and bound * bound * max(float(weights.sum()), 1.0) < math.inf):
         raise InputError(f"strip out of range for the residual norms: at a={disc.params.a:.3g}, "
                          f"R={R:.3g} its residual fields overflow")
     # the factor tables and one n's rows, one n's coefficients, seven
-    # (m_s, m_u) fields, two blocks of residual fields and the terms,
+    # (half, m_u) fields, two blocks of residual fields and the terms,
     # charged before the factor tables are sampled; what the residuals
     # allocate was traced at 81-92 % of it (N = 60 to 2150, count 1 to N)
-    require_bytes(8 * (3 * size * m_s + size * width + 7 * m_s * m_u + 2 * _S_BLOCK * width * m_u
-                       + 4 * n_count * m_s * (width + m_u)),
+    require_bytes(8 * (3 * size * half + size * width + 7 * half * m_u + 2 * _S_BLOCK * width * m_u
+                       + 4 * n_count * half * (width + m_u)),
                   f"the residual data at N={size}, count={count}, m_s={m_s}, m_u={m_u}, "
                   f"distinct n={n_count}")
     eigenvalues, coefficients = eigenvalues[:width], coefficients[:, :width]
-    grid, weights = disc.grid, disc.grid.weights_2d
-    factors = _sample_factors(disc.m, disc.n, disc.params, grid.s_nodes, grid.u_nodes,
+    factors = _sample_factors(disc.m, disc.n, disc.params, grid.s_nodes[:half], grid.u_nodes,
                               with_slope=True)
     rates_sq = rates * rates  # (m / 2R)^2, each square a product
     inv_g = 1.0 / disc.g
     drift = disc.d_s_g / (disc.g * disc.g)
     groups = factors.by_n()
-    # four terms per n, each a (K, m_s) row and an (m_s, m_u) field
-    rows_terms = np.empty((4 * len(groups), width, m_s))
-    field_terms = np.empty((4 * len(groups), m_s, m_u))
+    # four terms per n, each a (K, half) row and a (half, m_u) field
+    rows_terms = np.empty((4 * len(groups), width, half))
+    field_terms = np.empty((4 * len(groups), half, m_u))
     for i, (n, rows) in enumerate(groups):
         coeffs, chi = coefficients[rows].T, factors.transverse[n]
         row, field = rows_terms[4 * i:4 * i + 4], field_terms[4 * i:4 * i + 4]
@@ -661,8 +647,8 @@ def _residual_norms(
         np.multiply(inv_g, chi, out=field[1])
         np.multiply(disc.potential + diagonal[rows[0]], chi, out=field[2])
         field[3] = -chi
-    # (m_s, K, terms) @ (m_s, terms, m_u) gives the residual fields, formed
-    # a block of s nodes at a time so that no (m_s, K, m_u) array is held
+    # (half, K, terms) @ (half, terms, m_u) gives the residual fields, formed
+    # a block of s nodes at a time so that no (half, K, m_u) array is held
     rows_s = rows_terms.transpose(2, 1, 0)
     fields_s = field_terms.transpose(1, 0, 2)
     squared = np.zeros(rows_s.shape[1])

@@ -6,14 +6,18 @@ accurate for the smooth seam-symmetric integrands this package produces
 integrand F with the seam property F(s + 2 pi R, -u) = F(s, u) splits into
 an s-periodic, u-even part plus an s-antiperiodic, u-odd part; a node set
 symmetric in u annihilates the second part exactly, and the trapezoidal
-rule handles the first at spectral accuracy.
+rule handles the first at spectral accuracy.  An integrand also even under
+the seam mirror (s, u) -> (2 pi R - s, -u), as every sum of the Galerkin
+solver is, has its sum folded onto the nodes k = 0..m_s // 2
+(``QuadratureGrid.folded_weights``).
 
 Transverse direction: Gauss-Legendre nodes and weights on (-1, 1), computed
-by Newton iteration on the standard three-term recurrence and symmetrised
-so that nodes come in exact +/- pairs (that exactness is what kills the
-u-odd component above).  The rule of each order is solved once per process
-and cached; callers share its read-only arrays.  Orders above
-``_MAX_ORDER`` are refused with ``CapacityError`` before any iteration.
+by Newton iteration on the standard three-term recurrence (the weights at
+the converged nodes) and symmetrised so that nodes come in exact +/- pairs
+(that exactness is what kills the u-odd component above).  The rule of
+each order is solved once per process and cached; callers share its
+read-only arrays.  Orders above ``_MAX_ORDER`` are refused with
+``CapacityError`` before any iteration.
 """
 
 from __future__ import annotations
@@ -62,22 +66,20 @@ def _newton_legendre(order: int):
     n = order
     k = np.arange(n)
     x = np.cos(np.pi * (k + 0.75) / (n + 0.5))  # Tricomi initial guess
-    dp = np.empty_like(x)
-    for _ in range(_NEWTON_MAX_ITER):
-        p_prev = np.ones_like(x)
-        p = x.copy()
+    delta = np.inf
+    for _ in range(_NEWTON_MAX_ITER + 1):
+        p_prev, p = np.ones_like(x), x.copy()
         for j in range(2, n + 1):
             p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
         dp = n * (x * p - p_prev) / (x * x - 1.0)
+        if np.max(np.abs(delta)) < _NEWTON_TOL:
+            break  # dp is taken at the nodes returned, for the weights
         delta = p / dp
         x -= delta
-        if np.max(np.abs(delta)) < _NEWTON_TOL:
-            break
     else:
         raise NumericalError(
             f"Newton iteration for Legendre nodes of order {order} did not converge"
         )
-
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     x, w = x[idx], w[idx]
@@ -112,9 +114,13 @@ class QuadratureGrid:
         return cls(s_nodes, s_weights, u_nodes, u_weights)
 
     @property
-    def weights_2d(self) -> np.ndarray:
-        """Outer product of the weights, shape (m_s, m_u)."""
-        return self.s_weights[:, None] * self.u_weights[None, :]
+    def folded_weights(self) -> np.ndarray:
+        """Tensor weights on the s nodes k = 0..m_s // 2, for integrands even
+        under the seam mirror: node k carries node m_s - k's weight too where
+        that node is another one."""
+        k = np.arange(self.s_nodes.size // 2 + 1)
+        fold = np.where(2 * k % self.s_nodes.size, 2.0, 1.0)  # 2 k = 0 mod m_s: its own mirror
+        return (fold * self.s_weights[k])[:, None] * self.u_weights
 
 
 def integrate_2d(grid: QuadratureGrid, f) -> float:

@@ -18,10 +18,13 @@ bits differently, rewrites only the cells that really moved.
 
 ``--check`` writes nothing: it lists every cell of a fresh run that moved
 from the file as ``tests/test_golden.py`` compares them (with ``--exact``,
-every cell that is not byte-identical) and exits 1 if any did.  To show
-that a change leaves the output byte-identical on one machine, regenerate
-into a copy whose CSV files were deleted from the parent's package
-(``--src``), then run ``--check --exact`` there with the change's package.
+every cell that is not byte-identical), each numeric one with its relative
+move, then each file's largest relative move per column, and exits 1 if
+any cell moved.  To show that a change leaves the output byte-identical on
+one machine, regenerate into a copy whose CSV files were deleted from the
+parent's package (``--src``), then run ``--check --exact`` there with the
+change's package; the relative moves it prints bound a change that does
+move bits.
 
 The goldens are a behaviour gate for refactors: regenerate them only when
 an output is meant to change, and say why in CHANGES.md.
@@ -33,6 +36,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -141,12 +145,25 @@ def merge(fresh: str, committed: str) -> str:
     return out.getvalue()
 
 
+def relative_move(new: str, old: str):
+    """|new - old| / |old| of two numeric cells, None if either is not a number."""
+    try:
+        got, want = float(new), float(old)
+    except ValueError:
+        return None
+    if want == 0.0:
+        return 0.0 if got == 0.0 else math.inf
+    return abs(got - want) / abs(want)
+
+
 def moved(fresh: str, committed: str, exact: bool = False) -> list[str]:
     """What of the output ``fresh`` moved from the file ``committed``.
 
     The manifest line, the header and the row count must match exactly,
     the cells as ``cell_matches`` compares them and the modes by
     ``mode_groups``; with ``exact``, every byte must be the committed one.
+    A numeric cell that moved is listed with its relative move, and the
+    largest move per column follows the cells.
     """
     new_manifest, new_header, new_rows = split(fresh)
     old_manifest, old_header, old_rows = split(committed)
@@ -156,10 +173,19 @@ def moved(fresh: str, committed: str, exact: bool = False) -> list[str]:
                         f"(golden {old_header!r} with {len(old_rows)})"]
     columns = new_header.split(",")
     compared = columns if exact else [c for c in columns if c not in NOT_CELLWISE]
+    worst = {}
     for i, (new, old) in enumerate(zip(new_rows, old_rows)):
-        found += [f"row {i + 1} column {column}: {new[column]} (golden {old[column]})"
-                  for column in compared
-                  if not (new[column] == old[column] if exact else cell_matches(column, new, old))]
+        for column in compared:
+            if new[column] == old[column] if exact else cell_matches(column, new, old):
+                continue
+            move = relative_move(new[column], old[column])
+            shown = "" if move is None else f", relative move {move:.2g}"
+            found.append(f"row {i + 1} column {column}: {new[column]} (golden {old[column]}{shown})")
+            if move is not None:
+                worst[column] = max(worst.get(column, 0.0), move)
+    if worst:
+        found.append("worst relative move per column: "
+                     + ", ".join(f"{column} {move:.2g}" for column, move in worst.items()))
     if not exact and "mode" in columns and mode_groups(new_rows) != mode_groups(old_rows):
         found.append("mode labels of a multiplicity group")
     if exact and not found and fresh != committed:

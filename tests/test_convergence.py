@@ -22,8 +22,8 @@ from moebius.galerkin import (
     GalerkinConfig,
     _project,
     assemble,
+    basis_modes,
     effective_in_basis,
-    solve,
 )
 from moebius.geometry import StripParams, potential_va, potential_veff
 from moebius.models import DEFAULT_Q, _modes
@@ -286,26 +286,27 @@ def test_nearest_distance_takes_the_largest_overlap():
     assert got[1] == pytest.approx(np.sqrt(1e-6 + 4e-6), rel=1e-12)
 
 
-def nearest_solve_distances(config, count):
+def nearest_sector_distances(config, count):
     """Per effective mode: the least sign-aligned distance, truncation
-    added, to the coefficient columns of ``solve`` in the mode's sector."""
-    solution = solve(config)
+    added, to the eigenvectors of the mode's sector block of the assembled
+    matrix, each block diagonalised on its own."""
+    dense = assemble(config).to_dense()
     expansion = effective_in_basis(config, count)
-    m = np.array([mode.m for mode in solution.basis])
-    # each column is exactly zero off its sector
-    sine_columns = np.any(solution.coefficients[m < 0] != 0.0, axis=0)
+    sine_rows = np.array([mode.m < 0 for mode in
+                          basis_modes(config.params, config.n_basis, config.close_pairs)])
     distances = []
     for c, sine, t in zip(expansion.coefficients.T, expansion.sine, expansion.truncations):
-        columns = solution.coefficients[:, sine_columns == sine]
-        signs = np.copysign(1.0, columns.T @ c)
-        distances.append(np.sqrt(np.sum((c[:, None] - signs * columns) ** 2, axis=0) + t).min())
+        rows = np.flatnonzero(sine_rows == sine)  # c is exactly zero off its sector
+        columns = np.linalg.eigh(dense[np.ix_(rows, rows)])[1]
+        signs = np.copysign(1.0, columns.T @ c[rows])
+        distances.append(np.sqrt(np.sum((c[rows, None] - signs * columns) ** 2, axis=0) + t).min())
     return np.array(distances)
 
 
-# the reference diagonalises the whole N x N matrix, whose eigenvectors
-# differ from the sector blocks' by roundoff that grows with the transverse
-# scale 1/a^2 (up to 8e-12 absolute at a = 0.01), while the distances
-# shrink as a^2; from a = 0.37 on the two agree to 1e-12 relative
+# the sectors decouple exactly, so the reference diagonalises each block as
+# the sweep does; the eigenvectors of the whole N x N matrix differ from the
+# blocks' by roundoff that grows with the transverse scale 1/a^2 (up to
+# 8e-12 absolute at a = 0.01), while the distances shrink as a^2
 @pytest.mark.parametrize("a_values, count, n_basis", [
     # the K 20 grid of linspace(0.01, 1.5, 30), a = 1.0376 among others,
     # where matching by global position compared modes of opposite sectors
@@ -318,7 +319,7 @@ def test_eigenvector_distances_are_the_nearest_same_sector_solutions(a_values, c
     for a, distances in zip(a_values, sweep.differences):
         config = GalerkinConfig(params=StripParams(a=float(a), R=RADIUS), n_basis=n_basis,
                                 close_pairs=True)
-        want = nearest_solve_distances(config, count)
+        want = nearest_sector_distances(config, count)
         assert np.max(np.abs(distances - want) / want) <= 1e-12, a
 
 
@@ -424,7 +425,8 @@ def test_chunk_arrays_are_refused_before_any_is_built(monkeypatch, charges):
     assert {m.size for m, _ in bases} == {31} and {int(n.max()) for _, n in bases} == {1}
     top = 2 * max(int(np.abs(m).max()) for m, _ in bases)
     m_s, m_u = top + 32, 18
-    needed = grid.size * (galerkin._FIELD_BYTES * m_s * m_u + galerkin._KERNEL_BYTES * (m_s + 1)
+    needed = grid.size * (galerkin._FIELD_BYTES * (m_s // 2 + 1) * m_u
+                          + galerkin._KERNEL_BYTES * (m_s + 1)
                           + 8 * 2 * (top + 1))
     what = f"the fields and kernels at points=8, N=31, m_s={m_s}, m_u={m_u}, distinct n=1"
     eigenvalue_sweep(RADIUS, grid, 3, 30)

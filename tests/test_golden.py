@@ -85,7 +85,10 @@ def test_check_lists_the_moved_cells_and_writes_nothing(tmp_path, monkeypatch, c
         cells[1] = repr(changed)
         altered = "".join(lines[:3]) + ",".join(cells) + "".join(lines[4:])
         path.write_text(altered)
-        moved = f"spectrum-fake.csv: row 2 column value: {value!r} (golden {changed!r})\n"
+        move = f"{abs(value - changed) / changed:.2g}"
+        moved = (f"spectrum-fake.csv: row 2 column value: {value!r} (golden {changed!r}, "
+                 f"relative move {move})\n"
+                 f"spectrum-fake.csv: worst relative move per column: value {move}\n")
         for flags in (["--check"], ["--check", "--exact"]):
             listed = "--exact" in flags or not exact_only
             assert regenerate.main(flags) == int(listed)
@@ -93,3 +96,20 @@ def test_check_lists_the_moved_cells_and_writes_nothing(tmp_path, monkeypatch, c
             assert out == "mathieu.csv: unchanged\n" + (
                 moved if listed else "spectrum-fake.csv: unchanged\n")
             assert path.read_text() == altered
+    # a label is listed as it is, each numeric cell with its relative move,
+    # and the file's largest move per column follows its cells
+    second = float(lines[4].split(",")[1])
+    golden = [value * (1.0 + 1e-9), second * (1.0 - 3e-9)]
+    row_2 = lines[3].replace(repr(value), repr(golden[0]), 1)
+    row_3 = lines[4].replace(repr(second), repr(golden[1]), 1).replace("m=2,", "m=4,")
+    path.write_text("".join(lines[:3]) + row_2 + row_3 + "".join(lines[5:]))
+    moves = [abs(fresh - old) / old for fresh, old in zip((value, second), golden)]
+    assert regenerate.main(["--check", "--exact"]) == 1
+    assert capsys.readouterr().out == (
+        "mathieu.csv: unchanged\n"
+        f"spectrum-fake.csv: row 2 column value: {value!r} (golden {golden[0]!r}, "
+        f"relative move {moves[0]:.2g})\n"
+        f"spectrum-fake.csv: row 3 column value: {second!r} (golden {golden[1]!r}, "
+        f"relative move {moves[1]:.2g})\n"
+        "spectrum-fake.csv: row 3 column mode: fake(m=2,n=1) (golden fake(m=4,n=1))\n"
+        f"spectrum-fake.csv: worst relative move per column: value {max(moves):.2g}\n")
