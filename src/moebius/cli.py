@@ -355,14 +355,15 @@ def _cmd_spectrum(args) -> int:
     if args.model == "true":
         if args.N is None:
             raise InputError("--N is required for --model true")
-        require_int("count", args.count, 1)
-        if args.count > args.N:
-            raise InputError(f"--count {args.count} exceeds --N {args.N}")
         from . import galerkin
 
+        # the basis size is checked here, before the count is compared with it
         config = galerkin.GalerkinConfig(
             params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
         )
+        require_int("count", args.count, 1)
+        if args.count > args.N:
+            raise InputError(f"--count {args.count} exceeds --N {args.N}")
         solution = galerkin.solve(config)
         table = {
             "index": list(range(1, args.count + 1)),
@@ -405,6 +406,8 @@ def _cmd_converge(args) -> int:
                         *(("--window", end) for end in window or ())):
         if not math.isfinite(end):
             raise InputError(f"{option} must be finite, got {end}")
+    if window is not None and window[0] > window[1]:
+        raise InputError(f"--window needs LO <= HI, got {window[0]} {window[1]}")
     if args.grid == "geometric":
         a_grid = convergence.geometric_grid(args.a_min, args.a_max, args.steps)
     else:
@@ -455,12 +458,13 @@ def _cmd_eigenfunction(args) -> int:
     from .models import require_bytes
 
     params = StripParams(a=args.a, R=_radius(args))
-    require_int("--k", args.k, 1, args.N)
-    grid_s, grid_u = _parse_grid_spec(args.grid)
-    require_bytes(EXPORT_POINT_BYTES * grid_s * grid_u, f"the {grid_s}x{grid_u} export rows")
+    # the basis size is checked here, before the index is compared with it
     config = galerkin.GalerkinConfig(
         params=params, n_basis=args.N, m_s=args.ms, m_u=args.mu
     )
+    require_int("--k", args.k, 1, args.N)
+    grid_s, grid_u = _parse_grid_spec(args.grid)
+    require_bytes(EXPORT_POINT_BYTES * grid_s * grid_u, f"the {grid_s}x{grid_u} export rows")
     solution = galerkin.solve(config)
     s = np.linspace(0.0, params.circumference, grid_s)
     u = np.linspace(-1.0, 1.0, grid_u)

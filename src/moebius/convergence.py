@@ -21,23 +21,24 @@ Raw eigenvalues and the differences are stored, and the ratios read from them.
 differences of one index, over the whole grid or a window of it; the
 proven thin-strip rate is linear in a, the observed one quadratic.
 
-Both kinds run through one driver, which builds one configuration, at
-the thinnest half-width, and projects it at the grid's half-widths a
-chunk of ``_CHUNK`` at a time through ``galerkin._project``, as
-``galerkin.solve`` projects it at its own; each point keeps its own
-basis and quadrature orders, so its values agree with ``galerkin.solve``'s
-to roundoff; the chunk's effective modes come from one enumeration over
-its half-widths.  Each sector's stack of blocks of the points with
-equal sector sizes goes to LAPACK in one ``eig_dense_symmetric`` call,
-and the sector values merge by one sort.  The eigenvector kind compares
-each effective mode, expanded by ``galerkin._expansions`` over the bases
-the projection enumerated, with the eigenvectors of its sector, in sector
-rows.  Neither kind forms the N x N matrix, calls ``galerkin.solve`` or
-computes residual norms.  Chunks run one after another in grid order.
-A sweep whose estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is
-refused with ``CapacityError`` before any point is solved, and a chunk
-whose arrays would pass ``models.MAX_ARRAY_BYTES`` before any of them is
-built (``_project``).
+Both kinds run through one driver and one chunk function (``_chunk``).
+The driver builds one configuration, at the thinnest half-width, and the
+chunk projects it at ``_CHUNK`` of the grid's half-widths at a time
+through ``galerkin._project``, as ``galerkin.solve`` projects it at its
+own; each point keeps its own basis and quadrature orders, so its values
+agree with ``galerkin.solve``'s to roundoff, and the chunk's effective
+modes come from one enumeration over its half-widths.  Each sector's
+stack of blocks of the points with equal sector sizes goes to LAPACK in
+one ``eig_dense_symmetric`` call, and the sector values merge by one
+sort.  The eigenvector kind gathers the effective modes onto the stacked
+bases of those points (``galerkin._expanded``) and compares each
+sector's columns with its eigenvectors in one batched call.  Neither kind
+forms the N x N matrix, calls ``galerkin.solve`` or computes residual
+norms.  Chunks run one after another in grid order.  A sweep whose
+estimated work (``sweep_work``) passes ``MAX_SWEEP_WORK`` is refused with
+``CapacityError`` before any point is solved, and a chunk whose arrays
+would pass ``models.MAX_ARRAY_BYTES`` before any of them is built: the
+projection's by ``_project``, the expansions' before any block is solved.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .errors import CapacityError, InputError, require_int
-from .galerkin import GalerkinConfig, _expansions, _project
+from .galerkin import GalerkinConfig, _effective_modes, _expanded, _project
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
-from .models import DEFAULT_Q, _modes
 
 __all__ = [
     "MAX_SWEEP_WORK",
@@ -74,6 +75,11 @@ _CHUNK = 8
 # (eigenvector kind) on one core in 64-point sweeps (2-core VM, one BLAS
 # thread), it admits 650k points, 4-11 minutes.
 MAX_SWEEP_WORK = 10**13
+# Peak bytes per (point, basis function, mode) of a record's effective
+# expansions: the gathered coefficients beside their squares and partial
+# sums, then beside a sector's columns and the arrays that compare them with
+# its eigenvectors; traced at 28-33 B (N = 150 and 400, count 5 to N / 2)
+_EXPANSION_BYTES = 32
 # one point's fixed cost in operations, mostly interpreter work: 0.13-0.15 ms
 # (eigenvalue kind) to 0.36-0.40 ms (eigenvector kind) at N = 20, where the
 # N-dependent terms are small
@@ -133,8 +139,8 @@ class SweepResult:
         return self.differences / self.a_grid[:, None] ** 2
 
 
-def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> SweepResult:
-    """``chunk_rows`` over the grid a chunk of ``_CHUNK`` half-widths at a
+def _sweep(radius, a_grid, count, n_basis, geometry, m_s, m_u, want_vectors) -> SweepResult:
+    """``_chunk`` over the grid a chunk of ``_CHUNK`` half-widths at a
     time, its (effective, true, difference) arrays stacked into per-(a, n)
     arrays."""
     a_grid = np.asarray(a_grid, dtype=float)
@@ -146,44 +152,59 @@ def _sweep(chunk_rows, radius, a_grid, count, n_basis, geometry, m_s, m_u) -> Sw
         raise InputError(
             f"a_grid must lie in (0, 1.5], got [{a_grid[0]}, {a_grid[-1]}]"
         )
+    # the thinnest half-width is the only one whose energy scale can overflow;
+    # the basis size is checked here, before any count is compared with it
+    config = GalerkinConfig(params=StripParams(a=float(a_grid[0]), R=radius), n_basis=n_basis,
+                            m_s=m_s, m_u=m_u, geometry=geometry, close_pairs=True)
     require_int("count", count, 1)
     if count > n_basis:
         raise CapacityError(f"count={count} exceeds basis size {n_basis}")
     require_sweep_capacity(a_grid.size, n_basis, m_s)
-
-    # the thinnest half-width is the only one whose energy scale can overflow
-    config = GalerkinConfig(params=StripParams(a=float(a_grid[0]), R=radius), n_basis=n_basis,
-                            m_s=m_s, m_u=m_u, geometry=geometry, close_pairs=True)
-    rows = [chunk_rows(config, a_grid[lo:lo + _CHUNK], count)
+    rows = [_chunk(config, a_grid[lo:lo + _CHUNK], count, want_vectors)
             for lo in range(0, a_grid.size, _CHUNK)]
     eff, true, differences = (np.concatenate(column) for column in zip(*rows))
     return SweepResult(a_grid, eff, true, differences)
 
 
-def _solved_chunk(config, a, want_vectors: bool):
-    """Per ``galerkin._project`` record of ``config`` at ``a``: (positions,
-    bases m and n, sector rows, one ``eig_dense_symmetric`` call per sector stack,
-    eigenvectors in sector rows if ``want_vectors``, merged ascending values)."""
-    solved = []
-    projected = _project(config, a)
-    while projected:  # each set's blocks are let go once solved
+def _chunk(config, a, count: int, want_vectors: bool):
+    """Effective and Galerkin eigenvalues at each half-width ``a`` of the
+    chunk, with their gaps or, ``want_vectors``, the eigenvector distances.
+
+    Each ``_project`` record's sector stacks take one eigensolve each, and
+    their values merge by one sort.  With vectors, the chunk's effective
+    modes are gathered onto the record's stacked bases at once
+    (``galerkin._expanded``), and each sector's columns meet its
+    eigenvectors in one ``_nearest_distances``; a mode keeps the distance
+    from the sector of its family.
+    """
+    projected = _project(config, a)  # its checks come before any mode is enumerated
+    if want_vectors:
+        # the largest record's gather and distances lie beside its
+        # eigenvectors and the blocks not yet solved, together at most all
+        # the blocks
+        size = max(record.m.shape[1] for record in projected)
+        gathered = max(record.m.size for record in projected)  # its points x N
+        blocks = sum(stack.nbytes for record in projected for stack in record.stacks)
+        models.require_bytes(blocks + _EXPANSION_BYTES * gathered * count,
+                             f"the effective expansions at points={a.size}, N={size}, "
+                             f"count={count}")
+    modes = _effective_modes(config.params.R, a, count)
+    true, distances = np.empty((2, a.size, count))
+    while projected:  # each record's blocks are let go once solved
         points, m, n, sectors, stacks, _ = projected.pop(0)
         decomps = [eig_dense_symmetric(stack, want_vectors) for stack in stacks]
-        values = np.sort(np.concatenate([d.eigenvalues for d in decomps], axis=1), axis=1)
-        solved.append((points, m, n, sectors, decomps, values))
-    return solved
-
-
-def _eigenvalue_chunk(config, a, count: int):
-    """Effective and Galerkin eigenvalues and their gaps at each half-width
-    ``a`` of the chunk, from values-only eigensolves of the sector stacks;
-    the N x N matrix is never formed."""
-    true = np.empty((a.size, count))
-    for points, *_, values in _solved_chunk(config, a, want_vectors=False):
-        true[points] = values[:, :count]
-    point, _, _, _, value, _ = _modes(config.params.R, a, count, DEFAULT_Q)
-    eff = value[np.searchsorted(point, np.arange(a.size))[:, None] + np.arange(count)]
-    return eff, true, np.abs(eff - true)
+        del stacks
+        true[points] = np.sort(np.hstack([d.eigenvalues for d in decomps]))[:, :count]
+        if want_vectors:
+            coefficients, truncations = _expanded(modes._make(x[points] for x in modes), m, n)
+            point = np.arange(len(points))[:, None]
+            found = [_nearest_distances(d.eigenvectors, coefficients[point, rows], truncations)
+                     for rows, d in zip(sectors, decomps)]
+            # the cosine sector, which holds m = 0, comes first; without a sine
+            # sector no eff_se mode fits the basis, and _expanded refused it
+            distances[points] = np.where(modes.sine[points], found[-1], found[0])
+            del coefficients  # before the next record's gather
+    return modes.values, true, distances if want_vectors else np.abs(modes.values - true)
 
 
 def eigenvalue_sweep(
@@ -197,41 +218,20 @@ def eigenvalue_sweep(
     m_u: int | None = None,
 ) -> SweepResult:
     """Eigenvalue gap ratios |lambda_eff - lambda_true| / a^2 over a grid."""
-    return _sweep(_eigenvalue_chunk, radius, a_grid, count, n_basis, geometry, m_s, m_u)
+    return _sweep(radius, a_grid, count, n_basis, geometry, m_s, m_u, want_vectors=False)
 
 
 def _nearest_distances(vectors, modes, truncations):
     """Distance of each column c of ``modes`` to the column e of the
     orthonormal ``vectors`` of largest |e.c|: sqrt(||c - sign(e.c) e||^2 + t),
-    t from ``truncations``.  Summed elementwise, so it stays accurate far
-    below sqrt(eps), where 1 + ||c||^2 - 2 |e.c| would cancel."""
-    overlaps = vectors.T @ modes
-    nearest = np.abs(overlaps).argmax(axis=0)
-    signs = np.copysign(1.0, overlaps[nearest, np.arange(nearest.size)])
-    return np.sqrt(np.sum((modes - signs * vectors[:, nearest]) ** 2, axis=0) + truncations)
-
-
-def _eigenvector_chunk(config, a, count: int):
-    """Effective and Galerkin eigenvalues and the eigenvector distances at
-    each half-width ``a`` of the chunk, each effective mode, expanded over
-    the basis the projection enumerated, against the eigenvectors of its sector."""
-    true = np.empty((a.size, count))
-    distances = np.empty_like(true)
-    solved = _solved_chunk(config, a, want_vectors=True)
-    basis_of = {i: (m[g], n[g]) for points, m, n, *_ in solved for g, i in enumerate(points)}
-    bases = [basis_of[i] for i in range(a.size)]
-    expansions = _expansions(config.params.R, a, bases, count)
-    for points, m, _, sectors, decomps, values in solved:
-        true[points] = values[:, :count]
-        for g, i in enumerate(points):
-            modes = expansions[i]
-            for rows, decomp in zip(sectors, decomps):
-                family = modes.sine == (m[g, rows[g, 0]] < 0)  # eff_se in the sine sector
-                distances[i, family] = _nearest_distances(
-                    decomp.eigenvectors[g], modes.coefficients[np.ix_(rows[g], family)],
-                    modes.truncations[family],
-                )
-    return np.array([modes.values for modes in expansions]), true, distances
+    t from ``truncations``; stacks (points, r, r), (points, r, count) and
+    (points, count) member by member.  Summed elementwise, so it stays
+    accurate far below sqrt(eps), where 1 + ||c||^2 - 2 |e.c| would cancel."""
+    overlaps = np.swapaxes(vectors, -1, -2) @ modes
+    nearest = np.abs(overlaps).argmax(axis=-2)[..., None, :]
+    signs = np.copysign(1.0, np.take_along_axis(overlaps, nearest, axis=-2))
+    aligned = signs * np.take_along_axis(vectors, nearest, axis=-1)
+    return np.sqrt(np.sum((modes - aligned) ** 2, axis=-2) + truncations)
 
 
 def eigenvector_sweep(
@@ -247,7 +247,7 @@ def eigenvector_sweep(
     """Eigenvector distance ratios ||f_true - f_eff|| / a^2 over a grid, f_true
     the Galerkin eigenfunction of f_eff's reflection sector nearest to it,
     sign-aligned, and f_eff's squared norm outside the basis added."""
-    return _sweep(_eigenvector_chunk, radius, a_grid, count, n_basis, geometry, m_s, m_u)
+    return _sweep(radius, a_grid, count, n_basis, geometry, m_s, m_u, want_vectors=True)
 
 
 def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:
@@ -258,10 +258,8 @@ def fit_rate(sweep: SweepResult, index: int, a_window=None) -> float:
     """
     count = sweep.differences.shape[1]
     require_int("index", index, 1, count)
-    mask = np.ones(sweep.a_grid.size, dtype=bool)
-    if a_window is not None:
-        lo, hi = a_window
-        mask = (sweep.a_grid >= lo) & (sweep.a_grid <= hi)
+    lo, hi = (-np.inf, np.inf) if a_window is None else a_window
+    mask = (sweep.a_grid >= lo) & (sweep.a_grid <= hi)
     if int(mask.sum()) < 4:
         raise InputError(
             f"rate fit needs at least 4 grid points in the window, "

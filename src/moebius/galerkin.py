@@ -20,9 +20,10 @@ the tensor quadrature of :mod:`moebius.quadrature`, which is spectrally
 exact for these seam-symmetric integrands.
 
 The basis is enumerated as two integer arrays (m_j, n_j), in the order
-of ``basis_modes``, a sweep chunk's all at once (``_bases``), with its
-effective modes expanded over them (``_expansions``); ``ModeIndex``
-labels are made only on request.  Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with
+of ``basis_modes``, a sweep chunk's all at once (``_bases``), and the
+effective modes (``_effective_modes``) are gathered onto stacks of them
+(``_expanded``); ``ModeIndex`` labels are made only on request.
+Psi_j(s, u) = L_{m_j}(s) T_{n_j}(u) with
 L_m = a_m cos(mu s) (m >= 0) or a_m sin(mu s) (m < 0), mu = |m| / 2R,
 a_m = 1/sqrt(pi R) (1/sqrt(2 pi R) at m = 0).  The fields come from
 g = fa^2: one evaluation of g and its derivatives on the s nodes
@@ -706,81 +707,77 @@ class EffectiveExpansion:
 
 def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion:
     """Expand the first ``count`` effective eigenfunctions, at q = -1/4
-    (``DEFAULT_Q``), in the flat basis.
+    (``DEFAULT_Q``), in the flat basis: ``_expanded`` at one point.
 
-    The Mathieu Fourier harmonics at eta = s/2R are exactly the flat
-    longitudinal functions, so the expansion is exact up to truncation:
-    the symmetrised recurrence eigenvector component on harmonic j lands on
-    the flat mode (+/-j, n) of the same trigonometric type.  A truncation
-    above 1e-6 (less than 99.9999 percent of the norm captured) raises
-    ``CapacityError``.
+    A truncation above 1e-6 (less than 99.9999 percent of the norm
+    captured) raises ``CapacityError``.
     """
     R, a = config.params.R, [config.params.a]
-    return _expansions(R, a, _bases(R, a, config.n_basis, config.close_pairs), count)[0]
+    [(m, n)] = _bases(R, a, config.n_basis, config.close_pairs)
+    modes = _effective_modes(R, a, count)
+    coefficients, truncations = _expanded(modes, m[None], n[None])
+    return EffectiveExpansion(modes.values[0], coefficients[0], truncations[0], modes.sine[0])
 
 
-def _expansions(R: float, a, bases, count: int) -> list[EffectiveExpansion]:
-    """``effective_in_basis`` at each half-width of ``a`` on the radius ``R``:
-    the first ``count`` effective eigenfunctions of point i expanded over
-    its basis ``bases[i]`` = (m, n), their modes from one ``_modes`` call
-    over the half-widths.  Each distinct mode's harmonics and weights are
-    read once, and placed over each point's basis in one pass per point.  A
-    ``CapacityError`` names the first failing mode of the first failing
+# the first ``count`` effective modes at each of an array of half-widths:
+# (points, count) arrays of sine flags (eff_se), Mathieu orders m,
+# transverse indices n and values
+_EffectiveModes = collections.namedtuple("_EffectiveModes", "sine order n values")
+
+
+def _effective_modes(R: float, a, count: int) -> _EffectiveModes:
+    """The first ``count`` effective modes, at q = -1/4, at each half-width
+    of ``a`` on the radius ``R``, from one ``_modes`` call over them."""
+    point, *columns, _ = _modes(R, a, count, DEFAULT_Q)
+    pick = np.searchsorted(point, np.arange(len(a)))[:, None] + np.arange(count)
+    return _EffectiveModes(*(column[pick] for column in columns))
+
+
+def _expanded(modes: _EffectiveModes, m, n):
+    """The effective ``modes`` of each point expanded over its basis with
+    labels ``m``, ``n`` (points, N), stacked: coefficients (points, N, count)
+    and truncations (points, count).
+
+    The Mathieu Fourier harmonics at eta = s/2R are exactly the flat
+    longitudinal functions, so basis function j carries the weight of the
+    symmetrised recurrence eigenvector of mode k on harmonic |m_j| where n_j
+    and the sector (m_j < 0 for eff_se) are the mode's, and 0 elsewhere: one
+    broadcast gather from a table of the distinct modes' weights by
+    harmonic.  The truncation is 1 - ||expansion||^2, the squared norm
+    escaping the basis, accumulated in basis order, which within one n and
+    one sector ascends in harmonic.  A truncation above 1e-6 raises
+    ``CapacityError``, naming the first failing mode of the first failing
     point.
     """
     from . import mathieu  # the true model's solve never loads the Mathieu solver
 
-    point, sine, order, n_eff, value, _ = _modes(R, a, count, DEFAULT_Q)
-    pick = np.searchsorted(point, np.arange(len(a)))[:, None] + np.arange(count)
-    sine, order, n_eff, value = (column[pick] for column in (sine, order, n_eff, value))
     # the distinct modes, keyed 2 m + sine; np.unique would import numpy.ma (numpy 2)
-    keys = 2 * order + sine
+    keys = 2 * modes.order + modes.sine
     distinct = np.flatnonzero(np.bincount(keys.ravel()))
     chars = [mathieu.fourier_coefficients("se" if key % 2 else "ce", key // 2, DEFAULT_Q)
              for key in distinct.tolist()]
-    # a row of signed harmonics (negative for se) and weights per distinct
-    # mode, padded past its last coefficient by weight 0 at a harmonic
-    # outside every basis
-    sizes = np.array([char.fourier.size for char in chars])
-    filled = np.arange(sizes.max()) < sizes[:, None]
-    harmonics = np.full(filled.shape, np.iinfo(np.intp).max)
-    weights = np.zeros(filled.shape)
-    harmonics[filled] = np.concatenate([char.harmonics for char in chars])
-    weights[filled] = np.concatenate([char.fourier for char in chars])
+    # weights[d, h], distinct mode d's weight on harmonic h; harmonics past
+    # every mode's last read the zero column ``top``
+    top = max(int(char.harmonics[-1]) for char in chars) + 1
+    weights = np.zeros((distinct.size, top + 1))
+    for row, char in zip(weights, chars):
+        row[char.harmonics] = char.fourier
     # back to the unit-norm symmetrised vector (constant harmonic carries sqrt(2))
-    weights[harmonics == 0] *= np.sqrt(2.0)
-    harmonics[distinct % 2 == 1] *= -1
-    mode_of = np.searchsorted(distinct, keys)
-    coeffs, truncations = [], np.empty(keys.shape)
-    for i, (m, n) in enumerate(bases):
-        # basis position of the flat mode (m, n) at position[m + top, n], -1 if absent
-        top = int(np.abs(m).max())
-        position = np.full((2 * top + 1, int(n.max()) + 1), -1)
-        position[m + top, n] = np.arange(m.size)
-        # (mode, harmonic) cells of the point
-        h = harmonics[mode_of[i]]
-        cell_n = np.broadcast_to(n_eff[i][:, None], h.shape)
-        rows = np.full(h.shape, -1)
-        inside = (np.abs(h) <= top) & (cell_n < position.shape[1])
-        rows[inside] = position[h[inside] + top, cell_n[inside]]
-        found = rows >= 0
-        placed = np.where(found, weights[mode_of[i]], 0.0)
-        # accumulated in harmonic order, one square at a time; the zeros
-        # padding each mode's row leave its partial sums unchanged
-        leaked = 1.0 - np.cumsum(placed**2, axis=1)[:, -1]
-        # below summation roundoff the deficit carries no information
-        truncations[i] = np.where(leaked > 1e-14, leaked, 0.0)
-        coeffs.append(np.zeros((m.size, count)))
-        coeffs[i][rows[found], np.nonzero(found)[0]] = placed[found]
+    weights[:, 0] *= np.sqrt(2.0)
+    match = n[:, :, None] == modes.n[:, None, :]  # basis function j holds mode k's n
+    match &= (m[:, :, None] < 0) == modes.sine[:, None, :]  # and lies in its sector
+    mode_of = np.searchsorted(distinct, keys)[:, None, :]  # (points, 1, count)
+    harmonic = np.minimum(np.abs(m), top)[:, :, None]  # (points, N, 1)
+    coefficients = np.where(match, weights[mode_of, harmonic], 0.0)
+    # one square at a time; the zeros between a mode's rows leave its partial sums unchanged
+    leaked = 1.0 - np.cumsum(coefficients**2, axis=1)[:, -1]
+    # below summation roundoff the deficit carries no information
+    truncations = np.where(leaked > 1e-14, leaked, 0.0)
     failed = np.argwhere(truncations > 1e-6)  # point by point, modes in order
     if failed.size:
-        p, i = failed[0]
-        family = FAMILY_EFF_SE if sine[p, i] else FAMILY_EFF_CE
+        p, k = failed[0]
+        family = FAMILY_EFF_SE if modes.sine[p, k] else FAMILY_EFF_CE
         raise CapacityError(
-            f"basis of size {bases[p][0].size} captures only "
-            f"{1.0 - truncations[p, i]:.9f} of effective mode "
-            f"({family}, m={order[p, i]}, n={n_eff[p, i]})"
-        )
-    return [EffectiveExpansion(values=value[i], coefficients=coeffs[i],
-                               truncations=truncations[i], sine=sine[i])
-            for i in range(len(a))]
+            f"basis of size {m.shape[1]} captures only {1.0 - truncations[p, k]:.9f} of "
+            f"effective mode ({family}, m={modes.order[p, k]}, n={modes.n[p, k]})")
+    return coefficients, truncations

@@ -89,6 +89,11 @@ def test_sweep_validation():
         eigenvalue_sweep(RADIUS, [0.5, 1.6], 3, 10)  # beyond 1.5
     with pytest.raises(InputError):
         eigenvalue_sweep(RADIUS, [0.1, 0.2, 0.4], 12, 10)  # count > basis
+    # a basis size below 1 is refused before any count is compared with it
+    for n_basis in (0, -4):
+        for sweep in (eigenvalue_sweep, eigenvector_sweep):
+            with pytest.raises(InputError, match=f"^basis size must be >= 1, got {n_basis}$"):
+                sweep(1.0, [0.2, 0.4], 3, n_basis)
 
 
 def test_eigenvalue_sweep_smoke():
@@ -284,6 +289,15 @@ def test_nearest_distance_takes_the_largest_overlap():
     got = _nearest_distances(vectors, modes, np.array([0.0, 4e-6]))
     assert got[0] < 1e-15
     assert got[1] == pytest.approx(np.sqrt(1e-6 + 4e-6), rel=1e-12)
+    # a stack of two members is each member's own call, bit for bit
+    other = np.linalg.qr(np.random.default_rng(2).standard_normal((6, 6)))[0]
+    other_modes = np.stack([other[:, 0] + 1e-4 * other[:, 5], -other[:, 3]], axis=1)
+    truncations = np.array([[0.0, 4e-6], [1e-9, 0.0]])
+    stacked = _nearest_distances(np.stack([vectors, other]), np.stack([modes, other_modes]),
+                                 truncations)
+    for member, want in zip(stacked, (got, _nearest_distances(other, other_modes,
+                                                               truncations[1]))):
+        assert member.dtype == want.dtype and np.array_equal(member, want)
 
 
 def nearest_sector_distances(config, count):
@@ -390,7 +404,6 @@ def test_eigenvalue_sweep_enumerates_modes_once_per_chunk(monkeypatch):
         return enumerate_modes(R, a, count, q)
 
     monkeypatch.setattr(galerkin, "_modes", counted)
-    monkeypatch.setattr(convergence, "_modes", counted)
     grid = np.geomspace(0.03, 0.6, convergence._CHUNK + 3)
     eigenvalue_sweep(RADIUS, grid, 4, 24)
     chunks = [grid[:convergence._CHUNK].tolist(), grid[convergence._CHUNK:].tolist()]
@@ -453,6 +466,23 @@ def test_chunk_eigenvector_stacks_are_refused_before_any_is_built(monkeypatch, c
     assert max(charges) == (needed, what)
     assert 2 * blocks < needed
     refused_before_any_is_built(monkeypatch, needed, what, RADIUS, grid, 3, 30, m_s=2, m_u=2)
+
+
+def test_chunk_expansions_are_refused_before_any_block_is_solved(monkeypatch, charges):
+    # with count near N / 3 a chunk's effective expansions, beside all its
+    # blocks, are its largest charge; the eigenvalue kind gathers none
+    grid = np.linspace(0.3, 1.2, convergence._CHUNK)
+    eigenvector_sweep(RADIUS, grid, 40, 120)
+    needed, what = max(charges)
+    assert what == "the effective expansions at points=8, N=121, count=40"
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed)
+    eigenvector_sweep(RADIUS, grid, 40, 120)  # exactly at the cap is allowed
+    monkeypatch.setattr(models, "MAX_ARRAY_BYTES", needed - 1)
+    eigenvalue_sweep(RADIUS, grid, 40, 120)
+    for name in ("eig_dense_symmetric", "_effective_modes", "_expanded"):
+        monkeypatch.setattr(convergence, name, not_reached)
+    with pytest.raises(CapacityError, match=f"^{re.escape(what)} need about "):
+        eigenvector_sweep(RADIUS, grid, 40, 120)
 
 
 def test_a_one_point_sweep_is_not_charged_a_single_solve(charges):

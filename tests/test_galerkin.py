@@ -848,10 +848,16 @@ RADIUS = 2.8647889756541165
     # a chunk's sector blocks at N = 300
     lambda: eigenvalue_sweep(RADIUS, THIN, 3, 300, m_s=2, m_u=2),
     lambda: eigenvector_sweep(RADIUS, THIN, 3, 300, m_s=2, m_u=2),
+    # the effective expansions of count near N / 3 and N / 2 beside a
+    # chunk's eigenvectors and blocks; at N / 2 their peak passes every
+    # other charge
+    lambda: eigenvector_sweep(RADIUS, np.linspace(0.3, 1.2, _CHUNK), 120, 400),
+    lambda: eigenvector_sweep(RADIUS, np.linspace(0.3, 1.2, _CHUNK), 200, 400),
     # kernel spectra over the thin strips' harmonics and the wide strips'
     # transverse pairs
     lambda: eigenvalue_sweep(0.5, np.geomspace(0.02, 1.5, _CHUNK), 3, 200, m_s=1, m_u=1),
-], ids=["residuals", "eigenvalue-chunk", "eigenvector-chunk", "mixed-chunk"])
+], ids=["residuals", "eigenvalue-chunk", "eigenvector-chunk", "expansions-third",
+        "expansions-half", "mixed-chunk"])
 def test_traced_peak_is_within_the_largest_charge(charges, run):
     tracemalloc.start()
     try:
@@ -918,34 +924,45 @@ def test_eigenvector_sweep_enumerates_each_basis_once(monkeypatch):
     (0.8, (1e-6, 3e-6), 25, 20, False),
 ])
 def test_chunk_expansions_are_each_points_bitwise(R, a_values, n_basis, count, close_pairs):
-    # one effective enumeration over a chunk's bases equals each point's
-    # own effective_in_basis, bit for bit
-    params = [StripParams(a=a, R=R) for a in a_values]
+    # one effective enumeration over a chunk, gathered over each stack of
+    # its bases of one size, equals each point's own effective_in_basis, bit
+    # for bit
     bases = galerkin._bases(R, a_values, n_basis, close_pairs)
-    for p, got in zip(params, galerkin._expansions(R, a_values, bases, count)):
-        config = GalerkinConfig(params=p, n_basis=n_basis, close_pairs=close_pairs)
-        want = effective_in_basis(config, count)
-        for field in ("values", "coefficients", "truncations", "sine"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (p, field)
+    modes = galerkin._effective_modes(R, a_values, count)
+    stacks = [[i for i, (m, _) in enumerate(bases) if m.size == size]
+              for size in sorted({m.size for m, _ in bases})]
+    assert max(map(len, stacks)) >= 2
+    for points in stacks:
+        stacked = galerkin._EffectiveModes(*(column[points] for column in modes))
+        coefficients, truncations = galerkin._expanded(
+            stacked, *(np.stack([bases[i][k] for i in points]) for k in (0, 1)))
+        for g, i in enumerate(points):
+            config = GalerkinConfig(params=StripParams(a=a_values[i], R=R), n_basis=n_basis,
+                                    close_pairs=close_pairs)
+            want = effective_in_basis(config, count)
+            got = (stacked.values[g], coefficients[g], truncations[g], stacked.sine[g])
+            for field, a, b in zip(("values", "coefficients", "truncations", "sine"), got,
+                                   (want.values, want.coefficients, want.truncations, want.sine)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (a_values[i], field)
 
 
 def test_chunk_expansions_name_the_first_failing_point():
-    # points 1 and 2 both fail, each at its own mode, from one enumeration;
-    # point 1 comes first in the grid
-    params = [StripParams(a=a, R=TABLE_PARAMS.R) for a in (0.5, TABLE_PARAMS.a, 0.9)]
-    sizes, count = (72, 2, 10), 10
-    bases = [galerkin._bases(p.R, [p.a], size, False)[0] for p, size in zip(params, sizes)]
+    # points 1 and 2 of one stack both fail, each at its own mode, from one
+    # gather; point 1 comes first
+    a_values, size, count = (0.9, 1.1, 1.3), 12, 10
     messages = []
-    for p, size in zip(params, sizes):
+    for a in a_values:
         try:
-            effective_in_basis(GalerkinConfig(params=p, n_basis=size), count)
+            effective_in_basis(GalerkinConfig(params=StripParams(a=a, R=TABLE_PARAMS.R),
+                                              n_basis=size), count)
             messages.append(None)
         except CapacityError as exc:
             messages.append(str(exc))
     assert messages[0] is None and None not in messages[1:] and messages[1] != messages[2]
+    bases = galerkin._bases(TABLE_PARAMS.R, a_values, size, False)
     with pytest.raises(CapacityError) as caught:
-        galerkin._expansions(TABLE_PARAMS.R, [p.a for p in params], bases, count)
+        galerkin._expanded(galerkin._effective_modes(TABLE_PARAMS.R, a_values, count),
+                           *(np.stack([basis[k] for basis in bases]) for k in (0, 1)))
     assert str(caught.value) == messages[1]
 
 
