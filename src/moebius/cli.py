@@ -341,7 +341,7 @@ def _cmd_mathieu(args) -> int:
     from . import mathieu
 
     require_int("--max-order", args.max_order, 0)
-    values = [c.value for c in mathieu.char_values(args.q, args.max_order)]  # ce, then se
+    values = mathieu.char_values(args.q, args.max_order)[2].tolist()  # ce, then se
     ce = args.max_order + 1
     table = {"m": list(range(ce)), "a_m": values[:ce], "b_m": [None] + values[ce:]}
     _emit(args, table)

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import models
 from .errors import CapacityError, InputError, require_int
-from .galerkin import GalerkinConfig, _effective_modes, _expanded, _project
+from .galerkin import _EXPANSION_BYTES, GalerkinConfig, _effective_modes, _expanded, _project
 from .galerkin import solve  # noqa: F401  not called here; benchmark/spans.py wraps this binding
 from .geometry import StripParams
 from .linalg import eig_dense_symmetric
@@ -75,11 +75,6 @@ _CHUNK = 8
 # (eigenvector kind) on one core in 64-point sweeps (2-core VM, one BLAS
 # thread), it admits 650k points, 4-11 minutes.
 MAX_SWEEP_WORK = 10**13
-# Peak bytes per (point, basis function, mode) of a record's effective
-# expansions: the gathered coefficients beside their squares and partial
-# sums, then beside a sector's columns and the arrays that compare them with
-# its eigenvectors; traced at 28-33 B (N = 150 and 400, count 5 to N / 2)
-_EXPANSION_BYTES = 32
 # one point's fixed cost in operations, mostly interpreter work: 0.13-0.15 ms
 # (eigenvalue kind) to 0.36-0.40 ms (eigenvector kind) at N = 20, where the
 # N-dependent terms are small

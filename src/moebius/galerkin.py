@@ -580,9 +580,11 @@ def _residual_norms(
 
     the k-th residual field sum_j c_jk (L Psi_j - lambda_k Psi_j) is a sum
     over n and four terms of a longitudinal row (C^T L', C^T (m/2R)^2 L,
-    C^T L, lambda C^T L) times a field times T_n(u) on the s nodes
-    k = 0..m_s // 2, where its square, even under the seam mirror for an
-    eigenpair of one sector, is folded.  Batched products over blocks of
+    C^T L, (diagonal_n - lambda) C^T L) times a field times T_n(u) on the
+    s nodes k = 0..m_s // 2, where its square, even under the seam mirror
+    for an eigenpair of one sector, is folded.  The diagonal
+    (n pi / 2a)^2 enters through its gap to the eigenvalue alone, so that
+    on a thin strip no two terms of its size cancel.  Batched products over blocks of
     s nodes add the terms up, and one weighted sum per eigenpair reduces
     them, so the first ``count`` norms are bitwise those of all N.  At
     least two eigenpairs are formed: numpy takes a one-row product through
@@ -598,12 +600,11 @@ def _residual_norms(
     # Per eigenpair, the terms of a residual field are each at most sqrt(N)
     # amp (amp the largest longitudinal amplitude, sqrt(N) the largest
     # absolute sum of a unit coefficient column) times rate |drift|,
-    # rate^2 / g, |V| + diagonal or |lambda|.  Their sum is at most
-    # sqrt(N) amp times the first three, with |diagonal - lambda| for the
-    # last two, plus the roundoff of forming and adding the 4 per n terms,
-    # at most (4 per n + 4) unit roundoffs of their absolute sum.  The sum
-    # is squared and summed over the weights, and g is squared.  The bounds
-    # are Python floats, which reach inf with no warning
+    # rate^2 / g, |V| or |diagonal - lambda|; their sum, with the roundoff
+    # of forming and adding the 4 per n terms, at most (4 per n + 4) unit
+    # roundoffs of it.  The sum is squared and summed over the weights, and
+    # g is squared.  The bounds are Python floats, which reach inf with no
+    # warning
     R, (g_lo, g_hi) = disc.params.R, (float(disc.g.min()), float(disc.g.max()))
     rates = np.abs(disc.m) / (2.0 * R)  # (N,) |m| / 2R
     rate = float(rates.max())
@@ -612,9 +613,8 @@ def _residual_norms(
     l_lo, l_hi = float(eigenvalues[:width].min()), float(eigenvalues[:width].max())
     common = (rate * (float(np.abs(disc.d_s_g).max()) / (g_lo * g_lo))
               + rate * rate / g_lo + float(np.abs(disc.potential).max()))
-    terms = common + d_hi + max(-l_lo, l_hi)
-    bound = (common + max(d_hi - l_lo, l_hi - d_lo) + (4 * n_count + 4) * 2.0**-53 * terms
-             ) * math.sqrt(size / (math.pi * R))
+    terms = common + max(d_hi - l_lo, l_hi - d_lo)
+    bound = (1.0 + (4 * n_count + 4) * 2.0**-53) * terms * math.sqrt(size / (math.pi * R))
     if not (g_hi * g_hi < math.inf and terms < math.inf
             and bound * bound * max(float(weights.sum()), 1.0) < math.inf):
         raise InputError(f"strip out of range for the residual norms: at a={disc.params.a:.3g}, "
@@ -643,11 +643,11 @@ def _residual_norms(
         np.matmul(coeffs, factors.slope[rows], out=row[0])
         np.matmul(coeffs, rates_sq[rows, None] * factors.longitudinal[rows], out=row[1])
         np.matmul(coeffs, factors.longitudinal[rows], out=row[2])
-        np.multiply(eigenvalues[:, None], row[2], out=row[3])
+        np.multiply(diagonal[rows[0]] - eigenvalues[:, None], row[2], out=row[3])
         np.multiply(drift, chi, out=field[0])
         np.multiply(inv_g, chi, out=field[1])
-        np.multiply(disc.potential + diagonal[rows[0]], chi, out=field[2])
-        field[3] = -chi
+        np.multiply(disc.potential, chi, out=field[2])
+        field[3] = chi
     # (half, K, terms) @ (half, terms, m_u) gives the residual fields, formed
     # a block of s nodes at a time so that no (half, K, m_u) array is held
     rows_s = rows_terms.transpose(2, 1, 0)
@@ -707,7 +707,8 @@ class EffectiveExpansion:
 
 def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion:
     """Expand the first ``count`` effective eigenfunctions, at q = -1/4
-    (``DEFAULT_Q``), in the flat basis: ``_expanded`` at one point.
+    (``DEFAULT_Q``), in the flat basis: ``_expanded`` at one point, its
+    gather charged first at ``_EXPANSION_BYTES`` per basis function and mode.
 
     A truncation above 1e-6 (less than 99.9999 percent of the norm
     captured) raises ``CapacityError``.
@@ -715,6 +716,8 @@ def effective_in_basis(config: GalerkinConfig, count: int) -> EffectiveExpansion
     R, a = config.params.R, [config.params.a]
     [(m, n)] = _bases(R, a, config.n_basis, config.close_pairs)
     modes = _effective_modes(R, a, count)
+    require_bytes(_EXPANSION_BYTES * m.size * count,
+                  f"the effective expansions at N={m.size}, count={count}")
     coefficients, truncations = _expanded(modes, m[None], n[None])
     return EffectiveExpansion(modes.values[0], coefficients[0], truncations[0], modes.sine[0])
 
@@ -731,6 +734,13 @@ def _effective_modes(R: float, a, count: int) -> _EffectiveModes:
     point, *columns, _ = _modes(R, a, count, DEFAULT_Q)
     pick = np.searchsorted(point, np.arange(len(a)))[:, None] + np.arange(count)
     return _EffectiveModes(*(column[pick] for column in columns))
+
+
+# Peak bytes per (point, basis function, mode) of effective expansions: the
+# gathered coefficients beside their squares and partial sums, then in a
+# sweep beside a sector's columns and the arrays that compare them with its
+# eigenvectors; traced at 28-33 B (N = 150 and 400, count 5 to N / 2)
+_EXPANSION_BYTES = 32
 
 
 def _expanded(modes: _EffectiveModes, m, n):

@@ -20,7 +20,7 @@ coefficients normalised so that
 
     integral_{-pi}^{pi} |ce_m|^2 = integral_{-pi}^{pi} |se_m|^2 = pi.
 
-Each class is solved once, at a truncation computed from q and the count
+Each class is solved at a truncation computed from q and the count
 (``_truncation``): at least 64 rows, growing with the count and |q|^(1/4),
 the width in rows of the lowest eigenvectors at large |q|, and with
 |q|^(1/2) once the count reaches the values near 0, which must be solved
@@ -32,12 +32,12 @@ that cap raises ``CapacityError`` before anything is allocated, a finite
 7.4e307) raises ``NumericalError``, and a non-finite q ``InputError``.
 The sign convention fixes each expansion's coefficient of its own harmonic
 m positive, so that ce_m -> cos m eta and se_m -> sin m eta as q -> 0.
-Each recurrence's eigenvalues are solved once, kept per (kind, parity, q,
-rows), and read as a leading slice by every count at those rows and by
-every table of values (``_char_arrays``: ``char_values`` and the effective
-model's table), which keeps no copy; the eigenpairs of the last four
-classes are kept for their vectors alone.  Expansions are cached per
-(kind, order, q), with read-only arrays.
+The eigenvalues and the eigenpairs of the four most recent classes (the
+four classes of one q) are kept, read-only, per (kind, parity, q, rows);
+every value, every table (``char_values``, which returns sine flags,
+orders and values as arrays) and every expansion is read from them, and
+no cache keeps a second copy of what they hold.  An expansion is formed
+afresh on every call, and its arrays are the caller's.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ _MAX_TRUNCATION = 4096
 # truncation moves no value
 _STABILITY_TOL = 1e-13
 _COEFF_CUTOFF = 1e-16
-# decompositions kept by _class_decomposition's cache: the four classes of
-# one q, at most 4 x 128 MiB at the truncation cap
-_CACHED_DECOMPOSITIONS = 4
+# classes kept by each of _class_values' and _class_decomposition's caches:
+# the four classes of one q, at most 4 x 128 MiB of eigenpairs at the
+# truncation cap
+_CACHED_CLASSES = 4
 # The lowest values of a class at large |q| lie in the wells of
 # -2 q cos 2 eta, where the recurrence is a discrete harmonic oscillator in
 # the row: the count-th level turns near row |q|^(1/4) sqrt(2 count), and
@@ -83,19 +84,18 @@ _OVERFLOW_Q = float(np.finfo(float).max / (1.0 + np.sqrt(2.0)))
 
 @dataclass(frozen=True)
 class MathieuChar:
-    """One characteristic value, optionally with its Fourier expansion.
+    """One characteristic value with its Fourier expansion.
 
     ``harmonics`` lists the integer frequencies of the expansion (stride 2
     within one symmetry class) and ``fourier`` the matching coefficients:
     ce_m(eta) = sum_j fourier[j] * cos(harmonics[j] * eta), se_m with sin.
-    Both are None when only the value was requested.
     """
 
     kind: str
     m: int
     value: float
-    harmonics: np.ndarray | None = None
-    fourier: np.ndarray | None = None
+    harmonics: np.ndarray
+    fourier: np.ndarray
 
 
 def _validate(kind: str, m: int) -> None:
@@ -138,7 +138,6 @@ def _truncation(q: float, count: int) -> int:
     return max(_BASE_TRUNCATION, count + 16 + int(np.ceil(well)), 16 + int(np.ceil(middle)))
 
 
-@lru_cache(maxsize=None)
 def _stable_class_values(kind: str, parity: int, q: float, count: int):
     """First ``count`` class eigenvalues, solved at ``_truncation`` rows.
 
@@ -161,7 +160,7 @@ def _stable_class_values(kind: str, parity: int, q: float, count: int):
     return _class_values(kind, parity, q, size)[:count], size
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_CLASSES)
 def _class_values(kind: str, parity: int, q: float, size: int) -> np.ndarray:
     """All eigenvalues of one class's recurrence at ``size`` rows, ascending
     and read-only."""
@@ -170,7 +169,7 @@ def _class_values(kind: str, parity: int, q: float, size: int) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=_CACHED_DECOMPOSITIONS)
+@lru_cache(maxsize=_CACHED_CLASSES)
 def _class_decomposition(kind: str, parity: int, q: float, size: int):
     """All eigenpairs of one class's recurrence at ``size`` rows, read-only."""
     decomp = eig_tridiagonal_full(*_recurrence(kind, parity, q, size))
@@ -194,10 +193,11 @@ def char_value(kind: str, m: int, q: float) -> float:
     return float(values[idx])
 
 
-def _char_arrays(q: float, max_order: int):
-    """``char_values`` as arrays: sine flags, orders and values.  Each class
-    is solved before any array is built, so an order past the truncation
-    cap is refused unlisted."""
+def char_values(q: float, max_order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All characteristic values a_0..a_max and b_1..b_max at parameter q,
+    as arrays: sine flags, orders and values, ce first then se, each by
+    order.  Each class is solved before any array is built, so an order
+    past the truncation cap is refused unlisted."""
     require_int("max_order", max_order, 0)
     q, even, odd = float(q), max_order // 2, (max_order + 1) // 2  # even orders from 2, odd orders
     classes = [_stable_class_values(kind, parity, q, count)[0] if count else ()
@@ -210,15 +210,6 @@ def _char_arrays(q: float, max_order: int):
             np.concatenate((ce, se)))
 
 
-def char_values(q: float, max_order: int) -> list[MathieuChar]:
-    """All characteristic values a_0..a_max and b_1..b_max at parameter q,
-    values only (no Fourier data), ce first then se, each by order."""
-    sine, order, value = _char_arrays(q, max_order)
-    return [MathieuChar("se" if s else "ce", m, v)
-            for s, m, v in zip(sine.tolist(), order.tolist(), value.tolist())]
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 or True reaches the check, not 2's entry
 def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     """Characteristic value plus normalised Fourier coefficients of ce_m/se_m.
 
@@ -242,14 +233,12 @@ def fourier_coefficients(kind: str, m: int, q: float) -> MathieuChar:
     keep = np.nonzero(np.abs(coeff) >= _COEFF_CUTOFF)[0]
     last = keep[-1] + 1 if keep.size else 1
     harmonics = _first_harmonic(kind, parity) + 2 * np.arange(last)
-    fourier = coeff[:last].copy()
-    harmonics.flags.writeable = fourier.flags.writeable = False  # shared through the cache
     return MathieuChar(
         kind=kind,
         m=m,
         value=float(values[idx]),  # char_value's; eigh's value differs in the last bits
         harmonics=harmonics,
-        fourier=fourier,
+        fourier=coeff[:last],
     )
 
 

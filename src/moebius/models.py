@@ -318,9 +318,9 @@ def _table(R: float, q, orders: int):
     """The longitudinal table up to order ``orders``: sine flags, orders and
     energies, sorted by energy.  Flat (``q`` None): (m / 2R)^2 for cos,
     m >= 0, and sin, m >= 1, the sine row first of each pair.  Effective:
-    (1 / 2R)^2 a_m(q) and (1 / 2R)^2 b_m(q), read from the class solves
-    that ``mathieu`` caches (``mathieu._char_arrays``) and sorted by a stable
-    argsort, so ce_m comes before se_m where they tie."""
+    (1 / 2R)^2 a_m(q) and (1 / 2R)^2 b_m(q), the arrays of
+    ``mathieu.char_values``, sorted by a stable argsort, so ce_m comes
+    before se_m where they tie."""
     if q is None:
         row = np.arange(2 * orders + 1)
         order = (row + 1) // 2
@@ -328,7 +328,7 @@ def _table(R: float, q, orders: int):
         return row % 2 == 1, order, rate * rate
     from . import mathieu  # the flat model never loads the Mathieu solver
 
-    sine, order, mu = mathieu._char_arrays(q, orders)  # ce, then se
+    sine, order, mu = mathieu.char_values(q, orders)  # ce, then se
     rank = np.argsort(mu, kind="stable")
     kappa = 1.0 / (2.0 * R * (2.0 * R))
     return sine[rank], order[rank], kappa * mu[rank]

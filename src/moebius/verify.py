@@ -154,13 +154,10 @@ def check_embedding_metric() -> CheckResult:
 
 
 def check_mathieu_reference(char_values_fn=mathieu.char_values) -> CheckResult:
-    chars = char_values_fn(-0.25, 10)
-    table = {("ce", m): v for m, v in REFERENCE_A.items()}
-    table.update({("se", m): v for m, v in REFERENCE_B.items()})
-    worst = 0.0
-    for ch in chars:
-        ref = table[(ch.kind, ch.m)]
-        worst = max(worst, abs(ch.value - ref) / abs(ref))
+    sine, order, value = char_values_fn(-0.25, 10)
+    ref = np.array([(REFERENCE_B if s else REFERENCE_A)[m]
+                    for s, m in zip(sine.tolist(), order.tolist())])
+    worst = float(np.max(np.abs(value - ref) / np.abs(ref)))
     return _result("mathieu", "characteristic-reference-values", worst, 1e-12)
 
 
@@ -172,11 +169,11 @@ def check_mathieu_interlacing() -> CheckResult:
     double precision, so exact ties are tolerated; any resolvable gap must
     be strictly increasing.
     """
-    chars = {(c.kind, c.m): c.value for c in mathieu.char_values(-0.25, 10)}
-    chain = [chars[("ce", 0)], chars[("ce", 1)], chars[("se", 1)]]
+    sine, _, value = mathieu.char_values(-0.25, 10)
+    a, b = value[~sine].tolist(), [None, *value[sine].tolist()]  # a_0..a_10, b_1..b_10
+    chain = [a[0], a[1], b[1]]
     for m in range(2, 11):
-        pair = [("se", m), ("ce", m)] if m % 2 == 0 else [("ce", m), ("se", m)]
-        chain.extend(chars[key] for key in pair)
+        chain.extend((b[m], a[m]) if m % 2 == 0 else (a[m], b[m]))
     # ties below the solver's stability scale are unresolvable
     tol = mathieu._STABILITY_TOL
     ok = all(x <= y + tol * max(1.0, abs(x)) for x, y in zip(chain, chain[1:]))

@@ -104,11 +104,11 @@ def effective_candidates(params, q, cap):
     # a_m(q), b_m(q) >= m^2 - 3|q| bounds the orders that reach the cap
     m_max = int(np.ceil(np.sqrt(max((cap - e1) / kappa + 3.0 * abs(q), 0.0)))) + 1
     candidates = []
-    for ch in mathieu.char_values(q, m_max):
-        family = FAMILY_EFF_CE if ch.kind == "ce" else FAMILY_EFF_SE
-        n = 1 if ch.m % 2 == 0 else 2
-        while kappa * ch.value + e1 * n * n <= cap:
-            candidates.append((kappa * ch.value + e1 * n * n, ((family, ch.m, n),)))
+    for sine, m, value in zip(*(column.tolist() for column in mathieu.char_values(q, m_max))):
+        family = FAMILY_EFF_SE if sine else FAMILY_EFF_CE
+        n = 1 if m % 2 == 0 else 2
+        while kappa * value + e1 * n * n <= cap:
+            candidates.append((kappa * value + e1 * n * n, ((family, m, n),)))
             n += 2
     return candidates
 

@@ -537,6 +537,19 @@ def test_default_quadrature_matches_an_over_resolved_one(params, n_basis):
         assert np.max(np.abs(residuals - fine_residuals) / np.abs(fine_values)) <= 1e-13
 
 
+def test_thin_strip_residuals_hold_their_digits_under_a_finer_quadrature():
+    # the residual fields take (n pi / 2a)^2 through its gap to the
+    # eigenvalue: at a = 0.001, where it is 2.5e6, forming it beside V and
+    # lambda apart cancelled it away and moved the residuals by 6.2e-7 when
+    # m_s was quadrupled; the gap form moves them by 2.4e-10
+    params = StripParams(a=0.001, R=2.1)
+    default = solve(GalerkinConfig(params=params, n_basis=72))
+    m_s = default._discretisation.grid.s_nodes.size
+    fine = solve(GalerkinConfig(params=params, n_basis=72, m_s=4 * m_s))
+    for (_, residuals), (_, fine_residuals) in zip(sector_ordered(default), sector_ordered(fine)):
+        assert np.max(np.abs(residuals - fine_residuals) / fine_residuals) <= 1e-8
+
+
 def test_assembly_samples_no_factor_tables(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("factor tables sampled")
@@ -856,8 +869,11 @@ RADIUS = 2.8647889756541165
     # kernel spectra over the thin strips' harmonics and the wide strips'
     # transverse pairs
     lambda: eigenvalue_sweep(0.5, np.geomspace(0.02, 1.5, _CHUNK), 3, 200, m_s=1, m_u=1),
+    # one point's effective expansions, whose gather passes every other charge
+    lambda: effective_in_basis(GalerkinConfig(params=StripParams(a=0.5, R=18 / (2 * np.pi)),
+                                              n_basis=600), 300),
 ], ids=["residuals", "eigenvalue-chunk", "eigenvector-chunk", "expansions-third",
-        "expansions-half", "mixed-chunk"])
+        "expansions-half", "mixed-chunk", "effective-in-basis"])
 def test_traced_peak_is_within_the_largest_charge(charges, run):
     tracemalloc.start()
     try:

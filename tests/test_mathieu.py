@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -46,13 +47,23 @@ REFERENCE_B = {
 }
 
 
+def labelled(q, max_order):
+    """``char_values`` keyed by (kind, order)."""
+    sine, order, value = char_values(q, max_order)
+    return {("se" if s else "ce", m): v
+            for s, m, v in zip(sine.tolist(), order.tolist(), value.tolist())}
+
+
 def test_free_limit_is_squared_order():
-    for ch in char_values(0.0, 5):
-        assert ch.value == float(ch.m**2)
+    # ce orders 0..max, then se orders 1..max
+    sine, order, value = char_values(0.0, 5)
+    assert sine.tolist() == [False] * 6 + [True] * 5
+    assert order.tolist() == [*range(6), *range(1, 6)]
+    assert np.array_equal(value, order * order)
 
 
 def test_reference_table():
-    values = {(c.kind, c.m): c.value for c in char_values(Q, 10)}
+    values = labelled(Q, 10)
     for m, text in REFERENCE_A.items():
         ref = float(text)
         assert abs(values[("ce", m)] - ref) <= 1e-13 * max(1.0, abs(ref))
@@ -80,7 +91,7 @@ def test_truncation_doubling_stability():
 
 
 def test_interlacing_chain():
-    values = {(c.kind, c.m): c.value for c in char_values(Q, 10)}
+    values = labelled(Q, 10)
     chain = [values[("ce", 0)], values[("ce", 1)], values[("se", 1)]]
     for m in range(2, 11):
         pair = [("se", m), ("ce", m)] if m % 2 == 0 else [("ce", m), ("se", m)]
@@ -114,24 +125,20 @@ def test_each_expansion_tends_to_its_own_harmonic():
                 assert own > 0.0 and own == np.max(np.abs(ch.fourier)), (kind, m, q)
 
 
-def test_cached_expansions_are_read_only():
-    # a caller writing into the cached arrays once moved every later
+def test_writing_into_an_expansion_moves_no_later_evaluate():
+    # a caller writing into a cached expansion once moved every later
     # evaluate: ce_2(0) at q = -1/4 read 100.017 after fourier[0] = 99
     before = evaluate("ce", 2, -0.25, 0.0)
     ch = fourier_coefficients("ce", 2, -0.25)
-    for array in (ch.harmonics, ch.fourier):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 99
+    ch.harmonics[0] = ch.fourier[0] = 99
     assert evaluate("ce", 2, -0.25, 0.0) == before
 
 
 def doubled_expansion(kind, m, q):
-    """``fourier_coefficients`` solved at twice the class truncation, past
-    the caches keyed by order or count."""
+    """``fourier_coefficients`` solved at twice the class truncation."""
     truncation = mathieu._truncation
-    with mock.patch.multiple(mathieu, _truncation=lambda q, count: 2 * truncation(q, count),
-                             _stable_class_values=mathieu._stable_class_values.__wrapped__):
-        return mathieu.fourier_coefficients.__wrapped__(kind, m, q)
+    with mock.patch.object(mathieu, "_truncation", lambda q, count: 2 * truncation(q, count)):
+        return mathieu.fourier_coefficients(kind, m, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,7 +229,6 @@ def test_invalid_orders():
 @pytest.fixture
 def recurrence_sizes(monkeypatch):
     """Orders of the recurrence matrices built while the test runs."""
-    mathieu._stable_class_values.cache_clear()
     mathieu._class_values.cache_clear()
     sizes = []
     build = mathieu._recurrence
@@ -359,7 +365,7 @@ ORDERS = [("ce", m) for m in range(11)] + [("se", m) for m in range(1, 11)]
 
 def solved(q):
     """Every value and Fourier expansion of orders up to 10 at ``q``."""
-    table = [ch.value for ch in mathieu.char_values(q, 10)]
+    table = mathieu.char_values(q, 10)[2].tolist()
     single = [mathieu.char_value(kind, m, q) for kind, m in ORDERS]
     expansions = [mathieu.fourier_coefficients(kind, m, q) for kind, m in ORDERS]
     return table, single, expansions
@@ -376,9 +382,8 @@ def test_cached_solves_are_the_uncached_ones_bitwise(monkeypatch):
     qs = (Q, 0.0, 1.5, -7.0, 40.0)
     cached = [solved(q) for q in qs]
     effective = [effective_tables(q) for q in qs]
-    # every cache bypassed: each count and each order solves its own recurrence
-    for name in ("_stable_class_values", "_class_values", "_class_decomposition",
-                 "fourier_coefficients"):
+    # both caches bypassed: each count and each order solves its own recurrence
+    for name in ("_class_values", "_class_decomposition"):
         monkeypatch.setattr(mathieu, name, getattr(mathieu, name).__wrapped__)
     for q, (table, single, expansions) in zip(qs, cached):
         fresh_table, fresh_single, fresh_expansions = solved(q)
@@ -403,6 +408,30 @@ def test_cached_arrays_are_read_only():
     for array in (values, decomp.eigenvalues, decomp.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_a_scan_over_q_keeps_each_cache_bounded():
+    # each distinct q keys new class solves; the caches keep the classes of
+    # the last q or so, so a scan's memory does not grow with its length
+    # (unbounded caches kept about 4 KB per q)
+    def scan(qs):
+        for q in qs:
+            char_values(q, 10)
+            fourier_coefficients("ce", 2, q)
+
+    caches = [f for f in vars(mathieu).values() if hasattr(f, "cache_info")]
+    tracemalloc.start()
+    try:
+        scan([6.0, 7.0, 8.0, 9.0])  # the caches fill with traced entries
+        start = tracemalloc.get_traced_memory()[0]
+        scan(np.linspace(-5.0, 5.0, 500))
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
+    for cache in caches:
+        info = cache.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
 
 
 # counts the Mathieu recurrences solved by a cold ``verify``, in a child

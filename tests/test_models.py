@@ -134,7 +134,6 @@ def test_effective_near_degenerate_pair_merges():
 def test_effective_spectrum_tabulates_each_truncation_once():
     # each of the four Mathieu classes is solved once; a second spectrum at
     # the same (q, count) reads the cached solves
-    mathieu._stable_class_values.cache_clear()
     mathieu._class_values.cache_clear()
     first = effective_spectrum(TABLE_PARAMS, 20)
     assert mathieu._class_values.cache_info().misses == 4

@@ -158,8 +158,7 @@ def test_no_function_mutates_module_level_state():
 # The functions whose results are cached: the quadrature rules and the
 # Mathieu solves.  A cache over a cached solve keeps a second copy of what
 # the solve already keeps, so adding one takes an edit here.
-CACHED_FUNCTIONS = {"gauss_legendre", "_stable_class_values", "_class_values",
-                    "_class_decomposition", "fourier_coefficients"}
+CACHED_FUNCTIONS = {"gauss_legendre", "_class_values", "_class_decomposition"}
 
 
 def test_every_cache_hands_out_read_only_arrays():
@@ -168,10 +167,8 @@ def test_every_cache_hands_out_read_only_arrays():
 
     results = {
         "gauss_legendre": quadrature.gauss_legendre(8),
-        "_stable_class_values": mathieu._stable_class_values("ce", 0, -0.25, 3),
         "_class_values": mathieu._class_values("se", 1, -0.25, 64),
         "_class_decomposition": mathieu._class_decomposition("ce", 1, -0.25, 64),
-        "fourier_coefficients": mathieu.fourier_coefficients("ce", 2, -0.25),
     }
     assert set(results) == CACHED_FUNCTIONS
     for name, result in results.items():
@@ -187,23 +184,34 @@ def test_every_cache_hands_out_read_only_arrays():
 
 def test_every_cache_wraps_an_allowed_function():
     # functools.lru_cache and functools.cache; a cached_property lives and
-    # dies with its instance
-    def caches(node):
-        return getattr(node, "id", getattr(node, "attr", None)) in {"lru_cache", "cache"}
+    # dies with its instance.  Every cache is bounded by a maxsize it names:
+    # a bare lru_cache, lru_cache(maxsize=None) and functools.cache are refused
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
 
-    cached, elsewhere = [], []
+    def unbounded(decorator):
+        if not isinstance(decorator, ast.Call) or name(decorator.func) == "cache":
+            return True
+        sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+        return not sizes or isinstance(sizes[0], ast.Constant) and sizes[0].value is None
+
+    cached, elsewhere, unbounded_caches = [], [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         decorating = set()
         for node in ast.walk(tree):
             for decorator in getattr(node, "decorator_list", []):
                 decorating.update(id(inner) for inner in ast.walk(decorator))
-                if caches(decorator.func if isinstance(decorator, ast.Call) else decorator):
+                if name(decorator.func if isinstance(decorator, ast.Call) else decorator) \
+                        in {"lru_cache", "cache"}:
                     cached.append(node.name)
+                    if unbounded(decorator):
+                        unbounded_caches.append(f"{path.name}: {node.name}")
         # a cache built other than as a decorator is refused too
         elsewhere += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if caches(node) and id(node) not in decorating]
+                      if name(node) in {"lru_cache", "cache"} and id(node) not in decorating]
     assert elsewhere == []
+    assert unbounded_caches == []
     assert sorted(cached) == sorted(CACHED_FUNCTIONS)
 
 
@@ -211,10 +219,9 @@ def test_every_cache_wraps_an_allowed_function():
 # defining module).  Each is an internal seam kept on purpose, so a new
 # reach into another module's privates takes an edit here.
 CROSS_MODULE_PRIVATES = {
-    ("convergence", "galerkin"): {"_effective_modes", "_expanded", "_project"},
+    ("convergence", "galerkin"): {"_EXPANSION_BYTES", "_effective_modes", "_expanded", "_project"},
     ("galerkin", "geometry"): {"_g_with_derivatives", "_potential_from_g"},
     ("galerkin", "models"): {"_modes"},
-    ("models", "mathieu"): {"_char_arrays"},
     ("verify", "galerkin"): {"_bases", "_quadrature_orders", "_sample_factors"},
     ("verify", "mathieu"): {"_STABILITY_TOL"},
 }
@@ -410,7 +417,7 @@ def test_the_capacity_cap_has_one_binding_read_by_one_gate():
 # Every def and lambda parameter of the package other than self (cls,
 # *args and **kwargs count) and every dataclass field: a change that adds
 # or removes a setting updates this count and says why in CHANGES.md
-SETTABLE_VALUES = 323
+SETTABLE_VALUES = 321
 
 
 def test_settable_values_are_counted():
